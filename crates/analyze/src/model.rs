@@ -582,7 +582,16 @@ pub fn resolve_call(ws: &Workspace, caller: usize, call: &CallSite) -> Vec<usize
             Vec::new()
         };
     }
-    let frees: Vec<usize> = cands.iter().copied().filter(|&c| c != caller).collect();
+    // An unqualified call (`name(...)`, no `Type::` path before it) can only
+    // reach a free function: associated functions cannot be imported, so a
+    // method that happens to share the name is not a candidate.
+    let toks = &ws.files[f.file].lexed.tokens;
+    let qualified = call.tok > 0 && toks[call.tok - 1].is_punct(':');
+    let frees: Vec<usize> = cands
+        .iter()
+        .copied()
+        .filter(|&c| c != caller && (qualified || ws.functions[c].impl_type.is_none()))
+        .collect();
     if frees.len() == 1 {
         frees
     } else {

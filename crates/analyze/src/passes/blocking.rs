@@ -160,6 +160,35 @@ impl Wal {
     }
 
     #[test]
+    fn free_call_resolves_past_a_method_of_the_same_name() {
+        // `execute(..)` without a path can only be the free function, even
+        // though a method shares the name; the blocking call behind it must
+        // still be seen from under the guard.
+        let engine = "\
+pub fn execute() {
+    handle.join();
+}
+";
+        let service = "\
+impl Service {
+    pub fn execute(&self) {}
+    fn refill(&self) {
+        let cont = self.cont.lock().expect(\"poisoned\");
+        execute();
+        cont.touch();
+    }
+}
+";
+        let out = run(&[
+            ("crates/core/src/api.rs", engine),
+            ("crates/service/src/service.rs", service),
+        ]);
+        assert_eq!(out.len(), 1, "{out:?}");
+        assert!(out[0].message.contains("execute"));
+        assert!(out[0].message.contains("join"));
+    }
+
+    #[test]
     fn sleep_and_recv_under_guard_are_flagged() {
         let src = "\
 impl Q {

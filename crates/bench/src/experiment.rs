@@ -13,7 +13,6 @@ use cpq_core::{
 };
 use cpq_datasets::{clustered, uniform, ClusterSpec, Dataset, CALIFORNIA_SURROGATE_SIZE};
 use cpq_rtree::{RTree, RTreeParams, RTreeResult};
-use cpq_shard::ShardedTree;
 use cpq_storage::{
     BufferPool, ClockPolicy, DiskPageFile, FailingPageFile, FailureControl, FifoPolicy, LruPolicy,
     MemPageFile, PageFile, ReplacementPolicy, SchedConfig, DEFAULT_PAGE_SIZE,
@@ -88,8 +87,8 @@ pub fn build_tree_bulk(ds: &Dataset, fill: f64) -> RTreeResult<RTree<2>> {
 /// Builds the paper-parameter tree over a latency-injecting page file
 /// (disarmed during construction, so the build runs at memory speed).
 /// Callers arm the returned [`FailureControl`] — e.g.
-/// `control.slow_reads(..)` — before measuring. Shared by the parallel
-/// and sharded harnesses, which both benchmark the I/O-bound regime.
+/// `control.slow_reads(..)` — before measuring. Used by the parallel
+/// harness, which benchmarks the I/O-bound regime.
 pub fn build_tree_slow(ds: &Dataset) -> RTreeResult<(RTree<2>, Arc<FailureControl>)> {
     let control = FailureControl::new();
     let file = FailingPageFile::new(
@@ -102,64 +101,6 @@ pub fn build_tree_slow(ds: &Dataset) -> RTreeResult<(RTree<2>, Arc<FailureContro
         tree.insert(p, i as u64)?;
     }
     Ok((tree, control))
-}
-
-/// Partitions `ds` into (at most) `shards` spatial shards, each an
-/// insertion-built paper-parameter tree over its own in-memory page file —
-/// the shard-aware twin of [`build_tree`].
-pub fn build_sharded(ds: &Dataset, shards: usize) -> RTreeResult<ShardedTree<2>> {
-    ShardedTree::build(
-        &ds.name,
-        &ds.indexed(),
-        shards,
-        RTreeParams::paper(),
-        None,
-        |_| BufferPool::with_lru(Box::new(MemPageFile::new(DEFAULT_PAGE_SIZE)), 512),
-    )
-}
-
-/// Like [`build_sharded`] but every shard gets its **own disk page file**
-/// under the OS temp dir — optionally behind the I/O request scheduler —
-/// which is the deployment layout the shard manifest describes (one page
-/// file per shard, in a fleet one machine per shard). Returns the tree
-/// plus the per-shard file paths; callers remove them when done.
-pub fn build_sharded_disk(
-    ds: &Dataset,
-    label: &str,
-    shards: usize,
-    sched: Option<SchedConfig>,
-) -> RTreeResult<(ShardedTree<2>, Vec<PathBuf>)> {
-    let mut paths = Vec::new();
-    let tree = ShardedTree::build(
-        &ds.name,
-        &ds.indexed(),
-        shards,
-        RTreeParams::paper(),
-        None,
-        |id| {
-            let path = scratch_file(&format!("{label}-s{id}"));
-            // analyze: allow(panic-path) — `make_pool` is infallible by signature,
-            // and a temp-dir create failure is fatal to a bench run anyway.
-            let file = DiskPageFile::create(&path, DEFAULT_PAGE_SIZE).expect("shard page file");
-            paths.push(path);
-            let file: Box<dyn PageFile> = Box::new(file);
-            match sched {
-                Some(cfg) => BufferPool::with_lru_scheduled(file, 512, cfg),
-                None => BufferPool::with_lru(file, 512),
-            }
-        },
-    )?;
-    Ok((tree, paths))
-}
-
-/// Reconfigures every shard's buffer for a measured query: `pages` LRU
-/// frames per shard (`0` disables caching), cleared and with fresh
-/// counters — the sharded analogue of [`configure_buffers`].
-pub fn configure_sharded_buffers(t: &ShardedTree<2>, pages: usize) {
-    for shard in t.shards() {
-        shard.pool().set_capacity(pages);
-        shard.pool().reset_stats();
-    }
 }
 
 /// A fresh path for a bench page file under the OS temp dir, unique per

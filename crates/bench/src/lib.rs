@@ -23,9 +23,8 @@ pub mod table;
 pub use args::Args;
 pub use chart::Chart;
 pub use experiment::{
-    build_sharded, build_sharded_disk, build_tree, build_tree_bulk, build_tree_disk,
-    build_tree_disk_bulk, build_tree_slow, build_tree_with, configure_buffers,
-    configure_sharded_buffers, policy_by_name, real_dataset, run_incremental, run_query,
+    build_tree, build_tree_bulk, build_tree_disk, build_tree_disk_bulk, build_tree_slow,
+    build_tree_with, configure_buffers, policy_by_name, real_dataset, run_incremental, run_query,
     scratch_file, uniform_dataset,
 };
 pub use table::Table;

@@ -5,8 +5,9 @@ use crate::cancel::CancelToken;
 use crate::config::CpqConfig;
 use crate::engine::{Ctx, ScatterCtx};
 use crate::heap_alg::heap_run;
+use crate::parallel::{run_parallel, SpecRuntime};
 use crate::recursive::{exhaustive, naive, simple, sorted};
-use crate::spec::Constraint;
+use crate::spec::{Constraint, QuerySpec};
 use crate::types::{CpqStats, QueryOutcome, QueryRun};
 use cpq_geo::SpatialObject;
 use cpq_obs::{NullProbe, Probe, ProbeSide};
@@ -51,305 +52,105 @@ impl Algorithm {
     }
 }
 
-/// Finds the `K` closest pairs between the points of `tree_p` and `tree_q`.
+/// What one run carries besides the query itself: the optional
+/// [`CancelToken`], the [`Probe`] and the optional scatter hookup. The
+/// default is the plain run — no token, [`NullProbe`] (every probe call
+/// site compiles to nothing), no shared bound.
+pub struct ExecCtx<'a, P: Probe = NullProbe> {
+    pub(crate) cancel: Option<&'a CancelToken>,
+    pub(crate) probe: P,
+    pub(crate) scatter: Option<ScatterCtx<'a>>,
+}
+
+impl Default for ExecCtx<'_, NullProbe> {
+    fn default() -> Self {
+        ExecCtx {
+            cancel: None,
+            probe: NullProbe,
+            scatter: None,
+        }
+    }
+}
+
+impl<'a, P: Probe> ExecCtx<'a, P> {
+    /// Polls `cancel` once per node-pair visit. When it trips, the run
+    /// stops within one node visit and returns the K-heap's contents so
+    /// far with [`QueryRun::completed`]` = false` — a best-effort partial
+    /// answer, never an error. A token that never trips changes nothing,
+    /// work counters included.
+    pub fn with_cancel(mut self, cancel: &'a CancelToken) -> Self {
+        self.cancel = Some(cancel);
+        self
+    }
+
+    /// Sends per-node-access, per-leaf-scan and per-phase callbacks to
+    /// `probe` (see [`cpq_obs::Probe`]); lend a [`cpq_obs::ProfileProbe`]
+    /// to accumulate a full [`cpq_obs::QueryProfile`]. Instrumentation
+    /// observes, it never steers: results and work counters are identical.
+    pub fn with_probe<B: Probe>(self, probe: &'a mut B) -> ExecCtx<'a, &'a mut B> {
+        ExecCtx {
+            cancel: self.cancel,
+            probe,
+            scatter: self.scatter,
+        }
+    }
+
+    /// Makes the run **one scatter-gather subquery** of a sharded query
+    /// (the form the `cpq-shard` coordinator fans out).
+    ///
+    /// `shared` is the cross-shard global bound: it joins the engine's
+    /// effective threshold `T` as an extra pruning term, and this subquery
+    /// publishes its own live `T` back whenever it tightens — the exact
+    /// protocol the parallel executor uses across the threads of one query,
+    /// lifted to shard granularity. Pruning against it is strict (`> T`), so
+    /// with a bound that stays at `+∞` the result is unchanged; with a live
+    /// bound, only pairs that cannot belong to the *global* top-K are
+    /// dropped.
+    ///
+    /// `orient_by_oid` canonicalizes every retained pair to `p.oid < q.oid`
+    /// at construction — required by the off-diagonal subqueries of a
+    /// sharded self-join, where the global canonical order does not know
+    /// which shard a point came from.
+    ///
+    /// Scatter subqueries always run the plain sequential engine:
+    /// `config.parallelism` is ignored (the coordinator's worker pool is the
+    /// parallelism, and the speculative workers' task-local heaps do not
+    /// apply the orientation rule).
+    pub fn with_scatter(mut self, shared: &'a SharedBound, orient_by_oid: bool) -> Self {
+        self.scatter = Some(ScatterCtx {
+            bound: shared,
+            orient: orient_by_oid,
+        });
+        self
+    }
+}
+
+/// Runs one K-CPQ: the single way into the engine.
 ///
-/// Returns pairs sorted by ascending distance (fewer than `K` when
-/// `K > |P| · |Q|`). Work counters, including the paper's disk-access
-/// metric, are in [`QueryOutcome::stats`].
+/// `spec` says what is asked — `K`, cross (`P × Q`) or self-join (`P × P`,
+/// each unordered pair once with `p.oid < q.oid`; `tree_q` must then be
+/// `tree_p`) and the result-pair [`Constraint`]; `ctx` says what rides
+/// along (see [`ExecCtx`]). Pairs come back sorted by the canonical
+/// `(dist2, oid, oid)` order, fewer than `K` when fewer qualify, and are
+/// bit-identical to filtering the brute-force pair enumeration by the
+/// constraint and keeping the K smallest. Work counters, including the
+/// paper's disk-access metric, are in [`QueryOutcome::stats`].
 ///
 /// `K = 1` automatically enables the 1-CP special case: the `MINMAXDIST`
 /// bound of Inequality 2 (Sections 3.3–3.5).
-pub fn k_closest_pairs<const D: usize, O: SpatialObject<D>>(
-    tree_p: &RTree<D, O>,
-    tree_q: &RTree<D, O>,
-    k: usize,
-    algorithm: Algorithm,
-    config: &CpqConfig,
-) -> RTreeResult<QueryOutcome<D, O>> {
-    Ok(run(
-        tree_p,
-        tree_q,
-        k,
-        algorithm,
-        config,
-        false,
-        Constraint::none(),
-        None,
-        &mut NullProbe,
-    )?
-    .outcome)
-}
-
-/// [`k_closest_pairs`] under a result-pair [`Constraint`]: range-restricted
-/// (windowed) and/or colored K-CPQ.
 ///
-/// Only pairs admitted by the constraint are returned — each side's point
-/// inside its window (boundary-inclusive; extended objects must fit
-/// entirely), and under the colored filter the two oids must carry distinct
-/// colors. Results are bit-identical to filtering the brute-force pair
-/// enumeration by the same predicate and keeping the K smallest under the
-/// canonical `(dist2, oid, oid)` order. An inactive constraint makes this
-/// exactly [`k_closest_pairs`], work counters included.
-pub fn k_closest_pairs_constrained<const D: usize, O: SpatialObject<D>>(
+/// Fails with [`RTreeError::InvalidParams`] when the spec is invalid (see
+/// [`QuerySpec::validate`]).
+pub fn execute<const D: usize, O: SpatialObject<D>, P: Probe>(
     tree_p: &RTree<D, O>,
     tree_q: &RTree<D, O>,
-    k: usize,
+    spec: &QuerySpec<D>,
     algorithm: Algorithm,
     config: &CpqConfig,
-    constraint: Constraint<D>,
-) -> RTreeResult<QueryOutcome<D, O>> {
-    Ok(run(
-        tree_p,
-        tree_q,
-        k,
-        algorithm,
-        config,
-        false,
-        constraint,
-        None,
-        &mut NullProbe,
-    )?
-    .outcome)
-}
-
-/// [`k_closest_pairs_constrained`] with a [`CancelToken`] and a
-/// caller-supplied [`Probe`] — the constrained instrumented entry point the
-/// service worker pool uses.
-#[allow(clippy::too_many_arguments)]
-pub fn k_closest_pairs_constrained_instrumented<const D: usize, O: SpatialObject<D>, P: Probe>(
-    tree_p: &RTree<D, O>,
-    tree_q: &RTree<D, O>,
-    k: usize,
-    algorithm: Algorithm,
-    config: &CpqConfig,
-    constraint: Constraint<D>,
-    cancel: &CancelToken,
-    probe: &mut P,
+    mut ctx: ExecCtx<'_, P>,
 ) -> RTreeResult<QueryRun<D, O>> {
-    run(
-        tree_p,
-        tree_q,
-        k,
-        algorithm,
-        config,
-        false,
-        constraint,
-        Some(cancel),
-        probe,
-    )
-}
-
-/// [`k_closest_pairs`] under a cooperative [`CancelToken`], the form the
-/// `cpq-service` worker pool uses to enforce per-request deadlines.
-///
-/// The token is polled once per node-pair visit. When it trips, the run
-/// stops within one node visit and returns the K-heap's contents so far
-/// with [`QueryRun::completed`]` = false` — a best-effort partial answer,
-/// never an error. With a token that never trips, the result is identical
-/// (pairs and work counters alike) to [`k_closest_pairs`].
-pub fn k_closest_pairs_cancellable<const D: usize, O: SpatialObject<D>>(
-    tree_p: &RTree<D, O>,
-    tree_q: &RTree<D, O>,
-    k: usize,
-    algorithm: Algorithm,
-    config: &CpqConfig,
-    cancel: &CancelToken,
-) -> RTreeResult<QueryRun<D, O>> {
-    run(
-        tree_p,
-        tree_q,
-        k,
-        algorithm,
-        config,
-        false,
-        Constraint::none(),
-        Some(cancel),
-        &mut NullProbe,
-    )
-}
-
-/// [`k_closest_pairs_cancellable`] with a caller-supplied [`Probe`]: the
-/// instrumented entry point.
-///
-/// The probe receives per-node-access, per-leaf-scan, and per-phase
-/// callbacks during the run (see [`cpq_obs::Probe`]); pass a
-/// [`cpq_obs::ProfileProbe`] to accumulate a full
-/// [`cpq_obs::QueryProfile`]. Results and work counters are identical to
-/// the uninstrumented entry points — instrumentation observes, it never
-/// steers.
-#[allow(clippy::too_many_arguments)]
-pub fn k_closest_pairs_instrumented<const D: usize, O: SpatialObject<D>, P: Probe>(
-    tree_p: &RTree<D, O>,
-    tree_q: &RTree<D, O>,
-    k: usize,
-    algorithm: Algorithm,
-    config: &CpqConfig,
-    cancel: &CancelToken,
-    probe: &mut P,
-) -> RTreeResult<QueryRun<D, O>> {
-    run(
-        tree_p,
-        tree_q,
-        k,
-        algorithm,
-        config,
-        false,
-        Constraint::none(),
-        Some(cancel),
-        probe,
-    )
-}
-
-/// [`k_closest_pairs_cancellable`] as **one scatter-gather subquery** of a
-/// sharded query (the form the `cpq-shard` coordinator fans out).
-///
-/// `shared` is the cross-shard global bound: it joins the engine's
-/// effective threshold `T` as an extra pruning term, and this subquery
-/// publishes its own live `T` back whenever it tightens — the exact
-/// protocol the parallel executor uses across the threads of one query,
-/// lifted to shard granularity. Pruning against it is strict (`> T`), so
-/// with a bound that stays at `+∞` the result is identical to
-/// [`k_closest_pairs_cancellable`]; with a live bound, only pairs that
-/// cannot belong to the *global* top-K are dropped.
-///
-/// `orient_by_oid` canonicalizes every retained pair to `p.oid < q.oid`
-/// at construction — required by the off-diagonal subqueries of a sharded
-/// self-join, where the global canonical order does not know which shard a
-/// point came from.
-///
-/// Scatter subqueries always run the plain sequential engine:
-/// `config.parallelism` is ignored (the coordinator's worker pool is the
-/// parallelism, and the speculative workers' task-local heaps do not
-/// apply the orientation rule).
-#[allow(clippy::too_many_arguments)]
-pub fn k_closest_pairs_scatter<const D: usize, O: SpatialObject<D>>(
-    tree_p: &RTree<D, O>,
-    tree_q: &RTree<D, O>,
-    k: usize,
-    algorithm: Algorithm,
-    config: &CpqConfig,
-    cancel: &CancelToken,
-    shared: &SharedBound,
-    orient_by_oid: bool,
-) -> RTreeResult<QueryRun<D, O>> {
-    let mut cfg = *config;
-    cfg.parallelism = 0;
-    run_scatter(
-        tree_p,
-        tree_q,
-        k,
-        algorithm,
-        &cfg,
-        false,
-        Constraint::none(),
-        cancel,
-        shared,
-        orient_by_oid,
-    )
-}
-
-/// [`k_closest_pairs_scatter`] under a result-pair [`Constraint`] — the
-/// subquery form of a *constrained* sharded query. The coordinator passes
-/// the query's constraint to every shard-pair subquery unchanged; merged
-/// results stay bit-identical to the unsharded constrained run.
-#[allow(clippy::too_many_arguments)]
-pub fn k_closest_pairs_scatter_constrained<const D: usize, O: SpatialObject<D>>(
-    tree_p: &RTree<D, O>,
-    tree_q: &RTree<D, O>,
-    k: usize,
-    algorithm: Algorithm,
-    config: &CpqConfig,
-    constraint: Constraint<D>,
-    cancel: &CancelToken,
-    shared: &SharedBound,
-    orient_by_oid: bool,
-) -> RTreeResult<QueryRun<D, O>> {
-    let mut cfg = *config;
-    cfg.parallelism = 0;
-    run_scatter(
-        tree_p,
-        tree_q,
-        k,
-        algorithm,
-        &cfg,
-        false,
-        constraint,
-        cancel,
-        shared,
-        orient_by_oid,
-    )
-}
-
-/// [`self_closest_pairs_cancellable`] as one scatter-gather subquery: the
-/// diagonal (`shard × same shard`) case of a sharded self-join. Results
-/// already carry `p.oid < q.oid` (the self-join filter enforces it), so no
-/// orientation flag is needed. Semantics of `shared` as in
-/// [`k_closest_pairs_scatter`].
-pub fn self_closest_pairs_scatter<const D: usize, O: SpatialObject<D>>(
-    tree: &RTree<D, O>,
-    k: usize,
-    algorithm: Algorithm,
-    config: &CpqConfig,
-    cancel: &CancelToken,
-    shared: &SharedBound,
-) -> RTreeResult<QueryRun<D, O>> {
-    let mut cfg = *config;
-    cfg.parallelism = 0;
-    run_scatter(
-        tree,
-        tree,
-        k,
-        algorithm,
-        &cfg,
-        true,
-        Constraint::none(),
-        cancel,
-        shared,
-        false,
-    )
-}
-
-/// [`self_closest_pairs_scatter`] under a result-pair [`Constraint`]. The
-/// constraint must be symmetric (see [`self_closest_pairs_constrained`]).
-#[allow(clippy::too_many_arguments)]
-pub fn self_closest_pairs_scatter_constrained<const D: usize, O: SpatialObject<D>>(
-    tree: &RTree<D, O>,
-    k: usize,
-    algorithm: Algorithm,
-    config: &CpqConfig,
-    constraint: Constraint<D>,
-    cancel: &CancelToken,
-    shared: &SharedBound,
-) -> RTreeResult<QueryRun<D, O>> {
-    assert!(
-        constraint.is_symmetric(),
-        "self-join constraints must use one symmetric window"
-    );
-    let mut cfg = *config;
-    cfg.parallelism = 0;
-    run_scatter(
-        tree, tree, k, algorithm, &cfg, true, constraint, cancel, shared, false,
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_scatter<const D: usize, O: SpatialObject<D>>(
-    tree_p: &RTree<D, O>,
-    tree_q: &RTree<D, O>,
-    k: usize,
-    algorithm: Algorithm,
-    config: &CpqConfig,
-    self_join: bool,
-    constraint: Constraint<D>,
-    cancel: &CancelToken,
-    shared: &SharedBound,
-    orient: bool,
-) -> RTreeResult<QueryRun<D, O>> {
-    let misses_before = (
-        tree_p.pool().buffer_stats().misses,
-        tree_q.pool().buffer_stats().misses,
-    );
-    if k == 0 || tree_p.is_empty() || tree_q.is_empty() {
+    spec.validate()?;
+    if spec.k == 0 || tree_p.is_empty() || tree_q.is_empty() {
         return Ok(QueryRun {
             outcome: QueryOutcome {
                 pairs: Vec::new(),
@@ -358,23 +159,33 @@ fn run_scatter<const D: usize, O: SpatialObject<D>>(
             completed: true,
         });
     }
-    run_leader(
+    if config.parallelism > 1 && ctx.scatter.is_none() {
+        // Intra-query parallel mode: same driver control flow (`run_leader`
+        // below, called by `run_parallel`), plus speculative workers.
+        // Results are bit-identical (see `parallel`).
+        return run_parallel(tree_p, tree_q, spec, algorithm, config, &mut ctx);
+    }
+    run_leader(tree_p, tree_q, spec, algorithm, config, &mut ctx, None)
+}
+
+/// Finds the `K` closest pairs between the points of `tree_p` and `tree_q`:
+/// [`execute`] on an unconstrained cross spec, outcome only.
+pub fn k_closest_pairs<const D: usize, O: SpatialObject<D>>(
+    tree_p: &RTree<D, O>,
+    tree_q: &RTree<D, O>,
+    k: usize,
+    algorithm: Algorithm,
+    config: &CpqConfig,
+) -> RTreeResult<QueryOutcome<D, O>> {
+    execute(
         tree_p,
         tree_q,
-        k,
+        &QuerySpec::cross(k),
         algorithm,
         config,
-        self_join,
-        constraint,
-        Some(cancel),
-        &mut NullProbe,
-        None,
-        Some(ScatterCtx {
-            bound: shared,
-            orient,
-        }),
-        misses_before,
+        ExecCtx::default(),
     )
+    .map(|run| run.outcome)
 }
 
 /// The 1-CP convenience wrapper: the single closest pair.
@@ -396,28 +207,41 @@ pub fn self_closest_pairs<const D: usize, O: SpatialObject<D>>(
     algorithm: Algorithm,
     config: &CpqConfig,
 ) -> RTreeResult<QueryOutcome<D, O>> {
-    Ok(run(
+    execute(
         tree,
         tree,
-        k,
+        &QuerySpec::self_join(k),
         algorithm,
         config,
-        true,
-        Constraint::none(),
-        None,
-        &mut NullProbe,
-    )?
-    .outcome)
+        ExecCtx::default(),
+    )
+    .map(|run| run.outcome)
 }
 
-/// [`self_closest_pairs`] under a result-pair [`Constraint`]: self-RCP
-/// (both points of each pair inside one window) and/or colored self-join.
-///
-/// Self-join constraints must be **symmetric** (`window_p == window_q`):
-/// an unordered pair has no stable side assignment, so per-side windows
-/// would make the result depend on the internal `p.oid < q.oid`
-/// orientation. Use [`Constraint::window`] (one rectangle for both sides)
-/// or [`Constraint::colored`].
+/// [`k_closest_pairs`] under a result-pair [`Constraint`]. Kept for the
+/// `benchmark/` package; new code calls [`execute`].
+pub fn k_closest_pairs_constrained<const D: usize, O: SpatialObject<D>>(
+    tree_p: &RTree<D, O>,
+    tree_q: &RTree<D, O>,
+    k: usize,
+    algorithm: Algorithm,
+    config: &CpqConfig,
+    constraint: Constraint<D>,
+) -> RTreeResult<QueryOutcome<D, O>> {
+    execute(
+        tree_p,
+        tree_q,
+        &QuerySpec::cross(k).with_constraint(constraint),
+        algorithm,
+        config,
+        ExecCtx::default(),
+    )
+    .map(|run| run.outcome)
+}
+
+/// [`self_closest_pairs`] under a result-pair [`Constraint`], which must be
+/// symmetric (see [`QuerySpec::validate`]). Kept for the `benchmark/`
+/// package; new code calls [`execute`].
 pub fn self_closest_pairs_constrained<const D: usize, O: SpatialObject<D>>(
     tree: &RTree<D, O>,
     k: usize,
@@ -425,157 +249,35 @@ pub fn self_closest_pairs_constrained<const D: usize, O: SpatialObject<D>>(
     config: &CpqConfig,
     constraint: Constraint<D>,
 ) -> RTreeResult<QueryOutcome<D, O>> {
-    assert!(
-        constraint.is_symmetric(),
-        "self-join constraints must use one symmetric window"
-    );
-    Ok(run(
+    execute(
         tree,
         tree,
-        k,
+        &QuerySpec::self_join(k).with_constraint(constraint),
         algorithm,
         config,
-        true,
-        constraint,
-        None,
-        &mut NullProbe,
-    )?
-    .outcome)
-}
-
-/// [`self_closest_pairs_constrained`] with a [`CancelToken`] and a
-/// caller-supplied [`Probe`] — the constrained instrumented self-join
-/// entry point.
-pub fn self_closest_pairs_constrained_instrumented<
-    const D: usize,
-    O: SpatialObject<D>,
-    P: Probe,
->(
-    tree: &RTree<D, O>,
-    k: usize,
-    algorithm: Algorithm,
-    config: &CpqConfig,
-    constraint: Constraint<D>,
-    cancel: &CancelToken,
-    probe: &mut P,
-) -> RTreeResult<QueryRun<D, O>> {
-    assert!(
-        constraint.is_symmetric(),
-        "self-join constraints must use one symmetric window"
-    );
-    run(
-        tree,
-        tree,
-        k,
-        algorithm,
-        config,
-        true,
-        constraint,
-        Some(cancel),
-        probe,
+        ExecCtx::default(),
     )
+    .map(|run| run.outcome)
 }
 
-/// [`self_closest_pairs`] under a cooperative [`CancelToken`]; semantics as
-/// in [`k_closest_pairs_cancellable`].
-pub fn self_closest_pairs_cancellable<const D: usize, O: SpatialObject<D>>(
-    tree: &RTree<D, O>,
-    k: usize,
-    algorithm: Algorithm,
-    config: &CpqConfig,
-    cancel: &CancelToken,
-) -> RTreeResult<QueryRun<D, O>> {
-    run(
-        tree,
-        tree,
-        k,
-        algorithm,
-        config,
-        true,
-        Constraint::none(),
-        Some(cancel),
-        &mut NullProbe,
-    )
-}
-
-/// [`self_closest_pairs_cancellable`] with a caller-supplied [`Probe`];
-/// semantics as in [`k_closest_pairs_instrumented`].
-pub fn self_closest_pairs_instrumented<const D: usize, O: SpatialObject<D>, P: Probe>(
-    tree: &RTree<D, O>,
-    k: usize,
-    algorithm: Algorithm,
-    config: &CpqConfig,
-    cancel: &CancelToken,
-    probe: &mut P,
-) -> RTreeResult<QueryRun<D, O>> {
-    run(
-        tree,
-        tree,
-        k,
-        algorithm,
-        config,
-        true,
-        Constraint::none(),
-        Some(cancel),
-        probe,
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run<const D: usize, O: SpatialObject<D>, P: Probe>(
+/// [`k_closest_pairs`] with a [`CancelToken`] and a caller-supplied
+/// [`Probe`]. Kept for the `benchmark/` package; new code calls [`execute`].
+pub fn k_closest_pairs_instrumented<const D: usize, O: SpatialObject<D>, P: Probe>(
     tree_p: &RTree<D, O>,
     tree_q: &RTree<D, O>,
     k: usize,
     algorithm: Algorithm,
     config: &CpqConfig,
-    self_join: bool,
-    constraint: Constraint<D>,
-    cancel: Option<&CancelToken>,
+    cancel: &CancelToken,
     probe: &mut P,
 ) -> RTreeResult<QueryRun<D, O>> {
-    let misses_before = (
-        tree_p.pool().buffer_stats().misses,
-        tree_q.pool().buffer_stats().misses,
-    );
-    if k == 0 || tree_p.is_empty() || tree_q.is_empty() {
-        return Ok(QueryRun {
-            outcome: QueryOutcome {
-                pairs: Vec::new(),
-                stats: CpqStats::default(),
-            },
-            completed: true,
-        });
-    }
-    if config.parallelism > 1 {
-        // Intra-query parallel mode: same driver control flow (run by
-        // `run_leader` below through `parallel::run_parallel`), plus
-        // speculative workers. Results are bit-identical (see `parallel`).
-        return crate::parallel::run_parallel(
-            tree_p,
-            tree_q,
-            k,
-            algorithm,
-            config,
-            self_join,
-            constraint,
-            cancel,
-            probe,
-            misses_before,
-        );
-    }
-    run_leader(
+    execute(
         tree_p,
         tree_q,
-        k,
+        &QuerySpec::cross(k),
         algorithm,
         config,
-        self_join,
-        constraint,
-        cancel,
-        probe,
-        None,
-        None,
-        misses_before,
+        ExecCtx::default().with_cancel(cancel).with_probe(probe),
     )
 }
 
@@ -583,30 +285,22 @@ fn run<const D: usize, O: SpatialObject<D>, P: Probe>(
 /// runs (`par = None`) and the parallel executor's leader thread
 /// (`par = Some`), which is what guarantees the two modes traverse, prune,
 /// and retain identically.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn run_leader<const D: usize, O: SpatialObject<D>, P: Probe>(
     tree_p: &RTree<D, O>,
     tree_q: &RTree<D, O>,
-    k: usize,
+    spec: &QuerySpec<D>,
     algorithm: Algorithm,
     config: &CpqConfig,
-    self_join: bool,
-    constraint: Constraint<D>,
-    cancel: Option<&CancelToken>,
-    probe: &mut P,
-    par: Option<&crate::parallel::SpecRuntime<D, O>>,
-    scatter: Option<ScatterCtx<'_>>,
-    misses_before: (u64, u64),
+    exec: &mut ExecCtx<'_, P>,
+    par: Option<&SpecRuntime<D, O>>,
 ) -> RTreeResult<QueryRun<D, O>> {
-    let mut ctx = Ctx::new(
-        tree_p, tree_q, k, config, self_join, constraint, cancel, probe, par, scatter,
-    );
+    let mut ctx = Ctx::new(tree_p, tree_q, spec, config, exec, par);
 
     // A token that is already tripped (deadline expired while queued) stops
     // the run before it pays for the two root reads.
     if ctx.check_cancel().is_err() {
         return Ok(QueryRun {
-            outcome: ctx.finish(misses_before),
+            outcome: ctx.finish(),
             completed: false,
         });
     }
@@ -639,7 +333,7 @@ pub(crate) fn run_leader<const D: usize, O: SpatialObject<D>, P: Probe>(
         Err(e) => return Err(e),
     };
     Ok(QueryRun {
-        outcome: ctx.finish(misses_before),
+        outcome: ctx.finish(),
         completed,
     })
 }

@@ -9,8 +9,8 @@
 //!
 //! Cancellation is cooperative and lossless: an interrupted run returns the
 //! best pairs found so far (see
-//! [`k_closest_pairs_cancellable`](crate::k_closest_pairs_cancellable)),
-//! never a panic or a poisoned structure.
+//! [`ExecCtx::with_cancel`](crate::ExecCtx::with_cancel)), never a panic or
+//! a poisoned structure.
 
 use cpq_check::sync::atomic::{AtomicBool, Ordering};
 use cpq_check::sync::Arc;

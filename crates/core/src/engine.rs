@@ -2,12 +2,13 @@
 //! generation honoring the height strategy, leaf scanning, and the
 //! threshold bounds of Inequalities 1 and 2.
 
+use crate::api::ExecCtx;
 use crate::bound::SharedBound;
 use crate::cancel::CancelToken;
 use crate::config::{CpqConfig, HeightStrategy, KPruning, LeafScan};
 use crate::kheap::KHeap;
 use crate::parallel::{SpecRuntime, TaskOut};
-use crate::spec::Constraint;
+use crate::spec::{Constraint, QuerySpec};
 use crate::types::{CpqStats, PairResult};
 use cpq_check::sync::Arc;
 use cpq_geo::{max_max_dist2, min_max_dist2, min_min_dist2_within, Dist2, Rect, SpatialObject};
@@ -145,6 +146,9 @@ pub(crate) struct Ctx<'a, const D: usize, O: SpatialObject<D>, P: Probe> {
     /// sharded query (see [`ScatterCtx`]). `None` compiles the extra
     /// threshold term and the publish calls away.
     pub scatter: Option<ScatterCtx<'a>>,
+    /// Buffer-pool miss counts of the two trees when the run started; the
+    /// sequential [`finish`](Self::finish) reports the deltas.
+    misses_before: (u64, u64),
     /// Logical node reads on `P` (every [`read_side`](Self::read_side) call,
     /// cache hit or not). In parallel mode this ledger — not the buffer-pool
     /// miss delta, which speculation perturbs — is what
@@ -174,35 +178,37 @@ pub(crate) type RecurseFn<'a, const D: usize, O, P> =
     fn(&mut Ctx<'a, D, O, P>, &Node<D, O>, &Node<D, O>, PageId, PageId) -> RTreeResult<()>;
 
 impl<'a, const D: usize, O: SpatialObject<D>, P: Probe> Ctx<'a, D, O, P> {
-    #[allow(clippy::too_many_arguments)]
+    /// Sets up one run of `spec`; the cancel token, probe and scatter
+    /// hookup are borrowed from `exec`.
     pub(crate) fn new(
         tp: &'a RTree<D, O>,
         tq: &'a RTree<D, O>,
-        k: usize,
+        spec: &QuerySpec<D>,
         cfg: &'a CpqConfig,
-        self_join: bool,
-        constraint: Constraint<D>,
-        cancel: Option<&'a CancelToken>,
-        probe: &'a mut P,
+        exec: &'a mut ExecCtx<'_, P>,
         par: Option<&'a SpecRuntime<D, O>>,
-        scatter: Option<ScatterCtx<'a>>,
     ) -> Self {
         Ctx {
             tp,
             tq,
             cfg,
-            k,
-            kheap: KHeap::new(k.max(1)),
+            k: spec.k,
+            // K is outside input: preallocate for no more pairs than exist.
+            kheap: KHeap::bounded(spec.k, tp.len().saturating_mul(tq.len())),
             bound: Dist2::INFINITY,
             stats: CpqStats::default(),
             root_area_p: 0.0,
             root_area_q: 0.0,
-            self_join,
-            constraint,
-            cancel,
-            probe,
+            self_join: spec.self_join,
+            constraint: spec.constraint,
+            cancel: exec.cancel,
+            probe: &mut exec.probe,
             par,
-            scatter,
+            scatter: exec.scatter,
+            misses_before: (
+                tp.pool().buffer_stats().misses,
+                tq.pool().buffer_stats().misses,
+            ),
             ledger_p: 0,
             ledger_q: 0,
             sweep_p: Vec::new(),
@@ -293,7 +299,7 @@ impl<'a, const D: usize, O: SpatialObject<D>, P: Probe> Ctx<'a, D, O, P> {
 
     /// Cancellation point, called once per node-pair visit by every
     /// algorithm's main loop. [`RTreeError::Cancelled`] unwinds the run;
-    /// the cancellable entry points catch it and hand back the K-heap's
+    /// the driver (`run_leader`) catches it and hands back the K-heap's
     /// partial contents.
     ///
     /// In parallel mode this is also where a speculative worker's storage
@@ -734,7 +740,6 @@ impl<'a, const D: usize, O: SpatialObject<D>, P: Probe> Ctx<'a, D, O, P> {
     /// all match the sequential run. On a cache miss the driver computes
     /// inline and pushes the surviving candidates to the speculation queue
     /// as look-ahead for the workers.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn gen_cands_at(
         &mut self,
         np: &Node<D, O>,
@@ -883,7 +888,8 @@ impl<'a, const D: usize, O: SpatialObject<D>, P: Probe> Ctx<'a, D, O, P> {
     /// the pools cache nothing (`capacity = 0`, the paper's zero-buffer
     /// configuration); with a warm buffer the two modes count different
     /// things by design (logical vs. physical reads).
-    pub(crate) fn finish(mut self, misses_before: (u64, u64)) -> crate::types::QueryOutcome<D, O> {
+    pub(crate) fn finish(mut self) -> crate::types::QueryOutcome<D, O> {
+        let misses_before = self.misses_before;
         let same_tree = std::ptr::eq(self.tp, self.tq);
         if self.par.is_some() {
             // Self-join: both sides read the one shared tree; fold the

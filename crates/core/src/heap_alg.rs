@@ -81,7 +81,6 @@ pub(crate) fn heap_run<const D: usize, O: SpatialObject<D>, P: Probe>(
 /// candidates, tighten bounds, and push survivors (`Stay` sides keep the
 /// current page id — the node will simply be re-read when the pair is
 /// popped, which is exactly the I/O a paged implementation performs).
-#[allow(clippy::too_many_arguments)]
 fn process_pair<const D: usize, O: SpatialObject<D>, P: Probe>(
     ctx: &mut Ctx<'_, D, O, P>,
     np: &Node<D, O>,

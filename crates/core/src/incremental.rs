@@ -410,7 +410,8 @@ pub fn k_closest_pairs_incremental<const D: usize, O: SpatialObject<D>>(
         ..*config
     };
     let mut join = distance_join(tree_p, tree_q, cfg);
-    let mut pairs = Vec::with_capacity(k);
+    // K is outside input: grow with the pairs produced, never preallocate K.
+    let mut pairs = Vec::new();
     while pairs.len() < k {
         match join.next() {
             Some(Ok(pair)) => pairs.push(pair),

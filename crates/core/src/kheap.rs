@@ -54,10 +54,19 @@ pub struct KHeap<const D: usize, O: SpatialObject<D> = Point<D>> {
 impl<const D: usize, O: SpatialObject<D>> KHeap<D, O> {
     /// Creates a K-heap with capacity `k` (`k >= 1`).
     pub fn new(k: usize) -> Self {
+        Self::bounded(k, u64::MAX)
+    }
+
+    /// [`new`](Self::new) for a caller that knows at most `max_pairs` pairs
+    /// will ever be offered: preallocates for `min(k, max_pairs)` entries,
+    /// so an absurd `K` from outside costs no memory. Retention is
+    /// unchanged — the capacity stays `k`.
+    pub fn bounded(k: usize, max_pairs: u64) -> Self {
         assert!(k >= 1, "K must be at least 1");
+        let prealloc = usize::try_from(max_pairs).map_or(k, |m| k.min(m));
         KHeap {
             k,
-            heap: BinaryHeap::with_capacity(k + 1),
+            heap: BinaryHeap::with_capacity(prealloc.saturating_add(1)),
         }
     }
 
@@ -201,6 +210,15 @@ mod tests {
             let out = h.into_sorted();
             assert_eq!((out[0].p.oid, out[0].q.oid), (0, 1));
         }
+    }
+
+    #[test]
+    fn huge_k_preallocates_for_the_pairs_that_exist() {
+        let mut h = KHeap::bounded(usize::MAX, 2);
+        assert!(h.offer(pair(2.0)));
+        assert!(h.offer(pair(1.0)));
+        assert!(h.threshold().is_infinite(), "capacity is still K");
+        assert_eq!(h.into_sorted().len(), 2);
     }
 
     #[test]

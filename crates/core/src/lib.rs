@@ -9,8 +9,11 @@
 //! * the paper's **five algorithms** — [`Algorithm::Naive`],
 //!   [`Algorithm::Exhaustive`] (EXH), [`Algorithm::Simple`] (SIM),
 //!   [`Algorithm::SortedDistances`] (STD), and the iterative
-//!   [`Algorithm::Heap`] (HEAP) — via [`k_closest_pairs`] /
-//!   [`closest_pair`];
+//!   [`Algorithm::Heap`] (HEAP) — all through one entry point,
+//!   [`execute`], which takes a [`QuerySpec`] (K, cross or self-join,
+//!   [`Constraint`]) and an [`ExecCtx`] (cancel token, probe, scatter
+//!   hookup); [`k_closest_pairs`] / [`closest_pair`] are its one-line
+//!   wrappers for the paper's plain query;
 //! * the 1-CP **special case** (`K = 1`) with extra MINMAXDIST pruning, and
 //!   the MAXMAXDIST cardinality bound for `K > 1` ([`KPruning`]);
 //! * **tie-break strategies** T1–T5 ([`TieStrategy`], Section 3.6);
@@ -72,12 +75,9 @@ mod ties;
 mod types;
 
 pub use api::{
-    closest_pair, k_closest_pairs, k_closest_pairs_cancellable, k_closest_pairs_constrained,
-    k_closest_pairs_constrained_instrumented, k_closest_pairs_instrumented,
-    k_closest_pairs_scatter, k_closest_pairs_scatter_constrained, self_closest_pairs,
-    self_closest_pairs_cancellable, self_closest_pairs_constrained,
-    self_closest_pairs_constrained_instrumented, self_closest_pairs_instrumented,
-    self_closest_pairs_scatter, self_closest_pairs_scatter_constrained, Algorithm,
+    closest_pair, execute, k_closest_pairs, k_closest_pairs_constrained,
+    k_closest_pairs_instrumented, self_closest_pairs, self_closest_pairs_constrained, Algorithm,
+    ExecCtx,
 };
 pub use bound::SharedBound;
 pub use cancel::CancelToken;

@@ -46,13 +46,13 @@
 //! `Release`/`Acquire` so a parked worker that observes it also observes
 //! the final queue state.
 
-use crate::api::run_leader;
+use crate::api::{run_leader, ExecCtx};
 use crate::bound::SharedBound;
 use crate::cancel::CancelToken;
 use crate::config::CpqConfig;
 use crate::engine::{descend_sides, spec_page, Cand};
 use crate::kheap::KHeap;
-use crate::spec::Constraint;
+use crate::spec::{Constraint, QuerySpec};
 use crate::types::{PairResult, QueryRun};
 use crate::Algorithm;
 use cpq_check::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -153,13 +153,12 @@ pub(crate) struct SpecRuntime<const D: usize, O: SpatialObject<D>> {
     wake: Condvar,
     /// Round-robin cursor for the push side.
     push_cursor: AtomicU64,
-    k: usize,
-    self_join: bool,
-    /// The query's result-pair constraint. Workers must replicate the
-    /// driver's filtering exactly — the leaf-pair admission test and the
-    /// candidate-side window clipping — or their cached work products
-    /// would diverge from what the driver computes inline on a miss.
-    constraint: Constraint<D>,
+    /// The query. Workers must replicate the driver's filtering exactly —
+    /// the self-join orientation rule, the leaf-pair admission test and the
+    /// candidate-side window clipping of its constraint — or their cached
+    /// work products would diverge from what the driver computes inline on
+    /// a miss.
+    spec: QuerySpec<D>,
     height: crate::HeightStrategy,
     yield_seed: Option<u64>,
     // Speculation counters (Relaxed; read after the workers are joined).
@@ -172,9 +171,7 @@ pub(crate) struct SpecRuntime<const D: usize, O: SpatialObject<D>> {
 impl<const D: usize, O: SpatialObject<D>> SpecRuntime<D, O> {
     fn new(
         workers: usize,
-        k: usize,
-        self_join: bool,
-        constraint: Constraint<D>,
+        spec: &QuerySpec<D>,
         height: crate::HeightStrategy,
         yield_seed: Option<u64>,
     ) -> Self {
@@ -193,9 +190,7 @@ impl<const D: usize, O: SpatialObject<D>> SpecRuntime<D, O> {
             idle: Mutex::new(()),
             wake: Condvar::new(),
             push_cursor: AtomicU64::new(0),
-            k: k.max(1),
-            self_join,
-            constraint,
+            spec: *spec,
             height,
             yield_seed,
             tasks_speculated: AtomicU64::new(0),
@@ -480,14 +475,16 @@ fn exec_task<const D: usize, O: SpatialObject<D>>(
         // Leaf pair: brute-force scan into a task-local K-heap. The local
         // top-K is lossless for the driver's global heap, and the local
         // K-th best (over real point pairs) is a valid global upper bound.
-        let mut heap: KHeap<D, O> = KHeap::new(rt.k);
+        let (eps, eqs) = (np.leaf_entries(), nq.leaf_entries());
+        let mut heap: KHeap<D, O> = KHeap::bounded(rt.spec.k, (eps.len() * eqs.len()) as u64);
         let mut dists = 0u64;
-        for ep in np.leaf_entries() {
-            for eq in nq.leaf_entries() {
-                if rt.self_join && ep.oid >= eq.oid {
+        for ep in eps {
+            for eq in eqs {
+                if rt.spec.self_join && ep.oid >= eq.oid {
                     continue;
                 }
                 if !rt
+                    .spec
                     .constraint
                     .admits_pair(&ep.mbr(), ep.oid, &eq.mbr(), eq.oid)
                 {
@@ -511,7 +508,7 @@ fn exec_task<const D: usize, O: SpatialObject<D>>(
         // mirroring `Ctx::gen_cands` (same side construction, same cross
         // order, same full-precision kernel) so the driver's filtered view
         // is bit-identical to what it would have generated itself.
-        let cands = gen_cands_full(&np, &nq, rt.height, &rt.constraint);
+        let cands = gen_cands_full(&np, &nq, rt.height, &rt.spec.constraint);
         let mut hint_p: Vec<PageId> = Vec::new();
         let mut hint_q: Vec<PageId> = Vec::new();
         for c in &cands {
@@ -606,28 +603,18 @@ fn gen_cands_full<const D: usize, O: SpatialObject<D>>(
 /// Runs one query in parallel mode: spawns the workers, runs the unchanged
 /// sequential driver against the speculation runtime, tears everything
 /// down, and surfaces any worker-observed error.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn run_parallel<const D: usize, O: SpatialObject<D>, P: Probe>(
     tree_p: &RTree<D, O>,
     tree_q: &RTree<D, O>,
-    k: usize,
+    spec: &QuerySpec<D>,
     algorithm: Algorithm,
     config: &CpqConfig,
-    self_join: bool,
-    constraint: Constraint<D>,
-    cancel: Option<&CancelToken>,
-    probe: &mut P,
-    misses_before: (u64, u64),
+    exec: &mut ExecCtx<'_, P>,
 ) -> RTreeResult<QueryRun<D, O>> {
     let workers = config.parallelism.saturating_sub(1);
-    let runtime: SpecRuntime<D, O> = SpecRuntime::new(
-        workers,
-        k,
-        self_join,
-        constraint,
-        config.height,
-        config.parallel_yield_seed,
-    );
+    let runtime: SpecRuntime<D, O> =
+        SpecRuntime::new(workers, spec, config.height, config.parallel_yield_seed);
+    let cancel = exec.cancel;
 
     let (leader, worker_stats) = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
@@ -639,16 +626,11 @@ pub(crate) fn run_parallel<const D: usize, O: SpatialObject<D>, P: Probe>(
         let leader = run_leader(
             tree_p,
             tree_q,
-            k,
+            spec,
             algorithm,
             config,
-            self_join,
-            constraint,
-            cancel,
-            probe,
+            exec,
             Some(&runtime),
-            None,
-            misses_before,
         );
         runtime.shutdown();
         let worker_stats: Vec<WorkerStats> = handles
@@ -668,7 +650,7 @@ pub(crate) fn run_parallel<const D: usize, O: SpatialObject<D>, P: Probe>(
         let steals = runtime.steals.load(Ordering::Relaxed);
         let steal_misses = runtime.steal_misses.load(Ordering::Relaxed);
         let bound_updates = runtime.bound.updates();
-        probe.parallel_exec(&ParallelReport {
+        exec.probe.parallel_exec(&ParallelReport {
             workers: workers as u64,
             tasks,
             cache_hits,
@@ -709,9 +691,7 @@ mod model_tests {
     fn runtime(workers: usize) -> Arc<Rt> {
         Arc::new(SpecRuntime::new(
             workers,
-            1,
-            false,
-            Constraint::none(),
+            &QuerySpec::cross(1),
             crate::HeightStrategy::default(),
             None,
         ))

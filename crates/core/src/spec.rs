@@ -1,5 +1,5 @@
 //! Query constraints: range-restricted (windowed) and colored K-CPQ, plus
-//! the [`QuerySpec`] description type the service planner consumes.
+//! the [`QuerySpec`] description type every executor takes.
 //!
 //! A [`Constraint`] narrows which point pairs qualify as results:
 //!
@@ -22,6 +22,7 @@
 //! for self-joins.
 
 use cpq_geo::{color_of, Rect};
+use cpq_rtree::{RTreeError, RTreeResult};
 
 /// A result-pair constraint: per-side windows and/or the colored filter.
 /// The default value is unconstrained (plain K-CPQ).
@@ -137,8 +138,8 @@ impl<const D: usize> Constraint<D> {
 }
 
 /// A declarative description of one K-CPQ: what is asked, not how to run
-/// it. The service planner maps a `QuerySpec` (plus tree statistics and the
-/// cost model) to concrete execution knobs.
+/// it. [`execute`](crate::execute), the sharded coordinator, the continuous
+/// maintainer and the service dispatch all take this one type.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QuerySpec<const D: usize> {
     /// Number of closest pairs requested.
@@ -172,6 +173,21 @@ impl<const D: usize> QuerySpec<D> {
     pub fn with_constraint(mut self, constraint: Constraint<D>) -> Self {
         self.constraint = constraint;
         self
+    }
+
+    /// The check every executor runs where a spec enters it. Self-join
+    /// constraints must be **symmetric** (`window_p == window_q`): an
+    /// unordered pair has no stable side assignment, so per-side windows
+    /// would make the result depend on the internal `p.oid < q.oid`
+    /// orientation. Use [`Constraint::window`] (one rectangle for both
+    /// sides) or [`Constraint::colored`].
+    pub fn validate(&self) -> RTreeResult<()> {
+        if self.self_join && !self.constraint.is_symmetric() {
+            return Err(RTreeError::InvalidParams(
+                "self-join constraints must use one symmetric window".into(),
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -223,6 +239,19 @@ mod tests {
         assert!(c.admits_pair(&m, pack_color(1, 3), &m, pack_color(1, 4)));
         // Plain sequential oids are all color 0: nothing qualifies.
         assert!(!c.admits_pair(&m, 7, &m, 8));
+    }
+
+    #[test]
+    fn asymmetric_self_join_spec_is_invalid() {
+        let lopsided = Constraint::windows(Some(r([0.0, 0.0], [1.0, 1.0])), None);
+        assert!(QuerySpec::cross(3)
+            .with_constraint(lopsided)
+            .validate()
+            .is_ok());
+        assert!(QuerySpec::self_join(3)
+            .with_constraint(lopsided)
+            .validate()
+            .is_err());
     }
 
     #[test]

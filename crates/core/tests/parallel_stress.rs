@@ -14,8 +14,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use cpq_core::{
-    k_closest_pairs, k_closest_pairs_cancellable, pair_cmp, self_closest_pairs, Algorithm,
-    CancelToken, CpqConfig, QueryOutcome,
+    execute, k_closest_pairs, pair_cmp, self_closest_pairs, Algorithm, CancelToken, CpqConfig,
+    ExecCtx, QueryOutcome, QueryRun, QuerySpec,
 };
 use cpq_datasets::uniform;
 use cpq_geo::Point2;
@@ -45,6 +45,25 @@ fn build_slow(points: &[Point2], latency: Duration) -> (RTree<2>, Arc<FailureCon
     }
     control.slow_reads(latency);
     (tree, control)
+}
+
+/// HEAP for the `k` closest pairs under a cancel token.
+fn heap_under(
+    tp: &RTree<2>,
+    tq: &RTree<2>,
+    k: usize,
+    cfg: &CpqConfig,
+    token: &CancelToken,
+) -> QueryRun<2> {
+    execute(
+        tp,
+        tq,
+        &QuerySpec::cross(k),
+        Algorithm::Heap,
+        cfg,
+        ExecCtx::default().with_cancel(token),
+    )
+    .unwrap()
 }
 
 fn assert_same(seq: &QueryOutcome<2>, par: &QueryOutcome<2>, label: &str) {
@@ -105,7 +124,7 @@ fn pre_cancelled_token_stops_before_work_and_leaves_no_poison() {
 
     let token = CancelToken::new();
     token.cancel();
-    let run = k_closest_pairs_cancellable(&tp, &tq, 10, Algorithm::Heap, &cfg, &token).unwrap();
+    let run = heap_under(&tp, &tq, 10, &cfg, &token);
     assert!(!run.completed, "pre-tripped token must abort the run");
     assert!(
         run.outcome.pairs.is_empty(),
@@ -116,7 +135,7 @@ fn pre_cancelled_token_stops_before_work_and_leaves_no_poison() {
     // sequential exactly.
     let seq = k_closest_pairs(&tp, &tq, 10, Algorithm::Heap, &CpqConfig::paper()).unwrap();
     let fresh = CancelToken::new();
-    let rerun = k_closest_pairs_cancellable(&tp, &tq, 10, Algorithm::Heap, &cfg, &fresh).unwrap();
+    let rerun = heap_under(&tp, &tq, 10, &cfg, &fresh);
     assert!(rerun.completed);
     assert_same(&seq, &rerun.outcome, "rerun after pre-cancel");
 }
@@ -137,7 +156,7 @@ fn deadline_mid_run_returns_sorted_partial_without_deadlock() {
     cfg.parallel_yield_seed = Some(7);
 
     let token = CancelToken::expiring_in(Duration::from_millis(25));
-    let run = k_closest_pairs_cancellable(&tp, &tq, 50, Algorithm::Heap, &cfg, &token).unwrap();
+    let run = heap_under(&tp, &tq, 50, &cfg, &token);
     assert!(
         !run.completed,
         "a 25ms budget cannot finish 6k x 6k over 600us page reads"
@@ -182,7 +201,7 @@ fn cancel_during_steal_from_another_thread() {
             std::thread::sleep(Duration::from_millis(15));
             killer.cancel();
         });
-        let run = k_closest_pairs_cancellable(&tp, &tq, 50, Algorithm::Heap, &cfg, &token).unwrap();
+        let run = heap_under(&tp, &tq, 50, &cfg, &token);
         assert!(!run.completed, "mid-run cancel must interrupt the query");
         for w in run.outcome.pairs.windows(2) {
             assert!(pair_cmp(&w[0], &w[1]).is_le());

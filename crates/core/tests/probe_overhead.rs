@@ -1,9 +1,9 @@
 //! The zero-overhead contract of the instrumentation layer.
 //!
-//! The `*_instrumented` entry points monomorphize over a [`Probe`]; with
+//! [`execute`] monomorphizes over the [`ExecCtx`]'s [`Probe`]; with
 //! [`NullProbe`] (ENABLED = false) every probe call site must vanish, so
-//! the instrumented path has to produce **bit-identical pairs and
-//! identical deterministic work counters** to the plain entry points for
+//! a run lent a `NullProbe` and a token has to produce **bit-identical
+//! pairs and identical deterministic work counters** to the plain wrappers for
 //! all five algorithms, both join kinds, and K ∈ {1, 100}. A divergence
 //! means a probe hook leaked work (a counter bump, a clock read, an
 //! ordering change) into the uninstrumented hot path.
@@ -18,9 +18,8 @@
 //! them diverge for environmental (not instrumentation) reasons.
 
 use cpq_core::{
-    k_closest_pairs, k_closest_pairs_instrumented, self_closest_pairs,
-    self_closest_pairs_instrumented, Algorithm, CancelToken, CpqConfig, NullProbe, PairResult,
-    ProfileProbe,
+    execute, k_closest_pairs, self_closest_pairs, Algorithm, CancelToken, CpqConfig, ExecCtx,
+    NullProbe, PairResult, ProfileProbe, QuerySpec,
 };
 use cpq_datasets::uniform;
 use cpq_geo::Point2;
@@ -77,14 +76,15 @@ fn null_probe_is_bit_identical_to_plain_path() {
             let (tp, tq) = fresh_pair();
             let plain = k_closest_pairs(&tp, &tq, k, algorithm, &cfg).unwrap();
             let (tp, tq) = fresh_pair();
-            let inst = k_closest_pairs_instrumented(
+            let inst = execute(
                 &tp,
                 &tq,
-                k,
+                &QuerySpec::cross(k),
                 algorithm,
                 &cfg,
-                &CancelToken::new(),
-                &mut NullProbe,
+                ExecCtx::default()
+                    .with_cancel(&CancelToken::new())
+                    .with_probe(&mut NullProbe),
             )
             .unwrap();
             assert!(inst.completed, "{what}: uncancelled run completes");
@@ -97,13 +97,15 @@ fn null_probe_is_bit_identical_to_plain_path() {
             let (tp, _) = fresh_pair();
             let plain = self_closest_pairs(&tp, k, algorithm, &cfg).unwrap();
             let (tp, _) = fresh_pair();
-            let inst = self_closest_pairs_instrumented(
+            let inst = execute(
                 &tp,
-                k,
+                &tp,
+                &QuerySpec::self_join(k),
                 algorithm,
                 &cfg,
-                &CancelToken::new(),
-                &mut NullProbe,
+                ExecCtx::default()
+                    .with_cancel(&CancelToken::new())
+                    .with_probe(&mut NullProbe),
             )
             .unwrap();
             assert_bit_identical(&inst.outcome.pairs, &plain.pairs, &format!("self {what}"));
@@ -122,14 +124,15 @@ fn profile_probe_agrees_with_engine_counters() {
         let what = algorithm.label();
         let (tp, tq) = fresh_pair();
         let mut probe = ProfileProbe::new();
-        let run = k_closest_pairs_instrumented(
+        let run = execute(
             &tp,
             &tq,
-            100,
+            &QuerySpec::cross(100),
             algorithm,
             &cfg,
-            &CancelToken::new(),
-            &mut probe,
+            ExecCtx::default()
+                .with_cancel(&CancelToken::new())
+                .with_probe(&mut probe),
         )
         .unwrap();
         let profile = probe.into_profile();

@@ -26,10 +26,7 @@
 
 use crate::error::LiveResult;
 use crate::tree::{Side, Snapshot};
-use cpq_core::{
-    k_closest_pairs_constrained, self_closest_pairs_constrained, Algorithm, Constraint, CpqConfig,
-    PairResult,
-};
+use cpq_core::{execute, Algorithm, CpqConfig, ExecCtx, PairResult, QuerySpec};
 use cpq_geo::{Dist2, Point, SpatialObject};
 use cpq_rtree::LeafEntry;
 use std::collections::BTreeMap;
@@ -50,14 +47,11 @@ pub struct ContinuousStats {
 
 /// An incrementally maintained K-closest-pairs result set.
 pub struct ContinuousCpq<const D: usize, O: SpatialObject<D> = Point<D>> {
-    k: usize,
-    self_join: bool,
-    /// Result-pair constraint (windows / colored); inactive by default.
-    /// Maintenance filters candidate pairs with the same
-    /// [`Constraint::admits_pair`] predicate the engine gates its leaf
-    /// scans with, so the maintained set stays bit-identical to a
-    /// constrained recompute.
-    constraint: Constraint<D>,
+    /// The maintained query. Maintenance filters candidate pairs with the
+    /// same [`Constraint::admits_pair`](cpq_core::Constraint::admits_pair)
+    /// predicate the engine gates its leaf scans with, so the maintained
+    /// set stays bit-identical to a constrained recompute.
+    spec: QuerySpec<D>,
     /// The current result set, keyed by the canonical order. Values are
     /// the pairs themselves; iteration order == engine output order.
     top: BTreeMap<(Dist2, u64, u64), PairResult<D, O>>,
@@ -68,64 +62,35 @@ pub struct ContinuousCpq<const D: usize, O: SpatialObject<D> = Point<D>> {
 }
 
 impl<const D: usize, O: SpatialObject<D>> ContinuousCpq<D, O> {
-    /// Primes a continuous cross-tree K-CPQ from the given snapshots.
+    /// Primes a continuous K-CPQ for `spec` from the given snapshots; a
+    /// self-join spec takes its one snapshot twice. Fails with
+    /// [`RTreeError::InvalidParams`](cpq_rtree::RTreeError::InvalidParams)
+    /// when the spec is invalid (see [`QuerySpec::validate`]).
+    pub fn new(
+        spec: &QuerySpec<D>,
+        snap_p: &Snapshot<D, O>,
+        snap_q: &Snapshot<D, O>,
+    ) -> LiveResult<Self> {
+        spec.validate()?;
+        let mut c = ContinuousCpq {
+            spec: *spec,
+            top: BTreeMap::new(),
+            saturated: false,
+            stats: ContinuousStats::default(),
+        };
+        c.refill(snap_p, snap_q)?;
+        c.stats.refills = 0; // priming is not a refill
+        Ok(c)
+    }
+
+    /// [`new`](Self::new) on an unconstrained cross spec. Kept for the
+    /// `benchmark/` package; new code calls [`new`](Self::new).
     pub fn new_cross(
         k: usize,
         snap_p: &Snapshot<D, O>,
         snap_q: &Snapshot<D, O>,
     ) -> LiveResult<Self> {
-        Self::new_cross_constrained(k, snap_p, snap_q, Constraint::none())
-    }
-
-    /// Primes a continuous *constrained* cross-tree K-CPQ: only pairs
-    /// admitted by `constraint` (windows and/or colored) are maintained.
-    pub fn new_cross_constrained(
-        k: usize,
-        snap_p: &Snapshot<D, O>,
-        snap_q: &Snapshot<D, O>,
-        constraint: Constraint<D>,
-    ) -> LiveResult<Self> {
-        let mut c = ContinuousCpq {
-            k,
-            self_join: false,
-            constraint,
-            top: BTreeMap::new(),
-            saturated: false,
-            stats: ContinuousStats::default(),
-        };
-        c.refill(Some(snap_p), Some(snap_q), None)?;
-        c.stats.refills = 0; // priming is not a refill
-        Ok(c)
-    }
-
-    /// Primes a continuous self-join K-CPQ from the given snapshot.
-    pub fn new_self(k: usize, snap: &Snapshot<D, O>) -> LiveResult<Self> {
-        Self::new_self_constrained(k, snap, Constraint::none())
-    }
-
-    /// Primes a continuous *constrained* self-join K-CPQ. The constraint
-    /// must be symmetric (`window_p == window_q`): unordered pairs have no
-    /// stable side assignment.
-    pub fn new_self_constrained(
-        k: usize,
-        snap: &Snapshot<D, O>,
-        constraint: Constraint<D>,
-    ) -> LiveResult<Self> {
-        assert!(
-            constraint.is_symmetric(),
-            "self-join constraints must use one symmetric window"
-        );
-        let mut c = ContinuousCpq {
-            k,
-            self_join: true,
-            constraint,
-            top: BTreeMap::new(),
-            saturated: false,
-            stats: ContinuousStats::default(),
-        };
-        c.refill(None, None, Some(snap))?;
-        c.stats.refills = 0;
-        Ok(c)
+        Self::new(&QuerySpec::cross(k), snap_p, snap_q)
     }
 
     /// The maintained pairs, closest first — identical to what the query
@@ -136,7 +101,7 @@ impl<const D: usize, O: SpatialObject<D>> ContinuousCpq<D, O> {
 
     /// K.
     pub fn k(&self) -> usize {
-        self.k
+        self.spec.k
     }
 
     /// Work counters.
@@ -147,7 +112,7 @@ impl<const D: usize, O: SpatialObject<D>> ContinuousCpq<D, O> {
     /// Current probe bound: the K-th pair's distance once full, else
     /// unbounded (the set must grow).
     fn bound(&self) -> Dist2 {
-        if self.top.len() >= self.k {
+        if self.top.len() >= self.spec.k {
             self.top
                 .keys()
                 .next_back()
@@ -160,7 +125,7 @@ impl<const D: usize, O: SpatialObject<D>> ContinuousCpq<D, O> {
 
     fn add_pair(&mut self, pair: PairResult<D, O>) {
         self.top.insert(pair.sort_key(), pair);
-        while self.top.len() > self.k {
+        while self.top.len() > self.spec.k {
             self.top.pop_last();
             self.stats.trims += 1;
             self.saturated = true;
@@ -178,7 +143,7 @@ impl<const D: usize, O: SpatialObject<D>> ContinuousCpq<D, O> {
         snap_p: &Snapshot<D, O>,
         snap_q: &Snapshot<D, O>,
     ) -> LiveResult<()> {
-        if self.k == 0 {
+        if self.spec.k == 0 {
             return Ok(());
         }
         let new_entry = LeafEntry::new(object, oid);
@@ -187,25 +152,25 @@ impl<const D: usize, O: SpatialObject<D>> ContinuousCpq<D, O> {
         // fails its side's window, no new pair can qualify and the probe
         // is skipped outright (nothing is discarded, so saturation is
         // untouched).
-        let new_qualifies = if self.self_join {
-            self.constraint.admits_p(&probe)
+        let new_qualifies = if self.spec.self_join {
+            self.spec.constraint.admits_p(&probe)
         } else {
             match side {
-                Side::P => self.constraint.admits_p(&probe),
-                Side::Q => self.constraint.admits_q(&probe),
+                Side::P => self.spec.constraint.admits_p(&probe),
+                Side::Q => self.spec.constraint.admits_q(&probe),
             }
         };
         if !new_qualifies {
             return Ok(());
         }
         let bound = self.bound();
-        if self.top.len() >= self.k {
+        if self.top.len() >= self.spec.k {
             // A bounded probe discards pairs beyond the K-th distance;
             // they may qualify after future deletes.
             self.saturated = true;
         }
         self.stats.probes += 1;
-        if self.self_join {
+        if self.spec.self_join {
             // New pairs: the new point against every other point within
             // the bound (the snapshot already contains the new point —
             // skip it), oriented smaller-oid-first like the engine.
@@ -220,7 +185,7 @@ impl<const D: usize, O: SpatialObject<D>> ContinuousCpq<D, O> {
                 } else {
                     PairResult::new(new_entry, c)
                 };
-                if !self.constraint.admits_pair(
+                if !self.spec.constraint.admits_pair(
                     &pair.p.mbr(),
                     pair.p.oid,
                     &pair.q.mbr(),
@@ -242,7 +207,7 @@ impl<const D: usize, O: SpatialObject<D>> ContinuousCpq<D, O> {
                     Side::P => PairResult::new(new_entry, c),
                     Side::Q => PairResult::new(c, new_entry),
                 };
-                if !self.constraint.admits_pair(
+                if !self.spec.constraint.admits_pair(
                     &pair.p.mbr(),
                     pair.p.oid,
                     &pair.q.mbr(),
@@ -269,7 +234,7 @@ impl<const D: usize, O: SpatialObject<D>> ContinuousCpq<D, O> {
             .top
             .keys()
             .filter(|k| {
-                if self.self_join {
+                if self.spec.self_join {
                     k.1 == oid || k.2 == oid
                 } else {
                     match side {
@@ -289,11 +254,7 @@ impl<const D: usize, O: SpatialObject<D>> ContinuousCpq<D, O> {
         if self.saturated {
             // Discarded pairs may now qualify; one engine query restores
             // exactness.
-            if self.self_join {
-                self.refill(None, None, Some(snap_p))?;
-            } else {
-                self.refill(Some(snap_p), Some(snap_q), None)?;
-            }
+            self.refill(snap_p, snap_q)?;
         }
         Ok(())
     }
@@ -311,42 +272,23 @@ impl<const D: usize, O: SpatialObject<D>> ContinuousCpq<D, O> {
     }
 
     /// Full engine recompute into `top`; records saturation (an exactly-K
-    /// result may have discarded qualifying pairs).
-    fn refill(
-        &mut self,
-        snap_p: Option<&Snapshot<D, O>>,
-        snap_q: Option<&Snapshot<D, O>>,
-        snap_self: Option<&Snapshot<D, O>>,
-    ) -> LiveResult<()> {
-        let cfg = CpqConfig::default();
-        let outcome = if let Some(s) = snap_self {
-            self_closest_pairs_constrained(
-                s.tree(),
-                self.k,
-                Algorithm::Heap,
-                &cfg,
-                self.constraint,
-            )?
-        } else {
-            // analyze: allow(panic-path) — cross refill is always called with
-            // both snapshots; the two forms share this one signature.
-            let p = snap_p.expect("cross refill needs P");
-            // analyze: allow(panic-path) — same contract as the line above.
-            let q = snap_q.expect("cross refill needs Q");
-            k_closest_pairs_constrained(
-                p.tree(),
-                q.tree(),
-                self.k,
-                Algorithm::Heap,
-                &cfg,
-                self.constraint,
-            )?
-        };
+    /// result may have discarded qualifying pairs). The self form reads
+    /// `snap_p` only.
+    fn refill(&mut self, snap_p: &Snapshot<D, O>, snap_q: &Snapshot<D, O>) -> LiveResult<()> {
+        let snap_q = if self.spec.self_join { snap_p } else { snap_q };
+        let run = execute(
+            snap_p.tree(),
+            snap_q.tree(),
+            &self.spec,
+            Algorithm::Heap,
+            &CpqConfig::default(),
+            ExecCtx::default(),
+        )?;
         self.top.clear();
-        for pair in outcome.pairs {
+        for pair in run.outcome.pairs {
             self.top.insert(pair.sort_key(), pair);
         }
-        self.saturated = self.top.len() == self.k;
+        self.saturated = self.top.len() == self.spec.k;
         self.stats.refills += 1;
         Ok(())
     }

@@ -546,7 +546,11 @@ impl<const D: usize, O: SpatialObject<D>> LiveSet<D, O> {
     /// primed from the current committed state. Subsequent
     /// [`apply`](Self::apply) batches maintain it incrementally.
     pub fn watch(&self, k: usize) -> LiveResult<()> {
-        let cont = ContinuousCpq::new_cross(k, &self.p.snapshot()?, &self.q.snapshot()?)?;
+        let cont = ContinuousCpq::new(
+            &cpq_core::QuerySpec::cross(k),
+            &self.p.snapshot()?,
+            &self.q.snapshot()?,
+        )?;
         *self.cont.lock().expect("continuous watcher poisoned") = Some(cont);
         Ok(())
     }

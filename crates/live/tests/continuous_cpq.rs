@@ -3,7 +3,7 @@
 //! the incrementally maintained result set is bit-identical to a
 //! from-scratch engine recompute.
 
-use cpq_core::{k_closest_pairs, self_closest_pairs, Algorithm, CpqConfig, PairResult};
+use cpq_core::{k_closest_pairs, self_closest_pairs, Algorithm, CpqConfig, PairResult, QuerySpec};
 use cpq_datasets::uniform_grid;
 use cpq_geo::Point2;
 use cpq_live::tree::LiveConfig;
@@ -89,7 +89,9 @@ fn self_stream_is_bit_identical_to_recompute_each_step() {
     let k = 6usize;
     let live: LiveTree<2> =
         LiveTree::new_in_memory(RTreeParams::paper(), &LiveConfig::default()).expect("live");
-    let mut cont = ContinuousCpq::new_self(k, &live.snapshot().expect("snap")).expect("continuous");
+    let snap = live.snapshot().expect("snap");
+    let mut cont = ContinuousCpq::new(&QuerySpec::self_join(k), &snap, &snap).expect("continuous");
+    drop(snap);
     let mut rng = Rng::seed_from_u64(4242);
     let mut alive: Vec<(Point2, u64)> = Vec::new();
     let mut steps = 0;

@@ -10,7 +10,7 @@
 
 use cpq_core::{
     k_closest_pairs_constrained, self_closest_pairs_constrained, Algorithm, Constraint, CpqConfig,
-    PairResult,
+    PairResult, QuerySpec,
 };
 use cpq_datasets::uniform_grid;
 use cpq_geo::{pack_color, Point2, Rect2};
@@ -41,11 +41,10 @@ fn windowed_cross_stream_matches_constrained_recompute() {
                 .expect("live tree")
         };
         let (p, q) = (build(), build());
-        let mut cont = ContinuousCpq::new_cross_constrained(
-            k,
+        let mut cont = ContinuousCpq::new(
+            &QuerySpec::cross(k).with_constraint(con),
             &p.snapshot().expect("snap"),
             &q.snapshot().expect("snap"),
-            con,
         )
         .expect("continuous");
         let mut rng = Rng::seed_from_u64(0xC0FFEE ^ k as u64);
@@ -114,8 +113,10 @@ fn colored_windowed_self_stream_matches_recompute() {
     let k = 5usize;
     let live: LiveTree<2> =
         LiveTree::new_in_memory(RTreeParams::paper(), &LiveConfig::default()).expect("live");
-    let mut cont = ContinuousCpq::new_self_constrained(k, &live.snapshot().expect("snap"), con)
+    let snap = live.snapshot().expect("snap");
+    let mut cont = ContinuousCpq::new(&QuerySpec::self_join(k).with_constraint(con), &snap, &snap)
         .expect("continuous");
+    drop(snap);
     let mut rng = Rng::seed_from_u64(0xAB5E);
     let mut alive: Vec<(Point2, u64)> = Vec::new();
     let mut steps = 0u64;

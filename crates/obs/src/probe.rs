@@ -93,6 +93,43 @@ pub trait Probe {
     }
 }
 
+/// A borrowed probe is a probe, so a caller can lend one to a run and read
+/// what it accumulated afterwards.
+impl<P: Probe> Probe for &mut P {
+    const ENABLED: bool = P::ENABLED;
+
+    #[inline]
+    fn node_access(&mut self, side: ProbeSide, level: u8) {
+        (**self).node_access(side, level);
+    }
+
+    #[inline]
+    fn leaf_scan(
+        &mut self,
+        dist_computations: u64,
+        kernel_early_outs: u64,
+        sweep_pairs_skipped: u64,
+        elapsed_ns: u64,
+    ) {
+        (**self).leaf_scan(
+            dist_computations,
+            kernel_early_outs,
+            sweep_pairs_skipped,
+            elapsed_ns,
+        );
+    }
+
+    #[inline]
+    fn gen_phase(&mut self, elapsed_ns: u64) {
+        (**self).gen_phase(elapsed_ns);
+    }
+
+    #[inline]
+    fn parallel_exec(&mut self, report: &ParallelReport) {
+        (**self).parallel_exec(report);
+    }
+}
+
 /// The no-op probe: the uninstrumented path.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NullProbe;

@@ -73,13 +73,13 @@ pub use obs::{ObsConfig, ServiceObs};
 pub use planner::{plan, PlannerInputs, QueryPlan};
 pub use queue::AdmissionQueue;
 pub use request::{QueryKind, QueryRequest, QueryResponse, QueryStatus, Rejected};
-pub use service::{CpqService, QueryTicket, ServiceConfig, TreePair};
+pub use service::{CpqService, QueryTicket, ServiceConfig, Source, TreePair};
 pub use stats::{Percentiles, ServiceStats, StatsSummary};
 
 // Re-exported so embedders can drive cancellation themselves, and build
-// the windowed/colored constraints requests carry, without depending on
-// cpq-core directly.
-pub use cpq_core::{CancelToken, Constraint};
+// the windowed/colored constraints requests carry (and read a request back
+// as the spec the executors take), without depending on cpq-core directly.
+pub use cpq_core::{CancelToken, Constraint, QuerySpec};
 // Re-exported so embedders can consume slow-query profiles without
 // depending on cpq-obs directly.
 pub use cpq_obs::QueryProfile;
@@ -89,11 +89,11 @@ pub use cpq_obs::QueryProfile;
 // `/metrics` bridge these stats per tree at scrape time.
 pub use cpq_storage::{SchedConfig, SchedStats};
 // Re-exported so embedders can build the sharded replicas a
-// `CpqService::start_sharded` service routes scatter requests to without
+// `Source::Sharded` service routes scatter requests to without
 // depending on cpq-shard directly.
 pub use cpq_shard::{ShardConfig, ShardReport, ShardedPair, ShardedTree};
 // Re-exported so embedders can build, mutate, and recover the live set a
-// `CpqService::start_live` service serves — and drive continuous K-CPQ
+// `Source::Live` service serves — and drive continuous K-CPQ
 // watches — without depending on cpq-live directly.
 pub use cpq_live::{
     ApplyReport, LiveConfig, LiveError, LiveResult, LiveSet, LiveStats, LiveTree, Side, UpdateOp,

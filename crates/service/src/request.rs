@@ -1,6 +1,6 @@
 //! The request/response vocabulary of the query service.
 
-use cpq_core::{Algorithm, Constraint, CpqStats, PairResult};
+use cpq_core::{Algorithm, Constraint, CpqStats, PairResult, QuerySpec};
 use cpq_geo::{Point, SpatialObject};
 use cpq_obs::QueryProfile;
 use std::time::Duration;
@@ -54,9 +54,9 @@ pub struct QueryRequest<const D: usize = 2> {
     pub parallelism: Option<usize>,
     /// Scatter-gather worker fan-out requested for this query. `None` or
     /// `0` runs the classic single-tree path; values `≥ 1` route the query
-    /// over the service's sharded replicas (when started with
-    /// [`CpqService::start_sharded`](crate::CpqService::start_sharded);
-    /// ignored otherwise), clamped to the service's
+    /// over the service's sharded replicas (when started over a
+    /// [`Source::Sharded`](crate::Source::Sharded); ignored otherwise),
+    /// clamped to the service's
     /// [`max_shards`](crate::ServiceConfig::max_shards). Results are
     /// bit-identical either way — sharding only buys pruning and fan-out.
     pub scatter: Option<usize>,
@@ -112,6 +112,15 @@ impl<const D: usize> QueryRequest<D> {
         QueryRequest {
             kind: QueryKind::SelfJoin,
             ..Self::planned_cross(k)
+        }
+    }
+
+    /// What this request asks, as the [`QuerySpec`] the executors take.
+    pub fn spec(&self) -> QuerySpec<D> {
+        QuerySpec {
+            k: self.k,
+            self_join: self.kind == QueryKind::SelfJoin,
+            constraint: self.constraint,
         }
     }
 

@@ -9,18 +9,12 @@ use crate::stats::{ServiceStats, StatsSummary};
 use cpq_check::sync::atomic::{AtomicU64, Ordering};
 use cpq_check::sync::{mpsc, Arc};
 use cpq_core::{
-    k_closest_pairs_cancellable, k_closest_pairs_constrained_instrumented,
-    k_closest_pairs_instrumented, self_closest_pairs_cancellable,
-    self_closest_pairs_constrained_instrumented, self_closest_pairs_instrumented, CancelToken,
-    CpqConfig, CpqStats, NullProbe, ProfileProbe, QueryProfile,
+    execute, CancelToken, CpqConfig, CpqStats, ExecCtx, ProfileProbe, QueryProfile, QueryRun,
 };
 use cpq_geo::{Point, SpatialObject};
 use cpq_live::{ApplyReport, LiveError, LiveSet, LiveTree, UpdateOp};
 use cpq_rtree::{LevelStats, RTree};
-use cpq_shard::{
-    k_closest_pairs_sharded_constrained, self_closest_pairs_sharded_constrained, ShardConfig,
-    ShardReport, ShardedPair,
-};
+use cpq_shard::{execute_sharded, ShardConfig, ShardReport, ShardedPair};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -66,7 +60,7 @@ pub struct ServiceConfig {
     pub max_parallelism: usize,
     /// Ceiling on per-request scatter-gather fan-out
     /// ([`QueryRequest::scatter`]). Only meaningful for services started
-    /// with [`CpqService::start_sharded`]; the default of `1` lets scatter
+    /// over a [`Source::Sharded`]; the default of `1` lets scatter
     /// requests run but serializes their shard subqueries on one thread.
     /// Total thread pressure for scatter traffic is `workers × max_shards`.
     pub max_shards: usize,
@@ -101,22 +95,52 @@ struct Job<const D: usize, O: SpatialObject<D>> {
     reply: mpsc::Sender<QueryResponse<D, O>>,
 }
 
-/// What a service answers queries over: a static read-only pair, or a
-/// mutable [`LiveSet`] whose workers query pinned epoch snapshots.
+/// What a service answers queries over.
 // One `Source` lives per service, behind the `Arc<Shared>` — the variant
 // size asymmetry never multiplies across a collection.
 #[allow(clippy::large_enum_variant)]
-enum Source<const D: usize, O: SpatialObject<D>> {
+pub enum Source<const D: usize, O: SpatialObject<D> = Point<D>> {
+    /// A static read-only pair.
     Static(TreePair<D, O>),
+    /// A static pair plus sharded replicas of the **same datasets**:
+    /// requests carrying a [`QueryRequest::scatter`] fan-out run
+    /// scatter-gather over the replicas, the rest on the pair. Both paths
+    /// return bit-identical pairs for the same request, so callers can
+    /// flip traffic between them freely.
+    ///
+    /// Caveats of the scatter path: profiles carry the `shard_*` counters
+    /// but not per-level node accesses (the probe instruments only the
+    /// single-tree engine), and buffer-hit/miss deltas reflect the pair's
+    /// pools, not the per-shard pools.
+    Sharded(TreePair<D, O>, ShardedPair<D, O>),
+    /// A mutable [`LiveSet`]: queries run on pinned epoch snapshots (each
+    /// sees one committed state for its whole execution, no matter how
+    /// many [`apply_updates`](CpqService::apply_updates) batches land
+    /// mid-query), and `/metrics` gains the `cpq_wal_*` / `cpq_live_*`
+    /// series bridged from the live trees.
     Live(LiveSet<D, O>),
 }
 
+impl<const D: usize, O: SpatialObject<D>> From<TreePair<D, O>> for Source<D, O> {
+    fn from(trees: TreePair<D, O>) -> Self {
+        Source::Static(trees)
+    }
+}
+
 impl<const D: usize, O: SpatialObject<D>> Source<D, O> {
+    /// The static pair, when there is one.
+    fn trees(&self) -> Option<&TreePair<D, O>> {
+        match self {
+            Source::Static(trees) | Source::Sharded(trees, _) => Some(trees),
+            Source::Live(_) => None,
+        }
+    }
+
     /// The two buffer pools behind the source (stable across snapshots,
     /// so the metrics bridges read the same books either way).
     fn pools(&self) -> (&cpq_storage::BufferPool, &cpq_storage::BufferPool) {
         match self {
-            Source::Static(trees) => (trees.p.pool(), trees.q.pool()),
+            Source::Static(trees) | Source::Sharded(trees, _) => (trees.p.pool(), trees.q.pool()),
             Source::Live(live) => (live.p().pool(), live.q().pool()),
         }
     }
@@ -124,10 +148,6 @@ impl<const D: usize, O: SpatialObject<D>> Source<D, O> {
 
 struct Shared<const D: usize, O: SpatialObject<D>> {
     source: Source<D, O>,
-    /// Sharded replicas of the same datasets, present for services started
-    /// with [`CpqService::start_sharded`]; requests with a `scatter` value
-    /// route here.
-    sharded: Option<ShardedPair<D, O>>,
     queue: AdmissionQueue<Job<D, O>>,
     stats: ServiceStats,
     cpq: CpqConfig,
@@ -204,55 +224,17 @@ pub struct CpqService<const D: usize, O: SpatialObject<D> = Point<D>> {
 }
 
 impl<const D: usize, O: SpatialObject<D>> CpqService<D, O> {
-    /// Starts the worker pool over `trees`.
-    pub fn start(trees: TreePair<D, O>, config: ServiceConfig) -> Self {
-        Self::start_inner(Source::Static(trees), None, config)
-    }
-
-    /// Starts the worker pool over a mutable [`LiveSet`]: queries run on
-    /// pinned epoch snapshots (each sees one committed state for its whole
-    /// execution, no matter how many [`apply_updates`](Self::apply_updates)
-    /// batches land mid-query), and `/metrics` gains the `cpq_wal_*` /
-    /// `cpq_live_*` series bridged from the live trees.
-    pub fn start_live(live: LiveSet<D, O>, config: ServiceConfig) -> Self {
-        Self::start_inner(Source::Live(live), None, config)
-    }
-
-    /// Starts a shard-aware service: `trees` serve the classic path and
-    /// `sharded` — replicas of the **same datasets**, partitioned — serves
-    /// requests carrying a [`QueryRequest::scatter`] fan-out. Both paths
-    /// return bit-identical pairs for the same request, so callers can
-    /// flip traffic between them freely.
-    ///
-    /// Caveats of the scatter path: profiles carry the `shard_*` counters
-    /// but not per-level node accesses (the probe instruments only the
-    /// single-tree engine), and buffer-hit/miss deltas reflect the classic
-    /// trees' pools, not the per-shard pools.
-    pub fn start_sharded(
-        trees: TreePair<D, O>,
-        sharded: ShardedPair<D, O>,
-        config: ServiceConfig,
-    ) -> Self {
-        Self::start_inner(Source::Static(trees), Some(sharded), config)
-    }
-
-    fn start_inner(
-        source: Source<D, O>,
-        sharded: Option<ShardedPair<D, O>>,
-        config: ServiceConfig,
-    ) -> Self {
-        let plan_stats = match &source {
-            Source::Static(trees) => match (trees.p.level_stats(), trees.q.level_stats()) {
-                (Ok(p), Ok(q)) => Some((p, q)),
-                // A stats walk that fails (storage error) only loses the
-                // cost model; the planner degrades to cardinality rules.
-                _ => None,
-            },
-            Source::Live(_) => None,
-        };
+    /// Starts the worker pool over `source` — a [`TreePair`] converts into
+    /// [`Source::Static`].
+    pub fn start(source: impl Into<Source<D, O>>, config: ServiceConfig) -> Self {
+        let source = source.into();
+        let plan_stats = source.trees().and_then(|trees| {
+            // A stats walk that fails (storage error) only loses the cost
+            // model; the planner degrades to cardinality rules.
+            Some((trees.p.level_stats().ok()?, trees.q.level_stats().ok()?))
+        });
         let shared = Arc::new(Shared {
             source,
-            sharded,
             queue: AdmissionQueue::new(config.queue_capacity),
             stats: ServiceStats::new(),
             cpq: config.cpq,
@@ -329,20 +311,16 @@ impl<const D: usize, O: SpatialObject<D>> CpqService<D, O> {
     }
 
     /// The shared static trees (for reading pool statistics). `None` for
-    /// services started with [`start_live`](Self::start_live) — use
-    /// [`live`](Self::live) there.
+    /// a [`Source::Live`] service — use [`live`](Self::live) there.
     pub fn trees(&self) -> Option<&TreePair<D, O>> {
-        match &self.shared.source {
-            Source::Static(trees) => Some(trees),
-            Source::Live(_) => None,
-        }
+        self.shared.source.trees()
     }
 
-    /// The live set behind a [`start_live`](Self::start_live) service.
+    /// The live set behind a [`Source::Live`] service.
     pub fn live(&self) -> Option<&LiveSet<D, O>> {
         match &self.shared.source {
             Source::Live(live) => Some(live),
-            Source::Static(_) => None,
+            _ => None,
         }
     }
 
@@ -354,7 +332,7 @@ impl<const D: usize, O: SpatialObject<D>> CpqService<D, O> {
     pub fn apply_updates(&self, ops: &[UpdateOp<D, O>]) -> Result<ApplyReport, LiveError> {
         let Source::Live(live) = &self.shared.source else {
             return Err(LiveError::Invalid(
-                "apply_updates on a static service; start it with start_live".into(),
+                "apply_updates on a static service; start it over Source::Live".into(),
             ));
         };
         let report = live.apply(ops)?;
@@ -460,7 +438,7 @@ impl<const D: usize, O: SpatialObject<D>> Shared<D, O> {
         let (pool_p, pool_q) = self.source.pools();
         let live = match &self.source {
             Source::Live(live) => Some(live.stats()),
-            Source::Static(_) => None,
+            _ => None,
         };
         obs.render(pool_p, pool_q, live.as_ref(), self.queue.len())
     }
@@ -471,7 +449,7 @@ impl<const D: usize, O: SpatialObject<D>> Shared<D, O> {
     /// deterministic rules in [`crate::planner`].
     fn plan_query(&self, req: &QueryRequest<D>) -> QueryPlan {
         let (n_p, n_q, workspace_p, workspace_q) = match &self.source {
-            Source::Static(trees) => (
+            Source::Static(trees) | Source::Sharded(trees, _) => (
                 trees.p.len(),
                 trees.q.len(),
                 trees.p.root_mbr().ok().flatten(),
@@ -499,90 +477,13 @@ impl<const D: usize, O: SpatialObject<D>> Shared<D, O> {
             stats_p: self.plan_stats.as_ref().map(|(p, _)| p.as_slice()),
             stats_q: self.plan_stats.as_ref().map(|(_, q)| q.as_slice()),
             max_parallelism: self.max_parallelism,
-            shards: if self.sharded.is_some() {
-                self.max_shards
-            } else {
-                0
+            shards: match self.source {
+                Source::Sharded(..) => self.max_shards,
+                _ => 0,
             },
         };
         plan(&inputs, req.k, req.kind, &req.constraint)
     }
-}
-
-/// The classic (non-scatter) engine dispatch over two borrowed trees —
-/// the static pair or a live query's pinned snapshots. Self-joins ignore
-/// `q` (callers pass `p` twice).
-fn run_classic<const D: usize, O: SpatialObject<D>>(
-    p: &RTree<D, O>,
-    q: &RTree<D, O>,
-    job: &Job<D, O>,
-    cpq: &CpqConfig,
-    cancel: &CancelToken,
-    instrument: bool,
-    probe: &mut ProfileProbe,
-) -> Result<cpq_core::QueryRun<D, O>, String> {
-    let con = job.req.constraint;
-    let classic = if con.is_active() {
-        // The constrained engine has one cancellable, probed entry point
-        // per kind; the uninstrumented path runs it under a NullProbe
-        // (compiled-out callbacks, same zero overhead as the plain path).
-        match (job.req.kind, instrument) {
-            (QueryKind::Cross, true) => k_closest_pairs_constrained_instrumented(
-                p,
-                q,
-                job.req.k,
-                job.req.algorithm,
-                cpq,
-                con,
-                cancel,
-                probe,
-            ),
-            (QueryKind::SelfJoin, true) => self_closest_pairs_constrained_instrumented(
-                p,
-                job.req.k,
-                job.req.algorithm,
-                cpq,
-                con,
-                cancel,
-                probe,
-            ),
-            (QueryKind::Cross, false) => k_closest_pairs_constrained_instrumented(
-                p,
-                q,
-                job.req.k,
-                job.req.algorithm,
-                cpq,
-                con,
-                cancel,
-                &mut NullProbe,
-            ),
-            (QueryKind::SelfJoin, false) => self_closest_pairs_constrained_instrumented(
-                p,
-                job.req.k,
-                job.req.algorithm,
-                cpq,
-                con,
-                cancel,
-                &mut NullProbe,
-            ),
-        }
-    } else {
-        match (job.req.kind, instrument) {
-            (QueryKind::Cross, false) => {
-                k_closest_pairs_cancellable(p, q, job.req.k, job.req.algorithm, cpq, cancel)
-            }
-            (QueryKind::SelfJoin, false) => {
-                self_closest_pairs_cancellable(p, job.req.k, job.req.algorithm, cpq, cancel)
-            }
-            (QueryKind::Cross, true) => {
-                k_closest_pairs_instrumented(p, q, job.req.k, job.req.algorithm, cpq, cancel, probe)
-            }
-            (QueryKind::SelfJoin, true) => {
-                self_closest_pairs_instrumented(p, job.req.k, job.req.algorithm, cpq, cancel, probe)
-            }
-        }
-    };
-    classic.map_err(|e| e.to_string())
 }
 
 fn worker_loop<const D: usize, O: SpatialObject<D>>(shared: &Shared<D, O>) {
@@ -604,11 +505,12 @@ fn worker_loop<const D: usize, O: SpatialObject<D>>(shared: &Shared<D, O>) {
             None => CancelToken::new(),
         };
         let instrument = shared.obs.is_some();
-        let (buf_before, mut probe) = if instrument {
-            (pool_totals(shared, job.req.kind), ProfileProbe::new())
+        let buf_before = if instrument {
+            pool_totals(shared, job.req.kind)
         } else {
-            ((0, 0), ProfileProbe::new())
+            (0, 0)
         };
+        let mut probe = ProfileProbe::new();
         // The per-query engine config: the shared one, plus this request's
         // intra-query parallelism clamped to the service ceiling. The token
         // travels into the parallel executor, so a deadline expiring
@@ -621,84 +523,66 @@ fn worker_loop<const D: usize, O: SpatialObject<D>>(shared: &Shared<D, O>) {
         // fan-out, so intra-query parallelism is irrelevant to it.
         let scatter_workers = job.req.scatter.unwrap_or(0).min(shared.max_shards);
         let mut shard_report = None;
-        // An asymmetric windowed self-join has no stable side assignment
-        // for its unordered pairs; fail it here rather than panicking in
-        // the engine's contract assert.
-        let result = if job.req.kind == QueryKind::SelfJoin && !job.req.constraint.is_symmetric() {
-            Err("self-join constraints must use one symmetric window".to_string())
-        } else if let Some(pair) = shared.sharded.as_ref().filter(|_| scatter_workers >= 1) {
-            let shard_cfg = ShardConfig {
-                workers: scatter_workers,
-                query_id: job.id,
-                ..ShardConfig::default()
-            };
-            let run = match job.req.kind {
-                QueryKind::Cross => k_closest_pairs_sharded_constrained(
+        let spec = job.req.spec();
+        // The single-tree engine over two borrowed trees — the static pair
+        // or a live query's pinned snapshots; self-joins run on `p` alone.
+        // With observability off the context keeps its default `NullProbe`
+        // (compiled-out callbacks).
+        let mut run_engine = |p: &RTree<D, O>, q: &RTree<D, O>| {
+            let q = if spec.self_join { p } else { q };
+            let ctx = ExecCtx::default().with_cancel(&cancel);
+            if instrument {
+                execute(
+                    p,
+                    q,
+                    &spec,
+                    job.req.algorithm,
+                    &cpq,
+                    ctx.with_probe(&mut probe),
+                )
+            } else {
+                execute(p, q, &spec, job.req.algorithm, &cpq, ctx)
+            }
+            .map_err(|e| e.to_string())
+        };
+        let result = match &shared.source {
+            Source::Sharded(_, pair) if scatter_workers >= 1 => {
+                let shard_cfg = ShardConfig {
+                    workers: scatter_workers,
+                    query_id: job.id,
+                    ..ShardConfig::default()
+                };
+                let q = if spec.self_join { &pair.p } else { &pair.q };
+                execute_sharded(
                     &pair.p,
-                    &pair.q,
-                    job.req.k,
+                    q,
+                    &spec,
                     job.req.algorithm,
                     &cpq,
                     &shard_cfg,
-                    job.req.constraint,
                     Some(&cancel),
-                ),
-                QueryKind::SelfJoin => self_closest_pairs_sharded_constrained(
-                    &pair.p,
-                    job.req.k,
-                    job.req.algorithm,
-                    &cpq,
-                    &shard_cfg,
-                    job.req.constraint,
-                    Some(&cancel),
-                ),
-            };
-            match run {
-                Ok(run) => {
+                )
+                .map(|run| {
                     shard_report = Some(run.report);
-                    Ok(cpq_core::QueryRun {
+                    QueryRun {
                         outcome: run.outcome,
                         completed: run.completed,
-                    })
-                }
+                    }
+                })
+                .map_err(|e| e.to_string())
+            }
+            Source::Static(trees) | Source::Sharded(trees, _) => run_engine(&trees.p, &trees.q),
+            // Live path: pin epoch snapshots for the query's whole
+            // execution — one committed state end to end, no matter how
+            // many update batches commit mid-query. Self-joins pin only P.
+            Source::Live(live) => match live.p().snapshot() {
                 Err(e) => Err(e.to_string()),
-            }
-        } else {
-            match &shared.source {
-                Source::Static(trees) => run_classic(
-                    &trees.p, &trees.q, &job, &cpq, &cancel, instrument, &mut probe,
-                ),
-                // Live path: pin epoch snapshots for the query's whole
-                // execution — one committed state end to end, no matter
-                // how many update batches commit mid-query. Self-joins
-                // pin only P.
-                Source::Live(live) => match live.p().snapshot() {
+                Ok(snap_p) if spec.self_join => run_engine(snap_p.tree(), snap_p.tree()),
+                Ok(snap_p) => match live.q().snapshot() {
                     Err(e) => Err(e.to_string()),
-                    Ok(snap_p) => match job.req.kind {
-                        QueryKind::SelfJoin => run_classic(
-                            snap_p.tree(),
-                            snap_p.tree(),
-                            &job,
-                            &cpq,
-                            &cancel,
-                            instrument,
-                            &mut probe,
-                        ),
-                        QueryKind::Cross => match live.q().snapshot() {
-                            Err(e) => Err(e.to_string()),
-                            Ok(snap_q) => run_classic(
-                                snap_p.tree(),
-                                snap_q.tree(),
-                                &job,
-                                &cpq,
-                                &cancel,
-                                instrument,
-                                &mut probe,
-                            ),
-                        },
-                    },
+                    Ok(snap_q) => run_engine(snap_p.tree(), snap_q.tree()),
                 },
-            }
+            },
         };
         let (status, pairs, stats) = match result {
             Ok(run) => (

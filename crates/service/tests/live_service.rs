@@ -7,7 +7,7 @@ use cpq_core::{k_closest_pairs, Algorithm, CpqConfig, PairResult};
 use cpq_datasets::uniform_grid;
 use cpq_live::{LiveConfig, LiveSet, Side, UpdateOp};
 use cpq_rtree::RTreeParams;
-use cpq_service::{CpqService, QueryRequest, QueryStatus, ServiceConfig};
+use cpq_service::{CpqService, QueryRequest, QueryStatus, ServiceConfig, Source};
 
 fn keys(pairs: &[PairResult<2>]) -> Vec<(u64, u64, u64)> {
     pairs
@@ -50,8 +50,8 @@ fn live_set(n: usize) -> LiveSet<2> {
 /// service changes subsequent answers.
 #[test]
 fn live_service_serves_snapshots_and_routes_updates() {
-    let service = CpqService::<2>::start_live(
-        live_set(80),
+    let service = CpqService::<2>::start(
+        Source::Live(live_set(80)),
         ServiceConfig {
             workers: 2,
             ..ServiceConfig::default()
@@ -123,8 +123,8 @@ fn live_service_serves_snapshots_and_routes_updates() {
 /// live trees report, and the apply counters track batches/ops.
 #[test]
 fn live_metrics_bridge_matches_live_stats() {
-    let service = CpqService::<2>::start_live(
-        live_set(60),
+    let service = CpqService::<2>::start(
+        Source::Live(live_set(60)),
         ServiceConfig {
             workers: 1,
             ..ServiceConfig::default()
@@ -181,8 +181,8 @@ fn durable_live_service_reports_wal_series() {
     let _ = std::fs::remove_dir_all(&dir);
     let set: LiveSet<2> =
         LiveSet::create(&dir, RTreeParams::paper(), &LiveConfig::default()).expect("create");
-    let service = CpqService::<2>::start_live(
-        set,
+    let service = CpqService::<2>::start(
+        Source::Live(set),
         ServiceConfig {
             workers: 1,
             ..ServiceConfig::default()

@@ -11,7 +11,7 @@ use cpq_obs::lint_exposition;
 use cpq_rtree::{RTree, RTreeParams};
 use cpq_service::{
     CpqService, ObsConfig, QueryRequest, QueryStatus, ServiceConfig, ShardedPair, ShardedTree,
-    TreePair,
+    Source, TreePair,
 };
 use cpq_storage::{BufferPool, MemPageFile};
 use std::time::Duration;
@@ -38,12 +38,14 @@ fn build_sharded(name: &str, objects: &[(Point2, u64)], shards: usize) -> Sharde
 fn start_sharded(max_shards: usize, obs: ObsConfig) -> CpqService<2, Point2> {
     let p = uniform(400, 42).indexed();
     let q = uniform(350, 1337).indexed();
-    CpqService::start_sharded(
-        TreePair::new(build_tree(&p), build_tree(&q)),
-        ShardedPair {
-            p: build_sharded("p", &p, 4),
-            q: build_sharded("q", &q, 4),
-        },
+    CpqService::start(
+        Source::Sharded(
+            TreePair::new(build_tree(&p), build_tree(&q)),
+            ShardedPair {
+                p: build_sharded("p", &p, 4),
+                q: build_sharded("q", &q, 4),
+            },
+        ),
         ServiceConfig {
             workers: 2,
             max_shards,

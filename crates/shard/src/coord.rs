@@ -6,7 +6,7 @@
 //! MBRs; dispatch ([`Scatter`]) hands pairs out best-first and prunes the
 //! tail once the best remaining separation exceeds the shared bound;
 //! every subquery is an ordinary sequential engine run that consumes and
-//! publishes that bound ([`cpq_core::k_closest_pairs_scatter`]); the
+//! publishes that bound ([`cpq_core::ExecCtx::with_scatter`]); the
 //! gather step merges by the canonical total order ([`merge_top_k`]), so
 //! the final top-K is bit-identical to the unsharded engine.
 //!
@@ -23,8 +23,8 @@ use crate::proto::{
 };
 use crate::scatter::{Scatter, Task};
 use cpq_core::{
-    k_closest_pairs_scatter_constrained, self_closest_pairs_scatter_constrained, Algorithm,
-    CancelToken, Constraint, CpqConfig, CpqStats, PairResult, QueryOutcome,
+    execute, Algorithm, CancelToken, Constraint, CpqConfig, CpqStats, ExecCtx, PairResult,
+    QueryOutcome, QueryRun, QuerySpec,
 };
 use cpq_geo::{min_min_dist2, SpatialObject};
 use cpq_rtree::RTreeError;
@@ -123,9 +123,56 @@ impl From<ProtoError> for ShardError {
     }
 }
 
-/// K closest pairs between two sharded datasets, scatter-gather across all
-/// shard pairs. Bit-identical to
-/// [`cpq_core::k_closest_pairs`] over the unsharded datasets.
+/// Runs one K-CPQ over sharded datasets, scatter-gather across all shard
+/// pairs: the sharded counterpart of [`cpq_core::execute`], bit-identical
+/// to it over the unsharded datasets. For a self-join spec `q` must be `p`.
+///
+/// Shard pairs whose window-clipped manifest MBRs cannot contain a
+/// qualifying pair are skipped at planning time. Fails with
+/// [`RTreeError::InvalidParams`] when the spec is invalid (see
+/// [`QuerySpec::validate`]).
+pub fn execute_sharded<const D: usize, O: SpatialObject<D>>(
+    p: &ShardedTree<D, O>,
+    q: &ShardedTree<D, O>,
+    spec: &QuerySpec<D>,
+    algorithm: Algorithm,
+    config: &CpqConfig,
+    shard: &ShardConfig,
+    cancel: Option<&CancelToken>,
+) -> Result<ShardRun<D, O>, ShardError> {
+    spec.validate()?;
+    if spec.k == 0 || p.is_empty() || q.is_empty() {
+        return Ok(ShardRun {
+            outcome: QueryOutcome {
+                pairs: Vec::new(),
+                stats: CpqStats::default(),
+            },
+            completed: true,
+            report: ShardReport::default(),
+        });
+    }
+    let owned_cancel;
+    let cancel = match cancel {
+        Some(c) => c,
+        None => {
+            owned_cancel = CancelToken::new();
+            &owned_cancel
+        }
+    };
+    ShardedQuery {
+        p,
+        q,
+        spec,
+        algorithm,
+        config,
+        shard,
+        cancel,
+    }
+    .run()
+}
+
+/// [`execute_sharded`] on an unconstrained cross spec. Kept for the
+/// `benchmark/` package; new code calls [`execute_sharded`].
 pub fn k_closest_pairs_sharded<const D: usize, O: SpatialObject<D>>(
     p: &ShardedTree<D, O>,
     q: &ShardedTree<D, O>,
@@ -135,79 +182,7 @@ pub fn k_closest_pairs_sharded<const D: usize, O: SpatialObject<D>>(
     shard: &ShardConfig,
     cancel: Option<&CancelToken>,
 ) -> Result<ShardRun<D, O>, ShardError> {
-    run_sharded(
-        p,
-        q,
-        k,
-        algorithm,
-        config,
-        shard,
-        cancel,
-        false,
-        Constraint::none(),
-    )
-}
-
-/// Constrained variant of [`k_closest_pairs_sharded`]: only pairs admitted
-/// by `constraint` (windows and/or colored) qualify. Shard pairs whose
-/// window-clipped manifest MBRs cannot contain a qualifying pair are
-/// skipped at planning time. Bit-identical to
-/// [`cpq_core::k_closest_pairs_constrained`] over the unsharded datasets.
-#[allow(clippy::too_many_arguments)]
-pub fn k_closest_pairs_sharded_constrained<const D: usize, O: SpatialObject<D>>(
-    p: &ShardedTree<D, O>,
-    q: &ShardedTree<D, O>,
-    k: usize,
-    algorithm: Algorithm,
-    config: &CpqConfig,
-    shard: &ShardConfig,
-    constraint: Constraint<D>,
-    cancel: Option<&CancelToken>,
-) -> Result<ShardRun<D, O>, ShardError> {
-    run_sharded(p, q, k, algorithm, config, shard, cancel, false, constraint)
-}
-
-/// K closest pairs within one sharded dataset (self-join, `p.oid < q.oid`).
-/// Bit-identical to [`cpq_core::self_closest_pairs`] over the unsharded
-/// dataset.
-pub fn self_closest_pairs_sharded<const D: usize, O: SpatialObject<D>>(
-    t: &ShardedTree<D, O>,
-    k: usize,
-    algorithm: Algorithm,
-    config: &CpqConfig,
-    shard: &ShardConfig,
-    cancel: Option<&CancelToken>,
-) -> Result<ShardRun<D, O>, ShardError> {
-    run_sharded(
-        t,
-        t,
-        k,
-        algorithm,
-        config,
-        shard,
-        cancel,
-        true,
-        Constraint::none(),
-    )
-}
-
-/// Constrained variant of [`self_closest_pairs_sharded`]. The constraint
-/// must be symmetric (`window_p == window_q`): unordered pairs have no
-/// stable side assignment.
-pub fn self_closest_pairs_sharded_constrained<const D: usize, O: SpatialObject<D>>(
-    t: &ShardedTree<D, O>,
-    k: usize,
-    algorithm: Algorithm,
-    config: &CpqConfig,
-    shard: &ShardConfig,
-    constraint: Constraint<D>,
-    cancel: Option<&CancelToken>,
-) -> Result<ShardRun<D, O>, ShardError> {
-    assert!(
-        constraint.is_symmetric(),
-        "self-join constraints must use one symmetric window"
-    );
-    run_sharded(t, t, k, algorithm, config, shard, cancel, true, constraint)
+    execute_sharded(p, q, &QuerySpec::cross(k), algorithm, config, shard, cancel)
 }
 
 /// Plans the shard-pair task set from the two manifests.
@@ -280,254 +255,207 @@ fn sum_stats(acc: &mut CpqStats, s: &CpqStats) {
     acc.queue_peak = acc.queue_peak.max(s.queue_peak);
 }
 
-/// One worker: drain the dispatcher, run each claimed shard pair as an
-/// engine subquery against the shared bound, keep the partial top-K lists.
-#[allow(clippy::too_many_arguments)]
-fn worker_run<const D: usize, O: SpatialObject<D>>(
-    sc: &Scatter,
-    p: &ShardedTree<D, O>,
-    q: &ShardedTree<D, O>,
-    k: usize,
+/// One sharded query as its workers see it: what was asked, how each
+/// subquery runs, and the token that stops them all.
+struct ShardedQuery<'a, const D: usize, O: SpatialObject<D>> {
+    p: &'a ShardedTree<D, O>,
+    q: &'a ShardedTree<D, O>,
+    spec: &'a QuerySpec<D>,
     algorithm: Algorithm,
-    config: &CpqConfig,
-    shard: &ShardConfig,
-    constraint: Constraint<D>,
-    cancel: &CancelToken,
-) -> WorkerOut<D, O> {
-    let mut out = WorkerOut {
-        partials: Vec::new(),
-        stats: CpqStats::default(),
-        subqueries_completed: 0,
-        all_completed: true,
-        error: None,
-    };
-    while let Some(task) = sc.next() {
-        if shard.prefetch {
-            if let Some((np, nq)) = sc.peek_next() {
-                p.prefetch_roots(&[np]);
-                q.prefetch_roots(&[nq]);
+    config: &'a CpqConfig,
+    shard: &'a ShardConfig,
+    cancel: &'a CancelToken,
+}
+
+impl<const D: usize, O: SpatialObject<D>> ShardedQuery<'_, D, O> {
+    /// One worker: drain the dispatcher, run each claimed shard pair as an
+    /// engine subquery against the shared bound, keep the partial top-K lists.
+    fn worker_run(&self, sc: &Scatter) -> WorkerOut<D, O> {
+        let mut out = WorkerOut {
+            partials: Vec::new(),
+            stats: CpqStats::default(),
+            subqueries_completed: 0,
+            all_completed: true,
+            error: None,
+        };
+        while let Some(task) = sc.next() {
+            if self.shard.prefetch {
+                if let Some((np, nq)) = sc.peek_next() {
+                    self.p.prefetch_roots(&[np]);
+                    self.q.prefetch_roots(&[nq]);
+                }
             }
-        }
-        let run = match run_task(
-            sc, p, q, k, algorithm, config, shard, constraint, cancel, task,
-        ) {
-            Ok(run) => run,
-            Err(e) => {
-                out.error = Some(e);
+            let run = match self.run_task(sc, task) {
+                Ok(run) => run,
+                Err(e) => {
+                    out.error = Some(e);
+                    out.all_completed = false;
+                    sc.cancel();
+                    break;
+                }
+            };
+            sum_stats(&mut out.stats, &run.outcome.stats);
+            out.partials.push(run.outcome.pairs);
+            if run.completed {
+                out.subqueries_completed += 1;
+            } else {
+                // The cancel token tripped inside the subquery; stop dispatch
+                // and keep whatever partials exist.
                 out.all_completed = false;
                 sc.cancel();
                 break;
             }
-        };
-        sum_stats(&mut out.stats, &run.outcome.stats);
-        out.partials.push(run.outcome.pairs);
-        if run.completed {
-            out.subqueries_completed += 1;
-        } else {
-            // The cancel token tripped inside the subquery; stop dispatch
-            // and keep whatever partials exist.
+        }
+        if self.cancel.is_cancelled() {
             out.all_completed = false;
-            sc.cancel();
-            break;
         }
+        out
     }
-    if cancel.is_cancelled() {
-        out.all_completed = false;
-    }
-    out
-}
 
-/// Runs one claimed shard pair, round-tripping the protocol messages when
-/// `wire_codec` is on (the subquery is then executed from the *decoded*
-/// message; the decoded partial is checked for fidelity against the
-/// in-memory pairs, which keep their geometry for the merge).
-#[allow(clippy::too_many_arguments)]
-fn run_task<const D: usize, O: SpatialObject<D>>(
-    sc: &Scatter,
-    p: &ShardedTree<D, O>,
-    q: &ShardedTree<D, O>,
-    k: usize,
-    algorithm: Algorithm,
-    config: &CpqConfig,
-    shard: &ShardConfig,
-    constraint: Constraint<D>,
-    cancel: &CancelToken,
-    task: Task,
-) -> Result<cpq_core::QueryRun<D, O>, ShardError> {
-    let (shard_p, shard_q, self_join, orient, alg, con) = if shard.wire_codec {
-        let msg = ShardSubquery {
-            query_id: shard.query_id,
-            shard_p: task.shard_p,
-            shard_q: task.shard_q,
-            k: k as u64,
-            algorithm: crate::proto::algorithm_code(algorithm),
-            self_join: task.self_join,
-            orient_by_oid: task.orient,
-            minmin_bits: task.minmin_bits,
-            window_p: constraint.window_p,
-            window_q: constraint.window_q,
-            colored: constraint.colored,
+    /// Runs one claimed shard pair, round-tripping the protocol messages when
+    /// `wire_codec` is on (the subquery is then executed from the *decoded*
+    /// message; the decoded partial is checked for fidelity against the
+    /// in-memory pairs, which keep their geometry for the merge).
+    fn run_task(&self, sc: &Scatter, task: Task) -> Result<QueryRun<D, O>, ShardError> {
+        let (k, shard) = (self.spec.k, self.shard);
+        let (shard_p, shard_q, self_join, orient, alg, constraint) = if shard.wire_codec {
+            let msg = ShardSubquery {
+                query_id: shard.query_id,
+                shard_p: task.shard_p,
+                shard_q: task.shard_q,
+                k: k as u64,
+                algorithm: crate::proto::algorithm_code(self.algorithm),
+                self_join: task.self_join,
+                orient_by_oid: task.orient,
+                minmin_bits: task.minmin_bits,
+                window_p: self.spec.constraint.window_p,
+                window_q: self.spec.constraint.window_q,
+                colored: self.spec.constraint.colored,
+            };
+            let decoded = ShardSubquery::decode(&msg.encode())?;
+            (
+                decoded.shard_p,
+                decoded.shard_q,
+                decoded.self_join,
+                decoded.orient_by_oid,
+                algorithm_from_code(decoded.algorithm)?,
+                // Run from the *decoded* constraint: the proof the wire carries
+                // the windows and the colored flag faithfully.
+                decoded.constraint(),
+            )
+        } else {
+            (
+                task.shard_p,
+                task.shard_q,
+                task.self_join,
+                task.orient,
+                self.algorithm,
+                self.spec.constraint,
+            )
         };
-        let decoded = ShardSubquery::decode(&msg.encode())?;
-        (
-            decoded.shard_p,
-            decoded.shard_q,
-            decoded.self_join,
-            decoded.orient_by_oid,
-            algorithm_from_code(decoded.algorithm)?,
-            // Run from the *decoded* constraint: the proof the wire carries
-            // the windows and the colored flag faithfully.
-            decoded.constraint(),
-        )
-    } else {
-        (
-            task.shard_p,
-            task.shard_q,
-            task.self_join,
-            task.orient,
-            algorithm,
-            constraint,
-        )
-    };
 
-    let run = if self_join {
-        self_closest_pairs_scatter_constrained(
-            p.shard(shard_p as usize),
-            k,
-            alg,
-            config,
-            con,
-            cancel,
-            &sc.bound,
-        )?
-    } else {
-        k_closest_pairs_scatter_constrained(
-            p.shard(shard_p as usize),
-            q.shard(shard_q as usize),
-            k,
-            alg,
-            config,
-            con,
-            cancel,
-            &sc.bound,
-            orient,
-        )?
-    };
-
-    if shard.wire_codec {
-        // A remote shard server would ship exactly these two messages
-        // back; prove they survive the codec and carry the run faithfully.
-        let partial = PartialResult {
-            query_id: shard.query_id,
-            shard_p,
-            shard_q,
-            completed: run.completed,
-            pairs: run
-                .outcome
-                .pairs
-                .iter()
-                .map(|pr| WirePair {
-                    p_oid: pr.p.oid,
-                    q_oid: pr.q.oid,
-                    dist2_bits: pr.dist2.get().to_bits(),
-                })
-                .collect(),
-        };
-        let decoded = PartialResult::decode(&partial.encode())?;
-        if decoded != partial {
-            return Err(ShardError::Proto(ProtoError::Truncated));
-        }
-        let update = BoundUpdate {
-            query_id: shard.query_id,
-            bound_bits: sc.bound.get_d2().to_bits(),
-        };
-        let decoded = BoundUpdate::decode(&update.encode())?;
-        // Re-applying the round-tripped bound is a no-op tighten (the
-        // CAS-min ignores values at or above the current bound).
-        sc.bound.tighten(f64::from_bits(decoded.bound_bits));
-    }
-    Ok(run)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_sharded<const D: usize, O: SpatialObject<D>>(
-    p: &ShardedTree<D, O>,
-    q: &ShardedTree<D, O>,
-    k: usize,
-    algorithm: Algorithm,
-    config: &CpqConfig,
-    shard: &ShardConfig,
-    cancel: Option<&CancelToken>,
-    self_join: bool,
-    constraint: Constraint<D>,
-) -> Result<ShardRun<D, O>, ShardError> {
-    if k == 0 || p.is_empty() || q.is_empty() {
-        return Ok(ShardRun {
-            outcome: QueryOutcome {
-                pairs: Vec::new(),
-                stats: CpqStats::default(),
+        // A diagonal pair names one shard twice, so the self-join subquery
+        // gets the same tree on both sides.
+        let run = execute(
+            self.p.shard(shard_p as usize),
+            self.q.shard(shard_q as usize),
+            &QuerySpec {
+                k,
+                self_join,
+                constraint,
             },
-            completed: true,
-            report: ShardReport::default(),
+            alg,
+            self.config,
+            ExecCtx::default()
+                .with_cancel(self.cancel)
+                .with_scatter(&sc.bound, orient),
+        )?;
+
+        if shard.wire_codec {
+            // A remote shard server would ship exactly these two messages
+            // back; prove they survive the codec and carry the run faithfully.
+            let partial = PartialResult {
+                query_id: shard.query_id,
+                shard_p,
+                shard_q,
+                completed: run.completed,
+                pairs: run
+                    .outcome
+                    .pairs
+                    .iter()
+                    .map(|pr| WirePair {
+                        p_oid: pr.p.oid,
+                        q_oid: pr.q.oid,
+                        dist2_bits: pr.dist2.get().to_bits(),
+                    })
+                    .collect(),
+            };
+            let decoded = PartialResult::decode(&partial.encode())?;
+            if decoded != partial {
+                return Err(ShardError::Proto(ProtoError::Truncated));
+            }
+            let update = BoundUpdate {
+                query_id: shard.query_id,
+                bound_bits: sc.bound.get_d2().to_bits(),
+            };
+            let decoded = BoundUpdate::decode(&update.encode())?;
+            // Re-applying the round-tripped bound is a no-op tighten (the
+            // CAS-min ignores values at or above the current bound).
+            sc.bound.tighten(f64::from_bits(decoded.bound_bits));
+        }
+        Ok(run)
+    }
+
+    /// Plans, scatters over the worker pool, gathers and merges.
+    fn run(&self) -> Result<ShardRun<D, O>, ShardError> {
+        let scatter = Scatter::new(plan(
+            self.p,
+            self.q,
+            self.spec.self_join,
+            &self.spec.constraint,
+        ));
+        let workers = self.shard.workers.max(1);
+        let outs: Vec<WorkerOut<D, O>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers)
+                .map(|_| scope.spawn(|| self.worker_run(&scatter)))
+                .collect();
+            handles
+                .into_iter()
+                // analyze: allow(panic-path) — a panicking worker is a bug; propagate
+                // the panic rather than fabricate a result.
+                .map(|h| h.join().expect("shard workers never panic"))
+                .collect()
         });
-    }
 
-    let owned_cancel;
-    let cancel = match cancel {
-        Some(c) => c,
-        None => {
-            owned_cancel = CancelToken::new();
-            &owned_cancel
+        let mut stats = CpqStats::default();
+        let mut subqueries_completed = 0;
+        let mut completed = true;
+        let mut partials = Vec::new();
+        for mut out in outs {
+            if let Some(e) = out.error {
+                return Err(e);
+            }
+            sum_stats(&mut stats, &out.stats);
+            subqueries_completed += out.subqueries_completed;
+            completed &= out.all_completed;
+            partials.append(&mut out.partials);
         }
-    };
 
-    let scatter = Scatter::new(plan(p, q, self_join, &constraint));
-    let workers = shard.workers.max(1);
-    let outs: Vec<WorkerOut<D, O>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                let sc = &scatter;
-                scope.spawn(move || {
-                    worker_run(sc, p, q, k, algorithm, config, shard, constraint, cancel)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            // analyze: allow(panic-path) — a panicking worker is a bug; propagate
-            // the panic rather than fabricate a result.
-            .map(|h| h.join().expect("shard workers never panic"))
-            .collect()
-    });
-
-    let mut stats = CpqStats::default();
-    let mut subqueries_completed = 0;
-    let mut completed = true;
-    let mut partials = Vec::new();
-    for mut out in outs {
-        if let Some(e) = out.error {
-            return Err(e);
-        }
-        sum_stats(&mut stats, &out.stats);
-        subqueries_completed += out.subqueries_completed;
-        completed &= out.all_completed;
-        partials.append(&mut out.partials);
+        let counts = scatter.counts();
+        // A cancelled run may leave tasks neither opened nor pruned; a
+        // finished one accounts for every generated pair.
+        completed &= counts.opened + counts.pruned == counts.generated;
+        let pairs = merge_top_k(partials, self.spec.k);
+        Ok(ShardRun {
+            outcome: QueryOutcome { pairs, stats },
+            completed,
+            report: ShardReport {
+                pairs_generated: counts.generated,
+                pairs_pruned: counts.pruned,
+                pairs_opened: counts.opened,
+                subqueries_completed,
+                bound_updates: scatter.bound.updates(),
+            },
+        })
     }
-
-    let counts = scatter.counts();
-    // A cancelled run may leave tasks neither opened nor pruned; a
-    // finished one accounts for every generated pair.
-    completed &= counts.opened + counts.pruned == counts.generated;
-    let pairs = merge_top_k(partials, k);
-    Ok(ShardRun {
-        outcome: QueryOutcome { pairs, stats },
-        completed,
-        report: ShardReport {
-            pairs_generated: counts.generated,
-            pairs_pruned: counts.pruned,
-            pairs_opened: counts.opened,
-            subqueries_completed,
-            bound_updates: scatter.bound.updates(),
-        },
-    })
 }

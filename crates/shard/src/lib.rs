@@ -12,8 +12,8 @@
 //!   a **best-first priority queue** — exactly the paper's branch-and-bound
 //!   lifted one level, from node pairs to shard pairs.
 //! * A worker pool pops shard pairs and runs each as an ordinary
-//!   (cancellable, sequential) engine subquery via
-//!   [`cpq_core::k_closest_pairs_scatter`], all sharing one
+//!   (cancellable, sequential) engine subquery via [`cpq_core::execute`]
+//!   under [`cpq_core::ExecCtx::with_scatter`], all sharing one
 //!   [`SharedBound`](cpq_core::SharedBound) — the AtomicU64 f64-bits
 //!   CAS-min bound of `crates/core/src/parallel.rs`, propagated across
 //!   shards instead of threads.
@@ -22,7 +22,8 @@
 //!   clustered data that is the majority of the quadratic pair count.
 //! * Partial results merge by the canonical total order
 //!   ([`cpq_core::pair_cmp`]), which makes the merged top-K **bit-identical
-//!   to the unsharded engine** (`bench_shard` gates on it).
+//!   to the unsharded engine** (`shard_parity.rs` / `rcp_shard_parity.rs`
+//!   gate on it, wire codec armed, against the brute-force oracle).
 //!
 //! The shard-pair protocol ([`proto`]) — manifest, subquery, bound update,
 //! partial result — is a set of explicit serializable types with a
@@ -41,8 +42,7 @@ mod scatter;
 
 pub use build::{ShardedPair, ShardedTree};
 pub use coord::{
-    k_closest_pairs_sharded, k_closest_pairs_sharded_constrained, self_closest_pairs_sharded,
-    self_closest_pairs_sharded_constrained, ShardConfig, ShardError, ShardReport, ShardRun,
+    execute_sharded, k_closest_pairs_sharded, ShardConfig, ShardError, ShardReport, ShardRun,
 };
 pub use merge::merge_top_k;
 pub use proto::{

@@ -11,14 +11,11 @@
 //! O(n²) oracle filtered by the same [`Constraint::admits_pair`].
 
 use cpq_core::brute::{k_closest_pairs_brute_constrained, self_k_closest_pairs_brute_constrained};
-use cpq_core::{Algorithm, Constraint, CpqConfig, PairResult};
+use cpq_core::{Algorithm, Constraint, CpqConfig, PairResult, QuerySpec};
 use cpq_datasets::{clustered, uniform, ClusterSpec, WORKSPACE_SIDE};
 use cpq_geo::{pack_color, Point2, Rect2};
 use cpq_rtree::RTreeParams;
-use cpq_shard::{
-    k_closest_pairs_sharded_constrained, self_closest_pairs_sharded_constrained, ShardConfig,
-    ShardedTree,
-};
+use cpq_shard::{execute_sharded, ShardConfig, ShardedTree};
 use cpq_storage::{BufferPool, MemPageFile};
 
 const ALL: [Algorithm; 5] = [
@@ -84,9 +81,8 @@ fn assert_cross(
             ..ShardConfig::default()
         };
         for alg in ALL {
-            let run =
-                k_closest_pairs_sharded_constrained(&sp, &sq, k, alg, &cfg, &shard_cfg, con, None)
-                    .unwrap();
+            let spec = QuerySpec::cross(k).with_constraint(con);
+            let run = execute_sharded(&sp, &sq, &spec, alg, &cfg, &shard_cfg, None).unwrap();
             let label = format!("{label} {} S={shards} k={k}", alg.label());
             assert!(run.completed, "{label}: run completed");
             assert_same(&run.outcome.pairs, &oracle, &label);
@@ -105,9 +101,8 @@ fn assert_self(p: &[(Point2, u64)], k: usize, con: Constraint<2>, label: &str) {
             ..ShardConfig::default()
         };
         for alg in ALL {
-            let run =
-                self_closest_pairs_sharded_constrained(&sp, k, alg, &cfg, &shard_cfg, con, None)
-                    .unwrap();
+            let spec = QuerySpec::self_join(k).with_constraint(con);
+            let run = execute_sharded(&sp, &sp, &spec, alg, &cfg, &shard_cfg, None).unwrap();
             let label = format!("{label} self {} S={shards} k={k}", alg.label());
             assert!(run.completed, "{label}: run completed");
             assert_same(&run.outcome.pairs, &oracle, &label);

@@ -14,13 +14,13 @@
 //! implementation would diverge.
 
 use cpq_core::{
-    k_closest_pairs, self_closest_pairs, Algorithm, CancelToken, CpqConfig, PairResult,
+    k_closest_pairs, self_closest_pairs, Algorithm, CancelToken, CpqConfig, PairResult, QuerySpec,
 };
 use cpq_datasets::{clustered, uniform, ClusterSpec, Dataset};
 use cpq_geo::Point2;
 use cpq_rng::Rng;
 use cpq_rtree::RTreeParams;
-use cpq_shard::{k_closest_pairs_sharded, self_closest_pairs_sharded, ShardConfig, ShardedTree};
+use cpq_shard::{execute_sharded, ShardConfig, ShardedTree};
 use cpq_storage::{BufferPool, MemPageFile};
 
 const ALL: [Algorithm; 5] = [
@@ -112,11 +112,21 @@ fn assert_parity(
         let (seq, run) = match (&tq, &sq) {
             (Some(tq), Some(sq)) => (
                 k_closest_pairs(&tp, tq, k, alg, &cfg).unwrap(),
-                k_closest_pairs_sharded(&sp, sq, k, alg, &cfg, &shard_cfg, None).unwrap(),
+                execute_sharded(&sp, sq, &QuerySpec::cross(k), alg, &cfg, &shard_cfg, None)
+                    .unwrap(),
             ),
             _ => (
                 self_closest_pairs(&tp, k, alg, &cfg).unwrap(),
-                self_closest_pairs_sharded(&sp, k, alg, &cfg, &shard_cfg, None).unwrap(),
+                execute_sharded(
+                    &sp,
+                    &sp,
+                    &QuerySpec::self_join(k),
+                    alg,
+                    &cfg,
+                    &shard_cfg,
+                    None,
+                )
+                .unwrap(),
             ),
         };
         let label = format!("{label} {} S={shards} k={k} w={workers}", alg.label());
@@ -197,10 +207,10 @@ fn k_exceeding_pair_count_returns_everything() {
     )
     .unwrap();
     assert_eq!(seq.pairs.len(), 12 * 9);
-    let run = k_closest_pairs_sharded(
+    let run = execute_sharded(
         &build_sharded("p", &p, 3),
         &build_sharded("q", &q, 3),
-        10_000,
+        &QuerySpec::cross(10_000),
         Algorithm::Heap,
         &cfg,
         &ShardConfig::default(),
@@ -218,12 +228,29 @@ fn degenerate_inputs_return_empty_complete_runs() {
     let cfg = CpqConfig::paper();
     let shard_cfg = ShardConfig::default();
 
-    let run =
-        k_closest_pairs_sharded(&sp, &empty, 5, Algorithm::Heap, &cfg, &shard_cfg, None).unwrap();
+    let run = execute_sharded(
+        &sp,
+        &empty,
+        &QuerySpec::cross(5),
+        Algorithm::Heap,
+        &cfg,
+        &shard_cfg,
+        None,
+    )
+    .unwrap();
     assert!(run.completed && run.outcome.pairs.is_empty());
     assert_eq!(run.report, Default::default());
 
-    let run = self_closest_pairs_sharded(&sp, 0, Algorithm::Heap, &cfg, &shard_cfg, None).unwrap();
+    let run = execute_sharded(
+        &sp,
+        &sp,
+        &QuerySpec::self_join(0),
+        Algorithm::Heap,
+        &cfg,
+        &shard_cfg,
+        None,
+    )
+    .unwrap();
     assert!(run.completed && run.outcome.pairs.is_empty());
 }
 
@@ -233,10 +260,10 @@ fn cancelled_runs_report_incomplete() {
     let q = uniform(400, 24).indexed();
     let cancel = CancelToken::new();
     cancel.cancel();
-    let run = k_closest_pairs_sharded(
+    let run = execute_sharded(
         &build_sharded("p", &p, 4),
         &build_sharded("q", &q, 4),
-        50,
+        &QuerySpec::cross(50),
         Algorithm::Heap,
         &CpqConfig::paper(),
         &ShardConfig::default(),
@@ -259,10 +286,10 @@ fn separated_clusters_prune_most_shard_pairs() {
     };
     let p: Vec<(Point2, u64)> = clustered(600, tight, 25).indexed();
     let q: Vec<(Point2, u64)> = clustered(600, tight, 25).indexed();
-    let run = k_closest_pairs_sharded(
+    let run = execute_sharded(
         &build_sharded("p", &p, 8),
         &build_sharded("q", &q, 8),
-        1,
+        &QuerySpec::cross(1),
         Algorithm::Heap,
         &CpqConfig::paper(),
         &ShardConfig {
@@ -289,9 +316,11 @@ fn different_shard_counts_agree_with_each_other() {
     let objects = d.indexed();
     let cfg = CpqConfig::paper();
     let shard_cfg = ShardConfig::default();
-    let base = self_closest_pairs_sharded(
-        &build_sharded("d", &objects, 2),
-        40,
+    let base_tree = build_sharded("d", &objects, 2);
+    let base = execute_sharded(
+        &base_tree,
+        &base_tree,
+        &QuerySpec::self_join(40),
         Algorithm::SortedDistances,
         &cfg,
         &shard_cfg,
@@ -299,9 +328,11 @@ fn different_shard_counts_agree_with_each_other() {
     )
     .unwrap();
     for shards in [3usize, 5, 8] {
-        let other = self_closest_pairs_sharded(
-            &build_sharded("d", &objects, shards),
-            40,
+        let tree = build_sharded("d", &objects, shards);
+        let other = execute_sharded(
+            &tree,
+            &tree,
+            &QuerySpec::self_join(40),
             Algorithm::SortedDistances,
             &cfg,
             &shard_cfg,

@@ -75,11 +75,6 @@ echo "==> bench_parallel --smoke --disk real (real-file descent, zero-divergence
 ./target/release/bench_parallel --smoke --disk real \
     --out /tmp/BENCH_parallel_real_smoke.json >/dev/null
 
-# Per-shard disk page files, wire codec armed on every subquery, and the
-# bit-identical-vs-unsharded gate on every cell.
-echo "==> bench_shard --smoke (scatter-gather K-CPQ, zero-divergence gate)"
-./target/release/bench_shard --smoke --out /tmp/BENCH_shard_smoke.json >/dev/null
-
 # Windowed/colored K-CPQ: every cell cross-checks HEAP vs STD bitwise, the
 # whole smoke matrix is gated on the O(n²) brute-force oracle, and node
 # accesses must shrink monotonically with the window on clustered data.
@@ -95,6 +90,15 @@ cargo test --release -q -p cpq-live --test crash_recovery
 
 echo "==> bench_live --smoke (continuous K-CPQ delta path >=5x + throughput x readers)"
 ./target/release/bench_live --smoke --out /tmp/BENCH_live_smoke.json >/dev/null
+
+# The out-of-workspace benchmark package path-depends on the crates above,
+# so a workspace API change can break it unseen: build it, then run its
+# tiny preset, which exits non-zero on any divergent answer (every workload
+# is gated bit-for-bit against memoised references and the direct engine).
+echo "==> benchmark package: release build + run.sh --smoke (zero-divergence gate)"
+# (Same target dir as run.sh, so the package is compiled once.)
+(cd benchmark && CARGO_TARGET_DIR=../target/benchmark/build cargo build --release --offline)
+benchmark/run.sh --smoke >/dev/null
 
 if [ "${1:-}" = "--full" ]; then
     echo "==> parallel stress: wide seed sweep (release, --include-ignored)"
