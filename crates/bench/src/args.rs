@@ -54,17 +54,6 @@ impl Args {
         }
     }
 
-    /// `--key value` as usize, or `default`. Exits with status 2 (naming the
-    /// flag) when the value does not parse.
-    pub fn get_usize(&self, key: &str, default: usize) -> usize {
-        match self.values.get(key) {
-            Some(v) => v
-                .parse()
-                .unwrap_or_else(|_| bad_value(key, v, "an integer")),
-            None => default,
-        }
-    }
-
     /// `--key value` as string, or `default`.
     pub fn get_str(&self, key: &str, default: &str) -> String {
         self.values
@@ -108,7 +97,6 @@ mod tests {
         assert_eq!(a.get_f64("scale", 1.0), 0.5);
         assert!(a.flag("quiet"));
         assert_eq!(a.get_str("out", "x"), "results");
-        assert_eq!(a.get_usize("missing", 7), 7);
     }
 
     #[test]

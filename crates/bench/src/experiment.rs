@@ -14,14 +14,11 @@ use cpq_core::{
 use cpq_datasets::{clustered, uniform, ClusterSpec, Dataset, CALIFORNIA_SURROGATE_SIZE};
 use cpq_rtree::{RTree, RTreeParams, RTreeResult};
 use cpq_storage::{
-    BufferPool, ClockPolicy, DiskPageFile, FailingPageFile, FailureControl, FifoPolicy, LruPolicy,
-    MemPageFile, PageFile, ReplacementPolicy, SchedConfig, DEFAULT_PAGE_SIZE,
+    BufferPool, ClockPolicy, FifoPolicy, LruPolicy, MemPageFile, ReplacementPolicy,
+    DEFAULT_PAGE_SIZE,
 };
-use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
-/// The "real" data set (Sequoia surrogate), scaled. Shared by the figure
-/// binaries and `bench_service` so every harness runs the same workload.
+/// The "real" data set (Sequoia surrogate), scaled.
 pub fn real_dataset(scale: f64) -> Dataset {
     let mut ds = clustered(
         scaled(CALIFORNIA_SURROGATE_SIZE, scale),
@@ -84,88 +81,6 @@ pub fn build_tree_bulk(ds: &Dataset, fill: f64) -> RTreeResult<RTree<2>> {
     RTree::bulk_load(pool, RTreeParams::paper(), &ds.indexed(), fill)
 }
 
-/// Builds the paper-parameter tree over a latency-injecting page file
-/// (disarmed during construction, so the build runs at memory speed).
-/// Callers arm the returned [`FailureControl`] — e.g.
-/// `control.slow_reads(..)` — before measuring. Used by the parallel
-/// harness, which benchmarks the I/O-bound regime.
-pub fn build_tree_slow(ds: &Dataset) -> RTreeResult<(RTree<2>, Arc<FailureControl>)> {
-    let control = FailureControl::new();
-    let file = FailingPageFile::new(
-        Box::new(MemPageFile::new(DEFAULT_PAGE_SIZE)),
-        control.clone(),
-    );
-    let pool = BufferPool::with_lru(Box::new(file), 512);
-    let mut tree = RTree::new(pool, RTreeParams::paper())?;
-    for (i, &p) in ds.points.iter().enumerate() {
-        tree.insert(p, i as u64)?;
-    }
-    Ok((tree, control))
-}
-
-/// A fresh path for a bench page file under the OS temp dir, unique per
-/// process and label. Callers remove it when done.
-pub fn scratch_file(label: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("cpq-bench-{}-{label}.pages", std::process::id()))
-}
-
-/// Builds the real-disk page file for `ds` at `path` (insertion-built,
-/// paper parameters — the same tree shape as [`build_tree`]), then
-/// reopens it behind either a scheduled buffer pool (`sched: Some(cfg)`,
-/// miss I/O through the request scheduler) or a naive per-page pool
-/// (`sched: None`, the baseline read path). A roomy build-time cache
-/// keeps construction fast; callers reconfigure before measuring.
-pub fn build_tree_disk(
-    ds: &Dataset,
-    path: &Path,
-    sched: Option<SchedConfig>,
-) -> RTreeResult<RTree<2>> {
-    // Build phase: plain buffered pool over the fresh disk file.
-    let file = DiskPageFile::create(path, DEFAULT_PAGE_SIZE)?;
-    let pool = BufferPool::with_lru(Box::new(file), 512);
-    let mut tree = RTree::new(pool, RTreeParams::paper())?;
-    for (i, &p) in ds.points.iter().enumerate() {
-        tree.insert(p, i as u64)?;
-    }
-    reopen_tree_disk(tree, path, sched)
-}
-
-/// Builds an STR bulk-loaded tree on disk: sibling leaves land on
-/// contiguous pages, the layout the scheduler's read coalescing feeds on.
-pub fn build_tree_disk_bulk(
-    ds: &Dataset,
-    path: &Path,
-    fill: f64,
-    sched: Option<SchedConfig>,
-) -> RTreeResult<RTree<2>> {
-    let file = DiskPageFile::create(path, DEFAULT_PAGE_SIZE)?;
-    let pool = BufferPool::with_lru(Box::new(file), 512);
-    let tree = RTree::bulk_load(pool, RTreeParams::paper(), &ds.indexed(), fill)?;
-    reopen_tree_disk(tree, path, sched)
-}
-
-/// Syncs the built tree's pages to `path` and reopens the file cold on
-/// the requested read path. `open_direct` probes `O_DIRECT` and falls
-/// back to buffered reads when the filesystem refuses it.
-fn reopen_tree_disk(
-    tree: RTree<2>,
-    path: &Path,
-    sched: Option<SchedConfig>,
-) -> RTreeResult<RTree<2>> {
-    tree.pool().sync()?;
-    let params = tree.params();
-    let descriptor = tree.descriptor();
-    drop(tree); // closes the build handle
-    let mut reopened = DiskPageFile::open_direct(path)?;
-    reopened.reset_stats();
-    let file: Box<dyn PageFile> = Box::new(reopened);
-    let pool = match sched {
-        Some(cfg) => BufferPool::with_lru_scheduled(file, 512, cfg),
-        None => BufferPool::with_lru(file, 512),
-    };
-    RTree::from_descriptor(pool, params, descriptor)
-}
-
 /// Reconfigures both trees' buffers for a measured query: each gets `B/2`
 /// LRU frames (`B = 0` disables caching entirely), cleared and with fresh
 /// counters.
@@ -225,31 +140,6 @@ mod tests {
         let _warm = out.stats.disk_accesses();
         let out2 = k_closest_pairs(&tp, &tq, 1, Algorithm::Heap, &CpqConfig::paper()).unwrap();
         assert!(out2.stats.disk_accesses() < zero);
-    }
-
-    #[test]
-    fn disk_tree_roundtrip_matches_memory_tree() {
-        let p = uniform(400, 5);
-        let q = uniform(400, 6);
-        let path_p = scratch_file("test-p");
-        let path_q = scratch_file("test-q");
-        let tp = build_tree_disk(&p, &path_p, Some(SchedConfig::default())).unwrap();
-        let tq = build_tree_disk(&q, &path_q, None).unwrap();
-        assert!(tp.pool().is_scheduled());
-        assert!(!tq.pool().is_scheduled());
-        tp.assert_valid();
-
-        let tm_p = build_tree(&p).unwrap();
-        let tm_q = build_tree(&q).unwrap();
-        let a = run_query(&tp, &tq, 5, Algorithm::Heap, &CpqConfig::paper(), 0).unwrap();
-        let b = run_query(&tm_p, &tm_q, 5, Algorithm::Heap, &CpqConfig::paper(), 0).unwrap();
-        for (x, y) in a.pairs.iter().zip(&b.pairs) {
-            assert!((x.dist2.get() - y.dist2.get()).abs() < 1e-12);
-        }
-        // Cold reopen means the measured query actually hit the disk file.
-        assert!(a.stats.disk_accesses() > 0);
-        let _ = std::fs::remove_file(&path_p);
-        let _ = std::fs::remove_file(&path_q);
     }
 
     #[test]

@@ -17,15 +17,13 @@ pub mod args;
 pub mod chart;
 pub mod experiment;
 pub mod figures;
-pub mod microbench;
 pub mod table;
 
 pub use args::Args;
 pub use chart::Chart;
 pub use experiment::{
-    build_tree, build_tree_bulk, build_tree_disk, build_tree_disk_bulk, build_tree_slow,
-    build_tree_with, configure_buffers, policy_by_name, real_dataset, run_incremental, run_query,
-    scratch_file, uniform_dataset,
+    build_tree, build_tree_bulk, build_tree_with, configure_buffers, policy_by_name, real_dataset,
+    run_incremental, run_query, uniform_dataset,
 };
 pub use table::Table;
 

@@ -17,7 +17,9 @@
 //! * duplicate-point tie storms (canonical `(dist2, oid, oid)` order),
 //! * colored cross and self joins,
 //! * `K` far larger than the constrained result set,
-//! * randomized windows/colors/K against the oracle.
+//! * randomized windows/colors/K against the oracle,
+//!
+//! plus one cost gate: node accesses must not grow as the window shrinks.
 //!
 //! Where the parallel contract requires it (brute-force leaf scans), the
 //! full `CpqStats` of the T=4 run must equal the sequential run's.
@@ -27,7 +29,7 @@ use cpq_core::{
     k_closest_pairs_constrained, self_closest_pairs_constrained, Algorithm, Constraint, CpqConfig,
     PairResult,
 };
-use cpq_datasets::{uniform, uniform_grid, WORKSPACE_SIDE};
+use cpq_datasets::{clustered, uniform, uniform_grid, ClusterSpec, WORKSPACE_SIDE};
 use cpq_geo::{pack_color, Point2, Rect2};
 use cpq_rng::Rng;
 use cpq_rtree::{RTree, RTreeParams};
@@ -316,6 +318,39 @@ fn k_larger_than_constrained_result() {
         "k-overflow",
     );
     assert_self(&tp, &ps, 10_000, Constraint::window(w), "k-overflow-self");
+}
+
+/// The windowed traversal must *use* the window rather than scan and
+/// post-filter: on clustered data, unbuffered (so disk accesses are node
+/// accesses), shrinking the window must never cost more node accesses.
+#[test]
+fn node_accesses_do_not_grow_as_window_shrinks() {
+    let p = clustered(1_500, ClusterSpec::default(), 3);
+    let q = clustered(1_500, ClusterSpec::default(), 4);
+    let (tp, tq) = (build(&indexed(&p.points)), build(&indexed(&q.points)));
+    let accesses: Vec<(f64, u64)> = [1.0, 0.5, 0.25, 0.125]
+        .into_iter()
+        .map(|frac| {
+            let side = WORKSPACE_SIDE * frac;
+            let con = Constraint::window(Rect2::from_corners([0.0, 0.0], [side, side]));
+            let out = k_closest_pairs_constrained(
+                &tp,
+                &tq,
+                10,
+                Algorithm::Heap,
+                &CpqConfig::paper(),
+                con,
+            )
+            .unwrap();
+            (frac, out.stats.disk_accesses())
+        })
+        .collect();
+    for pair in accesses.windows(2) {
+        assert!(
+            pair[1].1 <= pair[0].1,
+            "node accesses grew as the window shrank: {accesses:?}"
+        );
+    }
 }
 
 /// One seeded property sweep: `rounds` random constraint shapes (random

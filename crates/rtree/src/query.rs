@@ -90,7 +90,9 @@ impl<const D: usize, O: SpatialObject<D>> RTree<D, O> {
     /// threshold-aware kernel, which stops accumulating per-axis
     /// contributions as soon as the partial sum crosses the bound.
     pub fn knn(&self, query: &Point<D>, k: usize) -> RTreeResult<Vec<KnnNeighbor<D, O>>> {
-        let mut out = Vec::with_capacity(k.min(self.len() as usize));
+        // `k` is outside input: size by what the tree can return.
+        let cap = k.min(self.len() as usize);
+        let mut out = Vec::with_capacity(cap);
         if k == 0 || !self.root().is_valid() {
             return Ok(out);
         }
@@ -108,7 +110,7 @@ impl<const D: usize, O: SpatialObject<D>> RTree<D, O> {
         let mut pending: Vec<LeafEntry<D, O>> = Vec::new(); // store for Point items
                                                             // Max-heap of the k smallest point distances seen so far; its top is
                                                             // the pruning bound once k candidates exist.
-        let mut worst: BinaryHeap<Dist2> = BinaryHeap::with_capacity(k + 1);
+        let mut worst: BinaryHeap<Dist2> = BinaryHeap::with_capacity(cap + 1);
         let bound = |worst: &BinaryHeap<Dist2>| {
             if worst.len() >= k {
                 // analyze: allow(panic-path) — guarded by the length check above.

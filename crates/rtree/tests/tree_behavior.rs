@@ -93,9 +93,10 @@ fn knn_agrees_with_brute_force() {
     let mut r = rng(22);
     for _ in 0..20 {
         let q = Point([r.random_range(0.0..1000.0), r.random_range(0.0..1000.0)]);
-        for k in [1usize, 5, 17] {
+        // K is outside input: 0, |P|+1 and absurd values return what exists.
+        for k in [0usize, 1, 5, 17, points.len() + 1, 1 << 44, usize::MAX] {
             let got = tree.knn(&q, k).unwrap();
-            assert_eq!(got.len(), k);
+            assert_eq!(got.len(), k.min(points.len()));
             // Distances must be non-decreasing.
             for w in got.windows(2) {
                 assert!(w[0].dist2 <= w[1].dist2);

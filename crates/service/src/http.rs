@@ -7,7 +7,7 @@
 
 use cpq_check::sync::atomic::{AtomicBool, Ordering};
 use cpq_check::sync::Arc;
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -106,22 +106,38 @@ impl Drop for MetricsServer {
     }
 }
 
+/// Most bytes read from one connection (request line plus headers). The
+/// single accept thread serves connections one at a time, so what a client
+/// can make it buffer has to be bounded.
+const MAX_REQUEST_BYTES: u64 = 8 * 1024;
+
 fn handle_connection<F: Fn() -> String>(stream: TcpStream, render: &F) -> io::Result<()> {
     stream.set_read_timeout(Some(Duration::from_secs(2)))?;
     stream.set_write_timeout(Some(Duration::from_secs(2)))?;
-    let mut reader = BufReader::new(stream.try_clone()?);
+    let mut reader = BufReader::new(stream.try_clone()?.take(MAX_REQUEST_BYTES));
     let mut request_line = String::new();
     reader.read_line(&mut request_line)?;
-    // Drain headers; the routes take no body.
-    loop {
-        let mut line = String::new();
-        if reader.read_line(&mut line)? == 0 || line == "\r\n" || line == "\n" {
-            break;
+    // Drain headers; the routes take no body. A read of 0 is the client's
+    // EOF or the byte limit; only the latter leaves the limit spent.
+    let mut line = String::new();
+    let headers_ended = loop {
+        line.clear();
+        if reader.read_line(&mut line)? == 0 {
+            break false;
         }
-    }
+        if line == "\r\n" || line == "\n" {
+            break true;
+        }
+    };
+    let too_large = !headers_ended && reader.get_ref().limit() == 0;
     let mut parts = request_line.split_whitespace();
     let (method, path) = (parts.next().unwrap_or(""), parts.next().unwrap_or(""));
     let (status, content_type, body) = match (method, path) {
+        _ if too_large => (
+            "431 Request Header Fields Too Large",
+            "text/plain; charset=utf-8",
+            "request too large\n".to_string(),
+        ),
         ("GET", "/metrics") => (
             "200 OK",
             "text/plain; version=0.0.4; charset=utf-8",
@@ -134,7 +150,7 @@ fn handle_connection<F: Fn() -> String>(stream: TcpStream, render: &F) -> io::Re
             "not found\n".to_string(),
         ),
     };
-    let mut stream = reader.into_inner();
+    let mut stream = reader.into_inner().into_inner();
     write!(
         stream,
         "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
@@ -146,7 +162,6 @@ fn handle_connection<F: Fn() -> String>(stream: TcpStream, render: &F) -> io::Re
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Read;
 
     fn get(addr: SocketAddr, path: &str) -> (String, String) {
         let mut stream = TcpStream::connect(addr).unwrap();
@@ -174,6 +189,28 @@ mod tests {
 
         let (head, _) = get(addr, "/nope");
         assert!(head.starts_with("HTTP/1.1 404"));
+
+        server.stop();
+    }
+
+    #[test]
+    fn oversized_request_is_refused_and_the_listener_survives() {
+        let server = MetricsServer::start("127.0.0.1:0", String::new).unwrap();
+        let addr = server.addr();
+
+        // 64 KiB and never a newline. The server stops reading at its
+        // limit and closes with our bytes unread, so the write may fail
+        // with a reset, and the read may end with one after the response.
+        let mut stream = TcpStream::connect(addr).unwrap();
+        let _ = stream.write_all(&[b'a'; 64 * 1024]);
+        let mut raw = Vec::new();
+        let _ = stream.read_to_end(&mut raw);
+        let raw = String::from_utf8_lossy(&raw);
+        assert!(raw.starts_with("HTTP/1.1 431"), "{raw}");
+
+        let (head, body) = get(addr, "/healthz");
+        assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+        assert_eq!(body, "ok\n");
 
         server.stop();
     }

@@ -4,11 +4,11 @@ use crate::crc32::crc32;
 use crate::error::{StorageError, StorageResult};
 use crate::page::PageId;
 use crate::stats::IoStats;
-use cpq_check::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use cpq_check::sync::atomic::{AtomicU64, Ordering};
 use std::cell::RefCell;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
-use std::os::unix::fs::{FileExt, OpenOptionsExt};
+use std::os::unix::fs::FileExt;
 use std::path::Path;
 
 /// A flat, growable array of fixed-size pages with a free list.
@@ -213,27 +213,10 @@ const HEADER_LEN: u64 = 16;
 /// Bytes of the per-page CRC-32 trailer (format version 2).
 const CRC_LEN: usize = 4;
 
-/// Linux `O_DIRECT` open flag for the architectures this repo builds on
-/// (the value is architecture-specific); `None` means direct I/O is not
-/// attempted and opens fall back to buffered immediately.
-#[cfg(target_arch = "x86_64")]
-const O_DIRECT: Option<i32> = Some(0x4000);
-#[cfg(target_arch = "aarch64")]
-const O_DIRECT: Option<i32> = Some(0x1_0000);
-#[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
-const O_DIRECT: Option<i32> = None;
-
-/// Offset and memory alignment used for direct-I/O reads. 4096 covers the
-/// logical block size of every storage stack we target (512e and 4Kn).
-const DIRECT_ALIGN: usize = 4096;
-
 std::thread_local! {
     /// Per-thread scratch for de-striping checksummed pages and runs;
     /// reused across reads so steady-state read paths allocate nothing.
     static DISK_SCRATCH: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
-    /// Per-thread scratch for aligned direct-I/O spans (separate from
-    /// `DISK_SCRATCH`: a checksummed direct read borrows both at once).
-    static DIRECT_SCRATCH: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
 }
 
 /// File-backed page store.
@@ -259,15 +242,6 @@ pub struct DiskPageFile {
     reads: AtomicU64,
     /// Version-2 layout: per-page CRC trailers present and verified.
     checksums: bool,
-    /// Second read-only handle opened with `O_DIRECT`, when requested and
-    /// the filesystem accepted the flag. Writes always use the buffered
-    /// `file` handle (Linux keeps direct reads coherent with flushed
-    /// buffered writes; the header rewrite path stays simple).
-    direct: Option<File>,
-    /// One-way latch: cleared the first time a direct read fails (e.g. the
-    /// filesystem accepted the open but rejects unbuffered reads), after
-    /// which every read uses the buffered handle.
-    direct_ok: AtomicBool,
 }
 
 impl DiskPageFile {
@@ -288,46 +262,9 @@ impl DiskPageFile {
             stats: IoStats::default(),
             reads: AtomicU64::new(0),
             checksums: true,
-            direct: None,
-            direct_ok: AtomicBool::new(false),
         };
         this.write_header()?;
         Ok(this)
-    }
-
-    /// [`create`](Self::create), then best-effort enable direct I/O for
-    /// reads. Filesystems that refuse `O_DIRECT` (tmpfs, some overlays) and
-    /// architectures without a known flag value fall back to buffered reads
-    /// silently; [`direct_io`](Self::direct_io) reports what is in effect.
-    pub fn create_direct<P: AsRef<Path>>(path: P, page_size: usize) -> StorageResult<Self> {
-        let mut this = Self::create(path.as_ref(), page_size)?;
-        this.enable_direct(path.as_ref());
-        Ok(this)
-    }
-
-    /// [`open`](Self::open), then best-effort enable direct I/O for reads
-    /// (same fallback rules as [`create_direct`](Self::create_direct)).
-    pub fn open_direct<P: AsRef<Path>>(path: P) -> StorageResult<Self> {
-        let mut this = Self::open(path.as_ref())?;
-        this.enable_direct(path.as_ref());
-        Ok(this)
-    }
-
-    fn enable_direct(&mut self, path: &Path) {
-        let Some(flag) = O_DIRECT else { return };
-        if let Ok(f) = OpenOptions::new().read(true).custom_flags(flag).open(path) {
-            self.direct = Some(f);
-            // ordering: Relaxed — the latch is set before the file is
-            // shared (`&mut self`); readers only ever clear it.
-            self.direct_ok.store(true, Ordering::Relaxed);
-        }
-    }
-
-    /// Whether reads currently bypass the OS page cache (`O_DIRECT`).
-    pub fn direct_io(&self) -> bool {
-        // ordering: Relaxed — one-way latch; a stale `true` costs at most
-        // one extra failed pread before the buffered fallback.
-        self.direct.is_some() && self.direct_ok.load(Ordering::Relaxed)
     }
 
     /// Opens an existing page file and validates its header.
@@ -366,8 +303,6 @@ impl DiskPageFile {
             stats: IoStats::default(),
             reads: AtomicU64::new(0),
             checksums,
-            direct: None,
-            direct_ok: AtomicBool::new(false),
         })
     }
 
@@ -415,66 +350,6 @@ impl DiskPageFile {
         self.write_header()?;
         self.file.sync_all()?;
         Ok(())
-    }
-
-    /// Reads `out.len()` bytes at byte offset `off`, via the direct handle
-    /// when it is active (falling back to — and latching — buffered reads
-    /// on the first direct failure), else via buffered `pread`.
-    fn read_span(&self, off: u64, out: &mut [u8]) -> StorageResult<()> {
-        if let Some(direct) = &self.direct {
-            // ordering: Relaxed — one-way latch; see `direct_io`.
-            if self.direct_ok.load(Ordering::Relaxed) {
-                match Self::read_span_direct(direct, off, out) {
-                    Ok(()) => return Ok(()),
-                    Err(_) => {
-                        // ordering: Relaxed — latch clear; the buffered
-                        // retry below is always coherent, so the only
-                        // effect of staleness is a redundant failed pread.
-                        self.direct_ok.store(false, Ordering::Relaxed);
-                    }
-                }
-            }
-        }
-        self.file.read_exact_at(out, off)?;
-        Ok(())
-    }
-
-    /// Direct-I/O span read: expands `[off, off + out.len())` to
-    /// `DIRECT_ALIGN` boundaries, reads the expanded span into an aligned
-    /// per-thread scratch buffer, and copies the requested window out.
-    /// Short reads are retried; EOF inside the requested window is an
-    /// error (the aligned span may legitimately extend past EOF).
-    fn read_span_direct(file: &File, off: u64, out: &mut [u8]) -> std::io::Result<()> {
-        let a = DIRECT_ALIGN as u64;
-        let lo = off / a * a;
-        let hi = (off + out.len() as u64).div_ceil(a) * a;
-        let span = (hi - lo) as usize;
-        let skip = (off - lo) as usize;
-        let needed = skip + out.len();
-        DIRECT_SCRATCH.with(|cell| {
-            let mut scratch = cell.borrow_mut();
-            // Over-allocate so an aligned window of `span` bytes exists
-            // inside the buffer without unsafe pointer work.
-            if scratch.len() < span + DIRECT_ALIGN {
-                scratch.resize(span + DIRECT_ALIGN, 0);
-            }
-            let addr = scratch.as_ptr() as usize;
-            let pad = (DIRECT_ALIGN - addr % DIRECT_ALIGN) % DIRECT_ALIGN;
-            let aligned = &mut scratch[pad..pad + span];
-            let mut filled = 0usize;
-            while filled < needed {
-                let n = file.read_at(&mut aligned[filled..], lo + filled as u64)?;
-                if n == 0 {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::UnexpectedEof,
-                        "direct read hit end of file inside a page span",
-                    ));
-                }
-                filled += n;
-            }
-            out.copy_from_slice(&aligned[skip..needed]);
-            Ok(())
-        })
     }
 
     /// Copies page `slot` out of a raw striped span (starting at page
@@ -549,11 +424,11 @@ impl PageFile for DiskPageFile {
                 if scratch.len() < stride {
                     scratch.resize(stride, 0);
                 }
-                self.read_span(off, &mut scratch[..stride])?;
+                self.file.read_exact_at(&mut scratch[..stride], off)?;
                 self.destripe_page(&scratch[..stride], id, 0, buf)
             })?;
         } else {
-            self.read_span(off, buf)?;
+            self.file.read_exact_at(buf, off)?;
         }
         // ordering: Relaxed — pure I/O counter; see `MemPageFile::read`.
         self.reads.fetch_add(1, Ordering::Relaxed);
@@ -582,7 +457,7 @@ impl PageFile for DiskPageFile {
                 if scratch.len() < span {
                     scratch.resize(span, 0);
                 }
-                self.read_span(off, &mut scratch[..span])?;
+                self.file.read_exact_at(&mut scratch[..span], off)?;
                 for (slot, page_buf) in buf.chunks_mut(self.page_size).enumerate() {
                     self.destripe_page(&scratch[..span], first, slot, page_buf)?;
                 }
@@ -591,7 +466,7 @@ impl PageFile for DiskPageFile {
         } else {
             // Version-1 layout has no trailers: pages are packed back to
             // back, so the whole run is one contiguous span.
-            self.read_span(off, buf)?;
+            self.file.read_exact_at(buf, off)?;
         }
         // A failed run counts no page (callers re-read page by page to
         // attribute the failure, and those reads count normally).
@@ -895,90 +770,6 @@ mod tests {
         }
         assert_eq!(f.stats().reads, 0, "a failed run counts no page");
         std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn disk_direct_open_reads_correctly_or_falls_back() {
-        // Whether O_DIRECT sticks depends on the filesystem backing the
-        // temp dir; correctness must hold either way, and the fallback
-        // must be invisible to callers.
-        let path = temp_path("direct");
-        {
-            let mut f = DiskPageFile::create_direct(&path, 128).unwrap();
-            let a = f.allocate().unwrap();
-            let b = f.allocate().unwrap();
-            f.write(a, &[0xA1; 128]).unwrap();
-            f.write(b, &[0xB2; 128]).unwrap();
-            f.sync().unwrap();
-            let mut buf = [0u8; 128];
-            f.read(a, &mut buf).unwrap();
-            assert_eq!(buf, [0xA1; 128]);
-            let mut run = vec![0u8; 2 * 128];
-            f.read_run(a, 2, &mut run).unwrap();
-            assert_eq!(&run[128..], &[0xB2; 128][..]);
-        }
-        {
-            let f = DiskPageFile::open_direct(&path).unwrap();
-            let mut buf = [0u8; 128];
-            f.read(PageId(1), &mut buf).unwrap();
-            assert_eq!(buf, [0xB2; 128]);
-        }
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn disk_direct_on_tmpfs_stays_correct_either_way() {
-        // Older kernels refuse O_DIRECT on tmpfs at open time (the
-        // open-time fallback path); newer ones accept it. Either way the
-        // file must open and read correctly — the mode is reported, not
-        // assumed. Skip quietly when /dev/shm is absent.
-        let dir = std::path::Path::new("/dev/shm");
-        if !dir.is_dir() {
-            return;
-        }
-        let path = dir.join(format!("cpq-storage-test-{}-tmpfs", std::process::id()));
-        let mut f = DiskPageFile::create_direct(&path, 64).unwrap();
-        let a = f.allocate().unwrap();
-        f.write(a, &[0x3C; 64]).unwrap();
-        let mut buf = [0u8; 64];
-        f.read(a, &mut buf).unwrap();
-        assert_eq!(buf, [0x3C; 64]);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn disk_direct_read_failure_latches_buffered_fallback() {
-        // Deterministic exercise of the *read-time* fallback: point the
-        // direct handle at an empty decoy file so the first direct pread
-        // hits EOF, then assert the latch cleared and the buffered path
-        // served the real bytes — invisibly to the caller.
-        let path = temp_path("direct-fallback");
-        let decoy = temp_path("direct-decoy");
-        std::fs::write(&decoy, b"").unwrap();
-        {
-            let mut f = DiskPageFile::create(&path, 64).unwrap();
-            let a = f.allocate().unwrap();
-            f.write(a, &[0x77; 64]).unwrap();
-            f.sync().unwrap();
-        }
-        let mut f = DiskPageFile::open(&path).unwrap();
-        f.enable_direct(std::path::Path::new(&decoy));
-        if !f.direct_io() {
-            // O_DIRECT unavailable here (foreign arch / refusing fs):
-            // nothing to fall back from.
-            std::fs::remove_file(&path).ok();
-            std::fs::remove_file(&decoy).ok();
-            return;
-        }
-        let mut buf = [0u8; 64];
-        f.read(PageId(0), &mut buf).unwrap();
-        assert_eq!(buf, [0x77; 64], "buffered fallback served the real file");
-        assert!(
-            !f.direct_io(),
-            "the failed direct read must clear the latch"
-        );
-        std::fs::remove_file(&path).ok();
-        std::fs::remove_file(&decoy).ok();
     }
 
     #[test]

@@ -57,47 +57,20 @@ model_test -p cpq-shard --lib model_tests
 # pinned broken twin.
 model_test -p cpq-live --lib model_tests
 
-echo "==> bench_service --smoke --profile (service end-to-end + divergence + obs gate)"
-./target/release/bench_service --smoke --profile \
-    --out /tmp/BENCH_service_smoke.json --obs-out /tmp/BENCH_obs_smoke.json >/dev/null
-
-echo "==> bench_parallel --smoke (parallel descent speedup + zero-divergence gate)"
-./target/release/bench_parallel --smoke --out /tmp/BENCH_parallel_smoke.json >/dev/null
-
-# Real files in the OS temp dir: scan gate (scheduler must beat the naive
-# per-page path on wall time), K-CPQ prefetch-hit + coalesce gates, and
-# the O_DIRECT probe (engaged, or buffered fallback latched — both pass;
-# the filesystem decides).
-echo "==> bench_io --smoke (I/O scheduler vs naive reads on real files)"
-./target/release/bench_io --smoke --out /tmp/BENCH_io_smoke.json >/dev/null
-
-echo "==> bench_parallel --smoke --disk real (real-file descent, zero-divergence gate)"
-./target/release/bench_parallel --smoke --disk real \
-    --out /tmp/BENCH_parallel_real_smoke.json >/dev/null
-
-# Windowed/colored K-CPQ: every cell cross-checks HEAP vs STD bitwise, the
-# whole smoke matrix is gated on the O(n²) brute-force oracle, and node
-# accesses must shrink monotonically with the window on clustered data.
-echo "==> bench_rcp --smoke (range-restricted/colored K-CPQ, oracle zero-divergence gate)"
-./target/release/bench_rcp --smoke --out /tmp/BENCH_rcp_smoke.json >/dev/null
-
 # Recovery smoke tier: the crash-injection harness truncates a real WAL at
 # every record boundary (plus torn mid-record cuts) and asserts bit-identical
-# K-CPQ answers after recovery; the live bench gates the continuous delta
-# path at >=5x over per-step recomputation, bit-identity sampled.
+# K-CPQ answers after recovery.
 echo "==> recovery smoke (crash at every WAL record boundary, bit-identical gate)"
 cargo test --release -q -p cpq-live --test crash_recovery
 
-echo "==> bench_live --smoke (continuous K-CPQ delta path >=5x + throughput x readers)"
-./target/release/bench_live --smoke --out /tmp/BENCH_live_smoke.json >/dev/null
-
 # The out-of-workspace benchmark package path-depends on the crates above,
-# so a workspace API change can break it unseen: build it, then run its
-# tiny preset, which exits non-zero on any divergent answer (every workload
-# is gated bit-for-bit against memoised references and the direct engine).
-echo "==> benchmark package: release build + run.sh --smoke (zero-divergence gate)"
+# so a workspace API change can break it unseen: run its own tests (code and
+# BENCHMARK.json must agree), then its tiny preset, which exits non-zero on
+# any divergent answer (every workload is gated bit-for-bit against memoised
+# references and the direct engine). This is the repo's one bench step.
+echo "==> benchmark package: cargo test --release + run.sh --smoke (zero-divergence gate)"
 # (Same target dir as run.sh, so the package is compiled once.)
-(cd benchmark && CARGO_TARGET_DIR=../target/benchmark/build cargo build --release --offline)
+(cd benchmark && CARGO_TARGET_DIR=../target/benchmark/build cargo test --release --offline)
 benchmark/run.sh --smoke >/dev/null
 
 if [ "${1:-}" = "--full" ]; then

@@ -189,10 +189,7 @@ impl Shell {
         let [name, x, y, k] = args else {
             return Err("usage: knn <index> <x> <y> <k>".into());
         };
-        let q = Point2::new([
-            x.parse().map_err(|_| format!("bad x {x:?}"))?,
-            y.parse().map_err(|_| format!("bad y {y:?}"))?,
-        ]);
+        let q = Point2::new([parse_coord(x)?, parse_coord(y)?]);
         let k: usize = k.parse().map_err(|_| format!("bad k {k:?}"))?;
         let tree = self.tree(name)?;
         tree.pool().reset_stats();
@@ -216,12 +213,9 @@ impl Shell {
         let [name, x1, y1, x2, y2] = args else {
             return Err("usage: range <index> <x1> <y1> <x2> <y2>".into());
         };
-        let parse = |s: &str| -> Result<f64, String> {
-            s.parse().map_err(|_| format!("bad coordinate {s:?}"))
-        };
         let window = Rect2::spanning(
-            Point2::new([parse(x1)?, parse(y1)?]),
-            Point2::new([parse(x2)?, parse(y2)?]),
+            Point2::new([parse_coord(x1)?, parse_coord(y1)?]),
+            Point2::new([parse_coord(x2)?, parse_coord(y2)?]),
         );
         let tree = self.tree(name)?;
         tree.pool().reset_stats();
@@ -400,6 +394,15 @@ impl Shell {
     }
 }
 
+/// The one coordinate parser. `"NaN".parse::<f64>()` succeeds, and the
+/// distance kernels require finite input, so non-finite values stop here.
+fn parse_coord(s: &str) -> Result<f64, String> {
+    match s.parse::<f64>() {
+        Ok(v) if v.is_finite() => Ok(v),
+        _ => Err(format!("bad coordinate {s:?}")),
+    }
+}
+
 const HELP: &str = r#"
 commands:
   create <name> uniform|clustered|real [n] [seed]   generate a dataset
@@ -485,6 +488,14 @@ mod tests {
         sh.execute("create a uniform 50 1").unwrap();
         sh.execute("index a").unwrap();
         assert!(sh.execute("cpq a a 1 bogus").is_err());
+        for cmd in ["knn a NaN 0 3", "knn a 0 inf 3", "range a 0 0 NaN 10"] {
+            let err = sh.execute(cmd).unwrap_err();
+            assert!(err.contains("bad coordinate"), "{cmd:?}: {err}");
+        }
+        // K is outside input too: absurd values return what the index holds.
+        let all = sh.execute("knn a 500 500 18446744073709551615").unwrap();
+        assert!(all.contains(" 50. "), "{all}");
+        assert!(sh.execute("knn a 500 500 17592186044416").is_ok());
     }
 
     #[test]
