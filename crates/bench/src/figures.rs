@@ -18,6 +18,31 @@ use cpq_core::{
 use cpq_datasets::{uniform_grid, CALIFORNIA_SURROGATE_SIZE};
 use cpq_rtree::{RTreeParams, RTreeResult};
 
+/// One figure's generator: dataset scale in, the plotted series out.
+pub type Figure = fn(f64) -> RTreeResult<Vec<Table>>;
+
+/// Every figure, ablation and validation this crate regenerates, by the
+/// name the `figures` binary takes — the one table the binary, the smoke
+/// test and `run_all_figures.sh` all read.
+pub const ALL: [(&str, Figure); 16] = [
+    ("fig02_ties", fig02),
+    ("fig03_heights", fig03),
+    ("fig04_onecp", fig04),
+    ("fig05_overlap", fig05),
+    ("fig06_buffer", fig06),
+    ("fig07_kcp", fig07),
+    ("fig08_overlap_k", fig08),
+    ("fig09_buffer_k", fig09),
+    ("fig10_incremental", fig10),
+    ("ablation_kpruning", ablation_kpruning),
+    ("ablation_buffer_policy", ablation_buffer_policy),
+    ("ablation_tree_build", ablation_tree_build),
+    ("ablation_sorting", ablation_sorting),
+    ("ablation_rtree_variant", ablation_rtree_variant),
+    ("ablation_pinning", ablation_pinning),
+    ("costmodel_validation", costmodel_validation),
+];
+
 /// K values of the paper's K-CPQ sweeps.
 const K_SWEEP: [usize; 6] = [1, 10, 100, 1_000, 10_000, 100_000];
 

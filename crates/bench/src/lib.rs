@@ -1,13 +1,14 @@
 //! Experiment harness reproducing the evaluation of Corral et al.
 //! (SIGMOD 2000).
 //!
-//! Each figure of the paper has a binary (`fig02_ties` … `fig10_incremental`)
-//! that regenerates the corresponding series: it builds R*-trees with the
-//! paper's exact parameters (1 KiB pages, `M = 21`, `m = 7`, insertion-built),
-//! runs the configured algorithms, and prints the disk-access counts as a
-//! table, also writing CSV into `results/`.
+//! Each figure of the paper has a name in [`figures::ALL`] (`fig02_ties` …
+//! `fig10_incremental`) that the `figures` binary takes to regenerate the
+//! corresponding series: it builds R*-trees with the paper's exact
+//! parameters (1 KiB pages, `M = 21`, `m = 7`, insertion-built), runs the
+//! configured algorithms, and prints the disk-access counts as a table,
+//! also writing CSV into `results/`.
 //!
-//! The heavy lifting lives in this library so the binaries stay thin and an
+//! The heavy lifting lives in this library so the binary stays thin and an
 //! integration test can smoke-run every figure at a tiny `--scale`.
 
 #![forbid(unsafe_code)]

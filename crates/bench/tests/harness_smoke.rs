@@ -9,25 +9,8 @@ const SCALE: f64 = 0.01;
 #[test]
 fn every_figure_runs_at_tiny_scale() {
     // Each returns at least one table with at least one row.
-    let all: Vec<(&str, Vec<cpq_bench::Table>)> = vec![
-        ("fig02", figures::fig02(SCALE).unwrap()),
-        ("fig03", figures::fig03(SCALE).unwrap()),
-        ("fig04", figures::fig04(SCALE).unwrap()),
-        ("fig05", figures::fig05(SCALE).unwrap()),
-        ("fig06", figures::fig06(SCALE).unwrap()),
-        ("fig07", figures::fig07(SCALE).unwrap()),
-        ("fig08", figures::fig08(SCALE).unwrap()),
-        ("fig09", figures::fig09(SCALE).unwrap()),
-        ("fig10", figures::fig10(SCALE).unwrap()),
-        ("kpruning", figures::ablation_kpruning(SCALE).unwrap()),
-        ("policy", figures::ablation_buffer_policy(SCALE).unwrap()),
-        ("build", figures::ablation_tree_build(SCALE).unwrap()),
-        ("sorting", figures::ablation_sorting(SCALE).unwrap()),
-        ("variant", figures::ablation_rtree_variant(SCALE).unwrap()),
-        ("pinning", figures::ablation_pinning(SCALE).unwrap()),
-        ("costmodel", figures::costmodel_validation(SCALE).unwrap()),
-    ];
-    for (name, tables) in all {
+    for (name, figure) in figures::ALL {
+        let tables = figure(SCALE).unwrap();
         assert!(!tables.is_empty(), "{name}: no tables");
         for t in &tables {
             assert!(!t.rows.is_empty(), "{name}: empty table {:?}", t.title);

@@ -2,8 +2,8 @@
 //!
 //! Every correctness claim this workspace makes about its concurrent
 //! subsystems — the service admission queue, the buffer-pool disk-access
-//! ledger, the observability event ring, and the parallel K-CPQ descent's
-//! shared bound — used to rest on stress tests that sample whatever
+//! ledger, the scatter dispatch queue, the live trees' epoch and WAL
+//! protocols, and the parallel K-CPQ descent's shared bound — used to rest on stress tests that sample whatever
 //! schedules the OS happens to produce. The paper's cost metric is *exact*
 //! disk-access counts, so a single lost update silently falsifies every
 //! figure. This crate lets the workspace **prove** those invariants under

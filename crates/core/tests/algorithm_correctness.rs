@@ -1,315 +1,21 @@
-//! Every algorithm, in every configuration, must return exactly the K
-//! smallest pair distances — verified against brute force.
+//! What the workspace's differential harness (`tests/differential.rs`) does
+//! not reach: the semi-join, a third dimension, and the cost side of the
+//! algorithms — counters populated, HEAP/STD beating EXH, a window that
+//! shrinks the traversal. Parity with the oracle for every 2-D K-CPQ spec,
+//! algorithm and configuration lives in the harness.
 
 use cpq_core::{
-    brute, k_closest_pairs, k_closest_pairs_incremental, self_closest_pairs, semi_closest_pairs,
-    Algorithm, CpqConfig, HeightStrategy, IncTie, IncrementalConfig, KPruning, SortAlgorithm,
-    TieStrategy, Traversal,
+    brute, execute, k_closest_pairs, semi_closest_pairs, Algorithm, Constraint, CpqConfig, ExecCtx,
+    QuerySpec,
 };
-use cpq_datasets::{clustered, uniform, ClusterSpec};
-use cpq_geo::{Point, Point2};
-use cpq_rtree::{RTree, RTreeParams};
-use cpq_storage::{BufferPool, MemPageFile};
+use cpq_datasets::{clustered, uniform, ClusterSpec, WORKSPACE_SIDE};
+use cpq_geo::{Point, Rect2};
+use cpq_rng::Rng;
+use cpq_rtree::RTreeParams;
+use cpq_storage::MemPageFile;
 
-fn build(points: &[Point2], buffer: usize) -> RTree<2> {
-    let pool = BufferPool::with_lru(Box::new(MemPageFile::new(1024)), buffer);
-    let mut tree = RTree::new(pool, RTreeParams::paper()).unwrap();
-    for (i, &p) in points.iter().enumerate() {
-        tree.insert(p, i as u64).unwrap();
-    }
-    tree
-}
-
-fn indexed(points: &[Point2]) -> Vec<(Point2, u64)> {
-    points
-        .iter()
-        .enumerate()
-        .map(|(i, &p)| (p, i as u64))
-        .collect()
-}
-
-/// Distances must match brute force exactly (as multisets, since instances
-/// may differ under ties).
-fn assert_distances_match(
-    got: &[cpq_core::PairResult<2>],
-    expected: &[cpq_core::PairResult<2>],
-    label: &str,
-) {
-    assert_eq!(got.len(), expected.len(), "{label}: result length");
-    for (i, (g, e)) in got.iter().zip(expected).enumerate() {
-        assert!(
-            (g.dist2.get() - e.dist2.get()).abs() < 1e-9,
-            "{label}: pair {i}: got {} expected {}",
-            g.dist2.get(),
-            e.dist2.get()
-        );
-    }
-    // Results must be sorted.
-    for w in got.windows(2) {
-        assert!(w[0].dist2 <= w[1].dist2, "{label}: unsorted result");
-    }
-}
-
-#[test]
-fn all_algorithms_match_brute_force_uniform() {
-    let p = uniform(400, 1);
-    let q = uniform(350, 2);
-    let tp = build(&p.points, 32);
-    let tq = build(&q.points, 32);
-    let cfg = CpqConfig::paper();
-    for k in [1usize, 2, 10, 100] {
-        let expected = brute::k_closest_pairs_brute(&indexed(&p.points), &indexed(&q.points), k);
-        for alg in [
-            Algorithm::Naive,
-            Algorithm::Exhaustive,
-            Algorithm::Simple,
-            Algorithm::SortedDistances,
-            Algorithm::Heap,
-        ] {
-            let out = k_closest_pairs(&tp, &tq, k, alg, &cfg).unwrap();
-            assert_distances_match(&out.pairs, &expected, &format!("{} k={k}", alg.label()));
-        }
-    }
-}
-
-#[test]
-fn algorithms_match_on_clustered_vs_uniform() {
-    let p = clustered(500, ClusterSpec::default(), 3);
-    let q = uniform(400, 4);
-    let tp = build(&p.points, 32);
-    let tq = build(&q.points, 32);
-    let expected = brute::k_closest_pairs_brute(&indexed(&p.points), &indexed(&q.points), 25);
-    for alg in Algorithm::EVALUATED {
-        let out = k_closest_pairs(&tp, &tq, 25, alg, &CpqConfig::paper()).unwrap();
-        assert_distances_match(&out.pairs, &expected, alg.label());
-    }
-}
-
-#[test]
-fn disjoint_workspaces_still_correct() {
-    let p = uniform(300, 5);
-    let q0 = uniform(300, 6);
-    let q = q0.with_overlap(&p, 0.0);
-    let tp = build(&p.points, 32);
-    let tq = build(&q.points, 32);
-    let expected = brute::k_closest_pairs_brute(&indexed(&p.points), &indexed(&q.points), 10);
-    for alg in Algorithm::EVALUATED {
-        let out = k_closest_pairs(&tp, &tq, 10, alg, &CpqConfig::paper()).unwrap();
-        assert_distances_match(&out.pairs, &expected, alg.label());
-    }
-}
-
-#[test]
-fn every_tie_strategy_is_correct() {
-    let p = uniform(250, 7);
-    let q = uniform(250, 8);
-    let tp = build(&p.points, 32);
-    let tq = build(&q.points, 32);
-    let expected = brute::k_closest_pairs_brute(&indexed(&p.points), &indexed(&q.points), 5);
-    for tie in [
-        TieStrategy::None,
-        TieStrategy::T1,
-        TieStrategy::T2,
-        TieStrategy::T3,
-        TieStrategy::T4,
-        TieStrategy::T5,
-    ] {
-        let cfg = CpqConfig {
-            tie,
-            ..CpqConfig::paper()
-        };
-        for alg in [Algorithm::SortedDistances, Algorithm::Heap] {
-            let out = k_closest_pairs(&tp, &tq, 5, alg, &cfg).unwrap();
-            assert_distances_match(
-                &out.pairs,
-                &expected,
-                &format!("{} {}", alg.label(), tie.label()),
-            );
-        }
-    }
-}
-
-#[test]
-fn every_sort_algorithm_is_correct() {
-    let p = uniform(200, 9);
-    let q = uniform(200, 10);
-    let tp = build(&p.points, 32);
-    let tq = build(&q.points, 32);
-    let expected = brute::k_closest_pairs_brute(&indexed(&p.points), &indexed(&q.points), 3);
-    for sort in SortAlgorithm::ALL {
-        let cfg = CpqConfig {
-            sort,
-            ..CpqConfig::paper()
-        };
-        let out = k_closest_pairs(&tp, &tq, 3, Algorithm::SortedDistances, &cfg).unwrap();
-        assert_distances_match(&out.pairs, &expected, sort.label());
-    }
-}
-
-#[test]
-fn different_heights_both_strategies() {
-    // 40 vs 4000 points: heights differ by >= 1.
-    let p = uniform(40, 11);
-    let q = uniform(4000, 12);
-    let tp = build(&p.points, 32);
-    let tq = build(&q.points, 32);
-    assert!(tp.height() < tq.height(), "test requires different heights");
-    let expected = brute::k_closest_pairs_brute(&indexed(&p.points), &indexed(&q.points), 8);
-    for height in [HeightStrategy::FixAtLeaves, HeightStrategy::FixAtRoot] {
-        let cfg = CpqConfig {
-            height,
-            ..CpqConfig::paper()
-        };
-        for alg in Algorithm::EVALUATED {
-            // Both orders: taller tree as P and as Q.
-            let out = k_closest_pairs(&tp, &tq, 8, alg, &cfg).unwrap();
-            assert_distances_match(
-                &out.pairs,
-                &expected,
-                &format!("{} {} P-short", alg.label(), height.label()),
-            );
-            let out = k_closest_pairs(&tq, &tp, 8, alg, &cfg).unwrap();
-            assert_distances_match(
-                &out.pairs,
-                &expected,
-                &format!("{} {} P-tall", alg.label(), height.label()),
-            );
-        }
-    }
-}
-
-#[test]
-fn kheap_only_pruning_is_correct() {
-    let p = uniform(300, 13);
-    let q = uniform(300, 14);
-    let tp = build(&p.points, 32);
-    let tq = build(&q.points, 32);
-    let expected = brute::k_closest_pairs_brute(&indexed(&p.points), &indexed(&q.points), 50);
-    let cfg = CpqConfig {
-        k_pruning: KPruning::KHeapOnly,
-        ..CpqConfig::paper()
-    };
-    for alg in Algorithm::EVALUATED {
-        let out = k_closest_pairs(&tp, &tq, 50, alg, &cfg).unwrap();
-        assert_distances_match(&out.pairs, &expected, alg.label());
-    }
-}
-
-#[test]
-fn k_exceeding_all_pairs_returns_everything() {
-    let p = uniform(12, 15);
-    let q = uniform(9, 16);
-    let tp = build(&p.points, 16);
-    let tq = build(&q.points, 16);
-    let out = k_closest_pairs(&tp, &tq, 1000, Algorithm::Heap, &CpqConfig::paper()).unwrap();
-    assert_eq!(out.pairs.len(), 12 * 9);
-    let expected = brute::k_closest_pairs_brute(&indexed(&p.points), &indexed(&q.points), 12 * 9);
-    assert_distances_match(&out.pairs, &expected, "all pairs");
-}
-
-#[test]
-fn k_zero_and_empty_trees() {
-    let p = uniform(10, 17);
-    let tp = build(&p.points, 16);
-    let empty = build(&[], 16);
-    let cfg = CpqConfig::paper();
-    assert!(k_closest_pairs(&tp, &tp, 0, Algorithm::Heap, &cfg)
-        .unwrap()
-        .pairs
-        .is_empty());
-    assert!(k_closest_pairs(&tp, &empty, 5, Algorithm::Heap, &cfg)
-        .unwrap()
-        .pairs
-        .is_empty());
-    assert!(k_closest_pairs(&empty, &tp, 5, Algorithm::Exhaustive, &cfg)
-        .unwrap()
-        .pairs
-        .is_empty());
-    assert!(k_closest_pairs(&empty, &empty, 5, Algorithm::Simple, &cfg)
-        .unwrap()
-        .pairs
-        .is_empty());
-}
-
-#[test]
-fn single_point_trees() {
-    let tp = build(&[Point([1.0, 1.0])], 8);
-    let tq = build(&[Point([4.0, 5.0])], 8);
-    for alg in Algorithm::EVALUATED {
-        let out = k_closest_pairs(&tp, &tq, 1, alg, &CpqConfig::paper()).unwrap();
-        assert_eq!(out.pairs.len(), 1);
-        assert_eq!(out.pairs[0].distance(), 5.0);
-    }
-}
-
-#[test]
-fn identical_datasets_give_zero_distance() {
-    let p = uniform(150, 18);
-    let tp = build(&p.points, 16);
-    let tq = build(&p.points, 16);
-    let out = k_closest_pairs(&tp, &tq, 3, Algorithm::Heap, &CpqConfig::paper()).unwrap();
-    assert_eq!(out.pairs[0].dist2.get(), 0.0);
-    assert_eq!(out.pairs[2].dist2.get(), 0.0);
-}
-
-#[test]
-fn incremental_all_policies_match_brute_force() {
-    let p = uniform(250, 19);
-    let q = uniform(250, 20);
-    let tp = build(&p.points, 32);
-    let tq = build(&q.points, 32);
-    for k in [1usize, 10, 60] {
-        let expected = brute::k_closest_pairs_brute(&indexed(&p.points), &indexed(&q.points), k);
-        for traversal in Traversal::ALL {
-            for tie in [IncTie::DepthFirst, IncTie::BreadthFirst] {
-                let cfg = IncrementalConfig {
-                    traversal,
-                    tie,
-                    k_bound: None,
-                };
-                let out = k_closest_pairs_incremental(&tp, &tq, k, &cfg).unwrap();
-                assert_distances_match(
-                    &out.pairs,
-                    &expected,
-                    &format!("{} {:?} k={k}", traversal.label(), tie),
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn incremental_stream_is_nondecreasing_and_complete() {
-    let p = uniform(40, 21);
-    let q = uniform(30, 22);
-    let tp = build(&p.points, 32);
-    let tq = build(&q.points, 32);
-    let join = cpq_core::distance_join(&tp, &tq, IncrementalConfig::default());
-    let all: Vec<_> = join.map(|r| r.unwrap()).collect();
-    assert_eq!(all.len(), 40 * 30, "unbounded join enumerates all pairs");
-    for w in all.windows(2) {
-        assert!(w[0].dist2 <= w[1].dist2, "stream must be non-decreasing");
-    }
-    let expected = brute::k_closest_pairs_brute(&indexed(&p.points), &indexed(&q.points), 40 * 30);
-    assert_distances_match(&all, &expected, "full enumeration");
-}
-
-#[test]
-fn self_cpq_matches_brute_force() {
-    let p = uniform(300, 23);
-    let tree = build(&p.points, 32);
-    for k in [1usize, 10, 40] {
-        let expected = brute::self_k_closest_pairs_brute(&indexed(&p.points), k);
-        for alg in Algorithm::EVALUATED {
-            let out = self_closest_pairs(&tree, k, alg, &CpqConfig::paper()).unwrap();
-            assert_distances_match(&out.pairs, &expected, &format!("self {}", alg.label()));
-            assert!(
-                out.pairs.iter().all(|r| r.p.oid < r.q.oid),
-                "self pairs must be canonical"
-            );
-        }
-    }
-}
+mod common;
+use common::build;
 
 #[test]
 fn semi_cpq_matches_brute_force() {
@@ -318,9 +24,12 @@ fn semi_cpq_matches_brute_force() {
     let tp = build(&p.points, 32);
     let tq = build(&q.points, 32);
     let out = semi_closest_pairs(&tp, &tq).unwrap();
-    let expected = brute::semi_closest_pairs_brute(&indexed(&p.points), &indexed(&q.points));
+    let expected = brute::semi_closest_pairs_brute(&p.indexed(), &q.indexed());
     assert_eq!(out.pairs.len(), 200, "one pair per P point");
-    assert_distances_match(&out.pairs, &expected, "semi");
+    for (i, (g, e)) in out.pairs.iter().zip(&expected).enumerate() {
+        assert!((g.dist2.get() - e.dist2.get()).abs() < 1e-9, "pair {i}");
+    }
+    assert!(out.pairs.windows(2).all(|w| w[0].dist2 <= w[1].dist2));
     // Every P oid appears exactly once.
     let mut oids: Vec<u64> = out.pairs.iter().map(|r| r.p.oid).collect();
     oids.sort_unstable();
@@ -329,35 +38,18 @@ fn semi_cpq_matches_brute_force() {
 
 #[test]
 fn three_dimensional_cpq() {
-    use cpq_rng::Rng;
     let mut rng = Rng::seed_from_u64(26);
-    let mut gen3 = |n: usize| -> Vec<(Point<3>, u64)> {
-        (0..n)
-            .map(|i| {
-                (
-                    Point([
-                        rng.random_range(0.0..100.0),
-                        rng.random_range(0.0..100.0),
-                        rng.random_range(0.0..100.0),
-                    ]),
-                    i as u64,
-                )
-            })
-            .collect()
+    let mut gen3 = |n: usize| -> Vec<Point<3>> {
+        let mut coord = || rng.random_range(0.0..100.0);
+        (0..n).map(|_| Point([coord(), coord(), coord()])).collect()
     };
-    let ps = gen3(200);
-    let qs = gen3(150);
-    let build3 = |pts: &[(Point<3>, u64)]| {
-        let pool = BufferPool::with_lru(Box::new(MemPageFile::new(1024)), 32);
-        let mut tree = RTree::new(pool, RTreeParams::for_page_size(1024, 3)).unwrap();
-        for &(p, oid) in pts {
-            tree.insert(p, oid).unwrap();
-        }
-        tree
+    let (ps, qs) = (gen3(200), gen3(150));
+    let build3 = |pts: &[Point<3>]| {
+        let params = RTreeParams::for_page_size(1024, 3);
+        common::build_on(Box::new(MemPageFile::new(1024)), params, 32, pts)
     };
-    let tp = build3(&ps);
-    let tq = build3(&qs);
-    let expected = brute::k_closest_pairs_brute(&ps, &qs, 7);
+    let (tp, tq) = (build3(&ps), build3(&qs));
+    let expected = brute::k_closest_pairs_brute(&common::indexed(&ps), &common::indexed(&qs), 7);
     for alg in Algorithm::EVALUATED {
         let out = k_closest_pairs(&tp, &tq, 7, alg, &CpqConfig::paper()).unwrap();
         assert_eq!(out.pairs.len(), 7);
@@ -377,8 +69,6 @@ fn stats_are_populated() {
     let q = uniform(500, 28);
     let tp = build(&p.points, 0);
     let tq = build(&q.points, 0);
-    tp.pool().set_capacity(0);
-    tq.pool().set_capacity(0);
     let out = k_closest_pairs(&tp, &tq, 10, Algorithm::Heap, &CpqConfig::paper()).unwrap();
     let s = out.stats;
     assert!(s.disk_accesses() > 0, "zero-buffer run must hit the disk");
@@ -396,8 +86,6 @@ fn heap_beats_exhaustive_on_disk_accesses() {
     let tp = build(&p.points, 0);
     let tq = build(&q.points, 0);
     let run = |alg| {
-        tp.pool().set_capacity(0);
-        tq.pool().set_capacity(0);
         let out = k_closest_pairs(&tp, &tq, 1, alg, &CpqConfig::paper()).unwrap();
         out.stats.disk_accesses()
     };
@@ -406,4 +94,31 @@ fn heap_beats_exhaustive_on_disk_accesses() {
     let std = run(Algorithm::SortedDistances);
     assert!(heap < exh, "HEAP ({heap}) must beat EXH ({exh})");
     assert!(std < exh, "STD ({std}) must beat EXH ({exh})");
+}
+
+/// The windowed traversal must *use* the window rather than scan and
+/// post-filter: on clustered data, unbuffered (so disk accesses are node
+/// accesses), shrinking the window must never cost more node accesses.
+#[test]
+fn node_accesses_do_not_grow_as_window_shrinks() {
+    let p = clustered(1_500, ClusterSpec::default(), 3);
+    let q = clustered(1_500, ClusterSpec::default(), 4);
+    let (tp, tq) = (build(&p.points, 0), build(&q.points, 0));
+    let accesses: Vec<(f64, u64)> = [1.0, 0.5, 0.25, 0.125]
+        .into_iter()
+        .map(|frac| {
+            let side = WORKSPACE_SIDE * frac;
+            let window = Rect2::from_corners([0.0, 0.0], [side, side]);
+            let spec = QuerySpec::cross(10).with_constraint(Constraint::window(window));
+            let cfg = CpqConfig::paper();
+            let run = execute(&tp, &tq, &spec, Algorithm::Heap, &cfg, ExecCtx::default()).unwrap();
+            (frac, run.outcome.stats.disk_accesses())
+        })
+        .collect();
+    for pair in accesses.windows(2) {
+        assert!(
+            pair[1].1 <= pair[0].1,
+            "node accesses grew as the window shrank: {accesses:?}"
+        );
+    }
 }

@@ -6,17 +6,9 @@
 use cpq_core::costmodel::estimate_1cp_cost;
 use cpq_core::{k_closest_pairs, Algorithm, CpqConfig};
 use cpq_datasets::{uniform, Dataset};
-use cpq_rtree::{RTree, RTreeParams};
-use cpq_storage::{BufferPool, MemPageFile};
+use cpq_rtree::RTree;
 
-fn build(ds: &Dataset) -> RTree<2> {
-    let pool = BufferPool::with_lru(Box::new(MemPageFile::new(1024)), 512);
-    let mut tree = RTree::new(pool, RTreeParams::paper()).unwrap();
-    for (i, &p) in ds.points.iter().enumerate() {
-        tree.insert(p, i as u64).unwrap();
-    }
-    tree
-}
+mod common;
 
 fn measured_accesses(tp: &RTree<2>, tq: &RTree<2>) -> u64 {
     tp.pool().set_capacity(0);
@@ -47,8 +39,8 @@ fn model_within_factor_four_on_overlapping_uniform_data() {
     ] {
         let p = uniform(np, seed);
         let q = uniform(nq, seed + 1); // same workspace: 100% overlap
-        let tp = build(&p);
-        let tq = build(&q);
+        let tp = common::build(&p.points, 512);
+        let tq = common::build(&q.points, 512);
         let predicted = predicted_accesses(&tp, &p, &tq, &q);
         let measured = measured_accesses(&tp, &tq) as f64;
         let ratio = predicted / measured;
@@ -62,12 +54,12 @@ fn model_within_factor_four_on_overlapping_uniform_data() {
 #[test]
 fn model_tracks_partial_overlap() {
     let p = uniform(10_000, 11);
-    let tp = build(&p);
+    let tp = common::build(&p.points, 512);
     let mut predictions = Vec::new();
     let mut measurements = Vec::new();
     for overlap in [0.25, 0.5, 1.0] {
         let q = uniform(10_000, 12).with_overlap(&p, overlap);
-        let tq = build(&q);
+        let tq = common::build(&q.points, 512);
         predictions.push(predicted_accesses(&tp, &p, &tq, &q));
         measurements.push(measured_accesses(&tp, &tq) as f64);
     }
@@ -98,11 +90,11 @@ fn model_tracks_partial_overlap() {
 fn model_ranks_cardinalities_correctly() {
     // Bigger inputs -> more accesses, in both model and reality.
     let p = uniform(4_000, 21);
-    let tp = build(&p);
+    let tp = common::build(&p.points, 512);
     let q_small = uniform(4_000, 22);
     let q_large = uniform(40_000, 23);
-    let tq_small = build(&q_small);
-    let tq_large = build(&q_large);
+    let tq_small = common::build(&q_small.points, 512);
+    let tq_large = common::build(&q_large.points, 512);
     let pred_small = predicted_accesses(&tp, &p, &tq_small, &q_small);
     let pred_large = predicted_accesses(&tp, &p, &tq_large, &q_large);
     assert!(pred_small < pred_large);

@@ -7,21 +7,16 @@ use cpq_core::{
 };
 use cpq_geo::Point;
 use cpq_rng::Rng;
-use cpq_rtree::{RTree, RTreeParams};
-use cpq_storage::{BufferPool, MemPageFile, PageId};
+use cpq_rtree::RTree;
+use cpq_storage::PageId;
 
-fn build(n: usize, seed: u64) -> RTree<2> {
-    let pool = BufferPool::with_lru(Box::new(MemPageFile::new(1024)), 0);
-    let mut tree = RTree::new(pool, RTreeParams::paper()).unwrap();
+mod common;
+
+fn random_tree(n: usize, seed: u64) -> RTree<2> {
     let mut rng = Rng::seed_from_u64(seed);
-    for i in 0..n as u64 {
-        tree.insert(
-            Point([rng.random_range(0.0..100.0), rng.random_range(0.0..100.0)]),
-            i,
-        )
-        .unwrap();
-    }
-    tree
+    let mut coord = || rng.random_range(0.0..100.0);
+    let points: Vec<_> = (0..n).map(|_| Point([coord(), coord()])).collect();
+    common::build(&points, 0)
 }
 
 fn corrupt_all_but_root(tree: &RTree<2>) {
@@ -37,8 +32,8 @@ fn corrupt_all_but_root(tree: &RTree<2>) {
 
 #[test]
 fn every_algorithm_surfaces_corruption() {
-    let ta = build(600, 1);
-    let tb = build(600, 2);
+    let ta = random_tree(600, 1);
+    let tb = random_tree(600, 2);
     corrupt_all_but_root(&tb);
     for alg in [
         Algorithm::Naive,
@@ -54,8 +49,8 @@ fn every_algorithm_surfaces_corruption() {
 
 #[test]
 fn incremental_join_surfaces_corruption() {
-    let ta = build(600, 3);
-    let tb = build(600, 4);
+    let ta = random_tree(600, 3);
+    let tb = random_tree(600, 4);
     corrupt_all_but_root(&tb);
     let mut join = distance_join(&ta, &tb, IncrementalConfig::default());
     // The stream must yield an Err (possibly after some valid pairs).
@@ -65,8 +60,8 @@ fn incremental_join_surfaces_corruption() {
 
 #[test]
 fn semi_and_multiway_surface_corruption() {
-    let ta = build(400, 5);
-    let tb = build(400, 6);
+    let ta = random_tree(400, 5);
+    let tb = random_tree(400, 6);
     corrupt_all_but_root(&tb);
     assert!(semi_closest_pairs(&ta, &tb).is_err());
     assert!(k_closest_tuples(&[&ta, &tb], 2, TupleMetric::Chain).is_err());

@@ -6,32 +6,21 @@ use cpq_core::{k_closest_pairs, k_closest_tuples, Algorithm, CpqConfig, TupleMet
 use cpq_datasets::uniform;
 use cpq_geo::Point2;
 use cpq_rng::Rng;
-use cpq_rtree::{RTree, RTreeParams};
-use cpq_storage::{BufferPool, MemPageFile};
+use cpq_rtree::RTree;
 
-fn build(points: &[Point2]) -> RTree<2> {
-    let pool = BufferPool::with_lru(Box::new(MemPageFile::new(1024)), 64);
-    let mut tree = RTree::new(pool, RTreeParams::paper()).unwrap();
-    for (i, &p) in points.iter().enumerate() {
-        tree.insert(p, i as u64).unwrap();
-    }
-    tree
-}
-
-fn indexed(points: &[Point2]) -> Vec<(Point2, u64)> {
-    points
-        .iter()
-        .enumerate()
-        .map(|(i, &p)| (p, i as u64))
-        .collect()
-}
+mod common;
+use common::indexed;
 
 #[test]
 fn three_way_chain_matches_brute_force() {
     let a = uniform(60, 1);
     let b = uniform(50, 2);
     let c = uniform(40, 3);
-    let (ta, tb, tc) = (build(&a.points), build(&b.points), build(&c.points));
+    let (ta, tb, tc) = (
+        common::build(&a.points, 64),
+        common::build(&b.points, 64),
+        common::build(&c.points, 64),
+    );
     let (ia, ib, ic) = (indexed(&a.points), indexed(&b.points), indexed(&c.points));
     for k in [1usize, 5, 25] {
         for metric in [TupleMetric::Chain, TupleMetric::Clique] {
@@ -57,7 +46,7 @@ fn three_way_chain_matches_brute_force() {
 #[test]
 fn four_way_chain_matches_brute_force() {
     let sets: Vec<_> = (0..4).map(|i| uniform(18, 10 + i)).collect();
-    let trees: Vec<_> = sets.iter().map(|s| build(&s.points)).collect();
+    let trees: Vec<_> = sets.iter().map(|s| common::build(&s.points, 64)).collect();
     let tree_refs: Vec<&RTree<2>> = trees.iter().collect();
     let idx: Vec<Vec<(Point2, u64)>> = sets.iter().map(|s| indexed(&s.points)).collect();
     let idx_refs: Vec<&[(Point2, u64)]> = idx.iter().map(|v| v.as_slice()).collect();
@@ -72,7 +61,7 @@ fn four_way_chain_matches_brute_force() {
 fn two_way_reduces_to_ordinary_kcpq() {
     let a = uniform(150, 20);
     let b = uniform(150, 21);
-    let (ta, tb) = (build(&a.points), build(&b.points));
+    let (ta, tb) = (common::build(&a.points, 64), common::build(&b.points, 64));
     let tuples = k_closest_tuples(&[&ta, &tb], 12, TupleMetric::Chain).unwrap();
     let pairs = k_closest_pairs(&ta, &tb, 12, Algorithm::Heap, &CpqConfig::paper()).unwrap();
     assert_eq!(tuples.tuples.len(), pairs.pairs.len());
@@ -84,8 +73,8 @@ fn two_way_reduces_to_ordinary_kcpq() {
 #[test]
 fn edge_cases() {
     let a = uniform(10, 30);
-    let ta = build(&a.points);
-    let empty = build(&[]);
+    let ta = common::build(&a.points, 64);
+    let empty = common::build(&[], 64);
     // Empty member set -> empty result.
     let out = k_closest_tuples(&[&ta, &empty, &ta], 5, TupleMetric::Chain).unwrap();
     assert!(out.tuples.is_empty());
@@ -94,7 +83,7 @@ fn edge_cases() {
     assert!(out.tuples.is_empty());
     // K beyond the product -> everything.
     let b = uniform(3, 31);
-    let tb = build(&b.points);
+    let tb = common::build(&b.points, 64);
     let out = k_closest_tuples(&[&ta, &tb], 10_000, TupleMetric::Clique).unwrap();
     assert_eq!(out.tuples.len(), 30);
 }
@@ -103,7 +92,7 @@ fn edge_cases() {
 #[should_panic]
 fn single_tree_rejected() {
     let a = uniform(5, 32);
-    let ta = build(&a.points);
+    let ta = common::build(&a.points, 64);
     let _ = k_closest_tuples(&[&ta], 1, TupleMetric::Chain);
 }
 
@@ -111,7 +100,7 @@ fn single_tree_rejected() {
 fn same_tree_multiple_roles() {
     // The same physical tree may serve several tuple positions.
     let a = uniform(40, 33);
-    let ta = build(&a.points);
+    let ta = common::build(&a.points, 64);
     let ia = indexed(&a.points);
     let got = k_closest_tuples(&[&ta, &ta, &ta], 3, TupleMetric::Chain).unwrap();
     let expected = k_closest_tuples_brute(&[&ia, &ia, &ia], 3, TupleMetric::Chain);
@@ -122,10 +111,8 @@ fn same_tree_multiple_roles() {
     assert_eq!(got.tuples[0].distance, 0.0);
 }
 
-/// Random 3-way instances agree with brute force for both graphs.
-///
-/// Formerly a proptest property; now a fixed-seed loop driven by the in-repo
-/// PRNG so it runs in the offline default build.
+/// Random 3-way instances (a fixed-seed loop) agree with brute force for
+/// both graphs.
 #[test]
 fn random_three_way_agrees() {
     let mut rng = Rng::seed_from_u64(0xC0441);
@@ -139,7 +126,11 @@ fn random_three_way_agrees() {
         let a = uniform(na, seed);
         let b = uniform(nb, seed + 1);
         let c = uniform(nc, seed + 2);
-        let (ta, tb, tc) = (build(&a.points), build(&b.points), build(&c.points));
+        let (ta, tb, tc) = (
+            common::build(&a.points, 64),
+            common::build(&b.points, 64),
+            common::build(&c.points, 64),
+        );
         let (ia, ib, ic) = (indexed(&a.points), indexed(&b.points), indexed(&c.points));
         let metric = if clique {
             TupleMetric::Clique

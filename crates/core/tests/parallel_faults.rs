@@ -10,54 +10,20 @@
 
 use std::time::Duration;
 
-use cpq_core::{
-    execute, k_closest_pairs, Algorithm, CancelToken, CpqConfig, ExecCtx, QueryOutcome, QuerySpec,
-};
+use cpq_core::{execute, k_closest_pairs, Algorithm, CancelToken, CpqConfig, ExecCtx, QuerySpec};
 use cpq_datasets::uniform;
-use cpq_geo::Point2;
-use cpq_rtree::{RTree, RTreeError, RTreeParams};
-use cpq_storage::{BufferPool, FailingPageFile, FailureControl, MemPageFile, PageId, StorageError};
-use std::sync::Arc;
+use cpq_rtree::RTreeError;
+use cpq_storage::{PageId, StorageError};
 
-fn build_failing(points: &[Point2]) -> (RTree<2>, Arc<FailureControl>) {
-    let control = FailureControl::new();
-    let file = FailingPageFile::new(Box::new(MemPageFile::new(1024)), control.clone());
-    let pool = BufferPool::with_lru(Box::new(file), 0);
-    let mut tree = RTree::new(pool, RTreeParams::paper()).unwrap();
-    for (i, &p) in points.iter().enumerate() {
-        tree.insert(p, i as u64).unwrap();
-    }
-    (tree, control)
-}
-
-fn build(points: &[Point2]) -> RTree<2> {
-    let pool = BufferPool::with_lru(Box::new(MemPageFile::new(1024)), 0);
-    let mut tree = RTree::new(pool, RTreeParams::paper()).unwrap();
-    for (i, &p) in points.iter().enumerate() {
-        tree.insert(p, i as u64).unwrap();
-    }
-    tree
-}
-
-fn assert_same(seq: &QueryOutcome<2>, par: &QueryOutcome<2>, label: &str) {
-    assert_eq!(seq.pairs.len(), par.pairs.len(), "{label}: length");
-    for (i, (s, p)) in seq.pairs.iter().zip(&par.pairs).enumerate() {
-        assert_eq!((s.p.oid, s.q.oid), (p.p.oid, p.q.oid), "{label}: pair #{i}");
-        assert_eq!(
-            s.dist2.get().to_bits(),
-            p.dist2.get().to_bits(),
-            "{label}: dist bits #{i}"
-        );
-    }
-    assert_eq!(seq.stats, par.stats, "{label}: stats");
-}
+mod common;
+use common::{assert_same, build, build_failing};
 
 #[test]
 fn nth_read_failure_surfaces_exactly_one_error_then_recovers() {
     let p = uniform(800, 51);
     let q = uniform(800, 52);
     let (tp, control) = build_failing(&p.points);
-    let tq = build(&q.points);
+    let tq = build(&q.points, 0);
     let cfg = CpqConfig::paper().with_parallelism(8);
 
     for alg in [Algorithm::Heap, Algorithm::SortedDistances] {
@@ -105,7 +71,7 @@ fn corrupt_page_fails_the_query_until_disarmed() {
     let p = uniform(800, 55);
     let q = uniform(800, 56);
     let (tp, control) = build_failing(&p.points);
-    let tq = build(&q.points);
+    let tq = build(&q.points, 0);
     let cfg = CpqConfig::paper().with_parallelism(8);
 
     // Corrupt a non-root page; a K=1000 query visits every page, so the
@@ -136,7 +102,7 @@ fn fault_racing_deadline_never_deadlocks() {
     let p = uniform(1_500, 57);
     let q = uniform(1_500, 58);
     let (tp, control) = build_failing(&p.points);
-    let tq = build(&q.points);
+    let tq = build(&q.points, 0);
     let mut cfg = CpqConfig::paper().with_parallelism(8);
     cfg.parallel_yield_seed = Some(3);
 

@@ -15,34 +15,22 @@ use std::time::Duration;
 
 use cpq_core::{
     execute, k_closest_pairs, pair_cmp, self_closest_pairs, Algorithm, CancelToken, CpqConfig,
-    ExecCtx, QueryOutcome, QueryRun, QuerySpec,
+    ExecCtx, QueryRun, QuerySpec,
 };
 use cpq_datasets::uniform;
 use cpq_geo::Point2;
-use cpq_rtree::{RTree, RTreeParams};
-use cpq_storage::{BufferPool, FailingPageFile, FailureControl, MemPageFile};
+use cpq_rtree::RTree;
+use cpq_storage::FailureControl;
 
-fn build(points: &[Point2]) -> RTree<2> {
-    let pool = BufferPool::with_lru(Box::new(MemPageFile::new(1024)), 0);
-    let mut tree = RTree::new(pool, RTreeParams::paper()).unwrap();
-    for (i, &p) in points.iter().enumerate() {
-        tree.insert(p, i as u64).unwrap();
-    }
-    tree
-}
+mod common;
+use common::{assert_same, build, build_failing};
 
 /// Builds a tree whose page file sleeps on every read, so queries spend
 /// real wall-clock time inside I/O and deadlines trip mid-traversal. The
 /// latency is armed after the build (inserts run at memory speed); the
 /// returned control can disarm it again for fast follow-up parity runs.
 fn build_slow(points: &[Point2], latency: Duration) -> (RTree<2>, Arc<FailureControl>) {
-    let control = FailureControl::new();
-    let file = FailingPageFile::new(Box::new(MemPageFile::new(1024)), control.clone());
-    let pool = BufferPool::with_lru(Box::new(file), 0);
-    let mut tree = RTree::new(pool, RTreeParams::paper()).unwrap();
-    for (i, &p) in points.iter().enumerate() {
-        tree.insert(p, i as u64).unwrap();
-    }
+    let (tree, control) = build_failing(points);
     control.slow_reads(latency);
     (tree, control)
 }
@@ -66,23 +54,10 @@ fn heap_under(
     .unwrap()
 }
 
-fn assert_same(seq: &QueryOutcome<2>, par: &QueryOutcome<2>, label: &str) {
-    assert_eq!(seq.pairs.len(), par.pairs.len(), "{label}: length");
-    for (i, (s, p)) in seq.pairs.iter().zip(&par.pairs).enumerate() {
-        assert_eq!((s.p.oid, s.q.oid), (p.p.oid, p.q.oid), "{label}: pair #{i}");
-        assert_eq!(
-            s.dist2.get().to_bits(),
-            p.dist2.get().to_bits(),
-            "{label}: dist bits #{i}"
-        );
-    }
-    assert_eq!(seq.stats, par.stats, "{label}: stats");
-}
-
 fn stress_seed(seed: u64) {
     let p = uniform(400, seed.wrapping_mul(2).wrapping_add(1));
     let q = uniform(400, seed.wrapping_mul(2).wrapping_add(2));
-    let (tp, tq) = (build(&p.points), build(&q.points));
+    let (tp, tq) = (build(&p.points, 0), build(&q.points, 0));
     let base = CpqConfig::paper();
     let mut noisy = base.with_parallelism(8);
     noisy.parallel_yield_seed = Some(seed);
@@ -119,7 +94,7 @@ fn wide_seed_sweep_release() {
 fn pre_cancelled_token_stops_before_work_and_leaves_no_poison() {
     let p = uniform(300, 41);
     let q = uniform(300, 42);
-    let (tp, tq) = (build(&p.points), build(&q.points));
+    let (tp, tq) = (build(&p.points, 0), build(&q.points, 0));
     let cfg = CpqConfig::paper().with_parallelism(8);
 
     let token = CancelToken::new();

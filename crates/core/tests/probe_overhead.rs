@@ -22,26 +22,17 @@ use cpq_core::{
     NullProbe, PairResult, ProfileProbe, QuerySpec,
 };
 use cpq_datasets::uniform;
-use cpq_geo::Point2;
-use cpq_rtree::{RTree, RTreeParams};
-use cpq_storage::{BufferPool, MemPageFile};
+use cpq_rtree::RTree;
 
-fn build(points: &[Point2]) -> RTree<2> {
-    let pool = BufferPool::with_lru(Box::new(MemPageFile::new(1024)), 32);
-    let mut tree = RTree::new(pool, RTreeParams::paper()).unwrap();
-    for (i, &p) in points.iter().enumerate() {
-        tree.insert(p, i as u64).unwrap();
-    }
-    tree
-}
+mod common;
 
 /// A deterministic fresh tree pair: identical across calls (same seeds,
 /// same insertion order, cold caches), so repeated runs see identical
 /// buffer behavior.
 fn fresh_pair() -> (RTree<2>, RTree<2>) {
     (
-        build(&uniform(400, 11).points),
-        build(&uniform(350, 12).points),
+        common::build(&uniform(400, 11).points, 32),
+        common::build(&uniform(350, 12).points, 32),
     )
 }
 

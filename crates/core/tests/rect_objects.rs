@@ -10,31 +10,22 @@ use cpq_core::{
 use cpq_datasets::uniform_rects;
 use cpq_geo::{min_min_dist2, Rect2};
 use cpq_rtree::{RTree, RTreeParams};
-use cpq_storage::{BufferPool, MemPageFile, DEFAULT_PAGE_SIZE};
+use cpq_storage::{MemPageFile, DEFAULT_PAGE_SIZE};
 
-fn build(rects: &[Rect2]) -> RTree<2, Rect2> {
-    let pool = BufferPool::with_lru(Box::new(MemPageFile::new(DEFAULT_PAGE_SIZE)), 64);
+mod common;
+use common::indexed;
+
+fn rect_tree(rects: &[Rect2]) -> RTree<2, Rect2> {
     // Rect leaf entries are larger than point entries: derive a fitting M.
     let params = RTreeParams::for_page_size_with(DEFAULT_PAGE_SIZE, 2, 32);
-    let mut tree = RTree::new(pool, params).unwrap();
-    for (i, &r) in rects.iter().enumerate() {
-        tree.insert(r, i as u64).unwrap();
-    }
-    tree
-}
-
-fn indexed(rects: &[Rect2]) -> Vec<(Rect2, u64)> {
-    rects
-        .iter()
-        .enumerate()
-        .map(|(i, &r)| (r, i as u64))
-        .collect()
+    let file = MemPageFile::new(DEFAULT_PAGE_SIZE);
+    common::build_on(Box::new(file), params, 64, rects)
 }
 
 #[test]
 fn rect_tree_valid_and_searchable() {
     let rects = uniform_rects(2000, 15.0, 1);
-    let mut tree = build(&rects);
+    let mut tree = rect_tree(&rects);
     tree.assert_valid();
     assert_eq!(tree.len(), 2000);
     for (i, r) in rects.iter().take(50).enumerate() {
@@ -68,8 +59,8 @@ fn rect_tree_valid_and_searchable() {
 fn rect_kcpq_matches_brute_force_all_algorithms() {
     let ps = uniform_rects(300, 12.0, 2);
     let qs = uniform_rects(250, 12.0, 3);
-    let tp = build(&ps);
-    let tq = build(&qs);
+    let tp = rect_tree(&ps);
+    let tq = rect_tree(&qs);
     for k in [1usize, 10, 40] {
         let expected = brute::k_closest_pairs_brute(&indexed(&ps), &indexed(&qs), k);
         for alg in Algorithm::EVALUATED {
@@ -92,8 +83,8 @@ fn rect_kcpq_matches_brute_force_all_algorithms() {
 fn rect_pair_distance_is_mbr_minmindist() {
     let ps = uniform_rects(100, 20.0, 4);
     let qs = uniform_rects(100, 20.0, 5);
-    let tp = build(&ps);
-    let tq = build(&qs);
+    let tp = rect_tree(&ps);
+    let tq = rect_tree(&qs);
     let out = k_closest_pairs(&tp, &tq, 5, Algorithm::Heap, &CpqConfig::paper()).unwrap();
     for r in &out.pairs {
         let expect = min_min_dist2(&ps[r.p.oid as usize], &qs[r.q.oid as usize]);
@@ -107,8 +98,8 @@ fn rect_pair_distance_is_mbr_minmindist() {
 fn rect_incremental_and_semi_and_self() {
     let ps = uniform_rects(150, 10.0, 6);
     let qs = uniform_rects(150, 10.0, 7);
-    let tp = build(&ps);
-    let tq = build(&qs);
+    let tp = rect_tree(&ps);
+    let tq = rect_tree(&qs);
 
     let expected = brute::k_closest_pairs_brute(&indexed(&ps), &indexed(&qs), 20);
     let out = k_closest_pairs_incremental(&tp, &tq, 20, &IncrementalConfig::default()).unwrap();
@@ -135,7 +126,7 @@ fn rect_multiway() {
     let a = uniform_rects(25, 15.0, 8);
     let b = uniform_rects(25, 15.0, 9);
     let c = uniform_rects(25, 15.0, 10);
-    let (ta, tb, tc) = (build(&a), build(&b), build(&c));
+    let (ta, tb, tc) = (rect_tree(&a), rect_tree(&b), rect_tree(&c));
     let (ia, ib, ic) = (indexed(&a), indexed(&b), indexed(&c));
     let got = k_closest_tuples(&[&ta, &tb, &tc], 6, TupleMetric::Chain).unwrap();
     let expected = k_closest_tuples_brute(&[&ia, &ib, &ic], 6, TupleMetric::Chain);

@@ -1,107 +1,85 @@
-//! Compiled only with `--features proptest`, which additionally requires
-//! restoring the `proptest = "1"` dev-dependency on a networked machine (the
-//! offline workspace carries no registry dependencies).
-#![cfg(feature = "proptest")]
-
-//! Property-based tests for the metric kernels: the paper's Inequalities 1
-//! and 2 must hold for *every* pair of MBRs built over random point sets.
+//! The paper's Inequalities 1 and 2, and the metric identities the pruning
+//! rules lean on, over seeded random point sets and their MBRs.
 
 use cpq_geo::{
     max_max_dist2, min_max_dist2, min_min_dist2, pt_dist2, pt_mindist2, pt_minmaxdist2, Point, Rect,
 };
-use proptest::prelude::*;
+use cpq_rng::Rng;
 
-fn coord() -> impl Strategy<Value = f64> {
-    -1000.0..1000.0f64
+const CASES: u64 = 256;
+
+fn pointset(rng: &mut Rng, max: usize) -> Vec<Point<2>> {
+    let n = rng.random_range(1..max);
+    let mut coord = || rng.random_range(-1000.0..1000.0);
+    (0..n).map(|_| Point([coord(), coord()])).collect()
 }
 
-fn point2() -> impl Strategy<Value = Point<2>> {
-    (coord(), coord()).prop_map(|(x, y)| Point([x, y]))
+fn mbr(points: &[Point<2>]) -> Rect<2> {
+    Rect::bounding(points.iter().copied()).unwrap()
 }
 
-fn pointset(min: usize, max: usize) -> impl Strategy<Value = Vec<Point<2>>> {
-    prop::collection::vec(point2(), min..max)
-}
-
-proptest! {
-    /// Inequality 1: MINMINDIST <= dist(p, q) <= MAXMAXDIST for every pair of
-    /// points contained in the respective MBRs.
-    #[test]
-    fn inequality_one_holds(ps in pointset(1, 12), qs in pointset(1, 12)) {
-        let mp = Rect::bounding(ps.iter().copied()).unwrap();
-        let mq = Rect::bounding(qs.iter().copied()).unwrap();
-        let lo = min_min_dist2(&mp, &mq);
-        let hi = max_max_dist2(&mp, &mq);
-        for p in &ps {
-            for q in &qs {
-                let d = pt_dist2(p, q);
-                prop_assert!(lo.get() <= d.get() + 1e-9,
-                    "MINMINDIST {} > dist {}", lo.get(), d.get());
-                prop_assert!(d.get() <= hi.get() + 1e-9,
-                    "dist {} > MAXMAXDIST {}", d.get(), hi.get());
-            }
+#[test]
+fn mbr_metrics_bound_every_contained_pair() {
+    for seed in 0..CASES {
+        let mut rng = Rng::seed_from_u64(seed);
+        let (ps, qs) = (pointset(&mut rng, 12), pointset(&mut rng, 12));
+        let (mp, mq) = (mbr(&ps), mbr(&qs));
+        let (lo, mid, hi) = (
+            min_min_dist2(&mp, &mq),
+            min_max_dist2(&mp, &mq),
+            max_max_dist2(&mp, &mq),
+        );
+        // Ordered, and symmetric in their arguments.
+        assert!(lo <= mid && mid <= hi, "seed {seed}: {lo:?} {mid:?} {hi:?}");
+        assert_eq!(
+            (lo, mid, hi),
+            (
+                min_min_dist2(&mq, &mp),
+                min_max_dist2(&mq, &mp),
+                max_max_dist2(&mq, &mp)
+            ),
+            "seed {seed}"
+        );
+        // Inequality 1: MINMINDIST <= dist(p, q) <= MAXMAXDIST for every
+        // contained pair. Inequality 2: some pair lies within MINMAXDIST.
+        let dists = ps
+            .iter()
+            .flat_map(|p| qs.iter().map(move |q| pt_dist2(p, q)));
+        for d in dists.clone() {
+            assert!(lo.get() <= d.get() + 1e-9, "seed {seed}: MINMINDIST");
+            assert!(d.get() <= hi.get() + 1e-9, "seed {seed}: MAXMAXDIST");
+        }
+        let closest = dists.min().unwrap();
+        assert!(closest.get() <= mid.get() + 1e-9, "seed {seed}: MINMAXDIST");
+        // Translating both rectangles moves no metric (up to rounding).
+        let delta = [rng.random_range(-50.0..50.0), rng.random_range(-50.0..50.0)];
+        let (tp, tq) = (mp.translated(&delta), mq.translated(&delta));
+        for (moved, still) in [
+            (min_min_dist2(&tp, &tq), lo),
+            (min_max_dist2(&tp, &tq), mid),
+            (max_max_dist2(&tp, &tq), hi),
+        ] {
+            assert!((moved.get() - still.get()).abs() < 1e-6, "seed {seed}");
         }
     }
+}
 
-    /// Inequality 2: at least one contained pair lies within MINMAXDIST.
-    #[test]
-    fn inequality_two_holds(ps in pointset(1, 12), qs in pointset(1, 12)) {
-        let mp = Rect::bounding(ps.iter().copied()).unwrap();
-        let mq = Rect::bounding(qs.iter().copied()).unwrap();
-        let bound = min_max_dist2(&mp, &mq);
-        let witness = ps.iter().flat_map(|p| qs.iter().map(move |q| pt_dist2(p, q)))
-            .min()
-            .unwrap();
-        prop_assert!(witness.get() <= bound.get() + 1e-9,
-            "no pair within MINMAXDIST: best {} > bound {}", witness.get(), bound.get());
-    }
-
-    /// The three metrics are always ordered MINMIN <= MINMAX <= MAXMAX.
-    #[test]
-    fn metric_ordering(ps in pointset(1, 12), qs in pointset(1, 12)) {
-        let mp = Rect::bounding(ps.iter().copied()).unwrap();
-        let mq = Rect::bounding(qs.iter().copied()).unwrap();
-        let mn = min_min_dist2(&mp, &mq);
-        let mm = min_max_dist2(&mp, &mq);
-        let mx = max_max_dist2(&mp, &mq);
-        prop_assert!(mn <= mm, "MINMIN {mn:?} > MINMAX {mm:?}");
-        prop_assert!(mm <= mx, "MINMAX {mm:?} > MAXMAX {mx:?}");
-    }
-
-    /// All MBR metrics are symmetric.
-    #[test]
-    fn metrics_symmetric(ps in pointset(1, 8), qs in pointset(1, 8)) {
-        let mp = Rect::bounding(ps.iter().copied()).unwrap();
-        let mq = Rect::bounding(qs.iter().copied()).unwrap();
-        prop_assert_eq!(min_min_dist2(&mp, &mq), min_min_dist2(&mq, &mp));
-        prop_assert_eq!(min_max_dist2(&mp, &mq), min_max_dist2(&mq, &mp));
-        prop_assert_eq!(max_max_dist2(&mp, &mq), max_max_dist2(&mq, &mp));
-    }
-
-    /// Point-to-MBR specializations agree with their box-to-box general form
-    /// and with the Roussopoulos guarantees.
-    #[test]
-    fn point_to_mbr_guarantees(p in point2(), qs in pointset(1, 12)) {
-        let mq = Rect::bounding(qs.iter().copied()).unwrap();
-        let lo = pt_mindist2(&p, &mq);
-        let mm = pt_minmaxdist2(&p, &mq);
-        let best = qs.iter().map(|q| pt_dist2(&p, q)).min().unwrap();
-        prop_assert!(lo.get() <= best.get() + 1e-9);
-        prop_assert!(best.get() <= mm.get() + 1e-9);
-    }
-
-    /// Translation invariance: shifting both rects leaves all metrics alone
-    /// (up to FP error).
-    #[test]
-    fn translation_invariance(ps in pointset(1, 8), qs in pointset(1, 8),
-                              dx in -50.0..50.0f64, dy in -50.0..50.0f64) {
-        let mp = Rect::bounding(ps.iter().copied()).unwrap();
-        let mq = Rect::bounding(qs.iter().copied()).unwrap();
-        let tp = mp.translated(&[dx, dy]);
-        let tq = mq.translated(&[dx, dy]);
-        let eps = 1e-6;
-        prop_assert!((min_min_dist2(&mp, &mq).get() - min_min_dist2(&tp, &tq).get()).abs() < eps);
-        prop_assert!((min_max_dist2(&mp, &mq).get() - min_max_dist2(&tp, &tq).get()).abs() < eps);
-        prop_assert!((max_max_dist2(&mp, &mq).get() - max_max_dist2(&tp, &tq).get()).abs() < eps);
+/// The point-to-MBR specializations keep the Roussopoulos guarantees.
+#[test]
+fn point_to_mbr_metrics_bracket_the_nearest_point() {
+    for seed in 0..CASES {
+        let mut rng = Rng::seed_from_u64(seed);
+        let p = pointset(&mut rng, 2)[0];
+        let qs = pointset(&mut rng, 12);
+        let mq = mbr(&qs);
+        let nearest = qs.iter().map(|q| pt_dist2(&p, q)).min().unwrap();
+        assert!(
+            pt_mindist2(&p, &mq).get() <= nearest.get() + 1e-9,
+            "seed {seed}"
+        );
+        assert!(
+            nearest.get() <= pt_minmaxdist2(&p, &mq).get() + 1e-9,
+            "seed {seed}"
+        );
     }
 }

@@ -5,7 +5,7 @@
 //! structurally valid and to answer K-CPQ bit-identically to a tree
 //! rebuilt from the logical operations whose commits survived the cut.
 
-use cpq_core::{k_closest_pairs, self_closest_pairs, Algorithm, CpqConfig, PairResult};
+use cpq_core::{k_closest_pairs, self_closest_pairs, Algorithm, CpqConfig};
 use cpq_datasets::uniform_grid;
 use cpq_geo::{Point2, SpatialObject};
 use cpq_live::harness::{
@@ -20,6 +20,9 @@ use cpq_rtree::{RTree, RTreeParams, ValidateOptions};
 use cpq_storage::{BufferPool, MemPageFile};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
+
+mod common;
+use common::{keys, mem_tree};
 
 fn tmp_dir(tag: &str) -> PathBuf {
     let mut p = std::env::temp_dir();
@@ -56,22 +59,6 @@ fn apply_logical(contents: &mut BTreeMap<u64, Point2>, op: &LogicalOp) {
             contents.remove(&op.oid);
         }
     }
-}
-
-fn mem_tree(contents: &BTreeMap<u64, Point2>) -> RTree<2> {
-    let pool = BufferPool::with_lru(Box::new(MemPageFile::new(1024)), 256);
-    let mut tree: RTree<2> = RTree::new(pool, RTreeParams::paper()).expect("tree");
-    for (&oid, &p) in contents {
-        tree.insert(p, oid).expect("insert");
-    }
-    tree
-}
-
-fn keys(pairs: &[PairResult<2>]) -> Vec<(u64, u64, u64)> {
-    pairs
-        .iter()
-        .map(|r| (r.dist2.get().to_bits(), r.p.oid, r.q.oid))
-        .collect()
 }
 
 /// Recovers `work` and checks it against base-state + committed log ops:

@@ -1,18 +1,22 @@
 //! Live-tree behavior under randomized update streams: stream-built
 //! trees answer every K-CPQ algorithm bit-identically to bulk-style
 //! rebuilt trees, snapshots are immune to concurrent mutation, the
-//! structural validator (with oid uniqueness) holds at every step, and
-//! concurrent invariant-checking readers never observe a torn snapshot.
+//! structural validator (with oid uniqueness, and against a required
+//! window) holds, concurrent invariant-checking readers never observe a
+//! torn snapshot, and continuous maintenance refills only now and then.
 
-use cpq_core::{k_closest_pairs, pair_cmp, self_closest_pairs, Algorithm, CpqConfig, PairResult};
+use cpq_core::{k_closest_pairs, pair_cmp, self_closest_pairs, Algorithm, CpqConfig, QuerySpec};
 use cpq_datasets::uniform_grid;
-use cpq_geo::Point2;
+use cpq_geo::{Point2, Rect2};
 use cpq_live::tree::LiveConfig;
-use cpq_live::LiveTree;
+use cpq_live::{ContinuousCpq, LiveTree};
 use cpq_rng::Rng;
 use cpq_rtree::{RTree, RTreeParams, ValidateOptions};
 use cpq_storage::{BufferPool, MemPageFile};
 use std::collections::BTreeMap;
+
+mod common;
+use common::{keys, mem_tree};
 
 const ALGORITHMS: [Algorithm; 5] = [
     Algorithm::Naive,
@@ -21,23 +25,6 @@ const ALGORITHMS: [Algorithm; 5] = [
     Algorithm::SortedDistances,
     Algorithm::Heap,
 ];
-
-fn mem_tree(contents: &BTreeMap<u64, Point2>) -> RTree<2> {
-    let pool = BufferPool::with_lru(Box::new(MemPageFile::new(1024)), 256);
-    let mut tree: RTree<2> = RTree::new(pool, RTreeParams::paper()).expect("tree");
-    for (&oid, &p) in contents {
-        tree.insert(p, oid).expect("insert");
-    }
-    tree
-}
-
-fn keys(pairs: &[PairResult<2>]) -> Vec<(u64, u64, u64)> {
-    // dist2 as raw bits: "bit-identical" means bit-identical.
-    pairs
-        .iter()
-        .map(|r| (r.dist2.get().to_bits(), r.p.oid, r.q.oid))
-        .collect()
-}
 
 /// Drives a randomized insert/delete stream into a live tree while
 /// mirroring the surviving contents; at every checkpoint step compares
@@ -252,4 +239,90 @@ fn concurrent_readers_never_see_torn_snapshots() {
     assert_eq!(stats.free_failures, 0);
     let (buf, io) = live.pool().stats_snapshot();
     assert_eq!(buf.misses, io.reads, "buffer ledger broken");
+}
+
+/// A live tree populated only with points inside a window validates
+/// against that window as a required bound — and the bound check really
+/// fires when a point lies outside it.
+#[test]
+fn snapshot_validates_against_window_bounds() {
+    let window = Rect2::from_corners([100.0, 100.0], [500.0, 500.0]);
+    let live: LiveTree<2> =
+        LiveTree::new_in_memory(RTreeParams::paper(), &LiveConfig::default()).expect("live");
+    let data = uniform_grid(200, 0xB0B, 50.0);
+    let mut kept = 0u64;
+    for (i, pt) in data.points.iter().enumerate() {
+        if window.contains_point(pt) {
+            live.insert(*pt, i as u64).expect("insert");
+            kept += 1;
+        }
+    }
+    assert!(kept > 10, "window should keep a meaningful subset");
+    let bounded = ValidateOptions {
+        unique_oids: true,
+        bounds: Some(window),
+    };
+    let snap = live.snapshot().expect("snap");
+    let report = snap
+        .tree()
+        .validate_with_options(bounded)
+        .expect("validate");
+    assert!(report.is_valid(), "violations: {:?}", report.violations);
+    assert_eq!(report.points, kept);
+
+    // One point outside the window must trip the bounds invariant.
+    live.insert(Point2::new([900.0, 900.0]), 1_000_000)
+        .expect("insert");
+    let snap = live.snapshot().expect("snap");
+    let report = snap
+        .tree()
+        .validate_with_options(bounded)
+        .expect("validate");
+    assert!(
+        report
+            .violations
+            .iter()
+            .any(|v| v.contains("outside required bounds")),
+        "expected a bounds violation, got: {:?}",
+        report.violations
+    );
+}
+
+/// The economics of continuous maintenance: over a 100+-step self-join
+/// stream with a third of the steps deletes, the watcher must not be
+/// recomputing every step in disguise. (That it holds the *right* pairs at
+/// every step is the workspace's differential harness's to check.)
+#[test]
+fn continuous_maintenance_refills_on_a_minority_of_steps() {
+    let data = uniform_grid(120, 0xBEEF, 200.0);
+    let live: LiveTree<2> =
+        LiveTree::new_in_memory(RTreeParams::paper(), &LiveConfig::default()).expect("live");
+    let snap = live.snapshot().expect("snap");
+    let mut cont = ContinuousCpq::new(&QuerySpec::self_join(6), &snap, &snap).expect("continuous");
+    drop(snap);
+    let mut rng = Rng::seed_from_u64(4242);
+    let mut alive: Vec<(Point2, u64)> = Vec::new();
+    let mut steps = 0;
+    for (i, p) in data.points.iter().enumerate() {
+        if !alive.is_empty() && rng.random_bool(0.35) {
+            let idx = (rng.next_u64() % alive.len() as u64) as usize;
+            let (vp, void) = alive.swap_remove(idx);
+            assert!(live.delete(vp, void).expect("delete"));
+            cont.on_delete_self(void, &live.snapshot().expect("snap"))
+                .expect("on_delete");
+            steps += 1;
+        }
+        let oid = i as u64;
+        live.insert(*p, oid).expect("insert");
+        alive.push((*p, oid));
+        cont.on_insert_self(*p, oid, &live.snapshot().expect("snap"))
+            .expect("on_insert");
+        steps += 1;
+    }
+    assert!(steps >= 100, "stream too short: {steps}");
+    let refills = cont.stats().refills;
+    assert!(
+        refills < steps / 2,
+        "refilled {refills} times over {steps} steps"
+    );
 }

@@ -20,8 +20,8 @@
 //!   vs. threshold-kernel early-outs, plane-sweep pruning, heap
 //!   high-watermark, and queue-wait / per-phase timings. Serializes to one
 //!   JSON line for the slow-query log.
-//! * **[`EventRing`]** — a bounded lock-free MPMC ring buffer, the transport
-//!   between query workers and the [`SlowQueryLog`].
+//! * **[`SlowQueryLog`]** — the most recent full profiles of queries over
+//!   a latency threshold, drained as JSONL.
 //! * **[`Percentiles`]** — the nearest-rank percentile summary shared by
 //!   `cpq-service` and the benchmark harness (one implementation, not two).
 //! * **[`lint_exposition`]** — a small exposition-format linter used by the
@@ -35,7 +35,6 @@ mod metrics;
 mod percentile;
 mod probe;
 mod profile;
-mod ring;
 mod slowlog;
 
 pub use lint::{lint_exposition, LintError};
@@ -46,5 +45,4 @@ pub use metrics::{
 pub use percentile::Percentiles;
 pub use probe::{NullProbe, ParallelReport, Probe, ProbeSide, ProfileProbe};
 pub use profile::QueryProfile;
-pub use ring::EventRing;
 pub use slowlog::SlowQueryLog;

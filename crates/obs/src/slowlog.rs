@@ -1,32 +1,44 @@
-//! The slow-query log: a bounded ring of full [`QueryProfile`]s for queries
+//! The slow-query log: the most recent full [`QueryProfile`]s of queries
 //! whose end-to-end latency crossed a threshold.
 
 use crate::profile::QueryProfile;
-use crate::ring::EventRing;
-use cpq_check::sync::atomic::{AtomicU64, Ordering};
+use cpq_check::sync::{Mutex, MutexGuard};
+use std::collections::VecDeque;
 
 /// Captures the complete work profile of every query slower than a
-/// threshold, bounded by a fixed-capacity ring (newest kept, oldest
-/// evicted — recent forensics beat ancient ones).
+/// threshold, bounded by a fixed capacity (newest kept, oldest evicted —
+/// recent forensics beat ancient ones).
 ///
-/// Producers are the service's worker threads; consumers drain the ring
+/// Producers are the service's worker threads; consumers drain the log
 /// into JSONL (one [`QueryProfile::to_json`] line per query) for a file or
-/// an HTTP endpoint.
+/// an HTTP endpoint. A query reaches the lock only once it has already
+/// been slow, so one mutex is all the traffic asks for.
 pub struct SlowQueryLog {
-    ring: EventRing<QueryProfile>,
     threshold_us: u64,
-    observed: AtomicU64,
+    capacity: usize,
+    state: Mutex<State>,
+}
+
+#[derive(Default)]
+struct State {
+    kept: VecDeque<QueryProfile>,
+    observed: u64,
+    evicted: u64,
 }
 
 impl SlowQueryLog {
     /// Creates a log capturing queries with `latency_us() >= threshold_us`,
-    /// retaining at most `capacity` profiles.
+    /// retaining the `capacity` most recent profiles (at least one).
     pub fn new(threshold_us: u64, capacity: usize) -> Self {
         SlowQueryLog {
-            ring: EventRing::new(capacity),
             threshold_us,
-            observed: AtomicU64::new(0),
+            capacity: capacity.max(1),
+            state: Mutex::new(State::default()),
         }
+    }
+
+    fn state(&self) -> MutexGuard<'_, State> {
+        self.state.lock().expect("slow-query log poisoned")
     }
 
     /// The capture threshold in microseconds.
@@ -36,31 +48,34 @@ impl SlowQueryLog {
 
     /// Slow queries observed since creation (captured or evicted).
     pub fn observed(&self) -> u64 {
-        // ordering: Relaxed — statistics counter read, no ordering edge.
-        self.observed.load(Ordering::Relaxed)
+        self.state().observed
     }
 
-    /// Captured profiles evicted because the ring was full.
+    /// Captured profiles evicted because the log was full.
     pub fn evicted(&self) -> u64 {
-        self.ring.dropped()
+        self.state().evicted
     }
 
-    /// Offers a finished query's profile; captures it when it is slow.
-    /// Returns `true` when captured.
-    pub fn observe(&self, profile: QueryProfile) -> bool {
+    /// Offers a finished query's profile; clones and captures it when it is
+    /// slow. Returns `true` when captured.
+    pub fn observe(&self, profile: &QueryProfile) -> bool {
         if profile.latency_us() < self.threshold_us {
             return false;
         }
-        // ordering: Relaxed — statistics counter; the profile itself is
-        // handed off through the ring's own Acquire/Release protocol.
-        self.observed.fetch_add(1, Ordering::Relaxed);
-        self.ring.force_push(profile);
+        let profile = profile.clone();
+        let mut state = self.state();
+        state.observed += 1;
+        if state.kept.len() == self.capacity {
+            state.kept.pop_front();
+            state.evicted += 1;
+        }
+        state.kept.push_back(profile);
         true
     }
 
     /// Drains the captured profiles, oldest first.
     pub fn drain(&self) -> Vec<QueryProfile> {
-        self.ring.drain()
+        self.state().kept.drain(..).collect()
     }
 
     /// Drains the captured profiles as JSONL (one JSON object per line,
@@ -90,9 +105,9 @@ mod tests {
     #[test]
     fn threshold_filters() {
         let log = SlowQueryLog::new(100, 8);
-        assert!(!log.observe(profile_with_latency(1, 99)));
-        assert!(log.observe(profile_with_latency(2, 100)));
-        assert!(log.observe(profile_with_latency(3, 5_000)));
+        assert!(!log.observe(&profile_with_latency(1, 99)));
+        assert!(log.observe(&profile_with_latency(2, 100)));
+        assert!(log.observe(&profile_with_latency(3, 5_000)));
         assert_eq!(log.observed(), 2);
         let drained = log.drain();
         assert_eq!(drained.len(), 2);
@@ -103,7 +118,7 @@ mod tests {
     fn bounded_keeps_newest() {
         let log = SlowQueryLog::new(0, 4);
         for i in 0..10 {
-            log.observe(profile_with_latency(i, 1));
+            log.observe(&profile_with_latency(i, 1));
         }
         let ids: Vec<u64> = log.drain().iter().map(|p| p.query_id).collect();
         assert_eq!(ids, vec![6, 7, 8, 9]);
@@ -113,8 +128,8 @@ mod tests {
     #[test]
     fn jsonl_one_line_per_query() {
         let log = SlowQueryLog::new(0, 8);
-        log.observe(profile_with_latency(1, 10));
-        log.observe(profile_with_latency(2, 20));
+        log.observe(&profile_with_latency(1, 10));
+        log.observe(&profile_with_latency(2, 20));
         let jsonl = log.drain_jsonl();
         let lines: Vec<&str> = jsonl.lines().collect();
         assert_eq!(lines.len(), 2);

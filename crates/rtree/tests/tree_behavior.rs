@@ -151,6 +151,36 @@ fn delete_removes_and_preserves_invariants() {
     assert!(!tree.contains(&points[0], 0).unwrap() || live.contains(&0));
 }
 
+/// Seeded interleavings of inserts and deletes, at node capacities from 4
+/// to 11, keep the tree valid and equal to a shadow model.
+#[test]
+fn interleaved_ops_preserve_invariants() {
+    for seed in 0..48 {
+        let mut r = rng(seed);
+        let params = RTreeParams::with_max_entries(r.random_range(4..12usize));
+        let mut tree: RTree<2> = RTree::new(mem_pool(64), params).unwrap();
+        let mut live: Vec<(Point<2>, u64)> = Vec::new();
+        for oid in 0..r.random_range(1..150u64) {
+            if r.random_bool(0.25) {
+                if !live.is_empty() {
+                    let (p, oid) = live.swap_remove(r.random_range(0..live.len()));
+                    assert!(tree.delete(p, oid).unwrap(), "seed {seed}");
+                }
+            } else {
+                let p = Point([r.random_range(0.0..100.0), r.random_range(0.0..100.0)]);
+                tree.insert(p, oid).unwrap();
+                live.push((p, oid));
+            }
+        }
+        let report = tree.validate().unwrap();
+        assert!(report.is_valid(), "seed {seed}: {:?}", report.violations);
+        assert_eq!(tree.len(), live.len() as u64, "seed {seed}");
+        for (p, oid) in &live {
+            assert!(tree.contains(p, *oid).unwrap(), "seed {seed}: {oid} lost");
+        }
+    }
+}
+
 #[test]
 fn delete_to_empty_and_reuse() {
     let points = random_points(100, 51);
@@ -220,6 +250,33 @@ fn bulk_load_matches_inserted_contents() {
         let mut oids: Vec<u64> = tree.all_objects().unwrap().iter().map(|e| e.oid).collect();
         oids.sort_unstable();
         assert_eq!(oids, (0..3000u64).collect::<Vec<_>>());
+    }
+}
+
+/// Bulk loading is valid at any legal fill factor and any size, empty
+/// included.
+#[test]
+fn bulk_load_valid_at_any_fill() {
+    for seed in 0..48 {
+        let mut r = rng(seed);
+        let pairs: Vec<(Point<2>, u64)> = (0..r.random_range(0..300u64))
+            .map(|i| {
+                (
+                    Point([r.random_range(0.0..100.0), r.random_range(0.0..100.0)]),
+                    i,
+                )
+            })
+            .collect();
+        let fill = r.random_range(0.4..1.0);
+        let params = RTreeParams::with_max_entries(8);
+        let tree = RTree::bulk_load(mem_pool(64), params, &pairs, fill).unwrap();
+        let report = tree.validate().unwrap();
+        assert!(
+            report.is_valid(),
+            "seed {seed} fill {fill}: {:?}",
+            report.violations
+        );
+        assert_eq!(tree.len() as usize, pairs.len(), "seed {seed}");
     }
 }
 

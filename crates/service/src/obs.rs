@@ -347,8 +347,7 @@ impl ServiceObs {
         let threshold_us = config
             .slow_query_threshold
             .map(|d| d.as_micros() as u64)
-            // No threshold: nothing is slow enough; capacity 0 keeps the
-            // ring trivial.
+            // No threshold: nothing is slow enough, so the log stays empty.
             .unwrap_or(u64::MAX);
         let capacity = if config.slow_query_threshold.is_some() {
             config.slow_log_capacity
@@ -512,7 +511,7 @@ impl ServiceObs {
             io_bridge_q: io_bridge(&registry, "q"),
             live_bridge_p: live_bridge(&registry, "p"),
             live_bridge_q: live_bridge(&registry, "q"),
-            slow_log: SlowQueryLog::new(threshold_us, capacity.max(1)),
+            slow_log: SlowQueryLog::new(threshold_us, capacity),
             registry,
         }
     }
@@ -598,7 +597,7 @@ impl ServiceObs {
         self.shard_subqueries
             .add(profile.shard_subqueries_completed);
         self.shard_bound_updates.add(profile.shard_bound_updates);
-        self.slow_log.observe(profile.clone());
+        self.slow_log.observe(profile);
     }
 
     /// Refreshes the series that mirror external state — the bridged

@@ -10,10 +10,19 @@ use std::time::{Duration, Instant};
 // keeps working.
 pub use cpq_obs::Percentiles;
 
+/// Executed queries whose samples feed the percentile summaries: the most
+/// recent ones, so a service's memory does not grow with its uptime (1 MiB
+/// of samples at 16 bytes each).
+const SAMPLE_WINDOW: usize = 1 << 16;
+
 #[derive(Default)]
 struct Agg {
-    latencies_us: Vec<u64>,
-    queue_waits_us: Vec<u64>,
+    /// `(latency, queue wait)` in µs of the [`SAMPLE_WINDOW`] most recent
+    /// executed queries; a ring once full.
+    recent: Vec<(u64, u64)>,
+    /// Samples recorded over the service's life; modulo the window it is
+    /// the ring's write slot.
+    recorded: u64,
     completed: u64,
     timed_out: u64,
     failed: u64,
@@ -35,9 +44,10 @@ pub struct StatsSummary {
     pub failed: u64,
     /// Requests shed by admission control (never executed).
     pub shed: u64,
-    /// End-to-end latency distribution over executed queries.
+    /// End-to-end latency distribution over the most recent executed
+    /// queries (a fixed window of 65,536); its `count` is the lifetime total.
     pub latency: Percentiles,
-    /// Queue-wait distribution over executed queries.
+    /// Queue-wait distribution, windowed and counted like `latency`.
     pub queue_wait: Percentiles,
     /// Sum of per-query disk-access deltas (see the caveat on
     /// [`QueryResponse::stats`](crate::QueryResponse::stats)).
@@ -49,10 +59,8 @@ pub struct StatsSummary {
 
 /// Thread-safe collector the workers feed; readable at any time.
 ///
-/// Samples are kept raw (8 bytes per executed query) and summarized on
-/// demand — exact percentiles at serving-benchmark scale; a streaming
-/// histogram can replace the buffers if a deployment ever keeps a service
-/// up for billions of queries.
+/// The most recent samples are kept raw and summarized on demand — exact
+/// percentiles over a fixed window, however long the service stays up.
 #[derive(Default)]
 pub struct ServiceStats {
     agg: Mutex<Agg>,
@@ -84,8 +92,13 @@ impl ServiceStats {
             QueryStatus::Failed(_) => g.failed += 1,
             QueryStatus::Dropped => {}
         }
-        g.latencies_us.push(latency.as_micros() as u64);
-        g.queue_waits_us.push(queue_wait.as_micros() as u64);
+        let sample = (latency.as_micros() as u64, queue_wait.as_micros() as u64);
+        let slot = (g.recorded % SAMPLE_WINDOW as u64) as usize;
+        match g.recent.get_mut(slot) {
+            Some(oldest) => *oldest = sample,
+            None => g.recent.push(sample),
+        }
+        g.recorded += 1;
         g.query_disk_accesses += disk_accesses;
         g.first_response.get_or_insert(now);
         g.last_response = Some(now);
@@ -98,7 +111,7 @@ impl ServiceStats {
 
     /// Summarizes everything recorded so far.
     pub fn summary(&self) -> StatsSummary {
-        let mut g = self.lock();
+        let g = self.lock();
         let executed = g.completed + g.timed_out + g.failed;
         let throughput = match (g.first_response, g.last_response) {
             (Some(a), Some(b)) if b > a && executed >= 2 => {
@@ -106,8 +119,14 @@ impl ServiceStats {
             }
             _ => 0.0,
         };
-        let latency = Percentiles::from_samples(&mut g.latencies_us);
-        let queue_wait = Percentiles::from_samples(&mut g.queue_waits_us);
+        let summarize = |pick: fn(&(u64, u64)) -> u64| {
+            let mut samples: Vec<u64> = g.recent.iter().map(pick).collect();
+            Percentiles {
+                count: g.recorded,
+                ..Percentiles::from_samples(&mut samples)
+            }
+        };
+        let (latency, queue_wait) = (summarize(|s| s.0), summarize(|s| s.1));
         StatsSummary {
             completed: g.completed,
             timed_out: g.timed_out,
@@ -149,5 +168,22 @@ mod tests {
         assert_eq!(s.latency.count, 2);
         assert_eq!(s.latency.max_us, 300);
         assert_eq!(s.queue_wait.p50_us, 10);
+    }
+
+    #[test]
+    fn percentiles_cover_a_fixed_recent_window() {
+        let stats = ServiceStats::new();
+        let record = |latency_us: u64| {
+            let latency = Duration::from_micros(latency_us);
+            stats.record_executed(&QueryStatus::Completed, latency, latency, 0);
+        };
+        // Ten slow queries, then enough fast ones to push them all out.
+        (0..10).for_each(|_| record(1_000_000));
+        (0..SAMPLE_WINDOW).for_each(|_| record(5));
+        let s = stats.summary();
+        assert_eq!(s.completed, SAMPLE_WINDOW as u64 + 10);
+        assert_eq!(s.latency.count, s.completed, "count is the lifetime total");
+        assert_eq!((s.latency.max_us, s.queue_wait.max_us), (5, 5));
+        assert_eq!(stats.lock().recent.len(), SAMPLE_WINDOW);
     }
 }

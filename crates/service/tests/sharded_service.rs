@@ -1,8 +1,8 @@
 //! Shard-aware request path of [`CpqService`]: a service started with
-//! sharded replicas routes `scatter` requests through scatter-gather,
-//! returns pairs bit-identical to the classic path, clamps the fan-out to
-//! `max_shards`, and surfaces the `shard_*` counters in profiles and
-//! `/metrics`.
+//! sharded replicas clamps a `scatter` request's fan-out to `max_shards`
+//! and surfaces the `shard_*` counters in profiles and `/metrics`. (That
+//! scatter and classic answers are the same pairs is the workspace's
+//! differential harness's to hold, `tests/differential.rs`.)
 
 use cpq_core::Algorithm;
 use cpq_datasets::uniform;
@@ -56,30 +56,6 @@ fn start_sharded(max_shards: usize, obs: ObsConfig) -> CpqService<2, Point2> {
 }
 
 #[test]
-fn scatter_requests_match_classic_path_bitwise() {
-    let service = start_sharded(8, ObsConfig::disabled());
-    for kind in [
-        QueryRequest::cross as fn(usize, Algorithm) -> QueryRequest,
-        QueryRequest::self_join,
-    ] {
-        for k in [1usize, 10, 250] {
-            let classic = service.execute(kind(k, Algorithm::Heap)).unwrap();
-            let sharded = service
-                .execute(kind(k, Algorithm::Heap).with_scatter(4))
-                .unwrap();
-            assert_eq!(classic.status, QueryStatus::Completed);
-            assert_eq!(sharded.status, QueryStatus::Completed);
-            assert_eq!(classic.pairs.len(), sharded.pairs.len(), "k={k}");
-            for (c, s) in classic.pairs.iter().zip(&sharded.pairs) {
-                assert_eq!((c.p.oid, c.q.oid), (s.p.oid, s.q.oid));
-                assert_eq!(c.dist2.get().to_bits(), s.dist2.get().to_bits());
-            }
-        }
-    }
-    service.shutdown();
-}
-
-#[test]
 fn scatter_fan_out_is_clamped_and_profiled() {
     let service = start_sharded(
         2,
@@ -117,30 +93,5 @@ fn scatter_fan_out_is_clamped_and_profiled() {
     assert_eq!(lint_exposition(&text), Ok(()));
     assert!(text.contains("cpq_shard_queries_total 1"));
     assert!(text.contains("cpq_shard_pairs_total{result=\"generated\"} 16"));
-    service.shutdown();
-}
-
-#[test]
-fn scatter_on_an_unsharded_service_falls_back_to_classic() {
-    let p = uniform(200, 7).indexed();
-    let q = uniform(200, 8).indexed();
-    let service: CpqService<2> = CpqService::start(
-        TreePair::new(build_tree(&p), build_tree(&q)),
-        ServiceConfig {
-            workers: 1,
-            obs: ObsConfig::disabled(),
-            ..ServiceConfig::default()
-        },
-    );
-    let classic = service
-        .execute(QueryRequest::cross(5, Algorithm::Heap))
-        .unwrap();
-    let scatter = service
-        .execute(QueryRequest::cross(5, Algorithm::Heap).with_scatter(8))
-        .unwrap();
-    assert_eq!(scatter.status, QueryStatus::Completed);
-    for (c, s) in classic.pairs.iter().zip(&scatter.pairs) {
-        assert_eq!((c.p.oid, c.q.oid), (s.p.oid, s.q.oid));
-    }
     service.shutdown();
 }

@@ -22,8 +22,8 @@
 //!   clustered data that is the majority of the quadratic pair count.
 //! * Partial results merge by the canonical total order
 //!   ([`cpq_core::pair_cmp`]), which makes the merged top-K **bit-identical
-//!   to the unsharded engine** (`shard_parity.rs` / `rcp_shard_parity.rs`
-//!   gate on it, wire codec armed, against the brute-force oracle).
+//!   to the unsharded engine** (the workspace's `tests/differential.rs`
+//!   gates on it, wire codec armed, against the brute-force oracle).
 //!
 //! The shard-pair protocol ([`proto`]) — manifest, subquery, bound update,
 //! partial result — is a set of explicit serializable types with a

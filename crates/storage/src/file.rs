@@ -210,7 +210,9 @@ impl PageFile for MemPageFile {
 
 const DISK_MAGIC: u32 = 0x5250_5146; // "RPQF"
 const HEADER_LEN: u64 = 16;
-/// Bytes of the per-page CRC-32 trailer (format version 2).
+/// The one on-disk layout: every page followed by its CRC-32 trailer.
+const DISK_VERSION: u32 = 2;
+/// Bytes of the per-page CRC-32 trailer.
 const CRC_LEN: usize = 4;
 
 std::thread_local! {
@@ -225,10 +227,9 @@ std::thread_local! {
 /// by the pages. The free list is kept in memory only; it is rebuilt empty on
 /// open, which is sound (freed pages are simply not reused across sessions).
 ///
-/// Format version 2 (what [`create`](Self::create) writes) stores a CRC-32
-/// trailer after every page, verified on each read — a flipped byte on disk
-/// surfaces as [`StorageError::Corrupt`] instead of silently feeding garbage
-/// to the R-tree decoder. Version-1 files (no trailers) still open and read.
+/// Every page is followed by a CRC-32 trailer, verified on each read — a
+/// flipped byte on disk surfaces as [`StorageError::Corrupt`] instead of
+/// silently feeding garbage to the R-tree decoder.
 ///
 /// Reads use positioned I/O (`pread`), so concurrent readers never contend
 /// on a shared cursor; the cursor is only used by `&mut self` operations.
@@ -240,8 +241,6 @@ pub struct DiskPageFile {
     stats: IoStats,
     /// Successful physical reads (atomic: `read` takes `&self`).
     reads: AtomicU64,
-    /// Version-2 layout: per-page CRC trailers present and verified.
-    checksums: bool,
 }
 
 impl DiskPageFile {
@@ -261,7 +260,6 @@ impl DiskPageFile {
             free_list: Vec::new(),
             stats: IoStats::default(),
             reads: AtomicU64::new(0),
-            checksums: true,
         };
         this.write_header()?;
         Ok(this)
@@ -281,15 +279,11 @@ impl DiskPageFile {
             return Err(StorageError::CorruptHeader(format!("bad magic {magic:#x}")));
         }
         let version = word(4);
-        let checksums = match version {
-            1 => false, // pre-checksum layout: pages are packed back to back
-            2 => true,
-            _ => {
-                return Err(StorageError::CorruptHeader(format!(
-                    "unsupported version {version}"
-                )))
-            }
-        };
+        if version != DISK_VERSION {
+            return Err(StorageError::CorruptHeader(format!(
+                "unsupported version {version}"
+            )));
+        }
         let page_size = word(8) as usize;
         let num_pages = word(12);
         if page_size == 0 {
@@ -302,15 +296,13 @@ impl DiskPageFile {
             free_list: Vec::new(),
             stats: IoStats::default(),
             reads: AtomicU64::new(0),
-            checksums,
         })
     }
 
     fn write_header(&mut self) -> StorageResult<()> {
         let mut header = [0u8; HEADER_LEN as usize];
-        let version: u32 = if self.checksums { 2 } else { 1 };
         header[0..4].copy_from_slice(&DISK_MAGIC.to_le_bytes());
-        header[4..8].copy_from_slice(&version.to_le_bytes());
+        header[4..8].copy_from_slice(&DISK_VERSION.to_le_bytes());
         header[8..12].copy_from_slice(&(self.page_size as u32).to_le_bytes());
         header[12..16].copy_from_slice(&self.num_pages.to_le_bytes());
         self.file.seek(SeekFrom::Start(0))?;
@@ -318,10 +310,10 @@ impl DiskPageFile {
         Ok(())
     }
 
-    /// On-disk bytes each page occupies: the page itself plus, in the
-    /// checksummed layout, its CRC trailer.
+    /// On-disk bytes each page occupies: the page itself plus its CRC
+    /// trailer.
     fn stride(&self) -> u64 {
-        self.page_size as u64 + if self.checksums { CRC_LEN as u64 } else { 0 }
+        (self.page_size + CRC_LEN) as u64
     }
 
     fn offset(&self, id: PageId) -> u64 {
@@ -403,9 +395,7 @@ impl PageFile for DiskPageFile {
         let zeros = vec![0u8; self.page_size];
         self.file.seek(SeekFrom::Start(self.offset(id)))?;
         self.file.write_all(&zeros)?;
-        if self.checksums {
-            self.file.write_all(&crc32(&zeros).to_le_bytes())?;
-        }
+        self.file.write_all(&crc32(&zeros).to_le_bytes())?;
         self.write_header()?;
         Ok(id)
     }
@@ -414,22 +404,17 @@ impl PageFile for DiskPageFile {
         self.check_id(id)?;
         self.check_len(buf.len())?;
         let off = self.offset(id);
-        if self.checksums {
-            // One positioned read of page + trailer into per-thread
-            // scratch (the old two-pread shape paid a second syscall per
-            // page), then verify while copying out.
-            let stride = self.stride() as usize;
-            DISK_SCRATCH.with(|cell| {
-                let mut scratch = cell.borrow_mut();
-                if scratch.len() < stride {
-                    scratch.resize(stride, 0);
-                }
-                self.file.read_exact_at(&mut scratch[..stride], off)?;
-                self.destripe_page(&scratch[..stride], id, 0, buf)
-            })?;
-        } else {
-            self.file.read_exact_at(buf, off)?;
-        }
+        // One positioned read of page + trailer into per-thread scratch,
+        // then verify while copying out.
+        let stride = self.stride() as usize;
+        DISK_SCRATCH.with(|cell| {
+            let mut scratch = cell.borrow_mut();
+            if scratch.len() < stride {
+                scratch.resize(stride, 0);
+            }
+            self.file.read_exact_at(&mut scratch[..stride], off)?;
+            self.destripe_page(&scratch[..stride], id, 0, buf)
+        })?;
         // ordering: Relaxed — pure I/O counter; see `MemPageFile::read`.
         self.reads.fetch_add(1, Ordering::Relaxed);
         Ok(())
@@ -449,25 +434,18 @@ impl PageFile for DiskPageFile {
         self.check_id(first)?;
         self.check_id(last)?;
         let off = self.offset(first);
-        if self.checksums {
-            let stride = self.stride() as usize;
-            let span = n * stride;
-            DISK_SCRATCH.with(|cell| {
-                let mut scratch = cell.borrow_mut();
-                if scratch.len() < span {
-                    scratch.resize(span, 0);
-                }
-                self.file.read_exact_at(&mut scratch[..span], off)?;
-                for (slot, page_buf) in buf.chunks_mut(self.page_size).enumerate() {
-                    self.destripe_page(&scratch[..span], first, slot, page_buf)?;
-                }
-                Ok::<(), StorageError>(())
-            })?;
-        } else {
-            // Version-1 layout has no trailers: pages are packed back to
-            // back, so the whole run is one contiguous span.
-            self.file.read_exact_at(buf, off)?;
-        }
+        let span = n * self.stride() as usize;
+        DISK_SCRATCH.with(|cell| {
+            let mut scratch = cell.borrow_mut();
+            if scratch.len() < span {
+                scratch.resize(span, 0);
+            }
+            self.file.read_exact_at(&mut scratch[..span], off)?;
+            for (slot, page_buf) in buf.chunks_mut(self.page_size).enumerate() {
+                self.destripe_page(&scratch[..span], first, slot, page_buf)?;
+            }
+            Ok::<(), StorageError>(())
+        })?;
         // A failed run counts no page (callers re-read page by page to
         // attribute the failure, and those reads count normally).
         // ordering: Relaxed — pure I/O counter; see `MemPageFile::read`.
@@ -480,9 +458,7 @@ impl PageFile for DiskPageFile {
         self.check_len(data.len())?;
         self.file.seek(SeekFrom::Start(self.offset(id)))?;
         self.file.write_all(data)?;
-        if self.checksums {
-            self.file.write_all(&crc32(data).to_le_bytes())?;
-        }
+        self.file.write_all(&crc32(data).to_le_bytes())?;
         self.stats.writes += 1;
         Ok(())
     }
@@ -646,7 +622,7 @@ mod tests {
             f.write(b, &[0xA5; 128]).unwrap();
             f.sync().unwrap();
         }
-        // Flip one byte in the middle of page 1's on-disk data (v2 stride is
+        // Flip one byte in the middle of page 1's on-disk data (the stride is
         // page_size + 4 trailer bytes).
         {
             let mut raw = std::fs::read(&path).unwrap();
@@ -675,29 +651,6 @@ mod tests {
             // A corrupt read must not count as a successful physical read.
             assert_eq!(f.stats().reads, 1);
         }
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn disk_v1_files_still_open() {
-        // Hand-build a version-1 file (no CRC trailers) and read it back.
-        let path = temp_path("v1compat");
-        let page_size = 64usize;
-        {
-            let mut raw = Vec::new();
-            raw.extend_from_slice(&DISK_MAGIC.to_le_bytes());
-            raw.extend_from_slice(&1u32.to_le_bytes());
-            raw.extend_from_slice(&(page_size as u32).to_le_bytes());
-            raw.extend_from_slice(&2u32.to_le_bytes()); // two pages
-            raw.extend_from_slice(&vec![0x11; page_size]);
-            raw.extend_from_slice(&vec![0x22; page_size]);
-            std::fs::write(&path, raw).unwrap();
-        }
-        let f = DiskPageFile::open(&path).unwrap();
-        assert_eq!(f.num_pages(), 2);
-        let mut buf = vec![0u8; page_size];
-        f.read(PageId(1), &mut buf).unwrap();
-        assert_eq!(buf, vec![0x22; page_size]);
         std::fs::remove_file(&path).ok();
     }
 
@@ -775,11 +728,25 @@ mod tests {
     #[test]
     fn disk_rejects_corrupt_header() {
         let path = temp_path("corrupt");
-        std::fs::write(&path, b"not a page file at all!!").unwrap();
-        assert!(matches!(
-            DiskPageFile::open(&path),
-            Err(StorageError::CorruptHeader(_))
-        ));
+        // Not a page file; a version-1 header (the trailer-less layout no
+        // code path can write any more); a zero page size.
+        let header = |version: u32, page_size: u32| -> Vec<u8> {
+            [DISK_MAGIC, version, page_size, 0]
+                .iter()
+                .flat_map(|word| word.to_le_bytes())
+                .collect()
+        };
+        for bytes in [
+            b"not a page file at all!!".to_vec(),
+            header(1, 64),
+            header(DISK_VERSION, 0),
+        ] {
+            std::fs::write(&path, bytes).unwrap();
+            assert!(matches!(
+                DiskPageFile::open(&path),
+                Err(StorageError::CorruptHeader(_))
+            ));
+        }
         std::fs::remove_file(&path).ok();
     }
 }

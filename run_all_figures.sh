@@ -1,14 +1,7 @@
 #!/bin/bash
-# Runs every figure and ablation binary at full paper scale, writing CSV to
-# results/ and a combined log.
+# Runs every figure and ablation at full paper scale, writing CSV to
+# results/ (build first: cargo build --release -p cpq-bench).
 set -u
 cd "$(dirname "$0")"
 mkdir -p results
-for b in fig02_ties fig03_heights fig04_onecp fig05_overlap fig06_buffer \
-         fig07_kcp fig08_overlap_k fig09_buffer_k fig10_incremental \
-         ablation_kpruning ablation_buffer_policy ablation_tree_build ablation_sorting \
-         ablation_rtree_variant ablation_pinning costmodel_validation; do
-  echo "=== $b (started $(date +%T)) ==="
-  ./target/release/$b "$@" || echo "!!! $b FAILED"
-done
-echo "=== all figures done $(date +%T) ==="
+./target/release/figures all "$@"

@@ -48,7 +48,6 @@ model_test() {
 }
 model_test -p cpq-check
 model_test -p cpq-service --test model_queue
-model_test -p cpq-obs --test model_ring
 model_test -p cpq-storage --test model_buffer
 model_test -p cpq-storage --lib sched::
 model_test -p cpq-core --lib model_tests
@@ -77,15 +76,14 @@ if [ "${1:-}" = "--full" ]; then
     echo "==> parallel stress: wide seed sweep (release, --include-ignored)"
     cargo test --release -p cpq-core --test parallel_stress -- --include-ignored
 
-    echo "==> rcp parity: multi-seed randomized oracle sweep (release, --include-ignored)"
-    cargo test --release -p cpq-core --test rcp_parity -- --include-ignored
+    echo "==> differential harness: multi-seed sweep of the spec x executor x source matrix (release, --include-ignored)"
+    cargo test --release --test differential -- --include-ignored
 
     echo "==> model-check full tier: widened PCT sweep (2000 seeds, release)"
     model_full() {
         RUSTFLAGS="--cfg cpq_model" CARGO_TARGET_DIR=target/model \
             CPQ_MODEL_SEEDS=2000 cargo test --release -q "$@"
     }
-    model_full -p cpq-obs --test model_ring pct_
     model_full -p cpq-storage --test model_buffer pct_failing
     model_full -p cpq-core --lib model_tests::pct_
 fi
