@@ -1,13 +1,11 @@
 //! `cpq_analyze` — CLI driver for the workspace static analyzer.
 //!
 //! ```text
-//! cpq_analyze [--root DIR] [--out FILE] [--merge FRAGMENT]...
-//!             [--stale] [--full-atomics]
+//! cpq_analyze [--root DIR] [--out FILE] [--stale] [--full-atomics]
 //! ```
 //!
-//! Scans the workspace at `--root` (default `.`), runs every pass, folds
-//! in any `--merge` fragments (diagnostics JSON emitted by out-of-process
-//! passes like `metrics_lint`), applies waivers, writes the report to
+//! Scans the workspace at `--root` (default `.`), runs every pass,
+//! applies waivers, writes the report to
 //! `--out` (default `target/analysis_report.json`), prints unwaived
 //! findings, and exits 1 when any finding at warning severity or above
 //! survives — the CI gate.
@@ -21,7 +19,6 @@ use std::process::ExitCode;
 struct Args {
     root: PathBuf,
     out: PathBuf,
-    merge: Vec<PathBuf>,
     stale: bool,
     full_atomics: bool,
 }
@@ -30,7 +27,6 @@ fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         root: PathBuf::from("."),
         out: PathBuf::from("target/analysis_report.json"),
-        merge: Vec::new(),
         stale: false,
         full_atomics: false,
     };
@@ -39,9 +35,6 @@ fn parse_args() -> Result<Args, String> {
         match a.as_str() {
             "--root" => args.root = it.next().ok_or("--root wants a path")?.into(),
             "--out" => args.out = it.next().ok_or("--out wants a path")?.into(),
-            "--merge" => args
-                .merge
-                .push(it.next().ok_or("--merge wants a path")?.into()),
             "--stale" => args.stale = true,
             "--full-atomics" => args.full_atomics = true,
             "--full" => {
@@ -71,30 +64,11 @@ fn main() -> ExitCode {
         }
     };
 
-    let mut extra = Vec::new();
-    for frag in &args.merge {
-        let text = match std::fs::read_to_string(frag) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("cpq_analyze: cannot read fragment {}: {e}", frag.display());
-                return ExitCode::from(2);
-            }
-        };
-        match json::parse_fragment(&text, "metrics") {
-            Ok(ds) => extra.extend(ds),
-            Err(e) => {
-                eprintln!("cpq_analyze: bad fragment {}: {e}", frag.display());
-                return ExitCode::from(2);
-            }
-        }
-    }
-
     let report = cpq_analyze::run(
         &ws,
         Options {
             stale: args.stale,
             full_atomics: args.full_atomics,
-            extra,
             today: None,
         },
     );

@@ -1,9 +1,8 @@
 //! Hand-rolled JSON writer and reader — the analyzer is dependency-free,
-//! so `analysis_report.json` is emitted by this module and external
-//! diagnostic fragments (the metrics pass runs inside `metrics_lint`,
-//! which owns the live service) are parsed back by it for `--merge`.
+//! so `analysis_report.json` is emitted by this module; the reader lets
+//! tests (and the out-of-workspace `benchmark/` package) parse JSON back.
 
-use crate::diag::{Diagnostic, Report, Severity};
+use crate::diag::{Diagnostic, Report};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -291,39 +290,10 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
     }
 }
 
-/// Reads a diagnostics fragment (an object with a `diagnostics` array in
-/// report shape) into [`Diagnostic`] values. `pass_name` interns the pass
-/// id: fragments may only contribute to the one pass they implement.
-pub fn parse_fragment(src: &str, pass_name: &'static str) -> Result<Vec<Diagnostic>, String> {
-    let v = parse(src)?;
-    let arr = v
-        .get("diagnostics")
-        .and_then(Value::as_arr)
-        .ok_or("fragment has no `diagnostics` array")?;
-    let mut out = Vec::new();
-    for d in arr {
-        let sev = match d.get("severity").and_then(Value::as_str) {
-            Some("note") => Severity::Note,
-            Some("warning") => Severity::Warning,
-            _ => Severity::Error,
-        };
-        out.push(Diagnostic::new(
-            pass_name,
-            sev,
-            d.get("file")
-                .and_then(Value::as_str)
-                .unwrap_or("<fragment>"),
-            d.get("line").and_then(Value::as_u32).unwrap_or(0),
-            d.get("col").and_then(Value::as_u32).unwrap_or(0),
-            d.get("message").and_then(Value::as_str).unwrap_or(""),
-        ));
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::diag::Severity;
 
     #[test]
     fn report_roundtrips_through_parser() {
@@ -362,19 +332,6 @@ mod tests {
             waived[0].get("rationale").and_then(Value::as_str),
             Some("startup — fine")
         );
-    }
-
-    #[test]
-    fn fragment_parses_into_diagnostics() {
-        let frag = r#"{"diagnostics": [
-            {"pass": "metrics", "severity": "error", "file": "crates/obs/src/lib.rs",
-             "line": 4, "col": 1, "message": "duplicate series"}
-        ]}"#;
-        let ds = parse_fragment(frag, "metrics").expect("fragment");
-        assert_eq!(ds.len(), 1);
-        assert_eq!(ds[0].pass, "metrics");
-        assert_eq!(ds[0].line, 4);
-        assert_eq!(ds[0].message, "duplicate series");
     }
 
     #[test]

@@ -10,9 +10,7 @@
 //! Passes (see [`passes`]): `lock-order`, `atomics-pairing`,
 //! `panic-surface`, `blocking-section`, and the checks ported from the
 //! retired `cpq_lint` (`ordering-comment`, `forbid-unsafe`, `panic-path`,
-//! `std-sync-direct`) plus `missing-docs-attr`. The `metrics` pass runs
-//! out-of-process inside `metrics_lint` (it needs a live service to
-//! scrape) and merges its fragment into the report via `--merge`.
+//! `std-sync-direct`) plus `missing-docs-attr`.
 //!
 //! Everything here is dependency-free by design: the analyzer reads
 //! source text, not rlibs, so it keeps working while the workspace it
@@ -43,9 +41,6 @@ pub struct Options {
     /// Run the whole-workspace Relaxed-justification sweep
     /// (`--full-atomics`, on in `ci.sh --full`).
     pub full_atomics: bool,
-    /// Externally produced diagnostics to fold into waiver application
-    /// and the report (the `metrics` fragment).
-    pub extra: Vec<Diagnostic>,
     /// Injected "today" for expiry checks; `None` means the system clock.
     pub today: Option<(i64, u32, u32)>,
 }
@@ -67,8 +62,6 @@ pub fn run(ws: &Workspace, opts: Options) -> Report {
         report.passes.push(pass.id().to_string());
         pass.run(ws, &graph, &ctx, &mut found);
     }
-    report.passes.push("metrics".to_string());
-    found.extend(opts.extra);
 
     let known = passes::known_pass_ids();
     let today = opts.today.unwrap_or_else(waiver::today);
@@ -92,7 +85,6 @@ pub fn run(ws: &Workspace, opts: Options) -> Report {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use diag::Severity;
 
     const TODAY: (i64, u32, u32) = (2026, 8, 9);
 
@@ -170,36 +162,6 @@ pub fn add(a: u32, b: u32) -> u32 {
             .filter(|d| d.message.contains("stale waiver"))
             .collect();
         assert_eq!(stale.len(), 1, "{:?}", loud.diagnostics);
-    }
-
-    #[test]
-    fn extra_fragment_diagnostics_flow_through_waivers() {
-        let src = "\
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-//! Docs.
-
-/// Registers.
-// analyze: allow(metrics) — series is scraped only in --full benches
-pub fn register() {}
-";
-        let frag = Diagnostic::new(
-            "metrics",
-            Severity::Error,
-            "crates/demo/src/lib.rs",
-            7,
-            1,
-            "series registered but never observed",
-        );
-        let report = run_on(
-            &[("crates/demo/src/lib.rs", src)],
-            Options {
-                extra: vec![frag],
-                ..Options::default()
-            },
-        );
-        assert_eq!(report.failing().count(), 0, "{:?}", report.diagnostics);
-        assert_eq!(report.waived.len(), 1);
     }
 
     #[test]

@@ -49,13 +49,11 @@ pub fn registry() -> Vec<Box<dyn Pass>> {
     ]
 }
 
-/// Every pass id a waiver may name: the registry's passes plus the two
-/// ids produced outside it (`waiver` structural findings, `metrics`
-/// fragments merged from the bench scrape).
+/// Every pass id a waiver may name: the registry's passes plus the one
+/// id produced outside it (`waiver` structural findings).
 pub fn known_pass_ids() -> Vec<&'static str> {
     let mut ids: Vec<&'static str> = registry().iter().map(|p| p.id()).collect();
     ids.push("waiver");
-    ids.push("metrics");
     ids
 }
 
@@ -163,12 +161,6 @@ impl Graph {
         }
         seen
     }
-}
-
-/// Per-file map of functions, used by passes that walk file token
-/// streams and need test-region membership by line.
-pub fn fns_of_file(ws: &Workspace, file: usize) -> Vec<&FnInfo> {
-    ws.functions.iter().filter(|f| f.file == file).collect()
 }
 
 /// 1-based line ranges of test code in `file` (for token-stream passes

@@ -49,9 +49,12 @@ impl CancelToken {
         }
     }
 
-    /// A token that auto-cancels `budget` from now.
+    /// A token that auto-cancels `budget` from now. A budget past the end
+    /// of the clock (`Duration::MAX`, the natural "no limit") is no deadline.
     pub fn expiring_in(budget: Duration) -> Self {
-        Self::with_deadline(Instant::now() + budget)
+        Instant::now()
+            .checked_add(budget)
+            .map_or_else(Self::new, Self::with_deadline)
     }
 
     /// The deadline, when one was set.
@@ -123,5 +126,9 @@ mod tests {
         let far = CancelToken::expiring_in(Duration::from_secs(3600));
         assert!(!far.is_cancelled());
         assert!(far.deadline().is_some());
+        // Used to panic: "overflow when adding duration to instant".
+        let never = CancelToken::expiring_in(Duration::MAX);
+        assert!(!never.is_cancelled());
+        assert!(never.deadline().is_none());
     }
 }

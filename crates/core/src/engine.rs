@@ -1,6 +1,12 @@
-//! Shared machinery of the CPQ algorithms: the query context, candidate
-//! generation honoring the height strategy, leaf scanning, and the
-//! threshold bounds of Inequalities 1 and 2.
+//! Shared machinery of the CPQ algorithms: the query context and the
+//! paper's three steps, each written once — CP1 [`Ctx::open_pair`] (take a
+//! node pair), CP2 [`candidates`] (generate and bound its candidate pairs,
+//! honoring the height strategy and the windows), CP3 [`scan_brute`] and
+//! the plane sweep (scan two leaves) — plus the threshold bounds of
+//! Inequalities 1 and 2. The driver reaches CP2/CP3 through
+//! [`Ctx::gen_cands`] / [`Ctx::scan_leaves`], the speculative workers call
+//! [`candidates`] / [`scan_brute`] directly: there is no second copy that
+//! could drift.
 
 use crate::api::ExecCtx;
 use crate::bound::SharedBound;
@@ -11,7 +17,9 @@ use crate::parallel::{SpecRuntime, TaskOut};
 use crate::spec::{Constraint, QuerySpec};
 use crate::types::{CpqStats, PairResult};
 use cpq_check::sync::Arc;
-use cpq_geo::{max_max_dist2, min_max_dist2, min_min_dist2_within, Dist2, Rect, SpatialObject};
+use cpq_geo::{
+    max_max_dist2, min_max_dist2, min_min_dist2, min_min_dist2_within, Dist2, Rect, SpatialObject,
+};
 use cpq_obs::{Probe, ProbeSide};
 use cpq_rtree::{InnerEntry, LeafEntry, Node, RTree, RTreeError, RTreeResult};
 use cpq_storage::PageId;
@@ -50,31 +58,6 @@ pub(crate) enum Descend<const D: usize> {
     Down(InnerEntry<D>),
 }
 
-/// Decides which sides of a node pair descend, honoring the height strategy
-/// (Section 3.7). Shared by [`Ctx::gen_cands`] and the speculative workers'
-/// candidate precomputation, which must replicate the driver's decision
-/// exactly for the pair cache to be consistent.
-pub(crate) fn descend_sides(
-    p_leaf: bool,
-    q_leaf: bool,
-    level_p: u8,
-    level_q: u8,
-    height: HeightStrategy,
-) -> (bool, bool) {
-    match (p_leaf, q_leaf) {
-        (true, true) => unreachable!("candidate generation on two leaves"),
-        (true, false) => (false, true),
-        (false, true) => (true, false),
-        (false, false) => match height {
-            // Lockstep whenever both are internal; levels may differ.
-            HeightStrategy::FixAtLeaves => (true, true),
-            // Equalize levels first: only the deeper-rooted (higher level)
-            // side descends until levels match.
-            HeightStrategy::FixAtRoot => (level_p >= level_q, level_q >= level_p),
-        },
-    }
-}
-
 /// A candidate pair of subtrees generated from one node pair.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Cand<const D: usize> {
@@ -88,6 +71,140 @@ pub(crate) struct Cand<const D: usize> {
     pub minmin: Dist2,
 }
 
+/// One side of a node pair as [`candidates`] crosses it: where it leads,
+/// the clipped MBR that is scored and stored, the subtree cardinality.
+type Side<const D: usize> = (Descend<D>, Rect<D>, u64);
+
+/// The two side buffers of [`candidates`], reused across calls.
+#[derive(Default)]
+pub(crate) struct GenScratch<const D: usize> {
+    p: Vec<Side<D>>,
+    q: Vec<Side<D>>,
+}
+
+/// Fills one side of [`candidates`]: the node's children when the side
+/// descends, the node itself otherwise.
+///
+/// Window clipping (range-restricted queries): the MBR is replaced by
+/// `MBR ∩ window` before scoring — a valid tighter lower bound, since every
+/// qualifying point lies in both — and an entry whose MBR misses the window
+/// is dropped *silently* (it contains no qualifying points; it is not a
+/// pruned pair, at any `T`).
+fn fill_side<const D: usize, O: SpatialObject<D>>(
+    side: &mut Vec<Side<D>>,
+    node: &Node<D, O>,
+    descend: bool,
+    clip: impl Fn(&Rect<D>) -> Option<Rect<D>>,
+) {
+    side.clear();
+    if descend {
+        side.extend(
+            node.inner_entries()
+                .iter()
+                .filter_map(|e| Some((Descend::Down(*e), clip(&e.mbr)?, e.count))),
+        );
+        return;
+    }
+    // analyze: allow(panic-path) — the engine only visits non-empty nodes
+    // (the tree stores none).
+    let whole = node.mbr().expect("non-empty node");
+    if let Some(mbr) = clip(&whole) {
+        side.push((Descend::Stay, mbr, node.subtree_count()));
+    }
+}
+
+/// CP2, the one candidate generator: appends the candidate subtree pairs of
+/// a node pair to `out` in `P`-major cross order and returns how many
+/// combinations it pruned. Never called on two leaves.
+///
+/// A combination whose `MINMINDIST` exceeds `t` is dropped during
+/// generation instead of being materialized and filtered later; the
+/// threshold-aware kernel stops accumulating axis gaps as soon as the
+/// partial sum crosses `t`. Dropping it cannot weaken
+/// [`Ctx::apply_bounds`]: both `MINMAXDIST` and `MAXMAXDIST` of a dropped
+/// candidate are `>= MINMINDIST > t`, so any bound it could have contributed
+/// would never bind.
+///
+/// The driver passes its live `T` (`∞` for Naive, which must descend into
+/// everything); the speculative workers pass `∞` and the driver filters
+/// their list by `minmin > T` later. The two agree bitwise — survivors,
+/// order and pruned count — because the kernel returns `None` iff the full
+/// sum exceeds `t` and accumulates it in the same order either way
+/// (`gen_at_infinity_then_filter_equals_gen_at_t` below executes this).
+pub(crate) fn candidates<const D: usize, O: SpatialObject<D>>(
+    np: &Node<D, O>,
+    nq: &Node<D, O>,
+    height: HeightStrategy,
+    constraint: &Constraint<D>,
+    t: Dist2,
+    scratch: &mut GenScratch<D>,
+    out: &mut Vec<Cand<D>>,
+) -> u64 {
+    // Which sides descend (Section 3.7).
+    let (descend_p, descend_q) = match (np.is_leaf(), nq.is_leaf()) {
+        (true, true) => unreachable!("candidate generation on two leaves"),
+        (true, false) => (false, true),
+        (false, true) => (true, false),
+        (false, false) => match height {
+            // Lockstep whenever both are internal; levels may differ.
+            HeightStrategy::FixAtLeaves => (true, true),
+            // Equalize levels first: only the deeper-rooted (higher level)
+            // side descends until levels match.
+            HeightStrategy::FixAtRoot => (np.level() >= nq.level(), nq.level() >= np.level()),
+        },
+    };
+    fill_side(&mut scratch.p, np, descend_p, |mbr| constraint.clip_p(mbr));
+    fill_side(&mut scratch.q, nq, descend_q, |mbr| constraint.clip_q(mbr));
+
+    let mut pruned = 0;
+    out.reserve(scratch.p.len() * scratch.q.len());
+    for (dp, mbr_p, count_p) in &scratch.p {
+        for (dq, mbr_q, count_q) in &scratch.q {
+            match min_min_dist2_within(mbr_p, mbr_q, t) {
+                Some(minmin) => out.push(Cand {
+                    p: *dp,
+                    q: *dq,
+                    mbr_p: *mbr_p,
+                    mbr_q: *mbr_q,
+                    count_p: *count_p,
+                    count_q: *count_q,
+                    minmin,
+                }),
+                None => pruned += 1,
+            }
+        }
+    }
+    pruned
+}
+
+/// CP3 exactly as the paper states it, the one brute leaf kernel: every
+/// `|P| × |Q|` pair that survives the self-join orientation rule and the
+/// constraint goes to `offer`. Returns the number of offers — the distance
+/// computations, since a filtered pair never reaches the kernel.
+#[inline]
+pub(crate) fn scan_brute<const D: usize, O: SpatialObject<D>>(
+    lp: &Node<D, O>,
+    lq: &Node<D, O>,
+    self_join: bool,
+    constraint: &Constraint<D>,
+    mut offer: impl FnMut(&LeafEntry<D, O>, &LeafEntry<D, O>),
+) -> u64 {
+    let mut dists = 0;
+    for ep in lp.leaf_entries() {
+        for eq in lq.leaf_entries() {
+            if self_join && ep.oid >= eq.oid {
+                continue; // one orientation per unordered pair, no self-pairs
+            }
+            if !constraint.admits_pair(&ep.mbr(), ep.oid, &eq.mbr(), eq.oid) {
+                continue; // filtered before the kernel: not a computation
+            }
+            dists += 1;
+            offer(ep, eq);
+        }
+    }
+    dists
+}
+
 /// The projection of one leaf entry's MBR onto the sweep axis, plus enough
 /// to find the entry again.
 #[derive(Clone, Copy)]
@@ -98,6 +215,20 @@ struct SweepProj {
     hi: f64,
     /// Index into the originating leaf's entry slice.
     idx: u32,
+}
+
+/// What one plane-sweep leaf scan reports to the probe. All three counters
+/// are gated on `P::ENABLED`, so the uninstrumented monomorphization carries
+/// no bookkeeping (they read 0).
+#[derive(Clone, Copy, Default)]
+struct SweepTally {
+    /// Pairs the two cursors reached (before the orientation/constraint
+    /// filters).
+    visited: u64,
+    /// Kernel calls that bailed out on the threshold.
+    early_outs: u64,
+    /// Pairs never visited thanks to the axis-gap break.
+    skipped: u64,
 }
 
 /// Mutable state of one query run, shared by all algorithm variants.
@@ -160,11 +291,8 @@ pub(crate) struct Ctx<'a, const D: usize, O: SpatialObject<D>, P: Probe> {
     /// across leaf pairs.
     sweep_p: Vec<SweepProj>,
     sweep_q: Vec<SweepProj>,
-    /// Scratch for the two sides of candidate generation, reused across
-    /// calls (the recursion never re-enters `gen_cands` while these are
-    /// borrowed).
-    sides_p: Vec<(Descend<D>, Rect<D>, u64)>,
-    sides_q: Vec<(Descend<D>, Rect<D>, u64)>,
+    /// Scratch for candidate generation, reused across calls.
+    gen_scratch: GenScratch<D>,
     /// Pools of cleared vectors for the per-level candidate lists: each
     /// recursion level takes one and returns it, so a steady-state descent
     /// allocates nothing.
@@ -213,19 +341,14 @@ impl<'a, const D: usize, O: SpatialObject<D>, P: Probe> Ctx<'a, D, O, P> {
             ledger_q: 0,
             sweep_p: Vec::new(),
             sweep_q: Vec::new(),
-            sides_p: Vec::new(),
-            sides_q: Vec::new(),
+            gen_scratch: GenScratch::default(),
             cand_pool: Vec::new(),
             keyed_pool: Vec::new(),
         }
     }
 
-    /// Takes a cleared candidate vector from the pool.
-    pub(crate) fn take_cands(&mut self) -> Vec<Cand<D>> {
-        self.cand_pool.pop().unwrap_or_default()
-    }
-
-    /// Returns a candidate vector to the pool for reuse.
+    /// Returns a candidate vector ([`open_pair`](Self::open_pair) took it
+    /// from the pool) for reuse.
     pub(crate) fn return_cands(&mut self, mut v: Vec<Cand<D>>) {
         v.clear();
         self.cand_pool.push(v);
@@ -272,29 +395,22 @@ impl<'a, const D: usize, O: SpatialObject<D>, P: Probe> Ctx<'a, D, O, P> {
         }
     }
 
-    /// Offers a leaf pair to the K-heap, canonicalizing the orientation to
-    /// `p.oid < q.oid` first when the scatter context asks for it (the
-    /// off-diagonal subqueries of a sharded self-join). `min_min_dist2` is
-    /// bitwise symmetric under the swap, so the recomputed (or carried)
-    /// distance is unchanged.
+    /// Builds the result pair for two leaf entries at distance `d2`,
+    /// canonicalizing the orientation to `p.oid < q.oid` first when the
+    /// scatter context asks for it (the off-diagonal subqueries of a
+    /// sharded self-join). `min_min_dist2` is bitwise symmetric under the
+    /// swap, so the distance computed before it is unchanged.
     #[inline]
-    fn offer_pair(&mut self, ep: &LeafEntry<D, O>, eq: &LeafEntry<D, O>) -> bool {
-        let r = match self.scatter {
-            Some(sc) if sc.orient && ep.oid > eq.oid => PairResult::new(*eq, *ep),
-            _ => PairResult::new(*ep, *eq),
-        };
-        self.kheap.offer(r)
-    }
-
-    /// [`offer_pair`](Self::offer_pair) with the distance already computed
-    /// by the threshold-aware kernel (the plane-sweep path).
-    #[inline]
-    fn offer_pair_d2(&mut self, ep: &LeafEntry<D, O>, eq: &LeafEntry<D, O>, d2: Dist2) -> bool {
-        let r = match self.scatter {
+    fn oriented(
+        scatter: Option<ScatterCtx<'_>>,
+        ep: &LeafEntry<D, O>,
+        eq: &LeafEntry<D, O>,
+        d2: Dist2,
+    ) -> PairResult<D, O> {
+        match scatter {
             Some(sc) if sc.orient && ep.oid > eq.oid => PairResult::with_dist2(*eq, *ep, d2),
             _ => PairResult::with_dist2(*ep, *eq, d2),
-        };
-        self.kheap.offer(r)
+        }
     }
 
     /// Cancellation point, called once per node-pair visit by every
@@ -339,14 +455,7 @@ impl<'a, const D: usize, O: SpatialObject<D>, P: Probe> Ctx<'a, D, O, P> {
                 ProbeSide::P => self.ledger_p += 1,
                 ProbeSide::Q => self.ledger_q += 1,
             }
-            match rt.cached_node(side, page) {
-                Some(node) => node,
-                None => {
-                    let node = Arc::new(tree.read_node(page)?);
-                    rt.insert_node(side, page, node.clone());
-                    node
-                }
-            }
+            rt.node(side, tree, page)?
         } else {
             Arc::new(tree.read_node(page)?)
         };
@@ -354,6 +463,30 @@ impl<'a, const D: usize, O: SpatialObject<D>, P: Probe> Ctx<'a, D, O, P> {
             self.probe.node_access(side, node.level());
         }
         Ok(node)
+    }
+
+    /// CP1, the prologue every algorithm opens a node pair with: the
+    /// cancellation point, the `node_pairs_processed` count, then either
+    /// the leaf scan (CP3, returning `None` — the pair is done) or the
+    /// pair's candidate list (CP2) in a pooled vector the caller hands back
+    /// through [`return_cands`](Self::return_cands).
+    pub(crate) fn open_pair(
+        &mut self,
+        np: &Node<D, O>,
+        nq: &Node<D, O>,
+        page_p: PageId,
+        page_q: PageId,
+        prune: bool,
+    ) -> RTreeResult<Option<Vec<Cand<D>>>> {
+        self.check_cancel()?;
+        self.stats.node_pairs_processed += 1;
+        if np.is_leaf() && nq.is_leaf() {
+            self.scan_leaves(np, nq, page_p, page_q);
+            return Ok(None);
+        }
+        let mut cands = self.cand_pool.pop().unwrap_or_default();
+        self.gen_cands(np, nq, page_p, page_q, prune, &mut cands);
+        Ok(Some(cands))
     }
 
     /// Scans the object pairs of two leaves (step CP3 of every algorithm),
@@ -366,112 +499,77 @@ impl<'a, const D: usize, O: SpatialObject<D>, P: Probe> Ctx<'a, D, O, P> {
     /// retained set independent of enumeration order, and every pair skipped
     /// by the sweep is strictly farther than the live threshold `T`, so it
     /// can never belong to the K best.
-    pub(crate) fn scan_leaves(&mut self, lp: &Node<D, O>, lq: &Node<D, O>) {
-        // The probe wrapper: clock reads and the dist-computation delta are
-        // gated on `P::ENABLED`, so `NullProbe` pays for neither.
-        let start = if P::ENABLED {
-            Some(Instant::now())
-        } else {
-            None
-        };
-        let dist_before = self.stats.dist_computations;
-        let (kernel_early_outs, sweep_pairs_skipped) = match self.cfg.leaf_scan {
-            // With `T` still infinite the gap test cannot reject anything,
-            // so the sweep would pay its sorting overhead for nothing;
-            // scan this pair exhaustively (it seeds the first threshold).
-            LeafScan::PlaneSweep if !self.t().is_infinite() => self.scan_leaves_sweep(lp, lq),
-            _ => self.scan_leaves_brute(lp, lq),
-        };
-        self.publish_scatter();
-        if let Some(start) = start {
-            self.probe.leaf_scan(
-                self.stats.dist_computations - dist_before,
-                kernel_early_outs,
-                sweep_pairs_skipped,
-                start.elapsed().as_nanos() as u64,
-            );
-        }
-    }
-
-    /// [`scan_leaves`](Self::scan_leaves) with the pair's page identity,
-    /// the form every algorithm now calls.
     ///
-    /// Sequentially it forwards unchanged. In parallel mode the pair cache
-    /// is consulted: a speculative worker may already have scanned this
-    /// leaf pair, recording its task-local top-K offers and the full
-    /// brute-force kernel count. Replaying those offers into the global
-    /// K-heap is lossless — an offer the task-local heap rejected was
-    /// dominated by K recorded, canonically-smaller offers from the same
-    /// task, so the global heap would reject it too — and the K-heap's
-    /// total retention order makes the result independent of offer order.
-    /// Parallel mode always uses brute-force scan semantics (even under
-    /// [`LeafScan::PlaneSweep`]) so `dist_computations` is deterministic
-    /// and thread-count-invariant; pairs are bit-identical either way.
-    pub(crate) fn scan_leaves_at(
+    /// In parallel mode the pair cache is consulted first: a speculative
+    /// worker may already have scanned this leaf pair, recording its
+    /// task-local top-K offers and the brute kernel count. Replaying those
+    /// offers into the global K-heap is lossless — an offer the task-local
+    /// heap rejected was dominated by K recorded, canonically-smaller offers
+    /// from the same task, so the global heap would reject it too — and the
+    /// K-heap's total retention order makes the result independent of offer
+    /// order. Parallel mode always uses brute-force scan semantics (even
+    /// under [`LeafScan::PlaneSweep`]) so `dist_computations` is
+    /// deterministic and thread-count-invariant; pairs are bit-identical
+    /// either way.
+    pub(crate) fn scan_leaves(
         &mut self,
         lp: &Node<D, O>,
         lq: &Node<D, O>,
         page_p: PageId,
         page_q: PageId,
     ) {
-        let Some(rt) = self.par else {
-            self.scan_leaves(lp, lq);
-            return;
-        };
-        let start = if P::ENABLED {
-            Some(Instant::now())
-        } else {
-            None
-        };
+        // The probe wrapper: clock reads and the dist-computation delta are
+        // gated on `P::ENABLED`, so `NullProbe` pays for neither.
+        let start = P::ENABLED.then(Instant::now);
         let dist_before = self.stats.dist_computations;
-        match rt.cached_pair(page_p, page_q) {
-            Some(task) => match &*task {
-                TaskOut::Leaf { offers, dists } => {
-                    self.stats.dist_computations += dists;
-                    for offer in offers {
-                        self.kheap.offer(*offer);
-                    }
+        let mut sweep_tally = SweepTally::default();
+        let cached = self.par.and_then(|rt| rt.cached_pair(page_p, page_q));
+        match cached.as_deref() {
+            Some(TaskOut::Leaf { offers, dists }) => {
+                self.stats.dist_computations += dists;
+                for offer in offers {
+                    self.kheap.offer(*offer);
                 }
-                // Same pages mean the same nodes, so the worker classified
-                // this pair as leaf/leaf exactly like the driver did.
-                TaskOut::Inner(_) => unreachable!("leaf pair cached as inner"),
-            },
-            None => {
-                self.scan_leaves_brute(lp, lq);
             }
+            // Same pages mean the same nodes, so the worker classified
+            // this pair as leaf/leaf exactly like the driver did.
+            Some(TaskOut::Inner(_)) => unreachable!("leaf pair cached as inner"),
+            // With `T` still infinite the gap test cannot reject anything,
+            // so the sweep would pay its sorting overhead for nothing;
+            // scan this pair exhaustively (it seeds the first threshold).
+            None if self.par.is_none()
+                && self.cfg.leaf_scan == LeafScan::PlaneSweep
+                && !self.t().is_infinite() =>
+            {
+                sweep_tally = self.scan_leaves_sweep(lp, lq);
+            }
+            None => self.scan_leaves_brute(lp, lq),
         }
-        rt.publish_threshold(self.t());
+        self.publish_scatter();
+        if let Some(rt) = self.par {
+            rt.publish_threshold(self.t());
+        }
         if let Some(start) = start {
             self.probe.leaf_scan(
                 self.stats.dist_computations - dist_before,
-                0,
-                0,
+                sweep_tally.early_outs,
+                sweep_tally.skipped,
                 start.elapsed().as_nanos() as u64,
             );
         }
     }
 
-    /// CP3 exactly as the paper states it: all `|P| × |Q|` distances.
-    ///
-    /// Returns `(kernel_early_outs, sweep_pairs_skipped)` — both zero here:
-    /// the brute path computes full distances and visits every pair.
-    fn scan_leaves_brute(&mut self, lp: &Node<D, O>, lq: &Node<D, O>) -> (u64, u64) {
-        for ep in lp.leaf_entries() {
-            for eq in lq.leaf_entries() {
-                if self.self_join && ep.oid >= eq.oid {
-                    continue; // one orientation per unordered pair, no self-pairs
-                }
-                if !self
-                    .constraint
-                    .admits_pair(&ep.mbr(), ep.oid, &eq.mbr(), eq.oid)
-                {
-                    continue; // filtered before the kernel: not a computation
-                }
-                self.stats.dist_computations += 1;
-                self.offer_pair(ep, eq);
-            }
-        }
-        (0, 0)
+    /// [`scan_brute`] into this run's K-heap and `dist_computations`. Kept
+    /// out of line: with the loop inlined into `scan_leaves`,
+    /// `core.scan_ms_per_op` of `kcpq_hot` measured ~10% slower over ten
+    /// alternating pairs (PR 15).
+    fn scan_leaves_brute(&mut self, lp: &Node<D, O>, lq: &Node<D, O>) {
+        let (kheap, scatter) = (&mut self.kheap, self.scatter);
+        self.stats.dist_computations +=
+            scan_brute(lp, lq, self.self_join, &self.constraint, |ep, eq| {
+                let d2 = min_min_dist2(&ep.mbr(), &eq.mbr());
+                kheap.offer(Self::oriented(scatter, ep, eq, d2));
+            });
     }
 
     /// Distance-based plane sweep over the two leaves' entry sequences.
@@ -481,27 +579,19 @@ impl<'a, const D: usize, O: SpatialObject<D>, P: Probe> Ctx<'a, D, O, P> {
     /// (reusing the configured [`SortAlgorithm`](crate::SortAlgorithm)).
     /// Two cursors then walk the sorted runs in merged order: the run whose
     /// head has the smaller `lo` yields the next *anchor*, which scans
-    /// forward through the other run only. Because lower coordinates ascend,
-    /// the axis separation `other.lo - anchor.hi` is non-decreasing along
-    /// that scan, and once its square alone exceeds the live threshold `T`
-    /// no later pair can qualify — the inner scan stops. Survivors go
-    /// through the threshold-aware distance kernel, which bails out
-    /// mid-accumulation when the partial sum exceeds `T`.
+    /// forward through the other run only
+    /// ([`sweep_from`](Self::sweep_from)).
     ///
     /// Every cross pair `(p, q)` is visited exactly once, from whichever
     /// entry comes first in merged order, so this enumerates the same pairs
     /// as a sweep over the materialized merged sequence while never
     /// stepping over same-side items.
-    ///
-    /// Returns `(kernel_early_outs, sweep_pairs_skipped)`: kernel calls that
-    /// bailed out on the threshold, and pairs never visited thanks to the
-    /// axis-gap break. Both counters are gated on `P::ENABLED`, so the
-    /// uninstrumented monomorphization carries no bookkeeping (they read 0).
-    fn scan_leaves_sweep(&mut self, lp: &Node<D, O>, lq: &Node<D, O>) -> (u64, u64) {
+    fn scan_leaves_sweep(&mut self, lp: &Node<D, O>, lq: &Node<D, O>) -> SweepTally {
+        let mut tally = SweepTally::default();
         let eps = lp.leaf_entries();
         let eqs = lq.leaf_entries();
         if eps.is_empty() || eqs.is_empty() {
-            return (0, 0);
+            return tally;
         }
         // analyze: allow(panic-path) — guarded by the emptiness check above.
         let bp = lp.mbr().expect("non-empty leaf has an MBR");
@@ -537,210 +627,93 @@ impl<'a, const D: usize, O: SpatialObject<D>, P: Probe> Ctx<'a, D, O, P> {
             });
         }
 
-        // `T` only changes when an offer lands, so it is hoisted out of the
-        // loop and refreshed exactly then — the break still fires as early
-        // as the freshest bound allows.
+        // `T` only changes when an offer lands, so it lives out here and is
+        // refreshed exactly then — the break still fires as early as the
+        // freshest bound allows.
         let mut t = self.t();
-        let mut early_outs = 0u64;
-        let mut visited = 0u64;
         let (mut i, mut j) = (0, 0);
         while i < ps.len() && j < qs.len() {
             if ps[i].lo <= qs[j].lo {
-                let a = ps[i];
                 i += 1;
-                for b in &qs[j..] {
-                    let gap = b.lo - a.hi;
-                    if gap > 0.0 && gap * gap > t.get() {
-                        break; // later items only move farther along the axis
-                    }
-                    if P::ENABLED {
-                        visited += 1;
-                    }
-                    let (ep, eq) = (&eps[a.idx as usize], &eqs[b.idx as usize]);
-                    if self.self_join && ep.oid >= eq.oid {
-                        continue; // one orientation per unordered pair
-                    }
-                    if !self
-                        .constraint
-                        .admits_pair(&ep.mbr(), ep.oid, &eq.mbr(), eq.oid)
-                    {
-                        continue; // filtered before the kernel
-                    }
-                    self.stats.dist_computations += 1;
-                    match min_min_dist2_within(&ep.mbr(), &eq.mbr(), t) {
-                        Some(d2) => {
-                            if self.offer_pair_d2(ep, eq, d2) {
-                                t = self.t();
-                            }
-                        }
-                        None => {
-                            if P::ENABLED {
-                                early_outs += 1;
-                            }
-                        }
-                    }
-                }
+                let pair_of = |a: u32, b: u32| (&eps[a as usize], &eqs[b as usize]);
+                self.sweep_from(ps[i - 1], &qs[j..], pair_of, &mut t, &mut tally);
             } else {
-                let b = qs[j];
                 j += 1;
-                for a in &ps[i..] {
-                    let gap = a.lo - b.hi;
-                    if gap > 0.0 && gap * gap > t.get() {
-                        break;
-                    }
-                    if P::ENABLED {
-                        visited += 1;
-                    }
-                    let (ep, eq) = (&eps[a.idx as usize], &eqs[b.idx as usize]);
-                    if self.self_join && ep.oid >= eq.oid {
-                        continue;
-                    }
-                    if !self
-                        .constraint
-                        .admits_pair(&ep.mbr(), ep.oid, &eq.mbr(), eq.oid)
-                    {
-                        continue;
-                    }
-                    self.stats.dist_computations += 1;
-                    match min_min_dist2_within(&ep.mbr(), &eq.mbr(), t) {
-                        Some(d2) => {
-                            if self.offer_pair_d2(ep, eq, d2) {
-                                t = self.t();
-                            }
-                        }
-                        None => {
-                            if P::ENABLED {
-                                early_outs += 1;
-                            }
-                        }
-                    }
-                }
+                let pair_of = |b: u32, a: u32| (&eps[a as usize], &eqs[b as usize]);
+                self.sweep_from(qs[j - 1], &ps[i..], pair_of, &mut t, &mut tally);
             }
         }
-        let skipped = if P::ENABLED {
-            (eps.len() as u64) * (eqs.len() as u64) - visited
-        } else {
-            0
-        };
+        if P::ENABLED {
+            tally.skipped = (eps.len() as u64) * (eqs.len() as u64) - tally.visited;
+        }
         self.sweep_p = ps;
         self.sweep_q = qs;
-        (early_outs, skipped)
+        tally
     }
 
-    /// Generates the candidate subtree pairs for a node pair into `out`,
-    /// honoring the height strategy (Section 3.7). Never called on two
-    /// leaves.
+    /// One anchor's forward scan through the other side's remaining run —
+    /// the sweep's one inner loop, whichever side the anchor came from
+    /// (`pair_of(anchor.idx, other.idx)` restores the `(P, Q)` orientation).
     ///
-    /// With `prune` set, combinations whose `MINMINDIST` exceeds the current
-    /// threshold `T` are dropped during generation (counted in
-    /// `pairs_pruned`) instead of being materialized and filtered later; the
-    /// threshold-aware kernel stops accumulating axis gaps as soon as the
-    /// partial sum crosses `T`. Dropping them cannot weaken
-    /// [`apply_bounds`](Self::apply_bounds): both `MINMAXDIST` and
-    /// `MAXMAXDIST` of a dropped candidate are `>= MINMINDIST > T`, so any
-    /// bound it could have contributed exceeds the current effective
-    /// threshold and would never bind. `Naive` passes `prune = false` — it
-    /// must descend into everything.
-    pub(crate) fn gen_cands(
+    /// Because lower coordinates ascend, the axis separation
+    /// `other.lo - anchor.hi` is non-decreasing along the scan, and once its
+    /// square alone exceeds the live threshold `t` no later pair can qualify
+    /// — the scan stops. Survivors pass the same orientation and constraint
+    /// filters as [`scan_brute`], then the threshold-aware kernel, which
+    /// bails out mid-accumulation when the partial sum exceeds `t`.
+    #[inline]
+    fn sweep_from<'e>(
         &mut self,
-        np: &Node<D, O>,
-        nq: &Node<D, O>,
-        prune: bool,
-        out: &mut Vec<Cand<D>>,
-    ) {
-        let start = if P::ENABLED {
-            Some(Instant::now())
-        } else {
-            None
-        };
-        let (descend_p, descend_q) = descend_sides(
-            np.is_leaf(),
-            nq.is_leaf(),
-            np.level(),
-            nq.level(),
-            self.cfg.height,
-        );
-
-        // analyze: allow(panic-path) — the engine only visits non-empty nodes
-        // (the tree stores none).
-        let whole_p = (np.mbr().expect("non-empty node"), np.subtree_count());
-        // analyze: allow(panic-path) — same non-empty-node invariant as above.
-        let whole_q = (nq.mbr().expect("non-empty node"), nq.subtree_count());
-
-        // Window clipping (range-restricted queries): each side's MBR is
-        // replaced by `MBR ∩ window` before scoring — a valid tighter lower
-        // bound, since every qualifying point lies in both — and a side
-        // whose MBR misses its window is dropped *silently* (it contains no
-        // qualifying points; no `pairs_pruned` increment, so the driver and
-        // the speculative workers' cached candidate lists stay identical).
-        let con = self.constraint;
-        let mut sides_p = std::mem::take(&mut self.sides_p);
-        let mut sides_q = std::mem::take(&mut self.sides_q);
-        sides_p.clear();
-        sides_q.clear();
-        if descend_p {
-            sides_p.extend(np.inner_entries().iter().filter_map(|e| {
-                let mbr = con.clip_p(&e.mbr)?;
-                Some((Descend::Down(*e), mbr, e.count))
-            }));
-        } else if let Some(mbr) = con.clip_p(&whole_p.0) {
-            sides_p.push((Descend::Stay, mbr, whole_p.1));
-        }
-        if descend_q {
-            sides_q.extend(nq.inner_entries().iter().filter_map(|e| {
-                let mbr = con.clip_q(&e.mbr)?;
-                Some((Descend::Down(*e), mbr, e.count))
-            }));
-        } else if let Some(mbr) = con.clip_q(&whole_q.0) {
-            sides_q.push((Descend::Stay, mbr, whole_q.1));
-        }
-
-        // T cannot change during generation (no offers happen here), so one
-        // read suffices; `INFINITY` disables the prune and the kernel's
-        // early exit alike.
-        let t = if prune { self.t() } else { Dist2::INFINITY };
-        out.reserve(sides_p.len() * sides_q.len());
-        for (dp, mbr_p, count_p) in &sides_p {
-            for (dq, mbr_q, count_q) in &sides_q {
-                let minmin = match min_min_dist2_within(mbr_p, mbr_q, t) {
-                    Some(d) => d,
-                    None => {
-                        self.stats.pairs_pruned += 1;
-                        continue;
-                    }
-                };
-                out.push(Cand {
-                    p: *dp,
-                    q: *dq,
-                    mbr_p: *mbr_p,
-                    mbr_q: *mbr_q,
-                    count_p: *count_p,
-                    count_q: *count_q,
-                    minmin,
-                });
+        anchor: SweepProj,
+        others: &[SweepProj],
+        pair_of: impl Fn(u32, u32) -> (&'e LeafEntry<D, O>, &'e LeafEntry<D, O>),
+        t: &mut Dist2,
+        tally: &mut SweepTally,
+    ) where
+        O: 'e,
+    {
+        for other in others {
+            let gap = other.lo - anchor.hi;
+            if gap > 0.0 && gap * gap > t.get() {
+                break; // later items only move farther along the axis
+            }
+            if P::ENABLED {
+                tally.visited += 1;
+            }
+            let (ep, eq) = pair_of(anchor.idx, other.idx);
+            if self.self_join && ep.oid >= eq.oid {
+                continue; // one orientation per unordered pair
+            }
+            if !self
+                .constraint
+                .admits_pair(&ep.mbr(), ep.oid, &eq.mbr(), eq.oid)
+            {
+                continue; // filtered before the kernel
+            }
+            self.stats.dist_computations += 1;
+            if let Some(d2) = min_min_dist2_within(&ep.mbr(), &eq.mbr(), *t) {
+                if self.kheap.offer(Self::oriented(self.scatter, ep, eq, d2)) {
+                    *t = self.t();
+                }
+            } else if P::ENABLED {
+                tally.early_outs += 1;
             }
         }
-        self.sides_p = sides_p;
-        self.sides_q = sides_q;
-        if let Some(start) = start {
-            self.probe.gen_phase(start.elapsed().as_nanos() as u64);
-        }
     }
 
-    /// [`gen_cands`](Self::gen_cands) with the pair's page identity, the
-    /// form every algorithm now calls.
+    /// CP2 on the driver: the candidates of a node pair into `out`, pruned
+    /// by the live threshold `T` when `prune` is set (`Naive` passes
+    /// `false` — it must descend into everything), `pairs_pruned` counted.
     ///
-    /// Sequentially it forwards unchanged. In parallel mode the pair cache
-    /// is consulted first: speculative workers precompute the full
-    /// candidate list at `T = ∞` (no pruning), so the driver filters it by
-    /// the live threshold instead of re-running the kernels. The filter is
-    /// exact: the threshold-aware kernel returns `None` iff the full
-    /// `MINMINDIST` (which the worker recorded, bitwise) exceeds `T`, so
-    /// surviving candidates, their order, and the `pairs_pruned` increments
-    /// all match the sequential run. On a cache miss the driver computes
-    /// inline and pushes the surviving candidates to the speculation queue
-    /// as look-ahead for the workers.
-    pub(crate) fn gen_cands_at(
+    /// Sequentially this is [`candidates`] at `T`. In parallel mode the pair
+    /// cache is consulted first: speculative workers run [`candidates`] at
+    /// `T = ∞`, so the driver filters their list by the live threshold
+    /// instead of re-running the kernels — survivors, their order and the
+    /// `pairs_pruned` increments all match the sequential run (see
+    /// [`candidates`]). On a cache miss the driver computes inline and
+    /// pushes the surviving candidates to the speculation queue as
+    /// look-ahead for the workers.
+    pub(crate) fn gen_cands(
         &mut self,
         np: &Node<D, O>,
         nq: &Node<D, O>,
@@ -749,36 +722,40 @@ impl<'a, const D: usize, O: SpatialObject<D>, P: Probe> Ctx<'a, D, O, P> {
         prune: bool,
         out: &mut Vec<Cand<D>>,
     ) {
-        let Some(rt) = self.par else {
-            self.gen_cands(np, nq, prune, out);
-            return;
-        };
-        match rt.cached_pair(page_p, page_q) {
-            Some(task) => {
-                let start = if P::ENABLED {
-                    Some(Instant::now())
-                } else {
-                    None
-                };
-                match &*task {
-                    TaskOut::Inner(cands) => {
-                        let t = if prune { self.t() } else { Dist2::INFINITY };
-                        for c in cands {
-                            if c.minmin > t {
-                                self.stats.pairs_pruned += 1;
-                            } else {
-                                out.push(*c);
-                            }
-                        }
+        let start = P::ENABLED.then(Instant::now);
+        // T cannot change during generation (no offers happen here), so one
+        // read suffices; `INFINITY` disables the prune and the kernel's
+        // early exit alike.
+        let t = if prune { self.t() } else { Dist2::INFINITY };
+        let cached = self.par.and_then(|rt| rt.cached_pair(page_p, page_q));
+        match cached.as_deref() {
+            Some(TaskOut::Inner(cands)) => {
+                for c in cands {
+                    if c.minmin > t {
+                        self.stats.pairs_pruned += 1;
+                    } else {
+                        out.push(*c);
                     }
-                    TaskOut::Leaf { .. } => unreachable!("inner pair cached as leaf"),
-                }
-                if let Some(start) = start {
-                    self.probe.gen_phase(start.elapsed().as_nanos() as u64);
                 }
             }
+            Some(TaskOut::Leaf { .. }) => unreachable!("inner pair cached as leaf"),
             None => {
-                self.gen_cands(np, nq, prune, out);
+                self.stats.pairs_pruned += candidates(
+                    np,
+                    nq,
+                    self.cfg.height,
+                    &self.constraint,
+                    t,
+                    &mut self.gen_scratch,
+                    out,
+                );
+            }
+        }
+        if let Some(start) = start {
+            self.probe.gen_phase(start.elapsed().as_nanos() as u64);
+        }
+        if let Some(rt) = self.par {
+            if cached.is_none() {
                 // Look-ahead: offer the surviving candidates to the workers
                 // (the worker that would have produced this pair's cache
                 // entry never ran, so nobody else will push its children).
@@ -786,8 +763,8 @@ impl<'a, const D: usize, O: SpatialObject<D>, P: Probe> Ctx<'a, D, O, P> {
                     rt.push_spec(c.minmin, spec_page(&c.p, page_p), spec_page(&c.q, page_q));
                 }
             }
+            rt.publish_threshold(self.t());
         }
-        rt.publish_threshold(self.t());
     }
 
     /// Tightens `bound` from the candidates of the current node pair:
@@ -924,5 +901,90 @@ pub(crate) fn spec_page<const D: usize>(side: &Descend<D>, current: PageId) -> P
     match side {
         Descend::Down(e) => e.child,
         Descend::Stay => current,
+    }
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
+    use cpq_geo::{pack_color, Point};
+    use cpq_rng::Rng;
+    use cpq_rtree::RTreeParams;
+    use cpq_storage::{BufferPool, MemPageFile};
+
+    /// `n` seeded points on a 16 × 16 integer grid (duplicate coordinates,
+    /// distance ties) in an `M = 4` tree, oid `i` colored `i % 3`.
+    pub(crate) fn grid_tree(n: u64, seed: u64) -> RTree<2> {
+        let pool = BufferPool::with_lru(Box::new(MemPageFile::new(1024)), 16);
+        let mut tree = RTree::new(pool, RTreeParams::with_max_entries(4)).unwrap();
+        let mut rng = Rng::seed_from_u64(seed);
+        for i in 0..n {
+            let xy = [0, 0].map(|_| f64::from(rng.random_range(0..16u32)));
+            tree.insert(Point(xy), pack_color(i, (i % 3) as u16))
+                .unwrap();
+        }
+        tree
+    }
+
+    /// A seeded window with integer corners inside the grid.
+    fn grid_window(rng: &mut Rng) -> Rect<2> {
+        let lo = [0, 0].map(|_| f64::from(rng.random_range(0..10u32)));
+        Rect::from_corners(lo, lo.map(|c| c + f64::from(rng.random_range(0..8u32))))
+    }
+
+    /// A seeded node of `tree`: the root, or some way down a random path.
+    fn some_node(tree: &RTree<2>, rng: &mut Rng) -> Node<2, Point<2>> {
+        let mut node = tree.read_node(tree.root()).unwrap();
+        while !node.is_leaf() && rng.random_bool(0.6) {
+            let down = node.inner_entries()[rng.random_range(0..node.len())].child;
+            node = tree.read_node(down).unwrap();
+        }
+        node
+    }
+
+    /// The sentence the speculative pair cache rests on (DESIGN §11): the
+    /// workers' list generated at `T = ∞`, filtered by the driver's `T`, is
+    /// what the driver generates at `T` itself — survivors, order (the
+    /// `Debug` form prints every coordinate and `MINMINDIST` exactly) and
+    /// pruned count.
+    #[test]
+    fn gen_at_infinity_then_filter_equals_gen_at_t() {
+        let mut rng = Rng::seed_from_u64(15);
+        let (tp, tq) = (grid_tree(80, 1), grid_tree(13, 2));
+        let mut scratch = GenScratch::default();
+        let mut pruned_total = 0;
+        for _ in 0..2000 {
+            let (np, nq) = (&some_node(&tp, &mut rng), &some_node(&tq, &mut rng));
+            if np.is_leaf() && nq.is_leaf() {
+                continue;
+            }
+            let height = [HeightStrategy::FixAtLeaves, HeightStrategy::FixAtRoot]
+                [rng.random_range(0..2usize)];
+            let mut window = || rng.random_bool(0.5).then(|| grid_window(&mut rng));
+            let con = Constraint::windows(window(), window());
+            let mut full = Vec::new();
+            let none = candidates(
+                np,
+                nq,
+                height,
+                &con,
+                Dist2::INFINITY,
+                &mut scratch,
+                &mut full,
+            );
+            assert_eq!(none, 0, "nothing is pruned at infinity");
+            // Thresholds that tie a candidate exactly, and ones between.
+            let mut ts = vec![Dist2::ZERO, Dist2::new(rng.random_range(0.0..300.0))];
+            ts.extend(full.iter().map(|c| c.minmin));
+            for t in ts {
+                let mut at_t = Vec::new();
+                let pruned = candidates(np, nq, height, &con, t, &mut scratch, &mut at_t);
+                let kept: Vec<_> = full.iter().filter(|c| c.minmin <= t).collect();
+                assert_eq!(format!("{kept:?}"), format!("{:?}", at_t));
+                assert_eq!(pruned as usize, full.len() - kept.len());
+                pruned_total += pruned;
+            }
+        }
+        assert!(pruned_total > 1000, "the thresholds must actually prune");
     }
 }

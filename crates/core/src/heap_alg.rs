@@ -90,14 +90,9 @@ fn process_pair<const D: usize, O: SpatialObject<D>, P: Probe>(
     heap: &mut BinaryHeap<Reverse<HeapItem>>,
     seq: &mut u64,
 ) -> RTreeResult<()> {
-    ctx.check_cancel()?;
-    ctx.stats.node_pairs_processed += 1;
-    if np.is_leaf() && nq.is_leaf() {
-        ctx.scan_leaves_at(np, nq, page_p, page_q);
+    let Some(mut cands) = ctx.open_pair(np, nq, page_p, page_q, true)? else {
         return Ok(());
-    }
-    let mut cands = ctx.take_cands();
-    ctx.gen_cands_at(np, nq, page_p, page_q, true, &mut cands);
+    };
     ctx.apply_bounds(&cands);
     for c in cands.drain(..) {
         if c.minmin > ctx.t() {

@@ -54,7 +54,6 @@
 #![warn(missing_docs)]
 
 mod api;
-pub mod batch;
 mod bound;
 pub mod brute;
 mod cancel;
@@ -64,7 +63,6 @@ mod engine;
 mod heap_alg;
 mod incremental;
 mod kheap;
-pub mod metric_cpq;
 pub mod multiway;
 mod parallel;
 mod recursive;
@@ -88,7 +86,6 @@ pub use incremental::{
     distance_join, k_closest_pairs_incremental, DistanceJoin, IncTie, IncrementalConfig, Traversal,
 };
 pub use kheap::KHeap;
-pub use metric_cpq::{k_closest_pairs_metric, MetricOutcome, MetricPair};
 pub use multiway::{k_closest_tuples, MultiwayOutcome, TupleMetric, TupleResult};
 pub use semi::semi_closest_pairs;
 pub use sorting::SortAlgorithm;

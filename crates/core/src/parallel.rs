@@ -50,14 +50,14 @@ use crate::api::{run_leader, ExecCtx};
 use crate::bound::SharedBound;
 use crate::cancel::CancelToken;
 use crate::config::CpqConfig;
-use crate::engine::{descend_sides, spec_page, Cand};
+use crate::engine::{candidates, scan_brute, spec_page, Cand, GenScratch};
 use crate::kheap::KHeap;
-use crate::spec::{Constraint, QuerySpec};
+use crate::spec::QuerySpec;
 use crate::types::{PairResult, QueryRun};
 use crate::Algorithm;
 use cpq_check::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use cpq_check::sync::{Arc, Condvar, Mutex};
-use cpq_geo::{min_min_dist2, Dist2, SpatialObject};
+use cpq_geo::{Dist2, SpatialObject};
 use cpq_obs::{ParallelReport, Probe, ProbeSide};
 use cpq_rng::Rng;
 use cpq_rtree::{Node, RTree, RTreeError, RTreeResult};
@@ -82,20 +82,19 @@ struct SpecReq {
 
 /// What a speculative task produced for one node pair.
 pub(crate) enum TaskOut<const D: usize, O: SpatialObject<D>> {
-    /// Inner pair: the full candidate list generated at `T = ∞` (no
-    /// pruning), in the driver's generation order, with every `MINMINDIST`
-    /// computed by the full kernel — the driver filters it by its live
-    /// threshold, which reproduces the sequential result exactly.
+    /// Inner pair: what the driver's own generator (`engine::candidates`)
+    /// returns at `T = ∞` — the driver filters it by its live threshold,
+    /// which reproduces the sequential result exactly.
     Inner(Vec<Cand<D>>),
     /// Leaf pair: the task-local top-K offers (in canonical order) plus the
-    /// number of kernel invocations a brute-force scan performs. Replaying
-    /// the offers into the driver's global K-heap is lossless (see
-    /// `Ctx::scan_leaves_at`).
+    /// number of kernel invocations of the driver's own brute scan
+    /// (`engine::scan_brute`). Replaying the offers into the driver's
+    /// global K-heap is lossless (see `Ctx::scan_leaves`).
     Leaf {
         /// Task-local K best pairs, sorted by the canonical order.
         offers: Vec<PairResult<D, O>>,
         /// Brute-force kernel invocations for the pair (after the self-join
-        /// orientation filter).
+        /// orientation and constraint filters).
         dists: u64,
     },
 }
@@ -153,11 +152,9 @@ pub(crate) struct SpecRuntime<const D: usize, O: SpatialObject<D>> {
     wake: Condvar,
     /// Round-robin cursor for the push side.
     push_cursor: AtomicU64,
-    /// The query. Workers must replicate the driver's filtering exactly —
-    /// the self-join orientation rule, the leaf-pair admission test and the
-    /// candidate-side window clipping of its constraint — or their cached
-    /// work products would diverge from what the driver computes inline on
-    /// a miss.
+    /// The query and the height strategy: what the workers hand to the
+    /// driver's own CP2/CP3 functions, so a cached work product is what the
+    /// driver computes inline on a miss.
     spec: QuerySpec<D>,
     height: crate::HeightStrategy,
     yield_seed: Option<u64>,
@@ -232,8 +229,8 @@ impl<const D: usize, O: SpatialObject<D>> SpecRuntime<D, O> {
         Ok(())
     }
 
-    /// Driver-side node-cache lookup.
-    pub(crate) fn cached_node(&self, side: ProbeSide, page: PageId) -> Option<Arc<Node<D, O>>> {
+    /// Node-cache lookup.
+    fn cached_node(&self, side: ProbeSide, page: PageId) -> Option<Arc<Node<D, O>>> {
         self.node_map(side)
             .lock()
             .expect("node cache poisoned")
@@ -241,12 +238,29 @@ impl<const D: usize, O: SpatialObject<D>> SpecRuntime<D, O> {
             .cloned()
     }
 
-    /// Inserts a node the driver had to read itself.
-    pub(crate) fn insert_node(&self, side: ProbeSide, page: PageId, node: Arc<Node<D, O>>) {
+    /// Caches a node read from `side`'s tree.
+    fn insert_node(&self, side: ProbeSide, page: PageId, node: Arc<Node<D, O>>) {
         self.node_map(side)
             .lock()
             .expect("node cache poisoned")
             .insert(page.0, node);
+    }
+
+    /// One node of `side`'s tree through the shared cache: the cached copy,
+    /// or a pool read that fills the cache. The driver and the workers both
+    /// fetch through here.
+    pub(crate) fn node(
+        &self,
+        side: ProbeSide,
+        tree: &RTree<D, O>,
+        page: PageId,
+    ) -> RTreeResult<Arc<Node<D, O>>> {
+        if let Some(node) = self.cached_node(side, page) {
+            return Ok(node);
+        }
+        let node = Arc::new(tree.read_node(page)?);
+        self.insert_node(side, page, node.clone());
+        Ok(node)
     }
 
     fn node_map(&self, side: ProbeSide) -> &Mutex<HashMap<u32, Arc<Node<D, O>>>> {
@@ -417,21 +431,6 @@ fn worker_loop<const D: usize, O: SpatialObject<D>>(
     stats
 }
 
-/// Fetches a node for a worker, through the shared cache.
-fn worker_node<const D: usize, O: SpatialObject<D>>(
-    rt: &SpecRuntime<D, O>,
-    side: ProbeSide,
-    tree: &RTree<D, O>,
-    page: u32,
-) -> RTreeResult<Arc<Node<D, O>>> {
-    if let Some(node) = rt.cached_node(side, PageId(page)) {
-        return Ok(node);
-    }
-    let node = Arc::new(tree.read_node(PageId(page))?);
-    rt.insert_node(side, PageId(page), node.clone());
-    Ok(node)
-}
-
 /// Executes one speculative task: fetch both nodes, precompute the pair's
 /// work product, cache it, and enqueue admitted children.
 fn exec_task<const D: usize, O: SpatialObject<D>>(
@@ -440,164 +439,99 @@ fn exec_task<const D: usize, O: SpatialObject<D>>(
     tp: &RTree<D, O>,
     tq: &RTree<D, O>,
 ) -> RTreeResult<()> {
+    let (page_p, page_q) = (PageId(req.page_p), PageId(req.page_q));
     // Fetch both nodes; when both miss on one shared tree (self-join) a
     // single batched pool round-trip (`get_many`) serves them together.
-    let cached_p = rt.cached_node(ProbeSide::P, PageId(req.page_p));
-    let cached_q = rt.cached_node(ProbeSide::Q, PageId(req.page_q));
+    let cached_p = rt.cached_node(ProbeSide::P, page_p);
+    let cached_q = rt.cached_node(ProbeSide::Q, page_q);
     let (np, nq) = match (cached_p, cached_q) {
-        (Some(p), Some(q)) => (p, q),
         (None, None) if std::ptr::eq(tp, tq) => {
-            let mut nodes = tp.read_nodes(&[PageId(req.page_p), PageId(req.page_q)])?;
+            let mut nodes = tp.read_nodes(&[page_p, page_q])?;
             // analyze: allow(panic-path) — read_nodes returns exactly one node
             // per requested id (two here).
             let q = Arc::new(nodes.pop().expect("two nodes"));
             // analyze: allow(panic-path) — second of the two nodes read above.
             let p = Arc::new(nodes.pop().expect("two nodes"));
-            rt.insert_node(ProbeSide::P, PageId(req.page_p), p.clone());
-            rt.insert_node(ProbeSide::Q, PageId(req.page_q), q.clone());
+            rt.insert_node(ProbeSide::P, page_p, p.clone());
+            rt.insert_node(ProbeSide::Q, page_q, q.clone());
             (p, q)
         }
-        (p, q) => {
-            let p = match p {
-                Some(p) => p,
-                None => worker_node(rt, ProbeSide::P, tp, req.page_p)?,
-            };
-            let q = match q {
-                Some(q) => q,
-                None => worker_node(rt, ProbeSide::Q, tq, req.page_q)?,
-            };
-            (p, q)
-        }
+        (p, q) => (
+            p.map_or_else(|| rt.node(ProbeSide::P, tp, page_p), Ok)?,
+            q.map_or_else(|| rt.node(ProbeSide::Q, tq, page_q), Ok)?,
+        ),
     };
 
-    let key = pair_key(req.page_p, req.page_q);
-    if np.is_leaf() && nq.is_leaf() {
-        // Leaf pair: brute-force scan into a task-local K-heap. The local
-        // top-K is lossless for the driver's global heap, and the local
-        // K-th best (over real point pairs) is a valid global upper bound.
-        let (eps, eqs) = (np.leaf_entries(), nq.leaf_entries());
-        let mut heap: KHeap<D, O> = KHeap::bounded(rt.spec.k, (eps.len() * eqs.len()) as u64);
-        let mut dists = 0u64;
-        for ep in eps {
-            for eq in eqs {
-                if rt.spec.self_join && ep.oid >= eq.oid {
-                    continue;
-                }
-                if !rt
-                    .spec
-                    .constraint
-                    .admits_pair(&ep.mbr(), ep.oid, &eq.mbr(), eq.oid)
-                {
-                    continue; // mirror the driver: filtered before the kernel
-                }
-                dists += 1;
+    let out = if np.is_leaf() && nq.is_leaf() {
+        // Leaf pair: the driver's brute scan into a task-local K-heap. The
+        // local top-K is lossless for the driver's global heap, and the
+        // local K-th best (over real point pairs) is a valid global upper
+        // bound.
+        let max_pairs = (np.len() * nq.len()) as u64;
+        let mut heap: KHeap<D, O> = KHeap::bounded(rt.spec.k, max_pairs);
+        let dists = scan_brute(
+            &np,
+            &nq,
+            rt.spec.self_join,
+            &rt.spec.constraint,
+            |ep, eq| {
                 heap.offer(PairResult::new(*ep, *eq));
-            }
-        }
+            },
+        );
         let local_t = heap.threshold();
         if !local_t.is_infinite() {
             rt.tighten(local_t.get());
         }
-        let offers = heap.into_sorted();
-        rt.pairs
-            .lock()
-            .expect("pair cache poisoned")
-            .insert(key, Arc::new(TaskOut::Leaf { offers, dists }));
+        TaskOut::Leaf {
+            offers: heap.into_sorted(),
+            dists,
+        }
     } else {
-        // Inner pair: generate the full candidate list at `T = ∞`,
-        // mirroring `Ctx::gen_cands` (same side construction, same cross
-        // order, same full-precision kernel) so the driver's filtered view
-        // is bit-identical to what it would have generated itself.
-        let cands = gen_cands_full(&np, &nq, rt.height, &rt.spec.constraint);
+        // Inner pair: the driver's generator at `T = ∞`, so the driver's
+        // filtered view is bit-identical to what it would have generated
+        // itself (nothing is pruned at `∞`; the count is dropped).
+        let mut cands = Vec::new();
+        candidates(
+            &np,
+            &nq,
+            rt.height,
+            &rt.spec.constraint,
+            Dist2::INFINITY,
+            &mut GenScratch::default(),
+            &mut cands,
+        );
+        // The oracle knows the child pages are likely next: besides queueing
+        // the pairs, hand the pages to the I/O scheduler as low-priority
+        // hints (no-op on unscheduled pools). Pages this runtime already
+        // decoded are skipped; the scheduler dedups the rest against its own
+        // queues and in-flight reads.
         let mut hint_p: Vec<PageId> = Vec::new();
         let mut hint_q: Vec<PageId> = Vec::new();
         for c in &cands {
-            let pp = spec_page(&c.p, PageId(req.page_p));
-            let pq = spec_page(&c.q, PageId(req.page_q));
+            let pp = spec_page(&c.p, page_p);
+            let pq = spec_page(&c.q, page_q);
             rt.push_spec(c.minmin, pp, pq);
-            // The oracle knows these child pages are likely next: hand
-            // them to the I/O scheduler as low-priority hints (no-op on
-            // unscheduled pools). Pages this runtime already decoded are
-            // skipped; the scheduler dedups the rest against its own
-            // queues and in-flight reads.
-            if pp != PageId(req.page_p) && rt.cached_node(ProbeSide::P, pp).is_none() {
+            if pp != page_p && rt.cached_node(ProbeSide::P, pp).is_none() {
                 hint_p.push(pp);
             }
-            if pq != PageId(req.page_q) && rt.cached_node(ProbeSide::Q, pq).is_none() {
+            if pq != page_q && rt.cached_node(ProbeSide::Q, pq).is_none() {
                 hint_q.push(pq);
             }
         }
-        if !hint_p.is_empty() {
-            hint_p.sort_unstable();
-            hint_p.dedup();
-            tp.prefetch(&hint_p);
+        for (tree, hints) in [(tp, &mut hint_p), (tq, &mut hint_q)] {
+            if !hints.is_empty() {
+                hints.sort_unstable();
+                hints.dedup();
+                tree.prefetch(hints);
+            }
         }
-        if !hint_q.is_empty() {
-            hint_q.sort_unstable();
-            hint_q.dedup();
-            tq.prefetch(&hint_q);
-        }
-        rt.pairs
-            .lock()
-            .expect("pair cache poisoned")
-            .insert(key, Arc::new(TaskOut::Inner(cands)));
-    }
+        TaskOut::Inner(cands)
+    };
+    rt.pairs
+        .lock()
+        .expect("pair cache poisoned")
+        .insert(pair_key(req.page_p, req.page_q), Arc::new(out));
     Ok(())
-}
-
-/// Worker-side replica of candidate generation at `T = ∞` (no pruning, no
-/// stats): the same side construction and cross-product order as
-/// `Ctx::gen_cands`, with every `MINMINDIST` computed by the full kernel.
-fn gen_cands_full<const D: usize, O: SpatialObject<D>>(
-    np: &Node<D, O>,
-    nq: &Node<D, O>,
-    height: crate::HeightStrategy,
-    constraint: &Constraint<D>,
-) -> Vec<Cand<D>> {
-    use crate::engine::Descend;
-    let (descend_p, descend_q) =
-        descend_sides(np.is_leaf(), nq.is_leaf(), np.level(), nq.level(), height);
-    // analyze: allow(panic-path) — visited nodes are never empty (the
-    // tree stores none).
-    let whole_p = (np.mbr().expect("non-empty node"), np.subtree_count());
-    // analyze: allow(panic-path) — same non-empty-node invariant as above.
-    let whole_q = (nq.mbr().expect("non-empty node"), nq.subtree_count());
-    // Window clipping mirrors `Ctx::gen_cands` exactly: clipped MBRs are
-    // what gets scored and stored, and sides whose MBR misses the window
-    // are dropped silently on both paths.
-    let mut sides_p: Vec<(Descend<D>, cpq_geo::Rect<D>, u64)> = Vec::new();
-    let mut sides_q: Vec<(Descend<D>, cpq_geo::Rect<D>, u64)> = Vec::new();
-    if descend_p {
-        sides_p.extend(np.inner_entries().iter().filter_map(|e| {
-            let mbr = constraint.clip_p(&e.mbr)?;
-            Some((Descend::Down(*e), mbr, e.count))
-        }));
-    } else if let Some(mbr) = constraint.clip_p(&whole_p.0) {
-        sides_p.push((Descend::Stay, mbr, whole_p.1));
-    }
-    if descend_q {
-        sides_q.extend(nq.inner_entries().iter().filter_map(|e| {
-            let mbr = constraint.clip_q(&e.mbr)?;
-            Some((Descend::Down(*e), mbr, e.count))
-        }));
-    } else if let Some(mbr) = constraint.clip_q(&whole_q.0) {
-        sides_q.push((Descend::Stay, mbr, whole_q.1));
-    }
-    let mut out = Vec::with_capacity(sides_p.len() * sides_q.len());
-    for (dp, mbr_p, count_p) in &sides_p {
-        for (dq, mbr_q, count_q) in &sides_q {
-            out.push(Cand {
-                p: *dp,
-                q: *dq,
-                mbr_p: *mbr_p,
-                mbr_q: *mbr_q,
-                count_p: *count_p,
-                count_q: *count_q,
-                minmin: min_min_dist2(mbr_p, mbr_q),
-            });
-        }
-    }
-    out
 }
 
 /// Runs one query in parallel mode: spawns the workers, runs the unchanged
@@ -669,6 +603,135 @@ pub(crate) fn run_parallel<const D: usize, O: SpatialObject<D>, P: Probe>(
         return Err(e);
     }
     Ok(run)
+}
+
+/// The worker path, deterministically: no thread, no race to win.
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::brute::{
+        k_closest_pairs_brute_constrained as brute_cross,
+        self_k_closest_pairs_brute_constrained as brute_self,
+    };
+    use crate::engine::tests::grid_tree;
+    use crate::engine::Ctx;
+    use crate::spec::Constraint;
+    use crate::HeightStrategy;
+    use cpq_geo::{Point, Rect};
+
+    /// Sends every node pair below the roots through [`exec_task`] and
+    /// through the driver's own CP2/CP3 — a sequential `Ctx` and one that
+    /// consults the cache the task just filled — and checks that all three
+    /// agree: leaf offers and `dists` exactly, candidate lists bitwise (the
+    /// `Debug` form prints every coordinate and `MINMINDIST` exactly) with
+    /// equal `pairs_pruned` at every threshold that ties a candidate. The
+    /// tasks' merged leaf offers must also be the oracle's answer, so a
+    /// defect in the one kernel or the one generator fails here too.
+    /// Returns how many (inner, leaf) pairs it walked.
+    fn walk(tp: &RTree<2>, tq: &RTree<2>, spec: &QuerySpec<2>, height: HeightStrategy) -> [u32; 2] {
+        let cfg = CpqConfig {
+            height,
+            ..CpqConfig::paper()
+        };
+        let rt = SpecRuntime::new(1, spec, height, None);
+        let mut merged: KHeap<2, Point<2>> = KHeap::new(spec.k);
+        let mut walked = [0, 0];
+        let mut todo = vec![(tp.root(), tq.root())];
+        let mut seen = HashSet::new();
+        while let Some((page_p, page_q)) = todo.pop() {
+            if !seen.insert((page_p, page_q)) {
+                continue;
+            }
+            let req = SpecReq {
+                minmin_bits: 0,
+                page_p: page_p.0,
+                page_q: page_q.0,
+            };
+            exec_task(&rt, req, tp, tq).unwrap();
+            let task = rt.cached_pair(page_p, page_q).expect("the task's output");
+            let (np, nq) = (tp.read_node(page_p).unwrap(), tq.read_node(page_q).unwrap());
+            let (mut exec_seq, mut exec_hit) = (ExecCtx::default(), ExecCtx::default());
+            let mut seq = Ctx::new(tp, tq, spec, &cfg, &mut exec_seq, None);
+            let mut hit = Ctx::new(tp, tq, spec, &cfg, &mut exec_hit, Some(&rt));
+            match &*task {
+                TaskOut::Leaf { offers, dists } => {
+                    seq.scan_leaves(&np, &nq, page_p, page_q);
+                    hit.scan_leaves(&np, &nq, page_p, page_q);
+                    assert_eq!(*dists, seq.stats.dist_computations);
+                    assert_eq!(hit.stats, seq.stats);
+                    assert_eq!(*offers, seq.kheap.into_sorted());
+                    assert_eq!(*offers, hit.kheap.into_sorted());
+                    for offer in offers {
+                        merged.offer(*offer);
+                    }
+                    walked[1] += 1;
+                }
+                TaskOut::Inner(full) => {
+                    let ties = full.iter().map(|c| c.minmin);
+                    for t in [Dist2::INFINITY, Dist2::ZERO].into_iter().chain(ties) {
+                        (seq.bound, hit.bound) = (t, t);
+                        let (mut own, mut cached) = (Vec::new(), Vec::new());
+                        seq.gen_cands(&np, &nq, page_p, page_q, true, &mut own);
+                        hit.gen_cands(&np, &nq, page_p, page_q, true, &mut cached);
+                        assert_eq!(format!("{own:?}"), format!("{cached:?}"), "T = {t:?}");
+                        assert_eq!(hit.stats, seq.stats, "T = {t:?}");
+                    }
+                    todo.extend(
+                        full.iter()
+                            .map(|c| (spec_page(&c.p, page_p), spec_page(&c.q, page_q))),
+                    );
+                    walked[0] += 1;
+                }
+            }
+        }
+        let points = |t: &RTree<2>| -> Vec<_> {
+            let all = t.all_objects().unwrap();
+            all.iter().map(|e| (e.object, e.oid)).collect()
+        };
+        let want = if spec.self_join {
+            brute_self(&points(tp), spec.k, &spec.constraint)
+        } else {
+            brute_cross(&points(tp), &points(tq), spec.k, &spec.constraint)
+        };
+        assert_eq!(merged.into_sorted(), want, "{spec:?} {height:?}");
+        walked
+    }
+
+    #[test]
+    fn every_task_output_is_what_the_driver_computes() {
+        // Different heights, so both strategies produce `Stay` sides.
+        let (tp, tq) = (grid_tree(90, 3), grid_tree(30, 4));
+        assert_ne!(tp.height(), tq.height());
+        let mut walked = [0, 0];
+        for height in [HeightStrategy::FixAtLeaves, HeightStrategy::FixAtRoot] {
+            // Overlapping, neither inside the other, most points in each.
+            let w1 = Rect::from_corners([0.0, 0.0], [9.0, 15.0]);
+            let w2 = Rect::from_corners([6.0, 2.0], [15.0, 13.0]);
+            let symmetric = [
+                Constraint::none(),
+                Constraint::window(w1),
+                Constraint::colored(),
+            ];
+            let per_side = [
+                Constraint::windows(Some(w1), Some(w2)),
+                Constraint::windows(None, Some(w2)).with_colored(),
+            ];
+            for con in symmetric {
+                let w = walk(
+                    &tp,
+                    &tp,
+                    &QuerySpec::self_join(40).with_constraint(con),
+                    height,
+                );
+                walked = [walked[0] + w[0], walked[1] + w[1]];
+            }
+            for con in symmetric.into_iter().chain(per_side) {
+                let w = walk(&tp, &tq, &QuerySpec::cross(40).with_constraint(con), height);
+                walked = [walked[0] + w[0], walked[1] + w[1]];
+            }
+        }
+        assert!(walked[0] > 1000 && walked[1] > 6000, "walked {walked:?}");
+    }
 }
 
 /// Model-checked harnesses for the speculation protocol (compiled only

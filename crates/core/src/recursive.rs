@@ -1,8 +1,10 @@
 //! The four recursive algorithms: Naive, Exhaustive (EXH), Simple (SIM) and
 //! Sorted Distances (STD) — Sections 3.1–3.4 of the paper.
 //!
-//! All four share the recursion skeleton of [`Ctx`]; they differ only in how
-//! a node pair's candidate children are filtered and ordered:
+//! All four open a node pair with [`Ctx::open_pair`] (CP1: cancel check,
+//! leaf scan or candidate generation) and recurse through [`Ctx::descend`];
+//! each function below is only what its section of the paper adds — how
+//! the pair's candidate children are filtered and ordered:
 //!
 //! | algorithm | prunes `MINMINDIST > T` | updates `T` from bounds | orders candidates |
 //! |-----------|------------------------|--------------------------|-------------------|
@@ -27,14 +29,9 @@ pub(crate) fn naive<const D: usize, O: SpatialObject<D>, P: Probe>(
     page_p: PageId,
     page_q: PageId,
 ) -> RTreeResult<()> {
-    ctx.check_cancel()?;
-    ctx.stats.node_pairs_processed += 1;
-    if np.is_leaf() && nq.is_leaf() {
-        ctx.scan_leaves_at(np, nq, page_p, page_q);
+    let Some(cands) = ctx.open_pair(np, nq, page_p, page_q, false)? else {
         return Ok(());
-    }
-    let mut cands = ctx.take_cands();
-    ctx.gen_cands_at(np, nq, page_p, page_q, false, &mut cands);
+    };
     for c in &cands {
         ctx.descend(np, nq, page_p, page_q, c, naive)?;
     }
@@ -51,14 +48,9 @@ pub(crate) fn exhaustive<const D: usize, O: SpatialObject<D>, P: Probe>(
     page_p: PageId,
     page_q: PageId,
 ) -> RTreeResult<()> {
-    ctx.check_cancel()?;
-    ctx.stats.node_pairs_processed += 1;
-    if np.is_leaf() && nq.is_leaf() {
-        ctx.scan_leaves_at(np, nq, page_p, page_q);
+    let Some(cands) = ctx.open_pair(np, nq, page_p, page_q, true)? else {
         return Ok(());
-    }
-    let mut cands = ctx.take_cands();
-    ctx.gen_cands_at(np, nq, page_p, page_q, true, &mut cands);
+    };
     for c in &cands {
         // T may have shrunk since candidate generation: re-check on use.
         if c.minmin <= ctx.t() {
@@ -80,14 +72,9 @@ pub(crate) fn simple<const D: usize, O: SpatialObject<D>, P: Probe>(
     page_p: PageId,
     page_q: PageId,
 ) -> RTreeResult<()> {
-    ctx.check_cancel()?;
-    ctx.stats.node_pairs_processed += 1;
-    if np.is_leaf() && nq.is_leaf() {
-        ctx.scan_leaves_at(np, nq, page_p, page_q);
+    let Some(cands) = ctx.open_pair(np, nq, page_p, page_q, true)? else {
         return Ok(());
-    }
-    let mut cands = ctx.take_cands();
-    ctx.gen_cands_at(np, nq, page_p, page_q, true, &mut cands);
+    };
     ctx.apply_bounds(&cands);
     for c in &cands {
         if c.minmin <= ctx.t() {
@@ -110,14 +97,9 @@ pub(crate) fn sorted<const D: usize, O: SpatialObject<D>, P: Probe>(
     page_p: PageId,
     page_q: PageId,
 ) -> RTreeResult<()> {
-    ctx.check_cancel()?;
-    ctx.stats.node_pairs_processed += 1;
-    if np.is_leaf() && nq.is_leaf() {
-        ctx.scan_leaves_at(np, nq, page_p, page_q);
+    let Some(mut cands) = ctx.open_pair(np, nq, page_p, page_q, true)? else {
         return Ok(());
-    }
-    let mut cands = ctx.take_cands();
-    ctx.gen_cands_at(np, nq, page_p, page_q, true, &mut cands);
+    };
     ctx.apply_bounds(&cands);
 
     // Decorate with the tie key so the comparator is cheap and the sort

@@ -99,25 +99,6 @@ impl Dataset {
             .map(|(i, &p)| (p, i as u64))
             .collect()
     }
-
-    /// Like [`indexed`](Self::indexed), but with a color (category) packed
-    /// into each oid's color channel, assigned round-robin by index:
-    /// point `i` gets color `i % colors`. Used by the colored-CPQ tests and
-    /// benchmarks; `colors == 1` paints everything the same color (so a
-    /// colored query returns nothing from one such set).
-    pub fn colored_indexed(&self, colors: u16) -> Vec<(Point2, u64)> {
-        assert!(colors > 0, "colors must be >= 1");
-        self.points
-            .iter()
-            .enumerate()
-            .map(|(i, &p)| {
-                (
-                    p,
-                    cpq_geo::pack_color(i as u64, (i % colors as usize) as u16),
-                )
-            })
-            .collect()
-    }
 }
 
 /// Side length of every generated workspace. The absolute scale is

@@ -19,9 +19,7 @@
 //! All comparison-oriented metrics are returned **squared** (suffix `2`):
 //! squaring is monotone for the Euclidean metric, so every pruning comparison
 //! in the query algorithms is valid on squared values and the `sqrt` is paid
-//! only when a distance is reported to the user. General Minkowski (L_p)
-//! metrics are provided in [`minkowski`] for completeness, mirroring the
-//! paper's remark that the methods adapt to any Minkowski metric.
+//! only when a distance is reported to the user.
 //!
 //! Everything is generic over the dimension `D` (const generic); the paper
 //! focuses on 2-d data and notes the k-dimensional extension is
@@ -34,7 +32,6 @@
 mod color;
 mod dist;
 mod metrics;
-pub mod minkowski;
 mod object;
 mod point;
 mod rect;

@@ -48,11 +48,6 @@ impl<const D: usize, O: SpatialObject<D>> RTree<D, O> {
         Ok(out)
     }
 
-    /// Number of objects intersecting `window`.
-    pub fn count_in(&self, window: &Rect<D>) -> RTreeResult<u64> {
-        Ok(self.range_query(window)?.len() as u64)
-    }
-
     /// `true` when the exact `(object, oid)` pair is indexed.
     pub fn contains(&self, object: &O, oid: u64) -> RTreeResult<bool> {
         if !self.root().is_valid() {

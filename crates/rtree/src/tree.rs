@@ -193,11 +193,6 @@ impl<const D: usize, O: SpatialObject<D>> RTree<D, O> {
         }
     }
 
-    /// `true` when copy-on-write mode is active.
-    pub fn cow_enabled(&self) -> bool {
-        self.cow.is_some()
-    }
-
     /// Drains the current copy-on-write batch and starts the next one.
     /// Pages allocated by the drained batch become protected again: the
     /// caller is expected to publish the new descriptor, making them

@@ -234,23 +234,6 @@ impl<const D: usize, O: SpatialObject<D>> RTree<D, O> {
             report.violations.join("\n")
         );
     }
-
-    /// [`assert_valid`](Self::assert_valid) that additionally requires
-    /// every oid to be unique — the contract of oid-keyed update streams.
-    pub fn assert_valid_unique_oids(&self) {
-        // invalid trees.
-        let report = self
-            .validate_with_options(ValidateOptions {
-                unique_oids: true,
-                ..ValidateOptions::default()
-            })
-            .expect("validation walk failed"); // analyze: allow(panic-path) — documented panic.
-        assert!(
-            report.is_valid(),
-            "R-tree invariant violations:\n{}",
-            report.violations.join("\n")
-        );
-    }
 }
 
 /// Per-walk state shared across [`RTree::validate_rec`] calls.

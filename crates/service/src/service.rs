@@ -275,7 +275,9 @@ impl<const D: usize, O: SpatialObject<D>> CpqService<D, O> {
         let deadline_at = req
             .deadline
             .or(self.shared.default_deadline)
-            .map(|d| enqueued + d);
+            // A deadline past the end of the clock (`Duration::MAX`, the
+            // natural override of a service default) is no deadline.
+            .and_then(|d| enqueued.checked_add(d));
         let job = Job {
             id,
             req,

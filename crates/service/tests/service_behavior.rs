@@ -232,6 +232,14 @@ fn default_deadline_applies_and_is_overridable() {
         .unwrap();
     assert_eq!(overridden.status, QueryStatus::Completed);
     assert_eq!(overridden.pairs.len(), 5);
+
+    // "No deadline" spelled as the largest duration used to panic the
+    // caller inside `submit` (overflow adding a duration to an instant).
+    let unlimited = service
+        .execute(QueryRequest::cross(5, Algorithm::Heap).with_deadline(Duration::MAX))
+        .unwrap();
+    assert_eq!(unlimited.status, QueryStatus::Completed);
+    assert_eq!(unlimited.pairs, overridden.pairs);
 }
 
 /// `shutdown` stops admission but drains the already-admitted backlog:

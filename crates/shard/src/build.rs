@@ -11,15 +11,10 @@ use cpq_storage::BufferPool;
 ///
 /// Shard ids are dense (`0..shard_count`) and ordered by STR tile order;
 /// tiles that received no points are dropped, so every shard is non-empty
-/// and the count actually produced can be below the count requested. The
-/// recorded [`StrTiling`] stays available for routing arbitrary points
-/// (e.g. future inserts) to their shard.
+/// and the count actually produced can be below the count requested.
 pub struct ShardedTree<const D: usize, O: SpatialObject<D> = Point<D>> {
     shards: Vec<RTree<D, O>>,
     manifest: ShardManifest<D>,
-    tiling: StrTiling<D>,
-    /// Dense shard id per tile id (`usize::MAX` for dropped empty tiles).
-    tile_to_shard: Vec<usize>,
 }
 
 /// The two sharded datasets a cross-dataset sharded query runs over (the
@@ -55,15 +50,13 @@ impl<const D: usize, O: SpatialObject<D>> ShardedTree<D, O> {
             groups[tiling.tile_of(&centers[i])].push((o, oid));
         }
 
-        let mut tile_to_shard = vec![usize::MAX; tiling.tiles()];
         let mut trees = Vec::new();
         let mut metas = Vec::new();
-        for (tile, group) in groups.into_iter().enumerate() {
+        for group in groups {
             if group.is_empty() {
                 continue;
             }
             let shard_id = trees.len();
-            tile_to_shard[tile] = shard_id;
             let pool = make_pool(shard_id);
             let tree = match fill {
                 Some(f) => RTree::bulk_load(pool, params, &group, f)?,
@@ -93,8 +86,6 @@ impl<const D: usize, O: SpatialObject<D>> ShardedTree<D, O> {
                 dataset: name.to_owned(),
                 shards: metas,
             },
-            tiling,
-            tile_to_shard,
         })
     }
 
@@ -126,13 +117,6 @@ impl<const D: usize, O: SpatialObject<D>> ShardedTree<D, O> {
     /// Whether the sharded dataset holds no points.
     pub fn is_empty(&self) -> bool {
         self.shards.is_empty()
-    }
-
-    /// Routes a point of the space to its shard (`None` when the point's
-    /// STR tile received no build points and was dropped).
-    pub fn shard_of(&self, p: &Point<D>) -> Option<usize> {
-        let s = self.tile_to_shard[self.tiling.tile_of(p)];
-        (s != usize::MAX).then_some(s)
     }
 
     /// Issues asynchronous root-page prefetch hints for the given shards —

@@ -57,12 +57,14 @@ pub type PageBytes = Arc<[u8]>;
 ///
 /// The pool calls `evict` only when every frame is occupied, so policies can
 /// assume all frames hold pages at that point. Frame indices are dense in
-/// `0..capacity`.
+/// `0..frames`, where `frames` grows one at a time up to the pool's capacity
+/// as pages are cached — bookkeeping is never sized by the capacity itself,
+/// which is outside input.
 pub trait ReplacementPolicy: Send {
-    /// Human-readable policy name (reported by the ablation benches).
-    fn name(&self) -> &'static str;
-    /// Re-initializes bookkeeping for a pool of `capacity` frames.
-    fn resize(&mut self, capacity: usize);
+    /// Sets the number of frames tracked, like `Vec::resize`: frames at
+    /// `frames` and above are forgotten (`0` forgets everything), new ones
+    /// start unused, the rest keep their history.
+    fn resize(&mut self, frames: usize);
     /// A cached page in `frame` was accessed.
     fn on_hit(&mut self, frame: usize);
     /// A page was installed into `frame`.
@@ -93,12 +95,8 @@ impl LruPolicy {
 }
 
 impl ReplacementPolicy for LruPolicy {
-    fn name(&self) -> &'static str {
-        "lru"
-    }
-    fn resize(&mut self, capacity: usize) {
-        self.stamp = vec![0; capacity];
-        self.clock = 0;
+    fn resize(&mut self, frames: usize) {
+        self.stamp.resize(frames, 0);
     }
     fn on_hit(&mut self, frame: usize) {
         self.clock += 1;
@@ -138,12 +136,8 @@ impl FifoPolicy {
 }
 
 impl ReplacementPolicy for FifoPolicy {
-    fn name(&self) -> &'static str {
-        "fifo"
-    }
-    fn resize(&mut self, capacity: usize) {
-        self.stamp = vec![0; capacity];
-        self.clock = 0;
+    fn resize(&mut self, frames: usize) {
+        self.stamp.resize(frames, 0);
     }
     fn on_hit(&mut self, _frame: usize) {}
     fn on_insert(&mut self, frame: usize) {
@@ -182,12 +176,11 @@ impl ClockPolicy {
 }
 
 impl ReplacementPolicy for ClockPolicy {
-    fn name(&self) -> &'static str {
-        "clock"
-    }
-    fn resize(&mut self, capacity: usize) {
-        self.referenced = vec![false; capacity];
-        self.hand = 0;
+    fn resize(&mut self, frames: usize) {
+        self.referenced.resize(frames, false);
+        if self.hand >= frames {
+            self.hand = 0;
+        }
     }
     fn on_hit(&mut self, frame: usize) {
         self.referenced[frame] = true;
@@ -250,8 +243,13 @@ struct Frame {
 
 struct State {
     capacity: usize,
+    /// Frames handed out so far — at most `capacity`, grown one at a time
+    /// by [`complete_miss`](Self::complete_miss): `capacity` is outside
+    /// input (the shell's `buffer` command) and must not size an allocation.
+    /// `pinned` and the policy's bookkeeping have the same length.
     frames: Vec<Option<Frame>>,
     map: HashMap<PageId, usize>,
+    /// Frames emptied by `free_page`, reused before a new one is made.
     free_frames: Vec<usize>,
     pinned: Vec<bool>,
     pinned_count: usize,
@@ -284,8 +282,8 @@ impl State {
     /// pins permitting). If another thread installed `id` while the file
     /// read ran outside the state lock, the existing frame is kept.
     // analyze: allow-fn(panic-surface) — frame indices come from the free
-    // list or the eviction policy, both bounded by `capacity` (structural
-    // invariant of the pool state).
+    // list, the frame just pushed or the eviction policy, all below
+    // `frames.len()` (structural invariant of the pool state).
     fn complete_miss(&mut self, id: PageId, data: &PageBytes) {
         self.stats.logical_reads += 1;
         self.stats.misses += 1;
@@ -294,6 +292,12 @@ impl State {
         }
         let frame = match self.free_frames.pop() {
             Some(f) => f,
+            None if self.frames.len() < self.capacity => {
+                self.frames.push(None);
+                self.pinned.push(false);
+                self.policy.resize(self.frames.len());
+                self.frames.len() - 1
+            }
             None if self.pinned_count < self.capacity => {
                 let victim = self.policy.evict(&self.pinned);
                 debug_assert!(!self.pinned[victim], "policy evicted a pinned frame");
@@ -320,11 +324,11 @@ impl State {
     fn reset_cache(&mut self, capacity: usize) {
         self.capacity = capacity;
         self.map.clear();
-        self.frames = (0..capacity).map(|_| None).collect();
-        self.free_frames = (0..capacity).rev().collect();
-        self.pinned = vec![false; capacity];
+        self.frames.clear();
+        self.free_frames.clear();
+        self.pinned.clear();
         self.pinned_count = 0;
-        self.policy.resize(capacity);
+        self.policy.resize(0);
     }
 }
 
@@ -356,15 +360,15 @@ impl BufferPool {
         capacity: usize,
         mut policy: Box<dyn ReplacementPolicy>,
     ) -> Self {
-        policy.resize(capacity);
+        policy.resize(0);
         BufferPool {
             file: RwLock::new(file),
             state: Mutex::new(State {
                 capacity,
-                frames: (0..capacity).map(|_| None).collect(),
+                frames: Vec::new(),
                 map: HashMap::new(),
-                free_frames: (0..capacity).rev().collect(),
-                pinned: vec![false; capacity],
+                free_frames: Vec::new(),
+                pinned: Vec::new(),
                 pinned_count: 0,
                 policy,
                 stats: BufferStats::default(),
@@ -458,11 +462,6 @@ impl BufferPool {
     /// Current frame capacity.
     pub fn capacity(&self) -> usize {
         self.guard().capacity
-    }
-
-    /// Name of the replacement policy.
-    pub fn policy_name(&self) -> &'static str {
-        self.guard().policy.name()
     }
 
     /// Allocates a fresh page in the underlying file.
@@ -912,6 +911,43 @@ mod tests {
             pool.read_page(ids[2]).unwrap();
         }
         assert_eq!(pool.pinned_pages(), 1);
+    }
+
+    #[test]
+    fn a_capacity_from_outside_allocates_nothing_up_front() {
+        // Either call used to abort the process: 2^44 frames' worth of
+        // bookkeeping is a 400 TB allocation, `usize::MAX` a capacity
+        // overflow. Frames now appear as pages are cached.
+        for policy in [
+            Box::new(LruPolicy::new()) as Box<dyn ReplacementPolicy>,
+            Box::new(FifoPolicy::new()),
+            Box::new(ClockPolicy::new()),
+        ] {
+            let pool = pool_with(2, policy);
+            let ids = fill(&pool, 3);
+            for capacity in [1 << 44, usize::MAX] {
+                pool.set_capacity(capacity);
+                assert_eq!(pool.capacity(), capacity);
+                pool.reset_stats();
+                for _ in 0..2 {
+                    for &id in &ids {
+                        pool.read_page(id).unwrap();
+                    }
+                }
+                let s = pool.buffer_stats();
+                assert_eq!((s.misses, s.hits, s.evictions), (3, 3, 0));
+            }
+            // Back to a real size: eviction works on the regrown frames.
+            pool.set_capacity(2);
+            pool.reset_stats();
+            for &id in &ids {
+                pool.read_page(id).unwrap();
+            }
+            assert!(pool.pin_page(ids[2]).unwrap());
+            pool.read_page(ids[0]).unwrap();
+            let s = pool.buffer_stats();
+            assert_eq!((s.misses, s.hits, s.evictions), (4, 1, 2));
+        }
     }
 
     #[test]

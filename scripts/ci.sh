@@ -18,21 +18,17 @@ cargo build --release --workspace
 echo "==> cargo test -q"
 cargo test --workspace -q
 
-# Analyze tier: metrics_lint serves the real service, scrapes /metrics,
-# lints the exposition, and writes its diagnostics as a report fragment;
-# cpq_analyze runs the pass registry (lock-order, atomics-pairing,
-# panic-surface, blocking-section, plus the ported line checks) over the
-# workspace source, merges the fragment, and archives one report. Any
-# unwaived diagnostic fails the gate.
-echo "==> metrics smoke (serve, scrape /metrics, exposition lint, core-series check)"
-./target/release/metrics_lint
-
-echo "==> cpq_analyze (multi-pass static analysis + metrics fragment -> analysis_report.json)"
-ANALYZE_FLAGS="--merge target/metrics_report.json"
+# Analyze tier: cpq_analyze runs the pass registry (lock-order,
+# atomics-pairing, panic-surface, blocking-section, plus the ported line
+# checks) over the workspace source and archives one report. Any unwaived
+# diagnostic fails the gate. (The /metrics exposition gate is a test:
+# crates/service/tests/observability.rs, run by `cargo test` above.)
+echo "==> cpq_analyze (multi-pass static analysis -> analysis_report.json)"
+ANALYZE_FLAGS=""
 if [ "${1:-}" = "--full" ]; then
     # --full adds the stale-waiver audit and the whole-workspace
     # Relaxed-justification sweep.
-    ANALYZE_FLAGS="$ANALYZE_FLAGS --stale --full-atomics"
+    ANALYZE_FLAGS="--stale --full-atomics"
 fi
 # shellcheck disable=SC2086  # ANALYZE_FLAGS is a flag list by construction
 ./target/release/cpq_analyze --root . --out target/analysis_report.json $ANALYZE_FLAGS

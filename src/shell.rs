@@ -496,6 +496,11 @@ mod tests {
         let all = sh.execute("knn a 500 500 18446744073709551615").unwrap();
         assert!(all.contains(" 50. "), "{all}");
         assert!(sh.execute("knn a 500 500 17592186044416").is_ok());
+        // So is a frame count: these two used to abort the process.
+        for frames in ["17592186044416", "18446744073709551615"] {
+            sh.execute(&format!("buffer a {frames}")).unwrap();
+            assert!(sh.execute("knn a 500 500 3").unwrap().contains(" 3. "));
+        }
     }
 
     #[test]
