@@ -1,46 +1,36 @@
 //! `cpq_analyze` — CLI driver for the workspace static analyzer.
 //!
 //! ```text
-//! cpq_analyze [--root DIR] [--out FILE] [--stale] [--full-atomics]
+//! cpq_analyze [--root DIR] [--out FILE]
 //! ```
 //!
 //! Scans the workspace at `--root` (default `.`), runs every pass,
-//! applies waivers, writes the report to
+//! applies waivers (a stale one is a finding), writes the report to
 //! `--out` (default `target/analysis_report.json`), prints unwaived
 //! findings, and exits 1 when any finding at warning severity or above
-//! survives — the CI gate.
+//! survives — the CI gate. There is nothing else to select.
 
 use cpq_analyze::diag::Severity;
+use cpq_analyze::json;
 use cpq_analyze::model::Workspace;
-use cpq_analyze::{json, Options};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 struct Args {
     root: PathBuf,
     out: PathBuf,
-    stale: bool,
-    full_atomics: bool,
 }
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         root: PathBuf::from("."),
         out: PathBuf::from("target/analysis_report.json"),
-        stale: false,
-        full_atomics: false,
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         match a.as_str() {
             "--root" => args.root = it.next().ok_or("--root wants a path")?.into(),
             "--out" => args.out = it.next().ok_or("--out wants a path")?.into(),
-            "--stale" => args.stale = true,
-            "--full-atomics" => args.full_atomics = true,
-            "--full" => {
-                args.stale = true;
-                args.full_atomics = true;
-            }
             other => return Err(format!("unknown argument `{other}`")),
         }
     }
@@ -64,14 +54,7 @@ fn main() -> ExitCode {
         }
     };
 
-    let report = cpq_analyze::run(
-        &ws,
-        Options {
-            stale: args.stale,
-            full_atomics: args.full_atomics,
-            today: None,
-        },
-    );
+    let report = cpq_analyze::run(&ws);
 
     if let Some(parent) = args.out.parent() {
         if !parent.as_os_str().is_empty() {

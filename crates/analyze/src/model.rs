@@ -1,13 +1,13 @@
 //! The analyzed workspace model: files, functions, and the facts passes
 //! consume — lock acquisition scopes, atomic accesses with their memory
-//! orderings, call edges, panic-capable operations, and blocking calls.
+//! orderings, call edges, and `unwrap`/`expect` sites.
 //!
 //! Facts are extracted by a single token-pattern walk over each function
 //! body (see [`scan_body`]), with *guard scopes* approximated
 //! conservatively: a `let`-bound guard lives to the end of its enclosing
 //! block (truncated by an explicit `drop(binding)`), an unbound temporary
 //! to the end of its statement. This matches how rustc drops guards
-//! closely enough for deadlock and blocking analysis; where the
+//! closely enough for deadlock analysis; where the
 //! approximation over-reports, the scoped waiver system carries the
 //! argument (see [`crate::waiver`]).
 
@@ -16,17 +16,6 @@ use crate::parse::{match_brace, parse, Function};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
-/// How a guard serializes its critical section.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GuardMode {
-    /// `Mutex::lock` / `RwLock::write`: one holder, blocking-under-guard
-    /// stalls every peer.
-    Exclusive,
-    /// `RwLock::read`: concurrent holders; blocking under it is deliberate
-    /// in this workspace (miss I/O overlaps under the shared file guard).
-    Shared,
-}
-
 /// One lock acquisition and the token range its guard is live for.
 #[derive(Debug, Clone)]
 pub struct LockSite {
@@ -34,8 +23,6 @@ pub struct LockSite {
     /// `crate::Type::field` for `self.field` receivers, a function-local
     /// id otherwise.
     pub lock_id: String,
-    /// Exclusive or shared acquisition.
-    pub mode: GuardMode,
     /// Token index of the acquiring method name (file-local stream).
     pub tok: usize,
     /// Token index the guard is last live at.
@@ -95,9 +82,6 @@ pub struct CallSite {
     /// Whether the receiver is exactly `self` (`self.name(...)`): the
     /// only method-call shape resolvable to the caller's own impl.
     pub recv_self: bool,
-    /// Number of top-level arguments (0 for `()`), used to distinguish
-    /// `handle.join()` from `path.join(seg)`.
-    pub args: usize,
     /// 1-based line.
     pub line: u32,
     /// Column.
@@ -111,10 +95,6 @@ pub enum PanicKind {
     Unwrap,
     /// `.expect(...)` (message captured when it is a string literal).
     Expect,
-    /// Slice/array/map indexing `x[i]`.
-    Index,
-    /// Integer division or remainder by a non-literal divisor.
-    Div,
 }
 
 /// One potentially-panicking operation.
@@ -124,22 +104,6 @@ pub struct PanicSite {
     pub kind: PanicKind,
     /// For `Expect`, the string-literal message if one was given.
     pub message: Option<String>,
-    /// Token index.
-    pub tok: usize,
-    /// 1-based line.
-    pub line: u32,
-    /// Column.
-    pub col: u32,
-}
-
-/// One call that can block the thread (fsync, channel receive, sleep,
-/// thread join).
-#[derive(Debug, Clone)]
-pub struct BlockingSite {
-    /// The blocking callee name.
-    pub name: String,
-    /// Token index.
-    pub tok: usize,
     /// 1-based line.
     pub line: u32,
     /// Column.
@@ -161,9 +125,9 @@ pub struct FnInfo {
     pub line: u32,
     /// Test code (never analyzed by default-tier passes).
     pub is_test: bool,
-    /// `Some(mode)` when the signature returns a guard type — calling this
-    /// function acquires the lock its body takes.
-    pub returns_guard: Option<GuardMode>,
+    /// Whether the signature returns a guard type — calling this function
+    /// acquires the lock its body takes.
+    pub returns_guard: bool,
     /// Direct lock acquisitions (helper-call acquisitions are appended by
     /// [`Workspace::resolve_helper_locks`]).
     pub locks: Vec<LockSite>,
@@ -173,8 +137,6 @@ pub struct FnInfo {
     pub calls: Vec<CallSite>,
     /// Panic-capable operations.
     pub panics: Vec<PanicSite>,
-    /// Blocking calls.
-    pub blocking: Vec<BlockingSite>,
     /// Body token range (inclusive braces), if the function has a body.
     pub body: Option<(usize, usize)>,
 }
@@ -209,14 +171,7 @@ pub struct Workspace {
     pub by_name: BTreeMap<String, Vec<usize>>,
 }
 
-const LOCK_METHODS: &[(&str, GuardMode)] = &[
-    ("lock", GuardMode::Exclusive),
-    ("write", GuardMode::Exclusive),
-    ("try_lock", GuardMode::Exclusive),
-    ("try_write", GuardMode::Exclusive),
-    ("read", GuardMode::Shared),
-    ("try_read", GuardMode::Shared),
-];
+const LOCK_METHODS: &[&str] = &["lock", "write", "try_lock", "try_write", "read", "try_read"];
 
 const ATOMIC_METHODS: &[(&str, AtomicKind)] = &[
     ("load", AtomicKind::Load),
@@ -233,10 +188,6 @@ const ATOMIC_METHODS: &[(&str, AtomicKind)] = &[
     ("compare_exchange_weak", AtomicKind::Cas),
     ("fetch_update", AtomicKind::Cas),
 ];
-
-/// Blocking callee names (condvar `wait` is deliberately absent: it
-/// releases the guard it is handed).
-const BLOCKING_CALLS: &[&str] = &["sync_all", "sync_data", "sleep", "recv", "recv_timeout"];
 
 /// Crates whose *internals* are analysis infrastructure, not analyzed
 /// subject matter: `check` implements locks and condvars *with* locks (the
@@ -354,16 +305,14 @@ impl Workspace {
     /// round suffices — helpers wrapping helpers do not occur, and a
     /// second round would only chase pathological cycles.
     fn resolve_helper_locks(&mut self) {
-        // Helper fn index → (lock id, mode) of its single direct lock.
-        let mut helper_locks: BTreeMap<usize, (String, GuardMode)> = BTreeMap::new();
+        // Helper fn index → lock id of its single direct lock.
+        let mut helper_locks: BTreeMap<usize, String> = BTreeMap::new();
         for (i, f) in self.functions.iter().enumerate() {
-            if f.is_test {
+            if f.is_test || !f.returns_guard {
                 continue;
             }
-            if let Some(mode) = f.returns_guard {
-                if let Some(site) = f.locks.iter().find(|l| !l.via_helper) {
-                    helper_locks.insert(i, (site.lock_id.clone(), mode));
-                }
+            if let Some(site) = f.locks.iter().find(|l| !l.via_helper) {
+                helper_locks.insert(i, site.lock_id.clone());
             }
         }
         let mut new_sites: Vec<(usize, LockSite)> = Vec::new();
@@ -375,7 +324,7 @@ impl Workspace {
             for call in &f.calls {
                 let targets = resolve_call(self, fi, call);
                 let [target] = targets[..] else { continue };
-                let Some((lock_id, mode)) = helper_locks.get(&target).cloned() else {
+                let Some(lock_id) = helper_locks.get(&target).cloned() else {
                     continue;
                 };
                 let scope_end = guard_scope(&file.lexed.tokens, call.tok, body_open, body_close);
@@ -383,7 +332,6 @@ impl Workspace {
                     fi,
                     LockSite {
                         lock_id,
-                        mode,
                         tok: call.tok,
                         scope_end,
                         line: call.line,
@@ -738,26 +686,6 @@ fn guard_scope(toks: &[Token], site: usize, body_open: usize, body_close: usize)
     }
 }
 
-/// Counts top-level arguments of a call whose `(` is at `open`.
-fn count_args(toks: &[Token], open: usize) -> usize {
-    let close = crate::parse::match_brace_like(toks, open, '(', ')');
-    if close == open + 1 {
-        return 0;
-    }
-    let mut depth = 0i32;
-    let mut args = 1;
-    for t in &toks[open + 1..close] {
-        if t.is_punct('(') || t.is_punct('[') || t.is_punct('{') {
-            depth += 1;
-        } else if t.is_punct(')') || t.is_punct(']') || t.is_punct('}') {
-            depth -= 1;
-        } else if t.is_punct(',') && depth == 0 {
-            args += 1;
-        }
-    }
-    args
-}
-
 /// Extracts every fact from one function (`extract: false` records the
 /// function for waiver scoping but no semantic facts — infra crates).
 fn analyze_fn(lexed: &Lexed, f: &Function, file_idx: usize, krate: &str, extract: bool) -> FnInfo {
@@ -768,17 +696,10 @@ fn analyze_fn(lexed: &Lexed, f: &Function, file_idx: usize, krate: &str, extract
     };
     let returns_guard = {
         let (s, e) = f.sig;
-        let sig = &toks[s..e.min(toks.len())];
-        if sig
+        let guards = ["MutexGuard", "RwLockWriteGuard", "RwLockReadGuard"];
+        toks[s..e.min(toks.len())]
             .iter()
-            .any(|t| t.is_ident("MutexGuard") || t.is_ident("RwLockWriteGuard"))
-        {
-            Some(GuardMode::Exclusive)
-        } else if sig.iter().any(|t| t.is_ident("RwLockReadGuard")) {
-            Some(GuardMode::Shared)
-        } else {
-            None
-        }
+            .any(|t| guards.iter().any(|g| t.is_ident(g)))
     };
 
     let mut info = FnInfo {
@@ -793,7 +714,6 @@ fn analyze_fn(lexed: &Lexed, f: &Function, file_idx: usize, krate: &str, extract
         atomics: Vec::new(),
         calls: Vec::new(),
         panics: Vec::new(),
-        blocking: Vec::new(),
         body: f.body,
     };
     let Some((open, close)) = f.body else {
@@ -807,46 +727,6 @@ fn analyze_fn(lexed: &Lexed, f: &Function, file_idx: usize, krate: &str, extract
     while i < close {
         let t = &toks[i];
         if t.kind != TokKind::Ident {
-            // Indexing: `[` after an ident/`)`/`]` is an index expression.
-            if t.is_punct('[') && i > 0 {
-                let p = &toks[i - 1];
-                if p.kind == TokKind::Ident && !KEYWORDS.contains(&p.text.as_str())
-                    || p.is_punct(')')
-                    || p.is_punct(']')
-                {
-                    info.panics.push(PanicSite {
-                        kind: PanicKind::Index,
-                        message: None,
-                        tok: i,
-                        line: t.line,
-                        col: t.col,
-                    });
-                }
-            }
-            // Integer division/remainder with a non-literal divisor.
-            if (t.is_punct('/') || t.is_punct('%')) && i > 0 && i + 1 < close {
-                let lhs = &toks[i - 1];
-                let rhs = &toks[i + 1];
-                let lhs_ok = matches!(lhs.kind, TokKind::Ident | TokKind::Int)
-                    && !KEYWORDS.contains(&lhs.text.as_str())
-                    || lhs.is_punct(')')
-                    || lhs.is_punct(']');
-                let rhs_ident =
-                    rhs.kind == TokKind::Ident && !KEYWORDS.contains(&rhs.text.as_str());
-                let floaty = lhs.kind == TokKind::Float
-                    || rhs.kind == TokKind::Float
-                    || lhs.text.contains("f64")
-                    || lhs.text.contains("f32");
-                if lhs_ok && rhs_ident && !floaty {
-                    info.panics.push(PanicSite {
-                        kind: PanicKind::Div,
-                        message: None,
-                        tok: i,
-                        line: t.line,
-                        col: t.col,
-                    });
-                }
-            }
             i += 1;
             continue;
         }
@@ -871,29 +751,25 @@ fn analyze_fn(lexed: &Lexed, f: &Function, file_idx: usize, krate: &str, extract
             continue;
         }
         let open_paren = after;
-        let args = count_args(toks, open_paren);
+        let no_args = toks.get(open_paren + 1).is_some_and(|t| t.is_punct(')'));
 
         // Lock acquisition? (`read`/`write` must be argument-free: with
         // arguments they are I/O calls.)
         if is_method {
-            if let Some(&(_, mode)) = LOCK_METHODS.iter().find(|(m, _)| *m == name) {
-                let no_args = args == 0;
-                if no_args {
-                    let chain = receiver_chain(toks, i);
-                    if !chain.is_empty() {
-                        let lock_id = resolve_id(&chain, krate, f.impl_type.as_deref(), &f.name);
-                        info.locks.push(LockSite {
-                            lock_id,
-                            mode,
-                            tok: i,
-                            scope_end: guard_scope(toks, i, open, close),
-                            line: t.line,
-                            col: t.col,
-                            via_helper: false,
-                        });
-                        i += 1;
-                        continue;
-                    }
+            if LOCK_METHODS.contains(&name) && no_args {
+                let chain = receiver_chain(toks, i);
+                if !chain.is_empty() {
+                    let lock_id = resolve_id(&chain, krate, f.impl_type.as_deref(), &f.name);
+                    info.locks.push(LockSite {
+                        lock_id,
+                        tok: i,
+                        scope_end: guard_scope(toks, i, open, close),
+                        line: t.line,
+                        col: t.col,
+                        via_helper: false,
+                    });
+                    i += 1;
+                    continue;
                 }
             }
             if let Some(&(_, kind)) = ATOMIC_METHODS.iter().find(|(m, _)| *m == name) {
@@ -932,11 +808,10 @@ fn analyze_fn(lexed: &Lexed, f: &Function, file_idx: usize, krate: &str, extract
                     }
                 }
             }
-            if name == "unwrap" && args == 0 {
+            if name == "unwrap" && no_args {
                 info.panics.push(PanicSite {
                     kind: PanicKind::Unwrap,
                     message: None,
-                    tok: i,
                     line: t.line,
                     col: t.col,
                 });
@@ -949,20 +824,10 @@ fn analyze_fn(lexed: &Lexed, f: &Function, file_idx: usize, krate: &str, extract
                 info.panics.push(PanicSite {
                     kind: PanicKind::Expect,
                     message,
-                    tok: i,
                     line: t.line,
                     col: t.col,
                 });
             }
-        }
-
-        if BLOCKING_CALLS.contains(&name) || (is_method && name == "join" && args == 0) {
-            info.blocking.push(BlockingSite {
-                name: name.to_string(),
-                tok: i,
-                line: t.line,
-                col: t.col,
-            });
         }
 
         if !KEYWORDS.contains(&name) {
@@ -975,7 +840,6 @@ fn analyze_fn(lexed: &Lexed, f: &Function, file_idx: usize, krate: &str, extract
                 tok: i,
                 method: is_method,
                 recv_self,
-                args,
                 line: t.line,
                 col: t.col,
             });
@@ -1014,7 +878,6 @@ impl Pool {
         let f = &ws.functions[i];
         assert_eq!(f.locks.len(), 2, "locks: {:?}", f.locks);
         assert_eq!(f.locks[0].lock_id, "demo::Pool::state");
-        assert_eq!(f.locks[0].mode, GuardMode::Exclusive);
         assert_eq!(f.locks[1].lock_id, "demo::Pool::file");
         // The let-bound state guard outlives the file acquisition.
         assert!(f.locks[0].scope_end > f.locks[1].tok);
@@ -1040,11 +903,7 @@ fn f(m: &Mutex<u32>) {
         let (ws, i) = single_fn(src);
         let f = &ws.functions[i];
         let lock = &f.locks[0];
-        let sleep = f
-            .blocking
-            .iter()
-            .find(|b| b.name == "sleep")
-            .expect("sleep");
+        let sleep = f.calls.iter().find(|c| c.name == "sleep").expect("sleep");
         assert!(lock.scope_end < sleep.tok, "drop must end the guard scope");
     }
 
@@ -1099,47 +958,20 @@ impl Bound {
     }
 
     #[test]
-    fn panic_and_blocking_sites() {
+    fn panic_sites() {
         let src = "\
-fn f(v: &[u32], i: usize, n: u32, rx: &Receiver<u32>) -> u32 {
-    let x = v[i];
-    let y = x / n;
+fn f(v: &[u32], i: usize, n: u32) -> u32 {
+    let x = v[i] / n;
     let z = opt.unwrap();
     let w = res.expect(\"named reason\");
-    rx.recv().ok();
-    y + z + w
+    x + z + w
 }
 ";
         let (ws, i) = single_fn(src);
-        let f = &ws.functions[i];
-        let kinds: Vec<PanicKind> = f.panics.iter().map(|p| p.kind).collect();
-        assert!(kinds.contains(&PanicKind::Index));
-        assert!(kinds.contains(&PanicKind::Div));
-        assert!(kinds.contains(&PanicKind::Unwrap));
-        assert!(kinds.contains(&PanicKind::Expect));
-        assert_eq!(f.blocking.len(), 1);
-        assert_eq!(f.blocking[0].name, "recv");
-    }
-
-    #[test]
-    fn float_division_is_not_flagged() {
-        let (ws, i) = single_fn("fn f(a: f64, b: f64) -> f64 { 1.0 / b + a / 2.0 }");
-        assert!(
-            ws.functions[i]
-                .panics
-                .iter()
-                .all(|p| p.kind != PanicKind::Div),
-            "float-literal neighbors suppress div sites"
-        );
-    }
-
-    #[test]
-    fn join_argfree_is_blocking_path_join_is_not() {
-        let (ws, i) =
-            single_fn("fn f(h: JoinHandle<()>, p: &Path) { h.join().ok(); p.join(\"x\"); }");
-        let f = &ws.functions[i];
-        assert_eq!(f.blocking.len(), 1);
-        assert_eq!(f.blocking[0].name, "join");
+        let panics = &ws.functions[i].panics;
+        let kinds: Vec<PanicKind> = panics.iter().map(|p| p.kind).collect();
+        assert_eq!(kinds, [PanicKind::Unwrap, PanicKind::Expect]);
+        assert_eq!(panics[1].message.as_deref(), Some("\"named reason\""));
     }
 
     #[test]

@@ -9,16 +9,15 @@
 //!   `Release`/`AcqRel`/`SeqCst` requires an acquire-side access of the
 //!   same field somewhere in the workspace, and vice versa — a one-sided
 //!   fence synchronizes nothing;
-//! * with `--full-atomics`, every `Relaxed` site's `// ordering:`
-//!   justification must actually say `Relaxed` (the comment the
-//!   `ordering-comment` pass requires to exist is cross-checked for
-//!   content), and a `Relaxed` access to an atomic that elsewhere uses
-//!   acquire/release ordering is flagged — matched by field *identity*,
-//!   not name, so two unrelated atomics sharing a name don't conflate:
-//!   mixing regimes on one atomic is how a protocol silently loses its
-//!   edge.
+//! * every `Relaxed` site's `// ordering:` justification must actually
+//!   say `Relaxed` (the comment the `ordering-comment` pass requires to
+//!   exist is cross-checked for content), and a `Relaxed` access to an
+//!   atomic that elsewhere uses acquire/release ordering is flagged —
+//!   matched by field *identity*, not name, so two unrelated atomics
+//!   sharing a name don't conflate: mixing regimes on one atomic is how a
+//!   protocol silently loses its edge.
 
-use super::{Graph, Pass, PassCtx};
+use super::{Graph, Pass};
 use crate::diag::{Diagnostic, Severity};
 use crate::model::{AtomicKind, AtomicSite, Workspace};
 use std::collections::BTreeMap;
@@ -55,7 +54,7 @@ impl Pass for AtomicsPairing {
         "atomics-pairing"
     }
 
-    fn run(&self, ws: &Workspace, _graph: &Graph, ctx: &PassCtx, out: &mut Vec<Diagnostic>) {
+    fn run(&self, ws: &Workspace, _graph: &Graph, out: &mut Vec<Diagnostic>) {
         // field name → every non-test access of it, with its file index.
         let mut by_field: BTreeMap<&str, Vec<(usize, &AtomicSite)>> = BTreeMap::new();
         // field *identity* → accesses: the mixed-regime check must not
@@ -105,7 +104,7 @@ impl Pass for AtomicsPairing {
                         ),
                     ));
                 }
-                if ctx.full_atomics && uses_relaxed(s) {
+                if uses_relaxed(s) {
                     let id_group = &by_id[s.field_id.as_str()];
                     let id_has_fence = id_group.iter().any(|o| is_release_side(o))
                         || id_group.iter().any(|o| is_acquire_side(o));
@@ -154,11 +153,19 @@ fn method_name(s: &AtomicSite) -> &'static str {
 mod tests {
     use super::*;
 
-    fn run(sources: &[(&str, &str)], full: bool) -> Vec<Diagnostic> {
+    fn run(sources: &[(&str, &str)]) -> Vec<Diagnostic> {
         let ws = Workspace::from_sources(sources);
         let graph = Graph::build(&ws);
         let mut out = Vec::new();
-        AtomicsPairing.run(&ws, &graph, &PassCtx { full_atomics: full }, &mut out);
+        AtomicsPairing.run(&ws, &graph, &mut out);
+        out
+    }
+
+    /// The pairing findings alone; the Relaxed-justification sweep also
+    /// runs and has its own tests below.
+    fn errors(sources: &[(&str, &str)]) -> Vec<Diagnostic> {
+        let mut out = run(sources);
+        out.retain(|d| d.severity == Severity::Error);
         out
     }
 
@@ -173,7 +180,7 @@ impl Flag {
 }
 ",
         )];
-        assert!(run(&srcs, false).is_empty());
+        assert!(errors(&srcs).is_empty());
     }
 
     #[test]
@@ -187,7 +194,7 @@ impl Flag {
 }
 ",
         )];
-        let out = run(&srcs, false);
+        let out = errors(&srcs);
         assert_eq!(out.len(), 1, "{out:?}");
         assert!(out[0].message.contains("no workspace load acquires"));
         assert_eq!(out[0].line, 2);
@@ -204,7 +211,7 @@ impl Flag {
 }
 ",
         )];
-        let out = run(&srcs, false);
+        let out = errors(&srcs);
         assert_eq!(out.len(), 1, "{out:?}");
         assert!(out[0].message.contains("synchronizes with nothing"));
     }
@@ -221,7 +228,7 @@ impl Flag {
                 "impl S { fn poll(&self) -> bool { self.shutdown.load(Ordering::Acquire) } }\n",
             ),
         ];
-        assert!(run(&srcs, false).is_empty());
+        assert!(errors(&srcs).is_empty());
     }
 
     #[test]
@@ -235,11 +242,11 @@ impl F {
 }
 ",
         )];
-        assert!(run(&srcs, false).is_empty());
+        assert!(errors(&srcs).is_empty());
     }
 
     #[test]
-    fn full_sweep_checks_relaxed_justification_text() {
+    fn relaxed_justification_text_is_checked() {
         let good = "\
 impl C {
     fn bump(&self) {
@@ -248,7 +255,7 @@ impl C {
     }
 }
 ";
-        assert!(run(&[("crates/obs/src/lib.rs", good)], true).is_empty());
+        assert!(run(&[("crates/obs/src/lib.rs", good)]).is_empty());
 
         let vague = "\
 impl C {
@@ -258,15 +265,13 @@ impl C {
     }
 }
 ";
-        let out = run(&[("crates/obs/src/lib.rs", vague)], true);
+        let out = run(&[("crates/obs/src/lib.rs", vague)]);
         assert_eq!(out.len(), 1, "{out:?}");
         assert!(out[0].message.contains("does not argue Relaxed"));
-        // The default tier does not run the sweep.
-        assert!(run(&[("crates/obs/src/lib.rs", vague)], false).is_empty());
     }
 
     #[test]
-    fn full_sweep_flags_mixed_regimes() {
+    fn mixed_regimes_are_flagged() {
         let srcs = [(
             "crates/core/src/lib.rs",
             "\
@@ -280,7 +285,7 @@ impl F {
 }
 ",
         )];
-        let out = run(&srcs, true);
+        let out = run(&srcs);
         assert_eq!(out.len(), 1, "{out:?}");
         assert!(out[0].message.contains("mixed regimes"));
     }
@@ -297,6 +302,6 @@ mod tests {
 }
 ",
         )];
-        assert!(run(&srcs, false).is_empty());
+        assert!(errors(&srcs).is_empty());
     }
 }

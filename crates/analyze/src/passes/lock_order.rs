@@ -12,7 +12,7 @@
 //! same-lock re-acquisition) is an `error`: two threads taking the
 //! participating locks in different orders can deadlock.
 
-use super::{Graph, Pass, PassCtx};
+use super::{Graph, Pass};
 use crate::diag::{Diagnostic, Severity};
 use crate::model::{is_canonical, Workspace};
 use std::collections::{BTreeMap, BTreeSet};
@@ -149,7 +149,7 @@ impl Pass for LockOrder {
         "lock-order"
     }
 
-    fn run(&self, ws: &Workspace, graph: &Graph, _ctx: &PassCtx, out: &mut Vec<Diagnostic>) {
+    fn run(&self, ws: &Workspace, graph: &Graph, out: &mut Vec<Diagnostic>) {
         let edges = collect_edges(ws, graph);
 
         // Publish each distinct canonical nesting once, as a note.
@@ -228,7 +228,7 @@ mod tests {
         let ws = Workspace::from_sources(sources);
         let graph = Graph::build(&ws);
         let mut out = Vec::new();
-        LockOrder.run(&ws, &graph, &PassCtx::default(), &mut out);
+        LockOrder.run(&ws, &graph, &mut out);
         out
     }
 

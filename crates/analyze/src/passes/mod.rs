@@ -7,31 +7,21 @@
 //! document it in DESIGN.md §17.
 
 pub mod atomics;
-pub mod blocking;
 pub mod lock_order;
-pub mod panic_surface;
 pub mod ported;
 
 use crate::diag::Diagnostic;
-use crate::model::{FnInfo, Workspace};
-use std::collections::{BTreeMap, BTreeSet};
+use crate::model::Workspace;
+use std::collections::BTreeSet;
 
 pub use crate::model::resolve_call;
-
-/// Options that vary by CI tier.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct PassCtx {
-    /// `--full-atomics`: also cross-check every `Relaxed` site's
-    /// justification text (the whole-workspace sweep `ci.sh --full` runs).
-    pub full_atomics: bool,
-}
 
 /// One analysis pass.
 pub trait Pass {
     /// Stable pass id — what waivers name and the report groups by.
     fn id(&self) -> &'static str;
     /// Runs the pass over the workspace, appending findings.
-    fn run(&self, ws: &Workspace, graph: &Graph, ctx: &PassCtx, out: &mut Vec<Diagnostic>);
+    fn run(&self, ws: &Workspace, graph: &Graph, out: &mut Vec<Diagnostic>);
 }
 
 /// All passes in run order.
@@ -39,8 +29,6 @@ pub fn registry() -> Vec<Box<dyn Pass>> {
     vec![
         Box::new(lock_order::LockOrder),
         Box::new(atomics::AtomicsPairing),
-        Box::new(panic_surface::PanicSurface),
-        Box::new(blocking::BlockingSection),
         Box::new(ported::OrderingComment),
         Box::new(ported::ForbidUnsafe),
         Box::new(ported::PanicPath),
@@ -62,15 +50,11 @@ pub fn known_pass_ids() -> Vec<&'static str> {
 /// [`crate::model::resolve_call`] — a `len` or `insert` on a foreign
 /// receiver must not weld unrelated crates' lock graphs together.
 pub struct Graph {
-    /// Resolved callee indices per function.
-    pub callees: Vec<Vec<usize>>,
     /// Transitive closure of lock ids a call into this function may
     /// acquire.
     pub locks: Vec<BTreeSet<String>>,
     /// Transitive closure of canonical atomic field ids it may touch.
     pub atomics: Vec<BTreeSet<String>>,
-    /// Transitive closure of blocking call names it may perform.
-    pub blocking: Vec<BTreeSet<String>>,
 }
 
 impl Graph {
@@ -95,7 +79,6 @@ impl Graph {
 
         let mut locks: Vec<BTreeSet<String>> = vec![BTreeSet::new(); n];
         let mut atomics: Vec<BTreeSet<String>> = vec![BTreeSet::new(); n];
-        let mut blocking: Vec<BTreeSet<String>> = vec![BTreeSet::new(); n];
         for (i, f) in ws.functions.iter().enumerate() {
             if f.is_test {
                 continue;
@@ -107,9 +90,6 @@ impl Graph {
                 if crate::model::is_canonical(&a.field_id) {
                     atomics[i].insert(a.field_id.clone());
                 }
-            }
-            for b in &f.blocking {
-                blocking[i].insert(b.name.clone());
             }
         }
         // Fixpoint: propagate callee facts to callers. The call graph is
@@ -133,33 +113,13 @@ impl Graph {
                 for &c in cs {
                     changed |= union_into(&mut locks, i, c);
                     changed |= union_into(&mut atomics, i, c);
-                    changed |= union_into(&mut blocking, i, c);
                 }
             }
             if !changed {
                 break;
             }
         }
-        Graph {
-            callees,
-            locks,
-            atomics,
-            blocking,
-        }
-    }
-
-    /// Function indices reachable from `roots` (inclusive).
-    pub fn reachable(&self, roots: &[usize]) -> BTreeSet<usize> {
-        let mut seen: BTreeSet<usize> = roots.iter().copied().collect();
-        let mut stack: Vec<usize> = roots.to_vec();
-        while let Some(i) = stack.pop() {
-            for &c in &self.callees[i] {
-                if seen.insert(c) {
-                    stack.push(c);
-                }
-            }
-        }
-        seen
+        Graph { locks, atomics }
     }
 }
 
@@ -182,20 +142,3 @@ pub fn test_line_ranges(ws: &Workspace, file: usize) -> Vec<(u32, u32)> {
 pub fn in_ranges(ranges: &[(u32, u32)], line: u32) -> bool {
     ranges.iter().any(|&(a, b)| line >= a && line <= b)
 }
-
-/// The enclosing non-test function of a token index in `file`, if any.
-pub fn enclosing_fn(ws: &Workspace, file: usize, tok: usize) -> Option<&FnInfo> {
-    ws.functions
-        .iter()
-        .filter(|f| f.file == file)
-        .find(|f| f.body.is_some_and(|(o, c)| tok > o && tok < c))
-}
-
-/// Lock ids grouped for display: stable, comma-joined.
-pub fn join_ids<'a>(ids: impl Iterator<Item = &'a String>) -> String {
-    let v: Vec<&str> = ids.map(String::as_str).collect();
-    v.join(", ")
-}
-
-/// Shared map type for edge bookkeeping.
-pub type EdgeMap = BTreeMap<(String, String), (String, u32, u32, String)>;

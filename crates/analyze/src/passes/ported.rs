@@ -3,7 +3,7 @@
 //! waived through the scoped `// analyze:` system instead of free-text
 //! `// lint:` comments.
 
-use super::{in_ranges, test_line_ranges, Graph, Pass, PassCtx};
+use super::{in_ranges, test_line_ranges, Graph, Pass};
 use crate::diag::{Diagnostic, Severity};
 use crate::lexer::TokKind;
 use crate::model::{PanicKind, Workspace};
@@ -34,7 +34,7 @@ impl Pass for OrderingComment {
         "ordering-comment"
     }
 
-    fn run(&self, ws: &Workspace, _graph: &Graph, _ctx: &PassCtx, out: &mut Vec<Diagnostic>) {
+    fn run(&self, ws: &Workspace, _graph: &Graph, out: &mut Vec<Diagnostic>) {
         for (fi, file) in ws.files.iter().enumerate() {
             let tests = test_line_ranges(ws, fi);
             let toks = &file.lexed.tokens;
@@ -96,7 +96,7 @@ impl Pass for ForbidUnsafe {
         "forbid-unsafe"
     }
 
-    fn run(&self, ws: &Workspace, _graph: &Graph, _ctx: &PassCtx, out: &mut Vec<Diagnostic>) {
+    fn run(&self, ws: &Workspace, _graph: &Graph, out: &mut Vec<Diagnostic>) {
         for (fi, file) in ws.files.iter().enumerate() {
             if file.is_crate_root && !has_inner_attr(ws, fi, "forbid", "unsafe_code") {
                 out.push(Diagnostic::new(
@@ -123,7 +123,7 @@ impl Pass for MissingDocsAttr {
         "missing-docs-attr"
     }
 
-    fn run(&self, ws: &Workspace, _graph: &Graph, _ctx: &PassCtx, out: &mut Vec<Diagnostic>) {
+    fn run(&self, ws: &Workspace, _graph: &Graph, out: &mut Vec<Diagnostic>) {
         for (fi, file) in ws.files.iter().enumerate() {
             if file.is_crate_root
                 && !has_inner_attr(ws, fi, "warn", "missing_docs")
@@ -153,7 +153,7 @@ impl Pass for PanicPath {
         "panic-path"
     }
 
-    fn run(&self, ws: &Workspace, _graph: &Graph, _ctx: &PassCtx, out: &mut Vec<Diagnostic>) {
+    fn run(&self, ws: &Workspace, _graph: &Graph, out: &mut Vec<Diagnostic>) {
         for f in &ws.functions {
             if f.is_test {
                 continue;
@@ -169,7 +169,6 @@ impl Pass for PanicPath {
                         !p.message.as_deref().is_some_and(|m| m.contains("poisoned")),
                         "`expect()` in non-test library code (only the \"poisoned\" lock convention is allowed implicitly; waive others with `// analyze: allow(panic-path)` + rationale)",
                     ),
-                    _ => (false, ""),
                 };
                 if flag {
                     out.push(
@@ -185,15 +184,15 @@ impl Pass for PanicPath {
                     );
                 }
             }
-            for b in &f.blocking {
-                if b.name == "sleep" {
+            for c in &f.calls {
+                if c.name == "sleep" {
                     out.push(
                         Diagnostic::new(
                             self.id(),
                             Severity::Error,
                             file.rel.clone(),
-                            b.line,
-                            b.col,
+                            c.line,
+                            c.col,
                             "`thread::sleep` in non-test library code (use a condvar/timeout, or waive with `// analyze: allow(panic-path)` + rationale)",
                         )
                         .in_fn(f.name.clone()),
@@ -214,7 +213,7 @@ impl Pass for StdSyncDirect {
         "std-sync-direct"
     }
 
-    fn run(&self, ws: &Workspace, _graph: &Graph, _ctx: &PassCtx, out: &mut Vec<Diagnostic>) {
+    fn run(&self, ws: &Workspace, _graph: &Graph, out: &mut Vec<Diagnostic>) {
         for (fi, file) in ws.files.iter().enumerate() {
             if file.is_bin || !SHIM_MIGRATED_CRATES.contains(&file.krate.as_str()) {
                 continue;
@@ -256,7 +255,7 @@ mod tests {
         let ws = Workspace::from_sources(sources);
         let graph = Graph::build(&ws);
         let mut out = Vec::new();
-        p.run(&ws, &graph, &PassCtx::default(), &mut out);
+        p.run(&ws, &graph, &mut out);
         out
     }
 

@@ -5,19 +5,17 @@
 //!
 //! ```text
 //! // analyze: allow(panic-path) — poisoned-lock expect is the crash policy
-//! // analyze: allow-fn(blocking-section) — durability: fsync under the WAL mutex is the group-commit point
+//! // analyze: allow-fn(panic-path) — the whole function is init-time
 //! // analyze: allow-file(ordering-comment) — file-wide: all atomics here are counters
-//! // analyze: allow(lock-order) until(2026-12-31) — tracked in ROADMAP item 3
 //! ```
 //!
 //! Scopes: `allow` covers the next code line below the comment (or its own
 //! line, for trailing comments); `allow-fn` covers the whole function item
 //! that follows; `allow-file` covers the file and must sit in the file
 //! header (first [`FILE_SCOPE_WINDOW`] lines). The ` — rationale` tail is
-//! mandatory, `until(YYYY-MM-DD)` optional. Structural problems are
-//! themselves diagnostics (`waiver` pass): malformed grammar, unknown pass
-//! ids, mis-scoped placement, expired `until` dates — and `--stale` turns
-//! any waiver that suppressed nothing into a finding, so dead suppressions
+//! mandatory. Structural problems are themselves diagnostics (`waiver`
+//! pass): malformed grammar, unknown pass ids, mis-scoped placement — and
+//! any waiver that suppressed nothing is a finding, so dead suppressions
 //! cannot accumulate the way the old free-text `// lint: allow` ones did.
 
 use crate::diag::{Diagnostic, Severity};
@@ -51,8 +49,6 @@ pub struct Waiver {
     pub scope: Scope,
     /// The pass id it suppresses.
     pub pass: String,
-    /// Optional expiry date.
-    pub until: Option<(i64, u32, u32)>,
     /// The mandatory rationale.
     pub rationale: String,
     /// Set when the waiver suppressed at least one finding this run.
@@ -65,43 +61,8 @@ pub struct Waiver {
 pub struct Waivers {
     /// Parsed, structurally valid waivers.
     pub waivers: Vec<Waiver>,
-    /// Malformed/mis-scoped/expired findings (pass id `waiver`).
+    /// Malformed and mis-scoped findings (pass id `waiver`).
     pub problems: Vec<Diagnostic>,
-}
-
-/// Days since 1970-01-01 → civil (year, month, day).
-/// Howard Hinnant's `civil_from_days`, the standard branchless algorithm.
-fn civil_from_days(z: i64) -> (i64, u32, u32) {
-    let z = z + 719_468;
-    let era = if z >= 0 { z } else { z - 146_096 } / 146_097;
-    let doe = (z - era * 146_097) as u64;
-    let yoe = (doe - doe / 1460 + doe / 36_524 - doe / 146_096) / 365;
-    let y = yoe as i64 + era * 400;
-    let doy = doe - (365 * yoe + yoe / 4 - yoe / 100);
-    let mp = (5 * doy + 2) / 153;
-    let d = (doy - (153 * mp + 2) / 5 + 1) as u32;
-    let m = if mp < 10 { mp + 3 } else { mp - 9 } as u32;
-    (if m <= 2 { y + 1 } else { y }, m, d)
-}
-
-/// Today's civil date from the system clock (UTC).
-pub fn today() -> (i64, u32, u32) {
-    let secs = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs() as i64)
-        .unwrap_or(0);
-    civil_from_days(secs.div_euclid(86_400))
-}
-
-fn parse_date(s: &str) -> Option<(i64, u32, u32)> {
-    let mut it = s.split('-');
-    let y: i64 = it.next()?.parse().ok()?;
-    let m: u32 = it.next()?.parse().ok()?;
-    let d: u32 = it.next()?.parse().ok()?;
-    if it.next().is_some() || !(1..=12).contains(&m) || !(1..=31).contains(&d) {
-        return None;
-    }
-    Some((y, m, d))
 }
 
 /// The waiver text after the marker, or `None` when the comment is not a
@@ -116,20 +77,17 @@ fn waiver_body(comment: &str) -> Option<&str> {
     rest.trim_start().strip_prefix(MARKER)
 }
 
-/// Extracts the parenthesized argument after `verb` in `rest`, returning
-/// `(argument, remainder-after-close-paren)`.
-fn take_paren<'a>(rest: &'a str, verb: &str) -> Option<(&'a str, &'a str)> {
-    let rest = rest.strip_prefix(verb)?;
-    let rest = rest.strip_prefix('(')?;
-    let close = rest.find(')')?;
-    Some((&rest[..close], &rest[close + 1..]))
+/// Extracts the parenthesized argument after `verb` in `rest`.
+fn take_paren<'a>(rest: &'a str, verb: &str) -> Option<&'a str> {
+    let rest = rest.strip_prefix(verb)?.strip_prefix('(')?;
+    Some(&rest[..rest.find(')')?])
 }
 
 impl Waivers {
     /// Parses every waiver comment in the workspace, validating pass ids
     /// against `known_passes` and scope placement against the parsed item
-    /// structure. `today` is injected for testability.
-    pub fn collect(ws: &Workspace, known_passes: &[&str], today: (i64, u32, u32)) -> Waivers {
+    /// structure.
+    pub fn collect(ws: &Workspace, known_passes: &[&str]) -> Waivers {
         let mut out = Waivers::default();
         for (fi, file) in ws.files.iter().enumerate() {
             for (li, comment) in file.lexed.comments.iter().enumerate() {
@@ -139,7 +97,7 @@ impl Waivers {
                 };
                 let body = body.trim_start();
                 match parse_one(body, known_passes) {
-                    Ok((scope, pass, until)) => {
+                    Ok((scope, pass)) => {
                         let rationale = rationale_of(body).unwrap_or_default();
                         if rationale.is_empty() {
                             out.problems.push(waiver_diag(
@@ -150,19 +108,6 @@ impl Waivers {
                                 ),
                             ));
                             continue;
-                        }
-                        if let Some(u) = until {
-                            if u < today {
-                                out.problems.push(waiver_diag(
-                                    &file.rel,
-                                    line,
-                                    format!(
-                                        "waiver for `{pass}` expired {}-{:02}-{:02}; fix the finding or renew the date",
-                                        u.0, u.1, u.2
-                                    ),
-                                ));
-                                continue;
-                            }
                         }
                         if scope == Scope::File && line > FILE_SCOPE_WINDOW {
                             out.problems.push(waiver_diag(
@@ -195,7 +140,6 @@ impl Waivers {
                             line,
                             scope,
                             pass,
-                            until,
                             rationale,
                             used: false,
                         });
@@ -305,12 +249,9 @@ fn covers(ws: &Workspace, w: &Waiver, fi: usize, d: &Diagnostic) -> bool {
     }
 }
 
-/// `(scope, pass, until)` — what [`parse_one`] extracts from a waiver body.
-type ParsedWaiver = (Scope, String, Option<(i64, u32, u32)>);
-
 /// Parses the grammar after the `analyze:` marker; returns
-/// `(scope, pass, until)` or a malformed-waiver message.
-fn parse_one(body: &str, known_passes: &[&str]) -> Result<ParsedWaiver, String> {
+/// `(scope, pass)` or a malformed-waiver message.
+fn parse_one(body: &str, known_passes: &[&str]) -> Result<(Scope, String), String> {
     let (scope, verb) = if body.starts_with("allow-fn(") {
         (Scope::Fn, "allow-fn")
     } else if body.starts_with("allow-file(") {
@@ -323,7 +264,7 @@ fn parse_one(body: &str, known_passes: &[&str]) -> Result<ParsedWaiver, String> 
             body.chars().take(40).collect::<String>()
         ));
     };
-    let (pass, rest) = take_paren(body, verb)
+    let pass = take_paren(body, verb)
         .ok_or_else(|| format!("malformed waiver: unbalanced parens after `{verb}`"))?;
     let pass = pass.trim();
     if !known_passes.contains(&pass) {
@@ -332,20 +273,7 @@ fn parse_one(body: &str, known_passes: &[&str]) -> Result<ParsedWaiver, String> 
             known_passes.join(", ")
         ));
     }
-    let rest = rest.trim_start();
-    let until = if rest.starts_with("until(") {
-        let (date, _) = take_paren(rest, "until")
-            .ok_or_else(|| "malformed waiver: unbalanced parens after `until`".to_string())?;
-        Some(parse_date(date.trim()).ok_or_else(|| {
-            format!(
-                "malformed waiver: until(…) wants YYYY-MM-DD, got `{}`",
-                date.trim()
-            )
-        })?)
-    } else {
-        None
-    };
-    Ok((scope, pass.to_string(), until))
+    Ok((scope, pass.to_string()))
 }
 
 /// The rationale tail after ` — ` or ` -- `.
@@ -366,7 +294,6 @@ mod tests {
     use super::*;
 
     const PASSES: &[&str] = &["panic-path", "lock-order"];
-    const TODAY: (i64, u32, u32) = (2026, 8, 9);
 
     fn ws_of(src: &str) -> Workspace {
         Workspace::from_sources(&[("crates/demo/src/lib.rs", src)])
@@ -375,7 +302,7 @@ mod tests {
     #[test]
     fn parses_line_waiver_with_rationale() {
         let ws = ws_of("// analyze: allow(panic-path) — startup only\nfn f() { x.unwrap(); }\n");
-        let w = Waivers::collect(&ws, PASSES, TODAY);
+        let w = Waivers::collect(&ws, PASSES);
         assert!(w.problems.is_empty(), "{:?}", w.problems);
         assert_eq!(w.waivers.len(), 1);
         assert_eq!(w.waivers[0].scope, Scope::Line);
@@ -386,7 +313,7 @@ mod tests {
     #[test]
     fn missing_rationale_is_malformed() {
         let ws = ws_of("// analyze: allow(panic-path)\nfn f() {}\n");
-        let w = Waivers::collect(&ws, PASSES, TODAY);
+        let w = Waivers::collect(&ws, PASSES);
         assert_eq!(w.waivers.len(), 0);
         assert_eq!(w.problems.len(), 1);
         assert!(
@@ -399,35 +326,17 @@ mod tests {
     #[test]
     fn unknown_pass_is_malformed() {
         let ws = ws_of("// analyze: allow(no-such-pass) — why\nfn f() {}\n");
-        let w = Waivers::collect(&ws, PASSES, TODAY);
+        let w = Waivers::collect(&ws, PASSES);
         assert!(w.problems[0]
             .message
             .contains("unknown pass `no-such-pass`"));
     }
 
     #[test]
-    fn expired_until_is_flagged() {
-        let ws = ws_of("// analyze: allow(panic-path) until(2025-01-01) — old\nfn f() {}\n");
-        let w = Waivers::collect(&ws, PASSES, TODAY);
-        assert!(w.problems[0].message.contains("expired 2025-01-01"));
-        assert!(w.waivers.is_empty());
-    }
-
-    #[test]
-    fn future_until_is_kept() {
-        let ws = ws_of(
-            "// analyze: allow(panic-path) until(2027-01-01) — tracked\nfn f() { x.unwrap(); }\n",
-        );
-        let w = Waivers::collect(&ws, PASSES, TODAY);
-        assert!(w.problems.is_empty(), "{:?}", w.problems);
-        assert_eq!(w.waivers[0].until, Some((2027, 1, 1)));
-    }
-
-    #[test]
     fn misscoped_fn_waiver_without_fn() {
         let src = "// analyze: allow-fn(panic-path) — nope\nstatic X: u32 = 0;\n";
         let ws = ws_of(src);
-        let w = Waivers::collect(&ws, PASSES, TODAY);
+        let w = Waivers::collect(&ws, PASSES);
         assert!(
             w.problems[0].message.contains("mis-scoped"),
             "{:?}",
@@ -443,7 +352,7 @@ mod tests {
         }
         src.push_str("// analyze: allow-file(panic-path) — too low\n");
         let ws = ws_of(&src);
-        let w = Waivers::collect(&ws, PASSES, TODAY);
+        let w = Waivers::collect(&ws, PASSES);
         assert!(w.problems.iter().any(|p| p.message.contains("file header")));
     }
 
@@ -456,7 +365,7 @@ fn f() {
 }
 ";
         let ws = ws_of(src);
-        let mut w = Waivers::collect(&ws, PASSES, TODAY);
+        let mut w = Waivers::collect(&ws, PASSES);
         let d = Diagnostic::new(
             "panic-path",
             Severity::Error,
@@ -475,7 +384,7 @@ fn f() {
     #[test]
     fn unused_waiver_is_stale() {
         let ws = ws_of("// analyze: allow(panic-path) — nothing here\nfn f() {}\n");
-        let mut w = Waivers::collect(&ws, PASSES, TODAY);
+        let mut w = Waivers::collect(&ws, PASSES);
         let (_, waived) = w.apply(&ws, Vec::new());
         assert!(waived.is_empty());
         let stale = w.stale(&ws);
@@ -487,7 +396,7 @@ fn f() {
     fn trailing_waiver_covers_its_own_line() {
         let src = "fn f() { x.unwrap(); } // analyze: allow(panic-path) — trailing\n";
         let ws = ws_of(src);
-        let mut w = Waivers::collect(&ws, PASSES, TODAY);
+        let mut w = Waivers::collect(&ws, PASSES);
         let d = Diagnostic::new(
             "panic-path",
             Severity::Error,
@@ -511,7 +420,7 @@ fn init() {
 fn other() { c.unwrap(); }
 ";
         let ws = ws_of(src);
-        let mut w = Waivers::collect(&ws, PASSES, TODAY);
+        let mut w = Waivers::collect(&ws, PASSES);
         let mk = |line| {
             Diagnostic::new(
                 "panic-path",
@@ -526,11 +435,5 @@ fn other() { c.unwrap(); }
         assert_eq!(waived.len(), 2, "covers init's two sites");
         assert_eq!(kept.len(), 1, "does not leak onto `other`");
         assert_eq!(kept[0].line, 6);
-    }
-
-    #[test]
-    fn civil_date_roundtrip() {
-        assert_eq!(civil_from_days(0), (1970, 1, 1));
-        assert_eq!(civil_from_days(20_674), (2026, 8, 9));
     }
 }

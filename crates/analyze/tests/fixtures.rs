@@ -6,20 +6,10 @@
 
 use cpq_analyze::diag::{Diagnostic, Severity};
 use cpq_analyze::model::Workspace;
-use cpq_analyze::{run, Options};
-
-const TODAY: (i64, u32, u32) = (2026, 8, 9);
+use cpq_analyze::run;
 
 fn analyze(sources: &[(&str, &str)]) -> Vec<Diagnostic> {
-    let ws = Workspace::from_sources(sources);
-    run(
-        &ws,
-        Options {
-            today: Some(TODAY),
-            ..Options::default()
-        },
-    )
-    .diagnostics
+    run(&Workspace::from_sources(sources)).diagnostics
 }
 
 /// Failing (non-note) diagnostics emitted by one pass.
@@ -96,32 +86,20 @@ fn atomics_broken_twin_reports_unpaired_release() {
 }
 
 #[test]
-fn atomics_full_sweep_flags_the_relaxed_reader_as_mixed_regime() {
-    let ws = Workspace::from_sources(&[(
+fn atomics_broken_twin_flags_the_relaxed_reader_as_mixed_regime() {
+    let diags = analyze(&[(
         "crates/core/src/flag.rs",
         include_str!("../fixtures/atomics_broken.rs"),
     )]);
-    let report = run(
-        &ws,
-        Options {
-            today: Some(TODAY),
-            full_atomics: true,
-            ..Options::default()
-        },
-    );
     // The Relaxed reader of the released field is the other half of the
-    // same bug; the `--full-atomics` sweep pins it as mixed-regime.
+    // same bug: the sweep pins it as mixed-regime.
     assert!(
-        report
-            .diagnostics
-            .iter()
-            .any(|d| d.pass == "atomics-pairing"
-                && d.severity == Severity::Warning
-                && d.line == 10
-                && d.message
-                    .contains("Relaxed access to `ready`, which elsewhere uses acquire/release")),
-        "diagnostics: {:#?}",
-        report.diagnostics
+        diags.iter().any(|d| d.pass == "atomics-pairing"
+            && d.severity == Severity::Warning
+            && d.line == 10
+            && d.message
+                .contains("Relaxed access to `ready`, which elsewhere uses acquire/release")),
+        "diagnostics: {diags:#?}"
     );
 }
 
@@ -134,82 +112,31 @@ fn atomics_fixed_twin_is_clean() {
     assert!(failing(&diags, "atomics-pairing").is_empty(), "{diags:#?}");
 }
 
-#[test]
-fn panic_surface_broken_twin_reports_unwrap_under_guard() {
-    let diags = analyze(&[(
-        "crates/core/src/engine.rs",
-        include_str!("../fixtures/panic_surface_broken.rs"),
-    )]);
-    let hits = failing(&diags, "panic-surface");
-    assert_eq!(hits.len(), 1, "diagnostics: {diags:#?}");
-    let d = hits[0];
-    assert_eq!(d.severity, Severity::Error);
-    assert_eq!((d.file.as_str(), d.line), ("crates/core/src/engine.rs", 8));
-    assert!(
-        d.message.contains("hot query path in `core::Engine::run`")
-            && d.message
-                .contains("a panic poisons the lock for every worker"),
-        "message: {}",
-        d.message
-    );
-}
-
-#[test]
-fn panic_surface_fixed_twin_is_clean() {
-    let diags = analyze(&[(
-        "crates/core/src/engine.rs",
-        include_str!("../fixtures/panic_surface_clean.rs"),
-    )]);
-    assert!(failing(&diags, "panic-surface").is_empty(), "{diags:#?}");
-}
-
-#[test]
-fn blocking_broken_twin_reports_fsync_under_guard() {
-    let diags = analyze(&[(
-        "crates/storage/src/wal2.rs",
-        include_str!("../fixtures/blocking_broken.rs"),
-    )]);
-    let hits = failing(&diags, "blocking-section");
-    assert_eq!(hits.len(), 1, "diagnostics: {diags:#?}");
-    let d = hits[0];
-    assert_eq!(d.severity, Severity::Error);
-    assert_eq!((d.file.as_str(), d.line), ("crates/storage/src/wal2.rs", 9));
-    assert!(
-        d.message
-            .contains("`sync_all` while the `storage::Log::inner` guard is live"),
-        "message: {}",
-        d.message
-    );
-}
-
-#[test]
-fn blocking_fixed_twin_is_clean() {
-    let diags = analyze(&[(
-        "crates/storage/src/wal2.rs",
-        include_str!("../fixtures/blocking_clean.rs"),
-    )]);
-    assert!(failing(&diags, "blocking-section").is_empty(), "{diags:#?}");
-}
-
 // ---- waiver system, end to end over a fixture ----
+
+const RELEASE_STORE: &str = "        self.ready.store(true, Ordering::Release);";
+
+/// The atomics fixture's pinned error (the unpaired Release store).
+fn unpaired_release(diags: &[Diagnostic]) -> usize {
+    failing(diags, "atomics-pairing")
+        .iter()
+        .filter(|d| d.severity == Severity::Error)
+        .count()
+}
 
 #[test]
 fn scoped_waiver_suppresses_the_pinned_finding() {
-    let src = include_str!("../fixtures/panic_surface_broken.rs").replace(
-        "        st.value = self.compute().unwrap();",
-        "        // analyze: allow(panic-surface) — fixture: exercises the waiver flow\n        \
-         st.value = self.compute().unwrap();",
+    let src = include_str!("../fixtures/atomics_broken.rs").replace(
+        RELEASE_STORE,
+        &format!(
+            "        // analyze: allow(atomics-pairing) — fixture: exercises the waiver flow\n{RELEASE_STORE}"
+        ),
     );
-    let ws = Workspace::from_sources(&[("crates/core/src/engine.rs", &src)]);
-    let report = run(
-        &ws,
-        Options {
-            today: Some(TODAY),
-            ..Options::default()
-        },
-    );
-    assert!(
-        failing(&report.diagnostics, "panic-surface").is_empty(),
+    let ws = Workspace::from_sources(&[("crates/core/src/flag.rs", &src)]);
+    let report = run(&ws);
+    assert_eq!(
+        unpaired_release(&report.diagnostics),
+        0,
         "{:#?}",
         report.diagnostics
     );
@@ -218,12 +145,11 @@ fn scoped_waiver_suppresses_the_pinned_finding() {
 
 #[test]
 fn rationale_free_waiver_is_rejected_and_suppresses_nothing() {
-    let src = include_str!("../fixtures/panic_surface_broken.rs").replace(
-        "        st.value = self.compute().unwrap();",
-        "        // analyze: allow(panic-surface)\n        \
-         st.value = self.compute().unwrap();",
+    let src = include_str!("../fixtures/atomics_broken.rs").replace(
+        RELEASE_STORE,
+        &format!("        // analyze: allow(atomics-pairing)\n{RELEASE_STORE}"),
     );
-    let diags = analyze(&[("crates/core/src/engine.rs", &src)]);
+    let diags = analyze(&[("crates/core/src/flag.rs", &src)]);
     // The malformed waiver is itself a finding…
     assert!(
         failing(&diags, "waiver")
@@ -232,5 +158,5 @@ fn rationale_free_waiver_is_rejected_and_suppresses_nothing() {
         "{diags:#?}"
     );
     // …and the original finding still stands.
-    assert_eq!(failing(&diags, "panic-surface").len(), 1, "{diags:#?}");
+    assert_eq!(unpaired_release(&diags), 1, "{diags:#?}");
 }

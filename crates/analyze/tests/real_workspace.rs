@@ -1,13 +1,14 @@
-//! Runs the full analyzer over this repository — the same configuration
-//! `ci.sh --full` uses — and pins the acceptance facts: zero unwaived
-//! findings, and the lock-order pass rediscovering the two lock-nesting
-//! protocols the codebase is documented to rely on.
+//! Runs the analyzer over this repository — its one configuration, the
+//! same as `ci.sh`'s gate — and pins the acceptance facts: zero unwaived
+//! findings (no stale waiver among them), and the lock-order pass
+//! rediscovering the lock-nesting protocols the codebase is documented to
+//! rely on.
 
 use std::path::Path;
 
 use cpq_analyze::diag::Severity;
 use cpq_analyze::model::Workspace;
-use cpq_analyze::{run, Options};
+use cpq_analyze::run;
 
 fn scan_repo() -> Workspace {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
@@ -16,14 +17,7 @@ fn scan_repo() -> Workspace {
 
 #[test]
 fn analyzer_is_clean_over_this_repository() {
-    let report = run(
-        &scan_repo(),
-        Options {
-            stale: true,
-            full_atomics: true,
-            ..Options::default()
-        },
-    );
+    let report = run(&scan_repo());
     let failing: Vec<_> = report
         .diagnostics
         .iter()
@@ -42,7 +36,7 @@ fn analyzer_is_clean_over_this_repository() {
 
 #[test]
 fn lock_order_rediscovers_known_nesting_protocols() {
-    let report = run(&scan_repo(), Options::default());
+    let report = run(&scan_repo());
     let notes: Vec<&str> = report
         .diagnostics
         .iter()
@@ -56,6 +50,14 @@ fn lock_order_rediscovers_known_nesting_protocols() {
             .iter()
             .any(|m| m
                 .contains("`storage::BufferPool::state` held over `storage::BufferPool::file`")),
+        "notes: {notes:#?}"
+    );
+    // Live trees: the writer mutex is held across the log's write and
+    // fsync — the single-writer protocol of DESIGN.md §15.
+    assert!(
+        notes
+            .iter()
+            .any(|m| m.contains("`live::LiveTree::writer` held over `live::Wal::inner`")),
         "notes: {notes:#?}"
     );
     // Scatter-gather: the coordinator queue lock is held while the

@@ -181,10 +181,19 @@ impl<const D: usize> QuerySpec<D> {
     /// would make the result depend on the internal `p.oid < q.oid`
     /// orientation. Use [`Constraint::window`] (one rectangle for both
     /// sides) or [`Constraint::colored`].
+    /// A window with a NaN or infinite corner is refused like a non-finite
+    /// object at `insert`: a NaN bound compares false with everything, so
+    /// the query would silently answer nothing.
     pub fn validate(&self) -> RTreeResult<()> {
         if self.self_join && !self.constraint.is_symmetric() {
             return Err(RTreeError::InvalidParams(
                 "self-join constraints must use one symmetric window".into(),
+            ));
+        }
+        let windows = [self.constraint.window_p, self.constraint.window_q];
+        if windows.iter().flatten().any(|w| !w.is_finite()) {
+            return Err(RTreeError::InvalidParams(
+                "query windows must have finite corners".into(),
             ));
         }
         Ok(())
@@ -252,6 +261,25 @@ mod tests {
             .with_constraint(lopsided)
             .validate()
             .is_err());
+    }
+
+    #[test]
+    fn non_finite_window_is_invalid() {
+        // `Rect::new` asserts corner order in debug builds, which a NaN
+        // fails, so the NaN window is the degenerate one.
+        let nan = Rect::point(cpq_geo::Point([f64::NAN, 0.0]));
+        let unbounded = r([0.0, 0.0], [f64::INFINITY, 1.0]);
+        for w in [nan, unbounded] {
+            for c in [Constraint::window(w), Constraint::windows(None, Some(w))] {
+                let spec = QuerySpec::cross(3).with_constraint(c);
+                assert!(spec.validate().is_err(), "{w:?}");
+            }
+        }
+        let widest = Constraint::window(r([f64::MIN; 2], [f64::MAX; 2]));
+        assert!(QuerySpec::self_join(3)
+            .with_constraint(widest)
+            .validate()
+            .is_ok());
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //!    image ([`truncate_wal`]), optionally resetting the data file to the
 //!    checkpoint image ([`restore_data`]);
 //! 4. recover, then compare against the ground truth recomputed from the
-//!    logical op prefix ([`committed_ops`] and [`logged_ops`]).
+//!    logical op prefix ([`committed_ops`]).
 
 use crate::error::{LiveError, LiveResult};
 use crate::tree::{DATA_FILE, WAL_DIR};
@@ -119,19 +119,8 @@ pub fn truncate_wal(dir: &Path, point: CrashPoint) -> LiveResult<()> {
 /// Ground truth for crash tests: the expected recovered contents are the
 /// state at the base checkpoint plus exactly these ops.
 pub fn committed_ops(dir: &Path) -> LiveResult<Vec<LogicalOp>> {
-    scan_ops(dir, true)
-}
-
-/// Like [`committed_ops`] but returns every op *begun* in the intact
-/// prefix, committed or not — the superset a crash can choose from.
-pub fn logged_ops(dir: &Path) -> LiveResult<Vec<LogicalOp>> {
-    scan_ops(dir, false)
-}
-
-fn scan_ops(dir: &Path, committed_only: bool) -> LiveResult<Vec<LogicalOp>> {
     let scans = scan_log(&dir.join(WAL_DIR))?;
     let mut begun: HashMap<u64, LogicalOp> = HashMap::new();
-    let mut order: Vec<u64> = Vec::new();
     let mut out = Vec::new();
     for scan in &scans {
         for (_, rec) in &scan.records {
@@ -141,7 +130,6 @@ fn scan_ops(dir: &Path, committed_only: bool) -> LiveResult<Vec<LogicalOp>> {
                     op,
                     oid,
                     obj,
-                    ..
                 } => {
                     begun.insert(
                         *op_id,
@@ -151,21 +139,13 @@ fn scan_ops(dir: &Path, committed_only: bool) -> LiveResult<Vec<LogicalOp>> {
                             obj: obj.clone(),
                         },
                     );
-                    order.push(*op_id);
                 }
-                RecordBody::Commit { op_id, .. } if committed_only => {
+                RecordBody::Commit { op_id, .. } => {
                     if let Some(op) = begun.remove(op_id) {
                         out.push(op);
                     }
                 }
                 _ => {}
-            }
-        }
-    }
-    if !committed_only {
-        for op_id in order {
-            if let Some(op) = begun.remove(&op_id) {
-                out.push(op);
             }
         }
     }

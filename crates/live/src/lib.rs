@@ -1,5 +1,5 @@
 //! `cpq-live`: mutable R*-trees under concurrency — write-ahead logging
-//! with ARIES-lite crash recovery, epoch/copy-on-write snapshots for
+//! with redo-and-sweep crash recovery, epoch/copy-on-write snapshots for
 //! wait-free readers, and continuous K-CPQ maintenance over streaming
 //! points.
 //!
@@ -8,8 +8,8 @@
 //! without touching any query algorithm:
 //!
 //! * [`wal`] — segmented write-ahead log with LSN-stamped, CRC-framed
-//!   records (physiological page after-images plus logical op records),
-//!   group-commit fsync batching, and sharp checkpoints that truncate the
+//!   records (page after-images plus logical op records) behind one lock,
+//!   fail-stop on a failed write, and sharp checkpoints that truncate the
 //!   log.
 //! * [`epoch`] — epoch-based snapshot publication. Writers are
 //!   copy-on-write (see `RTree::cow_enable`): each update clones its
@@ -17,9 +17,9 @@
 //!   height, len)` descriptor atomically, so readers pin an epoch and run
 //!   the PR-4/PR-7 executors unmodified on a consistent tree. Superseded
 //!   pages return to the pool only when no pinned epoch can reach them.
-//! * [`recovery`] — ARIES-lite: analysis over the segment chain, redo of
-//!   committed page images, and an unreachable-page sweep that subsumes
-//!   undo (copy-on-write means losers never overwrote live data).
+//! * [`recovery`] — analysis over the segment chain, redo of committed
+//!   page images, and an unreachable-page sweep in place of undo
+//!   (copy-on-write means losers never overwrote live data).
 //! * [`tree`] — [`LiveTree`] ties the three together; [`LiveSet`] holds
 //!   the P/Q pair and routes [`UpdateOp`] batches.
 //! * [`continuous`] — [`ContinuousCpq`] maintains a K-CPQ result set
@@ -28,9 +28,8 @@
 //! * [`harness`] — the crash-injection harness used by the recovery
 //!   tests: kill the log at every record boundary, recover, compare.
 //!
-//! Concurrent model-check sites #7 (epoch publish/reclaim, in [`epoch`])
-//! and #8 (group-commit durability, in [`wal`]) live here; run them with
-//! `RUSTFLAGS="--cfg cpq_model"`.
+//! Concurrent model-check site #7 (epoch publish/reclaim, in [`epoch`])
+//! lives here; run it with `RUSTFLAGS="--cfg cpq_model"`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

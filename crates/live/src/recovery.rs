@@ -1,11 +1,11 @@
-//! ARIES-lite crash recovery for [`LiveTree`](crate::tree::LiveTree)
-//! directories.
+//! Crash recovery for [`LiveTree`](crate::tree::LiveTree) directories:
+//! redo of committed page images, then a reachability sweep.
 //!
-//! Classic ARIES needs three passes because in-place updates can clobber
-//! committed state (undo must roll losers back). Copy-on-write changes
-//! the shape of the problem: an uncommitted operation only ever wrote
-//! *fresh* pages — pages unreachable from every committed descriptor — so
-//! there is nothing to roll back, only garbage to sweep. Recovery is:
+//! A log over in-place updates needs an undo pass, because a crash can
+//! leave committed state clobbered by a loser. Copy-on-write changes the
+//! shape of the problem: an uncommitted operation only ever wrote *fresh*
+//! pages — pages unreachable from every committed descriptor — so there is
+//! nothing to roll back, only garbage to sweep. Recovery is:
 //!
 //! 1. **Analysis** — [`scan_log`](crate::wal::scan_log) finds the newest
 //!    segment whose leading checkpoint is intact (the base), then decodes
@@ -19,8 +19,9 @@
 //!    data before commit), or anything between.
 //! 3. **Sweep (undo's COW residue)** — walk the recovered tree; every
 //!    page of the data file not reachable from the recovered root is
-//!    returned to the free list. This reclaims loser allocations,
-//!    honors winners' `PageFree`s, and rebuilds the in-memory free list
+//!    returned to the free list. This reclaims loser allocations, frees
+//!    the pages winners retired (neither is logged: reachability from the
+//!    recovered root says both), and rebuilds the in-memory free list
 //!    that [`DiskPageFile::open`] starts empty — one pass, three jobs.
 //!
 //! The recovered tree is then validated (all structural invariants plus
@@ -29,7 +30,7 @@
 
 use crate::error::{LiveError, LiveResult};
 use crate::tree::{LiveConfig, LiveTree, DATA_FILE, WAL_DIR};
-use crate::wal::{scan_log, Lsn, RecordBody, Wal, WalConfig};
+use crate::wal::{scan_log, Lsn, RecordBody, Wal};
 use cpq_check::sync::Arc;
 use cpq_geo::SpatialObject;
 use cpq_rtree::{RTree, RTreeParams, ValidateOptions};
@@ -125,7 +126,7 @@ pub fn recover<const D: usize, O: SpatialObject<D>>(
                 RecordBody::PageWrite { op_id, page, image } => {
                     pending.push((*op_id, *page, image.clone()));
                 }
-                RecordBody::PageAlloc { .. } | RecordBody::PageFree { .. } => {}
+                RecordBody::PageAlloc { .. } => {}
                 RecordBody::Commit {
                     op_id,
                     root,
@@ -207,13 +208,8 @@ pub fn recover<const D: usize, O: SpatialObject<D>>(
     // seal the recovered state with a checkpoint (making it the new base
     // and truncating everything the analysis pass read).
     let last_seq = scans.last().map(|s| s.seq).unwrap_or(1);
-    let wal = Wal::with_segment(
-        &wal_dir,
-        WalConfig { sync: cfg.wal.sync },
-        last_seq + 1,
-        report.last_lsn + 1,
-    )?;
-    let live = LiveTree::from_descriptor_parts(
+    let wal = Wal::with_segment(&wal_dir, cfg.wal.clone(), last_seq + 1, report.last_lsn + 1)?;
+    let live = LiveTree::from_parts(
         pool,
         params,
         descriptor,

@@ -2,20 +2,24 @@
 //! [`LiveSet`]: the P/Q pair of live trees behind batched [`UpdateOp`]s
 //! with optional continuous K-CPQ maintenance.
 //!
-//! Update protocol (one op, under the writer lock):
+//! Update protocol (one op, under the writer lock, which is held across
+//! the log's write and fsync — each log has one committer at a time):
 //!
-//! 1. `OpBegin` is appended to the WAL (logical record: op, side, oid,
-//!    object bytes).
+//! 1. `OpBegin` is appended to the WAL (logical record: op, oid, object
+//!    bytes).
 //! 2. The copy-on-write tree op runs: every page it writes is a *fresh*
 //!    page (`RTree::cow_enable`), so pages reachable from any published
 //!    descriptor are never modified in place.
-//! 3. The COW delta is logged physiologically: `PageAlloc` per fresh
-//!    page, a `PageWrite` carrying each fresh page's final after-image,
-//!    `PageFree` per retired page, then `Commit` with the new `(root,
-//!    height, len)` descriptor.
-//! 4. `Wal::commit` makes the records durable (group commit batches the
-//!    fsync across concurrent writers of *other* trees sharing a log —
-//!    and, more importantly here, keeps the durable watermark honest).
+//! 3. The COW delta is logged: a `PageWrite` carrying each fresh page's
+//!    final after-image, then `Commit` with the new `(root, height, len)`
+//!    descriptor. Which pages were allocated or retired is not logged;
+//!    recovery's sweep recomputes it from the recovered root.
+//! 4. `Wal::commit` writes the records and (when configured) fsyncs them.
+//!    If that fails, step 2 has already run, so carrying on would publish
+//!    a descriptor reaching pages whose images never reached the log: the
+//!    log latches the failure, this tree refuses every later update and
+//!    checkpoint before touching anything, and
+//!    [`recover`](crate::recovery::recover) is the way back.
 //! 5. Only then is the descriptor published to the [`EpochRegistry`], so
 //!    a reader can never observe state that a crash would roll back.
 //!    Retired pages go back to the pool once no pinned epoch can read
@@ -35,13 +39,15 @@ use cpq_check::sync::{Arc, Mutex};
 use cpq_geo::{Point, SpatialObject};
 use cpq_rtree::{RTree, RTreeParams};
 use cpq_storage::{BufferPool, DiskPageFile, MemPageFile, PageId};
-use std::collections::HashMap;
 use std::path::Path;
 
 /// File name of the paged data store inside a live-tree directory.
 pub const DATA_FILE: &str = "data.pages";
 /// Subdirectory holding WAL segments inside a live-tree directory.
 pub const WAL_DIR: &str = "wal";
+
+/// The `(root, height, len)` descriptor of a tree with nothing in it.
+const EMPTY: (PageId, u8, u64) = (PageId::INVALID, 0, 0);
 
 /// Which tree of a [`LiveSet`] an update targets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -145,11 +151,6 @@ struct WriterState<const D: usize, O: SpatialObject<D>> {
     tree: RTree<D, O>,
     next_op_id: u64,
     ops_since_checkpoint: u64,
-    /// Dirty-page table: page → recLSN of its first `PageWrite` since the
-    /// last checkpoint. A checkpoint may only declare the data file
-    /// durable after the WAL is flushed through every recLSN here
-    /// (WAL-before-data).
-    dpt: HashMap<u32, Lsn>,
     inserts: u64,
     deletes: u64,
     delete_misses: u64,
@@ -209,7 +210,7 @@ impl<const D: usize, O: SpatialObject<D>> LiveTree<D, O> {
             Box::new(MemPageFile::new(cfg.page_size)),
             cfg.capacity,
         ));
-        Self::from_parts(pool, params, None, cfg.checkpoint_every, 1)
+        Self::from_parts(pool, params, EMPTY, None, cfg.checkpoint_every, 1)
     }
 
     /// Creates a durable live tree in `dir` (a data file plus a WAL
@@ -222,35 +223,16 @@ impl<const D: usize, O: SpatialObject<D>> LiveTree<D, O> {
         let wal_dir = dir.join(WAL_DIR);
         std::fs::create_dir_all(&wal_dir)?;
         let wal = Wal::create(&wal_dir, cfg.wal.clone())?;
-        let tree = Self::from_parts(pool, params, Some(wal), cfg.checkpoint_every, 1)?;
+        let tree = Self::from_parts(pool, params, EMPTY, Some(wal), cfg.checkpoint_every, 1)?;
         // Base checkpoint: rotates to a segment whose first record is an
         // intact Checkpoint, which is what recovery scans for.
         tree.checkpoint()?;
         Ok(tree)
     }
 
-    /// Assembles a live tree from recovered (or fresh) parts. The tree
+    /// Assembles a live tree from recovered (or fresh) parts. `descriptor`
     /// must describe committed state already present in `pool`.
     pub(crate) fn from_parts(
-        pool: Arc<BufferPool>,
-        params: RTreeParams,
-        wal: Option<Wal>,
-        checkpoint_every: u64,
-        next_op_id: u64,
-    ) -> LiveResult<Self> {
-        Self::from_descriptor_parts(
-            pool,
-            params,
-            (PageId::INVALID, 0, 0),
-            wal,
-            checkpoint_every,
-            next_op_id,
-        )
-    }
-
-    /// [`from_parts`](Self::from_parts) at a non-empty descriptor (the
-    /// recovery path).
-    pub(crate) fn from_descriptor_parts(
         pool: Arc<BufferPool>,
         params: RTreeParams,
         descriptor: (PageId, u8, u64),
@@ -271,7 +253,6 @@ impl<const D: usize, O: SpatialObject<D>> LiveTree<D, O> {
                 tree,
                 next_op_id,
                 ops_since_checkpoint: 0,
-                dpt: HashMap::new(),
                 inserts: 0,
                 deletes: 0,
                 delete_misses: 0,
@@ -287,9 +268,6 @@ impl<const D: usize, O: SpatialObject<D>> LiveTree<D, O> {
     /// to snapshot readers on return.
     pub fn insert(&self, object: O, oid: u64) -> LiveResult<()> {
         let mut st = self.writer.lock().expect("live writer poisoned");
-        // analyze: allow(blocking-section) — single-writer protocol: the
-        // writer mutex is the serialization point and the WAL fsync under
-        // it is the durability point (group commit bounds the stall).
         self.apply_locked(&mut st, OpKind::Insert, object, oid)?;
         Ok(())
     }
@@ -299,14 +277,11 @@ impl<const D: usize, O: SpatialObject<D>> LiveTree<D, O> {
     /// replaying the log agree on the op stream.
     pub fn delete(&self, object: O, oid: u64) -> LiveResult<bool> {
         let mut st = self.writer.lock().expect("live writer poisoned");
-        // analyze: allow(blocking-section) — single-writer protocol, as in
-        // `insert`: the WAL fsync under the writer mutex is the durability
-        // point.
         self.apply_locked(&mut st, OpKind::Delete, object, oid)
     }
 
     /// One logical operation under the writer lock: WAL records, COW tree
-    /// op, group commit, epoch publish, auto-checkpoint.
+    /// op, commit, epoch publish, auto-checkpoint.
     fn apply_locked(
         &self,
         st: &mut WriterState<D, O>,
@@ -315,51 +290,37 @@ impl<const D: usize, O: SpatialObject<D>> LiveTree<D, O> {
         oid: u64,
     ) -> LiveResult<bool> {
         let op_id = st.next_op_id;
-        st.next_op_id += 1;
         if let Some(wal) = &self.wal {
+            // Fail-stop: once a commit has failed, the writer's tree holds
+            // an op the log never got; nothing may be built on top of it.
+            wal.check()?;
             let mut obj = vec![0u8; O::encoded_size()];
             object.encode(&mut obj);
             wal.append(&RecordBody::OpBegin {
                 op_id,
                 op,
-                side: 0,
                 oid,
                 obj,
             });
         }
+        st.next_op_id += 1;
         let found = match op {
             OpKind::Insert => {
                 st.tree.insert(object, oid)?;
-                st.inserts += 1;
                 true
             }
-            OpKind::Delete => {
-                let found = st.tree.delete(object, oid)?;
-                if found {
-                    st.deletes += 1;
-                } else {
-                    st.delete_misses += 1;
-                }
-                found
-            }
+            OpKind::Delete => st.tree.delete(object, oid)?,
         };
         let delta = st.tree.cow_take();
         let descriptor = st.tree.descriptor();
         if let Some(wal) = &self.wal {
             for &p in &delta.allocated {
-                wal.append(&RecordBody::PageAlloc { op_id, page: p.0 });
-            }
-            for &p in &delta.allocated {
                 let image = self.shared.pool.read_page(p)?;
-                let lsn = wal.append(&RecordBody::PageWrite {
+                wal.append(&RecordBody::PageWrite {
                     op_id,
                     page: p.0,
                     image: image.to_vec(),
                 });
-                st.dpt.entry(p.0).or_insert(lsn);
-            }
-            for &p in &delta.retired {
-                wal.append(&RecordBody::PageFree { op_id, page: p.0 });
             }
             let commit_lsn = wal.append(&RecordBody::Commit {
                 op_id,
@@ -370,6 +331,11 @@ impl<const D: usize, O: SpatialObject<D>> LiveTree<D, O> {
             // Durability before visibility: readers must never pin state
             // a crash would roll back.
             wal.commit(commit_lsn)?;
+        }
+        match (op, found) {
+            (OpKind::Insert, _) => st.inserts += 1,
+            (OpKind::Delete, true) => st.deletes += 1,
+            (OpKind::Delete, false) => st.delete_misses += 1,
         }
         let shared = Arc::clone(&self.shared);
         self.shared
@@ -385,14 +351,12 @@ impl<const D: usize, O: SpatialObject<D>> LiveTree<D, O> {
         Ok(found)
     }
 
-    /// Takes a sharp checkpoint: flush the WAL through every dirty page's
-    /// recLSN, sync the data file, then write a checkpoint record that
-    /// starts a fresh segment and truncates the old log.
+    /// Takes a sharp checkpoint: flush the WAL, sync the data file, then
+    /// write a checkpoint record that starts a fresh segment and truncates
+    /// the old log. The writer lock is held throughout: updates wait until
+    /// the new segment's fsync has completed.
     pub fn checkpoint(&self) -> LiveResult<Lsn> {
         let mut st = self.writer.lock().expect("live writer poisoned");
-        // analyze: allow(blocking-section) — checkpointing deliberately
-        // quiesces writers: the segment fsync must complete before the
-        // checkpoint LSN is published.
         self.checkpoint_locked(&mut st)
     }
 
@@ -402,12 +366,11 @@ impl<const D: usize, O: SpatialObject<D>> LiveTree<D, O> {
                 "checkpoint on a memory-only live tree".into(),
             ));
         };
-        // WAL-before-data: every recLSN in the dirty-page table must be
-        // durable before the data pages may be declared the new base.
-        // flush_all covers the whole appended log, a superset.
+        // WAL-before-data: the whole appended log is durable (or the log's
+        // latched failure returned) before the data pages may be declared
+        // the new base.
         wal.flush_all()?;
         self.shared.pool.sync()?;
-        st.dpt.clear();
         let descriptor = st.tree.descriptor();
         let lsn = wal.checkpoint(&RecordBody::Checkpoint {
             root: descriptor.0 .0,
@@ -415,7 +378,6 @@ impl<const D: usize, O: SpatialObject<D>> LiveTree<D, O> {
             len: descriptor.2,
             num_pages: self.shared.pool.num_pages(),
             next_op_id: st.next_op_id,
-            dpt: Vec::new(),
         })?;
         st.ops_since_checkpoint = 0;
         st.checkpoints += 1;
@@ -591,10 +553,9 @@ impl<const D: usize, O: SpatialObject<D>> LiveSet<D, O> {
                     }
                     if found {
                         if let Some(c) = cont.as_mut() {
-                            // analyze: allow(blocking-section) — a delete hitting the
-                            // result set re-runs the K-CPQ synchronously (worker joins
-                            // included) before the next op; only this maintenance
-                            // thread takes `cont`.
+                            // A delete hitting the result set re-runs the K-CPQ
+                            // synchronously (worker joins included) before the next
+                            // op; only this maintenance thread takes `cont`.
                             c.on_delete(side, oid, &self.p.snapshot()?, &self.q.snapshot()?)?;
                         }
                     }
@@ -608,5 +569,63 @@ impl<const D: usize, O: SpatialObject<D>> LiveSet<D, O> {
     /// Combined counter snapshot `(P, Q)`.
     pub fn stats(&self) -> (LiveStats, LiveStats) {
         (self.p.stats(), self.q.stats())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cpq_core::brute::self_k_closest_pairs_brute;
+    use cpq_core::{self_closest_pairs, Algorithm, CpqConfig};
+    use cpq_geo::Point2;
+
+    /// The fail-stop rule one level up: after a commit fails, every op is
+    /// refused, nothing unacknowledged is published, and recovery returns
+    /// the acknowledged state.
+    #[test]
+    fn failed_commit_stops_the_tree_and_recovery_agrees_with_the_oracle() {
+        let dir = std::env::temp_dir().join(format!("cpq-failstop-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cfg = LiveConfig {
+            wal: WalConfig { sync: false },
+            checkpoint_every: 16,
+            ..LiveConfig::default()
+        };
+        let tree: LiveTree<2> = LiveTree::create(&dir, RTreeParams::paper(), &cfg).expect("create");
+        let point = |i: u64| Point2::new([(i * 37 % 101) as f64, (i * 53 % 97) as f64]);
+        for i in 0..40 {
+            tree.insert(point(i), i).expect("insert");
+        }
+        let acked: Vec<_> = (0..40).map(|i| (point(i), i)).collect();
+        let keys = |pairs: &[cpq_core::PairResult<2>]| -> Vec<_> {
+            pairs.iter().map(|r| r.sort_key()).collect()
+        };
+        let oracle = keys(&self_k_closest_pairs_brute(&acked, 6));
+        let answer = |t: &RTree<2>| {
+            let out = self_closest_pairs(t, 6, Algorithm::Heap, &CpqConfig::default());
+            keys(&out.expect("query").pairs)
+        };
+
+        let wal = tree.wal.as_ref().expect("durable tree");
+        let read_only = std::fs::File::open(dir.join(DATA_FILE)).expect("a read-only handle");
+        let working = wal.swap_segment_handle(read_only);
+        assert!(tree.insert(point(40), 40).is_err(), "the log write fails");
+        // The disk "comes back"; the tree must stay stopped all the same.
+        wal.swap_segment_handle(working);
+        assert!(tree.insert(point(41), 41).is_err());
+        assert!(tree.delete(point(0), 0).is_err());
+        assert!(tree.checkpoint().is_err());
+        assert_eq!(tree.stats().inserts, 40, "acknowledged ops only");
+        let snap = tree.snapshot().expect("snapshot");
+        assert_eq!(snap.tree().len(), 40, "the failed insert was not published");
+        assert_eq!(answer(snap.tree()), oracle);
+        drop(snap);
+        drop(tree);
+
+        let (back, _) =
+            crate::recover::<2, Point2>(&dir, RTreeParams::paper(), &cfg).expect("recover");
+        assert_eq!(answer(back.snapshot().expect("snapshot").tree()), oracle);
+        back.insert(point(40), 40).expect("updates resume");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

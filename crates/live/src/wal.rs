@@ -1,5 +1,5 @@
 //! Write-ahead log: append-only segments, LSN-stamped records, CRC32 per
-//! record, group-commit fsync batching.
+//! record, one lock.
 //!
 //! ## Format
 //!
@@ -15,16 +15,19 @@
 //! The CRC (the same table-driven CRC-32/ISO-HDLC as the page trailers,
 //! [`cpq_storage::crc32`]) covers the whole body, so a torn tail — a crash
 //! mid-write — is detected as a short or mismatching record and treated as
-//! the end of the log, never as corruption of earlier records.
+//! the end of the log, never as corruption of earlier records. A segment
+//! whose header carries another format version is refused whole: it scans
+//! as holding no records, so recovery reports `NoCheckpoint` instead of
+//! misreading it.
 //!
-//! Records are *physiological*: page-level after-images
-//! ([`RecordBody::PageWrite`]) carry the exact bytes redo must install,
-//! while [`RecordBody::OpBegin`] carries the logical operation (insert or
-//! delete of one object) so recovery and audit tooling can reason about
-//! intent. A [`RecordBody::Commit`] seals an operation and carries the
-//! tree descriptor the operation published; a [`RecordBody::Checkpoint`]
-//! opens every segment, carrying the descriptor plus the dirty-page table
-//! so redo starts from a known-durable base.
+//! The writer logs four kinds. [`RecordBody::OpBegin`] carries the logical
+//! operation (insert or delete of one object) so the crash harness and
+//! audit tooling can reason about intent; [`RecordBody::PageWrite`] carries
+//! the exact bytes redo must install; a [`RecordBody::Commit`] seals an
+//! operation and carries the tree descriptor it published; a
+//! [`RecordBody::Checkpoint`] opens every segment with the descriptor redo
+//! starts from. Which pages an operation allocated or retired is not
+//! logged: recovery recomputes reachability from the recovered root.
 //!
 //! ## Rotation
 //!
@@ -35,23 +38,33 @@
 //! previous segment) or both (recovery picks the newest segment with an
 //! intact leading checkpoint); both outcomes recover correctly.
 //!
-//! ## Group commit
+//! ## One lock
 //!
-//! [`Wal::commit`] batches fsyncs: the first committer whose LSN is not
-//! yet durable becomes the *flush leader*, drains everything buffered so
-//! far with one write + fsync, and wakes the others; committers that
-//! arrive while a flush is in flight just wait, and usually find their
-//! record covered by the leader's batch. The protocol lives in
-//! [`GroupCommit`] — concurrent model-check site #8 (see the
-//! `model_tests` module) with a pinned broken twin that publishes the
-//! durable LSN it *observed at entry* instead of the LSN the flush
-//! actually covered.
+//! All of the log's state — buffer, segment handle, counters, the
+//! appended and durable watermarks — sits behind one mutex, which
+//! [`Wal::commit`] holds across the write and the fsync. That is the whole
+//! durability protocol: the LSN a flush publishes as durable is the one it
+//! read before writing and nothing can append in between, so *when
+//! `commit(lsn)` returns `Ok`, every record up to `lsn` has been written
+//! (and synced, when configured)*. A committer that queued behind a flush
+//! which covered its record returns without one of its own. Every `Wal` is
+//! owned by one [`LiveTree`](crate::tree::LiveTree) and reached only under
+//! that tree's writer mutex: one committer at a time.
+//!
+//! ## Fail-stop
+//!
+//! A failed write or sync leaves the segment in a state this process
+//! cannot see, and the tree one level up has already run ahead of it. So
+//! the first failure latches: every later `commit`, `flush_all` and
+//! `checkpoint` returns an error, nothing more is written, and the way
+//! back is [`recover`](crate::recovery::recover), which reads what did
+//! reach the disk.
 
 use crate::error::{LiveError, LiveResult};
-use cpq_check::sync::{Condvar, Mutex};
+use cpq_check::sync::Mutex;
 use cpq_storage::crc32;
 use std::fs::{self, File, OpenOptions};
-use std::io::{Read, Write};
+use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 
 /// Log sequence number. LSN 0 means "none"; real records start at 1.
@@ -60,7 +73,7 @@ pub type Lsn = u64;
 /// Segment header magic: `RPQW` (the page-file magic's sibling).
 const WAL_MAGIC: u32 = 0x5250_5157;
 /// Format version.
-const WAL_VERSION: u32 = 1;
+const WAL_VERSION: u32 = 2;
 /// Segment header length in bytes.
 pub const SEGMENT_HEADER_LEN: u64 = 8;
 /// Sanity cap on a single record body (a page image plus slack).
@@ -69,7 +82,6 @@ const MAX_BODY_LEN: usize = 1 << 26;
 const KIND_OP_BEGIN: u8 = 1;
 const KIND_PAGE_WRITE: u8 = 2;
 const KIND_PAGE_ALLOC: u8 = 3;
-const KIND_PAGE_FREE: u8 = 4;
 const KIND_COMMIT: u8 = 5;
 const KIND_CHECKPOINT: u8 = 6;
 
@@ -85,15 +97,13 @@ pub enum OpKind {
 /// A decoded WAL record body.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RecordBody {
-    /// Start of a logical operation: which object is inserted or deleted
-    /// on which tree side. `obj` is the object's fixed-size encoding.
+    /// Start of a logical operation: which object is inserted or deleted.
+    /// `obj` is the object's fixed-size encoding.
     OpBegin {
         /// Monotonic operation id.
         op_id: u64,
         /// Insert or delete.
         op: OpKind,
-        /// Tree side (0 = P, 1 = Q; a single live tree always logs 0).
-        side: u8,
         /// Application object id.
         oid: u64,
         /// `SpatialObject::encode` bytes.
@@ -108,15 +118,12 @@ pub enum RecordBody {
         /// Full page image (`page_size` bytes).
         image: Vec<u8>,
     },
-    /// The operation allocated this page (copy-on-write fresh page).
+    /// A page-allocation note. Nothing in the workspace writes it and
+    /// recovery ignores it (the sweep recomputes reachability); it stays
+    /// encodable and decodable because the out-of-workspace `benchmark/`
+    /// package appends it as the smallest record there is
+    /// (`live.wal_commit_us`) — pinned like the six names of DESIGN.md §18.
     PageAlloc {
-        /// Owning operation.
-        op_id: u64,
-        /// Raw page index.
-        page: u32,
-    },
-    /// The operation retired this pre-existing page.
-    PageFree {
         /// Owning operation.
         op_id: u64,
         /// Raw page index.
@@ -145,11 +152,6 @@ pub enum RecordBody {
         num_pages: u32,
         /// Next operation id to hand out.
         next_op_id: u64,
-        /// Dirty-page table at checkpoint: `(page, recLSN)` pairs. Sharp
-        /// checkpoints sync the data file first, so this is empty in the
-        /// normal path; it is logged anyway so the WAL-before-data
-        /// enforcement point is auditable.
-        dpt: Vec<(u32, Lsn)>,
     },
 }
 
@@ -176,24 +178,22 @@ struct Cursor<'a> {
 }
 
 impl<'a> Cursor<'a> {
+    fn array<const N: usize>(&mut self) -> Option<[u8; N]> {
+        let bytes = self.buf.get(self.at..self.at + N)?.try_into().ok()?;
+        self.at += N;
+        Some(bytes)
+    }
+
     fn u8(&mut self) -> Option<u8> {
-        let v = *self.buf.get(self.at)?;
-        self.at += 1;
-        Some(v)
+        self.array().map(|[b]| b)
     }
 
     fn u32(&mut self) -> Option<u32> {
-        let bytes = self.buf.get(self.at..self.at + 4)?;
-        self.at += 4;
-        // analyze: allow(panic-path) — a 4-byte slice always converts.
-        Some(u32::from_le_bytes(bytes.try_into().expect("4-byte slice")))
+        self.array().map(u32::from_le_bytes)
     }
 
     fn u64(&mut self) -> Option<u64> {
-        let bytes = self.buf.get(self.at..self.at + 8)?;
-        self.at += 8;
-        // analyze: allow(panic-path) — an 8-byte slice always converts.
-        Some(u64::from_le_bytes(bytes.try_into().expect("8-byte slice")))
+        self.array().map(u64::from_le_bytes)
     }
 
     fn bytes(&mut self, n: usize) -> Option<Vec<u8>> {
@@ -214,7 +214,6 @@ fn encode_record(out: &mut Vec<u8>, lsn: Lsn, body: &RecordBody) {
         RecordBody::OpBegin { .. } => KIND_OP_BEGIN,
         RecordBody::PageWrite { .. } => KIND_PAGE_WRITE,
         RecordBody::PageAlloc { .. } => KIND_PAGE_ALLOC,
-        RecordBody::PageFree { .. } => KIND_PAGE_FREE,
         RecordBody::Commit { .. } => KIND_COMMIT,
         RecordBody::Checkpoint { .. } => KIND_CHECKPOINT,
     };
@@ -224,7 +223,6 @@ fn encode_record(out: &mut Vec<u8>, lsn: Lsn, body: &RecordBody) {
         RecordBody::OpBegin {
             op_id,
             op,
-            side,
             oid,
             obj,
         } => {
@@ -233,7 +231,6 @@ fn encode_record(out: &mut Vec<u8>, lsn: Lsn, body: &RecordBody) {
                 OpKind::Insert => 0,
                 OpKind::Delete => 1,
             });
-            b.push(*side);
             put_u64(&mut b, *oid);
             put_u32(&mut b, obj.len() as u32);
             b.extend_from_slice(obj);
@@ -244,7 +241,7 @@ fn encode_record(out: &mut Vec<u8>, lsn: Lsn, body: &RecordBody) {
             put_u32(&mut b, image.len() as u32);
             b.extend_from_slice(image);
         }
-        RecordBody::PageAlloc { op_id, page } | RecordBody::PageFree { op_id, page } => {
+        RecordBody::PageAlloc { op_id, page } => {
             put_u64(&mut b, *op_id);
             put_u32(&mut b, *page);
         }
@@ -265,18 +262,12 @@ fn encode_record(out: &mut Vec<u8>, lsn: Lsn, body: &RecordBody) {
             len,
             num_pages,
             next_op_id,
-            dpt,
         } => {
             put_u32(&mut b, *root);
             b.push(*height);
             put_u64(&mut b, *len);
             put_u32(&mut b, *num_pages);
             put_u64(&mut b, *next_op_id);
-            put_u32(&mut b, dpt.len() as u32);
-            for (page, rec_lsn) in dpt {
-                put_u32(&mut b, *page);
-                put_u64(&mut b, *rec_lsn);
-            }
         }
     }
     put_u32(out, b.len() as u32);
@@ -299,14 +290,12 @@ fn decode_body(body: &[u8]) -> Option<WalRecord> {
                 1 => OpKind::Delete,
                 _ => return None,
             };
-            let side = c.u8()?;
             let oid = c.u64()?;
             let n = c.u32()? as usize;
             let obj = c.bytes(n)?;
             RecordBody::OpBegin {
                 op_id,
                 op,
-                side,
                 oid,
                 obj,
             }
@@ -318,14 +307,10 @@ fn decode_body(body: &[u8]) -> Option<WalRecord> {
             let image = c.bytes(n)?;
             RecordBody::PageWrite { op_id, page, image }
         }
-        KIND_PAGE_ALLOC | KIND_PAGE_FREE => {
+        KIND_PAGE_ALLOC => {
             let op_id = c.u64()?;
             let page = c.u32()?;
-            if kind == KIND_PAGE_ALLOC {
-                RecordBody::PageAlloc { op_id, page }
-            } else {
-                RecordBody::PageFree { op_id, page }
-            }
+            RecordBody::PageAlloc { op_id, page }
         }
         KIND_COMMIT => {
             let op_id = c.u64()?;
@@ -345,24 +330,18 @@ fn decode_body(body: &[u8]) -> Option<WalRecord> {
             let len = c.u64()?;
             let num_pages = c.u32()?;
             let next_op_id = c.u64()?;
-            let n = c.u32()? as usize;
-            let mut dpt = Vec::with_capacity(n.min(1 << 16));
-            for _ in 0..n {
-                dpt.push((c.u32()?, c.u64()?));
-            }
             RecordBody::Checkpoint {
                 root,
                 height,
                 len,
                 num_pages,
                 next_op_id,
-                dpt,
             }
         }
         _ => return None,
     };
     if !c.done() {
-        return None; // trailing garbage inside a CRC-valid body
+        return None; // trailing bytes inside a CRC-valid body: another layout
     }
     Some(WalRecord { lsn, body })
 }
@@ -388,10 +367,11 @@ pub struct WalStats {
     pub records: u64,
     /// Bytes appended (including framing).
     pub bytes: u64,
-    /// Commit calls (acknowledged durability waits).
+    /// Durability waits: `commit` calls plus the `flush_all` of each
+    /// checkpoint.
     pub commits: u64,
-    /// Physical flushes (each at most one fsync). Under concurrent
-    /// committers this stays below `commits` — the group-commit win.
+    /// Physical flushes (each one write and at most one fsync). A wait
+    /// that finds its LSN already durable adds none.
     pub flushes: u64,
     /// Checkpoints taken (= segment rotations).
     pub checkpoints: u64,
@@ -401,174 +381,74 @@ pub struct WalStats {
     pub durable_lsn: Lsn,
 }
 
-/// The group-commit protocol: leader election over a buffered log tail.
-///
-/// Tracks two watermarks — `appended` (highest LSN serialized into the
-/// buffer) and `durable` (highest LSN the backing store has acknowledged).
-/// [`commit`](Self::commit) blocks until `durable >= lsn`, electing the
-/// caller as flush leader when no flush is in flight. The flush callback
-/// returns the LSN its write+sync actually covered; publishing *that*
-/// value (not the appended watermark observed at entry) is what makes the
-/// protocol correct — see the broken twin in the model tests.
-pub struct GroupCommit {
-    state: Mutex<GcState>,
-    durable_cv: Condvar,
-}
-
-#[derive(Debug, Default)]
-struct GcState {
-    durable: Lsn,
-    flushing: bool,
-    commits: u64,
-    flushes: u64,
-}
-
-impl GroupCommit {
-    /// New protocol state with nothing durable.
-    pub fn new() -> Self {
-        GroupCommit {
-            state: Mutex::new(GcState::default()),
-            durable_cv: Condvar::new(),
-        }
-    }
-
-    /// Blocks until `lsn` is durable. `flush` makes everything currently
-    /// buffered durable and returns the covered LSN; it runs outside the
-    /// protocol lock so followers can enqueue while the leader syncs.
-    pub fn commit<F>(&self, lsn: Lsn, mut flush: F) -> LiveResult<()>
-    where
-        F: FnMut() -> LiveResult<Lsn>,
-    {
-        let mut st = self.state.lock().expect("group-commit state poisoned");
-        st.commits += 1;
-        loop {
-            if st.durable >= lsn {
-                return Ok(());
-            }
-            if !st.flushing {
-                st.flushing = true;
-                drop(st);
-                let res = flush();
-                st = self.state.lock().expect("group-commit state poisoned");
-                st.flushing = false;
-                match res {
-                    Ok(covered) => {
-                        st.durable = st.durable.max(covered);
-                        st.flushes += 1;
-                        self.durable_cv.notify_all();
-                        // Loop: if a follower appended past `covered`
-                        // while we were flushing and that follower is us
-                        // (lsn > covered), we flush again.
-                    }
-                    Err(e) => {
-                        // Wake waiters so they retry (and elect a new
-                        // leader) instead of sleeping forever.
-                        self.durable_cv.notify_all();
-                        return Err(e);
-                    }
-                }
-            } else {
-                st = self
-                    .durable_cv
-                    .wait(st)
-                    .expect("group-commit state poisoned");
-            }
-        }
-    }
-
-    /// The pinned **broken twin** of [`commit`](Self::commit): the leader
-    /// snapshots the caller-supplied `appended` watermark *before*
-    /// flushing and publishes that instead of what the flush covered. A
-    /// follower that appends between the leader's buffer drain and its
-    /// publish gets acknowledged without its record ever being synced.
-    #[cfg(all(test, cpq_model))]
-    pub fn commit_broken_publish_appended<F, A>(
-        &self,
-        lsn: Lsn,
-        mut flush: F,
-        appended: A,
-    ) -> LiveResult<()>
-    where
-        F: FnMut() -> LiveResult<Lsn>,
-        A: Fn() -> Lsn,
-    {
-        let mut st = self.state.lock().expect("group-commit state poisoned");
-        st.commits += 1;
-        loop {
-            if st.durable >= lsn {
-                return Ok(());
-            }
-            if !st.flushing {
-                st.flushing = true;
-                drop(st);
-                let _ = flush()?;
-                // BUG: reads the appended watermark *after* the flush
-                // drained the buffer — records appended in that window
-                // are claimed durable without having been flushed.
-                let claimed = appended();
-                st = self.state.lock().expect("group-commit state poisoned");
-                st.flushing = false;
-                st.durable = st.durable.max(claimed);
-                st.flushes += 1;
-                self.durable_cv.notify_all();
-            } else {
-                st = self
-                    .durable_cv
-                    .wait(st)
-                    .expect("group-commit state poisoned");
-            }
-        }
-    }
-
-    /// Records an out-of-band flush (checkpoint path).
-    fn note_durable(&self, lsn: Lsn) {
-        let mut st = self.state.lock().expect("group-commit state poisoned");
-        if lsn > st.durable {
-            st.durable = lsn;
-            self.durable_cv.notify_all();
-        }
-    }
-
-    fn snapshot(&self) -> (Lsn, u64, u64) {
-        let st = self.state.lock().expect("group-commit state poisoned");
-        (st.durable, st.commits, st.flushes)
-    }
-}
-
-impl Default for GroupCommit {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 struct WalInner {
     dir: PathBuf,
     file: File,
     seg_seq: u64,
     /// Records serialized but not yet written to the segment file.
     buf: Vec<u8>,
-    next_lsn: Lsn,
-    /// Highest LSN serialized into `buf`/the file.
-    appended_lsn: Lsn,
-    records: u64,
-    bytes: u64,
-    checkpoints: u64,
+    /// Counters and watermarks: `appended_lsn` is the last LSN handed out,
+    /// `durable_lsn` the last a successful write (and sync) covered.
+    stats: WalStats,
+    /// The first write or sync failure (see the module's fail-stop rule).
+    failed: Option<String>,
+}
+
+impl WalInner {
+    /// The fail-stop rule's check: the latched failure, if there is one.
+    fn check(&self) -> LiveResult<()> {
+        match &self.failed {
+            None => Ok(()),
+            Some(why) => Err(LiveError::Io(io::Error::other(format!(
+                "the log failed earlier ({why}); recover() is the way back"
+            )))),
+        }
+    }
+
+    /// Passes a write or sync result through, latching its failure.
+    fn latch<T>(&mut self, res: io::Result<T>) -> LiveResult<T> {
+        res.map_err(|e| {
+            self.failed = Some(e.to_string());
+            LiveError::Io(e)
+        })
+    }
+
+    /// Returns once `lsn` is durable: at once when an earlier flush covered
+    /// it, else after writing the buffer (and syncing, when `sync`). The
+    /// caller holds the lock throughout, so the LSN published as durable is
+    /// exactly what the write covered.
+    fn commit(&mut self, lsn: Lsn, sync: bool) -> LiveResult<()> {
+        self.check()?;
+        debug_assert!(lsn <= self.stats.appended_lsn, "unassigned LSN");
+        if lsn == 0 {
+            return Ok(()); // "none": an empty log has nothing to wait for
+        }
+        self.stats.commits += 1;
+        if self.stats.durable_lsn >= lsn {
+            return Ok(());
+        }
+        let covered = self.stats.appended_lsn;
+        let mut written = self.file.write_all(&self.buf);
+        if sync {
+            written = written.and_then(|()| self.file.sync_data());
+        }
+        self.latch(written)?;
+        self.buf.clear();
+        self.stats.durable_lsn = covered;
+        self.stats.flushes += 1;
+        Ok(())
+    }
 }
 
 /// The write-ahead log over one directory of segment files.
 pub struct Wal {
     inner: Mutex<WalInner>,
-    gc: GroupCommit,
     cfg: WalConfig,
 }
 
-/// `wal-NNNNNNNN.log` for segment `seq`.
-fn segment_name(seq: u64) -> String {
-    format!("wal-{seq:08}.log")
-}
-
+/// `dir/wal-NNNNNNNN.log` for segment `seq`.
 fn segment_path(dir: &Path, seq: u64) -> PathBuf {
-    dir.join(segment_name(seq))
+    dir.join(format!("wal-{seq:08}.log"))
 }
 
 /// Lists `(seq, path)` of all segments in `dir`, ascending.
@@ -590,16 +470,22 @@ pub fn list_segments(dir: &Path) -> LiveResult<Vec<(u64, PathBuf)>> {
     Ok(out)
 }
 
-fn new_segment_file(dir: &Path, seq: u64) -> LiveResult<File> {
+/// Creates segment `seq` holding its header and `first` (already encoded
+/// records), synced when `sync`.
+fn new_segment_file(dir: &Path, seq: u64, first: &[u8], sync: bool) -> io::Result<File> {
     let mut file = OpenOptions::new()
         .create(true)
         .truncate(true)
         .write(true)
         .open(segment_path(dir, seq))?;
-    let mut header = Vec::with_capacity(SEGMENT_HEADER_LEN as usize);
-    put_u32(&mut header, WAL_MAGIC);
-    put_u32(&mut header, WAL_VERSION);
-    file.write_all(&header)?;
+    let mut bytes = Vec::with_capacity(SEGMENT_HEADER_LEN as usize + first.len());
+    put_u32(&mut bytes, WAL_MAGIC);
+    put_u32(&mut bytes, WAL_VERSION);
+    bytes.extend_from_slice(first);
+    file.write_all(&bytes)?;
+    if sync {
+        file.sync_data()?;
+    }
     Ok(file)
 }
 
@@ -621,20 +507,19 @@ impl Wal {
         seg_seq: u64,
         next_lsn: Lsn,
     ) -> LiveResult<Self> {
-        let file = new_segment_file(dir, seg_seq)?;
+        let file = new_segment_file(dir, seg_seq, &[], false)?;
         Ok(Wal {
             inner: Mutex::new(WalInner {
                 dir: dir.to_path_buf(),
                 file,
                 seg_seq,
                 buf: Vec::new(),
-                next_lsn,
-                appended_lsn: next_lsn.saturating_sub(1),
-                records: 0,
-                bytes: 0,
-                checkpoints: 0,
+                stats: WalStats {
+                    appended_lsn: next_lsn.saturating_sub(1),
+                    ..WalStats::default()
+                },
+                failed: None,
             }),
-            gc: GroupCommit::new(),
             cfg,
         })
     }
@@ -644,87 +529,63 @@ impl Wal {
     /// [`checkpoint`](Self::checkpoint).
     pub fn append(&self, body: &RecordBody) -> Lsn {
         let mut inner = self.inner.lock().expect("wal state poisoned");
-        let lsn = inner.next_lsn;
-        inner.next_lsn += 1;
+        let lsn = inner.stats.appended_lsn + 1;
         let before = inner.buf.len();
-        let mut buf = std::mem::take(&mut inner.buf);
-        encode_record(&mut buf, lsn, body);
-        let added = (buf.len() - before) as u64;
-        inner.buf = buf;
-        inner.appended_lsn = lsn;
-        inner.records += 1;
-        inner.bytes += added;
+        encode_record(&mut inner.buf, lsn, body);
+        inner.stats.appended_lsn = lsn;
+        inner.stats.records += 1;
+        inner.stats.bytes += (inner.buf.len() - before) as u64;
         lsn
     }
 
-    /// Drains the buffer into the current segment file and (when
-    /// configured) fsyncs it. Returns the LSN the write covered.
-    fn flush_now(&self) -> LiveResult<Lsn> {
-        let mut inner = self.inner.lock().expect("wal state poisoned");
-        let covered = inner.appended_lsn;
-        if !inner.buf.is_empty() {
-            let buf = std::mem::take(&mut inner.buf);
-            inner.file.write_all(&buf)?;
-        }
-        if self.cfg.sync {
-            // analyze: allow(blocking-section) — the group-commit point:
-            // peers blocking on the WAL mutex during this fsync is the
-            // batching mechanism (their records ride the same sync).
-            inner.file.sync_data()?;
-        }
-        Ok(covered)
-    }
-
-    /// Group commit: blocks until `lsn` is durable (one fsync may cover
-    /// many committers).
+    /// Returns once every record up to `lsn` is durable. One flush covers
+    /// everything appended before it, so a caller whose record an earlier
+    /// flush already wrote returns without another.
     pub fn commit(&self, lsn: Lsn) -> LiveResult<()> {
-        self.gc.commit(lsn, || self.flush_now())
+        let mut inner = self.inner.lock().expect("wal state poisoned");
+        inner.commit(lsn, self.cfg.sync)
     }
 
     /// Makes everything appended so far durable.
     pub fn flush_all(&self) -> LiveResult<Lsn> {
-        let target = self.inner.lock().expect("wal state poisoned").appended_lsn;
-        if target > 0 {
-            self.gc.commit(target, || self.flush_now())?;
-        }
+        let mut inner = self.inner.lock().expect("wal state poisoned");
+        let target = inner.stats.appended_lsn;
+        inner.commit(target, self.cfg.sync)?;
         Ok(target)
+    }
+
+    /// The latched failure, if the log has one: what
+    /// [`LiveTree`](crate::tree::LiveTree) asks before it touches the tree.
+    pub(crate) fn check(&self) -> LiveResult<()> {
+        self.inner.lock().expect("wal state poisoned").check()
     }
 
     /// Writes `checkpoint` as the first record of a brand-new segment and
     /// deletes older segments once it is durable. The caller must have
-    /// made the data file durable first (WAL-before-data is enforced one
-    /// level up, by the dirty-page table).
+    /// made the data file durable first (WAL-before-data: `flush_all`,
+    /// then the pool's sync, then this — see `LiveTree::checkpoint`).
     pub fn checkpoint(&self, checkpoint: &RecordBody) -> LiveResult<Lsn> {
         debug_assert!(matches!(checkpoint, RecordBody::Checkpoint { .. }));
         // Seal the current segment: everything buffered must be durable
         // before the old segments become deletable.
         self.flush_all()?;
         let mut inner = self.inner.lock().expect("wal state poisoned");
-        let old_seq = inner.seg_seq;
-        let new_seq = old_seq + 1;
-        let mut file = new_segment_file(&inner.dir, new_seq)?;
-        let lsn = inner.next_lsn;
-        inner.next_lsn += 1;
+        let new_seq = inner.seg_seq + 1;
+        let lsn = inner.stats.appended_lsn + 1;
         let mut buf = Vec::new();
         encode_record(&mut buf, lsn, checkpoint);
-        file.write_all(&buf)?;
-        if self.cfg.sync {
-            // analyze: allow(blocking-section) — segment rotation: the new
-            // checkpoint record must be durable before the WAL state points
-            // at the new segment; appenders must not interleave.
-            file.sync_data()?;
-        }
-        inner.file = file;
+        // The checkpoint record is durable before the log's state points at
+        // the new segment, and no append can fall between the two.
+        let created = new_segment_file(&inner.dir, new_seq, &buf, self.cfg.sync);
+        inner.file = inner.latch(created)?;
         inner.seg_seq = new_seq;
-        inner.appended_lsn = lsn;
-        inner.records += 1;
-        inner.bytes += buf.len() as u64;
-        inner.checkpoints += 1;
+        inner.stats.appended_lsn = lsn;
+        inner.stats.durable_lsn = lsn;
+        inner.stats.records += 1;
+        inner.stats.bytes += buf.len() as u64;
+        inner.stats.checkpoints += 1;
         // The new checkpoint is durable: older segments are dead weight.
-        let dir = inner.dir.clone();
-        drop(inner);
-        self.gc.note_durable(lsn);
-        for (seq, path) in list_segments(&dir)? {
+        for (seq, path) in list_segments(&inner.dir)? {
             if seq < new_seq {
                 fs::remove_file(path)?;
             }
@@ -732,24 +593,17 @@ impl Wal {
         Ok(lsn)
     }
 
-    /// Highest LSN assigned so far.
-    pub fn appended_lsn(&self) -> Lsn {
-        self.inner.lock().expect("wal state poisoned").appended_lsn
+    /// Test hook: swaps the segment handle for `file` — with a read-only
+    /// one every write fails, as on a dying disk — and returns the old one.
+    #[cfg(test)]
+    pub(crate) fn swap_segment_handle(&self, file: File) -> File {
+        let mut inner = self.inner.lock().expect("wal state poisoned");
+        std::mem::replace(&mut inner.file, file)
     }
 
     /// Counter snapshot.
     pub fn stats(&self) -> WalStats {
-        let (durable, commits, flushes) = self.gc.snapshot();
-        let inner = self.inner.lock().expect("wal state poisoned");
-        WalStats {
-            records: inner.records,
-            bytes: inner.bytes,
-            commits,
-            flushes,
-            checkpoints: inner.checkpoints,
-            appended_lsn: inner.appended_lsn,
-            durable_lsn: durable,
-        }
+        self.inner.lock().expect("wal state poisoned").stats
     }
 }
 
@@ -766,7 +620,7 @@ pub struct SegmentScan {
 }
 
 /// Scans one segment file, stopping (not failing) at the first torn or
-/// CRC-mismatching record — the ARIES "end of log" rule.
+/// CRC-mismatching record: a torn tail is the end of the log, not an error.
 pub fn scan_segment(seq: u64, path: &Path) -> LiveResult<SegmentScan> {
     let mut bytes = Vec::new();
     File::open(path)?.read_to_end(&mut bytes)?;
@@ -868,7 +722,6 @@ mod tests {
             len: 0,
             num_pages: 0,
             next_op_id: 1,
-            dpt: Vec::new(),
         }
     }
 
@@ -881,7 +734,6 @@ mod tests {
             RecordBody::OpBegin {
                 op_id: 7,
                 op: OpKind::Insert,
-                side: 1,
                 oid: 42,
                 obj: vec![1, 2, 3, 4],
             },
@@ -891,7 +743,6 @@ mod tests {
                 page: 3,
                 image: vec![0xAB; 64],
             },
-            RecordBody::PageFree { op_id: 7, page: 1 },
             RecordBody::Commit {
                 op_id: 7,
                 root: 3,
@@ -909,6 +760,7 @@ mod tests {
         let scan = &scans[0];
         assert!(scan.clean);
         assert_eq!(scan.records.len(), 1 + bodies.len());
+        assert_eq!(scan.records[0].1.body, checkpoint0());
         for (i, b) in bodies.iter().enumerate() {
             assert_eq!(&scan.records[i + 1].1.body, b);
             assert_eq!(scan.records[i + 1].1.lsn, lsns[i]);
@@ -970,7 +822,6 @@ mod tests {
             len: 1,
             num_pages: 1,
             next_op_id: 2,
-            dpt: Vec::new(),
         })
         .expect("second checkpoint");
         // Only the newest segment remains and it leads with a checkpoint.
@@ -982,13 +833,9 @@ mod tests {
         fs::write(&path, &bytes[..bytes.len() - 3]).expect("truncate");
         // Recreate an older segment with an intact checkpoint to fall
         // back to (as if deletion had not happened yet).
-        let older = segment_path(&dir, seq - 1);
-        let mut f = File::create(&older).expect("older");
-        let mut head = Vec::new();
-        put_u32(&mut head, WAL_MAGIC);
-        put_u32(&mut head, WAL_VERSION);
-        encode_record(&mut head, 1, &checkpoint0());
-        f.write_all(&head).expect("write older");
+        let mut record = Vec::new();
+        encode_record(&mut record, 1, &checkpoint0());
+        new_segment_file(&dir, seq - 1, &record, false).expect("write older");
         let scans = scan_log(&dir).expect("scan");
         assert_eq!(scans[0].seq, seq - 1, "fell back past the torn rotation");
         let _ = fs::remove_dir_all(&dir);
@@ -1035,120 +882,56 @@ mod tests {
         );
         let _ = fs::remove_dir_all(&dir);
     }
-}
-
-/// Concurrent model-check site #8: the group-commit protocol, explored
-/// exhaustively (bounded DFS) and via PCT seeds (run with
-/// `RUSTFLAGS="--cfg cpq_model"`).
-///
-/// The model replaces the file with a pair of modeled watermarks:
-/// `appended` (records serialized) and `synced` (records the modeled disk
-/// has acknowledged). The invariant is the durability contract: **when
-/// `commit(lsn)` returns, `synced >= lsn`.** The broken twin publishes
-/// the appended watermark it reads after the flush instead of what the
-/// flush covered; a follower appending in that window gets a durability
-/// ack for an unsynced record, which DFS finds within a handful of
-/// schedules.
-#[cfg(all(test, cpq_model))]
-mod model_tests {
-    use super::{GroupCommit, Lsn};
-    use crate::error::LiveResult;
-    use cpq_check::sync::{Arc, Mutex};
-    use cpq_check::thread;
-    use cpq_check::{model_dfs, model_pct, replay, try_model_dfs, DfsOptions, PctOptions};
-
-    /// The modeled log: appended vs synced watermarks.
-    struct ModelLog {
-        appended: Mutex<Lsn>,
-        synced: Mutex<Lsn>,
-    }
-
-    impl ModelLog {
-        fn new() -> Self {
-            ModelLog {
-                appended: Mutex::new(0),
-                synced: Mutex::new(0),
-            }
-        }
-
-        fn append(&self) -> Lsn {
-            let mut a = self.appended.lock().expect("appended poisoned");
-            *a += 1;
-            *a
-        }
-
-        /// Flush everything appended so far; returns the covered LSN.
-        fn flush(&self) -> LiveResult<Lsn> {
-            let covered = *self.appended.lock().expect("appended poisoned");
-            let mut s = self.synced.lock().expect("synced poisoned");
-            if covered > *s {
-                *s = covered;
-            }
-            Ok(covered)
-        }
-
-        fn synced(&self) -> Lsn {
-            *self.synced.lock().expect("synced poisoned")
-        }
-
-        fn appended_watermark(&self) -> Lsn {
-            *self.appended.lock().expect("appended poisoned")
-        }
-    }
-
-    fn committer(log: &ModelLog, gc: &GroupCommit, broken: bool) {
-        let lsn = log.append();
-        if broken {
-            gc.commit_broken_publish_appended(lsn, || log.flush(), || log.appended_watermark())
-                .expect("commit");
-        } else {
-            gc.commit(lsn, || log.flush()).expect("commit");
-        }
-        // The durability contract: an acknowledged commit is synced.
-        assert!(
-            log.synced() >= lsn,
-            "commit({lsn}) acked but synced = {}",
-            log.synced()
-        );
-    }
-
-    fn run_session(broken: bool) {
-        let log = Arc::new(ModelLog::new());
-        let gc = Arc::new(GroupCommit::new());
-        let mut handles = Vec::new();
-        for _ in 0..3 {
-            let log = Arc::clone(&log);
-            let gc = Arc::clone(&gc);
-            handles.push(thread::spawn(move || committer(&log, &gc, broken)));
-        }
-        for h in handles {
-            h.join().expect("join");
-        }
-    }
 
     #[test]
-    fn dfs_ack_implies_synced() {
-        model_dfs(DfsOptions::smoke(), || run_session(false));
+    fn other_format_versions_are_refused_not_misread() {
+        let dir = tmp_dir("versions");
+        let mut record = Vec::new();
+        encode_record(&mut record, 1, &checkpoint0());
+        new_segment_file(&dir, 1, &record, false).expect("segment");
+        let control = scan_log(&dir).expect("this version's segment is a base");
+        assert_eq!(control[0].records.len(), 1);
+        // The same segment under a v1 header is refused before any record
+        // is looked at.
+        let mut bytes = fs::read(segment_path(&dir, 1)).expect("read");
+        bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
+        fs::write(segment_path(&dir, 1), bytes).expect("write");
+        assert!(matches!(scan_log(&dir), Err(LiveError::NoCheckpoint)));
+        // A v1-layout checkpoint body (v1 ended it with the entry count of
+        // its dirty-page table) does not decode, whatever the header says.
+        let body = &record[4..record.len() - 4];
+        assert!(decode_body(body).is_some());
+        let mut v1_body = body.to_vec();
+        put_u32(&mut v1_body, 0);
+        assert!(decode_body(&v1_body).is_none());
+        let _ = fs::remove_dir_all(&dir);
     }
 
+    /// A failed write must not be forgotten: before the latch, the commit
+    /// after the failure published `durable = appended` over a log that
+    /// held LSNs `[1, 3]`.
     #[test]
-    fn pct_ack_implies_synced() {
-        model_pct(PctOptions::from_env(), || run_session(false));
-    }
-
-    #[test]
-    #[should_panic(expected = "acked but synced")]
-    fn dfs_broken_twin_acks_unsynced_record() {
-        model_dfs(DfsOptions::smoke(), || run_session(true));
-    }
-
-    /// The minimal failing schedule of the broken twin, pinned so the bug
-    /// class stays covered even if exploration order changes.
-    #[test]
-    #[should_panic(expected = "acked but synced")]
-    fn pinned_broken_twin_schedule() {
-        let failure = try_model_dfs(DfsOptions::smoke(), || run_session(true))
-            .expect_err("broken twin must fail under DFS");
-        replay(&failure.schedule, || run_session(true));
+    fn failed_write_latches_the_log() {
+        let dir = tmp_dir("failstop");
+        let wal = Wal::create(&dir, WalConfig { sync: false }).expect("create");
+        wal.checkpoint(&checkpoint0()).expect("checkpoint");
+        let read_only = File::open(segment_path(&dir, 2)).expect("reopen read-only");
+        let working = wal.swap_segment_handle(read_only);
+        let a = wal.append(&RecordBody::PageAlloc { op_id: 1, page: 0 });
+        assert!(matches!(wal.commit(a), Err(LiveError::Io(_))));
+        // The disk "comes back"; the log must stay failed all the same.
+        wal.swap_segment_handle(working);
+        let b = wal.append(&RecordBody::PageAlloc { op_id: 2, page: 1 });
+        assert!(wal.commit(b).is_err(), "commit after a failed write");
+        assert!(wal.flush_all().is_err() && wal.check().is_err());
+        assert!(wal.checkpoint(&checkpoint0()).is_err());
+        assert_eq!(wal.stats().durable_lsn, 1, "only the checkpoint is durable");
+        let on_disk: Vec<Lsn> = scan_log(&dir).expect("scan")[0]
+            .records
+            .iter()
+            .map(|(_, r)| r.lsn)
+            .collect();
+        assert_eq!(on_disk, [1], "no record may follow the hole");
+        let _ = fs::remove_dir_all(&dir);
     }
 }

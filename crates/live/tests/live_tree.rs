@@ -326,3 +326,41 @@ fn continuous_maintenance_refills_on_a_minority_of_steps() {
         "refilled {refills} times over {steps} steps"
     );
 }
+
+/// Everything a WAL-backed update stream logs is something recovery reads:
+/// the base checkpoint, then `OpBegin`, `PageWrite`s and `Commit` per op.
+#[test]
+fn a_durable_stream_logs_only_the_records_recovery_reads() {
+    use cpq_live::wal::scan_log;
+    use cpq_live::{RecordBody, WalConfig};
+
+    let dir = std::env::temp_dir().join(format!("cpq-live-kinds-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cfg = LiveConfig {
+        wal: WalConfig { sync: false },
+        checkpoint_every: 0,
+        ..LiveConfig::default()
+    };
+    let live: LiveTree<2> = LiveTree::create(&dir, RTreeParams::paper(), &cfg).expect("create");
+    let data = uniform_grid(60, 0xD15C, 100.0);
+    for (i, p) in data.points.iter().enumerate() {
+        live.insert(*p, i as u64).expect("insert");
+    }
+    for (i, p) in data.points.iter().enumerate().step_by(3) {
+        assert!(live.delete(*p, i as u64).expect("delete"));
+    }
+    let scans = scan_log(&dir.join(cpq_live::tree::WAL_DIR)).expect("scan");
+    let mut counts = [0usize; 4];
+    for (_, rec) in scans.iter().flat_map(|s| &s.records) {
+        match rec.body {
+            RecordBody::Checkpoint { .. } => counts[0] += 1,
+            RecordBody::OpBegin { .. } => counts[1] += 1,
+            RecordBody::PageWrite { .. } => counts[2] += 1,
+            RecordBody::Commit { .. } => counts[3] += 1,
+            ref other => panic!("the writer logged a record recovery ignores: {other:?}"),
+        }
+    }
+    assert_eq!((counts[0], counts[1], counts[3]), (1, 80, 80));
+    assert!(counts[2] >= 80, "every op writes at least its leaf");
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -8,11 +8,11 @@
 //! pack the resulting entries the same way by MBR center.
 
 use crate::entry::{InnerEntry, LeafEntry};
-use crate::error::RTreeResult;
+use crate::error::{RTreeError, RTreeResult};
 use crate::node::Node;
 use crate::params::RTreeParams;
 use crate::tiling::tile;
-use crate::tree::RTree;
+use crate::tree::{check_indexable, RTree};
 use cpq_geo::SpatialObject;
 use cpq_storage::BufferPool;
 
@@ -23,16 +23,22 @@ impl<const D: usize, O: SpatialObject<D>> RTree<D, O> {
     /// the steady-state occupancy of insertion-built trees; `1.0` packs
     /// maximally). Nodes always satisfy the tree's `min_entries` bound
     /// except a lone root.
+    /// A `fill` outside that range, or an object [`insert`](Self::insert)
+    /// would refuse, is `InvalidParams`.
     pub fn bulk_load(
         pool: BufferPool,
         params: RTreeParams,
         objects: &[(O, u64)],
         fill: f64,
     ) -> RTreeResult<Self> {
-        assert!(
-            (0.0..=1.0).contains(&fill) && fill > 0.0,
-            "fill must be in (0, 1]"
-        );
+        if !(fill > 0.0 && fill <= 1.0) {
+            return Err(RTreeError::InvalidParams(format!(
+                "bulk-load fill must be in (0, 1], got {fill}"
+            )));
+        }
+        for (object, _) in objects {
+            check_indexable(object)?;
+        }
         let mut tree = RTree::new(pool, params)?;
         if objects.is_empty() {
             return Ok(tree);

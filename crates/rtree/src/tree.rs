@@ -87,6 +87,19 @@ impl CowDelta {
     }
 }
 
+/// The one check of what may be indexed, shared by [`RTree::insert`] and
+/// [`RTree::bulk_load`]: a NaN or infinite coordinate would poison every
+/// MBR above it and every distance computed against it.
+pub(crate) fn check_indexable<const D: usize, O: SpatialObject<D>>(object: &O) -> RTreeResult<()> {
+    if object.is_finite() {
+        Ok(())
+    } else {
+        Err(RTreeError::InvalidParams(
+            "cannot index a non-finite object".into(),
+        ))
+    }
+}
+
 impl<const D: usize, O: SpatialObject<D>> RTree<D, O> {
     /// Creates an empty tree over `pool`.
     pub fn new(pool: BufferPool, params: RTreeParams) -> RTreeResult<Self> {
@@ -327,11 +340,7 @@ impl<const D: usize, O: SpatialObject<D>> RTree<D, O> {
     /// Duplicate objects (same geometry, same or different oid) are
     /// allowed, like in the paper's uniform datasets.
     pub fn insert(&mut self, object: O, oid: u64) -> RTreeResult<()> {
-        if !object.is_finite() {
-            return Err(RTreeError::InvalidParams(
-                "cannot index a non-finite object".into(),
-            ));
-        }
+        check_indexable(&object)?;
         if !self.root.is_valid() {
             let node = Node::Leaf(vec![LeafEntry::new(object, oid)]);
             self.root = self.alloc_write(&node)?;

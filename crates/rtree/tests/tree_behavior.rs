@@ -3,7 +3,7 @@
 
 use cpq_geo::{Point, Rect};
 use cpq_rng::Rng;
-use cpq_rtree::{RTree, RTreeParams};
+use cpq_rtree::{RTree, RTreeError, RTreeParams};
 use cpq_storage::{BufferPool, DiskPageFile, MemPageFile, PageId};
 
 fn mem_pool(buffer: usize) -> BufferPool {
@@ -233,6 +233,37 @@ fn non_finite_points_rejected() {
     assert!(tree.insert(Point([f64::NAN, 0.0]), 0).is_err());
     assert!(tree.insert(Point([f64::INFINITY, 0.0]), 0).is_err());
     assert!(tree.is_empty());
+}
+
+/// `bulk_load` is a second door into the tree and refuses what `insert`
+/// refuses; before it did, one NaN point among 300 built a tree that failed
+/// `validate()` and put the NaN point into K-CPQ answers.
+#[test]
+fn bulk_load_rejects_what_insert_rejects() {
+    let mut pairs: Vec<(Point<2>, u64)> = random_points(300, 5)
+        .into_iter()
+        .enumerate()
+        .map(|(i, p)| (p, i as u64))
+        .collect();
+    for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        pairs.push((Point([bad, 1.0]), 999));
+        let res = RTree::bulk_load(mem_pool(64), RTreeParams::paper(), &pairs, 0.7);
+        assert!(
+            matches!(res, Err(RTreeError::InvalidParams(_))),
+            "a {bad} coordinate"
+        );
+        pairs.pop();
+    }
+    // A fill outside (0, 1] is an error to return, not an assertion to trip.
+    for fill in [0.0, -0.5, 1.5, f64::NAN, f64::INFINITY] {
+        let res = RTree::bulk_load(mem_pool(64), RTreeParams::paper(), &pairs, fill);
+        assert!(
+            matches!(res, Err(RTreeError::InvalidParams(_))),
+            "fill {fill}"
+        );
+    }
+    let tree = RTree::bulk_load(mem_pool(64), RTreeParams::paper(), &pairs, 0.7).unwrap();
+    assert!(tree.validate().unwrap().is_valid());
 }
 
 #[test]

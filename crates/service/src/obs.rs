@@ -187,7 +187,7 @@ fn live_bridge(registry: &Registry, tree: &str) -> LiveBridge {
         ),
         wal_flushes: registry.counter(
             "cpq_wal_flushes_total",
-            "physical WAL flushes (staying below commits is the group-commit win), by tree",
+            "physical WAL flushes (one write and at most one fsync each; a wait already covered adds none), by tree",
             &[("tree", tree)],
         ),
         wal_checkpoints: registry.counter(

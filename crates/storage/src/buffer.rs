@@ -33,9 +33,8 @@ thread_local! {
 
 /// Reads one page into the thread-local scratch and returns it as
 /// freshly-allocated [`PageBytes`] — the only allocation on the miss path.
-// analyze: allow-fn(panic-surface) — the scratch buffer is resized to the
-// page size immediately before the `[..ps]` slices; the index is in bounds
-// by construction.
+// The scratch buffer is resized to the page size immediately before the
+// `[..ps]` slices: the index is in bounds by construction.
 fn read_via_scratch(file: &dyn PageFile, id: PageId) -> StorageResult<PageBytes> {
     MISS_SCRATCH.with(|cell| {
         let mut buf = cell.borrow_mut();
@@ -259,9 +258,8 @@ struct State {
 
 impl State {
     /// Serves `id` from cache if resident, counting a hit.
-    // analyze: allow-fn(panic-surface) — frame indices come from `map`,
-    // which only points at occupied in-capacity frames (structural
-    // invariant of the pool state).
+    // Frame indices come from `map`, which only points at occupied
+    // in-capacity frames (structural invariant of the pool state).
     fn try_hit(&mut self, id: PageId) -> Option<PageBytes> {
         let f = *self.map.get(&id)?;
         self.stats.logical_reads += 1;
@@ -281,9 +279,9 @@ impl State {
     /// Accounts one successful miss and installs the page (capacity and
     /// pins permitting). If another thread installed `id` while the file
     /// read ran outside the state lock, the existing frame is kept.
-    // analyze: allow-fn(panic-surface) — frame indices come from the free
-    // list, the frame just pushed or the eviction policy, all below
-    // `frames.len()` (structural invariant of the pool state).
+    // Frame indices come from the free list, the frame just pushed or the
+    // eviction policy, all below `frames.len()` (structural invariant of
+    // the pool state).
     fn complete_miss(&mut self, id: PageId, data: &PageBytes) {
         self.stats.logical_reads += 1;
         self.stats.misses += 1;
@@ -511,9 +509,8 @@ impl BufferPool {
     /// completes — and accounts — the successful ones after the failure
     /// too. Both keep the books balanced: every counted miss is a
     /// successful physical read.
-    // analyze: allow-fn(panic-surface) — `out` is allocated with
-    // `ids.len()` slots and every index `i` enumerates `ids`, so the
-    // indexing cannot go out of bounds.
+    // `out` is allocated with `ids.len()` slots and every index `i`
+    // enumerates `ids`, so the indexing cannot go out of bounds.
     pub fn get_many(&self, ids: &[PageId]) -> StorageResult<Vec<PageBytes>> {
         let mut out: Vec<Option<PageBytes>> = vec![None; ids.len()];
         let mut missing: Vec<(usize, PageId)> = Vec::new();

@@ -19,19 +19,14 @@ echo "==> cargo test -q"
 cargo test --workspace -q
 
 # Analyze tier: cpq_analyze runs the pass registry (lock-order,
-# atomics-pairing, panic-surface, blocking-section, plus the ported line
+# atomics-pairing with its Relaxed-justification sweep, plus the ported line
 # checks) over the workspace source and archives one report. Any unwaived
-# diagnostic fails the gate. (The /metrics exposition gate is a test:
+# diagnostic fails the gate, a stale waiver included; there is one
+# configuration, the one crates/analyze/tests/real_workspace.rs ran above.
+# (The /metrics exposition gate is a test:
 # crates/service/tests/observability.rs, run by `cargo test` above.)
 echo "==> cpq_analyze (multi-pass static analysis -> analysis_report.json)"
-ANALYZE_FLAGS=""
-if [ "${1:-}" = "--full" ]; then
-    # --full adds the stale-waiver audit and the whole-workspace
-    # Relaxed-justification sweep.
-    ANALYZE_FLAGS="--stale --full-atomics"
-fi
-# shellcheck disable=SC2086  # ANALYZE_FLAGS is a flag list by construction
-./target/release/cpq_analyze --root . --out target/analysis_report.json $ANALYZE_FLAGS
+./target/release/cpq_analyze --root . --out target/analysis_report.json
 
 # Model-check smoke tier: the concurrency shim is compiled in scheduler mode
 # (--cfg cpq_model) and the harnesses run exhaustive/bounded DFS on the small
@@ -48,8 +43,8 @@ model_test -p cpq-storage --test model_buffer
 model_test -p cpq-storage --lib sched::
 model_test -p cpq-core --lib model_tests
 model_test -p cpq-shard --lib model_tests
-# Sites #7 (epoch publish/reclaim) and #8 (WAL group commit), each with a
-# pinned broken twin.
+# Site #7 (epoch publish/reclaim) with its pinned broken twin. (Site #8, the
+# WAL's group commit, went with the protocol: the log has one lock.)
 model_test -p cpq-live --lib model_tests
 
 # Recovery smoke tier: the crash-injection harness truncates a real WAL at
