@@ -58,14 +58,17 @@ impl KPruning {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum LeafScan {
     /// Compute all `|P| × |Q|` distances — CP3 exactly as the paper states
-    /// it.
+    /// it, as a vectorized threshold-first kernel. The default: it measures
+    /// faster than the sweep (DESIGN.md §18).
+    #[default]
     BruteForce,
     /// Distance-based plane sweep: sort both leaves' entries along the axis
     /// with the largest combined extent and stop each inner scan as soon as
     /// the separation along that axis alone exceeds the live pruning
     /// threshold `T`. Identical results (the K-heap tie order is canonical),
-    /// far fewer distance computations.
-    #[default]
+    /// far fewer distance computations — and more wall time, because the
+    /// sort and the pair-at-a-time kernel cost more than the computations
+    /// they save.
     PlaneSweep,
 }
 
@@ -143,6 +146,7 @@ mod tests {
         let d = CpqConfig::default();
         assert_eq!(d.tie, TieStrategy::None);
         assert_eq!(d.height, HeightStrategy::FixAtRoot);
+        assert_eq!(d.leaf_scan, LeafScan::BruteForce);
         let p = CpqConfig::paper();
         assert_eq!(p.tie, TieStrategy::T1);
         assert_eq!(p.k_pruning, KPruning::MaxMaxDist);

@@ -17,9 +17,7 @@ use crate::parallel::{SpecRuntime, TaskOut};
 use crate::spec::{Constraint, QuerySpec};
 use crate::types::{CpqStats, PairResult};
 use cpq_check::sync::Arc;
-use cpq_geo::{
-    max_max_dist2, min_max_dist2, min_min_dist2, min_min_dist2_within, Dist2, Rect, SpatialObject,
-};
+use cpq_geo::{max_max_dist2, min_max_dist2, min_min_dist2_within, Dist2, Rect, SpatialObject};
 use cpq_obs::{Probe, ProbeSide};
 use cpq_rtree::{InnerEntry, LeafEntry, Node, RTree, RTreeError, RTreeResult};
 use cpq_storage::PageId;
@@ -177,29 +175,176 @@ pub(crate) fn candidates<const D: usize, O: SpatialObject<D>>(
     pruned
 }
 
-/// CP3 exactly as the paper states it, the one brute leaf kernel: every
-/// `|P| × |Q|` pair that survives the self-join orientation rule and the
-/// constraint goes to `offer`. Returns the number of offers — the distance
-/// computations, since a filtered pair never reaches the kernel.
+/// `f64` lanes per chunk of [`LeafScratch`] (two SSE2 vectors, one AVX
+/// vector). The kernel's inner loops run over `[f64; LANES]`, which compiles
+/// to straight vector code with no remainder loop; 2 lanes measured the
+/// same on `kcpq_hot`'s 14-to-21-entry leaves, 8 slower (more padding).
+const LANES: usize = 4;
+
+/// Scratch of [`scan_brute`], reused across leaf pairs: the admitted `Q`
+/// entries of the current pair as per-axis `lo`/`hi` coordinate arrays
+/// (`[chunk][axis][lane]`, entry `j` in lane `j % LANES` of chunk
+/// `j / LANES`), and one row of squared distances.
+///
+/// The structure-of-arrays form lives here and not in [`Node`]: it is built
+/// in `O(|Q|)` per leaf pair against the `O(|P|·|Q|)` it speeds up, and a
+/// node, its codec and the page format stay what the update path
+/// (`cpq-live`, node encode) already pays for.
+#[derive(Default)]
+pub(crate) struct LeafScratch<const D: usize> {
+    /// Lower / upper MBR coordinates. Unused lanes of the last chunk hold
+    /// `+∞`, which either gap formula carries to a distance of `+∞`.
+    lo: Vec<[[f64; LANES]; D]>,
+    hi: Vec<[[f64; LANES]; D]>,
+    /// `true` when every gathered MBR is degenerate (`lo == hi`: point
+    /// data).
+    points: bool,
+    /// The gathered entries' positions in the leaf's entry slice.
+    idx: Vec<u32>,
+    /// `MINMINDIST²` from the current `P` entry to each gathered entry.
+    row: Vec<[f64; LANES]>,
+}
+
+impl<const D: usize> LeafScratch<D> {
+    /// Gathers the entries of `eqs` that pass the `Q` window.
+    fn gather<O: SpatialObject<D>>(&mut self, eqs: &[LeafEntry<D, O>], constraint: &Constraint<D>) {
+        self.lo.clear();
+        self.hi.clear();
+        self.points = true;
+        self.idx.clear();
+        for (i, eq) in eqs.iter().enumerate() {
+            let mbr = eq.mbr();
+            if !constraint.admits_q(&mbr) {
+                continue;
+            }
+            let (chunk, lane) = (self.idx.len() / LANES, self.idx.len() % LANES);
+            if lane == 0 {
+                self.lo.push([[f64::INFINITY; LANES]; D]);
+                self.hi.push([[f64::INFINITY; LANES]; D]);
+            }
+            for d in 0..D {
+                self.lo[chunk][d][lane] = mbr.lo().coord(d);
+                self.hi[chunk][d][lane] = mbr.hi().coord(d);
+            }
+            self.points &= mbr.is_degenerate();
+            self.idx.push(i as u32);
+        }
+        self.row.resize(self.lo.len(), [0.0; LANES]);
+    }
+
+    /// Fills `row` with `MINMINDIST²(mbr_p, q)` for every gathered `q` and
+    /// returns the smallest: per axis the gap of [`cpq_geo::axis_gap`],
+    /// the squares summed in axis order from `0.0` — bit for bit what
+    /// [`cpq_geo::min_min_dist2`] returns. Between two points that gap,
+    /// `max(q - p, p - q, 0)`, is `|q - p|`, whose square is `(q - p)²` to
+    /// the bit.
+    fn fill_row(&mut self, mbr_p: &Rect<D>) -> f64 {
+        let (plo, phi) = (mbr_p.lo(), mbr_p.hi());
+        if self.points && plo == phi {
+            self.fill_row_with(|d, q, _| q - plo.coord(d))
+        } else {
+            self.fill_row_with(|d, qlo, qhi| (qlo - phi.coord(d)).max(plo.coord(d) - qhi).max(0.0))
+        }
+    }
+
+    /// [`fill_row`](Self::fill_row) for one gap formula
+    /// `gap(axis, q_lo, q_hi)`.
+    #[inline]
+    fn fill_row_with(&mut self, gap: impl Fn(usize, f64, f64) -> f64) -> f64 {
+        let mut min = [f64::INFINITY; LANES];
+        for ((row, lo), hi) in self.row.iter_mut().zip(&self.lo).zip(&self.hi) {
+            let mut acc = [0.0; LANES];
+            for d in 0..D {
+                for l in 0..LANES {
+                    let gap = gap(d, lo[d][l], hi[d][l]);
+                    acc[l] += gap * gap;
+                }
+            }
+            for l in 0..LANES {
+                min[l] = if acc[l] < min[l] { acc[l] } else { min[l] };
+            }
+            *row = acc;
+        }
+        min.into_iter().fold(f64::INFINITY, f64::min)
+    }
+}
+
+/// Builds the result pair for two leaf entries at distance `d2`,
+/// canonicalizing the orientation to `p.oid < q.oid` first when `orient` is
+/// set (the off-diagonal subqueries of a sharded self-join, see
+/// [`ScatterCtx::orient`]). `min_min_dist2` is bitwise symmetric under the
+/// swap, so the distance computed before it is unchanged.
 #[inline]
+fn oriented<const D: usize, O: SpatialObject<D>>(
+    orient: bool,
+    ep: &LeafEntry<D, O>,
+    eq: &LeafEntry<D, O>,
+    d2: Dist2,
+) -> PairResult<D, O> {
+    if orient && ep.oid > eq.oid {
+        PairResult::with_dist2(*eq, *ep, d2)
+    } else {
+        PairResult::with_dist2(*ep, *eq, d2)
+    }
+}
+
+/// CP3 as the paper states it — every `|P| × |Q|` pair that survives the
+/// self-join orientation rule and the constraint is a distance computation
+/// — written to **test before it builds**; the one brute leaf kernel.
+/// Returns the number of distance computations.
+///
+/// Per admitted `P` entry the distances to all admitted `Q` entries are one
+/// vectorized pass ([`LeafScratch::fill_row`]); a [`PairResult`] is built
+/// and offered to `kheap` only for a pair with `d2 <= kheap.threshold()`.
+/// That is lossless: a pair strictly farther than the threshold meets a
+/// full heap whose top is strictly closer, and [`KHeap::offer`] refuses it
+/// — so the heap after every leaf pair, and with it the `T` trajectory, is
+/// what offering all of them leaves. A tie at the threshold still goes to
+/// the heap, whose `(dist2, oid, oid)` order decides it. The local `t` can
+/// only have moved when an offer landed.
 pub(crate) fn scan_brute<const D: usize, O: SpatialObject<D>>(
     lp: &Node<D, O>,
     lq: &Node<D, O>,
     self_join: bool,
     constraint: &Constraint<D>,
-    mut offer: impl FnMut(&LeafEntry<D, O>, &LeafEntry<D, O>),
+    orient: bool,
+    scratch: &mut LeafScratch<D>,
+    kheap: &mut KHeap<D, O>,
 ) -> u64 {
+    let eqs = lq.leaf_entries();
+    scratch.gather(eqs, constraint);
+    let n = scratch.idx.len();
+    if n == 0 {
+        return 0;
+    }
+    // One orientation per unordered pair and no self-pairs; distinct colors.
+    let admits = |oid_p: u64, oid_q: u64| {
+        (!self_join || oid_p < oid_q) && constraint.admits_colors(oid_p, oid_q)
+    };
     let mut dists = 0;
+    let mut t = kheap.threshold().get();
     for ep in lp.leaf_entries() {
-        for eq in lq.leaf_entries() {
-            if self_join && ep.oid >= eq.oid {
-                continue; // one orientation per unordered pair, no self-pairs
+        let mbr_p = ep.mbr();
+        if !constraint.admits_p(&mbr_p) {
+            continue; // filtered before the kernel: not a computation
+        }
+        let nearest = scratch.fill_row(&mbr_p);
+        let gathered = scratch.idx.iter().map(|&i| &eqs[i as usize]);
+        dists += if self_join || constraint.colored {
+            gathered.clone().filter(|eq| admits(ep.oid, eq.oid)).count() as u64
+        } else {
+            n as u64
+        };
+        if nearest > t {
+            continue; // the whole row loses to `T`
+        }
+        for (eq, &d2) in gathered.zip(scratch.row.as_flattened()) {
+            if d2 > t || !admits(ep.oid, eq.oid) {
+                continue;
             }
-            if !constraint.admits_pair(&ep.mbr(), ep.oid, &eq.mbr(), eq.oid) {
-                continue; // filtered before the kernel: not a computation
+            if kheap.offer(oriented(orient, ep, eq, Dist2::new(d2))) {
+                t = kheap.threshold().get();
             }
-            dists += 1;
-            offer(ep, eq);
         }
     }
     dists
@@ -291,8 +436,13 @@ pub(crate) struct Ctx<'a, const D: usize, O: SpatialObject<D>, P: Probe> {
     /// across leaf pairs.
     sweep_p: Vec<SweepProj>,
     sweep_q: Vec<SweepProj>,
+    /// Scratch for the brute leaf kernel, reused across leaf pairs.
+    leaf_scratch: LeafScratch<D>,
     /// Scratch for candidate generation, reused across calls.
     gen_scratch: GenScratch<D>,
+    /// Scratch for [`apply_bounds`](Self::apply_bounds) at `K > 1`: each
+    /// candidate's `(MAXMAXDIST, pair count)`, reused across node pairs.
+    maxes: Vec<(Dist2, u64)>,
     /// Pools of cleared vectors for the per-level candidate lists: each
     /// recursion level takes one and returns it, so a steady-state descent
     /// allocates nothing.
@@ -341,7 +491,9 @@ impl<'a, const D: usize, O: SpatialObject<D>, P: Probe> Ctx<'a, D, O, P> {
             ledger_q: 0,
             sweep_p: Vec::new(),
             sweep_q: Vec::new(),
+            leaf_scratch: LeafScratch::default(),
             gen_scratch: GenScratch::default(),
+            maxes: Vec::new(),
             cand_pool: Vec::new(),
             keyed_pool: Vec::new(),
         }
@@ -395,22 +547,11 @@ impl<'a, const D: usize, O: SpatialObject<D>, P: Probe> Ctx<'a, D, O, P> {
         }
     }
 
-    /// Builds the result pair for two leaf entries at distance `d2`,
-    /// canonicalizing the orientation to `p.oid < q.oid` first when the
-    /// scatter context asks for it (the off-diagonal subqueries of a
-    /// sharded self-join). `min_min_dist2` is bitwise symmetric under the
-    /// swap, so the distance computed before it is unchanged.
+    /// Whether retained pairs are canonicalized to `p.oid < q.oid` (see
+    /// [`ScatterCtx::orient`]).
     #[inline]
-    fn oriented(
-        scatter: Option<ScatterCtx<'_>>,
-        ep: &LeafEntry<D, O>,
-        eq: &LeafEntry<D, O>,
-        d2: Dist2,
-    ) -> PairResult<D, O> {
-        match scatter {
-            Some(sc) if sc.orient && ep.oid > eq.oid => PairResult::with_dist2(*eq, *ep, d2),
-            _ => PairResult::with_dist2(*ep, *eq, d2),
-        }
+    fn orient(&self) -> bool {
+        self.scatter.is_some_and(|sc| sc.orient)
     }
 
     /// Cancellation point, called once per node-pair visit by every
@@ -559,17 +700,17 @@ impl<'a, const D: usize, O: SpatialObject<D>, P: Probe> Ctx<'a, D, O, P> {
         }
     }
 
-    /// [`scan_brute`] into this run's K-heap and `dist_computations`. Kept
-    /// out of line: with the loop inlined into `scan_leaves`,
-    /// `core.scan_ms_per_op` of `kcpq_hot` measured ~10% slower over ten
-    /// alternating pairs (PR 15).
+    /// [`scan_brute`] into this run's K-heap and `dist_computations`.
     fn scan_leaves_brute(&mut self, lp: &Node<D, O>, lq: &Node<D, O>) {
-        let (kheap, scatter) = (&mut self.kheap, self.scatter);
-        self.stats.dist_computations +=
-            scan_brute(lp, lq, self.self_join, &self.constraint, |ep, eq| {
-                let d2 = min_min_dist2(&ep.mbr(), &eq.mbr());
-                kheap.offer(Self::oriented(scatter, ep, eq, d2));
-            });
+        self.stats.dist_computations += scan_brute(
+            lp,
+            lq,
+            self.self_join,
+            &self.constraint,
+            self.orient(),
+            &mut self.leaf_scratch,
+            &mut self.kheap,
+        );
     }
 
     /// Distance-based plane sweep over the two leaves' entry sequences.
@@ -692,7 +833,7 @@ impl<'a, const D: usize, O: SpatialObject<D>, P: Probe> Ctx<'a, D, O, P> {
             }
             self.stats.dist_computations += 1;
             if let Some(d2) = min_min_dist2_within(&ep.mbr(), &eq.mbr(), *t) {
-                if self.kheap.offer(Self::oriented(self.scatter, ep, eq, d2)) {
+                if self.kheap.offer(oriented(self.orient(), ep, eq, d2)) {
                     *t = self.t();
                 }
             } else if P::ENABLED {
@@ -791,18 +932,16 @@ impl<'a, const D: usize, O: SpatialObject<D>, P: Probe> Ctx<'a, D, O, P> {
                 }
             }
         } else if self.cfg.k_pruning == KPruning::MaxMaxDist {
-            let mut maxes: Vec<(Dist2, u64)> = cands
-                .iter()
-                .map(|c| {
-                    (
-                        max_max_dist2(&c.mbr_p, &c.mbr_q),
-                        c.count_p.saturating_mul(c.count_q),
-                    )
-                })
-                .collect();
-            maxes.sort_by_key(|a| a.0);
+            self.maxes.clear();
+            self.maxes.extend(cands.iter().map(|c| {
+                (
+                    max_max_dist2(&c.mbr_p, &c.mbr_q),
+                    c.count_p.saturating_mul(c.count_q),
+                )
+            }));
+            self.maxes.sort_by_key(|a| a.0);
             let mut cum: u64 = 0;
-            for (mx, n) in maxes {
+            for &(mx, n) in &self.maxes {
                 cum = cum.saturating_add(n);
                 if cum >= self.k as u64 {
                     if mx < self.bound {
@@ -907,23 +1046,41 @@ pub(crate) fn spec_page<const D: usize>(side: &Descend<D>, current: PageId) -> P
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use cpq_geo::{pack_color, Point};
+    use cpq_geo::{min_min_dist2, pack_color, Point};
     use cpq_rng::Rng;
     use cpq_rtree::RTreeParams;
     use cpq_storage::{BufferPool, MemPageFile};
 
-    /// `n` seeded points on a 16 × 16 integer grid (duplicate coordinates,
-    /// distance ties) in an `M = 4` tree, oid `i` colored `i % 3`.
-    pub(crate) fn grid_tree(n: u64, seed: u64) -> RTree<2> {
+    /// `n` seeded objects on a 16 × 16 integer grid (duplicate coordinates,
+    /// distance ties) in an `M = 4` tree, oid `i` colored `i % 3`;
+    /// `object` makes one from its lower corner.
+    fn grid_tree_of<O: SpatialObject<2>>(
+        n: u64,
+        seed: u64,
+        mut object: impl FnMut([f64; 2], &mut Rng) -> O,
+    ) -> RTree<2, O> {
         let pool = BufferPool::with_lru(Box::new(MemPageFile::new(1024)), 16);
         let mut tree = RTree::new(pool, RTreeParams::with_max_entries(4)).unwrap();
         let mut rng = Rng::seed_from_u64(seed);
         for i in 0..n {
             let xy = [0, 0].map(|_| f64::from(rng.random_range(0..16u32)));
-            tree.insert(Point(xy), pack_color(i, (i % 3) as u16))
+            tree.insert(object(xy, &mut rng), pack_color(i, (i % 3) as u16))
                 .unwrap();
         }
         tree
+    }
+
+    /// [`grid_tree_of`] points.
+    pub(crate) fn grid_tree(n: u64, seed: u64) -> RTree<2> {
+        grid_tree_of(n, seed, |xy, _| Point(xy))
+    }
+
+    /// [`grid_tree_of`] extended objects: extents 0 to 3 per axis, so some
+    /// are degenerate on one axis or both.
+    fn grid_rect_tree(n: u64, seed: u64) -> RTree<2, Rect<2>> {
+        grid_tree_of(n, seed, |lo, rng| {
+            Rect::from_corners(lo, lo.map(|c| c + f64::from(rng.random_range(0..4u32))))
+        })
     }
 
     /// A seeded window with integer corners inside the grid.
@@ -986,5 +1143,167 @@ pub(crate) mod tests {
             }
         }
         assert!(pruned_total > 1000, "the thresholds must actually prune");
+    }
+
+    /// CP3 as the sentence reads — the loop [`scan_brute`] replaced: every
+    /// pair through the orientation rule and `admits_pair`, the rect-rect
+    /// kernel, a `PairResult`, the heap.
+    fn scan_literal<O: SpatialObject<2>>(
+        lp: &Node<2, O>,
+        lq: &Node<2, O>,
+        self_join: bool,
+        constraint: &Constraint<2>,
+        orient: bool,
+        kheap: &mut KHeap<2, O>,
+    ) -> u64 {
+        let mut dists = 0;
+        for ep in lp.leaf_entries() {
+            for eq in lq.leaf_entries() {
+                if self_join && ep.oid >= eq.oid {
+                    continue;
+                }
+                if !constraint.admits_pair(&ep.mbr(), ep.oid, &eq.mbr(), eq.oid) {
+                    continue;
+                }
+                dists += 1;
+                let d2 = min_min_dist2(&ep.mbr(), &eq.mbr());
+                kheap.offer(oriented(orient, ep, eq, d2));
+            }
+        }
+        dists
+    }
+
+    /// Every leaf of `tree`.
+    fn leaves<O: SpatialObject<2>>(tree: &RTree<2, O>) -> Vec<Node<2, O>> {
+        let (mut out, mut todo) = (Vec::new(), vec![tree.root()]);
+        while let Some(page) = todo.pop() {
+            let node = tree.read_node(page).unwrap();
+            if node.is_leaf() {
+                out.push(node);
+            } else {
+                todo.extend(node.inner_entries().iter().map(|e| e.child));
+            }
+        }
+        out
+    }
+
+    /// A full heap of `k` pairs that all tie `like` in distance (its
+    /// objects under the oids `(oid_p, 0..k)`): with `oid_p = u64::MAX` the
+    /// top sorts after every real pair at that distance, with `oid_p = 0`
+    /// before (nearly) every one.
+    fn tied_heap<O: SpatialObject<2>>(k: u64, like: &PairResult<2, O>, oid_p: u64) -> KHeap<2, O> {
+        let mut heap = KHeap::new(k as usize);
+        for oid_q in 0..k {
+            let (mut p, mut q) = (like.p, like.q);
+            (p.oid, q.oid) = (oid_p, oid_q);
+            assert!(heap.offer(PairResult::with_dist2(p, q, like.dist2)));
+        }
+        heap
+    }
+
+    /// One leaf pair under one query shape: `(lp, lq, self_join,
+    /// constraint, orient)`.
+    type Shape<'a, O> = (&'a Node<2, O>, &'a Node<2, O>, bool, Constraint<2>, bool);
+
+    /// Runs [`scan_literal`] and [`scan_brute`] from two copies of the
+    /// `start` heap, requires identical distance counts and identical heaps
+    /// (canonical order, `dist2` bits), and returns the pairs they hold.
+    fn agree<O: SpatialObject<2>>(
+        (lp, lq, self_join, con, orient): Shape<'_, O>,
+        scratch: &mut LeafScratch<2>,
+        start: impl Fn() -> KHeap<2, O>,
+    ) -> Vec<PairResult<2, O>> {
+        let (mut want, mut got) = (start(), start());
+        let d_want = scan_literal(lp, lq, self_join, &con, orient, &mut want);
+        let d_got = scan_brute(lp, lq, self_join, &con, orient, scratch, &mut got);
+        assert_eq!(d_got, d_want, "dists: {con:?} self {self_join}");
+        let (want, got) = (want.into_sorted(), got.into_sorted());
+        assert_eq!(got, want, "{con:?} self {self_join} orient {orient}");
+        let bits = |v: &[PairResult<2, O>]| -> Vec<u64> {
+            v.iter().map(|r| r.dist2.get().to_bits()).collect()
+        };
+        assert_eq!(bits(&got), bits(&want));
+        got
+    }
+
+    /// [`agree`] over every leaf pair of two trees, every constraint shape
+    /// and a set of starting heaps. Returns how many pairs were retained
+    /// from empty heaps, how many real pairs entered a full heap whose top
+    /// tied them, and how many such a heap refused.
+    fn kernel_against_literal<O: SpatialObject<2>>(
+        tp: &RTree<2, O>,
+        tq: &RTree<2, O>,
+    ) -> [usize; 3] {
+        // Overlapping, neither inside the other, most objects in each.
+        let w1 = Rect::from_corners([0.0, 0.0], [9.0, 15.0]);
+        let w2 = Rect::from_corners([6.0, 2.0], [15.0, 13.0]);
+        let symmetric = [
+            Constraint::none(),
+            Constraint::window(w1),
+            Constraint::colored(),
+        ];
+        let per_side = [
+            Constraint::windows(Some(w1), Some(w2)),
+            Constraint::windows(None, Some(w2)).with_colored(),
+        ];
+        let (leaves_p, leaves_q) = (leaves(tp), leaves(tq));
+        // (Q side, self-join, constraint, orient). `orient` is what the
+        // off-diagonal subquery of a sharded self-join sets: cross,
+        // symmetric constraint.
+        let mut queries = Vec::new();
+        for con in symmetric {
+            queries.push((&leaves_p, true, con, false));
+            queries.push((&leaves_q, false, con, false));
+            queries.push((&leaves_q, false, con, true));
+        }
+        queries.extend(per_side.map(|con| (&leaves_q, false, con, false)));
+
+        let mut scratch = LeafScratch::default();
+        let mut seen = [0; 3];
+        for (leaves_q, self_join, con, orient) in queries {
+            for lp in &leaves_p {
+                for lq in leaves_q {
+                    let shape = (lp, lq, self_join, con, orient);
+                    // From empty heaps: one that fills at once, one that
+                    // may, one that never does (so it keeps every pair).
+                    let mut all = Vec::new();
+                    for k in [1, 5, 1 << 20] {
+                        all = agree(shape, &mut scratch, || KHeap::new(k));
+                        seen[0] += all.len();
+                    }
+                    // From full heaps whose top ties the median pair of
+                    // this leaf pair: under a larger oid pair the tie goes
+                    // in, under a smaller one it stays out, and closer
+                    // pairs go in either way.
+                    let Some(like) = all.get(all.len() / 2) else {
+                        continue;
+                    };
+                    let ties = |v: &[PairResult<2, O>]| {
+                        let real = |r: &&PairResult<2, O>| r.dist2 == like.dist2 && all.contains(r);
+                        v.iter().filter(real).count()
+                    };
+                    for k in [1, 4] {
+                        let under_larger =
+                            agree(shape, &mut scratch, || tied_heap(k, like, u64::MAX));
+                        let under_smaller = agree(shape, &mut scratch, || tied_heap(k, like, 0));
+                        seen[1] += ties(&under_larger);
+                        seen[2] += ties(&all) - ties(&under_smaller);
+                    }
+                }
+            }
+        }
+        seen
+    }
+
+    /// The threshold-first kernel against the loop it replaced: identical
+    /// K-heaps (canonical order, `dist2` bits) and identical distance
+    /// counts, on point data with duplicate coordinates and on extended
+    /// objects.
+    #[test]
+    fn the_kernel_is_the_literal_loop() {
+        let seen = kernel_against_literal(&grid_tree(80, 1), &grid_tree(30, 2));
+        assert!(seen.iter().all(|&n| n > 1000), "points: {seen:?}");
+        let seen = kernel_against_literal(&grid_rect_tree(60, 5), &grid_rect_tree(25, 6));
+        assert!(seen.iter().all(|&n| n > 1000), "rects: {seen:?}");
     }
 }

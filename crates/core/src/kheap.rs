@@ -45,6 +45,12 @@ impl<const D: usize, O: SpatialObject<D>> Ord for ByDist<D, O> {
     }
 }
 
+/// Most entries a new K-heap allocates up front (3.5 MiB of 2-d point
+/// pairs): `K` is outside input and the product of two tree sizes is no
+/// bound on memory — `K = 2·10⁹` on two 62,536-point trees asked for 112 GB
+/// before the first node was read. Larger heaps grow as pairs arrive.
+const MAX_PREALLOC: usize = 1 << 16;
+
 /// Bounded max-heap of the K closest pairs discovered so far.
 pub struct KHeap<const D: usize, O: SpatialObject<D> = Point<D>> {
     k: usize,
@@ -58,15 +64,19 @@ impl<const D: usize, O: SpatialObject<D>> KHeap<D, O> {
     }
 
     /// [`new`](Self::new) for a caller that knows at most `max_pairs` pairs
-    /// will ever be offered: preallocates for `min(k, max_pairs)` entries,
-    /// so an absurd `K` from outside costs no memory. Retention is
-    /// unchanged — the capacity stays `k`.
+    /// will ever be offered: preallocates for `min(k, max_pairs,`
+    /// [`MAX_PREALLOC`]`)` entries and grows on demand past that, so an
+    /// absurd `K` from outside costs no memory before a pair is offered —
+    /// whatever the trees' sizes. Retention is unchanged — the capacity
+    /// stays `k`.
     pub fn bounded(k: usize, max_pairs: u64) -> Self {
         assert!(k >= 1, "K must be at least 1");
-        let prealloc = usize::try_from(max_pairs).map_or(k, |m| k.min(m));
+        let prealloc = usize::try_from(max_pairs)
+            .map_or(k, |m| k.min(m))
+            .min(MAX_PREALLOC);
         KHeap {
             k,
-            heap: BinaryHeap::with_capacity(prealloc.saturating_add(1)),
+            heap: BinaryHeap::with_capacity(prealloc + 1),
         }
     }
 
@@ -219,6 +229,19 @@ mod tests {
         assert!(h.offer(pair(1.0)));
         assert!(h.threshold().is_infinite(), "capacity is still K");
         assert_eq!(h.into_sorted().len(), 2);
+    }
+
+    #[test]
+    fn huge_k_with_no_pair_bound_constructs_and_grows_on_demand() {
+        let mut h = KHeap::<2>::new(1 << 40);
+        let n = MAX_PREALLOC + 10;
+        for i in 0..n {
+            assert!(h.offer(pair(i as f64)));
+        }
+        assert!(h.threshold().is_infinite(), "capacity is still K");
+        let out = h.into_sorted();
+        assert_eq!(out.len(), n, "retains what it is offered");
+        assert!(out.windows(2).all(|w| w[0].dist2 < w[1].dist2));
     }
 
     #[test]

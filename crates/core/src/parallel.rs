@@ -50,7 +50,7 @@ use crate::api::{run_leader, ExecCtx};
 use crate::bound::SharedBound;
 use crate::cancel::CancelToken;
 use crate::config::CpqConfig;
-use crate::engine::{candidates, scan_brute, spec_page, Cand, GenScratch};
+use crate::engine::{candidates, scan_brute, spec_page, Cand, GenScratch, LeafScratch};
 use crate::kheap::KHeap;
 use crate::spec::QuerySpec;
 use crate::types::{PairResult, QueryRun};
@@ -469,14 +469,15 @@ fn exec_task<const D: usize, O: SpatialObject<D>>(
         // bound.
         let max_pairs = (np.len() * nq.len()) as u64;
         let mut heap: KHeap<D, O> = KHeap::bounded(rt.spec.k, max_pairs);
+        // No orientation: scatter subqueries never run in parallel mode.
         let dists = scan_brute(
             &np,
             &nq,
             rt.spec.self_join,
             &rt.spec.constraint,
-            |ep, eq| {
-                heap.offer(PairResult::new(*ep, *eq));
-            },
+            false,
+            &mut LeafScratch::default(),
+            &mut heap,
         );
         let local_t = heap.threshold();
         if !local_t.is_infinite() {

@@ -125,15 +125,22 @@ impl<const D: usize> Constraint<D> {
         }
     }
 
+    /// `true` when the two oids may pair up under the colored filter.
+    #[inline]
+    pub(crate) fn admits_colors(&self, oid_p: u64, oid_q: u64) -> bool {
+        !self.colored || color_of(oid_p) != color_of(oid_q)
+    }
+
     /// The leaf-level pair admission test: both sides inside their windows
     /// and, under the colored filter, distinct colors. This exact predicate
-    /// gates every leaf scan — sequential, plane-sweep, speculative worker —
-    /// and the brute-force oracle, so they can never disagree.
+    /// gates every leaf scan and the brute-force oracle, so they can never
+    /// disagree: the plane sweep and the oracle call it per pair, the brute
+    /// kernel (`engine::scan_brute`) applies its three conjuncts where each
+    /// can be decided — `admits_q` once per `Q` entry, `admits_p` once per
+    /// `P` entry, the colors per pair.
     #[inline]
     pub fn admits_pair(&self, mbr_p: &Rect<D>, oid_p: u64, mbr_q: &Rect<D>, oid_q: u64) -> bool {
-        self.admits_p(mbr_p)
-            && self.admits_q(mbr_q)
-            && (!self.colored || color_of(oid_p) != color_of(oid_q))
+        self.admits_p(mbr_p) && self.admits_q(mbr_q) && self.admits_colors(oid_p, oid_q)
     }
 }
 

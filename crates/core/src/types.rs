@@ -23,13 +23,14 @@ impl<const D: usize, O: SpatialObject<D>> PairResult<D, O> {
         PairResult { p, q, dist2 }
     }
 
-    /// Creates a pair result from an already-computed distance (the
-    /// plane-sweep leaf scan evaluates it under the live threshold and must
-    /// not pay for it twice).
+    /// Creates a pair result from an already-computed distance (both leaf
+    /// scans test it against the threshold before they build the pair and
+    /// must not pay for it twice).
     ///
     /// `dist2` must equal the value [`new`](Self::new) would compute; the
-    /// threshold-aware kernel accumulates axis contributions in the same
-    /// order as the full kernel, so the values are bitwise identical.
+    /// brute kernel's rows and the sweep's threshold-aware kernel accumulate
+    /// axis contributions in the same order as the full kernel, so the
+    /// values are bitwise identical.
     pub fn with_dist2(p: LeafEntry<D, O>, q: LeafEntry<D, O>, dist2: Dist2) -> Self {
         debug_assert_eq!(dist2, cpq_geo::min_min_dist2(&p.mbr(), &q.mbr()));
         PairResult { p, q, dist2 }

@@ -122,3 +122,20 @@ fn node_accesses_do_not_grow_as_window_shrinks() {
         );
     }
 }
+
+/// `K` is outside input and no bound on memory: K = 2^40 preallocates a
+/// capped K-heap (`min(K, |P|·|Q|)` entries up front would be 112 GB on the
+/// benchmark's trees) that grows past the cap on demand, and every one of
+/// the 90,000 pairs comes back in canonical order.
+#[test]
+fn huge_k_returns_every_pair_in_canonical_order() {
+    let p = uniform(300, 31);
+    let q = uniform(300, 32);
+    let (tp, tq) = (build(&p.points, 32), build(&q.points, 32));
+    let want = brute::k_closest_pairs_brute(&p.indexed(), &q.indexed(), usize::MAX);
+    assert_eq!(want.len(), 90_000);
+    for alg in [Algorithm::Heap, Algorithm::SortedDistances] {
+        let out = k_closest_pairs(&tp, &tq, 1 << 40, alg, &CpqConfig::paper()).unwrap();
+        assert_eq!(out.pairs, want, "{}", alg.label());
+    }
+}

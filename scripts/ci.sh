@@ -62,6 +62,10 @@ echo "==> benchmark package: cargo test --release + run.sh --smoke (zero-diverge
 # (Same target dir as run.sh, so the package is compiled once.)
 (cd benchmark && CARGO_TARGET_DIR=../target/benchmark/build cargo test --release --offline)
 benchmark/run.sh --smoke >/dev/null
+# The A/B script a gain claim is measured with, on this checkout against
+# itself, so that it cannot rot unseen (one smoke pair; the table is not
+# judged, a failed or wrong run is).
+scripts/ab.sh . . --pairs 1 --smoke >/dev/null
 
 if [ "${1:-}" = "--full" ]; then
     echo "==> parallel stress: wide seed sweep (release, --include-ignored)"
