@@ -21,16 +21,26 @@
 //!      [`Algorithm::Exhaustive`] — any algorithm returns empty; EXH has
 //!      the cheapest setup;
 //!    * tiny work (`< `[`SMALL_WORK`]) → [`Algorithm::Exhaustive`] —
-//!      recursion over a handful of node pairs beats paying HEAP's
-//!      priority-queue overhead;
-//!    * an active constraint → [`Algorithm::Heap`] — best-first order
-//!      recovers fastest when clipping makes MINMINDIST lower bounds
-//!      jump around, and the MINMAX/MAXMAX bounds the recursive
-//!      algorithms lean on are disabled under constraints anyway;
-//!    * `k = 1` → [`Algorithm::SortedDistances`] — the paper's best
-//!      recursive variant, which the 1-CP MINMAXDIST special case helps
-//!      most;
-//!    * otherwise → [`Algorithm::Heap`].
+//!      recursion over a handful of node pairs needs no ordering at all;
+//!    * everything else — sequential, parallel or scattered →
+//!      [`Algorithm::SortedDistances`], the paper's best recursive
+//!      variant. A service always runs behind an LRU buffer, and behind
+//!      one the paper's own Figure 6b has the recursive algorithms beating
+//!      HEAP from `B = 16` pages up: depth-first descent comes back to the
+//!      pages it just read, best-first order jumps between subtrees.
+//!      Measured by the clock on every request class HEAP used to get
+//!      (`examples/heap_vs_std.rs`, EXPERIMENTS.md "PR 22"): STD is
+//!      1.4–2.5x faster and misses no more — most on whole-space
+//!      self-joins, which run without the MINMAX/MAXMAX bounds, so
+//!      best-first degenerates to breadth-first over the zero-MINMINDIST
+//!      diagonal and queues tens of thousands of node pairs. Scattered
+//!      over S = 4 shards STD is 1.1–1.2x faster too. At
+//!      `parallelism = 2` neither wins (HEAP by 5–8% at `k ≤ 10`, level at
+//!      `k = 100`, STD by ~40% at `k = 10⁴`, both behind sequential STD),
+//!      so the fan-out rows get no rule of their own. The `reason`
+//!      label names the query's shape — `constrained`, `1cp`, `default` —
+//!      for the profile. HEAP stays reachable by naming it on an
+//!      unplanned request.
 //! 3. **Cost estimate.** When per-level tree statistics are available,
 //!    the analytic model ([`cpq_core::costmodel::estimate_1cp_cost`])
 //!    predicts disk accesses over the *clipped* workspaces and effective
@@ -73,8 +83,9 @@ pub const SCATTER_WORK: f64 = 100_000_000.0;
 pub const MAX_FANOUT: usize = 4;
 
 /// Everything the planner knows about the data and the service, gathered
-/// once per planned query (all O(1) reads plus one root page per tree;
-/// the per-level statistics are captured once at service start).
+/// once per planned query (all O(1) reads; the root MBRs and per-level
+/// statistics of a static source are captured once at service start, a
+/// live source reads one root page per side from a pinned snapshot).
 #[derive(Debug, Clone, Copy)]
 pub struct PlannerInputs<'a, const D: usize> {
     /// Cardinality of the `P` tree.
@@ -166,12 +177,14 @@ pub fn plan<const D: usize>(
         return sequential(Algorithm::Exhaustive, None, "tiny");
     }
 
-    let (algorithm, reason) = if constraint.is_active() {
-        (Algorithm::Heap, "constrained")
+    // One algorithm past the tiny bar; the label names the query's shape.
+    let algorithm = Algorithm::SortedDistances;
+    let reason = if constraint.is_active() {
+        "constrained"
     } else if k == 1 {
-        (Algorithm::SortedDistances, "1cp")
+        "1cp"
     } else {
-        (Algorithm::Heap, "default")
+        "default"
     };
 
     // Cost model over the *clipped* workspaces and effective cardinalities
@@ -262,11 +275,11 @@ mod tests {
     }
 
     #[test]
-    fn active_constraint_prefers_heap() {
+    fn active_constraint_keeps_its_label_not_its_own_algorithm() {
         let window = Rect::from_corners([0.0, 0.0], [10.0, 10.0]);
         let con = Constraint::window(window);
         let p = plan(&inputs(10_000, 10.0), 1, QueryKind::Cross, &con);
-        assert_eq!(p.algorithm, Algorithm::Heap);
+        assert_eq!(p.algorithm, Algorithm::SortedDistances);
         assert_eq!(p.reason, "constrained");
     }
 
@@ -302,6 +315,8 @@ mod tests {
         i.shards = 8;
         let p = plan(&i, 10, QueryKind::Cross, &Constraint::none());
         assert_eq!((p.parallelism, p.scatter), (0, MAX_FANOUT));
+        // Fanned out or not, the algorithm is the sequential plan's.
+        assert_eq!(p.algorithm, Algorithm::SortedDistances);
     }
 
     #[test]
@@ -310,7 +325,7 @@ mod tests {
         i.n_q = 0;
         i.workspace_q = None;
         let p = plan(&i, 10, QueryKind::SelfJoin, &Constraint::none());
-        assert_eq!(p.algorithm, Algorithm::Heap);
+        assert_eq!(p.algorithm, Algorithm::SortedDistances);
         assert_eq!(p.reason, "default");
     }
 }

@@ -11,7 +11,7 @@ use cpq_check::sync::{mpsc, Arc};
 use cpq_core::{
     execute, CancelToken, CpqConfig, CpqStats, ExecCtx, ProfileProbe, QueryProfile, QueryRun,
 };
-use cpq_geo::{Point, SpatialObject};
+use cpq_geo::{Point, Rect, SpatialObject};
 use cpq_live::{ApplyReport, LiveError, LiveSet, LiveTree, UpdateOp};
 use cpq_rtree::{LevelStats, RTree};
 use cpq_shard::{execute_sharded, ShardConfig, ShardReport, ShardedPair};
@@ -163,6 +163,12 @@ struct Shared<const D: usize, O: SpatialObject<D>> {
     /// live trees churn with every batch, so the planner falls back to
     /// cardinality heuristics there).
     plan_stats: Option<(Vec<LevelStats<D>>, Vec<LevelStats<D>>)>,
+    /// Root MBRs of the static pair for the planner, read once at start:
+    /// the trees of a static or sharded source cannot change afterwards,
+    /// and a planned request that read both root pages itself was billed
+    /// two pool reads an explicit one is not. `(None, None)` and unused
+    /// for a live source, which plans from a per-request snapshot.
+    plan_workspaces: (Option<Rect<D>>, Option<Rect<D>>),
 }
 
 /// Handle for awaiting one submitted query's [`QueryResponse`].
@@ -233,6 +239,12 @@ impl<const D: usize, O: SpatialObject<D>> CpqService<D, O> {
             // model; the planner degrades to cardinality rules.
             Some((trees.p.level_stats().ok()?, trees.q.level_stats().ok()?))
         });
+        let plan_workspaces = source.trees().map_or((None, None), |trees| {
+            (
+                trees.p.root_mbr().ok().flatten(),
+                trees.q.root_mbr().ok().flatten(),
+            )
+        });
         let shared = Arc::new(Shared {
             source,
             queue: AdmissionQueue::new(config.queue_capacity),
@@ -244,6 +256,7 @@ impl<const D: usize, O: SpatialObject<D>> CpqService<D, O> {
             next_id: AtomicU64::new(0),
             obs: config.obs.enabled.then(|| ServiceObs::new(&config.obs)),
             plan_stats,
+            plan_workspaces,
         });
         let workers = (0..config.workers)
             .map(|i| {
@@ -446,16 +459,17 @@ impl<const D: usize, O: SpatialObject<D>> Shared<D, O> {
     }
 
     /// Runs the planner for one planned request: gathers the cheap data
-    /// statistics (cardinalities O(1), one root page per tree; the
-    /// per-level stats were captured at start) and applies the
-    /// deterministic rules in [`crate::planner`].
+    /// statistics (cardinalities O(1); root MBRs and per-level stats as
+    /// captured at start for a static source, from one snapshot per side
+    /// for a live one) and applies the deterministic rules in
+    /// [`crate::planner`]. A static source's pools are not touched.
     fn plan_query(&self, req: &QueryRequest<D>) -> QueryPlan {
         let (n_p, n_q, workspace_p, workspace_q) = match &self.source {
             Source::Static(trees) | Source::Sharded(trees, _) => (
                 trees.p.len(),
                 trees.q.len(),
-                trees.p.root_mbr().ok().flatten(),
-                trees.q.root_mbr().ok().flatten(),
+                self.plan_workspaces.0,
+                self.plan_workspaces.1,
             ),
             Source::Live(live) => {
                 // A pinned snapshot per side, dropped before execution —

@@ -180,8 +180,9 @@ fn metrics_endpoint_serves_lint_clean_exposition() {
             .execute(QueryRequest::self_join(3, algorithm))
             .unwrap();
     }
-    // One planned, window-constrained query exercises the planner path: an
-    // active constraint must resolve to HEAP, feeding the cpq_plan_* series.
+    // One planned, window-constrained query exercises the planner path: it
+    // resolves to STD like every sequential plan, feeding the cpq_plan_*
+    // series.
     let window = Rect::from_corners([0.0, 0.0], [1000.0, 1000.0]);
     let resp = service
         .execute(QueryRequest::planned_cross(5).with_constraint(Constraint::window(window)))
@@ -189,7 +190,7 @@ fn metrics_endpoint_serves_lint_clean_exposition() {
     let profile = resp.profile.as_ref().expect("planned profile");
     assert!(profile.planned, "profile records the planner decision");
     assert_eq!(profile.plan_reason, "constrained");
-    assert_eq!(resp.request.algorithm, Algorithm::Heap);
+    assert_eq!(resp.request.algorithm, Algorithm::SortedDistances);
 
     let server = service.serve_metrics("127.0.0.1:0").unwrap();
     let mut stream = TcpStream::connect(server.addr()).unwrap();
@@ -211,11 +212,13 @@ fn metrics_endpoint_serves_lint_clean_exposition() {
     // pre-registered zeros), the planner, both histograms, the paper's cost
     // metric live, and the bridged pool series.
     for series in [
-        "cpq_queries_total{algorithm=\"HEAP\",outcome=\"completed\"} 3",
+        "cpq_queries_total{algorithm=\"HEAP\",outcome=\"completed\"} 2",
+        "cpq_queries_total{algorithm=\"STD\",outcome=\"completed\"} 2",
         "cpq_queries_total{algorithm=\"NAIVE\",outcome=\"completed\"} 2",
         "cpq_queries_total{algorithm=\"SIM\",outcome=\"completed\"} 1",
         "cpq_queries_total{algorithm=\"SIM\",outcome=\"timed-out\"} 0",
-        "cpq_plan_queries_total{algorithm=\"HEAP\"} 1",
+        "cpq_plan_queries_total{algorithm=\"STD\"} 1",
+        "cpq_plan_queries_total{algorithm=\"HEAP\"} 0",
         "cpq_plan_queries_total{algorithm=\"EXH\"} 0",
         "cpq_plan_parallel_total 0",
         "cpq_plan_scatter_total 0",

@@ -15,11 +15,11 @@
 use cpq_core::brute::{k_closest_pairs_brute_constrained, self_k_closest_pairs_brute_constrained};
 use cpq_core::Algorithm;
 use cpq_datasets::uniform;
-use cpq_geo::{Point2, Rect, Rect2};
+use cpq_geo::{pack_color, Point2, Rect, Rect2};
 use cpq_rtree::{RTree, RTreeParams};
 use cpq_service::{
-    plan, Constraint, CpqService, ObsConfig, PlannerInputs, QueryKind, QueryRequest, QueryStatus,
-    ServiceConfig, TreePair,
+    plan, Constraint, CpqService, ObsConfig, PlannerInputs, QueryKind, QueryRequest, QueryResponse,
+    QueryStatus, ServiceConfig, TreePair,
 };
 use cpq_storage::{BufferPool, MemPageFile};
 
@@ -41,7 +41,7 @@ fn inputs(n_p: u64, n_q: u64, side: f64) -> PlannerInputs<'static, 2> {
 /// scatter, reason).
 #[test]
 fn decision_table() {
-    use Algorithm::{Exhaustive, Heap, SortedDistances};
+    use Algorithm::{Exhaustive, SortedDistances};
     let quarter = Rect::from_corners([0.0, 0.0], [500.0, 500.0]);
     let sliver = Rect::from_corners([0.0, 0.0], [10.0, 10.0]);
     let off_data = Rect::from_corners([5_000.0, 5_000.0], [6_000.0, 6_000.0]);
@@ -113,12 +113,12 @@ fn decision_table() {
             (SortedDistances, 0, 0, "1cp"),
         ),
         (
-            "1-CP windowed still plans HEAP",
+            "1-CP windowed",
             inputs(10_000, 10_000, 1_000.0),
             1,
             QueryKind::Cross,
             Constraint::window(quarter),
-            (Heap, 0, 0, "constrained"),
+            (SortedDistances, 0, 0, "constrained"),
         ),
         (
             "colored-only constraint",
@@ -126,7 +126,7 @@ fn decision_table() {
             10,
             QueryKind::Cross,
             Constraint::colored(),
-            (Heap, 0, 0, "constrained"),
+            (SortedDistances, 0, 0, "constrained"),
         ),
         (
             "default K-CPQ",
@@ -134,7 +134,7 @@ fn decision_table() {
             10,
             QueryKind::Cross,
             Constraint::none(),
-            (Heap, 0, 0, "default"),
+            (SortedDistances, 0, 0, "default"),
         ),
         (
             "mid work + ceiling → parallel",
@@ -142,7 +142,7 @@ fn decision_table() {
             10,
             QueryKind::Cross,
             Constraint::none(),
-            (Heap, 4, 0, "default"),
+            (SortedDistances, 4, 0, "default"),
         ),
         (
             "quarter window keeps wide data parallel",
@@ -150,7 +150,7 @@ fn decision_table() {
             10,
             QueryKind::Cross,
             Constraint::window(quarter),
-            (Heap, 4, 0, "constrained"),
+            (SortedDistances, 4, 0, "constrained"),
         ),
         (
             "huge work + shards → scatter",
@@ -158,7 +158,7 @@ fn decision_table() {
             10,
             QueryKind::Cross,
             Constraint::none(),
-            (Heap, 0, 4, "default"),
+            (SortedDistances, 0, 4, "default"),
         ),
         (
             "self-join plans off the P side",
@@ -215,9 +215,9 @@ fn planned_windowed_query_end_to_end() {
         .unwrap();
     assert_eq!(resp.status, QueryStatus::Completed);
     // The ~27% window keeps the effective work product (≈550² > 250k)
-    // above the tiny bar, so the active constraint lands on the
-    // "constrained" rule → HEAP, echoed back on the request.
-    assert_eq!(resp.request.algorithm, Algorithm::Heap);
+    // above the tiny bar: STD like every sequential plan past it, echoed
+    // back on the request, with the shape named in the profile.
+    assert_eq!(resp.request.algorithm, Algorithm::SortedDistances);
     let profile = resp.profile.as_ref().expect("obs on → profile attached");
     assert!(profile.planned);
     assert_eq!(profile.plan_reason, "constrained");
@@ -238,6 +238,105 @@ fn planned_windowed_query_end_to_end() {
     assert_eq!(resp.pairs.len(), oracle.len());
     for (g, o) in resp.pairs.iter().zip(&oracle) {
         assert_eq!((g.p.oid, g.q.oid), (o.p.oid, o.q.oid));
+    }
+    service.shutdown();
+}
+
+/// Every shape the planner used to send to HEAP now echoes STD, and the
+/// answer is the one HEAP gives when named on the request, bit for bit.
+#[test]
+fn planned_requests_echo_std_and_answer_as_heap_does() {
+    // Two colors, so that the colored filter has pairs to admit.
+    let colored = |seed: u64| -> Vec<(Point2, u64)> {
+        let pts = uniform(2_000, seed).points;
+        (0u64..)
+            .zip(pts)
+            .map(|(i, p)| (p, pack_color(i, (i % 2) as u16)))
+            .collect()
+    };
+    let service: CpqService<2> = CpqService::start(
+        TreePair::new(build_tree(&colored(76)), build_tree(&colored(77))),
+        ServiceConfig {
+            workers: 1,
+            ..ServiceConfig::default()
+        },
+    );
+    let window = Constraint::window(Rect2::from_corners([100.0, 150.0], [800.0, 900.0]));
+    let shapes = [
+        ("cross", QueryRequest::planned_cross(7)),
+        ("self", QueryRequest::planned_self(7)),
+        (
+            "windowed",
+            QueryRequest::planned_cross(7).with_constraint(window),
+        ),
+        (
+            "colored",
+            QueryRequest::planned_cross(7).with_constraint(Constraint::colored()),
+        ),
+        (
+            "windowed colored self",
+            QueryRequest::planned_self(7).with_constraint(window.with_colored()),
+        ),
+    ];
+    for (shape, planned) in shapes {
+        let got = service.execute(planned).unwrap();
+        assert_eq!(got.status, QueryStatus::Completed, "{shape}");
+        assert_eq!(got.request.algorithm, Algorithm::SortedDistances, "{shape}");
+        let named = QueryRequest {
+            planned: false,
+            algorithm: Algorithm::Heap,
+            ..planned
+        };
+        let want = service.execute(named).unwrap();
+        assert_eq!(want.request.algorithm, Algorithm::Heap, "{shape}");
+        assert_eq!(got.pairs.len(), 7, "{shape}");
+        let key = |r: &QueryResponse<2>| -> Vec<(u64, u64, u64)> {
+            r.pairs
+                .iter()
+                .map(|x| (x.p.oid, x.q.oid, x.dist2.get().to_bits()))
+                .collect()
+        };
+        assert_eq!(key(&got), key(&want), "{shape}");
+    }
+    service.shutdown();
+}
+
+/// A planned request on a static service costs its pools what the same
+/// request costs with the algorithm named: the planner reads no page (it
+/// used to read both root pages per request, billed as query traffic).
+#[test]
+fn planning_reads_no_page_of_a_static_source() {
+    let p = uniform(2_000, 78).indexed();
+    let q = uniform(2_000, 79).indexed();
+    let service: CpqService<2> = CpqService::start(
+        TreePair::new(build_tree(&p), build_tree(&q)),
+        ServiceConfig {
+            workers: 1,
+            ..ServiceConfig::default()
+        },
+    );
+    let logical_reads = || {
+        let trees = service.trees().unwrap();
+        [&trees.p, &trees.q].map(|t| t.pool().buffer_stats().logical_reads)
+    };
+    let since = |before: [u64; 2]| {
+        let now = logical_reads();
+        [now[0] - before[0], now[1] - before[1]]
+    };
+    for planned in [
+        QueryRequest::planned_cross(5),
+        QueryRequest::planned_self(5),
+    ] {
+        let before = logical_reads();
+        let resp = service.execute(planned).unwrap();
+        let by_planned = since(before);
+        let before = logical_reads();
+        let named = QueryRequest {
+            planned: false,
+            ..resp.request
+        };
+        service.execute(named).unwrap();
+        assert_eq!(by_planned, since(before), "{:?}", planned.kind);
     }
     service.shutdown();
 }

@@ -1,9 +1,12 @@
 #!/usr/bin/env sh
 # A/B of two checkouts with the repo's benchmark, the way the driver judges a
 # PR: alternating pairs of `benchmark/run.sh --workload W` for all four
-# workloads, then one row per workload x end-to-end metric.
+# workloads (or the `--workloads a,b` subset, to judge one cut on the
+# workload it claims without paying for the other three), then one row per
+# workload x end-to-end metric.
 #
-#   scripts/ab.sh <parent-checkout> <change-checkout> [--pairs 10] [--seconds 20] [--smoke]
+#   scripts/ab.sh <parent-checkout> <change-checkout> [--pairs 10] [--seconds 20]
+#                 [--workloads kcpq_hot,kcpq_cold,svc_mix,live_rw] [--smoke]
 #
 # Pair i runs every workload once per side with --seed i; the parent goes
 # first in odd pairs, the change in even ones. Each row gives both sides'
@@ -24,7 +27,7 @@
 set -eu
 
 usage() {
-    echo "usage: $0 <parent-checkout> <change-checkout> [--pairs N] [--seconds S] [--smoke]" >&2
+    echo "usage: $0 <parent-checkout> <change-checkout> [--pairs N] [--seconds S] [--workloads a,b] [--smoke]" >&2
     exit 2
 }
 [ $# -ge 2 ] || usage
@@ -32,16 +35,19 @@ parent=$(cd "$1" && pwd)
 change=$(cd "$2" && pwd)
 shift 2
 pairs=10
+workloads="kcpq_hot kcpq_cold svc_mix live_rw"
 run_args=""
 while [ $# -gt 0 ]; do
     case "$1" in
         --pairs) [ $# -ge 2 ] || usage; pairs=$2; shift 2 ;;
         --seconds) [ $# -ge 2 ] || usage; run_args="$run_args --seconds $2"; shift 2 ;;
+        --workloads) [ $# -ge 2 ] || usage; workloads=$(echo "$2" | tr ',' ' '); shift 2 ;;
         --smoke) run_args="$run_args --smoke"; shift ;;
         *) usage ;;
     esac
 done
 case "$pairs" in '' | *[!0-9]* | 0) usage ;; esac
+[ -n "$workloads" ] || usage
 
 out="$change/target/benchmark/ab"
 mkdir -p "$out"
@@ -68,7 +74,7 @@ run_side() { # side dir workload pair
 
 pair=1
 while [ "$pair" -le "$pairs" ]; do
-    for workload in kcpq_hot kcpq_cold svc_mix live_rw; do
+    for workload in $workloads; do
         if [ $((pair % 2)) -eq 1 ]; then
             run_side parent "$parent" "$workload" "$pair"
             run_side change "$change" "$workload" "$pair"

@@ -63,9 +63,10 @@ echo "==> benchmark package: cargo test --release + run.sh --smoke (zero-diverge
 (cd benchmark && CARGO_TARGET_DIR=../target/benchmark/build cargo test --release --offline)
 benchmark/run.sh --smoke >/dev/null
 # The A/B script a gain claim is measured with, on this checkout against
-# itself, so that it cannot rot unseen (one smoke pair; the table is not
-# judged, a failed or wrong run is).
-scripts/ab.sh . . --pairs 1 --smoke >/dev/null
+# itself, so that it cannot rot unseen (one smoke pair of one workload —
+# `run.sh --smoke` above ran all four; the table is not judged, a failed or
+# wrong run is).
+scripts/ab.sh . . --pairs 1 --workloads svc_mix --smoke >/dev/null
 
 if [ "${1:-}" = "--full" ]; then
     echo "==> parallel stress: wide seed sweep (release, --include-ignored)"
