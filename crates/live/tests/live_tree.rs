@@ -154,12 +154,16 @@ fn snapshot_is_immune_to_later_updates() {
 /// Multi-threaded stress: one writer streams updates while reader
 /// threads continuously snapshot, validate the full structure, and
 /// sanity-check query answers. A torn snapshot (page freed or rewritten
-/// mid-read) would show up as a validation failure or a panic.
+/// mid-read) would show up as a validation failure or a panic. The writer
+/// starts only once every reader runs, and every reader checks at least
+/// once before it looks at `stop`: a writer that finishes first cannot
+/// leave a reader without a check.
 #[test]
 fn concurrent_readers_never_see_torn_snapshots() {
     use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Arc;
+    use std::sync::{Arc, Barrier};
 
+    const READERS: usize = 4;
     let data = uniform_grid(400, 0xC0FFEE, 50.0);
     let live: Arc<LiveTree<2>> = Arc::new(
         LiveTree::new_in_memory(RTreeParams::paper(), &LiveConfig::default()).expect("live"),
@@ -168,14 +172,17 @@ fn concurrent_readers_never_see_torn_snapshots() {
         live.insert(*p, i as u64).expect("seed insert");
     }
     let stop = Arc::new(AtomicBool::new(false));
+    let started = Arc::new(Barrier::new(READERS + 1));
     let mut readers = Vec::new();
-    for _ in 0..4 {
+    for _ in 0..READERS {
         let live = Arc::clone(&live);
         let stop = Arc::clone(&stop);
+        let started = Arc::clone(&started);
         readers.push(std::thread::spawn(move || {
             let cfg = CpqConfig::default();
             let mut checks = 0u64;
-            while !stop.load(Ordering::Relaxed) {
+            started.wait();
+            loop {
                 let snap = live.snapshot().expect("snapshot");
                 let report = snap
                     .tree()
@@ -202,10 +209,13 @@ fn concurrent_readers_never_see_torn_snapshots() {
                     "pairs not in canonical order"
                 );
                 checks += 1;
+                if stop.load(Ordering::Relaxed) {
+                    break checks;
+                }
             }
-            checks
         }));
     }
+    started.wait();
 
     // Writer: churn inserts and deletes across the remaining points.
     let mut alive: Vec<(Point2, u64)> = data
@@ -227,11 +237,10 @@ fn concurrent_readers_never_see_torn_snapshots() {
         }
     }
     stop.store(true, Ordering::Relaxed);
-    let mut total_checks = 0;
-    for r in readers {
-        total_checks += r.join().expect("reader");
+    for (i, r) in readers.into_iter().enumerate() {
+        let checks = r.join().expect("reader");
+        assert!(checks > 0, "reader {i} never checked a snapshot");
     }
-    assert!(total_checks > 0, "readers never ran");
 
     // Quiescence: all retirement drained, ledger intact.
     let stats = live.stats();

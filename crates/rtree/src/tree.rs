@@ -9,6 +9,7 @@ use crate::params::SplitPolicy;
 use crate::split::{linear_split, quadratic_split, rstar_split};
 use cpq_geo::{Point, Rect, SpatialObject};
 use cpq_storage::{BufferPool, PageId};
+use std::cmp::Ordering;
 use std::collections::{HashSet, VecDeque};
 use std::sync::Arc;
 
@@ -456,34 +457,17 @@ impl<const D: usize, O: SpatialObject<D>> RTree<D, O> {
     ///
     /// R\* rule (the default):
     /// * Children are leaves (`node` at level 1): minimize **overlap
-    ///   enlargement**, ties by area enlargement, then by area.
+    ///   enlargement**, ties by area enlargement, then by area
+    ///   ([`least_overlap_enlargement`]).
     /// * Otherwise: minimize **area enlargement**, ties by area.
     ///
     /// Guttman variants use the classic least-enlargement rule at every
-    /// level.
+    /// level. Every rule keeps the lowest index among equal keys.
     fn choose_subtree(&self, node: &Node<D, O>, mbr: &Rect<D>) -> usize {
         let entries = node.inner_entries();
         debug_assert!(!entries.is_empty(), "choose_subtree on empty node");
         if self.params.split_policy == SplitPolicy::RStar && node.level() == 1 {
-            let mut best = 0usize;
-            let mut best_key = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
-            for (i, e) in entries.iter().enumerate() {
-                let enlarged = e.mbr.union(mbr);
-                let mut overlap_delta = 0.0;
-                for (j, other) in entries.iter().enumerate() {
-                    if i == j {
-                        continue;
-                    }
-                    overlap_delta += enlarged.intersection_area(&other.mbr)
-                        - e.mbr.intersection_area(&other.mbr);
-                }
-                let key = (overlap_delta, enlarged.area() - e.mbr.area(), e.mbr.area());
-                if key < best_key {
-                    best_key = key;
-                    best = i;
-                }
-            }
-            best
+            least_overlap_enlargement(entries, mbr)
         } else {
             let mut best = 0usize;
             let mut best_key = (f64::INFINITY, f64::INFINITY);
@@ -725,6 +709,61 @@ impl<const D: usize, O: SpatialObject<D>> RTree<D, O> {
     }
 }
 
+/// The R\* `ChooseSubtree` rule for a node whose children are leaves: the
+/// index of the child whose enlargement to cover `mbr` adds the least
+/// overlap with its siblings, ties by area enlargement, then by area, then
+/// by the lower index.
+///
+/// Every child's overlap enlargement costs `O(M)` intersections, all of them
+/// `O(M²)`, yet the answer is usually settled by the first one computed:
+/// children are visited in ascending `(area enlargement, area, index)` order
+/// and the first whose overlap enlargement is exactly `0.0` wins. That is
+/// exact in floating point too. An overlap enlargement is a sum of terms
+/// `A(E'∩F) − A(E∩F)` with `E ⊆ E'`: per axis the rounded extent of `E'∩F`
+/// is at least that of `E∩F`, a rounded product of non-negative factors is
+/// monotone in each, and `intersection_area` returns `0.0` as soon as an
+/// extent is not positive — so each term, and the sum, is `>= +0.0`, and no
+/// child visited later can have a smaller `(overlap, enlargement, area,
+/// index)` key. Every overlap still computed sums its terms in sibling
+/// order, bit for bit what the full scan computes.
+///
+/// The order needs comparable keys: when an enlargement or an area is NaN
+/// (only coordinate spans beyond `f64::MAX` make one) the children are
+/// visited in index order, all of them — the full scan.
+fn least_overlap_enlargement<const D: usize>(entries: &[InnerEntry<D>], mbr: &Rect<D>) -> usize {
+    let mut order: Vec<(f64, f64, usize)> = entries
+        .iter()
+        .enumerate()
+        .map(|(i, e)| (e.mbr.enlargement(mbr), e.mbr.area(), i))
+        .collect();
+    let comparable = order
+        .iter()
+        .all(|&(enlargement, area, _)| !enlargement.is_nan() && !area.is_nan());
+    if comparable {
+        order.sort_by(|a, b| a.partial_cmp(b).unwrap_or(Ordering::Equal));
+    }
+    let mut best = (f64::INFINITY, f64::INFINITY, f64::INFINITY, 0);
+    for (enlargement, area, i) in order {
+        let e = &entries[i];
+        let enlarged = e.mbr.union(mbr);
+        let mut overlap = 0.0;
+        for (j, other) in entries.iter().enumerate() {
+            if i != j {
+                overlap +=
+                    enlarged.intersection_area(&other.mbr) - e.mbr.intersection_area(&other.mbr);
+            }
+        }
+        if comparable && overlap == 0.0 {
+            return i;
+        }
+        let key = (overlap, enlargement, area, i);
+        if key < best {
+            best = key;
+        }
+    }
+    best.3
+}
+
 enum DeleteOutcome<const D: usize> {
     /// The object was not found under this node.
     NotFound,
@@ -732,4 +771,229 @@ enum DeleteOutcome<const D: usize> {
     Updated(InnerEntry<D>),
     /// This node underflowed and was dissolved into orphans.
     Removed,
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cpq_rng::Rng;
+    use cpq_storage::MemPageFile;
+
+    /// The rule [`least_overlap_enlargement`] replaces, as it stood: every
+    /// child's overlap enlargement against every sibling, in index order.
+    fn full_scan<const D: usize>(entries: &[InnerEntry<D>], mbr: &Rect<D>) -> usize {
+        let mut best = 0usize;
+        let mut best_key = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
+        for (i, e) in entries.iter().enumerate() {
+            let enlarged = e.mbr.union(mbr);
+            let mut overlap_delta = 0.0;
+            for (j, other) in entries.iter().enumerate() {
+                if i == j {
+                    continue;
+                }
+                overlap_delta +=
+                    enlarged.intersection_area(&other.mbr) - e.mbr.intersection_area(&other.mbr);
+            }
+            let key = (overlap_delta, enlarged.area() - e.mbr.area(), e.mbr.area());
+            if key < best_key {
+                best_key = key;
+                best = i;
+            }
+        }
+        best
+    }
+
+    fn build<const D: usize, O: SpatialObject<D>>(
+        objects: &[O],
+        max_entries: usize,
+    ) -> RTree<D, O> {
+        let pool = BufferPool::with_lru(Box::new(MemPageFile::new(4096)), 4096);
+        let mut tree = RTree::new(pool, RTreeParams::with_max_entries(max_entries)).unwrap();
+        for (oid, o) in objects.iter().enumerate() {
+            tree.insert(*o, oid as u64).unwrap();
+        }
+        tree
+    }
+
+    /// The children of every level-1 node of `tree`.
+    fn leaf_parents<const D: usize, O: SpatialObject<D>>(
+        tree: &RTree<D, O>,
+    ) -> Vec<Vec<InnerEntry<D>>> {
+        let mut out = Vec::new();
+        let mut stack = vec![tree.root()];
+        while let Some(id) = stack.pop() {
+            if let Node::Inner { level, entries } = tree.read_node(id).unwrap() {
+                if level == 1 {
+                    out.push(entries);
+                } else {
+                    stack.extend(entries.iter().map(|e| e.child));
+                }
+            }
+        }
+        out
+    }
+
+    /// MBRs to insert under `entries`: per child its own MBR, its center,
+    /// both corners, a face midpoint, a zero-extent slab across it, a point
+    /// just outside and one far outside; plus random points of the node's
+    /// MBR. Children that share an MBR (duplicates, identical points) tie
+    /// exactly in enlargement and area on all of these.
+    fn probes<const D: usize>(entries: &[InnerEntry<D>], r: &mut Rng) -> Vec<Rect<D>> {
+        let node = entries
+            .iter()
+            .skip(1)
+            .fold(entries[0].mbr, |a, e| a.union(&e.mbr));
+        let mut out = Vec::new();
+        for e in entries {
+            let (lo, hi, c) = (e.mbr.lo().0, e.mbr.hi().0, e.mbr.center().0);
+            let mut face = c;
+            face[0] = lo[0];
+            let mut slab_lo = c;
+            let mut slab_hi = c;
+            slab_lo[0] = lo[0];
+            slab_hi[0] = hi[0];
+            let near = lo.map(|v| v - 1.0);
+            let far = hi.map(|v| v + 1e3);
+            for p in [c, lo, hi, face, near, far] {
+                out.push(Rect::point(Point(p)));
+            }
+            out.push(e.mbr);
+            out.push(Rect::from_corners(slab_lo, slab_hi));
+        }
+        for _ in 0..entries.len() {
+            let mut p = [0.0; D];
+            for (d, v) in p.iter_mut().enumerate() {
+                let (lo, hi) = (node.lo().coord(d), node.hi().coord(d));
+                *v = if hi > lo { r.random_range(lo..hi) } else { lo };
+            }
+            out.push(Rect::point(Point(p)));
+        }
+        out
+    }
+
+    /// Both rules on every level-1 node of `tree`, on the node as stored,
+    /// reversed (ties resolve by index) and with its first children
+    /// duplicated at the end (exact ties in every key component). Returns
+    /// how many choices were compared.
+    fn same_choices<const D: usize, O: SpatialObject<D>>(tree: &RTree<D, O>, seed: u64) -> usize {
+        let mut r = Rng::seed_from_u64(seed);
+        let mut compared = 0;
+        for entries in leaf_parents(tree) {
+            let mut reversed = entries.clone();
+            reversed.reverse();
+            let mut doubled = entries.clone();
+            doubled.extend_from_slice(&entries[..entries.len().div_ceil(2)]);
+            for node in [entries, reversed, doubled] {
+                for mbr in probes(&node, &mut r) {
+                    assert_eq!(
+                        least_overlap_enlargement(&node, &mbr),
+                        full_scan(&node, &mbr),
+                        "inserting {mbr:?} under {node:?}"
+                    );
+                    compared += 1;
+                }
+            }
+        }
+        assert!(compared > 0, "no level-1 node: the tree is too small");
+        compared
+    }
+
+    fn points<const D: usize>(
+        n: usize,
+        seed: u64,
+        coord: impl Fn(&mut Rng, usize) -> f64,
+    ) -> Vec<Point<D>> {
+        let mut r = Rng::seed_from_u64(seed);
+        (0..n)
+            .map(|_| {
+                let mut p = [0.0; D];
+                for (d, v) in p.iter_mut().enumerate() {
+                    *v = coord(&mut r, d);
+                }
+                Point(p)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn the_pruned_rule_chooses_what_the_full_scan_chooses() {
+        let grid = |r: &mut Rng, _: usize| r.random_range(0u32..16) as f64 * 62.5;
+        let uniform = |r: &mut Rng, _: usize| r.random_range(0.0..1000.0);
+        let collinear = |r: &mut Rng, d: usize| {
+            if d == 0 {
+                r.random_range(0.0..1000.0)
+            } else {
+                500.0
+            }
+        };
+        let three = |r: &mut Rng, _: usize| [0.0, 1.0, 2.0][r.random_range(0usize..3)];
+        let mut compared = 0;
+        for m in [4, 21] {
+            compared += same_choices(&build(&points::<2>(1500, 1, grid), m), 11);
+            compared += same_choices(&build(&points::<2>(1500, 2, collinear), m), 12);
+            compared += same_choices(&build(&points::<2>(600, 3, |_, _| 7.0), m), 13);
+            compared += same_choices(&build(&points::<2>(600, 4, three), m), 14);
+            compared += same_choices(&build(&points::<3>(1500, 5, uniform), m), 15);
+            compared += same_choices(&build(&points::<3>(1500, 6, grid), m), 16);
+            // Rectangles with zero extents: points, horizontal and vertical
+            // segments, and a few proper boxes.
+            let mut r = Rng::seed_from_u64(7);
+            let rects: Vec<Rect<2>> = (0..1500)
+                .map(|i| {
+                    let lo = [grid(&mut r, 0), grid(&mut r, 1)];
+                    let w = r.random_range(0.0..80.0);
+                    match i % 4 {
+                        0 => Rect::from_corners(lo, lo),
+                        1 => Rect::from_corners(lo, [lo[0] + w, lo[1]]),
+                        2 => Rect::from_corners(lo, [lo[0], lo[1] + w]),
+                        _ => Rect::from_corners(lo, [lo[0] + w, lo[1] + w]),
+                    }
+                })
+                .collect();
+            compared += same_choices(&build(&rects, m), 17);
+        }
+        assert!(compared > 100_000, "only {compared} choices compared");
+    }
+
+    #[test]
+    fn a_nan_key_falls_back_to_the_full_scan() {
+        // Spans beyond f64::MAX: an extent overflows to infinity, so an area
+        // is `inf * 0` or an enlargement `inf - inf`, both NaN.
+        let big = f64::MAX;
+        let node = |rects: &[Rect<2>]| -> Vec<InnerEntry<2>> {
+            rects
+                .iter()
+                .enumerate()
+                .map(|(i, &mbr)| InnerEntry::new(mbr, PageId(i as u32), 1))
+                .collect()
+        };
+        // A NaN key compares equal to both neighbours in the sort, so
+        // sorting would leave child 0 (enlargement 7) ahead of child 2
+        // (enlargement 3), both of overlap enlargement 0.
+        let unsortable = node(&[
+            Rect::from_corners([1.0, 1.0], [2.0, 6.0]),
+            Rect::from_corners([-big, 0.0], [big, 0.0]),
+            Rect::from_corners([1.0, 1.0], [2.0, 2.0]),
+        ]);
+        let origin = Rect::point(Point([0.0, 0.0]));
+        assert_eq!(full_scan(&unsortable, &origin), 2);
+        assert_eq!(least_overlap_enlargement(&unsortable, &origin), 2);
+        let entries = node(&[
+            Rect::from_corners([-big, 0.0], [big, 0.0]),
+            Rect::from_corners([-big, -big], [big, big]),
+            Rect::from_corners([0.0, 0.0], [1.0, 1.0]),
+            Rect::from_corners([2.0, 2.0], [3.0, 3.0]),
+        ]);
+        for mbr in [
+            Rect::point(Point([0.5, 0.5])),
+            Rect::point(Point([2.5, 2.5])),
+            Rect::point(Point([-big, big])),
+            Rect::from_corners([-big, -big], [big, big]),
+        ] {
+            assert_eq!(
+                least_overlap_enlargement(&entries, &mbr),
+                full_scan(&entries, &mbr)
+            );
+        }
+    }
 }

@@ -28,6 +28,13 @@ cargo test --workspace -q
 echo "==> cpq_analyze (multi-pass static analysis -> analysis_report.json)"
 ./target/release/cpq_analyze --root . --out target/analysis_report.json
 
+# The sampling profiler on the insertion-build example it was written for
+# (EXPERIMENTS.md "PR 25"), so that neither rots unseen: the report has to
+# resolve samples to the R*-tree's own functions.
+echo "==> scripts/sample.sh smoke (SIGPROF sampler on examples/rtree_build)"
+cargo build --release --example rtree_build
+scripts/sample.sh target/release/examples/rtree_build 1 | grep -q 'cpq_rtree::'
+
 # Model-check smoke tier: the concurrency shim is compiled in scheduler mode
 # (--cfg cpq_model) and the harnesses run exhaustive/bounded DFS on the small
 # models plus 200 seeded PCT schedules on the contended ones. A separate
