@@ -1,10 +1,9 @@
-//! Failure propagation through the query algorithms: a corrupted page under
-//! either tree turns every algorithm's result into `Err`.
+//! Failure propagation through the executors the differential harness does
+//! not reach: a corrupted page under one tree turns the semi and multiway
+//! closest-pair results into `Err`. (The K-CPQ algorithms and the
+//! incremental join are held to it by the harness's storage-fault hazards.)
 
-use cpq_core::{
-    distance_join, k_closest_pairs, k_closest_tuples, semi_closest_pairs, Algorithm, CpqConfig,
-    IncrementalConfig, TupleMetric,
-};
+use cpq_core::{k_closest_tuples, semi_closest_pairs, TupleMetric};
 use cpq_geo::Point;
 use cpq_rng::Rng;
 use cpq_rtree::RTree;
@@ -28,34 +27,6 @@ fn corrupt_all_but_root(tree: &RTree<2>) {
             tree.pool().write_page(id, &garbage).unwrap();
         }
     }
-}
-
-#[test]
-fn every_algorithm_surfaces_corruption() {
-    let ta = random_tree(600, 1);
-    let tb = random_tree(600, 2);
-    corrupt_all_but_root(&tb);
-    for alg in [
-        Algorithm::Naive,
-        Algorithm::Exhaustive,
-        Algorithm::Simple,
-        Algorithm::SortedDistances,
-        Algorithm::Heap,
-    ] {
-        let r = k_closest_pairs(&ta, &tb, 3, alg, &CpqConfig::paper());
-        assert!(r.is_err(), "{} must report corruption", alg.label());
-    }
-}
-
-#[test]
-fn incremental_join_surfaces_corruption() {
-    let ta = random_tree(600, 3);
-    let tb = random_tree(600, 4);
-    corrupt_all_but_root(&tb);
-    let mut join = distance_join(&ta, &tb, IncrementalConfig::default());
-    // The stream must yield an Err (possibly after some valid pairs).
-    let saw_error = join.any(|r| r.is_err());
-    assert!(saw_error, "incremental stream must surface the corruption");
 }
 
 #[test]

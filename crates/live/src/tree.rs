@@ -15,11 +15,15 @@
 //!    descriptor. Which pages were allocated or retired is not logged;
 //!    recovery's sweep recomputes it from the recovered root.
 //! 4. `Wal::commit` writes the records and (when configured) fsyncs them.
-//!    If that fails, step 2 has already run, so carrying on would publish
-//!    a descriptor reaching pages whose images never reached the log: the
-//!    log latches the failure, this tree refuses every later update and
-//!    checkpoint before touching anything, and
-//!    [`recover`](crate::recovery::recover) is the way back.
+//!    An error anywhere after step 1 — a page read inside the tree op, the
+//!    page-image read of step 3, this commit — leaves the writer's tree
+//!    holding part or all of an op that was never published, so carrying on
+//!    would publish it with the next one. The writer latches the first such
+//!    failure (memory-only trees too): every later update and checkpoint is
+//!    refused, naming it, before anything is touched; readers keep the last
+//!    published epoch, and [`recover`](crate::recovery::recover) is the way
+//!    back. An object `insert` would refuse is refused before step 1, so bad
+//!    input never stops the writer.
 //! 5. Only then is the descriptor published to the [`EpochRegistry`], so
 //!    a reader can never observe state that a crash would roll back.
 //!    Retired pages go back to the pool once no pinned epoch can read
@@ -37,7 +41,7 @@ use crate::wal::{Lsn, OpKind, RecordBody, Wal, WalConfig, WalStats};
 use cpq_check::sync::atomic::{AtomicU64, Ordering};
 use cpq_check::sync::{Arc, Mutex};
 use cpq_geo::{Point, SpatialObject};
-use cpq_rtree::{RTree, RTreeParams};
+use cpq_rtree::{RTree, RTreeError, RTreeParams};
 use cpq_storage::{BufferPool, DiskPageFile, MemPageFile, PageId};
 use std::path::Path;
 
@@ -155,6 +159,29 @@ struct WriterState<const D: usize, O: SpatialObject<D>> {
     deletes: u64,
     delete_misses: u64,
     checkpoints: u64,
+    /// The first failure of an op or checkpoint past its point of no
+    /// return (see the module's step 4).
+    failed: Option<String>,
+}
+
+impl<const D: usize, O: SpatialObject<D>> WriterState<D, O> {
+    /// The fail-stop rule's check: the latched failure, if there is one.
+    fn check(&self) -> LiveResult<()> {
+        match &self.failed {
+            None => Ok(()),
+            Some(why) => Err(LiveError::Invalid(format!(
+                "the writer stopped at an earlier failure ({why})"
+            ))),
+        }
+    }
+
+    /// Passes a result through, latching its failure (the first one wins).
+    fn latch<T>(&mut self, res: LiveResult<T>) -> LiveResult<T> {
+        if let (Err(e), None) = (&res, &self.failed) {
+            self.failed = Some(e.to_string());
+        }
+        res
+    }
 }
 
 /// A mutable R*-tree with WAL durability and epoch snapshots.
@@ -257,6 +284,7 @@ impl<const D: usize, O: SpatialObject<D>> LiveTree<D, O> {
                 deletes: 0,
                 delete_misses: 0,
                 checkpoints: 0,
+                failed: None,
             }),
             wal,
             params,
@@ -280,9 +308,29 @@ impl<const D: usize, O: SpatialObject<D>> LiveTree<D, O> {
         self.apply_locked(&mut st, OpKind::Delete, object, oid)
     }
 
-    /// One logical operation under the writer lock: WAL records, COW tree
-    /// op, commit, epoch publish, auto-checkpoint.
+    /// One logical operation under the writer lock, fail-stop (module docs,
+    /// step 4).
     fn apply_locked(
+        &self,
+        st: &mut WriterState<D, O>,
+        op: OpKind,
+        object: O,
+        oid: u64,
+    ) -> LiveResult<bool> {
+        st.check()?;
+        // What `RTree::insert` would refuse never reaches the log, so bad
+        // input cannot stop the writer.
+        if op == OpKind::Insert && !object.is_finite() {
+            return Err(
+                RTreeError::InvalidParams("cannot index a non-finite object".into()).into(),
+            );
+        }
+        let applied = self.run_op(st, op, object, oid);
+        st.latch(applied)
+    }
+
+    /// WAL records, COW tree op, commit, epoch publish, auto-checkpoint.
+    fn run_op(
         &self,
         st: &mut WriterState<D, O>,
         op: OpKind,
@@ -291,9 +339,6 @@ impl<const D: usize, O: SpatialObject<D>> LiveTree<D, O> {
     ) -> LiveResult<bool> {
         let op_id = st.next_op_id;
         if let Some(wal) = &self.wal {
-            // Fail-stop: once a commit has failed, the writer's tree holds
-            // an op the log never got; nothing may be built on top of it.
-            wal.check()?;
             let mut obj = vec![0u8; O::encoded_size()];
             object.encode(&mut obj);
             wal.append(&RecordBody::OpBegin {
@@ -366,6 +411,12 @@ impl<const D: usize, O: SpatialObject<D>> LiveTree<D, O> {
                 "checkpoint on a memory-only live tree".into(),
             ));
         };
+        st.check()?;
+        let taken = self.write_checkpoint(wal, st);
+        st.latch(taken)
+    }
+
+    fn write_checkpoint(&self, wal: &Wal, st: &mut WriterState<D, O>) -> LiveResult<Lsn> {
         // WAL-before-data: the whole appended log is durable (or the log's
         // latched failure returned) before the data pages may be declared
         // the new base.
@@ -576,8 +627,23 @@ impl<const D: usize, O: SpatialObject<D>> LiveSet<D, O> {
 mod tests {
     use super::*;
     use cpq_core::brute::self_k_closest_pairs_brute;
-    use cpq_core::{self_closest_pairs, Algorithm, CpqConfig};
-    use cpq_geo::Point2;
+    use cpq_core::{self_closest_pairs, Algorithm, CpqConfig, PairResult};
+    use cpq_geo::{Dist2, Point2};
+    use cpq_storage::{FailingPageFile, FailureControl, PageFile};
+
+    fn keys(pairs: &[PairResult<2>]) -> Vec<(Dist2, u64, u64)> {
+        pairs.iter().map(|r| r.sort_key()).collect()
+    }
+
+    /// The oracle's 6 closest pairs within `acked`.
+    fn oracle(acked: &[(Point2, u64)]) -> Vec<(Dist2, u64, u64)> {
+        keys(&self_k_closest_pairs_brute(acked, 6))
+    }
+
+    fn answer(t: &RTree<2>) -> Vec<(Dist2, u64, u64)> {
+        let out = self_closest_pairs(t, 6, Algorithm::Heap, &CpqConfig::default());
+        keys(&out.expect("query").pairs)
+    }
 
     /// The fail-stop rule one level up: after a commit fails, every op is
     /// refused, nothing unacknowledged is published, and recovery returns
@@ -597,14 +663,7 @@ mod tests {
             tree.insert(point(i), i).expect("insert");
         }
         let acked: Vec<_> = (0..40).map(|i| (point(i), i)).collect();
-        let keys = |pairs: &[cpq_core::PairResult<2>]| -> Vec<_> {
-            pairs.iter().map(|r| r.sort_key()).collect()
-        };
-        let oracle = keys(&self_k_closest_pairs_brute(&acked, 6));
-        let answer = |t: &RTree<2>| {
-            let out = self_closest_pairs(t, 6, Algorithm::Heap, &CpqConfig::default());
-            keys(&out.expect("query").pairs)
-        };
+        let oracle = oracle(&acked);
 
         let wal = tree.wal.as_ref().expect("durable tree");
         let read_only = std::fs::File::open(dir.join(DATA_FILE)).expect("a read-only handle");
@@ -627,5 +686,97 @@ mod tests {
         assert_eq!(answer(back.snapshot().expect("snapshot").tree()), oracle);
         back.insert(point(40), 40).expect("updates resume");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The same rule for a read that fails after `OpBegin` — inside the
+    /// tree op or the page-image read — on in-memory and durable trees
+    /// alike: seeded nth-read faults across an insert/delete stream.
+    #[test]
+    fn failed_read_stops_the_writer_and_readers_keep_the_last_epoch() {
+        let params = RTreeParams::with_max_entries(4);
+        let cfg = LiveConfig {
+            wal: WalConfig { sync: false },
+            checkpoint_every: 16,
+            capacity: 4,
+            ..LiveConfig::default()
+        };
+        for seed in 0..8u64 {
+            let (durable, control) = (seed % 2 == 1, FailureControl::new());
+            let dir =
+                std::env::temp_dir().join(format!("cpq-readstop-{}-{seed}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).expect("dir");
+            let file: Box<dyn PageFile> = match durable {
+                true => Box::new(DiskPageFile::create(dir.join(DATA_FILE), cfg.page_size).unwrap()),
+                false => Box::new(MemPageFile::new(cfg.page_size)),
+            };
+            let file = Box::new(FailingPageFile::new(file, Arc::clone(&control)));
+            let pool = Arc::new(BufferPool::with_lru(file, cfg.capacity));
+            let wal = durable.then(|| Wal::create(&dir.join(WAL_DIR), cfg.wal.clone()).unwrap());
+            let tree: LiveTree<2> = LiveTree::from_parts(pool, params, EMPTY, wal, 16, 1).unwrap();
+            assert!(!durable || tree.checkpoint().is_ok(), "the base checkpoint");
+
+            let mut rng = cpq_rng::Rng::seed_from_u64(seed);
+            let mut alive: Vec<(Point2, u64)> = Vec::new();
+            control.fail_read(rng.random_range(20..400u64));
+            let failure = (0..300u64).find_map(|oid| match rng.random_range(0..alive.len() + 2) {
+                i if i < alive.len() && rng.random_bool(0.5) => {
+                    let (p, victim) = alive[i];
+                    let found = tree.delete(p, victim);
+                    found
+                        .map(|found| alive.retain(|o| !found || o.1 != victim))
+                        .err()
+                }
+                _ => {
+                    let p =
+                        Point2::new([rng.random_range(0.0..100.0), rng.random_range(0.0..100.0)]);
+                    tree.insert(p, oid).map(|()| alive.push((p, oid))).err()
+                }
+            });
+            let failure = failure.expect("the armed read fires within the stream");
+            assert!(
+                failure.to_string().contains("injected read failure"),
+                "{failure}"
+            );
+
+            // The disk "comes back"; the writer must stay stopped all the same.
+            control.disarm();
+            let (p, oid) = alive[0];
+            let checkpoint = durable.then(|| tree.checkpoint().map(|_| ()));
+            let later = [tree.insert(p, 1_000), tree.delete(p, oid).map(|_| ())];
+            for later in later.into_iter().chain(checkpoint) {
+                let e = later.expect_err("an update after the failure");
+                assert!(
+                    e.to_string().contains("injected read failure"),
+                    "seed {seed}: {e}"
+                );
+            }
+            let snap = tree.snapshot().expect("snapshot");
+            assert!(
+                snap.tree().validate().expect("walk").is_valid(),
+                "seed {seed}"
+            );
+            assert_eq!(
+                snap.tree().len(),
+                alive.len() as u64,
+                "seed {seed}: acked ops only"
+            );
+            assert_eq!(
+                answer(snap.tree()),
+                oracle(&alive),
+                "seed {seed}: the last epoch"
+            );
+            drop((snap, tree));
+            if durable {
+                let (back, _) = crate::recover::<2, Point2>(&dir, params, &cfg).expect("recover");
+                let snap = back.snapshot().expect("snapshot");
+                assert_eq!(
+                    answer(snap.tree()),
+                    oracle(&alive),
+                    "seed {seed}: recovered"
+                );
+            }
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 }

@@ -554,12 +554,6 @@ impl Wal {
         Ok(target)
     }
 
-    /// The latched failure, if the log has one: what
-    /// [`LiveTree`](crate::tree::LiveTree) asks before it touches the tree.
-    pub(crate) fn check(&self) -> LiveResult<()> {
-        self.inner.lock().expect("wal state poisoned").check()
-    }
-
     /// Writes `checkpoint` as the first record of a brand-new segment and
     /// deletes older segments once it is durable. The caller must have
     /// made the data file durable first (WAL-before-data: `flush_all`,
@@ -923,7 +917,7 @@ mod tests {
         wal.swap_segment_handle(working);
         let b = wal.append(&RecordBody::PageAlloc { op_id: 2, page: 1 });
         assert!(wal.commit(b).is_err(), "commit after a failed write");
-        assert!(wal.flush_all().is_err() && wal.check().is_err());
+        assert!(wal.flush_all().is_err());
         assert!(wal.checkpoint(&checkpoint0()).is_err());
         assert_eq!(wal.stats().durable_lsn, 1, "only the checkpoint is durable");
         let on_disk: Vec<Lsn> = scan_log(&dir).expect("scan")[0]

@@ -86,22 +86,3 @@ fn freed_page_read_is_an_error() {
     let result = tree.all_objects();
     assert!(result.is_err(), "reading a freed page must fail");
 }
-
-#[test]
-fn cpq_over_corrupted_tree_reports_error() {
-    // The closest-pair algorithms sit on top of read_node; corruption below
-    // must surface through their Result, not panic.
-    use cpq_storage::DEFAULT_PAGE_SIZE;
-    let _ = DEFAULT_PAGE_SIZE;
-    let ta = build(800, 5);
-    let tb = build(800, 6);
-    let victim = (0..tb.pool().num_pages())
-        .map(PageId)
-        .find(|&p| p != tb.root())
-        .unwrap();
-    corrupt_page(&tb, victim, 0xEE);
-    // Run through the rtree-level scan that the CPQ engine uses; the engine
-    // itself is exercised in cpq-core's failure tests.
-    assert!(tb.all_objects().is_err());
-    assert!(ta.all_objects().is_ok(), "untouched tree keeps working");
-}

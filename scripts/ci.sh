@@ -76,10 +76,9 @@ benchmark/run.sh --smoke >/dev/null
 scripts/ab.sh . . --pairs 1 --workloads svc_mix --smoke >/dev/null
 
 if [ "${1:-}" = "--full" ]; then
-    echo "==> parallel stress: wide seed sweep (release, --include-ignored)"
-    cargo test --release -p cpq-core --test parallel_stress -- --include-ignored
-
-    echo "==> differential harness: multi-seed sweep of the spec x executor x source matrix (release, --include-ignored)"
+    # The sweep's cases draw worker-schedule scrambling and hazards too, so
+    # it is also the parallel executor's wide stress tier.
+    echo "==> differential harness: multi-seed sweep of the spec x executor x source x hazard matrix (release, --include-ignored)"
     cargo test --release --test differential -- --include-ignored
 
     echo "==> model-check full tier: widened PCT sweep (2000 seeds, release)"

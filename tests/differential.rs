@@ -2,8 +2,8 @@
 //! query reaches the engine, against the O(n²) oracle.
 //!
 //! [`case_from`]`(seed, index)` derives a whole [`Case`] — datasets, tree
-//! build, [`QuerySpec`], algorithm, [`CpqConfig`], pool size, update stream —
-//! from two integers, and [`check`] sends it down every route:
+//! build, [`QuerySpec`], algorithm, [`CpqConfig`], pool size, update stream,
+//! hazard — from two integers, and [`check`] sends it down every route:
 //!
 //! * `execute` on static trees, once per leaf-scan strategy;
 //! * `execute_sharded` at S ∈ {1, 2, 3, 4} with the wire codec armed;
@@ -21,25 +21,39 @@
 //! the sequential run; and every shard count agrees with every other
 //! (each equals the oracle).
 //!
+//! The case's [`Hazard`] — a storage fault, a deadline or a cancel over slow
+//! reads, or a non-finite coordinate — is armed for one call down each route
+//! it reaches before that route's ordinary checks run on the same trees, and
+//! every armed call is held to one outcome contract (see [`Hostile::call`]).
+//! Every page file under a side's trees reads through that side's
+//! [`FailureControl`]. The live route takes only non-finite input: its pools
+//! have no fault hook.
+//!
 //! A failure prints `case_from(seed, index)` and the case's `Debug`; paste
 //! the two integers into [`REPLAY`] and run `cargo test --test differential
 //! replay` to get the same case again. DESIGN.md §8 lists the axes and the
 //! per-feature suites this file replaced.
 
+use std::collections::{BTreeMap, HashSet};
+use std::sync::Arc;
+use std::time::Duration;
+
 use cpq::core::{
-    brute, execute, k_closest_pairs_incremental, Algorithm, Constraint, CpqConfig, ExecCtx,
-    HeightStrategy, IncTie, IncrementalConfig, KPruning, LeafScan, PairResult, QueryRun, QuerySpec,
-    SortAlgorithm, TieStrategy, Traversal,
+    brute, execute, k_closest_pairs_incremental, pair_cmp, Algorithm, CancelToken, Constraint,
+    CpqConfig, ExecCtx, HeightStrategy, IncTie, IncrementalConfig, KPruning, LeafScan, PairResult,
+    QueryRun, QuerySpec, SortAlgorithm, TieStrategy, Traversal,
 };
 use cpq::datasets::{clustered, uniform, uniform_grid, ClusterSpec};
 use cpq::geo::{pack_color, Point2, Rect2};
 use cpq::live::{ContinuousCpq, LiveConfig, LiveSet, Side, UpdateOp};
-use cpq::rtree::{RTree, RTreeParams};
+use cpq::rtree::{RTree, RTreeParams, RTreeResult};
 use cpq::service::{
     CpqService, ObsConfig, QueryKind, QueryRequest, QueryStatus, ServiceConfig, Source, TreePair,
 };
 use cpq::shard::{execute_sharded, ShardConfig, ShardedPair, ShardedTree};
-use cpq::storage::{BufferPool, MemPageFile, DEFAULT_PAGE_SIZE};
+use cpq::storage::{
+    BufferPool, FailingPageFile, FailureControl, MemPageFile, PageId, DEFAULT_PAGE_SIZE,
+};
 use cpq_rng::Rng;
 
 /// The tier-1 matrix: each seed runs [`CASES_PER_SEED`] cases as its own
@@ -59,9 +73,32 @@ const ALGORITHMS: [Algorithm; 5] = [
     Algorithm::Heap,
 ];
 
+/// The routes each hazard kind reaches: [`run`] fails unless every seed's
+/// run sees each bite on each of them, and [`BITES_PER_KIND`] times in all.
+/// (`service` is the static source's.)
+const REACH: [(&str, &str); 6] = [
+    ("FailRead", FAULTED),
+    ("Corrupt", FAULTED),
+    ("Deadline", TIMED),
+    ("Cancel", TIMED),
+    ("NonFiniteObject", "static sharded live"),
+    (
+        "NonFiniteWindow",
+        "static sharded service sharded-service live",
+    ),
+];
+const FAULTED: &str = "static incremental sharded service sharded-service";
+const TIMED: &str = "static sharded service sharded-service";
+const BITES_PER_KIND: u32 = 5;
+
 type Object = (Point2, u64);
 /// A result pair as compared: raw distance bits, then the two oids.
 type Key = (u64, u64, u64);
+/// Bites per `(hazard kind, route)`: errors, partials, refusals.
+type Tally = BTreeMap<(String, &'static str), [u32; 3]>;
+/// One call's pairs and whether it completed.
+type Answer = (Vec<PairResult<2>>, bool);
+type Exact = Result<Vec<PairResult<2>>, String>;
 
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Shape {
@@ -83,6 +120,41 @@ enum Shape {
     Heights,
     /// `Q` holds nothing.
     EmptySide,
+}
+
+/// A hostile condition, armed for one call down each route it reaches and
+/// disarmed before that route's ordinary checks run on the same trees.
+/// Latencies, deadlines and delays are in microseconds.
+#[derive(Debug, Clone, Copy)]
+enum Hazard {
+    None,
+    /// `(side, n)`: the `n`-th physical read (counted from arming) under
+    /// the side's trees fails with an I/O error.
+    FailRead(Side, u64),
+    /// `(side, page)`: every read of the page under the side's trees fails
+    /// its checksum.
+    Corrupt(Side, u32),
+    /// `(latency, deadline, n)`: reads slowed on both sides, the call under
+    /// a deadline — racing, given `n`, an nth-read fault under `P`.
+    Deadline(u64, u64, Option<u64>),
+    /// `(latency, delay)`: reads slowed on both sides, and another thread
+    /// cancels the call `delay` after it starts (`0`: before). A service
+    /// has no cancel handle: there the delay is the request's deadline.
+    Cancel(u64, u64),
+    /// `(object, at)`: joins `P`'s objects at `at` — refused where trees
+    /// are built and where the live set takes updates.
+    NonFiniteObject(Point2, usize),
+    /// The window of both sides, in place of the case's constraint: refused
+    /// wherever a spec enters.
+    NonFiniteWindow(Rect2),
+}
+
+impl Hazard {
+    /// The variant's name: what the tally counts by.
+    fn kind(&self) -> String {
+        let name = format!("{self:?}");
+        name.split('(').next().unwrap_or_default().to_owned()
+    }
 }
 
 /// Everything one differential check needs, derived from `(seed, index)`.
@@ -111,6 +183,7 @@ struct Case {
     primed_pct: usize,
     /// Deletes (each followed later by a re-insert) mixed into the stream.
     churn: usize,
+    hazard: Hazard,
 }
 
 fn rng_for(seed: u64, index: usize, salt: u64) -> Rng {
@@ -178,6 +251,7 @@ fn case_from(seed: u64, index: usize) -> Case {
         shard_workers: pick(&mut rng, &[1, 2, 4]),
         primed_pct: pick(&mut rng, &[0, 50, 80, 100]),
         churn: rng.random_range(0..10usize),
+        hazard: Hazard::None,
     };
 
     let cell = index % 50;
@@ -195,7 +269,45 @@ fn case_from(seed: u64, index: usize) -> Case {
         self_join,
         constraint: constraint(&mut rng, constraint_class, &ps, &qs),
     };
+    // Drawn last, so that every axis above is what it was before these two.
+    // Scrambled worker schedules ride on the parallel parity invariant.
+    case.config.parallel_yield_seed = rng.random_bool(0.5).then(|| rng.next_u64());
+    case.hazard = hazard(&mut rng, ps.len(), self_join);
     case
+}
+
+/// A hazard, weighted so each kind bites on every route it reaches within
+/// one tier-1 seed — storage faults most, for the incremental join sees
+/// only a tenth of the cases: small read ordinals, page ids the small trees
+/// hold, deadlines and cancel delays a few slowed reads long.
+fn hazard(rng: &mut Rng, n_p: usize, self_join: bool) -> Hazard {
+    let side = pick(rng, &[Side::P, Side::Q]);
+    let latency = pick(rng, &[20, 60]);
+    let mut bad = [rng.random_range(0.0..1000.0), rng.random_range(0.0..1000.0)];
+    bad[rng.random_range(0..2usize)] = pick(rng, &[f64::NAN, f64::INFINITY, f64::NEG_INFINITY]);
+    match rng.random_range(0..10u32) {
+        0 => Hazard::None,
+        1..=3 => Hazard::FailRead(side, pick(rng, &[1, 2, 3, 4, 6, 9, 14, 30])),
+        4..=6 => Hazard::Corrupt(side, rng.random_range(0..4u32)),
+        7 => Hazard::Deadline(
+            latency,
+            pick(rng, &[0, 150, 500, 2000]),
+            rng.random_bool(0.5).then(|| rng.random_range(3..30u64)),
+        ),
+        8 => Hazard::Cancel(latency, pick(rng, &[0, 150, 500, 2000])),
+        _ if rng.random_bool(0.5) => {
+            Hazard::NonFiniteObject(Point2::new(bad), rng.random_range(0..n_p + 1))
+        }
+        // A point, for `Rect::new` asserts corner order in debug builds,
+        // which a NaN fails. A NaN window is unequal to itself, so a
+        // self-join would refuse it as asymmetric before its corners count.
+        _ => Hazard::NonFiniteWindow(Rect2::point(Point2::new(bad.map(|c| {
+            match c.is_nan() && self_join {
+                true => f64::INFINITY,
+                false => c,
+            }
+        })))),
+    }
 }
 
 /// A constraint of the given class, placed relative to the data so that
@@ -364,33 +476,157 @@ impl Drop for Replay<'_> {
     }
 }
 
+/// The case's hazard, and what holding an armed call to the contract needs.
+struct Hostile<'a> {
+    hazard: Hazard,
+    /// `P`'s and `Q`'s: every page file under a side's trees — static,
+    /// sharded or behind a service — reads through it.
+    controls: [Arc<FailureControl>; 2],
+    /// What armed calls ask: the case's spec, or its non-finite-window twin.
+    spec: QuerySpec<2>,
+    /// Every pair the case's spec admits, for judging partials.
+    admitted: HashSet<Key>,
+    tally: &'a mut Tally,
+}
+
+impl Hostile<'_> {
+    /// Arms the hazard for one call down `route` on cold `pools`, disarms it,
+    /// and holds what came back to the contract: an error is the injected
+    /// one; a call whose read ordinal fired never answers; a partial comes
+    /// only from a deadline or a cancel — at most K pairs, strictly in
+    /// `pair_cmp` order, each one the spec admits, and none (nor a page
+    /// read) when the cancel came first; and every pool keeps its books.
+    /// Returns what must still equal the oracle: a completed answer, or an
+    /// error the hazard does not explain.
+    fn call<E: ToString>(
+        &mut self,
+        route: &'static str,
+        pools: &[&BufferPool],
+        run: impl FnOnce(&QuerySpec<2>, &CancelToken) -> Result<Answer, E>,
+    ) -> Option<Exact> {
+        let (hazard, controls) = (self.hazard, &self.controls);
+        if matches!(hazard, Hazard::None | Hazard::NonFiniteObject(..)) {
+            return None;
+        }
+        pools.iter().for_each(|pool| pool.clear()); // so that reads reach the files
+        controls.iter().for_each(|c| c.fail_read(0)); // restarts the read counts
+        let mut token = CancelToken::new();
+        match hazard {
+            Hazard::FailRead(side, n) => controls[side as usize].fail_read(n),
+            Hazard::Corrupt(side, page) => controls[side as usize].corrupt(PageId(page)),
+            Hazard::Deadline(_, deadline, n) => {
+                controls[0].fail_read(n.unwrap_or(0));
+                token = CancelToken::expiring_in(Duration::from_micros(deadline));
+            }
+            Hazard::Cancel(_, 0) => token.cancel(),
+            _ => {}
+        }
+        if let Hazard::Deadline(latency, ..) | Hazard::Cancel(latency, _) = hazard {
+            let latency = Duration::from_micros(latency);
+            controls.iter().for_each(|c| c.slow_reads(latency));
+        }
+        let got = std::thread::scope(|scope| {
+            if let Hazard::Cancel(_, delay @ 1..) = hazard {
+                let token = token.clone();
+                scope.spawn(move || {
+                    std::thread::sleep(Duration::from_micros(delay));
+                    token.cancel();
+                });
+            }
+            run(&self.spec, &token).map_err(|e| e.to_string())
+        });
+        let fired = match hazard {
+            Hazard::FailRead(side, n) => controls[side as usize].reads_seen() >= n,
+            Hazard::Deadline(_, _, Some(n)) => controls[0].reads_seen() >= n,
+            _ => false,
+        };
+        let reads: u64 = controls.iter().map(|c| c.reads_seen()).sum();
+        controls.iter().for_each(|c| c.disarm());
+        for (b, io) in pools.iter().map(|pool| pool.stats_snapshot()) {
+            let books = [b.logical_reads - b.hits, io.reads];
+            assert_eq!(books, [b.misses; 2], "{route}: a pool's books");
+        }
+        let (said, refusal) = match hazard {
+            Hazard::Corrupt(..) => ("is corrupt", false),
+            Hazard::NonFiniteWindow(_) => ("finite corners", true),
+            _ => ("injected read failure", false),
+        };
+        let bite = match got {
+            Err(e) if e.contains(said) => 2 * refusal as usize,
+            Err(e) => return Some(Err(e)),
+            Ok((pairs, completed)) => {
+                let n = pairs.len();
+                assert!(!fired && !refusal, "{route}: answered {n} pairs");
+                if completed {
+                    return Some(Ok(pairs));
+                }
+                let timed = matches!(hazard, Hazard::Deadline(..) | Hazard::Cancel(..));
+                let sorted = pairs.windows(2).all(|w| pair_cmp(&w[0], &w[1]).is_lt());
+                let admitted = keys(&pairs).iter().all(|k| self.admitted.contains(k));
+                assert!(
+                    timed && sorted && admitted && n <= self.spec.k,
+                    "{route}: {n} pairs"
+                );
+                if let Hazard::Cancel(_, 0) = hazard {
+                    assert_eq!((n, reads), (0, 0), "{route}: work after a cancel");
+                }
+                1
+            }
+        };
+        self.tally.entry((hazard.kind(), route)).or_default()[bite] += 1;
+        None
+    }
+
+    /// One door the hazard's non-finite input knocks on: it must refuse.
+    fn refused<T, E: ToString>(&mut self, route: &'static str, door: Result<T, E>) {
+        let hazard = self.hazard;
+        let Err(e) = door.map_err(|e| e.to_string()) else {
+            panic!("{route}: took {hazard:?}");
+        };
+        assert!(e.contains("finite"), "{route}: refused for {e}");
+        self.tally.entry((hazard.kind(), route)).or_default()[2] += 1;
+    }
+}
+
 fn params(case: &Case) -> RTreeParams {
     RTreeParams::with_max_entries(case.fanout)
 }
 
-fn pool(pages: usize) -> BufferPool {
-    BufferPool::with_lru(Box::new(MemPageFile::new(DEFAULT_PAGE_SIZE)), pages)
+fn pool(pages: usize, control: &Arc<FailureControl>) -> BufferPool {
+    let file = MemPageFile::new(DEFAULT_PAGE_SIZE);
+    let file = FailingPageFile::new(Box::new(file), Arc::clone(control));
+    BufferPool::with_lru(Box::new(file), pages)
 }
 
-fn tree(case: &Case, objects: &[Object]) -> RTree<2> {
-    let pool = pool(case.pool_pages);
+fn tree(case: &Case, objects: &[Object], control: &Arc<FailureControl>) -> RTreeResult<RTree<2>> {
+    let pool = pool(case.pool_pages, control);
     match case.bulk_fill {
-        Some(fill) => RTree::bulk_load(pool, params(case), objects, fill).unwrap(),
+        Some(fill) => RTree::bulk_load(pool, params(case), objects, fill),
         None => {
-            let mut tree = RTree::new(pool, params(case)).unwrap();
+            let mut tree = RTree::new(pool, params(case))?;
             for &(p, oid) in objects {
-                tree.insert(p, oid).unwrap();
+                tree.insert(p, oid)?;
             }
-            tree
+            Ok(tree)
         }
     }
 }
 
-fn sharded(case: &Case, name: &str, objects: &[Object], shards: usize) -> ShardedTree<2> {
+fn sharded(
+    case: &Case,
+    name: &str,
+    objects: &[Object],
+    shards: usize,
+    control: &Arc<FailureControl>,
+) -> RTreeResult<ShardedTree<2>> {
     ShardedTree::build(name, objects, shards, params(case), case.bulk_fill, |_| {
-        pool(case.pool_pages)
+        pool(case.pool_pages, control)
     })
-    .unwrap()
+}
+
+fn shard_pools<'a>(trees: &[&'a ShardedTree<2>]) -> Vec<&'a BufferPool> {
+    let shards = trees.iter().flat_map(|t| t.shards());
+    shards.map(|t| t.pool()).collect()
 }
 
 /// The case's updates: what the live set holds before the watchers start,
@@ -435,12 +671,31 @@ fn update_stream(
 }
 
 /// Sends `case` down every route; panics (after printing the replay line)
-/// on the first answer that differs from the oracle's.
-fn check(case: &Case) {
+/// on the first answer that differs from the oracle's or breaks the hazard
+/// contract. Bites of the case's hazard are counted into `tally`.
+fn check(case: &Case, tally: &mut Tally) {
     let _replay = Replay(case);
     let (ps, qs) = objects(case);
     let (spec, algorithm, cfg) = (case.spec, case.algorithm, case.config);
     let want = oracle(&ps, &qs, &spec);
+    let controls = [FailureControl::new(), FailureControl::new()];
+    let (control_p, control_q) = (&controls[0], &controls[1]);
+    let mut hostile = Hostile {
+        hazard: case.hazard,
+        controls: controls.clone(),
+        spec: match case.hazard {
+            Hazard::NonFiniteWindow(window) => spec.with_constraint(Constraint::window(window)),
+            _ => spec,
+        },
+        admitted: match case.hazard {
+            Hazard::Deadline(..) | Hazard::Cancel(..) => {
+                let all = oracle(&ps, &qs, &QuerySpec { k: 1 << 44, ..spec });
+                all.into_iter().flatten().collect()
+            }
+            _ => HashSet::new(),
+        },
+        tally,
+    };
     let pairs_and_stats = |run: QueryRun<2>| {
         assert!(run.completed, "an uncancelled run reported incomplete");
         (run.outcome.pairs, run.outcome.stats)
@@ -455,14 +710,36 @@ fn check(case: &Case) {
         obs,
         ..ServiceConfig::default()
     };
+    // The hazard's non-finite object among `P`'s, at every door that builds.
+    if let Hazard::NonFiniteObject(object, at) = case.hazard {
+        let mut poisoned = ps.clone();
+        poisoned.insert(at, (object, u64::MAX));
+        hostile.refused("static", tree(case, &poisoned, control_p));
+        for shards in 1..=4 {
+            hostile.refused("sharded", sharded(case, "p", &poisoned, shards, control_p));
+        }
+    }
     let static_service: CpqService<2> = CpqService::start(
-        TreePair::new(tree(case, &ps), tree(case, &qs)),
+        TreePair::new(
+            tree(case, &ps, control_p).unwrap(),
+            tree(case, &qs, control_q).unwrap(),
+        ),
         service_config(ObsConfig::default()),
     );
     let trees = static_service.trees().expect("static source");
     let (tp, tq) = (&trees.p, if spec.self_join { &trees.p } else { &trees.q });
+    let pools = [trees.p.pool(), trees.q.pool()];
     if case.shape == Shape::Heights {
         assert!(trees.p.height().abs_diff(trees.q.height()) >= 2);
+    }
+
+    // Armed: the case's own algorithm and parallelism.
+    let armed = hostile.call("static", &pools, |spec, token| {
+        let ctx = ExecCtx::default().with_cancel(token);
+        execute(tp, tq, spec, algorithm, &cfg, ctx).map(|run| (run.outcome.pairs, run.completed))
+    });
+    if let Some(got) = armed {
+        agree("armed static trees", &want, got);
     }
 
     // Static trees, once per leaf scan: same pairs, same disk accesses.
@@ -518,6 +795,8 @@ fn check(case: &Case) {
 
     // The incremental distance join knows neither self-joins nor
     // constraints, and breaks distance ties its own way: distances only.
+    // It takes no token, so only storage faults are armed on it — and not
+    // at K = 0, where it still reads both roots but drops a failed read.
     if !spec.self_join && !spec.constraint.is_active() {
         let mut rng = rng_for(case.seed, case.index, 0x14C);
         let inc = IncrementalConfig {
@@ -525,13 +804,20 @@ fn check(case: &Case) {
             tie: pick(&mut rng, &[IncTie::DepthFirst, IncTie::BreadthFirst]),
             k_bound: None,
         };
-        let got = k_closest_pairs_incremental(tp, tq, spec.k, &inc).unwrap();
         let dists = |keys: &[Key]| keys.iter().map(|k| k.0).collect::<Vec<_>>();
-        assert_eq!(
-            dists(&keys(&got.pairs)),
-            dists(want.as_ref().expect("cross specs are valid")),
-            "incremental join, {inc:?}"
-        );
+        let want = dists(want.as_ref().expect("cross specs are valid"));
+        let join = || k_closest_pairs_incremental(tp, tq, spec.k, &inc);
+        let fault = matches!(case.hazard, Hazard::FailRead(..) | Hazard::Corrupt(..));
+        let armed = (fault && spec.k > 0).then(|| {
+            hostile.call("incremental", &pools, |_, _| {
+                join().map(|out| (out.pairs, true))
+            })
+        });
+        let disarmed = join().map(|out| out.pairs).map_err(|e| e.to_string());
+        for got in armed.flatten().into_iter().chain([disarmed]) {
+            let got = got.unwrap_or_else(|e| panic!("incremental join, {inc:?}: {e}"));
+            assert_eq!(dists(&keys(&got)), want, "incremental join, {inc:?}");
+        }
     }
 
     // Scatter-gather at every shard count, subqueries and partials crossing
@@ -542,17 +828,17 @@ fn check(case: &Case) {
         ..ShardConfig::default()
     };
     for shards in 1..=4 {
-        let sp = sharded(case, "p", &ps, shards);
-        let sq = (!spec.self_join).then(|| sharded(case, "q", &qs, shards));
-        let run = execute_sharded(
-            &sp,
-            sq.as_ref().unwrap_or(&sp),
-            &spec,
-            algorithm,
-            &cfg,
-            &shard_cfg,
-            None,
-        );
+        let sp = sharded(case, "p", &ps, shards, control_p).unwrap();
+        let sq = (!spec.self_join).then(|| sharded(case, "q", &qs, shards, control_q).unwrap());
+        let sq = sq.as_ref().unwrap_or(&sp);
+        let armed = hostile.call("sharded", &shard_pools(&[&sp, sq]), |spec, token| {
+            let run = execute_sharded(&sp, sq, spec, algorithm, &cfg, &shard_cfg, Some(token));
+            run.map(|run| (run.outcome.pairs, run.completed))
+        });
+        if let Some(got) = armed {
+            agree(&format!("armed {shards} shards"), &want, got);
+        }
+        let run = execute_sharded(&sp, sq, &spec, algorithm, &cfg, &shard_cfg, None);
         let pairs = run.map_err(|e| e.to_string()).map(|run| {
             assert!(
                 run.completed,
@@ -574,6 +860,14 @@ fn check(case: &Case) {
     let live: LiveSet<2> = LiveSet::new_in_memory(params(case), &LiveConfig::default()).unwrap();
     let live_service = CpqService::start(Source::Live(live), service_config(ObsConfig::disabled()));
     let live = live_service.live().expect("live source");
+    if let Hazard::NonFiniteObject(object, _) = case.hazard {
+        let poisoned = UpdateOp::Insert {
+            side: Side::P,
+            object,
+            oid: u64::MAX,
+        };
+        hostile.refused("live", live.apply(&[poisoned]));
+    }
     let (primed, stream) = update_stream(case, &ps, &qs);
     let mut alive: [Vec<Object>; 2] = [Vec::new(), Vec::new()];
     let track = |alive: &mut [Vec<Object>; 2], op: &UpdateOp<2>| match *op {
@@ -587,6 +881,11 @@ fn check(case: &Case) {
     let q_side = if spec.self_join { live.p() } else { live.q() };
     let snapshots = || (live.p().snapshot().unwrap(), q_side.snapshot().unwrap());
     let (snap_p, snap_q) = snapshots();
+    let window_hazard = matches!(case.hazard, Hazard::NonFiniteWindow(_));
+    if window_hazard {
+        let primed = ContinuousCpq::new(&hostile.spec, &snap_p, &snap_q);
+        hostile.refused("live", primed);
+    }
     let mut continuous = match (ContinuousCpq::new(&spec, &snap_p, &snap_q), &want) {
         (Ok(continuous), Some(_)) => Some(continuous),
         (Err(e), None) => {
@@ -635,74 +934,131 @@ fn check(case: &Case) {
         }
     }
     let (snap_p, snap_q) = snapshots();
-    agree(
-        "live snapshots",
-        &want,
-        execute(
+    let on_snapshots = |spec: &QuerySpec<2>| {
+        let run = execute(
             snap_p.tree(),
             snap_q.tree(),
-            &spec,
+            spec,
             algorithm,
             &cfg,
             ExecCtx::default(),
-        )
-        .map(pairs_of)
-        .map_err(|e| e.to_string()),
-    );
+        );
+        run.map(pairs_of).map_err(|e| e.to_string())
+    };
+    if window_hazard {
+        hostile.refused("live", on_snapshots(&hostile.spec));
+    }
+    agree("live snapshots", &want, on_snapshots(&spec));
 
     // A service over each source; the ones holding no shards ignore the
-    // scatter fan-out.
+    // scatter fan-out. The sharded source's shard pools are out of reach
+    // once it starts: cold until its first request, they are the sharded
+    // route's code and books.
+    let (sp, sq) = (
+        sharded(case, "p", &ps, 3, control_p).unwrap(),
+        sharded(case, "q", &qs, 3, control_q).unwrap(),
+    );
+    shard_pools(&[&sp, &sq])
+        .iter()
+        .for_each(|pool| pool.clear());
     let sharded_service = CpqService::start(
         Source::Sharded(
-            TreePair::new(tree(case, &ps), tree(case, &qs)),
-            ShardedPair {
-                p: sharded(case, "p", &ps, 3),
-                q: sharded(case, "q", &qs, 3),
-            },
+            TreePair::new(
+                tree(case, &ps, control_p).unwrap(),
+                tree(case, &qs, control_q).unwrap(),
+            ),
+            ShardedPair { p: sp, q: sq },
         ),
         service_config(ObsConfig::disabled()),
     );
-    let request = QueryRequest {
-        kind: if spec.self_join {
-            QueryKind::SelfJoin
-        } else {
-            QueryKind::Cross
-        },
-        constraint: spec.constraint,
-        ..QueryRequest::cross(spec.k, algorithm)
-            .with_parallelism(cfg.parallelism)
-            .with_scatter(case.shard_workers)
+    let ask = |service: &CpqService<2>, spec: &QuerySpec<2>, deadline: Option<Duration>| {
+        let request = QueryRequest {
+            kind: if spec.self_join {
+                QueryKind::SelfJoin
+            } else {
+                QueryKind::Cross
+            },
+            constraint: spec.constraint,
+            deadline,
+            ..QueryRequest::cross(spec.k, algorithm)
+                .with_parallelism(cfg.parallelism)
+                .with_scatter(case.shard_workers)
+        };
+        let response = service.execute(request).unwrap();
+        match response.status {
+            QueryStatus::Completed => Ok((response.pairs, true)),
+            QueryStatus::TimedOut => Ok((response.pairs, false)),
+            QueryStatus::Failed(e) => Err(e),
+            QueryStatus::Dropped => panic!("the service dropped a query"),
+        }
     };
+    // No cancel handle reaches a service: a cancel's delay is its deadline.
+    let deadline = match case.hazard {
+        Hazard::Deadline(_, us, _) | Hazard::Cancel(_, us) => Some(Duration::from_micros(us)),
+        _ => None,
+    };
+    for (service, route) in [
+        (&static_service, "service"),
+        (&sharded_service, "sharded-service"),
+    ] {
+        let trees = service.trees().expect("a static pair");
+        let pools = [trees.p.pool(), trees.q.pool()];
+        let armed = hostile.call(route, &pools, |spec, _| ask(service, spec, deadline));
+        if let Some(got) = armed {
+            agree(&format!("armed {route}"), &want, got);
+        }
+    }
+    if window_hazard {
+        hostile.refused("live", ask(&live_service, &hostile.spec, None));
+    }
     for (service, source) in [
         (static_service, "static"),
         (sharded_service, "sharded"),
         (live_service, "live"),
     ] {
-        let response = service.execute(request).unwrap();
-        let got = match response.status {
-            QueryStatus::Completed => Ok(response.pairs),
-            QueryStatus::Failed(e) => Err(e),
-            other => panic!("{source} service: {other:?}"),
-        };
+        let got = ask(&service, &spec, None).map(|(pairs, completed)| {
+            assert!(completed, "{source} service: an undated query timed out");
+            pairs
+        });
         agree(&format!("{source} service"), &want, got);
         service.shutdown();
     }
 }
 
-fn run(seed: u64, cases: usize) {
-    for index in 0..cases {
-        check(&case_from(seed, index));
+/// Runs every case of `seeds`, then asserts that each hazard kind bit —
+/// an error, a partial or a refusal — on every route it reaches: a latency,
+/// deadline or ordinal that never fires would otherwise pass unseen.
+fn run(seeds: &[u64]) {
+    let mut tally = Tally::new();
+    for &seed in seeds {
+        for index in 0..CASES_PER_SEED {
+            check(&case_from(seed, index), &mut tally);
+        }
+    }
+    for (kind, routes) in REACH {
+        let bites = |route| {
+            tally
+                .get(&(kind.to_owned(), route))
+                .map_or(0, |b| b.iter().sum())
+        };
+        let total: u32 = routes.split(' ').map(bites).sum();
+        let idle = routes.split(' ').find(|&route| bites(route) == 0);
+        assert!(
+            total >= BITES_PER_KIND && idle.is_none(),
+            "seeds {seeds:#x?}: {kind} bit {total} times, never on {idle:?}; \
+             [errors, partials, refusals]: {tally:#?}"
+        );
     }
 }
 
 #[test]
 fn matrix_first_seed() {
-    run(TIER1_SEEDS[0], CASES_PER_SEED);
+    run(&TIER1_SEEDS[..1]);
 }
 
 #[test]
 fn matrix_second_seed() {
-    run(TIER1_SEEDS[1], CASES_PER_SEED);
+    run(&TIER1_SEEDS[1..]);
 }
 
 /// `case_from` is a function of its two arguments alone, which is what
@@ -712,15 +1068,14 @@ fn replay() {
     let (seed, index) = REPLAY;
     let case = case_from(seed, index);
     assert_eq!(format!("{case:?}"), format!("{:?}", case_from(seed, index)));
-    check(&case);
+    check(&case, &mut Tally::new());
 }
 
 /// The wide sweep (`scripts/ci.sh --full`, release mode): fresh seeds, so
-/// fresh datasets, specs and streams.
+/// fresh datasets, specs, streams, hazards and worker schedules; the bites
+/// are counted over all of them.
 #[test]
 #[ignore = "release sweep tier; run via scripts/ci.sh --full"]
 fn multi_seed_sweep() {
-    for seed in 0..24 {
-        run(0xF011_0000 + seed, CASES_PER_SEED);
-    }
+    run(&(0..24).map(|seed| 0xF011_0000 + seed).collect::<Vec<_>>());
 }

@@ -1,8 +1,8 @@
 //! Workspace-level integration tests: the full pipeline from dataset
 //! generation through paged R*-trees, buffer management, and every query
 //! algorithm, exercised through the `cpq` facade exactly as a downstream
-//! user would. (Oracle parity across every source kind is
-//! `tests/differential.rs`.)
+//! user would. (Oracle parity across every source kind, hostile input
+//! included, is `tests/differential.rs`.)
 
 use cpq::core::{brute, distance_join, k_closest_pairs, k_closest_pairs_incremental};
 use cpq::core::{self_closest_pairs, semi_closest_pairs, Algorithm, CpqConfig, IncrementalConfig};
@@ -218,96 +218,4 @@ fn mutating_tree_between_queries_stays_correct() {
     tp.insert(best.p.point(), best.p.oid).unwrap();
     let restored = k_closest_pairs(&tp, &tq, 1, Algorithm::Heap, &cfg).unwrap();
     assert!((restored.best().unwrap().dist2.get() - best.dist2.get()).abs() < 1e-12);
-}
-
-/// One seeded P/Q round through a service over each source kind (static
-/// trees, sharded replicas, a live set), with the hostile rows of the
-/// library boundary beside it: a non-finite coordinate or window is an
-/// error at whichever door it knocks on — never a wrong answer, never a
-/// panic — and every source answers the same afterwards.
-#[test]
-fn one_seeded_round_through_every_source_kind() {
-    use cpq::core::Constraint;
-    use cpq::geo::{Point2, Rect2};
-    use cpq::live::{LiveConfig, LiveSet, Side, UpdateOp};
-    use cpq::service::{CpqService, QueryRequest, QueryStatus, ServiceConfig, Source, TreePair};
-    use cpq::shard::{ShardedPair, ShardedTree};
-
-    let pool = || BufferPool::with_lru(Box::new(MemPageFile::new(DEFAULT_PAGE_SIZE)), 64);
-    let (params, fill) = (RTreeParams::paper(), 0.7);
-    let ps = uniform(300, 0xE2E).indexed();
-    let qs: Vec<(Point2, u64)> = uniform(300, 0xE2F)
-        .indexed()
-        .into_iter()
-        .map(|(p, oid)| (p, 1_000 + oid))
-        .collect();
-    let bulk = |objects: &[(Point2, u64)]| RTree::bulk_load(pool(), params, objects, fill);
-    let shards = |name: &str, objects: &[(Point2, u64)]| {
-        ShardedTree::build(name, objects, 3, params, Some(fill), |_| pool())
-    };
-    let inserts = |side: Side, objects: &[(Point2, u64)]| -> Vec<UpdateOp<2>> {
-        let op = |&(object, oid): &(Point2, u64)| UpdateOp::Insert { side, object, oid };
-        objects.iter().map(op).collect()
-    };
-    let live: LiveSet<2> = LiveSet::new_in_memory(params, &LiveConfig::default()).unwrap();
-    live.apply(&inserts(Side::P, &ps)).unwrap();
-    live.apply(&inserts(Side::Q, &qs)).unwrap();
-
-    // Hostile rows, building: each door refuses the point `insert` refuses.
-    for bad in [f64::NAN, f64::INFINITY] {
-        let mut poisoned = ps.clone();
-        poisoned.push((Point2::new([bad, 1.0]), 999));
-        assert!(
-            bulk(&poisoned).is_err(),
-            "bulk_load took a {bad} coordinate"
-        );
-        assert!(
-            shards("p", &poisoned).is_err(),
-            "a shard took a {bad} coordinate"
-        );
-        assert!(live.apply(&inserts(Side::P, &poisoned[300..])).is_err());
-    }
-    assert!(RTree::bulk_load(pool(), params, &ps, f64::NAN).is_err());
-
-    let trees = || TreePair::new(bulk(&ps).unwrap(), bulk(&qs).unwrap());
-    let sharded = ShardedPair {
-        p: shards("p", &ps).unwrap(),
-        q: shards("q", &qs).unwrap(),
-    };
-    let want = brute::k_closest_pairs_brute(&ps, &qs, 5);
-    let request = QueryRequest::cross(5, Algorithm::Heap).with_scatter(2);
-    // Hostile rows, querying: `Rect2::point` because `Rect::new` asserts
-    // corner order in debug builds, which a NaN fails.
-    let hostile_windows = [
-        Rect2::point(Point2::new([f64::NAN, 0.0])),
-        Rect2::from_corners([0.0, 0.0], [f64::INFINITY, 10.0]),
-    ];
-    let sources: [(&str, Source<2>); 3] = [
-        ("static", trees().into()),
-        ("sharded", Source::Sharded(trees(), sharded)),
-        ("live", Source::Live(live)),
-    ];
-    for (name, source) in sources {
-        let service = CpqService::start(source, ServiceConfig::default());
-        for window in hostile_windows {
-            let hostile = QueryRequest {
-                constraint: Constraint::window(window),
-                ..request
-            };
-            let status = service.execute(hostile).unwrap().status;
-            assert!(
-                matches!(status, QueryStatus::Failed(_)),
-                "{name}: {window:?} answered {status:?}"
-            );
-        }
-        let response = service.execute(request).unwrap();
-        assert!(matches!(response.status, QueryStatus::Completed), "{name}");
-        let key = |r: &cpq::core::PairResult<2>| r.sort_key();
-        assert_eq!(
-            response.pairs.iter().map(key).collect::<Vec<_>>(),
-            want.iter().map(key).collect::<Vec<_>>(),
-            "{name} service against the oracle"
-        );
-        service.shutdown();
-    }
 }
