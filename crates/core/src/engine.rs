@@ -576,12 +576,12 @@ impl<'a, const D: usize, O: SpatialObject<D>, P: Probe> Ctx<'a, D, O, P> {
     /// Reads one node of the given side, charging exactly one logical
     /// access to the side's ledger and probing it.
     ///
-    /// Sequentially this is `RTree::read_node` plus the probe call the
-    /// algorithms previously made inline. In parallel mode the node cache
-    /// warmed by the speculative workers is consulted first; hit or miss,
-    /// the ledger records the same +1 the sequential run's buffer pool
-    /// would, which keeps reported disk accesses identical to a sequential
-    /// run against unbuffered (`capacity = 0`) pools.
+    /// Sequentially this is `RTree::read_node` plus the probe call. In
+    /// parallel mode the node cache warmed by the speculative workers is
+    /// consulted first; hit or miss, the ledger records the same +1 the
+    /// sequential run's buffer pool would, which keeps reported disk
+    /// accesses identical to a sequential run against unbuffered
+    /// (`capacity = 0`) pools.
     pub(crate) fn read_side(
         &mut self,
         side: ProbeSide,
@@ -598,7 +598,7 @@ impl<'a, const D: usize, O: SpatialObject<D>, P: Probe> Ctx<'a, D, O, P> {
             }
             rt.node(side, tree, page)?
         } else {
-            Arc::new(tree.read_node(page)?)
+            tree.read_node(page)?
         };
         if P::ENABLED {
             self.probe.node_access(side, node.level());
@@ -1090,7 +1090,7 @@ pub(crate) mod tests {
     }
 
     /// A seeded node of `tree`: the root, or some way down a random path.
-    fn some_node(tree: &RTree<2>, rng: &mut Rng) -> Node<2, Point<2>> {
+    fn some_node(tree: &RTree<2>, rng: &mut Rng) -> Arc<Node<2, Point<2>>> {
         let mut node = tree.read_node(tree.root()).unwrap();
         while !node.is_leaf() && rng.random_bool(0.6) {
             let down = node.inner_entries()[rng.random_range(0..node.len())].child;
@@ -1174,7 +1174,7 @@ pub(crate) mod tests {
     }
 
     /// Every leaf of `tree`.
-    fn leaves<O: SpatialObject<2>>(tree: &RTree<2, O>) -> Vec<Node<2, O>> {
+    fn leaves<O: SpatialObject<2>>(tree: &RTree<2, O>) -> Vec<Arc<Node<2, O>>> {
         let (mut out, mut todo) = (Vec::new(), vec![tree.root()]);
         while let Some(page) = todo.pop() {
             let node = tree.read_node(page).unwrap();
@@ -1263,7 +1263,7 @@ pub(crate) mod tests {
         for (leaves_q, self_join, con, orient) in queries {
             for lp in &leaves_p {
                 for lq in leaves_q {
-                    let shape = (lp, lq, self_join, con, orient);
+                    let shape = (&**lp, &**lq, self_join, con, orient);
                     // From empty heaps: one that fills at once, one that
                     // may, one that never does (so it keeps every pair).
                     let mut all = Vec::new();

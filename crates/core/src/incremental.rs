@@ -267,11 +267,10 @@ impl<'a, const D: usize, O: SpatialObject<D>> DistanceJoin<'a, D, O> {
     /// Items of one node's children.
     fn expand(&mut self, page: PageId, on_p_side: bool) -> RTreeResult<Vec<Item<D, O>>> {
         let tree = if on_p_side { self.tp } else { self.tq };
-        let node = tree.read_node(page)?;
-        Ok(match node {
-            Node::Leaf(es) => es.into_iter().map(Item::Object).collect(),
+        Ok(match &*tree.read_node(page)? {
+            Node::Leaf(es) => es.iter().copied().map(Item::Object).collect(),
             Node::Inner { level, entries } => entries
-                .into_iter()
+                .iter()
                 .map(|e| Item::Node {
                     page: e.child,
                     level: level - 1,
@@ -405,8 +404,16 @@ pub fn k_closest_pairs_incremental<const D: usize, O: SpatialObject<D>>(
     k: usize,
     config: &IncrementalConfig,
 ) -> RTreeResult<QueryOutcome<D, O>> {
+    // K = 0 asks for nothing: answer without opening the join, whose roots
+    // it would read (a failed read would be parked, never reported).
+    if k == 0 {
+        return Ok(QueryOutcome {
+            pairs: Vec::new(),
+            stats: CpqStats::default(),
+        });
+    }
     let cfg = IncrementalConfig {
-        k_bound: Some(k.max(1)),
+        k_bound: Some(k),
         ..*config
     };
     let mut join = distance_join(tree_p, tree_q, cfg);

@@ -246,11 +246,10 @@ pub fn k_closest_tuples<const D: usize, O: SpatialObject<D>>(
         let Item::Node { page, .. } = &tuple.items[idx] else {
             unreachable!("expansion index points at a node")
         };
-        let node = trees[idx].read_node(*page)?;
-        let children: Vec<Item<D, O>> = match node {
-            Node::Leaf(es) => es.into_iter().map(Item::Object).collect(),
+        let children: Vec<Item<D, O>> = match &*trees[idx].read_node(*page)? {
+            Node::Leaf(es) => es.iter().copied().map(Item::Object).collect(),
             Node::Inner { level, entries } => entries
-                .into_iter()
+                .iter()
                 .map(|e| Item::Node {
                     page: e.child,
                     level: level - 1,

@@ -258,7 +258,7 @@ impl<const D: usize, O: SpatialObject<D>> SpecRuntime<D, O> {
         if let Some(node) = self.cached_node(side, page) {
             return Ok(node);
         }
-        let node = Arc::new(tree.read_node(page)?);
+        let node = tree.read_node(page)?;
         self.insert_node(side, page, node.clone());
         Ok(node)
     }
@@ -440,27 +440,8 @@ fn exec_task<const D: usize, O: SpatialObject<D>>(
     tq: &RTree<D, O>,
 ) -> RTreeResult<()> {
     let (page_p, page_q) = (PageId(req.page_p), PageId(req.page_q));
-    // Fetch both nodes; when both miss on one shared tree (self-join) a
-    // single batched pool round-trip (`get_many`) serves them together.
-    let cached_p = rt.cached_node(ProbeSide::P, page_p);
-    let cached_q = rt.cached_node(ProbeSide::Q, page_q);
-    let (np, nq) = match (cached_p, cached_q) {
-        (None, None) if std::ptr::eq(tp, tq) => {
-            let mut nodes = tp.read_nodes(&[page_p, page_q])?;
-            // analyze: allow(panic-path) — read_nodes returns exactly one node
-            // per requested id (two here).
-            let q = Arc::new(nodes.pop().expect("two nodes"));
-            // analyze: allow(panic-path) — second of the two nodes read above.
-            let p = Arc::new(nodes.pop().expect("two nodes"));
-            rt.insert_node(ProbeSide::P, page_p, p.clone());
-            rt.insert_node(ProbeSide::Q, page_q, q.clone());
-            (p, q)
-        }
-        (p, q) => (
-            p.map_or_else(|| rt.node(ProbeSide::P, tp, page_p), Ok)?,
-            q.map_or_else(|| rt.node(ProbeSide::Q, tq, page_q), Ok)?,
-        ),
-    };
+    let np = rt.node(ProbeSide::P, tp, page_p)?;
+    let nq = rt.node(ProbeSide::Q, tq, page_q)?;
 
     let out = if np.is_leaf() && nq.is_leaf() {
         // Leaf pair: the driver's brute scan into a task-local K-heap. The

@@ -40,10 +40,10 @@ pub fn semi_closest_pairs<const D: usize, O: SpatialObject<D>>(
     // Scan P's leaves depth-first (spatially coherent order).
     let mut stack = vec![tree_p.root()];
     while let Some(id) = stack.pop() {
-        match tree_p.read_node(id)? {
+        match &*tree_p.read_node(id)? {
             Node::Inner { entries, .. } => stack.extend(entries.iter().map(|e| e.child)),
             Node::Leaf(es) => {
-                for p in es {
+                for &p in es {
                     let warm = last_answer
                         .map(|q| min_min_dist2(&p.mbr(), &q.mbr()))
                         .unwrap_or(Dist2::INFINITY);
@@ -94,9 +94,9 @@ fn nn_bounded<const D: usize, O: SpatialObject<D>>(
             }
             Kind::Node(page) => {
                 stats.node_pairs_processed += 1;
-                match tree.read_node(page)? {
+                match &*tree.read_node(page)? {
                     Node::Leaf(es) => {
-                        for e in es {
+                        for &e in es {
                             stats.dist_computations += 1;
                             let dd = min_min_dist2(&p.mbr(), &e.mbr());
                             if dd <= bound {

@@ -2,12 +2,16 @@
 //! not reach: a corrupted page under one tree turns the semi and multiway
 //! closest-pair results into `Err`. (The K-CPQ algorithms and the
 //! incremental join are held to it by the harness's storage-fault hazards.)
+//! And a query for no pairs reads no page, so it cannot fail.
 
-use cpq_core::{k_closest_tuples, semi_closest_pairs, TupleMetric};
+use cpq_core::{
+    k_closest_pairs_incremental, k_closest_tuples, semi_closest_pairs, IncrementalConfig,
+    TupleMetric,
+};
 use cpq_geo::Point;
 use cpq_rng::Rng;
-use cpq_rtree::RTree;
-use cpq_storage::PageId;
+use cpq_rtree::{RTree, RTreeParams};
+use cpq_storage::{FailingPageFile, FailureControl, MemPageFile, PageId, DEFAULT_PAGE_SIZE};
 
 mod common;
 
@@ -36,4 +40,29 @@ fn semi_and_multiway_surface_corruption() {
     corrupt_all_but_root(&tb);
     assert!(semi_closest_pairs(&ta, &tb).is_err());
     assert!(k_closest_tuples(&[&ta, &tb], 2, TupleMetric::Chain).is_err());
+}
+
+#[test]
+fn the_incremental_join_at_k_zero_reads_nothing() {
+    let mut rng = Rng::seed_from_u64(7);
+    let mut coord = || rng.random_range(0.0..100.0);
+    let points: Vec<_> = (0..300).map(|_| Point([coord(), coord()])).collect();
+    let control = FailureControl::new();
+    let file = FailingPageFile::new(
+        Box::new(MemPageFile::new(DEFAULT_PAGE_SIZE)),
+        control.clone(),
+    );
+    let (tp, tq) = (
+        common::build_on(Box::new(file), RTreeParams::paper(), 0, &points),
+        random_tree(300, 8),
+    );
+    tp.pool().reset_stats();
+    control.fail_read(1);
+    let out = k_closest_pairs_incremental(&tp, &tq, 0, &IncrementalConfig::default())
+        .expect("K = 0 asks for nothing, so nothing can fail");
+    assert!(out.pairs.is_empty());
+    assert_eq!(control.reads_seen(), 0, "K = 0 read a page");
+    assert_eq!(tp.pool().buffer_stats().logical_reads, 0);
+    // Armed at read 1, the first query that reads does fail.
+    assert!(k_closest_pairs_incremental(&tp, &tq, 1, &IncrementalConfig::default()).is_err());
 }

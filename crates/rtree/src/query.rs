@@ -31,9 +31,9 @@ impl<const D: usize, O: SpatialObject<D>> RTree<D, O> {
         }
         let mut stack = vec![self.root()];
         while let Some(id) = stack.pop() {
-            match self.read_node(id)? {
+            match &*self.read_node(id)? {
                 Node::Leaf(es) => {
-                    out.extend(es.into_iter().filter(|e| window.intersects(&e.mbr())));
+                    out.extend(es.iter().filter(|e| window.intersects(&e.mbr())));
                 }
                 Node::Inner { entries, .. } => {
                     stack.extend(
@@ -55,7 +55,7 @@ impl<const D: usize, O: SpatialObject<D>> RTree<D, O> {
         }
         let mut stack = vec![self.root()];
         while let Some(id) = stack.pop() {
-            match self.read_node(id)? {
+            match &*self.read_node(id)? {
                 Node::Leaf(es) => {
                     if es.iter().any(|e| e.object == *object && e.oid == oid) {
                         return Ok(true);
@@ -125,9 +125,9 @@ impl<const D: usize, O: SpatialObject<D>> RTree<D, O> {
                         break;
                     }
                 }
-                Item::Node(id) => match self.read_node(id)? {
+                Item::Node(id) => match &*self.read_node(id)? {
                     Node::Leaf(es) => {
-                        for e in es {
+                        for &e in es {
                             let b = bound(&worst);
                             let Some(dd) = min_min_dist2_within(&qrect, &e.mbr(), b) else {
                                 continue; // farther than k candidates already seen
@@ -174,10 +174,10 @@ impl<const D: usize, O: SpatialObject<D>> RTree<D, O> {
         }
         let mut stack = vec![self.root()];
         while let Some(id) = stack.pop() {
-            match self.read_node(id)? {
+            match &*self.read_node(id)? {
                 Node::Leaf(es) => {
                     out.extend(
-                        es.into_iter()
+                        es.iter()
                             .filter(|e| min_min_dist2(probe, &e.mbr()) <= bound),
                     );
                 }
@@ -202,7 +202,7 @@ impl<const D: usize, O: SpatialObject<D>> RTree<D, O> {
         }
         let mut stack = vec![self.root()];
         while let Some(id) = stack.pop() {
-            match self.read_node(id)? {
+            match &*self.read_node(id)? {
                 Node::Leaf(es) => out.extend(es),
                 Node::Inner { entries, .. } => stack.extend(entries.iter().map(|e| e.child)),
             }

@@ -224,23 +224,14 @@ impl<const D: usize, O: SpatialObject<D>> RTree<D, O> {
         delta
     }
 
-    /// Reads and decodes a node. Counts one logical page read.
-    pub fn read_node(&self, id: PageId) -> RTreeResult<Node<D, O>> {
-        let bytes = self.pool.read_page(id)?;
-        decode_node(id, &bytes)
-    }
-
-    /// Reads and decodes several nodes through one batched pool fetch
-    /// ([`BufferPool::get_many`]): the pool classifies hits/misses in one
-    /// pass and serves all miss I/O under a single shared file guard, so
-    /// concurrent callers (the parallel K-CPQ executor's prefetch workers)
-    /// overlap their physical reads instead of serializing per page.
-    pub fn read_nodes(&self, ids: &[PageId]) -> RTreeResult<Vec<Node<D, O>>> {
-        let pages = self.pool.get_many(ids)?;
-        ids.iter()
-            .zip(pages.iter())
-            .map(|(&id, bytes)| decode_node(id, bytes))
-            .collect()
+    /// Reads a node: the one node-read path. Counts one logical page read.
+    ///
+    /// The node is decoded at most once per residency of its page
+    /// ([`BufferPool::read_decoded`]): a hit on a resident page shares the
+    /// node its frame already holds. Writers take their own copy with
+    /// `Arc::unwrap_or_clone`.
+    pub fn read_node(&self, id: PageId) -> RTreeResult<Arc<Node<D, O>>> {
+        self.pool.read_decoded(id, |bytes| decode_node(id, bytes))
     }
 
     /// Hints that these node pages will likely be read soon. On a pool
@@ -396,7 +387,7 @@ impl<const D: usize, O: SpatialObject<D>> RTree<D, O> {
         overflowed: &mut [bool],
         queue: &mut VecDeque<(AnyEntry<D, O>, u8)>,
     ) -> RTreeResult<(InnerEntry<D>, Option<InnerEntry<D>>)> {
-        let mut node = self.read_node(node_id)?;
+        let mut node = Arc::unwrap_or_clone(self.read_node(node_id)?);
         debug_assert_eq!(node.level(), node_level, "level mismatch on {node_id}");
 
         if node_level == target_level {
@@ -613,8 +604,7 @@ impl<const D: usize, O: SpatialObject<D>> RTree<D, O> {
         // Shrink the root: an inner root with a single child is replaced by
         // that child; an empty leaf root empties the tree.
         loop {
-            let node = self.read_node(self.root)?;
-            match &node {
+            match &*self.read_node(self.root)? {
                 Node::Inner { entries, .. } if entries.len() == 1 => {
                     let child = entries[0].child;
                     let old_root = self.root;
@@ -645,7 +635,7 @@ impl<const D: usize, O: SpatialObject<D>> RTree<D, O> {
         oid: u64,
         orphans: &mut Vec<(AnyEntry<D, O>, u8)>,
     ) -> RTreeResult<DeleteOutcome<D>> {
-        let mut node = self.read_node(node_id)?;
+        let mut node = Arc::unwrap_or_clone(self.read_node(node_id)?);
         match &mut node {
             Node::Leaf(es) => {
                 let Some(pos) = es.iter().position(|e| e.object == *object && e.oid == oid) else {
@@ -822,9 +812,9 @@ mod tests {
         let mut out = Vec::new();
         let mut stack = vec![tree.root()];
         while let Some(id) = stack.pop() {
-            if let Node::Inner { level, entries } = tree.read_node(id).unwrap() {
-                if level == 1 {
-                    out.push(entries);
+            if let Node::Inner { level, entries } = &*tree.read_node(id).unwrap() {
+                if *level == 1 {
+                    out.push(entries.clone());
                 } else {
                     stack.extend(entries.iter().map(|e| e.child));
                 }

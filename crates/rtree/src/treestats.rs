@@ -43,7 +43,7 @@ impl<const D: usize, O: SpatialObject<D>> RTree<D, O> {
                     *e += mbr.extent(d);
                 }
             }
-            if let Node::Inner { entries, .. } = &node {
+            if let Node::Inner { entries, .. } = &*node {
                 stack.extend(entries.iter().map(|e| e.child));
             }
         }
@@ -88,7 +88,7 @@ impl<const D: usize, O: SpatialObject<D>> RTree<D, O> {
             if self.pool().pin_page(id)? {
                 pinned += 1;
             }
-            if let Node::Inner { entries, level } = &node {
+            if let Node::Inner { entries, level } = &*node {
                 if *level > min_level {
                     stack.extend(entries.iter().map(|e| e.child));
                 }

@@ -468,9 +468,9 @@ fn rstar_produces_less_node_overlap_than_linear() {
         let mut leaf_mbrs = Vec::new();
         let mut stack = vec![tree.root()];
         while let Some(id) = stack.pop() {
-            if let Node::Inner { level, entries } = tree.read_node(id).unwrap() {
-                for e in &entries {
-                    if level == 1 {
+            if let Node::Inner { level, entries } = &*tree.read_node(id).unwrap() {
+                for e in entries {
+                    if *level == 1 {
                         leaf_mbrs.push(e.mbr);
                     } else {
                         stack.push(e.child);

@@ -116,7 +116,7 @@ fn fingerprint(tree: &RTree<2>) -> (u64, usize) {
         h = fnv1a(h, &id.0.to_le_bytes());
         h = fnv1a(h, &bytes);
         pages += 1;
-        if let Node::Inner { entries, .. } = tree.read_node(id).unwrap() {
+        if let Node::Inner { entries, .. } = &*tree.read_node(id).unwrap() {
             stack.extend(entries.iter().rev().map(|e| e.child));
         }
     }

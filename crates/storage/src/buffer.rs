@@ -14,43 +14,25 @@
 //! property the parallel K-CPQ executor's speculative prefetch relies on.
 //! Lock order is always state → file; no path waits on the state mutex while
 //! holding the file lock, so the two locks cannot deadlock.
+//!
+//! # Decoded pages
+//!
+//! A frame keeps, beside its bytes, the value a caller decoded from them
+//! ([`read_decoded`](BufferPool::read_decoded) — the R-tree's node), so a
+//! hit on a decoded frame returns a shared handle instead of parsing the
+//! page again. The value is decoded at most once per residency, under the
+//! state mutex, and it lives inside the frame: every path that replaces or
+//! drops a frame's bytes (write, free, eviction, `clear`, `set_capacity`)
+//! drops the value with them.
 
-use crate::error::StorageResult;
+use crate::error::{StorageError, StorageResult};
 use crate::file::PageFile;
-use crate::page::PageId;
+use crate::page::{PageBytes, PageId};
 use crate::sched::{DemandTicket, SchedConfig, SchedHandle, SchedPageFile, SchedStats};
 use crate::stats::IoStats;
 use cpq_check::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
-use std::cell::RefCell;
+use std::any::Any;
 use std::collections::HashMap;
-
-// Reusable per-thread miss buffer: a page is read into this scratch and
-// copied once into its final `PageBytes` allocation, instead of paying a
-// fresh `vec![0u8; page_size]` heap allocation on every miss.
-thread_local! {
-    static MISS_SCRATCH: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
-}
-
-/// Reads one page into the thread-local scratch and returns it as
-/// freshly-allocated [`PageBytes`] — the only allocation on the miss path.
-// The scratch buffer is resized to the page size immediately before the
-// `[..ps]` slices: the index is in bounds by construction.
-fn read_via_scratch(file: &dyn PageFile, id: PageId) -> StorageResult<PageBytes> {
-    MISS_SCRATCH.with(|cell| {
-        let mut buf = cell.borrow_mut();
-        let ps = file.page_size();
-        if buf.len() < ps {
-            buf.resize(ps, 0);
-        }
-        file.read(id, &mut buf[..ps])?;
-        Ok(PageBytes::from(&buf[..ps]))
-    })
-}
-
-/// Immutable page contents, cheaply cloneable (one atomic increment per
-/// clone, like the `bytes::Bytes` it replaces — dropped so the workspace
-/// builds without registry access).
-pub type PageBytes = Arc<[u8]>;
 
 /// Page-replacement policy interface.
 ///
@@ -284,9 +266,40 @@ impl BufferStats {
     }
 }
 
+/// A value decoded from a frame's bytes, type-erased: the pool stores
+/// whatever its callers decode.
+type Decoded = Arc<dyn Any + Send + Sync>;
+
 struct Frame {
     page: PageId,
     data: PageBytes,
+    /// What [`BufferPool::read_decoded`] made of `data`, once it has.
+    decoded: Option<Decoded>,
+}
+
+impl Frame {
+    fn new(page: PageId, data: PageBytes) -> Self {
+        Frame {
+            page,
+            data,
+            decoded: None,
+        }
+    }
+
+    /// The value decoded from this frame's bytes, decoding them on first
+    /// use. A value of another type (two decoders of one page) is
+    /// replaced.
+    fn decoded<T, E>(&mut self, decode: impl FnOnce(&[u8]) -> Result<T, E>) -> Result<Arc<T>, E>
+    where
+        T: Any + Send + Sync,
+    {
+        if let Some(value) = self.decoded.clone().and_then(|v| v.downcast().ok()) {
+            return Ok(value);
+        }
+        let value = Arc::new(decode(&self.data)?);
+        self.decoded = Some(value.clone());
+        Ok(value)
+    }
 }
 
 struct State {
@@ -306,36 +319,49 @@ struct State {
 }
 
 impl State {
-    /// Serves `id` from cache if resident, counting a hit.
+    /// Frame `f`, which `map` points at.
     // Frame indices come from `map`, which only points at occupied
     // in-capacity frames (structural invariant of the pool state).
-    fn try_hit(&mut self, id: PageId) -> Option<PageBytes> {
+    fn mapped(&mut self, f: usize) -> &mut Frame {
+        self.frames[f]
+            .as_mut()
+            // analyze: allow(panic-path) — `map` only points at occupied frames
+            // (structural invariant of the pool state).
+            .expect("mapped frame must be occupied")
+    }
+
+    /// Serves `id` from cache if resident, counting a hit.
+    fn try_hit(&mut self, id: PageId) -> Option<&mut Frame> {
         let f = *self.map.get(&id)?;
         self.stats.logical_reads += 1;
         self.stats.hits += 1;
         self.policy.on_hit(f);
-        Some(
-            self.frames[f]
-                .as_ref()
-                // analyze: allow(panic-path) — `map` only points at occupied frames
-                // (structural invariant of the pool state).
-                .expect("mapped frame must be occupied")
-                .data
-                .clone(),
-        )
+        Some(self.mapped(f))
     }
 
     /// Accounts one successful miss and installs the page (capacity and
     /// pins permitting). If another thread installed `id` while the file
     /// read ran outside the state lock, the existing frame is kept.
+    /// Returns the frame holding `id` when it holds exactly `data` — the
+    /// one a decoded value of `data` may be attached to.
+    fn complete_miss(&mut self, id: PageId, data: &PageBytes) -> Option<&mut Frame> {
+        self.stats.logical_reads += 1;
+        self.stats.misses += 1;
+        let f = self.install(id, data)?;
+        Some(self.mapped(f)).filter(|frame| Arc::ptr_eq(&frame.data, data))
+    }
+
+    /// The cache half of [`complete_miss`](Self::complete_miss): the frame
+    /// that holds `id` afterwards, if any.
     // Frame indices come from the free list, the frame just pushed or the
     // eviction policy, all below `frames.len()` (structural invariant of
     // the pool state).
-    fn complete_miss(&mut self, id: PageId, data: &PageBytes) {
-        self.stats.logical_reads += 1;
-        self.stats.misses += 1;
-        if self.capacity == 0 || self.map.contains_key(&id) {
-            return;
+    fn install(&mut self, id: PageId, data: &PageBytes) -> Option<usize> {
+        if self.capacity == 0 {
+            return None;
+        }
+        if let Some(&f) = self.map.get(&id) {
+            return Some(f);
         }
         let frame = match self.free_frames.pop() {
             Some(f) => f,
@@ -358,14 +384,12 @@ impl State {
                 victim
             }
             // Every frame pinned: serve the read uncached.
-            None => return,
+            None => return None,
         };
-        self.frames[frame] = Some(Frame {
-            page: id,
-            data: data.clone(),
-        });
+        self.frames[frame] = Some(Frame::new(id, data.clone()));
         self.map.insert(id, frame);
         self.policy.on_insert(frame);
+        Some(frame)
     }
 
     fn reset_cache(&mut self, capacity: usize) {
@@ -386,9 +410,11 @@ impl State {
 ///   (capacity permitting) caches it, evicting per the policy. Miss I/O runs
 ///   under the file's shared read guard with the bookkeeping mutex released,
 ///   so concurrent misses overlap; [`get_many`](BufferPool::get_many) batches
-///   the lock traffic for multi-page fetches.
+///   the lock traffic for multi-page fetches, and
+///   [`read_decoded`](BufferPool::read_decoded) returns the value decoded
+///   from the page, decoding at most once per residency.
 /// * Write path: write-through — the file always holds the latest data, and
-///   a cached copy is refreshed in place.
+///   a cached copy is refreshed in place (its decoded value dropped).
 /// * Interior mutability: all methods take `&self` so two trees can be read
 ///   concurrently by one query algorithm.
 pub struct BufferPool {
@@ -526,22 +552,61 @@ impl BufferPool {
     /// miss up front would let the two sides disagree forever after the
     /// first failed read.
     pub fn read_page(&self, id: PageId) -> StorageResult<PageBytes> {
-        if let Some(data) = self.guard().try_hit(id) {
-            return Ok(data);
+        if let Some(frame) = self.guard().try_hit(id) {
+            return Ok(frame.data.clone());
         }
-        // Miss: physical read under the shared file guard, state unlocked,
-        // so concurrent misses (and their latencies) overlap. A scheduled
-        // pool demands through the handle — the result arrives as
-        // `PageBytes` already, no copy out of a caller buffer.
-        let data = {
-            let file = self.file_read();
-            match &self.sched {
-                Some(s) => s.demand(id)?,
-                None => read_via_scratch(file.as_ref(), id)?,
-            }
-        };
+        let data = self.fetch(id)?;
         self.guard().complete_miss(id, &data);
         Ok(data)
+    }
+
+    /// [`read_page`](Self::read_page), returning what `decode` makes of the
+    /// page instead of its bytes — the R-tree's node read.
+    ///
+    /// The frame keeps the decoded value beside its bytes, so `decode`
+    /// runs at most once per residency: a hit on a decoded frame costs a
+    /// reference-count increment. It runs under the state mutex the hit
+    /// (or the miss's accounting) already holds, so no write can slip
+    /// between the bytes it reads and the frame it attaches to; `decode`
+    /// must therefore not call back into this pool. Hits, misses, logical
+    /// reads, evictions and the victim are exactly `read_page`'s, the miss
+    /// counted before `decode` runs: a page that reads but does not decode
+    /// moves the books as `read_page` followed by a failed decode does. A
+    /// read the pool cannot cache (zero capacity, every frame pinned)
+    /// decodes outside the lock, every time.
+    pub fn read_decoded<T, E>(
+        &self,
+        id: PageId,
+        decode: impl FnOnce(&[u8]) -> Result<T, E>,
+    ) -> Result<Arc<T>, E>
+    where
+        T: Any + Send + Sync,
+        E: From<StorageError>,
+    {
+        let mut st = self.guard();
+        if let Some(frame) = st.try_hit(id) {
+            return frame.decoded(decode);
+        }
+        drop(st);
+        let data = self.fetch(id)?;
+        let mut st = self.guard();
+        if let Some(frame) = st.complete_miss(id, &data) {
+            return frame.decoded(decode);
+        }
+        drop(st);
+        decode(&data).map(Arc::new)
+    }
+
+    /// The physical read of one miss, under the shared file guard with the
+    /// state unlocked, so concurrent misses (and their latencies) overlap.
+    /// A scheduled pool demands through the handle — the result arrives as
+    /// `PageBytes` already, no copy out of a caller buffer.
+    fn fetch(&self, id: PageId) -> StorageResult<PageBytes> {
+        let file = self.file_read();
+        match &self.sched {
+            Some(s) => s.demand(id),
+            None => file.read_bytes(id),
+        }
     }
 
     /// Batched [`read_page`](Self::read_page): one state pass classifies
@@ -567,7 +632,7 @@ impl BufferPool {
             let mut st = self.guard();
             for (i, &id) in ids.iter().enumerate() {
                 match st.try_hit(id) {
-                    Some(data) => out[i] = Some(data),
+                    Some(frame) => out[i] = Some(frame.data.clone()),
                     None => missing.push((i, id)),
                 }
             }
@@ -605,7 +670,7 @@ impl BufferPool {
                 }
                 None => {
                     for &(i, id) in &missing {
-                        match read_via_scratch(file.as_ref(), id) {
+                        match file.read_bytes(id) {
                             Ok(data) => fetched.push((i, id, data)),
                             Err(e) => {
                                 first_err = Some(e);
@@ -631,20 +696,17 @@ impl BufferPool {
         }
     }
 
-    /// Writes a page, write-through, refreshing any cached copy. As with
+    /// Writes a page, write-through, refreshing any cached copy (and
+    /// dropping the value decoded from the old bytes). As with
     /// [`read_page`](Self::read_page), the `writes` counter moves only on
     /// success, keeping it equal to the file's physical write count.
     pub fn write_page(&self, id: PageId, data: &[u8]) -> StorageResult<()> {
         let mut st = self.guard();
-        self.file_write().write(id, data)?;
+        let stored = self.file_write().write_shared(id, data)?;
         st.stats.writes += 1;
         if let Some(&f) = st.map.get(&id) {
-            st.frames[f]
-                .as_mut()
-                // analyze: allow(panic-path) — `map` only points at occupied frames
-                // (structural invariant of the pool state).
-                .expect("mapped frame must be occupied")
-                .data = PageBytes::from(data);
+            let data = stored.unwrap_or_else(|| PageBytes::from(data));
+            *st.mapped(f) = Frame::new(id, data);
             st.policy.on_hit(f);
         }
         Ok(())
@@ -833,56 +895,96 @@ mod tests {
         r
     }
 
+    /// The bytes of `id` as a decoded value, counting the decodes.
+    fn read_counted(pool: &BufferPool, id: PageId, decodes: &mut u64) -> Arc<Vec<u8>> {
+        let decode = |bytes: &[u8]| {
+            *decodes += 1;
+            Ok::<_, StorageError>(bytes.to_vec())
+        };
+        pool.read_decoded(id, decode).unwrap()
+    }
+
     /// One seeded trace of every pool operation that reaches the policy,
-    /// through an oracle pool and a real one: the same verdict for every
-    /// read, the same pages in the same frames after every step.
+    /// through an oracle pool and two real ones, the third reading through
+    /// `read_decoded`: the same verdict for every read, the same pages in
+    /// the same frames and the same books after every step. The decoded
+    /// reads return the bytes `read_page` returns — never a value decoded
+    /// before a write, a free or the frame's reuse — and decode exactly
+    /// when the frame holds no decoded value yet.
     #[test]
     fn the_list_evicts_what_the_min_stamp_scan_evicts() {
         use cpq_rng::Rng;
+        use std::collections::HashSet;
+        let real = |lru: bool| -> Box<dyn ReplacementPolicy> {
+            if lru {
+                Box::new(LruPolicy::new())
+            } else {
+                Box::new(FifoPolicy::new())
+            }
+        };
         for restamp_on_hit in [true, false] {
             for capacity in 1..=64usize {
-                let real: Box<dyn ReplacementPolicy> = if restamp_on_hit {
-                    Box::new(LruPolicy::new())
-                } else {
-                    Box::new(FifoPolicy::new())
-                };
                 let pools = [
                     pool_with(capacity, StampOracle::boxed(restamp_on_hit)),
-                    pool_with(capacity, real),
+                    pool_with(capacity, real(restamp_on_hit)),
+                    pool_with(capacity, real(restamp_on_hit)),
                 ];
                 // About twice the capacity in pages: hits and evictions mix.
                 let mut live = fill(&pools[0], 2 * capacity + 2);
                 assert_eq!(live, fill(&pools[1], 2 * capacity + 2));
+                assert_eq!(live, fill(&pools[2], 2 * capacity + 2));
+                // Pages whose frame in the third pool holds a decoded value.
+                let mut decoded: HashSet<PageId> = HashSet::new();
+                let mut decodes = 0;
                 let mut rng = Rng::seed_from_u64(capacity as u64 * 2 + restamp_on_hit as u64);
                 for step in 0..600 {
                     let id = live[rng.random_range(0..live.len())];
                     let what = format!("lru={restamp_on_hit} capacity={capacity} step={step}");
+                    // A value of its own per write, so a stale one shows.
+                    let written = [(step % 251) as u8; 64];
                     match rng.random_range(0..100u32) {
                         0..=69 => {
+                            let mut bytes = None;
                             let verdicts = pools.each_ref().map(|p| {
                                 let before = p.buffer_stats();
-                                p.read_page(id).unwrap();
+                                if std::ptr::eq(p, &pools[2]) {
+                                    let was = decodes;
+                                    let value = read_counted(p, id, &mut decodes);
+                                    let hit = p.buffer_stats().hits > before.hits;
+                                    let want = u64::from(!(hit && decoded.contains(&id)));
+                                    assert_eq!(decodes - was, want, "{what}: decodes of {id:?}");
+                                    decoded.insert(id);
+                                    assert_eq!(Some(&value[..]), bytes.as_deref(), "{what}");
+                                } else {
+                                    bytes = Some(p.read_page(id).unwrap().to_vec());
+                                }
                                 let after = p.buffer_stats();
                                 (after.hits - before.hits, after.evictions - before.evictions)
                             });
                             assert_eq!(verdicts[0], verdicts[1], "{what}: read {id:?}");
+                            assert_eq!(verdicts[1], verdicts[2], "{what}: decoded read {id:?}");
                         }
-                        70..=77 => pools
-                            .iter()
-                            .for_each(|p| p.write_page(id, &[7; 64]).unwrap()),
+                        70..=77 => {
+                            pools
+                                .iter()
+                                .for_each(|p| p.write_page(id, &written).unwrap());
+                            decoded.remove(&id);
+                        }
                         78..=84 => {
                             let pinned = pools.each_ref().map(|p| p.pin_page(id).unwrap());
                             assert_eq!(pinned[0], pinned[1], "{what}: pin {id:?}");
+                            assert_eq!(pinned[1], pinned[2], "{what}: pin {id:?}");
                         }
                         85..=91 => pools.iter().for_each(|p| p.unpin_page(id)),
                         92..=96 => {
                             let fresh = pools.each_ref().map(|p| {
                                 p.free_page(id).unwrap();
                                 let fresh = p.allocate().unwrap();
-                                p.write_page(fresh, &[9; 64]).unwrap();
+                                p.write_page(fresh, &written).unwrap();
                                 fresh
                             });
                             assert_eq!(fresh[0], fresh[1], "{what}: allocate");
+                            assert_eq!(fresh[1], fresh[2], "{what}: allocate");
                             live.retain(|&l| l != id);
                             live.push(fresh[0]);
                         }
@@ -892,12 +994,85 @@ mod tests {
                             pools.iter().for_each(|p| p.set_capacity(to));
                         }
                     }
-                    assert_eq!(resident(&pools[0]), resident(&pools[1]), "{what}");
+                    let frames = resident(&pools[0]);
+                    assert_eq!(frames, resident(&pools[1]), "{what}");
+                    assert_eq!(frames, resident(&pools[2]), "{what}");
+                    decoded.retain(|p| frames.iter().any(|&(r, _)| r == *p));
+                    let books = pools[0].buffer_stats();
+                    assert_eq!(books, pools[1].buffer_stats(), "{what}");
+                    assert_eq!(books, pools[2].buffer_stats(), "{what}");
                     assert_eq!(pools[0].pinned_pages(), pools[1].pinned_pages(), "{what}");
+                    assert_eq!(pools[1].pinned_pages(), pools[2].pinned_pages(), "{what}");
                 }
-                assert_eq!(pools[0].buffer_stats(), pools[1].buffer_stats());
             }
         }
+    }
+
+    #[test]
+    fn a_page_is_decoded_once_per_residency_and_never_stale() {
+        let pool = pool_with(2, Box::new(LruPolicy::new()));
+        let ids = fill(&pool, 3);
+        let mut decodes = 0;
+        for _ in 0..3 {
+            assert_eq!(*read_counted(&pool, ids[0], &mut decodes), [0; 64]);
+        }
+        assert_eq!(decodes, 1, "a miss and two hits on one residency");
+        // A write replaces the bytes the value was decoded from.
+        pool.write_page(ids[0], &[5; 64]).unwrap();
+        assert_eq!(*read_counted(&pool, ids[0], &mut decodes), [5; 64]);
+        assert_eq!(decodes, 2);
+        // Evicted and read again: a new residency, decoded again.
+        pool.read_page(ids[1]).unwrap();
+        pool.read_page(ids[2]).unwrap();
+        assert_eq!(*read_counted(&pool, ids[0], &mut decodes), [5; 64]);
+        assert_eq!(decodes, 3);
+        // Freed, and the id allocated again with other bytes.
+        pool.free_page(ids[0]).unwrap();
+        assert_eq!(pool.allocate().unwrap(), ids[0]);
+        pool.write_page(ids[0], &[6; 64]).unwrap();
+        assert_eq!(*read_counted(&pool, ids[0], &mut decodes), [6; 64]);
+        // `clear` and `set_capacity` drop the frames and their values.
+        for drop_frames in [BufferPool::clear, |p: &BufferPool| p.set_capacity(2)] {
+            drop_frames(&pool);
+            let before = decodes;
+            read_counted(&pool, ids[0], &mut decodes);
+            assert_eq!(decodes, before + 1);
+        }
+    }
+
+    #[test]
+    fn a_page_that_does_not_decode_moves_the_books_as_read_page_does() {
+        let pools = [0, 1].map(|_| pool_with(2, Box::new(LruPolicy::new())));
+        let ids = pools.each_ref().map(|p| fill(p, 2));
+        let refuse = |_: &[u8]| Err::<(), _>(StorageError::PageFreed(PageId(0)));
+        for _ in 0..2 {
+            pools[0].read_page(ids[0][1]).unwrap();
+            assert!(pools[1].read_decoded(ids[1][1], refuse).is_err());
+            assert_eq!(pools[0].buffer_stats(), pools[1].buffer_stats());
+            assert_eq!(resident(&pools[0]), resident(&pools[1]));
+        }
+    }
+
+    /// The page as the pool's frame holds it and as its file stores it.
+    fn frame_and_file(pool: &BufferPool, id: PageId) -> (PageBytes, PageBytes) {
+        let mut st = pool.guard();
+        let f = st.map[&id];
+        let frame = st.mapped(f).data.clone();
+        (frame, pool.file_read().read_bytes(id).unwrap())
+    }
+
+    #[test]
+    fn a_resident_page_is_stored_once() {
+        let pool = pool_with(2, Box::new(LruPolicy::new()));
+        let ids = fill(&pool, 2);
+        pool.clear();
+        pool.read_page(ids[0]).unwrap();
+        let (frame, file) = frame_and_file(&pool, ids[0]);
+        assert!(Arc::ptr_eq(&frame, &file), "a miss copied the page");
+        pool.write_page(ids[0], &[3; 64]).unwrap();
+        let (frame, file) = frame_and_file(&pool, ids[0]);
+        assert!(Arc::ptr_eq(&frame, &file), "a write stored the page twice");
+        assert_eq!(&frame[..], &[3; 64]);
     }
 
     /// A full 65,536-frame pool takes 65,536 further cold misses, each an

@@ -6,9 +6,9 @@
 //! guards: the benchmark measures 2.5 µs per 1 KiB page
 //! (`storage.crc32_ns_per_page`), 75% of a cold buffered miss on `kcpq_cold`
 //! and most of every `write_page` on `live_rw`. A slicing-by-8 loop over the
-//! same polynomial (every stored checksum stays valid) is sized in ROADMAP
-//! item 1; it waits for a benchmark harness whose memory does not grow with
-//! `live_rw`'s throughput.
+//! same polynomial (every stored checksum stays valid) is ROADMAP item 3(a);
+//! it is blocked by item 1, a benchmark harness whose memory does not grow
+//! with `live_rw`'s throughput.
 
 /// The 256-entry lookup table for the reflected IEEE polynomial, built at
 /// compile time.

@@ -224,6 +224,39 @@ mod tests {
         assert_eq!(buf, [0x42; 64]);
     }
 
+    /// The pool's miss primitive keeps the default, through `read`: every
+    /// injection fires on it as on `read`, and counts the same.
+    #[test]
+    fn injections_fire_on_the_miss_primitive_as_on_read() {
+        let (f, control, a) = armed_file();
+        let via_read = |f: &FailingPageFile| f.read(a, &mut [0u8; 64]);
+        let via_bytes = |f: &FailingPageFile| {
+            let bytes = f.read_bytes(a)?;
+            assert_eq!(bytes[..], [0x42; 64]);
+            Ok::<(), StorageError>(())
+        };
+        for read in [
+            &via_read as &dyn Fn(&FailingPageFile) -> StorageResult<()>,
+            &via_bytes,
+        ] {
+            control.fail_read(2);
+            read(&f).unwrap();
+            assert!(matches!(read(&f), Err(StorageError::Io(_))));
+            read(&f).unwrap();
+            assert_eq!(control.reads_seen(), 3);
+            control.corrupt(a);
+            assert!(matches!(read(&f), Err(StorageError::Corrupt { .. })));
+            control.disarm();
+            control.slow_reads(Duration::from_millis(5));
+            let start = Instant::now();
+            read(&f).unwrap();
+            assert!(start.elapsed() >= Duration::from_millis(5));
+            control.disarm();
+        }
+        // Three successful reads per pass reached the inner file.
+        assert_eq!(f.stats().reads, 6);
+    }
+
     #[test]
     fn slow_reads_add_latency() {
         let (f, control, a) = armed_file();

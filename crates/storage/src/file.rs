@@ -2,7 +2,7 @@
 
 use crate::crc32::crc32;
 use crate::error::{StorageError, StorageResult};
-use crate::page::PageId;
+use crate::page::{PageBytes, PageId};
 use crate::stats::IoStats;
 use cpq_check::sync::atomic::{AtomicU64, Ordering};
 use std::cell::RefCell;
@@ -10,6 +10,14 @@ use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::os::unix::fs::FileExt;
 use std::path::Path;
+
+// Reusable per-thread miss buffer for `PageFile::read_bytes`'s default: a
+// page is read into this scratch and copied once into its final
+// `PageBytes` allocation, instead of paying a fresh `vec![0u8; page_size]`
+// heap allocation on every miss.
+thread_local! {
+    static MISS_SCRATCH: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
+}
 
 /// A flat, growable array of fixed-size pages with a free list.
 ///
@@ -33,6 +41,29 @@ pub trait PageFile: Send + Sync {
 
     /// Reads page `id` into `buf` (`buf.len()` must equal `page_size`).
     fn read(&self, id: PageId, buf: &mut [u8]) -> StorageResult<()>;
+
+    /// Reads page `id` as [`PageBytes`]: the buffer pool's one miss
+    /// primitive.
+    ///
+    /// The default goes through [`read`](Self::read) into a per-thread
+    /// scratch buffer and copies the page once into a fresh allocation —
+    /// the only allocation on the miss path — so a decorator's injected
+    /// faults fire here exactly as on `read`. [`MemPageFile`] overrides it
+    /// to hand out the allocation it stores, so a resident page is held in
+    /// memory once.
+    // The scratch buffer is resized to the page size immediately before the
+    // `[..ps]` slices: the index is in bounds by construction.
+    fn read_bytes(&self, id: PageId) -> StorageResult<PageBytes> {
+        MISS_SCRATCH.with(|cell| {
+            let mut buf = cell.borrow_mut();
+            let ps = self.page_size();
+            if buf.len() < ps {
+                buf.resize(ps, 0);
+            }
+            self.read(id, &mut buf[..ps])?;
+            Ok(PageBytes::from(&buf[..ps]))
+        })
+    }
 
     /// Reads `n` consecutive pages starting at `first` into `buf`
     /// (`buf.len()` must equal `n * page_size`), page `first + i` landing at
@@ -62,6 +93,15 @@ pub trait PageFile: Send + Sync {
     /// Writes `data` (exactly `page_size` bytes) to page `id`.
     fn write(&mut self, id: PageId, data: &[u8]) -> StorageResult<()>;
 
+    /// [`write`](Self::write), returning the page as the file now keeps it
+    /// in memory, if it does: the buffer pool's write path, whose frame
+    /// then shares that allocation instead of copying `data` again. The
+    /// default writes through `write` and keeps nothing; [`MemPageFile`]
+    /// returns the page it stores.
+    fn write_shared(&mut self, id: PageId, data: &[u8]) -> StorageResult<Option<PageBytes>> {
+        self.write(id, data).map(|()| None)
+    }
+
     /// Returns page `id` to the free list.
     fn free(&mut self, id: PageId) -> StorageResult<()>;
 
@@ -81,13 +121,14 @@ pub trait PageFile: Send + Sync {
 
 /// In-memory simulated disk.
 ///
-/// Pages live in a `Vec`; reads and writes are `memcpy`s but are counted
-/// exactly as a real disk would be. This is what the experiments use — the
-/// paper's cost metric is the *number* of accesses, which is hardware
-/// independent.
+/// Pages live in a `Vec` as [`PageBytes`]; reads are `memcpy`s, or a shared
+/// handle to the stored page through [`PageFile::read_bytes`], and writes
+/// replace the stored page, but both are counted exactly as a real disk
+/// would count them. This is what the experiments use — the paper's cost
+/// metric is the *number* of accesses, which is hardware independent.
 pub struct MemPageFile {
     page_size: usize,
-    pages: Vec<Option<Box<[u8]>>>,
+    pages: Vec<Option<PageBytes>>,
     free_list: Vec<PageId>,
     stats: IoStats,
     /// Successful physical reads. Atomic because `read` takes `&self` and
@@ -108,10 +149,27 @@ impl MemPageFile {
         }
     }
 
-    fn slot(&self, id: PageId) -> StorageResult<&Option<Box<[u8]>>> {
-        self.pages
-            .get(id.index())
-            .ok_or(StorageError::PageOutOfBounds(id))
+    /// The stored page `id`, counting one physical read.
+    fn page(&self, id: PageId) -> StorageResult<&PageBytes> {
+        match self.pages.get(id.index()) {
+            Some(Some(data)) => {
+                // ordering: Relaxed — pure I/O counter; readers reconcile
+                // it against buffer-pool books only at quiescence.
+                self.reads.fetch_add(1, Ordering::Relaxed);
+                Ok(data)
+            }
+            Some(None) => Err(StorageError::PageFreed(id)),
+            None => Err(StorageError::PageOutOfBounds(id)),
+        }
+    }
+
+    /// The slot page `id` is written to: allocated and not freed.
+    fn slot_mut(&mut self, id: PageId) -> StorageResult<&mut PageBytes> {
+        match self.pages.get_mut(id.index()) {
+            Some(Some(page)) => Ok(page),
+            Some(None) => Err(StorageError::PageFreed(id)),
+            None => Err(StorageError::PageOutOfBounds(id)),
+        }
     }
 
     fn check_len(&self, len: usize) -> StorageResult<()> {
@@ -136,44 +194,39 @@ impl PageFile for MemPageFile {
 
     fn allocate(&mut self) -> StorageResult<PageId> {
         self.stats.allocations += 1;
+        let zeros = Some(PageBytes::from(vec![0; self.page_size]));
         if let Some(id) = self.free_list.pop() {
-            self.pages[id.index()] = Some(vec![0; self.page_size].into_boxed_slice());
+            self.pages[id.index()] = zeros;
             return Ok(id);
         }
         let id = PageId(self.pages.len() as u32);
-        self.pages
-            .push(Some(vec![0; self.page_size].into_boxed_slice()));
+        self.pages.push(zeros);
         Ok(id)
     }
 
     fn read(&self, id: PageId, buf: &mut [u8]) -> StorageResult<()> {
         self.check_len(buf.len())?;
-        match self.slot(id)? {
-            Some(data) => {
-                buf.copy_from_slice(data);
-                // ordering: Relaxed — pure I/O counter; readers reconcile
-                // it against buffer-pool books only at quiescence.
-                self.reads.fetch_add(1, Ordering::Relaxed);
-                Ok(())
-            }
-            None => Err(StorageError::PageFreed(id)),
-        }
+        buf.copy_from_slice(self.page(id)?);
+        Ok(())
+    }
+
+    /// The stored page itself: the frame that caches it shares the
+    /// allocation.
+    fn read_bytes(&self, id: PageId) -> StorageResult<PageBytes> {
+        self.page(id).cloned()
     }
 
     fn write(&mut self, id: PageId, data: &[u8]) -> StorageResult<()> {
+        self.write_shared(id, data).map(drop)
+    }
+
+    /// The stored page: the frame that caches it shares the allocation.
+    fn write_shared(&mut self, id: PageId, data: &[u8]) -> StorageResult<Option<PageBytes>> {
         self.check_len(data.len())?;
-        match self
-            .pages
-            .get_mut(id.index())
-            .ok_or(StorageError::PageOutOfBounds(id))?
-        {
-            Some(page) => {
-                page.copy_from_slice(data);
-                self.stats.writes += 1;
-                Ok(())
-            }
-            None => Err(StorageError::PageFreed(id)),
-        }
+        let page = PageBytes::from(data);
+        *self.slot_mut(id)? = page.clone();
+        self.stats.writes += 1;
+        Ok(Some(page))
     }
 
     fn free(&mut self, id: PageId) -> StorageResult<()> {

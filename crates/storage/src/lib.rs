@@ -22,7 +22,10 @@
 //! file behind a `RwLock` so miss I/O from concurrent readers overlaps) so
 //! query algorithms can hold shared references to two trees and still fault
 //! pages in through either. Page contents are returned as [`PageBytes`]
-//! (`Arc<[u8]>`), cheap to clone and immutable.
+//! (`Arc<[u8]>`), cheap to clone and immutable; an in-memory file and the
+//! frame caching its page share one allocation. A frame also keeps what a
+//! caller decoded from its bytes ([`BufferPool::read_decoded`]), so a
+//! resident page is decoded once, not on every hit.
 //!
 //! For failure testing, [`FailingPageFile`] wraps any page file and injects
 //! read errors, CRC corruption, or artificial latency under the control of a
@@ -46,13 +49,11 @@ mod page;
 mod sched;
 mod stats;
 
-pub use buffer::{
-    BufferPool, BufferStats, ClockPolicy, FifoPolicy, LruPolicy, PageBytes, ReplacementPolicy,
-};
+pub use buffer::{BufferPool, BufferStats, ClockPolicy, FifoPolicy, LruPolicy, ReplacementPolicy};
 pub use crc32::crc32;
 pub use error::{StorageError, StorageResult};
 pub use failing::{FailingPageFile, FailureControl};
 pub use file::{DiskPageFile, MemPageFile, PageFile};
-pub use page::{PageId, DEFAULT_PAGE_SIZE};
+pub use page::{PageBytes, PageId, DEFAULT_PAGE_SIZE};
 pub use sched::{DemandTicket, SchedConfig, SchedHandle, SchedPageFile, SchedStats};
 pub use stats::IoStats;

@@ -1,6 +1,12 @@
-//! Page identifiers and sizing constants.
+//! Page identifiers, page contents and sizing constants.
 
+use cpq_check::sync::Arc;
 use std::fmt;
+
+/// Immutable page contents, cheaply cloneable (one atomic increment per
+/// clone, like the `bytes::Bytes` it replaces — dropped so the workspace
+/// builds without registry access).
+pub type PageBytes = Arc<[u8]>;
 
 /// Page size used throughout the paper's experiments: 1 KiB, which yields an
 /// R*-tree node capacity of `M = 21` (Section 4).

@@ -44,10 +44,9 @@
 //! exercised exhaustively under the `cpq-check` model harness (see
 //! `model_tests` below and DESIGN.md §13).
 
-use crate::buffer::PageBytes;
 use crate::error::{StorageError, StorageResult};
 use crate::file::PageFile;
-use crate::page::PageId;
+use crate::page::{PageBytes, PageId};
 use crate::stats::IoStats;
 use cpq_check::sync::atomic::{AtomicU64, Ordering};
 use cpq_check::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};

@@ -8,13 +8,18 @@
 //! `io.reads >= misses` mid-flight (the physical read of an in-flight miss
 //! lands before its accounting). The negative model reintroduces a
 //! lost-update accounting bug and pins the PCT seed that exposes it.
+//!
+//! The decoded read (`read_decoded`) races a write of its page: a read that
+//! starts after the write returns never gets the value decoded from the old
+//! bytes. Its broken twin decodes outside the lock and attaches the value
+//! without checking that the frame still holds the bytes it decoded.
 #![cfg(cpq_model)]
 
 use cpq_check::sync::atomic::{AtomicU64, Ordering};
 use cpq_check::sync::{Arc, Mutex};
 use cpq_check::thread;
-use cpq_check::{model_dfs, model_pct, try_model_pct, DfsOptions, PctOptions};
-use cpq_storage::{BufferPool, MemPageFile, PageId};
+use cpq_check::{model_dfs, model_pct, try_model_dfs, try_model_pct, DfsOptions, PctOptions};
+use cpq_storage::{BufferPool, MemPageFile, PageId, StorageError};
 
 /// A 2-frame pool over three written pages; stats reset to zero.
 fn small_pool() -> (Arc<BufferPool>, Vec<PageId>) {
@@ -185,4 +190,118 @@ fn pinned_ledger_seed_still_fails() {
         PctOptions::one_seed(PINNED_LEDGER_SEED),
         broken_ledger_model,
     );
+}
+
+/// The first byte of a page, as a decoded value.
+fn first_byte(bytes: &[u8]) -> Result<u8, StorageError> {
+    Ok(bytes[0])
+}
+
+/// A resident, decoded page 0 (value 0); a reader decodes it while a
+/// writer writes value 9 and then reads it back. The writer's read, and
+/// every read after both threads are done, must see 9; the racing reader
+/// may see either; the books balance.
+fn decoded_read_races_write() {
+    let (pool, ids) = small_pool();
+    let id = ids[0];
+    assert_eq!(*pool.read_decoded(id, first_byte).expect("warm"), 0);
+    let reader = {
+        let pool = Arc::clone(&pool);
+        thread::spawn(move || {
+            let v = *pool.read_decoded(id, first_byte).expect("read");
+            assert!(v == 0 || v == 9, "a value no write made: {v}");
+        })
+    };
+    let writer = {
+        let pool = Arc::clone(&pool);
+        thread::spawn(move || {
+            pool.write_page(id, &[9; 16]).expect("write");
+            let v = *pool.read_decoded(id, first_byte).expect("read back");
+            assert_eq!(v, 9, "a read after the write got the old node");
+        })
+    };
+    reader.join().expect("reader");
+    writer.join().expect("writer");
+    let v = *pool.read_decoded(id, first_byte).expect("read");
+    assert_eq!(v, 9, "a read after the write got the old node");
+    let (buf, io) = pool.stats_snapshot();
+    assert_eq!(buf.logical_reads, 4);
+    assert_eq!(buf.hits + buf.misses, buf.logical_reads, "ledger exact");
+    assert_eq!(io.reads, buf.misses, "books balance at quiescence");
+}
+
+#[test]
+fn dfs_decoded_read_never_serves_the_node_a_write_replaced() {
+    let report = model_dfs(DfsOptions::smoke(), decoded_read_races_write);
+    assert!(report.complete, "the DFS must exhaust the interleavings");
+    assert!(report.schedules > 1, "explored {}", report.schedules);
+}
+
+#[test]
+fn pct_decoded_read_never_serves_the_node_a_write_replaced() {
+    let opts = PctOptions::from_env();
+    let want = opts.seeds.end - opts.seeds.start;
+    assert_eq!(model_pct(opts, decoded_read_races_write), want);
+}
+
+/// A frame of the broken twin: its bytes (one value) and the value decoded
+/// from them, if any.
+type TwinFrame = Mutex<(u8, Option<u8>)>;
+
+/// The broken twin's read: the decoded value if the frame has one, else
+/// copy the bytes, decode them **outside the lock**, re-lock and attach the
+/// value — BUG: without checking that the frame still holds the bytes it
+/// decoded (the check the first, rejected variant needed; the pool decodes
+/// under the lock it already holds instead).
+fn twin_read(frame: &TwinFrame) -> u8 {
+    let bytes = {
+        let f = frame.lock().expect("model lock");
+        if let Some(v) = f.1 {
+            return v;
+        }
+        f.0
+    };
+    let value = bytes; // the decode
+    frame.lock().expect("model lock").1 = Some(value);
+    value
+}
+
+fn broken_decode_install_model() {
+    let frame: Arc<TwinFrame> = Arc::new(Mutex::new((0, None)));
+    let reader = {
+        let frame = Arc::clone(&frame);
+        thread::spawn(move || {
+            twin_read(&frame);
+        })
+    };
+    let writer = {
+        let frame = Arc::clone(&frame);
+        thread::spawn(move || {
+            // The write replaces the bytes and drops the decoded value.
+            *frame.lock().expect("model lock") = (9, None);
+        })
+    };
+    reader.join().expect("reader");
+    writer.join().expect("writer");
+    assert_eq!(
+        twin_read(&frame),
+        9,
+        "a read after the write got the old node"
+    );
+}
+
+#[test]
+fn broken_decode_install_is_found_by_dfs() {
+    let failure = try_model_dfs(DfsOptions::smoke(), broken_decode_install_model)
+        .expect_err("the stale install must surface under exhaustive DFS");
+    assert!(
+        failure.message.contains("old node"),
+        "unexpected failure: {failure}"
+    );
+}
+
+#[test]
+#[should_panic(expected = "a read after the write got the old node")]
+fn broken_decode_install_twin_pinned_regression() {
+    let _ = model_dfs(DfsOptions::smoke(), broken_decode_install_model);
 }

@@ -87,6 +87,7 @@ if [ "${1:-}" = "--full" ]; then
             CPQ_MODEL_SEEDS=2000 cargo test --release -q "$@"
     }
     model_full -p cpq-storage --test model_buffer pct_failing
+    model_full -p cpq-storage --test model_buffer pct_decoded
     model_full -p cpq-core --lib model_tests::pct_
 fi
 

@@ -795,8 +795,7 @@ fn check(case: &Case, tally: &mut Tally) {
 
     // The incremental distance join knows neither self-joins nor
     // constraints, and breaks distance ties its own way: distances only.
-    // It takes no token, so only storage faults are armed on it — and not
-    // at K = 0, where it still reads both roots but drops a failed read.
+    // It takes no token, so only storage faults are armed on it.
     if !spec.self_join && !spec.constraint.is_active() {
         let mut rng = rng_for(case.seed, case.index, 0x14C);
         let inc = IncrementalConfig {
@@ -808,7 +807,7 @@ fn check(case: &Case, tally: &mut Tally) {
         let want = dists(want.as_ref().expect("cross specs are valid"));
         let join = || k_closest_pairs_incremental(tp, tq, spec.k, &inc);
         let fault = matches!(case.hazard, Hazard::FailRead(..) | Hazard::Corrupt(..));
-        let armed = (fault && spec.k > 0).then(|| {
+        let armed = fault.then(|| {
             hostile.call("incremental", &pools, |_, _| {
                 join().map(|out| (out.pairs, true))
             })
