@@ -118,14 +118,6 @@ impl Value {
         }
     }
 
-    /// The numeric payload as u32, if a number.
-    pub fn as_u32(&self) -> Option<u32> {
-        match self {
-            Value::Num(n) if *n >= 0.0 => Some(*n as u32),
-            _ => None,
-        }
-    }
-
     /// The array items, if an array.
     pub fn as_arr(&self) -> Option<&[Value]> {
         match self {

@@ -63,7 +63,6 @@ mod engine;
 mod heap_alg;
 mod incremental;
 mod kheap;
-pub mod multiway;
 mod parallel;
 mod recursive;
 mod semi;
@@ -86,7 +85,6 @@ pub use incremental::{
     distance_join, k_closest_pairs_incremental, DistanceJoin, IncTie, IncrementalConfig, Traversal,
 };
 pub use kheap::KHeap;
-pub use multiway::{k_closest_tuples, MultiwayOutcome, TupleMetric, TupleResult};
 pub use semi::semi_closest_pairs;
 pub use sorting::SortAlgorithm;
 pub use spec::{Constraint, QuerySpec};

@@ -1,13 +1,10 @@
 //! Failure propagation through the executors the differential harness does
-//! not reach: a corrupted page under one tree turns the semi and multiway
-//! closest-pair results into `Err`. (The K-CPQ algorithms and the
+//! not reach: a corrupted page under one tree turns the semi closest-pair
+//! result into `Err`. (The K-CPQ algorithms and the
 //! incremental join are held to it by the harness's storage-fault hazards.)
 //! And a query for no pairs reads no page, so it cannot fail.
 
-use cpq_core::{
-    k_closest_pairs_incremental, k_closest_tuples, semi_closest_pairs, IncrementalConfig,
-    TupleMetric,
-};
+use cpq_core::{k_closest_pairs_incremental, semi_closest_pairs, IncrementalConfig};
 use cpq_geo::Point;
 use cpq_rng::Rng;
 use cpq_rtree::{RTree, RTreeParams};
@@ -34,12 +31,11 @@ fn corrupt_all_but_root(tree: &RTree<2>) {
 }
 
 #[test]
-fn semi_and_multiway_surface_corruption() {
+fn semi_surfaces_corruption() {
     let ta = random_tree(400, 5);
     let tb = random_tree(400, 6);
     corrupt_all_but_root(&tb);
     assert!(semi_closest_pairs(&ta, &tb).is_err());
-    assert!(k_closest_tuples(&[&ta, &tb], 2, TupleMetric::Chain).is_err());
 }
 
 #[test]

@@ -2,10 +2,9 @@
 //! trees of `Rect` objects with MBR distance semantics, verified against
 //! brute force.
 
-use cpq_core::multiway::k_closest_tuples_brute;
 use cpq_core::{
-    brute, k_closest_pairs, k_closest_pairs_incremental, k_closest_tuples, self_closest_pairs,
-    semi_closest_pairs, Algorithm, CpqConfig, IncrementalConfig, TupleMetric,
+    brute, k_closest_pairs, k_closest_pairs_incremental, self_closest_pairs, semi_closest_pairs,
+    Algorithm, CpqConfig, IncrementalConfig,
 };
 use cpq_datasets::uniform_rects;
 use cpq_geo::{min_min_dist2, Rect2};
@@ -118,19 +117,5 @@ fn rect_incremental_and_semi_and_self() {
     let expected = brute::self_k_closest_pairs_brute(&indexed(&ps), 10);
     for (g, e) in selfk.pairs.iter().zip(&expected) {
         assert!((g.dist2.get() - e.dist2.get()).abs() < 1e-9, "self");
-    }
-}
-
-#[test]
-fn rect_multiway() {
-    let a = uniform_rects(25, 15.0, 8);
-    let b = uniform_rects(25, 15.0, 9);
-    let c = uniform_rects(25, 15.0, 10);
-    let (ta, tb, tc) = (rect_tree(&a), rect_tree(&b), rect_tree(&c));
-    let (ia, ib, ic) = (indexed(&a), indexed(&b), indexed(&c));
-    let got = k_closest_tuples(&[&ta, &tb, &tc], 6, TupleMetric::Chain).unwrap();
-    let expected = k_closest_tuples_brute(&[&ia, &ib, &ic], 6, TupleMetric::Chain);
-    for (g, e) in got.tuples.iter().zip(&expected) {
-        assert!((g.distance - e.distance).abs() < 1e-9);
     }
 }

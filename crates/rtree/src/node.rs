@@ -101,15 +101,6 @@ impl<const D: usize, O: SpatialObject<D>> Node<D, O> {
         }
     }
 
-    /// Mutable leaf entries; panics on inner nodes.
-    #[inline]
-    pub fn leaf_entries_mut(&mut self) -> &mut Vec<LeafEntry<D, O>> {
-        match self {
-            Node::Leaf(es) => es,
-            Node::Inner { .. } => panic!("leaf_entries_mut() on inner node"),
-        }
-    }
-
     /// Mutable inner entries; panics on leaves.
     #[inline]
     pub fn inner_entries_mut(&mut self) -> &mut Vec<InnerEntry<D>> {

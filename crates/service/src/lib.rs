@@ -83,11 +83,6 @@ pub use cpq_core::{CancelToken, Constraint, QuerySpec};
 // Re-exported so embedders can consume slow-query profiles without
 // depending on cpq-obs directly.
 pub use cpq_obs::QueryProfile;
-// Re-exported so embedders can build trees over scheduled (real-disk)
-// buffer pools — and read the scheduler's counters back — without
-// depending on cpq-storage directly. The `cpq_io_*` series in
-// `/metrics` bridge these stats per tree at scrape time.
-pub use cpq_storage::{SchedConfig, SchedStats};
 // Re-exported so embedders can build the sharded replicas a
 // `Source::Sharded` service routes scatter requests to without
 // depending on cpq-shard directly.

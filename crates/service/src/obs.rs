@@ -62,77 +62,6 @@ struct TreeBridge {
     hit_ratio: Arc<Gauge>,
 }
 
-/// Bridged I/O-scheduler counters for one tree's pool. All-zero (but
-/// pre-registered) when the pool is unscheduled.
-struct IoBridge {
-    demand_reads: Arc<Counter>,
-    demand_stall_ns: Arc<Counter>,
-    physical_pages: Arc<Counter>,
-    physical_batches: Arc<Counter>,
-    prefetch_hits: Arc<Counter>,
-    prefetch_waste: Arc<Counter>,
-    prefetch_dropped: Arc<Counter>,
-    dedup_joins: Arc<Counter>,
-    coalesce_ratio: Arc<Gauge>,
-    prefetch_hit_rate: Arc<Gauge>,
-    queue_depth: Arc<Gauge>,
-}
-
-fn io_bridge(registry: &Registry, tree: &str) -> IoBridge {
-    let prefetch = |result: &str| {
-        registry.counter(
-            "cpq_io_prefetch_total",
-            "speculative prefetch outcomes, by tree (bridged from the I/O scheduler)",
-            &[("tree", tree), ("result", result)],
-        )
-    };
-    IoBridge {
-        demand_reads: registry.counter(
-            "cpq_io_demand_reads_total",
-            "completed demand page reads through the I/O scheduler, by tree",
-            &[("tree", tree)],
-        ),
-        demand_stall_ns: registry.counter(
-            "cpq_io_demand_stall_nanoseconds_total",
-            "nanoseconds demand readers spent blocked on scheduler completions, by tree",
-            &[("tree", tree)],
-        ),
-        physical_pages: registry.counter(
-            "cpq_io_physical_pages_total",
-            "pages physically read from disk by the I/O scheduler, by tree",
-            &[("tree", tree)],
-        ),
-        physical_batches: registry.counter(
-            "cpq_io_physical_batches_total",
-            "physical read calls issued by the I/O scheduler (coalesced spans count once), by tree",
-            &[("tree", tree)],
-        ),
-        prefetch_hits: prefetch("hit"),
-        prefetch_waste: prefetch("waste"),
-        prefetch_dropped: prefetch("dropped"),
-        dedup_joins: registry.counter(
-            "cpq_io_dedup_joins_total",
-            "demand reads that joined an already in-flight read, by tree",
-            &[("tree", tree)],
-        ),
-        coalesce_ratio: registry.gauge(
-            "cpq_io_coalesce_ratio",
-            "pages delivered per physical read call; >1 means coalescing pays off, by tree",
-            &[("tree", tree)],
-        ),
-        prefetch_hit_rate: registry.gauge(
-            "cpq_io_prefetch_hit_rate",
-            "fraction of issued prefetches that served a demand read, in [0,1], by tree",
-            &[("tree", tree)],
-        ),
-        queue_depth: registry.gauge(
-            "cpq_io_queue_depth",
-            "read requests currently queued in the I/O scheduler (read at scrape time), by tree",
-            &[("tree", tree)],
-        ),
-    }
-}
-
 /// Bridged `cpq_wal_*` / `cpq_live_*` series for one live tree. Present
 /// (as zeros) on static services too, so dashboards keyed on the family
 /// names never 404; refreshed only when the service actually serves a
@@ -244,23 +173,6 @@ impl LiveBridge {
     }
 }
 
-impl IoBridge {
-    fn refresh(&self, pool: &BufferPool) {
-        let Some(s) = pool.sched_stats() else { return };
-        self.demand_reads.store(s.demand_reads);
-        self.demand_stall_ns.store(s.demand_stall_ns);
-        self.physical_pages.store(s.physical_pages);
-        self.physical_batches.store(s.physical_batches);
-        self.prefetch_hits.store(s.prefetch_hits);
-        self.prefetch_waste.store(s.prefetch_waste);
-        self.prefetch_dropped.store(s.prefetch_dropped);
-        self.dedup_joins.store(s.dedup_joins);
-        self.coalesce_ratio.set(s.coalesce_ratio());
-        self.prefetch_hit_rate.set(s.prefetch_hit_rate());
-        self.queue_depth.set(pool.io_queue_depth() as f64);
-    }
-}
-
 /// The observability state of one service: registry, pre-registered
 /// instruments, and the slow-query log.
 pub struct ServiceObs {
@@ -297,8 +209,6 @@ pub struct ServiceObs {
     apply_ops: Arc<Counter>,
     bridge_p: TreeBridge,
     bridge_q: TreeBridge,
-    io_bridge_p: IoBridge,
-    io_bridge_q: IoBridge,
     live_bridge_p: LiveBridge,
     live_bridge_q: LiveBridge,
     slow_log: SlowQueryLog,
@@ -507,8 +417,6 @@ impl ServiceObs {
             ),
             bridge_p: bridge(&registry, "p"),
             bridge_q: bridge(&registry, "q"),
-            io_bridge_p: io_bridge(&registry, "p"),
-            io_bridge_q: io_bridge(&registry, "q"),
             live_bridge_p: live_bridge(&registry, "p"),
             live_bridge_q: live_bridge(&registry, "q"),
             slow_log: SlowQueryLog::new(threshold_us, capacity),
@@ -623,8 +531,6 @@ impl ServiceObs {
         self.bridge_q.hits.store(bq.hits);
         self.bridge_q.misses.store(bq.misses);
         self.bridge_q.hit_ratio.set(bq.hit_rate());
-        self.io_bridge_p.refresh(pool_p);
-        self.io_bridge_q.refresh(pool_q);
         if let Some((lp, lq)) = live {
             self.live_bridge_p.refresh(lp);
             self.live_bridge_q.refresh(lq);

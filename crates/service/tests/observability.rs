@@ -140,16 +140,9 @@ const ZERO_OK: &[&str] = &[
 ];
 
 /// Whole subsystems that workload does not drive (sequential queries on a
-/// static pair never touch the parallel engine, shards, live trees, the
-/// WAL, or the async I/O scheduler); their series are fed by the subsystem
-/// tests instead.
-const ZERO_OK_PREFIXES: &[&str] = &[
-    "cpq_io_",
-    "cpq_live_",
-    "cpq_parallel_",
-    "cpq_shard_",
-    "cpq_wal_",
-];
+/// static pair never touch the parallel engine, shards, live trees or the
+/// WAL); their series are fed by the subsystem tests instead.
+const ZERO_OK_PREFIXES: &[&str] = &["cpq_live_", "cpq_parallel_", "cpq_shard_", "cpq_wal_"];
 
 /// The metrics gate. Scrapes `/metrics` over a real TCP connection (the
 /// path `curl` takes) and holds the body to the exposition linter — format,
@@ -339,67 +332,5 @@ fn disabled_observability_is_inert() {
     assert!(service.obs().is_none());
     assert_eq!(service.render_metrics(), "");
     assert!(service.drain_slow_queries().is_empty());
-    service.shutdown();
-}
-
-/// Trees on scheduled (real-I/O) pools light up the bridged `cpq_io_*`
-/// series: demand reads equal the pools' misses, and the exposition stays
-/// lint-clean. Unscheduled services keep the families pre-registered at
-/// zero (checked implicitly by the lint test above).
-#[test]
-fn scheduled_pools_bridge_io_series() {
-    use cpq_service::SchedConfig;
-
-    let build_sched = |n: usize, seed: u64| {
-        let pool = BufferPool::with_lru_scheduled(
-            Box::new(MemPageFile::new(1024)),
-            64,
-            SchedConfig::default(),
-        );
-        let mut tree = RTree::new(pool, RTreeParams::paper()).unwrap();
-        for (p, oid) in uniform(n, seed).indexed() {
-            tree.insert(p, oid).unwrap();
-        }
-        tree
-    };
-    let service = CpqService::start(
-        TreePair::new(build_sched(300, 42), build_sched(300, 1337)),
-        ServiceConfig {
-            workers: 2,
-            obs: ObsConfig::default(),
-            ..ServiceConfig::default()
-        },
-    );
-    let resp = service
-        .execute(QueryRequest::cross(10, Algorithm::Heap))
-        .unwrap();
-    assert_eq!(resp.status, QueryStatus::Completed);
-
-    let body = service.render_metrics();
-    lint_exposition(&body).expect("exposition must stay lint-clean");
-    let series = |name: &str, tree: &str| -> f64 {
-        let needle = format!("{name}{{tree=\"{tree}\"}} ");
-        body.lines()
-            .find(|l| l.starts_with(&needle))
-            .and_then(|l| l.rsplit(' ').next())
-            .and_then(|v| v.parse().ok())
-            .unwrap_or_else(|| panic!("missing series {needle}"))
-    };
-    // The P tree's scheduler served this query's misses: its bridged
-    // demand counter must agree exactly with the pool's own books.
-    let (bp, io_p) = service
-        .trees()
-        .expect("static service")
-        .p
-        .pool()
-        .stats_snapshot();
-    assert_eq!(io_p.reads, bp.misses, "pool ledger balances");
-    assert_eq!(
-        series("cpq_io_demand_reads_total", "p") as u64,
-        io_p.reads,
-        "bridged demand reads mirror the pool"
-    );
-    assert!(series("cpq_io_physical_pages_total", "p") > 0.0);
-    assert!(series("cpq_io_physical_batches_total", "p") > 0.0);
     service.shutdown();
 }

@@ -118,15 +118,4 @@ impl<const D: usize, O: SpatialObject<D>> ShardedTree<D, O> {
     pub fn is_empty(&self) -> bool {
         self.shards.is_empty()
     }
-
-    /// Issues asynchronous root-page prefetch hints for the given shards —
-    /// the cross-shard analogue of the parallel descent's speculative page
-    /// hints. A no-op on pools without an I/O scheduler.
-    pub fn prefetch_roots(&self, shard_ids: &[u32]) {
-        for &id in shard_ids {
-            if let Some(tree) = self.shards.get(id as usize) {
-                tree.prefetch(&[tree.root()]);
-            }
-        }
-    }
 }

@@ -41,9 +41,6 @@ pub struct ShardConfig {
     /// the byte codec and run from the decoded message — the in-process
     /// proof that the wire protocol is complete.
     pub wire_codec: bool,
-    /// Issue asynchronous root-page prefetch hints for the next pending
-    /// shard pair while the current one runs (a no-op on memory pools).
-    pub prefetch: bool,
     /// Query id stamped on protocol messages (diagnostics / correlation).
     pub query_id: u64,
 }
@@ -53,7 +50,6 @@ impl Default for ShardConfig {
         ShardConfig {
             workers: 4,
             wire_codec: false,
-            prefetch: true,
             query_id: 0,
         }
     }
@@ -279,12 +275,6 @@ impl<const D: usize, O: SpatialObject<D>> ShardedQuery<'_, D, O> {
             error: None,
         };
         while let Some(task) = sc.next() {
-            if self.shard.prefetch {
-                if let Some((np, nq)) = sc.peek_next() {
-                    self.p.prefetch_roots(&[np]);
-                    self.q.prefetch_roots(&[nq]);
-                }
-            }
             let run = match self.run_task(sc, task) {
                 Ok(run) => run,
                 Err(e) => {

@@ -124,13 +124,6 @@ impl Scatter {
         Some(task)
     }
 
-    /// Peeks the shard pair that will be dispatched next (prefetch hint
-    /// for the coordinator; racy by nature, which is fine for a hint).
-    pub fn peek_next(&self) -> Option<(u32, u32)> {
-        let st = self.state.lock().expect("scatter state poisoned");
-        st.pending.peek().map(|t| (t.0.shard_p, t.0.shard_q))
-    }
-
     /// Stops dispatch: subsequent [`next`](Self::next) calls return `None`
     /// immediately (pending tasks are neither opened nor counted pruned).
     pub fn cancel(&self) {

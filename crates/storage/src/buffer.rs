@@ -28,7 +28,7 @@
 use crate::error::{StorageError, StorageResult};
 use crate::file::PageFile;
 use crate::page::{PageBytes, PageId};
-use crate::sched::{DemandTicket, SchedConfig, SchedHandle, SchedPageFile, SchedStats};
+use crate::sched::{SchedConfig, SchedHandle, SchedPageFile, SchedStats};
 use crate::stats::IoStats;
 use cpq_check::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::any::Any;
@@ -316,6 +316,11 @@ struct State {
     pinned_count: usize,
     policy: Box<dyn ReplacementPolicy>,
     stats: BufferStats,
+    /// Moves with every `write_page` and `free_page`. A miss samples it
+    /// when it drops the lock for its file read; if it has moved by the
+    /// time the miss is accounted, the bytes read may predate a write of
+    /// the page, so they are not cached.
+    generation: u64,
 }
 
 impl State {
@@ -340,13 +345,22 @@ impl State {
     }
 
     /// Accounts one successful miss and installs the page (capacity and
-    /// pins permitting). If another thread installed `id` while the file
-    /// read ran outside the state lock, the existing frame is kept.
+    /// pins permitting) unless a write or free landed since the miss
+    /// sampled `generation`. If another thread installed `id` while the
+    /// file read ran outside the state lock, the existing frame is kept.
     /// Returns the frame holding `id` when it holds exactly `data` — the
     /// one a decoded value of `data` may be attached to.
-    fn complete_miss(&mut self, id: PageId, data: &PageBytes) -> Option<&mut Frame> {
+    fn complete_miss(
+        &mut self,
+        id: PageId,
+        data: &PageBytes,
+        generation: u64,
+    ) -> Option<&mut Frame> {
         self.stats.logical_reads += 1;
         self.stats.misses += 1;
+        if generation != self.generation {
+            return None;
+        }
         let f = self.install(id, data)?;
         Some(self.mapped(f)).filter(|frame| Arc::ptr_eq(&frame.data, data))
     }
@@ -409,8 +423,7 @@ impl State {
 ///   contents as cheaply-cloneable [`PageBytes`]; a miss faults the page in and
 ///   (capacity permitting) caches it, evicting per the policy. Miss I/O runs
 ///   under the file's shared read guard with the bookkeeping mutex released,
-///   so concurrent misses overlap; [`get_many`](BufferPool::get_many) batches
-///   the lock traffic for multi-page fetches, and
+///   so concurrent misses overlap, and
 ///   [`read_decoded`](BufferPool::read_decoded) returns the value decoded
 ///   from the page, decoding at most once per residency.
 /// * Write path: write-through — the file always holds the latest data, and
@@ -445,6 +458,7 @@ impl BufferPool {
                 pinned_count: 0,
                 policy,
                 stats: BufferStats::default(),
+                generation: 0,
             }),
             sched: None,
         }
@@ -455,45 +469,24 @@ impl BufferPool {
         Self::new(file, capacity, Box::new(LruPolicy::new()))
     }
 
-    /// Creates a pool whose miss I/O runs through an I/O scheduler
+    /// LRU pool whose miss I/O runs through an I/O scheduler
     /// ([`SchedPageFile`]) wrapped around `inner`: concurrent misses for
     /// one page dedup onto one physical read, contiguous misses coalesce
     /// into span reads, and [`prefetch`](Self::prefetch) hints are served
     /// in idle gaps. The accounting contract is unchanged —
     /// `misses == io.reads` at quiescence (see `crate::sched`).
-    pub fn new_scheduled(
-        inner: Box<dyn PageFile>,
-        capacity: usize,
-        policy: Box<dyn ReplacementPolicy>,
-        cfg: SchedConfig,
-    ) -> Self {
+    pub fn with_lru_scheduled(inner: Box<dyn PageFile>, capacity: usize, cfg: SchedConfig) -> Self {
         let sched_file = SchedPageFile::new(inner, cfg);
         let handle = sched_file.handle();
-        let mut pool = Self::new(Box::new(sched_file), capacity, policy);
+        let mut pool = Self::with_lru(Box::new(sched_file), capacity);
         pool.sched = Some(handle);
         pool
-    }
-
-    /// Convenience: LRU pool over a scheduled file.
-    pub fn with_lru_scheduled(inner: Box<dyn PageFile>, capacity: usize, cfg: SchedConfig) -> Self {
-        Self::new_scheduled(inner, capacity, Box::new(LruPolicy::new()), cfg)
-    }
-
-    /// Whether miss I/O goes through the I/O scheduler.
-    pub fn is_scheduled(&self) -> bool {
-        self.sched.is_some()
     }
 
     /// Scheduler counters (coalesce ratio, prefetch outcomes, stall time),
     /// or `None` for an unscheduled pool.
     pub fn sched_stats(&self) -> Option<SchedStats> {
         self.sched.as_ref().map(|s| s.stats())
-    }
-
-    /// Requests currently queued in the scheduler; 0 for an unscheduled
-    /// pool.
-    pub fn io_queue_depth(&self) -> usize {
-        self.sched.as_ref().map_or(0, |s| s.queue_depth())
     }
 
     /// Hints that `ids` will likely be read soon. On a scheduled pool the
@@ -544,6 +537,10 @@ impl BufferPool {
 
     /// Reads a page, through the cache.
     ///
+    /// A miss whose file read overlaps a `write_page` or `free_page` (of
+    /// any page) is counted but not cached, so a later hit never serves
+    /// bytes older than a completed write.
+    ///
     /// Counters move only when the read *succeeds*: a failed physical read
     /// (out of bounds, freed page, I/O error, corrupt checksum) leaves
     /// `logical_reads`, `hits`, and `misses` all untouched. That preserves
@@ -552,11 +549,15 @@ impl BufferPool {
     /// miss up front would let the two sides disagree forever after the
     /// first failed read.
     pub fn read_page(&self, id: PageId) -> StorageResult<PageBytes> {
-        if let Some(frame) = self.guard().try_hit(id) {
-            return Ok(frame.data.clone());
-        }
+        let generation = {
+            let mut st = self.guard();
+            if let Some(frame) = st.try_hit(id) {
+                return Ok(frame.data.clone());
+            }
+            st.generation
+        };
         let data = self.fetch(id)?;
-        self.guard().complete_miss(id, &data);
+        self.guard().complete_miss(id, &data, generation);
         Ok(data)
     }
 
@@ -572,8 +573,8 @@ impl BufferPool {
     /// reads, evictions and the victim are exactly `read_page`'s, the miss
     /// counted before `decode` runs: a page that reads but does not decode
     /// moves the books as `read_page` followed by a failed decode does. A
-    /// read the pool cannot cache (zero capacity, every frame pinned)
-    /// decodes outside the lock, every time.
+    /// read the pool cannot cache (zero capacity, every frame pinned, a
+    /// write or free during its file read) decodes outside the lock.
     pub fn read_decoded<T, E>(
         &self,
         id: PageId,
@@ -587,10 +588,11 @@ impl BufferPool {
         if let Some(frame) = st.try_hit(id) {
             return frame.decoded(decode);
         }
+        let generation = st.generation;
         drop(st);
         let data = self.fetch(id)?;
         let mut st = self.guard();
-        if let Some(frame) = st.complete_miss(id, &data) {
+        if let Some(frame) = st.complete_miss(id, &data, generation) {
             return frame.decoded(decode);
         }
         drop(st);
@@ -609,93 +611,6 @@ impl BufferPool {
         }
     }
 
-    /// Batched [`read_page`](Self::read_page): one state pass classifies
-    /// hits and misses, one shared file guard serves **all** miss I/O, and
-    /// one final state pass accounts and installs the fetched pages — three
-    /// lock acquisitions total instead of up to three per page.
-    ///
-    /// Counter semantics match `read_page` exactly (pages are accounted
-    /// individually, only on successful physical reads). If any physical
-    /// read fails, successfully-read pages are still accounted and cached,
-    /// and the first error (in request order) is returned. On an
-    /// unscheduled pool reads stop at the first failure; a scheduled pool
-    /// submits every miss up front (so they overlap and coalesce) and thus
-    /// completes — and accounts — the successful ones after the failure
-    /// too. Both keep the books balanced: every counted miss is a
-    /// successful physical read.
-    // `out` is allocated with `ids.len()` slots and every index `i`
-    // enumerates `ids`, so the indexing cannot go out of bounds.
-    pub fn get_many(&self, ids: &[PageId]) -> StorageResult<Vec<PageBytes>> {
-        let mut out: Vec<Option<PageBytes>> = vec![None; ids.len()];
-        let mut missing: Vec<(usize, PageId)> = Vec::new();
-        {
-            let mut st = self.guard();
-            for (i, &id) in ids.iter().enumerate() {
-                match st.try_hit(id) {
-                    Some(frame) => out[i] = Some(frame.data.clone()),
-                    None => missing.push((i, id)),
-                }
-            }
-        }
-        if missing.is_empty() {
-            // analyze: allow(panic-path) — every index was filled by a hit or
-            // pushed to `missing` above.
-            return Ok(out.into_iter().map(|o| o.expect("hit filled")).collect());
-        }
-        let mut fetched: Vec<(usize, PageId, PageBytes)> = Vec::with_capacity(missing.len());
-        let mut first_err = None;
-        {
-            let file = self.file_read();
-            match &self.sched {
-                Some(s) => {
-                    // Submit every miss before waiting on any: the
-                    // scheduler overlaps and coalesces them. All misses
-                    // are therefore physically read even when one fails;
-                    // each success is still accounted, and the first
-                    // error (in request order) is returned.
-                    let tickets: Vec<(usize, PageId, DemandTicket)> = missing
-                        .iter()
-                        .map(|&(i, id)| (i, id, s.submit(id)))
-                        .collect();
-                    for (i, id, t) in tickets {
-                        match s.finish(t) {
-                            Ok(data) => fetched.push((i, id, data)),
-                            Err(e) => {
-                                if first_err.is_none() {
-                                    first_err = Some(e);
-                                }
-                            }
-                        }
-                    }
-                }
-                None => {
-                    for &(i, id) in &missing {
-                        match file.read_bytes(id) {
-                            Ok(data) => fetched.push((i, id, data)),
-                            Err(e) => {
-                                first_err = Some(e);
-                                break;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        {
-            let mut st = self.guard();
-            for (i, id, data) in fetched {
-                st.complete_miss(id, &data);
-                out[i] = Some(data);
-            }
-        }
-        match first_err {
-            Some(e) => Err(e),
-            // analyze: allow(panic-path) — with no error, every missing index was
-            // filled by the fetch loop above.
-            None => Ok(out.into_iter().map(|o| o.expect("page filled")).collect()),
-        }
-    }
-
     /// Writes a page, write-through, refreshing any cached copy (and
     /// dropping the value decoded from the old bytes). As with
     /// [`read_page`](Self::read_page), the `writes` counter moves only on
@@ -704,6 +619,7 @@ impl BufferPool {
         let mut st = self.guard();
         let stored = self.file_write().write_shared(id, data)?;
         st.stats.writes += 1;
+        st.generation += 1;
         if let Some(&f) = st.map.get(&id) {
             let data = stored.unwrap_or_else(|| PageBytes::from(data));
             *st.mapped(f) = Frame::new(id, data);
@@ -715,6 +631,7 @@ impl BufferPool {
     /// Frees a page and drops any cached copy (clearing any pin).
     pub fn free_page(&self, id: PageId) -> StorageResult<()> {
         let mut st = self.guard();
+        st.generation += 1;
         if let Some(f) = st.map.remove(&id) {
             st.frames[f] = None;
             st.free_frames.push(f);
@@ -1327,44 +1244,9 @@ mod tests {
     }
 
     #[test]
-    fn get_many_mixes_hits_and_misses() {
-        let pool = pool_with(2, Box::new(LruPolicy::new()));
-        let ids = fill(&pool, 3);
-        pool.read_page(ids[0]).unwrap(); // cache page 0
-        pool.reset_stats();
-        let pages = pool.get_many(&[ids[0], ids[1], ids[2], ids[0]]).unwrap();
-        assert_eq!(pages.len(), 4);
-        assert_eq!(&pages[0][..], &[0u8; 64][..]);
-        assert_eq!(&pages[1][..], &[1u8; 64][..]);
-        assert_eq!(&pages[2][..], &[2u8; 64][..]);
-        assert_eq!(&pages[3][..], &[0u8; 64][..]);
-        let s = pool.buffer_stats();
-        assert_eq!(s.logical_reads, 4);
-        assert_eq!(s.hits, 2, "page 0 was resident for both requests");
-        assert_eq!(s.misses, 2);
-        assert_eq!(pool.io_stats().reads, 2);
-    }
-
-    #[test]
-    fn get_many_accounts_successes_before_error() {
-        let pool = pool_with(4, Box::new(LruPolicy::new()));
-        let ids = fill(&pool, 2);
-        pool.reset_stats();
-        let err = pool.get_many(&[ids[0], PageId(99), ids[1]]);
-        assert!(err.is_err());
-        let (b, io) = pool.stats_snapshot();
-        // The page read before the failure is accounted and cached; the page
-        // after the failure is never read.
-        assert_eq!(b.misses, 1);
-        assert_eq!(io.reads, 1);
-        assert_eq!(b.logical_reads, b.hits + b.misses);
-    }
-
-    #[test]
     fn scheduled_pool_keeps_ledger_exact_with_prefetch() {
         let file = MemPageFile::new(64);
         let pool = BufferPool::with_lru_scheduled(Box::new(file), 0, SchedConfig::default());
-        assert!(pool.is_scheduled());
         let ids = fill(&pool, 8);
         pool.reset_stats();
         // Prefetch half the pages, then read everything twice through a
@@ -1388,14 +1270,16 @@ mod tests {
     }
 
     #[test]
-    fn scheduled_get_many_coalesces_and_balances() {
+    fn scheduled_prefetch_coalesces_and_balances() {
         let file = MemPageFile::new(64);
         let pool = BufferPool::with_lru_scheduled(Box::new(file), 4, SchedConfig::default());
         let ids = fill(&pool, 12);
         pool.reset_stats();
-        let pages = pool.get_many(&ids).unwrap();
-        for (i, p) in pages.iter().enumerate() {
-            assert_eq!(&p[..], &[i as u8; 64][..]);
+        // One hint for a contiguous run, queued under one scheduler lock
+        // hold: the first batch an I/O thread takes is the whole run.
+        pool.prefetch(&ids);
+        for (i, &id) in ids.iter().enumerate() {
+            assert_eq!(&pool.read_page(id).unwrap()[..], &[i as u8; 64][..]);
         }
         let (b, io) = pool.stats_snapshot();
         assert_eq!(b.logical_reads, 12);
@@ -1403,21 +1287,24 @@ mod tests {
         assert_eq!(io.reads, 12);
         let s = pool.sched_stats().unwrap();
         assert!(
-            s.coalesce_ratio() > 1.0,
-            "contiguous batch misses must merge into span reads: {s:?}"
+            s.physical_pages > s.physical_batches,
+            "contiguous prefetched misses must merge into span reads: {s:?}"
         );
     }
 
     #[test]
-    fn scheduled_get_many_surfaces_error_and_accounts_successes() {
+    fn scheduled_read_surfaces_error_and_accounts_successes() {
         let file = MemPageFile::new(64);
         let pool = BufferPool::with_lru_scheduled(Box::new(file), 4, SchedConfig::default());
         let ids = fill(&pool, 2);
         pool.reset_stats();
-        assert!(pool.get_many(&[ids[0], PageId(99), ids[1]]).is_err());
+        let batch = [ids[0], PageId(99), ids[1]];
+        pool.prefetch(&batch);
+        let read: Vec<bool> = batch.iter().map(|&id| pool.read_page(id).is_ok()).collect();
+        assert_eq!(read, [true, false, true]);
         let (b, io) = pool.stats_snapshot();
-        // Scheduled pools submit everything up front: both valid pages are
-        // read and accounted; the out-of-bounds one fails and counts nothing.
+        // Both valid pages are read and accounted; the out-of-bounds one
+        // fails and counts nothing, prefetched or not.
         assert_eq!(b.misses, 2);
         assert_eq!(io.reads, 2);
         assert_eq!(b.logical_reads, b.hits + b.misses);
@@ -1429,9 +1316,7 @@ mod tests {
         let ids = fill(&pool, 2);
         pool.reset_stats();
         pool.prefetch(&ids);
-        assert!(!pool.is_scheduled());
         assert!(pool.sched_stats().is_none());
-        assert_eq!(pool.io_queue_depth(), 0);
         let (b, io) = pool.stats_snapshot();
         assert_eq!(b.logical_reads, 0);
         assert_eq!(io.reads, 0, "no-op prefetch must not touch the file");

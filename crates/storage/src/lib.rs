@@ -55,5 +55,5 @@ pub use error::{StorageError, StorageResult};
 pub use failing::{FailingPageFile, FailureControl};
 pub use file::{DiskPageFile, MemPageFile, PageFile};
 pub use page::{PageBytes, PageId, DEFAULT_PAGE_SIZE};
-pub use sched::{DemandTicket, SchedConfig, SchedHandle, SchedPageFile, SchedStats};
+pub use sched::{SchedConfig, SchedHandle, SchedPageFile, SchedStats};
 pub use stats::IoStats;

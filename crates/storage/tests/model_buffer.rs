@@ -13,6 +13,10 @@
 //! starts after the write returns never gets the value decoded from the old
 //! bytes. Its broken twin decodes outside the lock and attaches the value
 //! without checking that the frame still holds the bytes it decoded.
+//!
+//! A miss on a page that is not resident races a write of that page: the
+//! miss may read the old bytes outside the lock, but it must not cache
+//! them once the write has landed, or every later hit serves them.
 #![cfg(cpq_model)]
 
 use cpq_check::sync::atomic::{AtomicU64, Ordering};
@@ -304,4 +308,59 @@ fn broken_decode_install_is_found_by_dfs() {
 #[should_panic(expected = "a read after the write got the old node")]
 fn broken_decode_install_twin_pinned_regression() {
     let _ = model_dfs(DfsOptions::smoke(), broken_decode_install_model);
+}
+
+/// A page that is not resident (value 0) is read, through `read_page` or
+/// `read_decoded`, while a writer writes value 9 and then reads it back.
+/// The writer's read, and every read after both threads are done, must
+/// see 9; the racing reader may see either; the books balance.
+fn miss_races_write(decoded: bool) {
+    let (pool, ids) = small_pool();
+    let id = ids[0];
+    let read = move |pool: &BufferPool| -> u8 {
+        if decoded {
+            *pool.read_decoded(id, first_byte).expect("read")
+        } else {
+            pool.read_page(id).expect("read")[0]
+        }
+    };
+    let reader = {
+        let pool = Arc::clone(&pool);
+        thread::spawn(move || {
+            let v = read(&pool);
+            assert!(v == 0 || v == 9, "a value no write made: {v}");
+        })
+    };
+    let writer = {
+        let pool = Arc::clone(&pool);
+        thread::spawn(move || {
+            pool.write_page(id, &[9; 16]).expect("write");
+            assert_eq!(read(&pool), 9, "a read after the write got stale bytes");
+        })
+    };
+    reader.join().expect("reader");
+    writer.join().expect("writer");
+    assert_eq!(read(&pool), 9, "a read after the write got stale bytes");
+    let (buf, io) = pool.stats_snapshot();
+    assert_eq!(buf.logical_reads, 3);
+    assert_eq!(buf.hits + buf.misses, buf.logical_reads, "ledger exact");
+    assert_eq!(io.reads, buf.misses, "books balance at quiescence");
+}
+
+#[test]
+fn dfs_miss_never_caches_bytes_a_write_replaced() {
+    for decoded in [false, true] {
+        let report = model_dfs(DfsOptions::smoke(), move || miss_races_write(decoded));
+        assert!(report.complete, "the DFS must exhaust the interleavings");
+        assert!(report.schedules > 1, "explored {}", report.schedules);
+    }
+}
+
+#[test]
+fn pct_miss_never_caches_bytes_a_write_replaced() {
+    for decoded in [false, true] {
+        let opts = PctOptions::from_env();
+        let want = opts.seeds.end - opts.seeds.start;
+        assert_eq!(model_pct(opts, move || miss_races_write(decoded)), want);
+    }
 }

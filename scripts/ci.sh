@@ -88,6 +88,7 @@ if [ "${1:-}" = "--full" ]; then
     }
     model_full -p cpq-storage --test model_buffer pct_failing
     model_full -p cpq-storage --test model_buffer pct_decoded
+    model_full -p cpq-storage --test model_buffer pct_miss
     model_full -p cpq-core --lib model_tests::pct_
 fi
 
