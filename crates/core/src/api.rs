@@ -9,7 +9,6 @@ use crate::parallel::{run_parallel, SpecRuntime};
 use crate::recursive::{exhaustive, naive, simple, sorted};
 use crate::spec::{Constraint, QuerySpec};
 use crate::types::{CpqStats, QueryOutcome, QueryRun};
-use cpq_geo::SpatialObject;
 use cpq_obs::{NullProbe, Probe, ProbeSide};
 use cpq_rtree::{RTree, RTreeError, RTreeResult};
 
@@ -141,14 +140,14 @@ impl<'a, P: Probe> ExecCtx<'a, P> {
 ///
 /// Fails with [`RTreeError::InvalidParams`] when the spec is invalid (see
 /// [`QuerySpec::validate`]).
-pub fn execute<const D: usize, O: SpatialObject<D>, P: Probe>(
-    tree_p: &RTree<D, O>,
-    tree_q: &RTree<D, O>,
+pub fn execute<const D: usize, P: Probe>(
+    tree_p: &RTree<D>,
+    tree_q: &RTree<D>,
     spec: &QuerySpec<D>,
     algorithm: Algorithm,
     config: &CpqConfig,
     mut ctx: ExecCtx<'_, P>,
-) -> RTreeResult<QueryRun<D, O>> {
+) -> RTreeResult<QueryRun<D>> {
     spec.validate()?;
     if spec.k == 0 || tree_p.is_empty() || tree_q.is_empty() {
         return Ok(QueryRun {
@@ -170,13 +169,13 @@ pub fn execute<const D: usize, O: SpatialObject<D>, P: Probe>(
 
 /// Finds the `K` closest pairs between the points of `tree_p` and `tree_q`:
 /// [`execute`] on an unconstrained cross spec, outcome only.
-pub fn k_closest_pairs<const D: usize, O: SpatialObject<D>>(
-    tree_p: &RTree<D, O>,
-    tree_q: &RTree<D, O>,
+pub fn k_closest_pairs<const D: usize>(
+    tree_p: &RTree<D>,
+    tree_q: &RTree<D>,
     k: usize,
     algorithm: Algorithm,
     config: &CpqConfig,
-) -> RTreeResult<QueryOutcome<D, O>> {
+) -> RTreeResult<QueryOutcome<D>> {
     execute(
         tree_p,
         tree_q,
@@ -189,24 +188,24 @@ pub fn k_closest_pairs<const D: usize, O: SpatialObject<D>>(
 }
 
 /// The 1-CP convenience wrapper: the single closest pair.
-pub fn closest_pair<const D: usize, O: SpatialObject<D>>(
-    tree_p: &RTree<D, O>,
-    tree_q: &RTree<D, O>,
+pub fn closest_pair<const D: usize>(
+    tree_p: &RTree<D>,
+    tree_q: &RTree<D>,
     algorithm: Algorithm,
     config: &CpqConfig,
-) -> RTreeResult<QueryOutcome<D, O>> {
+) -> RTreeResult<QueryOutcome<D>> {
     k_closest_pairs(tree_p, tree_q, 1, algorithm, config)
 }
 
 /// Self-CPQ (Section 6, future work): the `K` closest pairs **within** one
 /// data set, pairing distinct points only and counting each unordered pair
 /// once (results have `p.oid < q.oid`).
-pub fn self_closest_pairs<const D: usize, O: SpatialObject<D>>(
-    tree: &RTree<D, O>,
+pub fn self_closest_pairs<const D: usize>(
+    tree: &RTree<D>,
     k: usize,
     algorithm: Algorithm,
     config: &CpqConfig,
-) -> RTreeResult<QueryOutcome<D, O>> {
+) -> RTreeResult<QueryOutcome<D>> {
     execute(
         tree,
         tree,
@@ -220,14 +219,14 @@ pub fn self_closest_pairs<const D: usize, O: SpatialObject<D>>(
 
 /// [`k_closest_pairs`] under a result-pair [`Constraint`]. Kept for the
 /// `benchmark/` package; new code calls [`execute`].
-pub fn k_closest_pairs_constrained<const D: usize, O: SpatialObject<D>>(
-    tree_p: &RTree<D, O>,
-    tree_q: &RTree<D, O>,
+pub fn k_closest_pairs_constrained<const D: usize>(
+    tree_p: &RTree<D>,
+    tree_q: &RTree<D>,
     k: usize,
     algorithm: Algorithm,
     config: &CpqConfig,
     constraint: Constraint<D>,
-) -> RTreeResult<QueryOutcome<D, O>> {
+) -> RTreeResult<QueryOutcome<D>> {
     execute(
         tree_p,
         tree_q,
@@ -242,13 +241,13 @@ pub fn k_closest_pairs_constrained<const D: usize, O: SpatialObject<D>>(
 /// [`self_closest_pairs`] under a result-pair [`Constraint`], which must be
 /// symmetric (see [`QuerySpec::validate`]). Kept for the `benchmark/`
 /// package; new code calls [`execute`].
-pub fn self_closest_pairs_constrained<const D: usize, O: SpatialObject<D>>(
-    tree: &RTree<D, O>,
+pub fn self_closest_pairs_constrained<const D: usize>(
+    tree: &RTree<D>,
     k: usize,
     algorithm: Algorithm,
     config: &CpqConfig,
     constraint: Constraint<D>,
-) -> RTreeResult<QueryOutcome<D, O>> {
+) -> RTreeResult<QueryOutcome<D>> {
     execute(
         tree,
         tree,
@@ -262,15 +261,15 @@ pub fn self_closest_pairs_constrained<const D: usize, O: SpatialObject<D>>(
 
 /// [`k_closest_pairs`] with a [`CancelToken`] and a caller-supplied
 /// [`Probe`]. Kept for the `benchmark/` package; new code calls [`execute`].
-pub fn k_closest_pairs_instrumented<const D: usize, O: SpatialObject<D>, P: Probe>(
-    tree_p: &RTree<D, O>,
-    tree_q: &RTree<D, O>,
+pub fn k_closest_pairs_instrumented<const D: usize, P: Probe>(
+    tree_p: &RTree<D>,
+    tree_q: &RTree<D>,
     k: usize,
     algorithm: Algorithm,
     config: &CpqConfig,
     cancel: &CancelToken,
     probe: &mut P,
-) -> RTreeResult<QueryRun<D, O>> {
+) -> RTreeResult<QueryRun<D>> {
     execute(
         tree_p,
         tree_q,
@@ -285,15 +284,15 @@ pub fn k_closest_pairs_instrumented<const D: usize, O: SpatialObject<D>, P: Prob
 /// runs (`par = None`) and the parallel executor's leader thread
 /// (`par = Some`), which is what guarantees the two modes traverse, prune,
 /// and retain identically.
-pub(crate) fn run_leader<const D: usize, O: SpatialObject<D>, P: Probe>(
-    tree_p: &RTree<D, O>,
-    tree_q: &RTree<D, O>,
+pub(crate) fn run_leader<const D: usize, P: Probe>(
+    tree_p: &RTree<D>,
+    tree_q: &RTree<D>,
     spec: &QuerySpec<D>,
     algorithm: Algorithm,
     config: &CpqConfig,
     exec: &mut ExecCtx<'_, P>,
-    par: Option<&SpecRuntime<D, O>>,
-) -> RTreeResult<QueryRun<D, O>> {
+    par: Option<&SpecRuntime<D>>,
+) -> RTreeResult<QueryRun<D>> {
     let mut ctx = Ctx::new(tree_p, tree_q, spec, config, exec, par);
 
     // A token that is already tripped (deadline expired while queued) stops

@@ -3,19 +3,19 @@
 
 use crate::spec::Constraint;
 use crate::types::{pair_cmp, PairResult};
-use cpq_geo::SpatialObject;
+use cpq_geo::Point;
 use cpq_rtree::LeafEntry;
 
 /// The `K` closest pairs between two object slices, by exhaustive scan.
 /// Pairs are returned sorted in the canonical `(distance, p.oid, q.oid)`
 /// order ([`pair_cmp`]) — the same total order the tree algorithms' K-heap
 /// retains, so references and engine agree bit-for-bit on distance ties.
-pub fn k_closest_pairs_brute<const D: usize, O: SpatialObject<D>>(
-    ps: &[(O, u64)],
-    qs: &[(O, u64)],
+pub fn k_closest_pairs_brute<const D: usize>(
+    ps: &[(Point<D>, u64)],
+    qs: &[(Point<D>, u64)],
     k: usize,
-) -> Vec<PairResult<D, O>> {
-    let mut all: Vec<PairResult<D, O>> = Vec::with_capacity(ps.len() * qs.len());
+) -> Vec<PairResult<D>> {
+    let mut all: Vec<PairResult<D>> = Vec::with_capacity(ps.len() * qs.len());
     for &(p, poid) in ps {
         for &(q, qoid) in qs {
             all.push(PairResult::new(
@@ -31,11 +31,11 @@ pub fn k_closest_pairs_brute<const D: usize, O: SpatialObject<D>>(
 
 /// The `K` closest pairs **within** one set (unordered pairs of distinct
 /// points), sorted ascending; results have `p.oid < q.oid`.
-pub fn self_k_closest_pairs_brute<const D: usize, O: SpatialObject<D>>(
-    ps: &[(O, u64)],
+pub fn self_k_closest_pairs_brute<const D: usize>(
+    ps: &[(Point<D>, u64)],
     k: usize,
-) -> Vec<PairResult<D, O>> {
-    let mut all: Vec<PairResult<D, O>> = Vec::new();
+) -> Vec<PairResult<D>> {
+    let mut all: Vec<PairResult<D>> = Vec::new();
     for (i, &(p, poid)) in ps.iter().enumerate() {
         for &(q, qoid) in &ps[i + 1..] {
             let (a, b) = if poid < qoid {
@@ -59,13 +59,13 @@ pub fn self_k_closest_pairs_brute<const D: usize, O: SpatialObject<D>>(
 /// **same** [`Constraint::admits_pair`] predicate the tree engines gate
 /// their leaf scans with, so parity failures can only come from pruning
 /// bugs, never predicate drift.
-pub fn k_closest_pairs_brute_constrained<const D: usize, O: SpatialObject<D>>(
-    ps: &[(O, u64)],
-    qs: &[(O, u64)],
+pub fn k_closest_pairs_brute_constrained<const D: usize>(
+    ps: &[(Point<D>, u64)],
+    qs: &[(Point<D>, u64)],
     k: usize,
     constraint: &Constraint<D>,
-) -> Vec<PairResult<D, O>> {
-    let mut all: Vec<PairResult<D, O>> = Vec::new();
+) -> Vec<PairResult<D>> {
+    let mut all: Vec<PairResult<D>> = Vec::new();
     for &(p, poid) in ps {
         for &(q, qoid) in qs {
             if !constraint.admits_pair(&p.mbr(), poid, &q.mbr(), qoid) {
@@ -85,16 +85,16 @@ pub fn k_closest_pairs_brute_constrained<const D: usize, O: SpatialObject<D>>(
 /// Constrained variant of [`self_k_closest_pairs_brute`]. The constraint
 /// must be symmetric (`window_p == window_q`): unordered pairs have no
 /// stable side assignment.
-pub fn self_k_closest_pairs_brute_constrained<const D: usize, O: SpatialObject<D>>(
-    ps: &[(O, u64)],
+pub fn self_k_closest_pairs_brute_constrained<const D: usize>(
+    ps: &[(Point<D>, u64)],
     k: usize,
     constraint: &Constraint<D>,
-) -> Vec<PairResult<D, O>> {
+) -> Vec<PairResult<D>> {
     assert!(
         constraint.is_symmetric(),
         "self-join constraints must use one symmetric window"
     );
-    let mut all: Vec<PairResult<D, O>> = Vec::new();
+    let mut all: Vec<PairResult<D>> = Vec::new();
     for (i, &(p, poid)) in ps.iter().enumerate() {
         for &(q, qoid) in &ps[i + 1..] {
             let (a, b) = if poid < qoid {
@@ -118,11 +118,11 @@ pub fn self_k_closest_pairs_brute_constrained<const D: usize, O: SpatialObject<D
 
 /// The all-nearest-neighbor join by exhaustive scan: for each point of `ps`
 /// its nearest point in `qs`, sorted by ascending distance.
-pub fn semi_closest_pairs_brute<const D: usize, O: SpatialObject<D>>(
-    ps: &[(O, u64)],
-    qs: &[(O, u64)],
-) -> Vec<PairResult<D, O>> {
-    let mut out: Vec<PairResult<D, O>> = ps
+pub fn semi_closest_pairs_brute<const D: usize>(
+    ps: &[(Point<D>, u64)],
+    qs: &[(Point<D>, u64)],
+) -> Vec<PairResult<D>> {
+    let mut out: Vec<PairResult<D>> = ps
         .iter()
         .map(|&(p, poid)| {
             let (q, qoid) = qs
@@ -145,7 +145,6 @@ pub fn semi_closest_pairs_brute<const D: usize, O: SpatialObject<D>>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cpq_geo::Point;
 
     fn pts(v: &[[f64; 2]]) -> Vec<(Point<2>, u64)> {
         v.iter()

@@ -17,7 +17,7 @@ use crate::parallel::{SpecRuntime, TaskOut};
 use crate::spec::{Constraint, QuerySpec};
 use crate::types::{CpqStats, PairResult};
 use cpq_check::sync::Arc;
-use cpq_geo::{max_max_dist2, min_max_dist2, min_min_dist2_within, Dist2, Rect, SpatialObject};
+use cpq_geo::{max_max_dist2, min_max_dist2, min_min_dist2_within, Dist2, Point, Rect};
 use cpq_obs::{Probe, ProbeSide};
 use cpq_rtree::{InnerEntry, LeafEntry, Node, RTree, RTreeError, RTreeResult};
 use cpq_storage::PageId;
@@ -88,9 +88,9 @@ pub(crate) struct GenScratch<const D: usize> {
 /// qualifying point lies in both — and an entry whose MBR misses the window
 /// is dropped *silently* (it contains no qualifying points; it is not a
 /// pruned pair, at any `T`).
-fn fill_side<const D: usize, O: SpatialObject<D>>(
+fn fill_side<const D: usize>(
     side: &mut Vec<Side<D>>,
-    node: &Node<D, O>,
+    node: &Node<D>,
     descend: bool,
     clip: impl Fn(&Rect<D>) -> Option<Rect<D>>,
 ) {
@@ -129,9 +129,9 @@ fn fill_side<const D: usize, O: SpatialObject<D>>(
 /// order and pruned count — because the kernel returns `None` iff the full
 /// sum exceeds `t` and accumulates it in the same order either way
 /// (`gen_at_infinity_then_filter_equals_gen_at_t` below executes this).
-pub(crate) fn candidates<const D: usize, O: SpatialObject<D>>(
-    np: &Node<D, O>,
-    nq: &Node<D, O>,
+pub(crate) fn candidates<const D: usize>(
+    np: &Node<D>,
+    nq: &Node<D>,
     height: HeightStrategy,
     constraint: &Constraint<D>,
     t: Dist2,
@@ -182,7 +182,7 @@ pub(crate) fn candidates<const D: usize, O: SpatialObject<D>>(
 const LANES: usize = 4;
 
 /// Scratch of [`scan_brute`], reused across leaf pairs: the admitted `Q`
-/// entries of the current pair as per-axis `lo`/`hi` coordinate arrays
+/// points of the current pair as per-axis coordinate arrays
 /// (`[chunk][axis][lane]`, entry `j` in lane `j % LANES` of chunk
 /// `j / LANES`), and one row of squared distances.
 ///
@@ -192,71 +192,47 @@ const LANES: usize = 4;
 /// (`cpq-live`, node encode) already pays for.
 #[derive(Default)]
 pub(crate) struct LeafScratch<const D: usize> {
-    /// Lower / upper MBR coordinates. Unused lanes of the last chunk hold
-    /// `+∞`, which either gap formula carries to a distance of `+∞`.
-    lo: Vec<[[f64; LANES]; D]>,
-    hi: Vec<[[f64; LANES]; D]>,
-    /// `true` when every gathered MBR is degenerate (`lo == hi`: point
-    /// data).
-    points: bool,
+    /// Point coordinates. Unused lanes of the last chunk hold `+∞`, which
+    /// the kernel carries to a distance of `+∞`.
+    q: Vec<[[f64; LANES]; D]>,
     /// The gathered entries' positions in the leaf's entry slice.
     idx: Vec<u32>,
-    /// `MINMINDIST²` from the current `P` entry to each gathered entry.
+    /// Squared distance from the current `P` point to each gathered point.
     row: Vec<[f64; LANES]>,
 }
 
 impl<const D: usize> LeafScratch<D> {
     /// Gathers the entries of `eqs` that pass the `Q` window.
-    fn gather<O: SpatialObject<D>>(&mut self, eqs: &[LeafEntry<D, O>], constraint: &Constraint<D>) {
-        self.lo.clear();
-        self.hi.clear();
-        self.points = true;
+    fn gather(&mut self, eqs: &[LeafEntry<D>], constraint: &Constraint<D>) {
+        self.q.clear();
         self.idx.clear();
         for (i, eq) in eqs.iter().enumerate() {
-            let mbr = eq.mbr();
-            if !constraint.admits_q(&mbr) {
+            if !constraint.admits_q(&eq.mbr()) {
                 continue;
             }
             let (chunk, lane) = (self.idx.len() / LANES, self.idx.len() % LANES);
             if lane == 0 {
-                self.lo.push([[f64::INFINITY; LANES]; D]);
-                self.hi.push([[f64::INFINITY; LANES]; D]);
+                self.q.push([[f64::INFINITY; LANES]; D]);
             }
             for d in 0..D {
-                self.lo[chunk][d][lane] = mbr.lo().coord(d);
-                self.hi[chunk][d][lane] = mbr.hi().coord(d);
+                self.q[chunk][d][lane] = eq.object.coord(d);
             }
-            self.points &= mbr.is_degenerate();
             self.idx.push(i as u32);
         }
-        self.row.resize(self.lo.len(), [0.0; LANES]);
+        self.row.resize(self.q.len(), [0.0; LANES]);
     }
 
-    /// Fills `row` with `MINMINDIST²(mbr_p, q)` for every gathered `q` and
-    /// returns the smallest: per axis the gap of [`cpq_geo::axis_gap`],
-    /// the squares summed in axis order from `0.0` — bit for bit what
-    /// [`cpq_geo::min_min_dist2`] returns. Between two points that gap,
-    /// `max(q - p, p - q, 0)`, is `|q - p|`, whose square is `(q - p)²` to
-    /// the bit.
-    fn fill_row(&mut self, mbr_p: &Rect<D>) -> f64 {
-        let (plo, phi) = (mbr_p.lo(), mbr_p.hi());
-        if self.points && plo == phi {
-            self.fill_row_with(|d, q, _| q - plo.coord(d))
-        } else {
-            self.fill_row_with(|d, qlo, qhi| (qlo - phi.coord(d)).max(plo.coord(d) - qhi).max(0.0))
-        }
-    }
-
-    /// [`fill_row`](Self::fill_row) for one gap formula
-    /// `gap(axis, q_lo, q_hi)`.
-    #[inline]
-    fn fill_row_with(&mut self, gap: impl Fn(usize, f64, f64) -> f64) -> f64 {
+    /// Fills `row` with the squared distance from `p` to every gathered `q`
+    /// and returns the smallest: `(q - p)²` summed in axis order from `0.0`
+    /// — bit for bit what [`cpq_geo::min_min_dist2`] returns on the two
+    /// points' MBRs, whose per-axis gap `max(q - p, p - q, 0)` is `|q - p|`.
+    fn fill_row(&mut self, p: &Point<D>) -> f64 {
         let mut min = [f64::INFINITY; LANES];
-        for ((row, lo), hi) in self.row.iter_mut().zip(&self.lo).zip(&self.hi) {
+        for (row, q) in self.row.iter_mut().zip(&self.q) {
             let mut acc = [0.0; LANES];
-            for d in 0..D {
+            for (d, qd) in q.iter().enumerate() {
                 for l in 0..LANES {
-                    let gap = gap(d, lo[d][l], hi[d][l]);
+                    let gap = qd[l] - p.coord(d);
                     acc[l] += gap * gap;
                 }
             }
@@ -275,12 +251,12 @@ impl<const D: usize> LeafScratch<D> {
 /// [`ScatterCtx::orient`]). `min_min_dist2` is bitwise symmetric under the
 /// swap, so the distance computed before it is unchanged.
 #[inline]
-fn oriented<const D: usize, O: SpatialObject<D>>(
+fn oriented<const D: usize>(
     orient: bool,
-    ep: &LeafEntry<D, O>,
-    eq: &LeafEntry<D, O>,
+    ep: &LeafEntry<D>,
+    eq: &LeafEntry<D>,
     d2: Dist2,
-) -> PairResult<D, O> {
+) -> PairResult<D> {
     if orient && ep.oid > eq.oid {
         PairResult::with_dist2(*eq, *ep, d2)
     } else {
@@ -302,14 +278,14 @@ fn oriented<const D: usize, O: SpatialObject<D>>(
 /// what offering all of them leaves. A tie at the threshold still goes to
 /// the heap, whose `(dist2, oid, oid)` order decides it. The local `t` can
 /// only have moved when an offer landed.
-pub(crate) fn scan_brute<const D: usize, O: SpatialObject<D>>(
-    lp: &Node<D, O>,
-    lq: &Node<D, O>,
+pub(crate) fn scan_brute<const D: usize>(
+    lp: &Node<D>,
+    lq: &Node<D>,
     self_join: bool,
     constraint: &Constraint<D>,
     orient: bool,
     scratch: &mut LeafScratch<D>,
-    kheap: &mut KHeap<D, O>,
+    kheap: &mut KHeap<D>,
 ) -> u64 {
     let eqs = lq.leaf_entries();
     scratch.gather(eqs, constraint);
@@ -324,11 +300,10 @@ pub(crate) fn scan_brute<const D: usize, O: SpatialObject<D>>(
     let mut dists = 0;
     let mut t = kheap.threshold().get();
     for ep in lp.leaf_entries() {
-        let mbr_p = ep.mbr();
-        if !constraint.admits_p(&mbr_p) {
+        if !constraint.admits_p(&ep.mbr()) {
             continue; // filtered before the kernel: not a computation
         }
-        let nearest = scratch.fill_row(&mbr_p);
+        let nearest = scratch.fill_row(&ep.object);
         let gathered = scratch.idx.iter().map(|&i| &eqs[i as usize]);
         dists += if self_join || constraint.colored {
             gathered.clone().filter(|eq| admits(ep.oid, eq.oid)).count() as u64
@@ -381,12 +356,12 @@ struct SweepTally {
 /// Generic over the [`Probe`] so instrumentation monomorphizes away: with
 /// [`cpq_obs::NullProbe`] (`ENABLED = false`) every probe call site and its
 /// `Instant::now()` guard compiles to nothing.
-pub(crate) struct Ctx<'a, const D: usize, O: SpatialObject<D>, P: Probe> {
-    pub tp: &'a RTree<D, O>,
-    pub tq: &'a RTree<D, O>,
+pub(crate) struct Ctx<'a, const D: usize, P: Probe> {
+    pub tp: &'a RTree<D>,
+    pub tq: &'a RTree<D>,
     pub cfg: &'a CpqConfig,
     pub k: usize,
-    pub kheap: KHeap<D, O>,
+    pub kheap: KHeap<D>,
     /// Upper bound on the K-th result distance derived from Inequality 2
     /// (1-CP) or the MAXMAXDIST cardinality argument (K-CP). Kept separate
     /// from the K-heap threshold because it does not correspond to concrete
@@ -417,7 +392,7 @@ pub(crate) struct Ctx<'a, const D: usize, O: SpatialObject<D>, P: Probe> {
     /// owns this context — still executes the unchanged sequential control
     /// flow; the runtime only lets it consult caches that worker threads
     /// warm ahead of it. `None` compiles the consults away.
-    pub par: Option<&'a SpecRuntime<D, O>>,
+    pub par: Option<&'a SpecRuntime<D>>,
     /// Scatter-gather hookup when this run is one shard-pair subquery of a
     /// sharded query (see [`ScatterCtx`]). `None` compiles the extra
     /// threshold term and the publish calls away.
@@ -452,19 +427,19 @@ pub(crate) struct Ctx<'a, const D: usize, O: SpatialObject<D>, P: Probe> {
 
 /// The recursion step the four recursive algorithms hand to
 /// [`Ctx::descend`]: process one child node pair at its pages.
-pub(crate) type RecurseFn<'a, const D: usize, O, P> =
-    fn(&mut Ctx<'a, D, O, P>, &Node<D, O>, &Node<D, O>, PageId, PageId) -> RTreeResult<()>;
+pub(crate) type RecurseFn<'a, const D: usize, P> =
+    fn(&mut Ctx<'a, D, P>, &Node<D>, &Node<D>, PageId, PageId) -> RTreeResult<()>;
 
-impl<'a, const D: usize, O: SpatialObject<D>, P: Probe> Ctx<'a, D, O, P> {
+impl<'a, const D: usize, P: Probe> Ctx<'a, D, P> {
     /// Sets up one run of `spec`; the cancel token, probe and scatter
     /// hookup are borrowed from `exec`.
     pub(crate) fn new(
-        tp: &'a RTree<D, O>,
-        tq: &'a RTree<D, O>,
+        tp: &'a RTree<D>,
+        tq: &'a RTree<D>,
         spec: &QuerySpec<D>,
         cfg: &'a CpqConfig,
         exec: &'a mut ExecCtx<'_, P>,
-        par: Option<&'a SpecRuntime<D, O>>,
+        par: Option<&'a SpecRuntime<D>>,
     ) -> Self {
         Ctx {
             tp,
@@ -582,11 +557,7 @@ impl<'a, const D: usize, O: SpatialObject<D>, P: Probe> Ctx<'a, D, O, P> {
     /// sequential run's buffer pool would, which keeps reported disk
     /// accesses identical to a sequential run against unbuffered
     /// (`capacity = 0`) pools.
-    pub(crate) fn read_side(
-        &mut self,
-        side: ProbeSide,
-        page: PageId,
-    ) -> RTreeResult<Arc<Node<D, O>>> {
+    pub(crate) fn read_side(&mut self, side: ProbeSide, page: PageId) -> RTreeResult<Arc<Node<D>>> {
         let tree = match side {
             ProbeSide::P => self.tp,
             ProbeSide::Q => self.tq,
@@ -613,8 +584,8 @@ impl<'a, const D: usize, O: SpatialObject<D>, P: Probe> Ctx<'a, D, O, P> {
     /// through [`return_cands`](Self::return_cands).
     pub(crate) fn open_pair(
         &mut self,
-        np: &Node<D, O>,
-        nq: &Node<D, O>,
+        np: &Node<D>,
+        nq: &Node<D>,
         page_p: PageId,
         page_q: PageId,
         prune: bool,
@@ -654,8 +625,8 @@ impl<'a, const D: usize, O: SpatialObject<D>, P: Probe> Ctx<'a, D, O, P> {
     /// either way.
     pub(crate) fn scan_leaves(
         &mut self,
-        lp: &Node<D, O>,
-        lq: &Node<D, O>,
+        lp: &Node<D>,
+        lq: &Node<D>,
         page_p: PageId,
         page_q: PageId,
     ) {
@@ -701,7 +672,7 @@ impl<'a, const D: usize, O: SpatialObject<D>, P: Probe> Ctx<'a, D, O, P> {
     }
 
     /// [`scan_brute`] into this run's K-heap and `dist_computations`.
-    fn scan_leaves_brute(&mut self, lp: &Node<D, O>, lq: &Node<D, O>) {
+    fn scan_leaves_brute(&mut self, lp: &Node<D>, lq: &Node<D>) {
         self.stats.dist_computations += scan_brute(
             lp,
             lq,
@@ -727,7 +698,7 @@ impl<'a, const D: usize, O: SpatialObject<D>, P: Probe> Ctx<'a, D, O, P> {
     /// entry comes first in merged order, so this enumerates the same pairs
     /// as a sweep over the materialized merged sequence while never
     /// stepping over same-side items.
-    fn scan_leaves_sweep(&mut self, lp: &Node<D, O>, lq: &Node<D, O>) -> SweepTally {
+    fn scan_leaves_sweep(&mut self, lp: &Node<D>, lq: &Node<D>) -> SweepTally {
         let mut tally = SweepTally::default();
         let eps = lp.leaf_entries();
         let eqs = lq.leaf_entries();
@@ -807,12 +778,10 @@ impl<'a, const D: usize, O: SpatialObject<D>, P: Probe> Ctx<'a, D, O, P> {
         &mut self,
         anchor: SweepProj,
         others: &[SweepProj],
-        pair_of: impl Fn(u32, u32) -> (&'e LeafEntry<D, O>, &'e LeafEntry<D, O>),
+        pair_of: impl Fn(u32, u32) -> (&'e LeafEntry<D>, &'e LeafEntry<D>),
         t: &mut Dist2,
         tally: &mut SweepTally,
-    ) where
-        O: 'e,
-    {
+    ) {
         for other in others {
             let gap = other.lo - anchor.hi;
             if gap > 0.0 && gap * gap > t.get() {
@@ -856,8 +825,8 @@ impl<'a, const D: usize, O: SpatialObject<D>, P: Probe> Ctx<'a, D, O, P> {
     /// look-ahead for the workers.
     pub(crate) fn gen_cands(
         &mut self,
-        np: &Node<D, O>,
-        nq: &Node<D, O>,
+        np: &Node<D>,
+        nq: &Node<D>,
         page_p: PageId,
         page_q: PageId,
         prune: bool,
@@ -966,12 +935,12 @@ impl<'a, const D: usize, O: SpatialObject<D>, P: Probe> Ctx<'a, D, O, P> {
     /// mode).
     pub(crate) fn descend(
         &mut self,
-        np: &Node<D, O>,
-        nq: &Node<D, O>,
+        np: &Node<D>,
+        nq: &Node<D>,
         page_p: PageId,
         page_q: PageId,
         cand: &Cand<D>,
-        f: RecurseFn<'a, D, O, P>,
+        f: RecurseFn<'a, D, P>,
     ) -> RTreeResult<()> {
         match (&cand.p, &cand.q) {
             (Descend::Down(ep), Descend::Down(eq)) => {
@@ -1004,7 +973,7 @@ impl<'a, const D: usize, O: SpatialObject<D>, P: Probe> Ctx<'a, D, O, P> {
     /// the pools cache nothing (`capacity = 0`, the paper's zero-buffer
     /// configuration); with a warm buffer the two modes count different
     /// things by design (logical vs. physical reads).
-    pub(crate) fn finish(mut self) -> crate::types::QueryOutcome<D, O> {
+    pub(crate) fn finish(mut self) -> crate::types::QueryOutcome<D> {
         let misses_before = self.misses_before;
         let same_tree = std::ptr::eq(self.tp, self.tq);
         if self.par.is_some() {
@@ -1051,36 +1020,18 @@ pub(crate) mod tests {
     use cpq_rtree::RTreeParams;
     use cpq_storage::{BufferPool, MemPageFile};
 
-    /// `n` seeded objects on a 16 × 16 integer grid (duplicate coordinates,
-    /// distance ties) in an `M = 4` tree, oid `i` colored `i % 3`;
-    /// `object` makes one from its lower corner.
-    fn grid_tree_of<O: SpatialObject<2>>(
-        n: u64,
-        seed: u64,
-        mut object: impl FnMut([f64; 2], &mut Rng) -> O,
-    ) -> RTree<2, O> {
+    /// `n` seeded points on a 16 × 16 integer grid (duplicate coordinates,
+    /// distance ties) in an `M = 4` tree, oid `i` colored `i % 3`.
+    pub(crate) fn grid_tree(n: u64, seed: u64) -> RTree<2> {
         let pool = BufferPool::with_lru(Box::new(MemPageFile::new(1024)), 16);
         let mut tree = RTree::new(pool, RTreeParams::with_max_entries(4)).unwrap();
         let mut rng = Rng::seed_from_u64(seed);
         for i in 0..n {
             let xy = [0, 0].map(|_| f64::from(rng.random_range(0..16u32)));
-            tree.insert(object(xy, &mut rng), pack_color(i, (i % 3) as u16))
+            tree.insert(Point(xy), pack_color(i, (i % 3) as u16))
                 .unwrap();
         }
         tree
-    }
-
-    /// [`grid_tree_of`] points.
-    pub(crate) fn grid_tree(n: u64, seed: u64) -> RTree<2> {
-        grid_tree_of(n, seed, |xy, _| Point(xy))
-    }
-
-    /// [`grid_tree_of`] extended objects: extents 0 to 3 per axis, so some
-    /// are degenerate on one axis or both.
-    fn grid_rect_tree(n: u64, seed: u64) -> RTree<2, Rect<2>> {
-        grid_tree_of(n, seed, |lo, rng| {
-            Rect::from_corners(lo, lo.map(|c| c + f64::from(rng.random_range(0..4u32))))
-        })
     }
 
     /// A seeded window with integer corners inside the grid.
@@ -1090,7 +1041,7 @@ pub(crate) mod tests {
     }
 
     /// A seeded node of `tree`: the root, or some way down a random path.
-    fn some_node(tree: &RTree<2>, rng: &mut Rng) -> Arc<Node<2, Point<2>>> {
+    fn some_node(tree: &RTree<2>, rng: &mut Rng) -> Arc<Node<2>> {
         let mut node = tree.read_node(tree.root()).unwrap();
         while !node.is_leaf() && rng.random_bool(0.6) {
             let down = node.inner_entries()[rng.random_range(0..node.len())].child;
@@ -1148,13 +1099,13 @@ pub(crate) mod tests {
     /// CP3 as the sentence reads — the loop [`scan_brute`] replaced: every
     /// pair through the orientation rule and `admits_pair`, the rect-rect
     /// kernel, a `PairResult`, the heap.
-    fn scan_literal<O: SpatialObject<2>>(
-        lp: &Node<2, O>,
-        lq: &Node<2, O>,
+    fn scan_literal(
+        lp: &Node<2>,
+        lq: &Node<2>,
         self_join: bool,
         constraint: &Constraint<2>,
         orient: bool,
-        kheap: &mut KHeap<2, O>,
+        kheap: &mut KHeap<2>,
     ) -> u64 {
         let mut dists = 0;
         for ep in lp.leaf_entries() {
@@ -1174,7 +1125,7 @@ pub(crate) mod tests {
     }
 
     /// Every leaf of `tree`.
-    fn leaves<O: SpatialObject<2>>(tree: &RTree<2, O>) -> Vec<Arc<Node<2, O>>> {
+    fn leaves(tree: &RTree<2>) -> Vec<Arc<Node<2>>> {
         let (mut out, mut todo) = (Vec::new(), vec![tree.root()]);
         while let Some(page) = todo.pop() {
             let node = tree.read_node(page).unwrap();
@@ -1191,7 +1142,7 @@ pub(crate) mod tests {
     /// objects under the oids `(oid_p, 0..k)`): with `oid_p = u64::MAX` the
     /// top sorts after every real pair at that distance, with `oid_p = 0`
     /// before (nearly) every one.
-    fn tied_heap<O: SpatialObject<2>>(k: u64, like: &PairResult<2, O>, oid_p: u64) -> KHeap<2, O> {
+    fn tied_heap(k: u64, like: &PairResult<2>, oid_p: u64) -> KHeap<2> {
         let mut heap = KHeap::new(k as usize);
         for oid_q in 0..k {
             let (mut p, mut q) = (like.p, like.q);
@@ -1203,23 +1154,23 @@ pub(crate) mod tests {
 
     /// One leaf pair under one query shape: `(lp, lq, self_join,
     /// constraint, orient)`.
-    type Shape<'a, O> = (&'a Node<2, O>, &'a Node<2, O>, bool, Constraint<2>, bool);
+    type Shape<'a> = (&'a Node<2>, &'a Node<2>, bool, Constraint<2>, bool);
 
     /// Runs [`scan_literal`] and [`scan_brute`] from two copies of the
     /// `start` heap, requires identical distance counts and identical heaps
     /// (canonical order, `dist2` bits), and returns the pairs they hold.
-    fn agree<O: SpatialObject<2>>(
-        (lp, lq, self_join, con, orient): Shape<'_, O>,
+    fn agree(
+        (lp, lq, self_join, con, orient): Shape<'_>,
         scratch: &mut LeafScratch<2>,
-        start: impl Fn() -> KHeap<2, O>,
-    ) -> Vec<PairResult<2, O>> {
+        start: impl Fn() -> KHeap<2>,
+    ) -> Vec<PairResult<2>> {
         let (mut want, mut got) = (start(), start());
         let d_want = scan_literal(lp, lq, self_join, &con, orient, &mut want);
         let d_got = scan_brute(lp, lq, self_join, &con, orient, scratch, &mut got);
         assert_eq!(d_got, d_want, "dists: {con:?} self {self_join}");
         let (want, got) = (want.into_sorted(), got.into_sorted());
         assert_eq!(got, want, "{con:?} self {self_join} orient {orient}");
-        let bits = |v: &[PairResult<2, O>]| -> Vec<u64> {
+        let bits = |v: &[PairResult<2>]| -> Vec<u64> {
             v.iter().map(|r| r.dist2.get().to_bits()).collect()
         };
         assert_eq!(bits(&got), bits(&want));
@@ -1230,10 +1181,7 @@ pub(crate) mod tests {
     /// and a set of starting heaps. Returns how many pairs were retained
     /// from empty heaps, how many real pairs entered a full heap whose top
     /// tied them, and how many such a heap refused.
-    fn kernel_against_literal<O: SpatialObject<2>>(
-        tp: &RTree<2, O>,
-        tq: &RTree<2, O>,
-    ) -> [usize; 3] {
+    fn kernel_against_literal(tp: &RTree<2>, tq: &RTree<2>) -> [usize; 3] {
         // Overlapping, neither inside the other, most objects in each.
         let w1 = Rect::from_corners([0.0, 0.0], [9.0, 15.0]);
         let w2 = Rect::from_corners([6.0, 2.0], [15.0, 13.0]);
@@ -1278,8 +1226,8 @@ pub(crate) mod tests {
                     let Some(like) = all.get(all.len() / 2) else {
                         continue;
                     };
-                    let ties = |v: &[PairResult<2, O>]| {
-                        let real = |r: &&PairResult<2, O>| r.dist2 == like.dist2 && all.contains(r);
+                    let ties = |v: &[PairResult<2>]| {
+                        let real = |r: &&PairResult<2>| r.dist2 == like.dist2 && all.contains(r);
                         v.iter().filter(real).count()
                     };
                     for k in [1, 4] {
@@ -1297,13 +1245,10 @@ pub(crate) mod tests {
 
     /// The threshold-first kernel against the loop it replaced: identical
     /// K-heaps (canonical order, `dist2` bits) and identical distance
-    /// counts, on point data with duplicate coordinates and on extended
-    /// objects.
+    /// counts, on point data with duplicate coordinates.
     #[test]
     fn the_kernel_is_the_literal_loop() {
         let seen = kernel_against_literal(&grid_tree(80, 1), &grid_tree(30, 2));
         assert!(seen.iter().all(|&n| n > 1000), "points: {seen:?}");
-        let seen = kernel_against_literal(&grid_rect_tree(60, 5), &grid_rect_tree(25, 6));
-        assert!(seen.iter().all(|&n| n > 1000), "rects: {seen:?}");
     }
 }

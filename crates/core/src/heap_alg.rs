@@ -8,7 +8,7 @@
 //! strategy T1–T5, then FIFO.
 
 use crate::engine::{spec_page, Ctx};
-use cpq_geo::{Dist2, SpatialObject};
+use cpq_geo::Dist2;
 use cpq_obs::{Probe, ProbeSide};
 use cpq_rtree::{Node, RTreeResult};
 use cpq_storage::PageId;
@@ -46,10 +46,10 @@ impl Ord for HeapItem {
 
 /// Runs the Heap algorithm starting from the two root nodes (already read by
 /// the caller, which also charged those two page accesses).
-pub(crate) fn heap_run<const D: usize, O: SpatialObject<D>, P: Probe>(
-    ctx: &mut Ctx<'_, D, O, P>,
-    root_p: &Node<D, O>,
-    root_q: &Node<D, O>,
+pub(crate) fn heap_run<const D: usize, P: Probe>(
+    ctx: &mut Ctx<'_, D, P>,
+    root_p: &Node<D>,
+    root_q: &Node<D>,
 ) -> RTreeResult<()> {
     let mut heap: BinaryHeap<Reverse<HeapItem>> = BinaryHeap::new();
     let mut seq = 0u64;
@@ -81,11 +81,11 @@ pub(crate) fn heap_run<const D: usize, O: SpatialObject<D>, P: Probe>(
 /// candidates, tighten bounds, and push survivors (`Stay` sides keep the
 /// current page id — the node will simply be re-read when the pair is
 /// popped, which is exactly the I/O a paged implementation performs).
-fn process_pair<const D: usize, O: SpatialObject<D>, P: Probe>(
-    ctx: &mut Ctx<'_, D, O, P>,
-    np: &Node<D, O>,
+fn process_pair<const D: usize, P: Probe>(
+    ctx: &mut Ctx<'_, D, P>,
+    np: &Node<D>,
     page_p: PageId,
-    nq: &Node<D, O>,
+    nq: &Node<D>,
     page_q: PageId,
     heap: &mut BinaryHeap<Reverse<HeapItem>>,
     seq: &mut u64,

@@ -20,7 +20,7 @@
 //! \[11\] makes the algorithm competitive for K-CPQs.
 
 use crate::types::{CpqStats, PairResult, QueryOutcome};
-use cpq_geo::{min_min_dist2, Dist2, Point, Rect, SpatialObject};
+use cpq_geo::{min_min_dist2, Dist2, Rect};
 use cpq_rtree::{LeafEntry, Node, RTree, RTreeResult};
 use cpq_storage::PageId;
 use std::cmp::{Ordering, Reverse};
@@ -77,16 +77,16 @@ pub struct IncrementalConfig {
 
 /// One side of a queued item pair.
 #[derive(Debug, Clone, Copy)]
-enum Item<const D: usize, O: SpatialObject<D>> {
+enum Item<const D: usize> {
     Node {
         page: PageId,
         level: u8,
         mbr: Rect<D>,
     },
-    Object(LeafEntry<D, O>),
+    Object(LeafEntry<D>),
 }
 
-impl<const D: usize, O: SpatialObject<D>> Item<D, O> {
+impl<const D: usize> Item<D> {
     fn mbr(&self) -> Rect<D> {
         match self {
             Item::Node { mbr, .. } => *mbr,
@@ -103,28 +103,28 @@ impl<const D: usize, O: SpatialObject<D>> Item<D, O> {
     }
 }
 
-struct QEntry<const D: usize, O: SpatialObject<D>> {
+struct QEntry<const D: usize> {
     dist: Dist2,
     /// Smaller processes first: level sum for depth-first (deeper = smaller
     /// levels), negated for breadth-first.
     tie_key: i32,
     seq: u64,
-    a: Item<D, O>,
-    b: Item<D, O>,
+    a: Item<D>,
+    b: Item<D>,
 }
 
-impl<const D: usize, O: SpatialObject<D>> PartialEq for QEntry<D, O> {
+impl<const D: usize> PartialEq for QEntry<D> {
     fn eq(&self, other: &Self) -> bool {
         self.cmp(other) == Ordering::Equal
     }
 }
-impl<const D: usize, O: SpatialObject<D>> Eq for QEntry<D, O> {}
-impl<const D: usize, O: SpatialObject<D>> PartialOrd for QEntry<D, O> {
+impl<const D: usize> Eq for QEntry<D> {}
+impl<const D: usize> PartialOrd for QEntry<D> {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
-impl<const D: usize, O: SpatialObject<D>> Ord for QEntry<D, O> {
+impl<const D: usize> Ord for QEntry<D> {
     fn cmp(&self, other: &Self) -> Ordering {
         self.dist
             .cmp(&other.dist)
@@ -172,11 +172,11 @@ impl KBound {
 /// Created by [`distance_join`]. Each [`next`](Iterator::next) call pops
 /// queue entries (faulting R-tree pages as needed) until an object/object
 /// pair surfaces.
-pub struct DistanceJoin<'a, const D: usize, O: SpatialObject<D> = Point<D>> {
-    tp: &'a RTree<D, O>,
-    tq: &'a RTree<D, O>,
+pub struct DistanceJoin<'a, const D: usize> {
+    tp: &'a RTree<D>,
+    tq: &'a RTree<D>,
     cfg: IncrementalConfig,
-    queue: BinaryHeap<Reverse<QEntry<D, O>>>,
+    queue: BinaryHeap<Reverse<QEntry<D>>>,
     kbound: Option<KBound>,
     stats: CpqStats,
     misses_before: (u64, u64),
@@ -188,11 +188,11 @@ pub struct DistanceJoin<'a, const D: usize, O: SpatialObject<D> = Point<D>> {
 }
 
 /// Starts an incremental distance join between two trees.
-pub fn distance_join<'a, const D: usize, O: SpatialObject<D>>(
-    tree_p: &'a RTree<D, O>,
-    tree_q: &'a RTree<D, O>,
+pub fn distance_join<'a, const D: usize>(
+    tree_p: &'a RTree<D>,
+    tree_q: &'a RTree<D>,
     config: IncrementalConfig,
-) -> DistanceJoin<'a, D, O> {
+) -> DistanceJoin<'a, D> {
     let misses_before = (
         tree_p.pool().buffer_stats().misses,
         tree_q.pool().buffer_stats().misses,
@@ -236,8 +236,8 @@ pub fn distance_join<'a, const D: usize, O: SpatialObject<D>>(
     join
 }
 
-impl<'a, const D: usize, O: SpatialObject<D>> DistanceJoin<'a, D, O> {
-    fn push(&mut self, dist: Dist2, a: Item<D, O>, b: Item<D, O>) {
+impl<'a, const D: usize> DistanceJoin<'a, D> {
+    fn push(&mut self, dist: Dist2, a: Item<D>, b: Item<D>) {
         if let Some(kb) = &mut self.kbound {
             if dist > kb.threshold() {
                 self.stats.pairs_pruned += 1;
@@ -265,7 +265,7 @@ impl<'a, const D: usize, O: SpatialObject<D>> DistanceJoin<'a, D, O> {
     }
 
     /// Items of one node's children.
-    fn expand(&mut self, page: PageId, on_p_side: bool) -> RTreeResult<Vec<Item<D, O>>> {
+    fn expand(&mut self, page: PageId, on_p_side: bool) -> RTreeResult<Vec<Item<D>>> {
         let tree = if on_p_side { self.tp } else { self.tq };
         Ok(match &*tree.read_node(page)? {
             Node::Leaf(es) => es.iter().copied().map(Item::Object).collect(),
@@ -280,11 +280,11 @@ impl<'a, const D: usize, O: SpatialObject<D>> DistanceJoin<'a, D, O> {
         })
     }
 
-    fn pair_dist(a: &Item<D, O>, b: &Item<D, O>) -> Dist2 {
+    fn pair_dist(a: &Item<D>, b: &Item<D>) -> Dist2 {
         min_min_dist2(&a.mbr(), &b.mbr())
     }
 
-    fn step(&mut self) -> RTreeResult<Option<PairResult<D, O>>> {
+    fn step(&mut self) -> RTreeResult<Option<PairResult<D>>> {
         while let Some(Reverse(entry)) = self.queue.pop() {
             match (&entry.a, &entry.b) {
                 (Item::Object(p), Item::Object(q)) => {
@@ -324,7 +324,7 @@ impl<'a, const D: usize, O: SpatialObject<D>> DistanceJoin<'a, D, O> {
                         (Item::Object(_), Item::Object(_)) => unreachable!(),
                     }
 
-                    let kids_a: Vec<Item<D, O>> = if expand_a {
+                    let kids_a: Vec<Item<D>> = if expand_a {
                         let Item::Node { page, .. } = a else {
                             unreachable!()
                         };
@@ -332,7 +332,7 @@ impl<'a, const D: usize, O: SpatialObject<D>> DistanceJoin<'a, D, O> {
                     } else {
                         vec![*a]
                     };
-                    let kids_b: Vec<Item<D, O>> = if expand_b {
+                    let kids_b: Vec<Item<D>> = if expand_b {
                         let Item::Node { page, .. } = b else {
                             unreachable!()
                         };
@@ -373,8 +373,8 @@ impl<'a, const D: usize, O: SpatialObject<D>> DistanceJoin<'a, D, O> {
     }
 }
 
-impl<'a, const D: usize, O: SpatialObject<D>> Iterator for DistanceJoin<'a, D, O> {
-    type Item = RTreeResult<PairResult<D, O>>;
+impl<'a, const D: usize> Iterator for DistanceJoin<'a, D> {
+    type Item = RTreeResult<PairResult<D>>;
 
     fn next(&mut self) -> Option<Self::Item> {
         if let Some(e) = self.pending_error.take() {
@@ -398,12 +398,12 @@ impl<'a, const D: usize, O: SpatialObject<D>> Iterator for DistanceJoin<'a, D, O
 /// Runs the incremental join until `K` pairs are produced, returning them
 /// with work counters — the configuration used in the paper's Section 5.2
 /// comparison (the join is bounded by `K`, enabling queue pruning).
-pub fn k_closest_pairs_incremental<const D: usize, O: SpatialObject<D>>(
-    tree_p: &RTree<D, O>,
-    tree_q: &RTree<D, O>,
+pub fn k_closest_pairs_incremental<const D: usize>(
+    tree_p: &RTree<D>,
+    tree_q: &RTree<D>,
     k: usize,
     config: &IncrementalConfig,
-) -> RTreeResult<QueryOutcome<D, O>> {
+) -> RTreeResult<QueryOutcome<D>> {
     // K = 0 asks for nothing: answer without opening the join, whose roots
     // it would read (a failed read would be parked, never reported).
     if k == 0 {

@@ -6,7 +6,7 @@
 //! and any newly discovered pair strictly better than `T` replaces the top.
 
 use crate::types::PairResult;
-use cpq_geo::{Dist2, Point, SpatialObject};
+use cpq_geo::Dist2;
 use std::collections::BinaryHeap;
 
 /// A wrapper ordering pairs for the max-heap.
@@ -19,27 +19,27 @@ use std::collections::BinaryHeap;
 /// brute-force and plane-sweep leaf scanning enumerate pairs in different
 /// orders and must produce identical results even on data with duplicate
 /// coordinates.
-struct ByDist<const D: usize, O: SpatialObject<D>>(PairResult<D, O>);
+struct ByDist<const D: usize>(PairResult<D>);
 
-impl<const D: usize, O: SpatialObject<D>> ByDist<D, O> {
+impl<const D: usize> ByDist<D> {
     #[inline]
     fn key(&self) -> (Dist2, u64, u64) {
         self.0.sort_key()
     }
 }
 
-impl<const D: usize, O: SpatialObject<D>> PartialEq for ByDist<D, O> {
+impl<const D: usize> PartialEq for ByDist<D> {
     fn eq(&self, other: &Self) -> bool {
         self.key() == other.key()
     }
 }
-impl<const D: usize, O: SpatialObject<D>> Eq for ByDist<D, O> {}
-impl<const D: usize, O: SpatialObject<D>> PartialOrd for ByDist<D, O> {
+impl<const D: usize> Eq for ByDist<D> {}
+impl<const D: usize> PartialOrd for ByDist<D> {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
 }
-impl<const D: usize, O: SpatialObject<D>> Ord for ByDist<D, O> {
+impl<const D: usize> Ord for ByDist<D> {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         self.key().cmp(&other.key())
     }
@@ -52,12 +52,12 @@ impl<const D: usize, O: SpatialObject<D>> Ord for ByDist<D, O> {
 const MAX_PREALLOC: usize = 1 << 16;
 
 /// Bounded max-heap of the K closest pairs discovered so far.
-pub struct KHeap<const D: usize, O: SpatialObject<D> = Point<D>> {
+pub struct KHeap<const D: usize> {
     k: usize,
-    heap: BinaryHeap<ByDist<D, O>>,
+    heap: BinaryHeap<ByDist<D>>,
 }
 
-impl<const D: usize, O: SpatialObject<D>> KHeap<D, O> {
+impl<const D: usize> KHeap<D> {
     /// Creates a K-heap with capacity `k` (`k >= 1`).
     pub fn new(k: usize) -> Self {
         Self::bounded(k, u64::MAX)
@@ -119,7 +119,7 @@ impl<const D: usize, O: SpatialObject<D>> KHeap<D, O> {
     /// The full-heap path compares against the top in place
     /// ([`BinaryHeap::peek_mut`]) instead of a `pop` + `push`, so a rejected
     /// offer costs one comparison and an accepted one a single sift-down.
-    pub fn offer(&mut self, pair: PairResult<D, O>) -> bool {
+    pub fn offer(&mut self, pair: PairResult<D>) -> bool {
         if self.heap.len() < self.k {
             self.heap.push(ByDist(pair));
             return true;
@@ -138,8 +138,8 @@ impl<const D: usize, O: SpatialObject<D>> KHeap<D, O> {
 
     /// Consumes the heap, returning pairs sorted by ascending distance
     /// (ties by object ids, matching the retention order).
-    pub fn into_sorted(self) -> Vec<PairResult<D, O>> {
-        let mut v: Vec<ByDist<D, O>> = self.heap.into_vec();
+    pub fn into_sorted(self) -> Vec<PairResult<D>> {
+        let mut v: Vec<ByDist<D>> = self.heap.into_vec();
         v.sort_by_key(|a| a.key());
         v.into_iter().map(|b| b.0).collect()
     }

@@ -3,8 +3,9 @@
 //! "Closest Pair Queries in Spatial Databases"* (SIGMOD 2000).
 //!
 //! Given two point sets `P` and `Q`, each indexed by an R*-tree, find the
-//! `K` pairs `(p, q) ∈ P × Q` with the smallest Euclidean distances. This
-//! crate implements:
+//! `K` pairs `(p, q) ∈ P × Q` with the smallest Euclidean distances.
+//! Points are the one object type: every executor, result and oracle here
+//! is generic over the dimension `D` only. This crate implements:
 //!
 //! * the paper's **five algorithms** — [`Algorithm::Naive`],
 //!   [`Algorithm::Exhaustive`] (EXH), [`Algorithm::Simple`] (SIM),

@@ -57,7 +57,7 @@ use crate::types::{PairResult, QueryRun};
 use crate::Algorithm;
 use cpq_check::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use cpq_check::sync::{Arc, Condvar, Mutex};
-use cpq_geo::{Dist2, SpatialObject};
+use cpq_geo::Dist2;
 use cpq_obs::{ParallelReport, Probe, ProbeSide};
 use cpq_rng::Rng;
 use cpq_rtree::{Node, RTree, RTreeError, RTreeResult};
@@ -81,7 +81,7 @@ struct SpecReq {
 }
 
 /// What a speculative task produced for one node pair.
-pub(crate) enum TaskOut<const D: usize, O: SpatialObject<D>> {
+pub(crate) enum TaskOut<const D: usize> {
     /// Inner pair: what the driver's own generator (`engine::candidates`)
     /// returns at `T = ∞` — the driver filters it by its live threshold,
     /// which reproduces the sequential result exactly.
@@ -92,7 +92,7 @@ pub(crate) enum TaskOut<const D: usize, O: SpatialObject<D>> {
     /// global K-heap is lossless (see `Ctx::scan_leaves`).
     Leaf {
         /// Task-local K best pairs, sorted by the canonical order.
-        offers: Vec<PairResult<D, O>>,
+        offers: Vec<PairResult<D>>,
         /// Brute-force kernel invocations for the pair (after the self-join
         /// orientation and constraint filters).
         dists: u64,
@@ -116,7 +116,7 @@ fn pair_key(p: u32, q: u32) -> u64 {
 ///
 /// Created per query by [`run_parallel`] and borrowed by the driver's `Ctx`
 /// (`Ctx::par`) and every worker for the duration of the run.
-pub(crate) struct SpecRuntime<const D: usize, O: SpatialObject<D>> {
+pub(crate) struct SpecRuntime<const D: usize> {
     /// Sharded speculation queues (one per worker): a min-heap of pending
     /// requests each. Pushes round-robin across shards; worker `w` pops its
     /// own shard first and steals from the others when it runs dry.
@@ -127,10 +127,10 @@ pub(crate) struct SpecRuntime<const D: usize, O: SpatialObject<D>> {
     claimed: Mutex<HashSet<u64>>,
     /// Decoded-node caches, one per side (a self-join populates both with
     /// the same tree's nodes; the duplication is harmless).
-    nodes_p: Mutex<HashMap<u32, Arc<Node<D, O>>>>,
-    nodes_q: Mutex<HashMap<u32, Arc<Node<D, O>>>>,
+    nodes_p: Mutex<HashMap<u32, Arc<Node<D>>>>,
+    nodes_q: Mutex<HashMap<u32, Arc<Node<D>>>>,
     /// Finished speculative tasks by pair key.
-    pairs: Mutex<HashMap<u64, Arc<TaskOut<D, O>>>>,
+    pairs: Mutex<HashMap<u64, Arc<TaskOut<D>>>>,
     /// The shared global bound (see [`crate::SharedBound`]): an upper bound
     /// on the K-th result distance, monotonically tightened by CAS.
     /// Every published value is a genuine upper bound — the driver's live
@@ -165,7 +165,7 @@ pub(crate) struct SpecRuntime<const D: usize, O: SpatialObject<D>> {
     steal_misses: AtomicU64,
 }
 
-impl<const D: usize, O: SpatialObject<D>> SpecRuntime<D, O> {
+impl<const D: usize> SpecRuntime<D> {
     fn new(
         workers: usize,
         spec: &QuerySpec<D>,
@@ -230,7 +230,7 @@ impl<const D: usize, O: SpatialObject<D>> SpecRuntime<D, O> {
     }
 
     /// Node-cache lookup.
-    fn cached_node(&self, side: ProbeSide, page: PageId) -> Option<Arc<Node<D, O>>> {
+    fn cached_node(&self, side: ProbeSide, page: PageId) -> Option<Arc<Node<D>>> {
         self.node_map(side)
             .lock()
             .expect("node cache poisoned")
@@ -239,7 +239,7 @@ impl<const D: usize, O: SpatialObject<D>> SpecRuntime<D, O> {
     }
 
     /// Caches a node read from `side`'s tree.
-    fn insert_node(&self, side: ProbeSide, page: PageId, node: Arc<Node<D, O>>) {
+    fn insert_node(&self, side: ProbeSide, page: PageId, node: Arc<Node<D>>) {
         self.node_map(side)
             .lock()
             .expect("node cache poisoned")
@@ -252,9 +252,9 @@ impl<const D: usize, O: SpatialObject<D>> SpecRuntime<D, O> {
     pub(crate) fn node(
         &self,
         side: ProbeSide,
-        tree: &RTree<D, O>,
+        tree: &RTree<D>,
         page: PageId,
-    ) -> RTreeResult<Arc<Node<D, O>>> {
+    ) -> RTreeResult<Arc<Node<D>>> {
         if let Some(node) = self.cached_node(side, page) {
             return Ok(node);
         }
@@ -263,7 +263,7 @@ impl<const D: usize, O: SpatialObject<D>> SpecRuntime<D, O> {
         Ok(node)
     }
 
-    fn node_map(&self, side: ProbeSide) -> &Mutex<HashMap<u32, Arc<Node<D, O>>>> {
+    fn node_map(&self, side: ProbeSide) -> &Mutex<HashMap<u32, Arc<Node<D>>>> {
         match side {
             ProbeSide::P => &self.nodes_p,
             ProbeSide::Q => &self.nodes_q,
@@ -271,7 +271,7 @@ impl<const D: usize, O: SpatialObject<D>> SpecRuntime<D, O> {
     }
 
     /// Driver-side pair-cache lookup (counts a speculation cache hit).
-    pub(crate) fn cached_pair(&self, page_p: PageId, page_q: PageId) -> Option<Arc<TaskOut<D, O>>> {
+    pub(crate) fn cached_pair(&self, page_p: PageId, page_q: PageId) -> Option<Arc<TaskOut<D>>> {
         let hit = self
             .pairs
             .lock()
@@ -349,11 +349,11 @@ impl<const D: usize, O: SpatialObject<D>> SpecRuntime<D, O> {
 }
 
 /// One worker thread: pop best-first, claim, execute, push children.
-fn worker_loop<const D: usize, O: SpatialObject<D>>(
-    rt: &SpecRuntime<D, O>,
+fn worker_loop<const D: usize>(
+    rt: &SpecRuntime<D>,
     worker: usize,
-    tp: &RTree<D, O>,
-    tq: &RTree<D, O>,
+    tp: &RTree<D>,
+    tq: &RTree<D>,
     cancel: Option<&CancelToken>,
 ) -> WorkerStats {
     let mut stats = WorkerStats::default();
@@ -433,11 +433,11 @@ fn worker_loop<const D: usize, O: SpatialObject<D>>(
 
 /// Executes one speculative task: fetch both nodes, precompute the pair's
 /// work product, cache it, and enqueue admitted children.
-fn exec_task<const D: usize, O: SpatialObject<D>>(
-    rt: &SpecRuntime<D, O>,
+fn exec_task<const D: usize>(
+    rt: &SpecRuntime<D>,
     req: SpecReq,
-    tp: &RTree<D, O>,
-    tq: &RTree<D, O>,
+    tp: &RTree<D>,
+    tq: &RTree<D>,
 ) -> RTreeResult<()> {
     let (page_p, page_q) = (PageId(req.page_p), PageId(req.page_q));
     let np = rt.node(ProbeSide::P, tp, page_p)?;
@@ -449,7 +449,7 @@ fn exec_task<const D: usize, O: SpatialObject<D>>(
         // local K-th best (over real point pairs) is a valid global upper
         // bound.
         let max_pairs = (np.len() * nq.len()) as u64;
-        let mut heap: KHeap<D, O> = KHeap::bounded(rt.spec.k, max_pairs);
+        let mut heap: KHeap<D> = KHeap::bounded(rt.spec.k, max_pairs);
         // No orientation: scatter subqueries never run in parallel mode.
         let dists = scan_brute(
             &np,
@@ -519,16 +519,16 @@ fn exec_task<const D: usize, O: SpatialObject<D>>(
 /// Runs one query in parallel mode: spawns the workers, runs the unchanged
 /// sequential driver against the speculation runtime, tears everything
 /// down, and surfaces any worker-observed error.
-pub(crate) fn run_parallel<const D: usize, O: SpatialObject<D>, P: Probe>(
-    tree_p: &RTree<D, O>,
-    tree_q: &RTree<D, O>,
+pub(crate) fn run_parallel<const D: usize, P: Probe>(
+    tree_p: &RTree<D>,
+    tree_q: &RTree<D>,
     spec: &QuerySpec<D>,
     algorithm: Algorithm,
     config: &CpqConfig,
     exec: &mut ExecCtx<'_, P>,
-) -> RTreeResult<QueryRun<D, O>> {
+) -> RTreeResult<QueryRun<D>> {
     let workers = config.parallelism.saturating_sub(1);
-    let runtime: SpecRuntime<D, O> =
+    let runtime: SpecRuntime<D> =
         SpecRuntime::new(workers, spec, config.height, config.parallel_yield_seed);
     let cancel = exec.cancel;
 
@@ -599,7 +599,7 @@ mod tests {
     use crate::engine::Ctx;
     use crate::spec::Constraint;
     use crate::HeightStrategy;
-    use cpq_geo::{Point, Rect};
+    use cpq_geo::Rect;
 
     /// Sends every node pair below the roots through [`exec_task`] and
     /// through the driver's own CP2/CP3 — a sequential `Ctx` and one that
@@ -616,7 +616,7 @@ mod tests {
             ..CpqConfig::paper()
         };
         let rt = SpecRuntime::new(1, spec, height, None);
-        let mut merged: KHeap<2, Point<2>> = KHeap::new(spec.k);
+        let mut merged: KHeap<2> = KHeap::new(spec.k);
         let mut walked = [0, 0];
         let mut todo = vec![(tp.root(), tq.root())];
         let mut seen = HashSet::new();
@@ -731,7 +731,7 @@ mod model_tests {
     use cpq_check::{model, model_dfs, model_pct, DfsOptions, PctOptions};
     use cpq_geo::Point;
 
-    type Rt = SpecRuntime<2, Point<2>>;
+    type Rt = SpecRuntime<2>;
 
     fn runtime(workers: usize) -> Arc<Rt> {
         Arc::new(SpecRuntime::new(

@@ -14,7 +14,6 @@
 //! | STD       | yes                    | yes                      | ascending MINMINDIST (+ tie strategy) |
 
 use crate::engine::Ctx;
-use cpq_geo::SpatialObject;
 use cpq_obs::Probe;
 use cpq_rtree::{Node, RTreeResult};
 use cpq_storage::PageId;
@@ -22,10 +21,10 @@ use std::cmp::Ordering;
 
 /// Naive (Section 3.1): recurse into **every** candidate pair; `T` only
 /// shrinks when leaf pairs are scanned.
-pub(crate) fn naive<const D: usize, O: SpatialObject<D>, P: Probe>(
-    ctx: &mut Ctx<'_, D, O, P>,
-    np: &Node<D, O>,
-    nq: &Node<D, O>,
+pub(crate) fn naive<const D: usize, P: Probe>(
+    ctx: &mut Ctx<'_, D, P>,
+    np: &Node<D>,
+    nq: &Node<D>,
     page_p: PageId,
     page_q: PageId,
 ) -> RTreeResult<()> {
@@ -41,10 +40,10 @@ pub(crate) fn naive<const D: usize, O: SpatialObject<D>, P: Probe>(
 
 /// Exhaustive (Section 3.2): like Naive but prunes candidates whose
 /// `MINMINDIST` exceeds the current threshold (left side of Inequality 1).
-pub(crate) fn exhaustive<const D: usize, O: SpatialObject<D>, P: Probe>(
-    ctx: &mut Ctx<'_, D, O, P>,
-    np: &Node<D, O>,
-    nq: &Node<D, O>,
+pub(crate) fn exhaustive<const D: usize, P: Probe>(
+    ctx: &mut Ctx<'_, D, P>,
+    np: &Node<D>,
+    nq: &Node<D>,
     page_p: PageId,
     page_q: PageId,
 ) -> RTreeResult<()> {
@@ -65,10 +64,10 @@ pub(crate) fn exhaustive<const D: usize, O: SpatialObject<D>, P: Probe>(
 
 /// Simple recursive (Section 3.3): EXH plus eager threshold tightening via
 /// Inequality 2 (1-CP) or the MAXMAXDIST cardinality bound (K-CP).
-pub(crate) fn simple<const D: usize, O: SpatialObject<D>, P: Probe>(
-    ctx: &mut Ctx<'_, D, O, P>,
-    np: &Node<D, O>,
-    nq: &Node<D, O>,
+pub(crate) fn simple<const D: usize, P: Probe>(
+    ctx: &mut Ctx<'_, D, P>,
+    np: &Node<D>,
+    nq: &Node<D>,
     page_p: PageId,
     page_q: PageId,
 ) -> RTreeResult<()> {
@@ -90,10 +89,10 @@ pub(crate) fn simple<const D: usize, O: SpatialObject<D>, P: Probe>(
 /// Sorted Distances (Section 3.4): SIM plus processing candidates in
 /// ascending `MINMINDIST` order (ties resolved by the configured strategy),
 /// so the threshold shrinks as early as possible.
-pub(crate) fn sorted<const D: usize, O: SpatialObject<D>, P: Probe>(
-    ctx: &mut Ctx<'_, D, O, P>,
-    np: &Node<D, O>,
-    nq: &Node<D, O>,
+pub(crate) fn sorted<const D: usize, P: Probe>(
+    ctx: &mut Ctx<'_, D, P>,
+    np: &Node<D>,
+    nq: &Node<D>,
     page_p: PageId,
     page_q: PageId,
 ) -> RTreeResult<()> {

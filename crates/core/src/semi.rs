@@ -9,7 +9,7 @@
 //! coherent scans (leaf order is spatially clustered in an R*-tree).
 
 use crate::types::{CpqStats, PairResult, QueryOutcome};
-use cpq_geo::{min_min_dist2, Dist2, SpatialObject};
+use cpq_geo::{min_min_dist2, Dist2};
 use cpq_rtree::{LeafEntry, Node, RTree, RTreeResult};
 use cpq_storage::PageId;
 use std::cmp::Reverse;
@@ -18,10 +18,10 @@ use std::collections::BinaryHeap;
 /// Computes the semi-closest-pair join: one pair per point of `tree_p`,
 /// matching it with its nearest neighbor in `tree_q`. Results are sorted by
 /// ascending distance. Empty when either tree is empty.
-pub fn semi_closest_pairs<const D: usize, O: SpatialObject<D>>(
-    tree_p: &RTree<D, O>,
-    tree_q: &RTree<D, O>,
-) -> RTreeResult<QueryOutcome<D, O>> {
+pub fn semi_closest_pairs<const D: usize>(
+    tree_p: &RTree<D>,
+    tree_q: &RTree<D>,
+) -> RTreeResult<QueryOutcome<D>> {
     let misses_before = (
         tree_p.pool().buffer_stats().misses,
         tree_q.pool().buffer_stats().misses,
@@ -34,8 +34,8 @@ pub fn semi_closest_pairs<const D: usize, O: SpatialObject<D>>(
         });
     }
 
-    let mut pairs: Vec<PairResult<D, O>> = Vec::with_capacity(tree_p.len() as usize);
-    let mut last_answer: Option<LeafEntry<D, O>> = None;
+    let mut pairs: Vec<PairResult<D>> = Vec::with_capacity(tree_p.len() as usize);
+    let mut last_answer: Option<LeafEntry<D>> = None;
 
     // Scan P's leaves depth-first (spatially coherent order).
     let mut stack = vec![tree_p.root()];
@@ -66,20 +66,20 @@ pub fn semi_closest_pairs<const D: usize, O: SpatialObject<D>>(
 
 /// Best-first nearest neighbor of `p` in `tree`, pruning with the initial
 /// upper bound `bound` (inclusive: an answer at exactly `bound` is found).
-fn nn_bounded<const D: usize, O: SpatialObject<D>>(
-    tree: &RTree<D, O>,
-    p: &LeafEntry<D, O>,
+fn nn_bounded<const D: usize>(
+    tree: &RTree<D>,
+    p: &LeafEntry<D>,
     mut bound: Dist2,
     stats: &mut CpqStats,
-) -> RTreeResult<Option<(LeafEntry<D, O>, Dist2)>> {
+) -> RTreeResult<Option<(LeafEntry<D>, Dist2)>> {
     #[derive(PartialEq, Eq, PartialOrd, Ord)]
     enum Kind {
         Node(PageId),
         Obj(usize),
     }
     let mut heap: BinaryHeap<(Reverse<Dist2>, usize, Kind)> = BinaryHeap::new();
-    let mut store: Vec<LeafEntry<D, O>> = Vec::new();
-    let mut best: Option<(LeafEntry<D, O>, Dist2)> = None;
+    let mut store: Vec<LeafEntry<D>> = Vec::new();
+    let mut best: Option<(LeafEntry<D>, Dist2)> = None;
     let mut seq = 0usize;
     heap.push((Reverse(Dist2::ZERO), seq, Kind::Node(tree.root())));
     while let Some((Reverse(d), _, kind)) = heap.pop() {

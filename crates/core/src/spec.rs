@@ -6,8 +6,7 @@
 //! * **Windows** — each side of the pair must lie inside its side's query
 //!   rectangle (the classical *range closest pair* of Xue et al. and Chan
 //!   et al. uses one shared rectangle; the per-side form generalizes it).
-//!   Containment is boundary-inclusive and, for extended objects, requires
-//!   the whole object MBR inside the window.
+//!   Containment is boundary-inclusive.
 //! * **Colored** — the two points must carry *distinct* colors (categories),
 //!   read from the oid's color channel ([`cpq_geo::color_of`]).
 //!

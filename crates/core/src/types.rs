@@ -1,24 +1,23 @@
 //! Result and statistics types shared by all query algorithms.
 
-use cpq_geo::{Dist2, Point, SpatialObject};
+use cpq_geo::Dist2;
 use cpq_rtree::LeafEntry;
 
-/// One closest pair: an object from `P`, an object from `Q`, and their
-/// distance (exact for points; MBR `MINMINDIST` for extended objects —
-/// identical for the paper's point data).
+/// One closest pair: a point from `P`, a point from `Q`, and their exact
+/// squared distance.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PairResult<const D: usize, O: SpatialObject<D> = Point<D>> {
-    /// The object from the first data set.
-    pub p: LeafEntry<D, O>,
-    /// The object from the second data set.
-    pub q: LeafEntry<D, O>,
+pub struct PairResult<const D: usize> {
+    /// The point from the first data set.
+    pub p: LeafEntry<D>,
+    /// The point from the second data set.
+    pub q: LeafEntry<D>,
     /// Squared distance between them.
     pub dist2: Dist2,
 }
 
-impl<const D: usize, O: SpatialObject<D>> PairResult<D, O> {
+impl<const D: usize> PairResult<D> {
     /// Creates a pair result, computing the distance.
-    pub fn new(p: LeafEntry<D, O>, q: LeafEntry<D, O>) -> Self {
+    pub fn new(p: LeafEntry<D>, q: LeafEntry<D>) -> Self {
         let dist2 = cpq_geo::min_min_dist2(&p.mbr(), &q.mbr());
         PairResult { p, q, dist2 }
     }
@@ -31,7 +30,7 @@ impl<const D: usize, O: SpatialObject<D>> PairResult<D, O> {
     /// brute kernel's rows and the sweep's threshold-aware kernel accumulate
     /// axis contributions in the same order as the full kernel, so the
     /// values are bitwise identical.
-    pub fn with_dist2(p: LeafEntry<D, O>, q: LeafEntry<D, O>, dist2: Dist2) -> Self {
+    pub fn with_dist2(p: LeafEntry<D>, q: LeafEntry<D>, dist2: Dist2) -> Self {
         debug_assert_eq!(dist2, cpq_geo::min_min_dist2(&p.mbr(), &q.mbr()));
         PairResult { p, q, dist2 }
     }
@@ -60,10 +59,7 @@ impl<const D: usize, O: SpatialObject<D>> PairResult<D, O> {
 /// Compares two results in the canonical `(distance, p.oid, q.oid)` order
 /// (see [`PairResult::sort_key`]); pass to `sort_by`/`sort_unstable_by`.
 #[inline]
-pub fn pair_cmp<const D: usize, O: SpatialObject<D>>(
-    a: &PairResult<D, O>,
-    b: &PairResult<D, O>,
-) -> std::cmp::Ordering {
+pub fn pair_cmp<const D: usize>(a: &PairResult<D>, b: &PairResult<D>) -> std::cmp::Ordering {
     a.sort_key().cmp(&b.sort_key())
 }
 
@@ -101,17 +97,17 @@ impl CpqStats {
 /// The result of a (K-)closest-pair query: the pairs, closest first, plus
 /// work counters.
 #[derive(Debug, Clone)]
-pub struct QueryOutcome<const D: usize, O: SpatialObject<D> = Point<D>> {
+pub struct QueryOutcome<const D: usize> {
     /// Result pairs sorted by ascending distance. For 1-CPQ this holds one
     /// pair (or none when either data set is empty).
-    pub pairs: Vec<PairResult<D, O>>,
+    pub pairs: Vec<PairResult<D>>,
     /// Work counters for this run.
     pub stats: CpqStats,
 }
 
-impl<const D: usize, O: SpatialObject<D>> QueryOutcome<D, O> {
+impl<const D: usize> QueryOutcome<D> {
     /// The closest pair, when any.
-    pub fn best(&self) -> Option<&PairResult<D, O>> {
+    pub fn best(&self) -> Option<&PairResult<D>> {
         self.pairs.first()
     }
 }
@@ -119,12 +115,12 @@ impl<const D: usize, O: SpatialObject<D>> QueryOutcome<D, O> {
 /// Outcome of one [`execute`](crate::execute) run, which a
 /// [`CancelToken`](crate::CancelToken) may have interrupted.
 #[derive(Debug, Clone)]
-pub struct QueryRun<const D: usize, O: SpatialObject<D> = Point<D>> {
+pub struct QueryRun<const D: usize> {
     /// The result pairs and work counters. When the run was interrupted,
     /// `outcome.pairs` holds the best pairs discovered up to that point —
     /// a valid (possibly non-final) partial answer, still sorted by
     /// ascending distance.
-    pub outcome: QueryOutcome<D, O>,
+    pub outcome: QueryOutcome<D>,
     /// `true` when the run finished normally; `false` when the cancel token
     /// tripped (deadline expiry or explicit cancellation) first.
     pub completed: bool,

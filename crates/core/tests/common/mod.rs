@@ -2,21 +2,21 @@
 //! includes the module and uses its own subset).
 #![allow(dead_code)]
 
-use cpq_geo::{Point2, SpatialObject};
+use cpq_geo::{Point, Point2};
 use cpq_rtree::{RTree, RTreeParams};
 use cpq_storage::{BufferPool, MemPageFile, PageFile, DEFAULT_PAGE_SIZE};
 
 /// A tree over `file` built by repeated insertion (the paper's
-/// construction); object `i` gets oid `i`.
-pub fn build_on<const D: usize, O: SpatialObject<D>>(
+/// construction); point `i` gets oid `i`.
+pub fn build_on<const D: usize>(
     file: Box<dyn PageFile>,
     params: RTreeParams,
     buffer: usize,
-    objects: &[O],
-) -> RTree<D, O> {
+    points: &[Point<D>],
+) -> RTree<D> {
     let mut tree = RTree::new(BufferPool::with_lru(file, buffer), params).unwrap();
-    for (i, &o) in objects.iter().enumerate() {
-        tree.insert(o, i as u64).unwrap();
+    for (i, &p) in points.iter().enumerate() {
+        tree.insert(p, i as u64).unwrap();
     }
     tree
 }
@@ -28,12 +28,12 @@ pub fn build(points: &[Point2], buffer: usize) -> RTree<2> {
     build_on(Box::new(file), RTreeParams::paper(), buffer, points)
 }
 
-/// `(object, oid)` pairs as the brute-force oracles take them, oids
+/// `(point, oid)` pairs as the brute-force oracles take them, oids
 /// matching [`build_on`].
-pub fn indexed<O: Copy>(objects: &[O]) -> Vec<(O, u64)> {
-    objects
+pub fn indexed<const D: usize>(points: &[Point<D>]) -> Vec<(Point<D>, u64)> {
+    points
         .iter()
         .enumerate()
-        .map(|(i, &o)| (o, i as u64))
+        .map(|(i, &p)| (p, i as u64))
         .collect()
 }

@@ -23,11 +23,9 @@
 #![warn(missing_docs)]
 
 mod clustered;
-mod rects;
 mod uniform;
 
 pub use clustered::{california_surrogate, clustered, ClusterSpec, CALIFORNIA_SURROGATE_SIZE};
-pub use rects::uniform_rects;
 pub use uniform::{uniform, uniform_grid};
 
 use cpq_geo::{Point2, Rect2};

@@ -21,6 +21,10 @@
 //! in the query algorithms is valid on squared values and the `sqrt` is paid
 //! only when a distance is reported to the user.
 //!
+//! [`Point`] is the one object type every layer indexes (the paper joins
+//! two point sets); [`Rect`] is an MBR or a query window, never a stored
+//! object.
+//!
 //! Everything is generic over the dimension `D` (const generic); the paper
 //! focuses on 2-d data and notes the k-dimensional extension is
 //! straightforward — here it genuinely is, and the test-suite exercises
@@ -32,7 +36,6 @@
 mod color;
 mod dist;
 mod metrics;
-mod object;
 mod point;
 mod rect;
 
@@ -42,7 +45,6 @@ pub use metrics::{
     axis_gap, max_dist2, max_max_dist2, min_max_dist2, min_min_dist2, min_min_dist2_within,
     pt_dist2, pt_dist2_within, pt_mindist2, pt_minmaxdist2,
 };
-pub use object::SpatialObject;
 pub use point::Point;
 pub use rect::Rect;
 

@@ -1,5 +1,7 @@
 //! `D`-dimensional points with `f64` coordinates.
 
+use crate::rect::Rect;
+
 /// A point in `D`-dimensional Euclidean space.
 ///
 /// Coordinates are `f64`; the type is `Copy` and deliberately tiny so it can
@@ -80,6 +82,32 @@ impl<const D: usize> Point<D> {
     #[inline]
     pub fn is_finite(&self) -> bool {
         self.0.iter().all(|c| c.is_finite())
+    }
+
+    /// The degenerate MBR of the point: distances between two points are
+    /// the `MINMINDIST` of their MBRs, bit for bit.
+    #[inline]
+    pub fn mbr(&self) -> Rect<D> {
+        Rect::point(*self)
+    }
+
+    /// Writes the `D` coordinates little-endian into `buf[..8 * D]`: the
+    /// object encoding of leaf pages and WAL records.
+    pub fn encode(&self, buf: &mut [u8]) {
+        for (d, c) in self.0.iter().enumerate() {
+            buf[d * 8..d * 8 + 8].copy_from_slice(&c.to_le_bytes());
+        }
+    }
+
+    /// Reads a point [`encode`](Self::encode) wrote to `buf[..8 * D]`.
+    pub fn decode(buf: &[u8]) -> Self {
+        let mut out = [0.0; D];
+        for (d, c) in out.iter_mut().enumerate() {
+            // analyze: allow(panic-path) — fixed 8-byte window of the caller's
+            // length-checked buffer; the conversion cannot fail.
+            *c = f64::from_le_bytes(buf[d * 8..d * 8 + 8].try_into().expect("8-byte slice"));
+        }
+        Point(out)
     }
 }
 

@@ -213,12 +213,6 @@ impl<const D: usize> Rect<D> {
     pub fn is_finite(&self) -> bool {
         self.lo.is_finite() && self.hi.is_finite()
     }
-
-    /// `true` when the rectangle is a single point.
-    #[inline]
-    pub fn is_degenerate(&self) -> bool {
-        (0..D).all(|d| self.lo.coord(d) == self.hi.coord(d))
-    }
 }
 
 #[cfg(test)]
@@ -302,7 +296,7 @@ mod tests {
     #[test]
     fn degenerate_point_rect() {
         let p = Rect::point(Point([1.0, 1.0]));
-        assert!(p.is_degenerate());
+        assert_eq!(p.lo(), p.hi());
         assert_eq!(p.area(), 0.0);
         assert!(p.contains_point(&Point([1.0, 1.0])));
     }

@@ -27,7 +27,7 @@
 use crate::error::LiveResult;
 use crate::tree::{Side, Snapshot};
 use cpq_core::{execute, Algorithm, CpqConfig, ExecCtx, PairResult, QuerySpec};
-use cpq_geo::{Dist2, Point, SpatialObject};
+use cpq_geo::{Dist2, Point};
 use cpq_rtree::LeafEntry;
 use std::collections::BTreeMap;
 
@@ -46,7 +46,7 @@ pub struct ContinuousStats {
 }
 
 /// An incrementally maintained K-closest-pairs result set.
-pub struct ContinuousCpq<const D: usize, O: SpatialObject<D> = Point<D>> {
+pub struct ContinuousCpq<const D: usize> {
     /// The maintained query. Maintenance filters candidate pairs with the
     /// same [`Constraint::admits_pair`](cpq_core::Constraint::admits_pair)
     /// predicate the engine gates its leaf scans with, so the maintained
@@ -54,22 +54,22 @@ pub struct ContinuousCpq<const D: usize, O: SpatialObject<D> = Point<D>> {
     spec: QuerySpec<D>,
     /// The current result set, keyed by the canonical order. Values are
     /// the pairs themselves; iteration order == engine output order.
-    top: BTreeMap<(Dist2, u64, u64), PairResult<D, O>>,
+    top: BTreeMap<(Dist2, u64, u64), PairResult<D>>,
     /// `true` once any qualifying pair may have been discarded; gates the
     /// delete-path re-fill.
     saturated: bool,
     stats: ContinuousStats,
 }
 
-impl<const D: usize, O: SpatialObject<D>> ContinuousCpq<D, O> {
+impl<const D: usize> ContinuousCpq<D> {
     /// Primes a continuous K-CPQ for `spec` from the given snapshots; a
     /// self-join spec takes its one snapshot twice. Fails with
     /// [`RTreeError::InvalidParams`](cpq_rtree::RTreeError::InvalidParams)
     /// when the spec is invalid (see [`QuerySpec::validate`]).
     pub fn new(
         spec: &QuerySpec<D>,
-        snap_p: &Snapshot<D, O>,
-        snap_q: &Snapshot<D, O>,
+        snap_p: &Snapshot<D>,
+        snap_q: &Snapshot<D>,
     ) -> LiveResult<Self> {
         spec.validate()?;
         let mut c = ContinuousCpq {
@@ -85,17 +85,13 @@ impl<const D: usize, O: SpatialObject<D>> ContinuousCpq<D, O> {
 
     /// [`new`](Self::new) on an unconstrained cross spec. Kept for the
     /// `benchmark/` package; new code calls [`new`](Self::new).
-    pub fn new_cross(
-        k: usize,
-        snap_p: &Snapshot<D, O>,
-        snap_q: &Snapshot<D, O>,
-    ) -> LiveResult<Self> {
+    pub fn new_cross(k: usize, snap_p: &Snapshot<D>, snap_q: &Snapshot<D>) -> LiveResult<Self> {
         Self::new(&QuerySpec::cross(k), snap_p, snap_q)
     }
 
     /// The maintained pairs, closest first — identical to what the query
     /// engine would return for the current data.
-    pub fn pairs(&self) -> Vec<PairResult<D, O>> {
+    pub fn pairs(&self) -> Vec<PairResult<D>> {
         self.top.values().cloned().collect()
     }
 
@@ -123,7 +119,7 @@ impl<const D: usize, O: SpatialObject<D>> ContinuousCpq<D, O> {
         }
     }
 
-    fn add_pair(&mut self, pair: PairResult<D, O>) {
+    fn add_pair(&mut self, pair: PairResult<D>) {
         self.top.insert(pair.sort_key(), pair);
         while self.top.len() > self.spec.k {
             self.top.pop_last();
@@ -138,10 +134,10 @@ impl<const D: usize, O: SpatialObject<D>> ContinuousCpq<D, O> {
     pub fn on_insert(
         &mut self,
         side: Side,
-        object: O,
+        object: Point<D>,
         oid: u64,
-        snap_p: &Snapshot<D, O>,
-        snap_q: &Snapshot<D, O>,
+        snap_p: &Snapshot<D>,
+        snap_q: &Snapshot<D>,
     ) -> LiveResult<()> {
         if self.spec.k == 0 {
             return Ok(());
@@ -227,8 +223,8 @@ impl<const D: usize, O: SpatialObject<D>> ContinuousCpq<D, O> {
         &mut self,
         side: Side,
         oid: u64,
-        snap_p: &Snapshot<D, O>,
-        snap_q: &Snapshot<D, O>,
+        snap_p: &Snapshot<D>,
+        snap_q: &Snapshot<D>,
     ) -> LiveResult<()> {
         let keys: Vec<(Dist2, u64, u64)> = self
             .top
@@ -261,20 +257,25 @@ impl<const D: usize, O: SpatialObject<D>> ContinuousCpq<D, O> {
 
     /// Self-join convenience: maintain across an insert into the single
     /// underlying tree.
-    pub fn on_insert_self(&mut self, object: O, oid: u64, snap: &Snapshot<D, O>) -> LiveResult<()> {
+    pub fn on_insert_self(
+        &mut self,
+        object: Point<D>,
+        oid: u64,
+        snap: &Snapshot<D>,
+    ) -> LiveResult<()> {
         // Side is ignored in the self form; pass the same snapshot twice.
         self.on_insert(Side::P, object, oid, snap, snap)
     }
 
     /// Self-join convenience: maintain across a (found) delete.
-    pub fn on_delete_self(&mut self, oid: u64, snap: &Snapshot<D, O>) -> LiveResult<()> {
+    pub fn on_delete_self(&mut self, oid: u64, snap: &Snapshot<D>) -> LiveResult<()> {
         self.on_delete(Side::P, oid, snap, snap)
     }
 
     /// Full engine recompute into `top`; records saturation (an exactly-K
     /// result may have discarded qualifying pairs). The self form reads
     /// `snap_p` only.
-    fn refill(&mut self, snap_p: &Snapshot<D, O>, snap_q: &Snapshot<D, O>) -> LiveResult<()> {
+    fn refill(&mut self, snap_p: &Snapshot<D>, snap_q: &Snapshot<D>) -> LiveResult<()> {
         let snap_q = if self.spec.self_join { snap_p } else { snap_q };
         let run = execute(
             snap_p.tree(),

@@ -44,7 +44,7 @@ pub struct LogicalOp {
     pub op: OpKind,
     /// Application object id.
     pub oid: u64,
-    /// `SpatialObject::encode` bytes of the object.
+    /// `Point::encode` bytes of the object.
     pub obj: Vec<u8>,
 }
 

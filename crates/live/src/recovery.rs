@@ -32,7 +32,6 @@ use crate::error::{LiveError, LiveResult};
 use crate::tree::{LiveConfig, LiveTree, DATA_FILE, WAL_DIR};
 use crate::wal::{scan_log, Lsn, RecordBody, Wal};
 use cpq_check::sync::Arc;
-use cpq_geo::SpatialObject;
 use cpq_rtree::{RTree, RTreeParams, ValidateOptions};
 use cpq_storage::{BufferPool, DiskPageFile, PageId};
 use std::collections::HashSet;
@@ -65,11 +64,16 @@ pub struct RecoveryReport {
 ///
 /// `params` and `cfg` must match the values the tree was created with
 /// (they are operational configuration, not persisted state).
-pub fn recover<const D: usize, O: SpatialObject<D>>(
+///
+/// `O` is unused: every leaf holds a [`Point`](cpq_geo::Point). It stays
+/// because the benchmark harness (`benchmark/src/live.rs`) calls
+/// `recover::<2, Point2>`, so every caller names it as
+/// `recover::<D, Point<D>>`.
+pub fn recover<const D: usize, O>(
     dir: &Path,
     params: RTreeParams,
     cfg: &LiveConfig,
-) -> LiveResult<(LiveTree<D, O>, RecoveryReport)> {
+) -> LiveResult<(LiveTree<D>, RecoveryReport)> {
     let wal_dir = dir.join(WAL_DIR);
     let scans = scan_log(&wal_dir)?;
     let mut report = RecoveryReport {
@@ -169,7 +173,7 @@ pub fn recover<const D: usize, O: SpatialObject<D>>(
     }
 
     // --- Sweep + validate -------------------------------------------
-    let tree: RTree<D, O> = RTree::from_descriptor_shared(Arc::clone(&pool), params, descriptor)?;
+    let tree: RTree<D> = RTree::from_descriptor_shared(Arc::clone(&pool), params, descriptor)?;
     let mut reachable: HashSet<u32> = HashSet::new();
     if descriptor.0 != PageId::INVALID {
         let mut stack = vec![descriptor.0];

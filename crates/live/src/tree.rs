@@ -40,7 +40,7 @@ use crate::error::{LiveError, LiveResult};
 use crate::wal::{Lsn, OpKind, RecordBody, Wal, WalConfig, WalStats};
 use cpq_check::sync::atomic::{AtomicU64, Ordering};
 use cpq_check::sync::{Arc, Mutex};
-use cpq_geo::{Point, SpatialObject};
+use cpq_geo::Point;
 use cpq_rtree::{RTree, RTreeError, RTreeParams};
 use cpq_storage::{BufferPool, DiskPageFile, MemPageFile, PageId};
 use std::path::Path;
@@ -64,13 +64,13 @@ pub enum Side {
 
 /// One streaming update against a [`LiveSet`].
 #[derive(Debug, Clone, Copy)]
-pub enum UpdateOp<const D: usize, O: SpatialObject<D> = Point<D>> {
+pub enum UpdateOp<const D: usize> {
     /// Insert `object` with id `oid` into `side`.
     Insert {
         /// Target tree.
         side: Side,
         /// The object.
-        object: O,
+        object: Point<D>,
         /// Application object id.
         oid: u64,
     },
@@ -79,7 +79,7 @@ pub enum UpdateOp<const D: usize, O: SpatialObject<D> = Point<D>> {
         /// Target tree.
         side: Side,
         /// The object.
-        object: O,
+        object: Point<D>,
         /// Application object id.
         oid: u64,
     },
@@ -151,8 +151,8 @@ impl LiveShared {
 }
 
 /// Writer-side mutable state, behind the writer lock.
-struct WriterState<const D: usize, O: SpatialObject<D>> {
-    tree: RTree<D, O>,
+struct WriterState<const D: usize> {
+    tree: RTree<D>,
     next_op_id: u64,
     ops_since_checkpoint: u64,
     inserts: u64,
@@ -164,7 +164,7 @@ struct WriterState<const D: usize, O: SpatialObject<D>> {
     failed: Option<String>,
 }
 
-impl<const D: usize, O: SpatialObject<D>> WriterState<D, O> {
+impl<const D: usize> WriterState<D> {
     /// The fail-stop rule's check: the latched failure, if there is one.
     fn check(&self) -> LiveResult<()> {
         match &self.failed {
@@ -189,9 +189,9 @@ impl<const D: usize, O: SpatialObject<D>> WriterState<D, O> {
 /// One writer at a time (serialized internally); any number of concurrent
 /// [`snapshot`](Self::snapshot) readers, each seeing a consistent
 /// committed state.
-pub struct LiveTree<const D: usize, O: SpatialObject<D> = Point<D>> {
+pub struct LiveTree<const D: usize> {
     shared: Arc<LiveShared>,
-    writer: Mutex<WriterState<D, O>>,
+    writer: Mutex<WriterState<D>>,
     wal: Option<Wal>,
     params: RTreeParams,
     checkpoint_every: u64,
@@ -202,15 +202,15 @@ pub struct LiveTree<const D: usize, O: SpatialObject<D> = Point<D>> {
 /// The borrowed [`RTree`] is safe to query with every PR-4/PR-7 executor:
 /// copy-on-write guarantees its pages are never modified, and the epoch
 /// pin guarantees they are never freed, until this snapshot drops.
-pub struct Snapshot<const D: usize, O: SpatialObject<D> = Point<D>> {
-    tree: RTree<D, O>,
+pub struct Snapshot<const D: usize> {
+    tree: RTree<D>,
     epoch: u64,
     shared: Arc<LiveShared>,
 }
 
-impl<const D: usize, O: SpatialObject<D>> Snapshot<D, O> {
+impl<const D: usize> Snapshot<D> {
     /// The snapshot's tree.
-    pub fn tree(&self) -> &RTree<D, O> {
+    pub fn tree(&self) -> &RTree<D> {
         &self.tree
     }
 
@@ -220,7 +220,7 @@ impl<const D: usize, O: SpatialObject<D>> Snapshot<D, O> {
     }
 }
 
-impl<const D: usize, O: SpatialObject<D>> Drop for Snapshot<D, O> {
+impl<const D: usize> Drop for Snapshot<D> {
     fn drop(&mut self) {
         let shared = Arc::clone(&self.shared);
         self.shared
@@ -229,7 +229,7 @@ impl<const D: usize, O: SpatialObject<D>> Drop for Snapshot<D, O> {
     }
 }
 
-impl<const D: usize, O: SpatialObject<D>> LiveTree<D, O> {
+impl<const D: usize> LiveTree<D> {
     /// A live tree over an in-memory page file, without a WAL (snapshots
     /// and continuous queries work; durability does not apply).
     pub fn new_in_memory(params: RTreeParams, cfg: &LiveConfig) -> LiveResult<Self> {
@@ -294,7 +294,7 @@ impl<const D: usize, O: SpatialObject<D>> LiveTree<D, O> {
 
     /// Inserts `(object, oid)`; durable (when WAL-backed) and published
     /// to snapshot readers on return.
-    pub fn insert(&self, object: O, oid: u64) -> LiveResult<()> {
+    pub fn insert(&self, object: Point<D>, oid: u64) -> LiveResult<()> {
         let mut st = self.writer.lock().expect("live writer poisoned");
         self.apply_locked(&mut st, OpKind::Insert, object, oid)?;
         Ok(())
@@ -303,7 +303,7 @@ impl<const D: usize, O: SpatialObject<D>> LiveTree<D, O> {
     /// Deletes `(object, oid)`; returns whether the object was found.
     /// The operation is logged and committed either way, so replicas
     /// replaying the log agree on the op stream.
-    pub fn delete(&self, object: O, oid: u64) -> LiveResult<bool> {
+    pub fn delete(&self, object: Point<D>, oid: u64) -> LiveResult<bool> {
         let mut st = self.writer.lock().expect("live writer poisoned");
         self.apply_locked(&mut st, OpKind::Delete, object, oid)
     }
@@ -312,9 +312,9 @@ impl<const D: usize, O: SpatialObject<D>> LiveTree<D, O> {
     /// step 4).
     fn apply_locked(
         &self,
-        st: &mut WriterState<D, O>,
+        st: &mut WriterState<D>,
         op: OpKind,
-        object: O,
+        object: Point<D>,
         oid: u64,
     ) -> LiveResult<bool> {
         st.check()?;
@@ -332,14 +332,14 @@ impl<const D: usize, O: SpatialObject<D>> LiveTree<D, O> {
     /// WAL records, COW tree op, commit, epoch publish, auto-checkpoint.
     fn run_op(
         &self,
-        st: &mut WriterState<D, O>,
+        st: &mut WriterState<D>,
         op: OpKind,
-        object: O,
+        object: Point<D>,
         oid: u64,
     ) -> LiveResult<bool> {
         let op_id = st.next_op_id;
         if let Some(wal) = &self.wal {
-            let mut obj = vec![0u8; O::encoded_size()];
+            let mut obj = vec![0u8; 8 * D];
             object.encode(&mut obj);
             wal.append(&RecordBody::OpBegin {
                 op_id,
@@ -405,7 +405,7 @@ impl<const D: usize, O: SpatialObject<D>> LiveTree<D, O> {
         self.checkpoint_locked(&mut st)
     }
 
-    fn checkpoint_locked(&self, st: &mut WriterState<D, O>) -> LiveResult<Lsn> {
+    fn checkpoint_locked(&self, st: &mut WriterState<D>) -> LiveResult<Lsn> {
         let Some(wal) = &self.wal else {
             return Err(LiveError::Invalid(
                 "checkpoint on a memory-only live tree".into(),
@@ -416,7 +416,7 @@ impl<const D: usize, O: SpatialObject<D>> LiveTree<D, O> {
         st.latch(taken)
     }
 
-    fn write_checkpoint(&self, wal: &Wal, st: &mut WriterState<D, O>) -> LiveResult<Lsn> {
+    fn write_checkpoint(&self, wal: &Wal, st: &mut WriterState<D>) -> LiveResult<Lsn> {
         // WAL-before-data: the whole appended log is durable (or the log's
         // latched failure returned) before the data pages may be declared
         // the new base.
@@ -436,7 +436,7 @@ impl<const D: usize, O: SpatialObject<D>> LiveTree<D, O> {
     }
 
     /// Pins the current epoch and returns a consistent read-only view.
-    pub fn snapshot(&self) -> LiveResult<Snapshot<D, O>> {
+    pub fn snapshot(&self) -> LiveResult<Snapshot<D>> {
         let (epoch, descriptor) = self.shared.epochs.pin();
         match RTree::from_descriptor_shared(Arc::clone(&self.shared.pool), self.params, descriptor)
         {
@@ -503,13 +503,13 @@ pub struct ApplyReport {
 
 /// The P/Q pair of live trees, with optional continuous K-CPQ
 /// maintenance over the update stream.
-pub struct LiveSet<const D: usize, O: SpatialObject<D> = Point<D>> {
-    p: LiveTree<D, O>,
-    q: LiveTree<D, O>,
-    cont: Mutex<Option<ContinuousCpq<D, O>>>,
+pub struct LiveSet<const D: usize> {
+    p: LiveTree<D>,
+    q: LiveTree<D>,
+    cont: Mutex<Option<ContinuousCpq<D>>>,
 }
 
-impl<const D: usize, O: SpatialObject<D>> LiveSet<D, O> {
+impl<const D: usize> LiveSet<D> {
     /// A memory-only pair (no WAL).
     pub fn new_in_memory(params: RTreeParams, cfg: &LiveConfig) -> LiveResult<Self> {
         Ok(LiveSet {
@@ -529,7 +529,7 @@ impl<const D: usize, O: SpatialObject<D>> LiveSet<D, O> {
     }
 
     /// Wraps two live trees (e.g. after recovery).
-    pub fn from_trees(p: LiveTree<D, O>, q: LiveTree<D, O>) -> Self {
+    pub fn from_trees(p: LiveTree<D>, q: LiveTree<D>) -> Self {
         LiveSet {
             p,
             q,
@@ -538,17 +538,17 @@ impl<const D: usize, O: SpatialObject<D>> LiveSet<D, O> {
     }
 
     /// The P tree.
-    pub fn p(&self) -> &LiveTree<D, O> {
+    pub fn p(&self) -> &LiveTree<D> {
         &self.p
     }
 
     /// The Q tree.
-    pub fn q(&self) -> &LiveTree<D, O> {
+    pub fn q(&self) -> &LiveTree<D> {
         &self.q
     }
 
     /// The tree an op side targets.
-    pub fn side(&self, side: Side) -> &LiveTree<D, O> {
+    pub fn side(&self, side: Side) -> &LiveTree<D> {
         match side {
             Side::P => &self.p,
             Side::Q => &self.q,
@@ -575,7 +575,7 @@ impl<const D: usize, O: SpatialObject<D>> LiveSet<D, O> {
 
     /// The current continuous result set (pairs in the canonical order),
     /// or `None` when no watcher is installed.
-    pub fn watched_pairs(&self) -> Option<Vec<cpq_core::PairResult<D, O>>> {
+    pub fn watched_pairs(&self) -> Option<Vec<cpq_core::PairResult<D>>> {
         self.cont
             .lock()
             .expect("continuous watcher poisoned")
@@ -586,7 +586,7 @@ impl<const D: usize, O: SpatialObject<D>> LiveSet<D, O> {
     /// Applies a batch of updates in order. Each op is individually
     /// durable and published before the next starts; the installed
     /// watcher (if any) is maintained incrementally after each op.
-    pub fn apply(&self, ops: &[UpdateOp<D, O>]) -> LiveResult<ApplyReport> {
+    pub fn apply(&self, ops: &[UpdateOp<D>]) -> LiveResult<ApplyReport> {
         let mut report = ApplyReport::default();
         for op in ops {
             let mut cont = self.cont.lock().expect("continuous watcher poisoned");
@@ -682,7 +682,7 @@ mod tests {
         drop(tree);
 
         let (back, _) =
-            crate::recover::<2, Point2>(&dir, RTreeParams::paper(), &cfg).expect("recover");
+            crate::recover::<2, Point<2>>(&dir, RTreeParams::paper(), &cfg).expect("recover");
         assert_eq!(answer(back.snapshot().expect("snapshot").tree()), oracle);
         back.insert(point(40), 40).expect("updates resume");
         let _ = std::fs::remove_dir_all(&dir);
@@ -768,7 +768,7 @@ mod tests {
             );
             drop((snap, tree));
             if durable {
-                let (back, _) = crate::recover::<2, Point2>(&dir, params, &cfg).expect("recover");
+                let (back, _) = crate::recover::<2, Point<2>>(&dir, params, &cfg).expect("recover");
                 let snap = back.snapshot().expect("snapshot");
                 assert_eq!(
                     answer(snap.tree()),

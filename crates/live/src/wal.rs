@@ -106,7 +106,7 @@ pub enum RecordBody {
         op: OpKind,
         /// Application object id.
         oid: u64,
-        /// `SpatialObject::encode` bytes.
+        /// `Point::encode` bytes.
         obj: Vec<u8>,
     },
     /// Physiological after-image of one page the operation wrote.

@@ -7,7 +7,7 @@
 
 use cpq_core::{k_closest_pairs, self_closest_pairs, Algorithm, CpqConfig};
 use cpq_datasets::uniform_grid;
-use cpq_geo::{Point2, SpatialObject};
+use cpq_geo::Point2;
 use cpq_live::harness::{
     committed_ops, copy_live_dir, record_boundaries, restore_data, truncate_wal, CrashPoint,
     LogicalOp,
@@ -70,7 +70,7 @@ fn recover_and_check(work: &Path, base: &BTreeMap<u64, Point2>, q_tree: &RTree<2
     for op in &committed {
         apply_logical(&mut expected, op);
     }
-    let (live, report): (LiveTree<2>, _) = recover(work, RTreeParams::paper(), &cfg())
+    let (live, report): (LiveTree<2>, _) = recover::<2, Point2>(work, RTreeParams::paper(), &cfg())
         .unwrap_or_else(|e| {
             panic!("{label}: recovery failed: {e}");
         });
@@ -177,7 +177,7 @@ fn exhaust_crash_points(
                         // but recovery must still fail loudly, not
                         // fabricate a tree.
                         let res: Result<(LiveTree<2>, _), _> =
-                            recover(&work, RTreeParams::paper(), &cfg());
+                            recover::<2, Point2>(&work, RTreeParams::paper(), &cfg());
                         assert!(
                             matches!(res, Err(LiveError::NoCheckpoint)),
                             "{label}: expected NoCheckpoint"

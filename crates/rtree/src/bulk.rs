@@ -13,10 +13,10 @@ use crate::node::Node;
 use crate::params::RTreeParams;
 use crate::tiling::tile;
 use crate::tree::{check_indexable, RTree};
-use cpq_geo::SpatialObject;
+use cpq_geo::Point;
 use cpq_storage::BufferPool;
 
-impl<const D: usize, O: SpatialObject<D>> RTree<D, O> {
+impl<const D: usize> RTree<D> {
     /// Builds a tree over `pool` by STR packing.
     ///
     /// `fill` in `(0, 1]` is the target node occupancy (e.g. `0.7` mimics
@@ -28,7 +28,7 @@ impl<const D: usize, O: SpatialObject<D>> RTree<D, O> {
     pub fn bulk_load(
         pool: BufferPool,
         params: RTreeParams,
-        objects: &[(O, u64)],
+        objects: &[(Point<D>, u64)],
         fill: f64,
     ) -> RTreeResult<Self> {
         if !(fill > 0.0 && fill <= 1.0) {
@@ -47,11 +47,11 @@ impl<const D: usize, O: SpatialObject<D>> RTree<D, O> {
             .clamp(params.min_entries.max(1), params.max_entries);
 
         // Leaf level.
-        let leaf_items: Vec<LeafEntry<D, O>> = objects
+        let leaf_items: Vec<LeafEntry<D>> = objects
             .iter()
             .map(|&(o, oid)| LeafEntry::new(o, oid))
             .collect();
-        let mut tiles: Vec<Vec<LeafEntry<D, O>>> = Vec::new();
+        let mut tiles: Vec<Vec<LeafEntry<D>>> = Vec::new();
         tile(
             leaf_items,
             cap,

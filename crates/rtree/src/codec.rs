@@ -8,7 +8,7 @@
 //! offset 2   u16  entry count
 //! offset 4   entries …
 //!
-//! leaf entry   : object encoding (O::encoded_size()), u64 oid
+//! leaf entry   : D × f64 point coordinates, u64 oid (8·D + 8 bytes)
 //! inner entry  : 2·D × f64 MBR corners, u32 child, u32 count (16·D + 8 bytes)
 //! ```
 //!
@@ -19,7 +19,7 @@
 use crate::entry::{InnerEntry, LeafEntry};
 use crate::error::{RTreeError, RTreeResult};
 use crate::node::Node;
-use cpq_geo::{Rect, SpatialObject};
+use cpq_geo::{Point, Rect};
 use cpq_storage::PageId;
 
 const KIND_LEAF: u8 = 0;
@@ -27,10 +27,9 @@ const KIND_INNER: u8 = 1;
 /// Bytes of fixed header per node page.
 pub const NODE_HEADER_LEN: usize = 4;
 
-/// Size in bytes of one serialized leaf entry holding an object of
-/// `obj_size` encoded bytes.
-pub const fn leaf_entry_size(obj_size: usize) -> usize {
-    obj_size + 8
+/// Size in bytes of one serialized leaf entry.
+pub const fn leaf_entry_size(d: usize) -> usize {
+    8 * d + 8
 }
 
 /// Size in bytes of one serialized inner entry.
@@ -39,15 +38,12 @@ pub const fn inner_entry_size(d: usize) -> usize {
 }
 
 /// Encodes `node` into `buf` (a full page). Unused tail bytes are zeroed.
-pub fn encode_node<const D: usize, O: SpatialObject<D>>(
-    node: &Node<D, O>,
-    buf: &mut [u8],
-) -> RTreeResult<()> {
+pub fn encode_node<const D: usize>(node: &Node<D>, buf: &mut [u8]) -> RTreeResult<()> {
     buf.fill(0);
-    let osz = O::encoded_size();
+    let osz = 8 * D;
     let needed = NODE_HEADER_LEN
         + match node {
-            Node::Leaf(es) => es.len() * leaf_entry_size(osz),
+            Node::Leaf(es) => es.len() * leaf_entry_size(D),
             Node::Inner { entries, .. } => entries.len() * inner_entry_size(D),
         };
     if needed > buf.len() {
@@ -104,10 +100,7 @@ fn read_f64(buf: &[u8], off: usize) -> f64 {
 }
 
 /// Decodes a node from the page `buf` that was read from `page`.
-pub fn decode_node<const D: usize, O: SpatialObject<D>>(
-    page: PageId,
-    buf: &[u8],
-) -> RTreeResult<Node<D, O>> {
+pub fn decode_node<const D: usize>(page: PageId, buf: &[u8]) -> RTreeResult<Node<D>> {
     if buf.len() < NODE_HEADER_LEN {
         return Err(RTreeError::CorruptNode {
             page,
@@ -127,9 +120,8 @@ pub fn decode_node<const D: usize, O: SpatialObject<D>>(
                     reason: format!("leaf with nonzero level {level}"),
                 });
             }
-            let osz = O::encoded_size();
-            let esz = leaf_entry_size(osz);
-            if NODE_HEADER_LEN + count * esz > buf.len() {
+            let osz = 8 * D;
+            if NODE_HEADER_LEN + count * leaf_entry_size(D) > buf.len() {
                 return Err(RTreeError::CorruptNode {
                     page,
                     reason: format!("leaf entry count {count} exceeds page"),
@@ -138,7 +130,7 @@ pub fn decode_node<const D: usize, O: SpatialObject<D>>(
             let mut entries = Vec::with_capacity(count);
             let mut off = NODE_HEADER_LEN;
             for _ in 0..count {
-                let object = O::decode(&buf[off..off + osz]);
+                let object = Point::decode(&buf[off..off + osz]);
                 off += osz;
                 // analyze: allow(panic-path) — fixed-width field of a length-checked
                 // entry region.
@@ -209,7 +201,6 @@ pub fn decode_node<const D: usize, O: SpatialObject<D>>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cpq_geo::Point;
 
     #[test]
     fn leaf_roundtrip() {
@@ -220,18 +211,6 @@ mod tests {
         let mut buf = vec![0u8; 1024];
         encode_node(&node, &mut buf).unwrap();
         let back: Node<2> = decode_node(PageId(0), &buf).unwrap();
-        assert_eq!(node, back);
-    }
-
-    #[test]
-    fn rect_object_leaf_roundtrip() {
-        let node: Node<2, Rect<2>> = Node::Leaf(vec![
-            LeafEntry::new(Rect::from_corners([0.0, 0.0], [1.0, 2.0]), 1),
-            LeafEntry::new(Rect::from_corners([-3.0, -4.0], [5.0, 6.0]), 2),
-        ]);
-        let mut buf = vec![0u8; 1024];
-        encode_node(&node, &mut buf).unwrap();
-        let back: Node<2, Rect<2>> = decode_node(PageId(0), &buf).unwrap();
         assert_eq!(node, back);
     }
 
@@ -275,20 +254,20 @@ mod tests {
         // Unknown kind.
         let mut buf = vec![0u8; 64];
         buf[0] = 9;
-        assert!(decode_node::<2, Point<2>>(PageId(0), &buf).is_err());
+        assert!(decode_node::<2>(PageId(0), &buf).is_err());
         // Leaf with nonzero level.
         buf[0] = 0;
         buf[1] = 2;
-        assert!(decode_node::<2, Point<2>>(PageId(0), &buf).is_err());
+        assert!(decode_node::<2>(PageId(0), &buf).is_err());
         // Inner with level 0.
         buf[0] = 1;
         buf[1] = 0;
-        assert!(decode_node::<2, Point<2>>(PageId(0), &buf).is_err());
+        assert!(decode_node::<2>(PageId(0), &buf).is_err());
         // Entry count beyond page.
         buf[0] = 0;
         buf[1] = 0;
         buf[2..4].copy_from_slice(&1000u16.to_le_bytes());
-        assert!(decode_node::<2, Point<2>>(PageId(0), &buf).is_err());
+        assert!(decode_node::<2>(PageId(0), &buf).is_err());
     }
 
     #[test]

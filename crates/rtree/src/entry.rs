@@ -1,35 +1,32 @@
-//! Node entries: leaf entries hold data objects, inner entries hold child
+//! Node entries: leaf entries hold data points, inner entries hold child
 //! pointers with MBRs and subtree cardinalities.
 
-use cpq_geo::{Point, Rect, SpatialObject};
+use cpq_geo::{Point, Rect};
 use cpq_storage::PageId;
 
-/// An entry of a leaf node: one indexed spatial object (a [`Point`] by
-/// default — the paper's setting — or any other [`SpatialObject`], e.g. a
-/// [`Rect`] for extended objects).
+/// An entry of a leaf node: one indexed point, the tree's one object type
+/// (the paper's setting).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LeafEntry<const D: usize, O: SpatialObject<D> = Point<D>> {
-    /// The indexed object.
-    pub object: O,
+pub struct LeafEntry<const D: usize> {
+    /// The indexed point.
+    pub object: Point<D>,
     /// Opaque object identifier supplied by the application (e.g. row id).
     pub oid: u64,
 }
 
-impl<const D: usize, O: SpatialObject<D>> LeafEntry<D, O> {
+impl<const D: usize> LeafEntry<D> {
     /// Creates a leaf entry.
-    pub fn new(object: O, oid: u64) -> Self {
+    pub fn new(object: Point<D>, oid: u64) -> Self {
         LeafEntry { object, oid }
     }
 
-    /// MBR of the object (degenerate for points).
+    /// MBR of the point (degenerate).
     #[inline]
     pub fn mbr(&self) -> Rect<D> {
         self.object.mbr()
     }
-}
 
-impl<const D: usize> LeafEntry<D, Point<D>> {
-    /// The indexed point (point-object trees only).
+    /// The indexed point.
     #[inline]
     pub fn point(&self) -> Point<D> {
         self.object
@@ -67,16 +64,8 @@ mod tests {
     #[test]
     fn leaf_entry_mbr_is_degenerate_for_points() {
         let e = LeafEntry::new(Point([1.0, 2.0]), 7);
-        assert!(e.mbr().is_degenerate());
+        assert_eq!(e.mbr().lo(), e.mbr().hi());
         assert!(e.mbr().contains_point(&Point([1.0, 2.0])));
         assert_eq!(e.point(), Point([1.0, 2.0]));
-    }
-
-    #[test]
-    fn leaf_entry_with_rect_object() {
-        let r = Rect::from_corners([0.0, 0.0], [2.0, 3.0]);
-        let e: LeafEntry<2, Rect<2>> = LeafEntry::new(r, 9);
-        assert_eq!(e.mbr(), r);
-        assert_eq!(e.oid, 9);
     }
 }

@@ -4,6 +4,8 @@
 //! the R*-tree of *Beckmann, Kriegel, Schneider, Seeger (SIGMOD 1990)* — the
 //! "most efficient variant of the R-tree family" per Section 2.2 of
 //! *Corral et al. (SIGMOD 2000)* — storing 2-d (generically, `D`-d) points.
+//! Points are the one object type: a leaf entry is a [`Point`](cpq_geo::Point)
+//! and an oid, and every type here is generic over the dimension only.
 //!
 //! Nodes are serialized into fixed-size pages of a
 //! [`BufferPool`](cpq_storage::BufferPool); every node visit is a logical

@@ -1,16 +1,16 @@
 //! In-memory representation of an R-tree node.
 
 use crate::entry::{InnerEntry, LeafEntry};
-use cpq_geo::{Point, Rect, SpatialObject};
+use cpq_geo::Rect;
 
 /// A decoded R-tree node.
 ///
 /// Leaves sit at level 0; an inner node at level `l` has children at level
 /// `l - 1`. The root is the single node at level `height - 1`.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Node<const D: usize, O: SpatialObject<D> = Point<D>> {
+pub enum Node<const D: usize> {
     /// A leaf node holding data objects.
-    Leaf(Vec<LeafEntry<D, O>>),
+    Leaf(Vec<LeafEntry<D>>),
     /// An inner (directory) node holding child entries.
     Inner {
         /// Level of this node (`>= 1`).
@@ -20,7 +20,7 @@ pub enum Node<const D: usize, O: SpatialObject<D> = Point<D>> {
     },
 }
 
-impl<const D: usize, O: SpatialObject<D>> Node<D, O> {
+impl<const D: usize> Node<D> {
     /// Creates an empty leaf.
     pub fn empty_leaf() -> Self {
         Node::Leaf(Vec::new())
@@ -85,7 +85,7 @@ impl<const D: usize, O: SpatialObject<D>> Node<D, O> {
 
     /// Leaf entries; panics on inner nodes.
     #[inline]
-    pub fn leaf_entries(&self) -> &[LeafEntry<D, O>] {
+    pub fn leaf_entries(&self) -> &[LeafEntry<D>] {
         match self {
             Node::Leaf(es) => es,
             Node::Inner { .. } => panic!("leaf_entries() on inner node"),

@@ -81,29 +81,16 @@ impl RTreeParams {
     }
 
     /// Largest `M` such that both a leaf and an inner node with `M` entries
-    /// fit a page of `page_size` bytes in `D` dimensions for **point**
-    /// objects, with the paper's ratios for `m` and `p`.
+    /// fit a page of `page_size` bytes in `d` dimensions, with the paper's
+    /// ratios for `m` and `p`.
     pub fn for_page_size(page_size: usize, d: usize) -> Self {
-        Self::for_page_size_with(page_size, d, 8 * d)
-    }
-
-    /// Like [`for_page_size`](Self::for_page_size) but for leaf objects of
-    /// `obj_size` encoded bytes (e.g. `16·D` for rectangle objects).
-    pub fn for_page_size_with(page_size: usize, d: usize, obj_size: usize) -> Self {
-        let per_entry = leaf_entry_size(obj_size).max(inner_entry_size(d));
+        let per_entry = leaf_entry_size(d).max(inner_entry_size(d));
         let m = (page_size.saturating_sub(NODE_HEADER_LEN)) / per_entry;
         Self::with_max_entries(m.max(2))
     }
 
-    /// Checks internal consistency and that `M` **point** entries fit
-    /// `page_size`.
+    /// Checks internal consistency and that `M` entries fit `page_size`.
     pub fn validate(&self, page_size: usize, d: usize) -> RTreeResult<()> {
-        self.validate_with(page_size, d, 8 * d)
-    }
-
-    /// Checks internal consistency and that `M` entries of leaf objects with
-    /// `obj_size` encoded bytes fit `page_size`.
-    pub fn validate_with(&self, page_size: usize, d: usize, obj_size: usize) -> RTreeResult<()> {
         if self.max_entries < 2 {
             return Err(RTreeError::InvalidParams("M must be at least 2".into()));
         }
@@ -121,7 +108,7 @@ impl RTreeParams {
                 self.max_entries - self.min_entries
             )));
         }
-        let per_entry = leaf_entry_size(obj_size).max(inner_entry_size(d));
+        let per_entry = leaf_entry_size(d).max(inner_entry_size(d));
         let needed = NODE_HEADER_LEN + self.max_entries * per_entry;
         if needed > page_size {
             return Err(RTreeError::InvalidParams(format!(

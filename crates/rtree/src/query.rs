@@ -5,26 +5,25 @@ use crate::entry::LeafEntry;
 use crate::error::RTreeResult;
 use crate::node::Node;
 use crate::tree::RTree;
-use cpq_geo::{min_min_dist2, min_min_dist2_within, Dist2, Point, Rect, SpatialObject};
+use cpq_geo::{min_min_dist2, min_min_dist2_within, Dist2, Point, Rect};
 use cpq_storage::PageId;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// One result of a K-nearest-neighbor query.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct KnnNeighbor<const D: usize, O: SpatialObject<D> = Point<D>> {
+pub struct KnnNeighbor<const D: usize> {
     /// The matching leaf entry.
-    pub entry: LeafEntry<D, O>,
-    /// Its squared distance to the query point (MBR distance for extended
-    /// objects).
+    pub entry: LeafEntry<D>,
+    /// Its squared distance to the query point.
     pub dist2: Dist2,
 }
 
-impl<const D: usize, O: SpatialObject<D>> RTree<D, O> {
+impl<const D: usize> RTree<D> {
     /// Returns all objects whose MBR intersects `window` (boundary
     /// inclusive). For point objects this is exactly "points inside the
     /// window", the paper's range query.
-    pub fn range_query(&self, window: &Rect<D>) -> RTreeResult<Vec<LeafEntry<D, O>>> {
+    pub fn range_query(&self, window: &Rect<D>) -> RTreeResult<Vec<LeafEntry<D>>> {
         let mut out = Vec::new();
         if !self.root().is_valid() {
             return Ok(out);
@@ -49,7 +48,7 @@ impl<const D: usize, O: SpatialObject<D>> RTree<D, O> {
     }
 
     /// `true` when the exact `(object, oid)` pair is indexed.
-    pub fn contains(&self, object: &O, oid: u64) -> RTreeResult<bool> {
+    pub fn contains(&self, object: &Point<D>, oid: u64) -> RTreeResult<bool> {
         if !self.root().is_valid() {
             return Ok(false);
         }
@@ -65,7 +64,7 @@ impl<const D: usize, O: SpatialObject<D>> RTree<D, O> {
                     stack.extend(
                         entries
                             .iter()
-                            .filter(|e| e.mbr.contains_rect(&object.mbr()))
+                            .filter(|e| e.mbr.contains_point(object))
                             .map(|e| e.child),
                     );
                 }
@@ -75,7 +74,7 @@ impl<const D: usize, O: SpatialObject<D>> RTree<D, O> {
     }
 
     /// K nearest neighbors of `query`, closest first (ties broken
-    /// arbitrarily; MBR distance for extended objects). Uses the best-first
+    /// arbitrarily). Uses the best-first
     /// traversal of Hjaltason & Samet with a MINDIST-ordered priority queue.
     ///
     /// The queue is kept small with a running bound: once `k` candidate
@@ -84,7 +83,7 @@ impl<const D: usize, O: SpatialObject<D>> RTree<D, O> {
     /// and points alike — are never pushed. Distances are evaluated with the
     /// threshold-aware kernel, which stops accumulating per-axis
     /// contributions as soon as the partial sum crosses the bound.
-    pub fn knn(&self, query: &Point<D>, k: usize) -> RTreeResult<Vec<KnnNeighbor<D, O>>> {
+    pub fn knn(&self, query: &Point<D>, k: usize) -> RTreeResult<Vec<KnnNeighbor<D>>> {
         // `k` is outside input: size by what the tree can return.
         let cap = k.min(self.len() as usize);
         let mut out = Vec::with_capacity(cap);
@@ -102,9 +101,9 @@ impl<const D: usize, O: SpatialObject<D>> RTree<D, O> {
         let mut heap: BinaryHeap<(Reverse<Dist2>, usize, Item)> = BinaryHeap::new();
         let mut seq = 0usize; // FIFO tie-breaker for deterministic order
         heap.push((Reverse(Dist2::ZERO), seq, Item::Node(self.root())));
-        let mut pending: Vec<LeafEntry<D, O>> = Vec::new(); // store for Point items
-                                                            // Max-heap of the k smallest point distances seen so far; its top is
-                                                            // the pruning bound once k candidates exist.
+        let mut pending: Vec<LeafEntry<D>> = Vec::new(); // store for Point items
+                                                         // Max-heap of the k smallest point distances seen so far; its top is
+                                                         // the pruning bound once k candidates exist.
         let mut worst: BinaryHeap<Dist2> = BinaryHeap::with_capacity(cap + 1);
         let bound = |worst: &BinaryHeap<Dist2>| {
             if worst.len() >= k {
@@ -167,7 +166,7 @@ impl<const D: usize, O: SpatialObject<D>> RTree<D, O> {
     /// This is the bounded-radius probe behind continuous (incremental)
     /// K-CPQ maintenance: a newly inserted point probes the *other* tree
     /// seeded by the current K-th pair distance.
-    pub fn within_dist2(&self, probe: &Rect<D>, bound: Dist2) -> RTreeResult<Vec<LeafEntry<D, O>>> {
+    pub fn within_dist2(&self, probe: &Rect<D>, bound: Dist2) -> RTreeResult<Vec<LeafEntry<D>>> {
         let mut out = Vec::new();
         if !self.root().is_valid() {
             return Ok(out);
@@ -195,7 +194,7 @@ impl<const D: usize, O: SpatialObject<D>> RTree<D, O> {
     }
 
     /// All indexed objects, in unspecified order.
-    pub fn all_objects(&self) -> RTreeResult<Vec<LeafEntry<D, O>>> {
+    pub fn all_objects(&self) -> RTreeResult<Vec<LeafEntry<D>>> {
         let mut out = Vec::with_capacity(self.len() as usize);
         if !self.root().is_valid() {
             return Ok(out);

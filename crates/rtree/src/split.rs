@@ -14,7 +14,7 @@ pub(crate) trait SplitItem<const D: usize>: Clone {
     fn mbr(&self) -> Rect<D>;
 }
 
-impl<const D: usize, O: cpq_geo::SpatialObject<D>> SplitItem<D> for crate::entry::LeafEntry<D, O> {
+impl<const D: usize> SplitItem<D> for crate::entry::LeafEntry<D> {
     fn mbr(&self) -> Rect<D> {
         self.object.mbr()
     }

@@ -17,7 +17,7 @@
 //! `coord(d) >= c` go right — the same rule the builder partitions with, so
 //! build-time grouping and query-time assignment can never disagree.
 
-use cpq_geo::{Point, Rect, SpatialObject};
+use cpq_geo::{Point, Rect};
 
 use crate::entry::{InnerEntry, LeafEntry};
 
@@ -26,7 +26,7 @@ pub(crate) trait Tileable<const D: usize>: Clone {
     fn key(&self, dim: usize) -> f64;
 }
 
-impl<const D: usize, O: SpatialObject<D>> Tileable<D> for LeafEntry<D, O> {
+impl<const D: usize> Tileable<D> for LeafEntry<D> {
     fn key(&self, dim: usize) -> f64 {
         self.mbr().center().coord(dim)
     }

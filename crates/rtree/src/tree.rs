@@ -7,23 +7,23 @@ use crate::node::Node;
 use crate::params::RTreeParams;
 use crate::params::SplitPolicy;
 use crate::split::{linear_split, quadratic_split, rstar_split};
-use cpq_geo::{Point, Rect, SpatialObject};
+use cpq_geo::{Point, Rect};
 use cpq_storage::{BufferPool, PageId};
 use std::cmp::Ordering;
 use std::collections::{HashSet, VecDeque};
 use std::sync::Arc;
 
 /// Either kind of entry, used by forced reinsertion and orphan handling,
-/// which move both data objects (level 0) and whole subtrees (level ≥ 1).
+/// which move both data points (level 0) and whole subtrees (level ≥ 1).
 #[derive(Debug, Clone, Copy)]
-pub(crate) enum AnyEntry<const D: usize, O: SpatialObject<D>> {
-    /// A data object destined for a leaf.
-    Leaf(LeafEntry<D, O>),
+pub(crate) enum AnyEntry<const D: usize> {
+    /// A data point destined for a leaf.
+    Leaf(LeafEntry<D>),
     /// A subtree pointer destined for an inner node.
     Inner(InnerEntry<D>),
 }
 
-impl<const D: usize, O: SpatialObject<D>> AnyEntry<D, O> {
+impl<const D: usize> AnyEntry<D> {
     pub(crate) fn mbr(&self) -> Rect<D> {
         match self {
             AnyEntry::Leaf(e) => e.mbr(),
@@ -32,22 +32,20 @@ impl<const D: usize, O: SpatialObject<D>> AnyEntry<D, O> {
     }
 }
 
-/// An R*-tree storing `D`-dimensional spatial objects in a paged buffer
-/// pool. The default object is a [`Point`] (the paper's setting); extended
-/// objects like [`Rect`] work the same way with MBR distance semantics.
+/// An R*-tree storing `D`-dimensional [`Point`]s (the paper's setting) in a
+/// paged buffer pool.
 ///
 /// Levels count from the leaves: leaves are level 0 and the root is the
 /// single node at level `height - 1`. Every node occupies one page; node
 /// fetches go through the pool, so the pool's miss counter is exactly the
 /// paper's "disk accesses" metric.
-pub struct RTree<const D: usize, O: SpatialObject<D> = Point<D>> {
+pub struct RTree<const D: usize> {
     pool: Arc<BufferPool>,
     params: RTreeParams,
     root: PageId,
     height: u8,
     len: u64,
     cow: Option<CowState>,
-    _object: std::marker::PhantomData<O>,
 }
 
 /// Copy-on-write bookkeeping for one uncommitted update batch.
@@ -91,7 +89,7 @@ impl CowDelta {
 /// The one check of what may be indexed, shared by [`RTree::insert`] and
 /// [`RTree::bulk_load`]: a NaN or infinite coordinate would poison every
 /// MBR above it and every distance computed against it.
-pub(crate) fn check_indexable<const D: usize, O: SpatialObject<D>>(object: &O) -> RTreeResult<()> {
+pub(crate) fn check_indexable<const D: usize>(object: &Point<D>) -> RTreeResult<()> {
     if object.is_finite() {
         Ok(())
     } else {
@@ -101,7 +99,7 @@ pub(crate) fn check_indexable<const D: usize, O: SpatialObject<D>>(object: &O) -
     }
 }
 
-impl<const D: usize, O: SpatialObject<D>> RTree<D, O> {
+impl<const D: usize> RTree<D> {
     /// Creates an empty tree over `pool`.
     pub fn new(pool: BufferPool, params: RTreeParams) -> RTreeResult<Self> {
         Self::new_shared(Arc::new(pool), params)
@@ -111,7 +109,7 @@ impl<const D: usize, O: SpatialObject<D>> RTree<D, O> {
     /// live-update path hands the same pool to a writer and to per-epoch
     /// snapshot readers).
     pub fn new_shared(pool: Arc<BufferPool>, params: RTreeParams) -> RTreeResult<Self> {
-        params.validate_with(pool.page_size(), D, O::encoded_size())?;
+        params.validate(pool.page_size(), D)?;
         Ok(RTree {
             pool,
             params,
@@ -119,7 +117,6 @@ impl<const D: usize, O: SpatialObject<D>> RTree<D, O> {
             height: 0,
             len: 0,
             cow: None,
-            _object: std::marker::PhantomData,
         })
     }
 
@@ -143,7 +140,7 @@ impl<const D: usize, O: SpatialObject<D>> RTree<D, O> {
         params: RTreeParams,
         descriptor: (PageId, u8, u64),
     ) -> RTreeResult<Self> {
-        params.validate_with(pool.page_size(), D, O::encoded_size())?;
+        params.validate(pool.page_size(), D)?;
         let (root, height, len) = descriptor;
         Ok(RTree {
             pool,
@@ -152,7 +149,6 @@ impl<const D: usize, O: SpatialObject<D>> RTree<D, O> {
             height,
             len,
             cow: None,
-            _object: std::marker::PhantomData,
         })
     }
 
@@ -230,7 +226,7 @@ impl<const D: usize, O: SpatialObject<D>> RTree<D, O> {
     /// ([`BufferPool::read_decoded`]): a hit on a resident page shares the
     /// node its frame already holds. Writers take their own copy with
     /// `Arc::unwrap_or_clone`.
-    pub fn read_node(&self, id: PageId) -> RTreeResult<Arc<Node<D, O>>> {
+    pub fn read_node(&self, id: PageId) -> RTreeResult<Arc<Node<D>>> {
         self.pool.read_decoded(id, |bytes| decode_node(id, bytes))
     }
 
@@ -252,7 +248,7 @@ impl<const D: usize, O: SpatialObject<D>> RTree<D, O> {
         Ok(self.read_node(self.root)?.mbr())
     }
 
-    pub(crate) fn write_node(&self, id: PageId, node: &Node<D, O>) -> RTreeResult<()> {
+    pub(crate) fn write_node(&self, id: PageId, node: &Node<D>) -> RTreeResult<()> {
         let mut buf = vec![0u8; self.pool.page_size()];
         encode_node(node, &mut buf)?;
         self.pool.write_page(id, &buf)?;
@@ -264,7 +260,7 @@ impl<const D: usize, O: SpatialObject<D>> RTree<D, O> {
     /// in-place write returning `id`; otherwise the node lands on a fresh
     /// page, `id` is retired, and the new id is returned for the caller to
     /// thread into the parent entry.
-    fn place_node(&mut self, id: PageId, node: &Node<D, O>) -> RTreeResult<PageId> {
+    fn place_node(&mut self, id: PageId, node: &Node<D>) -> RTreeResult<PageId> {
         let redirect = match &self.cow {
             Some(state) => !state.fresh.contains(&id),
             None => false,
@@ -281,7 +277,7 @@ impl<const D: usize, O: SpatialObject<D>> RTree<D, O> {
         }
     }
 
-    pub(crate) fn alloc_write(&mut self, node: &Node<D, O>) -> RTreeResult<PageId> {
+    pub(crate) fn alloc_write(&mut self, node: &Node<D>) -> RTreeResult<PageId> {
         let id = self.pool.allocate()?;
         self.write_node(id, node)?;
         if let Some(state) = self.cow.as_mut() {
@@ -317,7 +313,7 @@ impl<const D: usize, O: SpatialObject<D>> RTree<D, O> {
         self.len = len;
     }
 
-    fn entry_for(&self, id: PageId, node: &Node<D, O>) -> InnerEntry<D> {
+    fn entry_for(&self, id: PageId, node: &Node<D>) -> InnerEntry<D> {
         InnerEntry::new(
             // analyze: allow(panic-path) — entry_for links only freshly written
             // non-empty nodes.
@@ -331,7 +327,7 @@ impl<const D: usize, O: SpatialObject<D>> RTree<D, O> {
     ///
     /// Duplicate objects (same geometry, same or different oid) are
     /// allowed, like in the paper's uniform datasets.
-    pub fn insert(&mut self, object: O, oid: u64) -> RTreeResult<()> {
+    pub fn insert(&mut self, object: Point<D>, oid: u64) -> RTreeResult<()> {
         check_indexable(&object)?;
         if !self.root.is_valid() {
             let node = Node::Leaf(vec![LeafEntry::new(object, oid)]);
@@ -347,11 +343,11 @@ impl<const D: usize, O: SpatialObject<D>> RTree<D, O> {
 
     /// Inserts `entry` into a node at `level`, with R* overflow treatment.
     /// Does **not** touch `self.len` (also used for reinsertions).
-    pub(crate) fn insert_at_level(&mut self, entry: AnyEntry<D, O>, level: u8) -> RTreeResult<()> {
+    pub(crate) fn insert_at_level(&mut self, entry: AnyEntry<D>, level: u8) -> RTreeResult<()> {
         // Forced reinsertion is permitted once per level per data insert
         // (Beckmann et al.'s OverflowTreatment).
         let mut overflowed = vec![false; self.height as usize];
-        let mut queue: VecDeque<(AnyEntry<D, O>, u8)> = VecDeque::new();
+        let mut queue: VecDeque<(AnyEntry<D>, u8)> = VecDeque::new();
         queue.push_back((entry, level));
         while let Some((e, lvl)) = queue.pop_front() {
             let root_level = self.height - 1;
@@ -382,10 +378,10 @@ impl<const D: usize, O: SpatialObject<D>> RTree<D, O> {
         &mut self,
         node_id: PageId,
         node_level: u8,
-        entry: AnyEntry<D, O>,
+        entry: AnyEntry<D>,
         target_level: u8,
         overflowed: &mut [bool],
-        queue: &mut VecDeque<(AnyEntry<D, O>, u8)>,
+        queue: &mut VecDeque<(AnyEntry<D>, u8)>,
     ) -> RTreeResult<(InnerEntry<D>, Option<InnerEntry<D>>)> {
         let mut node = Arc::unwrap_or_clone(self.read_node(node_id)?);
         debug_assert_eq!(node.level(), node_level, "level mismatch on {node_id}");
@@ -454,7 +450,7 @@ impl<const D: usize, O: SpatialObject<D>> RTree<D, O> {
     ///
     /// Guttman variants use the classic least-enlargement rule at every
     /// level. Every rule keeps the lowest index among equal keys.
-    fn choose_subtree(&self, node: &Node<D, O>, mbr: &Rect<D>) -> usize {
+    fn choose_subtree(&self, node: &Node<D>, mbr: &Rect<D>) -> usize {
         let entries = node.inner_entries();
         debug_assert!(!entries.is_empty(), "choose_subtree on empty node");
         if self.params.split_policy == SplitPolicy::RStar && node.level() == 1 {
@@ -476,7 +472,7 @@ impl<const D: usize, O: SpatialObject<D>> RTree<D, O> {
     /// Forced-reinsert selection: removes the `p` entries whose centers are
     /// farthest from the node MBR's center and returns them sorted by
     /// *increasing* distance (Beckmann et al.'s "close reinsert").
-    fn reinsert_select(&self, node: &mut Node<D, O>) -> Vec<AnyEntry<D, O>> {
+    fn reinsert_select(&self, node: &mut Node<D>) -> Vec<AnyEntry<D>> {
         let p = self
             .params
             .reinsert_count
@@ -495,11 +491,11 @@ impl<const D: usize, O: SpatialObject<D>> RTree<D, O> {
                         .total_cmp(&es[a].mbr().center().dist2(&center))
                 });
                 let removed_set: Vec<usize> = idx[..p].to_vec();
-                let mut removed: Vec<(f64, AnyEntry<D, O>)> = removed_set
+                let mut removed: Vec<(f64, AnyEntry<D>)> = removed_set
                     .iter()
                     .map(|&i| (es[i].mbr().center().dist2(&center), AnyEntry::Leaf(es[i])))
                     .collect();
-                let mut keep: Vec<LeafEntry<D, O>> = Vec::with_capacity(es.len() - p);
+                let mut keep: Vec<LeafEntry<D>> = Vec::with_capacity(es.len() - p);
                 for (i, e) in es.iter().enumerate() {
                     if !removed_set.contains(&i) {
                         keep.push(*e);
@@ -519,7 +515,7 @@ impl<const D: usize, O: SpatialObject<D>> RTree<D, O> {
                         .total_cmp(&entries[a].mbr.center().dist2(&center))
                 });
                 let removed_set: Vec<usize> = idx[..p].to_vec();
-                let mut removed: Vec<(f64, AnyEntry<D, O>)> = removed_set
+                let mut removed: Vec<(f64, AnyEntry<D>)> = removed_set
                     .iter()
                     .map(|&i| {
                         (
@@ -541,7 +537,7 @@ impl<const D: usize, O: SpatialObject<D>> RTree<D, O> {
         }
     }
 
-    fn split_node(&self, node: Node<D, O>) -> (Node<D, O>, Node<D, O>) {
+    fn split_node(&self, node: Node<D>) -> (Node<D>, Node<D>) {
         fn dispatch<const D: usize, T: crate::split::SplitItem<D>>(
             policy: SplitPolicy,
             items: Vec<T>,
@@ -573,11 +569,11 @@ impl<const D: usize, O: SpatialObject<D>> RTree<D, O> {
     ///
     /// Underflowing nodes are dissolved and their entries reinserted
     /// (Guttman's `CondenseTree`, as adopted by the R*-tree).
-    pub fn delete(&mut self, object: O, oid: u64) -> RTreeResult<bool> {
+    pub fn delete(&mut self, object: Point<D>, oid: u64) -> RTreeResult<bool> {
         if !self.root.is_valid() {
             return Ok(false);
         }
-        let mut orphans: Vec<(AnyEntry<D, O>, u8)> = Vec::new();
+        let mut orphans: Vec<(AnyEntry<D>, u8)> = Vec::new();
         let root_level = self.height - 1;
         let found =
             match self.delete_rec(self.root, root_level, true, &object, oid, &mut orphans)? {
@@ -631,9 +627,9 @@ impl<const D: usize, O: SpatialObject<D>> RTree<D, O> {
         node_id: PageId,
         node_level: u8,
         is_root: bool,
-        object: &O,
+        object: &Point<D>,
         oid: u64,
-        orphans: &mut Vec<(AnyEntry<D, O>, u8)>,
+        orphans: &mut Vec<(AnyEntry<D>, u8)>,
     ) -> RTreeResult<DeleteOutcome<D>> {
         let mut node = Arc::unwrap_or_clone(self.read_node(node_id)?);
         match &mut node {
@@ -664,7 +660,7 @@ impl<const D: usize, O: SpatialObject<D>> RTree<D, O> {
             Node::Inner { entries, .. } => {
                 let mut found_at: Option<(usize, DeleteOutcome<D>)> = None;
                 for (i, e) in entries.iter().enumerate() {
-                    if !e.mbr.contains_rect(&object.mbr()) {
+                    if !e.mbr.contains_point(object) {
                         continue;
                     }
                     match self.delete_rec(e.child, node_level - 1, false, object, oid, orphans)? {
@@ -793,22 +789,17 @@ mod tests {
         best
     }
 
-    fn build<const D: usize, O: SpatialObject<D>>(
-        objects: &[O],
-        max_entries: usize,
-    ) -> RTree<D, O> {
+    fn build<const D: usize>(points: &[Point<D>], max_entries: usize) -> RTree<D> {
         let pool = BufferPool::with_lru(Box::new(MemPageFile::new(4096)), 4096);
         let mut tree = RTree::new(pool, RTreeParams::with_max_entries(max_entries)).unwrap();
-        for (oid, o) in objects.iter().enumerate() {
-            tree.insert(*o, oid as u64).unwrap();
+        for (oid, p) in points.iter().enumerate() {
+            tree.insert(*p, oid as u64).unwrap();
         }
         tree
     }
 
     /// The children of every level-1 node of `tree`.
-    fn leaf_parents<const D: usize, O: SpatialObject<D>>(
-        tree: &RTree<D, O>,
-    ) -> Vec<Vec<InnerEntry<D>>> {
+    fn leaf_parents<const D: usize>(tree: &RTree<D>) -> Vec<Vec<InnerEntry<D>>> {
         let mut out = Vec::new();
         let mut stack = vec![tree.root()];
         while let Some(id) = stack.pop() {
@@ -821,6 +812,15 @@ mod tests {
             }
         }
         out
+    }
+
+    /// The children of a node built directly from their MBRs.
+    fn inner_node<const D: usize>(rects: &[Rect<D>]) -> Vec<InnerEntry<D>> {
+        rects
+            .iter()
+            .enumerate()
+            .map(|(i, &mbr)| InnerEntry::new(mbr, PageId(i as u32), 1))
+            .collect()
     }
 
     /// MBRs to insert under `entries`: per child its own MBR, its center,
@@ -861,14 +861,14 @@ mod tests {
         out
     }
 
-    /// Both rules on every level-1 node of `tree`, on the node as stored,
-    /// reversed (ties resolve by index) and with its first children
-    /// duplicated at the end (exact ties in every key component). Returns
-    /// how many choices were compared.
-    fn same_choices<const D: usize, O: SpatialObject<D>>(tree: &RTree<D, O>, seed: u64) -> usize {
+    /// Both rules on every node of `nodes` (each given by its children),
+    /// on the node as given, reversed (ties resolve by index) and with its
+    /// first children duplicated at the end (exact ties in every key
+    /// component). Returns how many choices were compared.
+    fn same_choices<const D: usize>(nodes: Vec<Vec<InnerEntry<D>>>, seed: u64) -> usize {
         let mut r = Rng::seed_from_u64(seed);
         let mut compared = 0;
-        for entries in leaf_parents(tree) {
+        for entries in nodes {
             let mut reversed = entries.clone();
             reversed.reverse();
             let mut doubled = entries.clone();
@@ -884,7 +884,7 @@ mod tests {
                 }
             }
         }
-        assert!(compared > 0, "no level-1 node: the tree is too small");
+        assert!(compared > 0, "no node: the tree is too small");
         compared
     }
 
@@ -919,14 +919,20 @@ mod tests {
         let three = |r: &mut Rng, _: usize| [0.0, 1.0, 2.0][r.random_range(0usize..3)];
         let mut compared = 0;
         for m in [4, 21] {
-            compared += same_choices(&build(&points::<2>(1500, 1, grid), m), 11);
-            compared += same_choices(&build(&points::<2>(1500, 2, collinear), m), 12);
-            compared += same_choices(&build(&points::<2>(600, 3, |_, _| 7.0), m), 13);
-            compared += same_choices(&build(&points::<2>(600, 4, three), m), 14);
-            compared += same_choices(&build(&points::<3>(1500, 5, uniform), m), 15);
-            compared += same_choices(&build(&points::<3>(1500, 6, grid), m), 16);
-            // Rectangles with zero extents: points, horizontal and vertical
-            // segments, and a few proper boxes.
+            compared += same_choices(leaf_parents(&build(&points::<2>(1500, 1, grid), m)), 11);
+            compared += same_choices(
+                leaf_parents(&build(&points::<2>(1500, 2, collinear), m)),
+                12,
+            );
+            compared += same_choices(
+                leaf_parents(&build(&points::<2>(600, 3, |_, _| 7.0), m)),
+                13,
+            );
+            compared += same_choices(leaf_parents(&build(&points::<2>(600, 4, three), m)), 14);
+            compared += same_choices(leaf_parents(&build(&points::<3>(1500, 5, uniform), m)), 15);
+            compared += same_choices(leaf_parents(&build(&points::<3>(1500, 6, grid), m)), 16);
+            // Children with zero extents: points, horizontal and vertical
+            // segments, and a few proper boxes, `m` to a node.
             let mut r = Rng::seed_from_u64(7);
             let rects: Vec<Rect<2>> = (0..1500)
                 .map(|i| {
@@ -940,7 +946,7 @@ mod tests {
                     }
                 })
                 .collect();
-            compared += same_choices(&build(&rects, m), 17);
+            compared += same_choices(rects.chunks(m).map(inner_node).collect(), 17);
         }
         assert!(compared > 100_000, "only {compared} choices compared");
     }
@@ -950,17 +956,10 @@ mod tests {
         // Spans beyond f64::MAX: an extent overflows to infinity, so an area
         // is `inf * 0` or an enlargement `inf - inf`, both NaN.
         let big = f64::MAX;
-        let node = |rects: &[Rect<2>]| -> Vec<InnerEntry<2>> {
-            rects
-                .iter()
-                .enumerate()
-                .map(|(i, &mbr)| InnerEntry::new(mbr, PageId(i as u32), 1))
-                .collect()
-        };
         // A NaN key compares equal to both neighbours in the sort, so
         // sorting would leave child 0 (enlargement 7) ahead of child 2
         // (enlargement 3), both of overlap enlargement 0.
-        let unsortable = node(&[
+        let unsortable = inner_node(&[
             Rect::from_corners([1.0, 1.0], [2.0, 6.0]),
             Rect::from_corners([-big, 0.0], [big, 0.0]),
             Rect::from_corners([1.0, 1.0], [2.0, 2.0]),
@@ -968,7 +967,7 @@ mod tests {
         let origin = Rect::point(Point([0.0, 0.0]));
         assert_eq!(full_scan(&unsortable, &origin), 2);
         assert_eq!(least_overlap_enlargement(&unsortable, &origin), 2);
-        let entries = node(&[
+        let entries = inner_node(&[
             Rect::from_corners([-big, 0.0], [big, 0.0]),
             Rect::from_corners([-big, -big], [big, big]),
             Rect::from_corners([0.0, 0.0], [1.0, 1.0]),

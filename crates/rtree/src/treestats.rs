@@ -3,7 +3,6 @@
 use crate::error::RTreeResult;
 use crate::node::Node;
 use crate::tree::RTree;
-use cpq_geo::SpatialObject;
 
 /// Aggregate statistics of one tree level.
 #[derive(Debug, Clone)]
@@ -18,7 +17,7 @@ pub struct LevelStats<const D: usize> {
     pub avg_occupancy: f64,
 }
 
-impl<const D: usize, O: SpatialObject<D>> RTree<D, O> {
+impl<const D: usize> RTree<D> {
     /// Walks the tree and returns statistics for every level, leaves first.
     ///
     /// Used by the analytic cost model of `cpq-core` (the paper's future
@@ -65,7 +64,7 @@ impl<const D: usize, O: SpatialObject<D>> RTree<D, O> {
     }
 }
 
-impl<const D: usize, O: SpatialObject<D>> RTree<D, O> {
+impl<const D: usize> RTree<D> {
     /// Pins every node at level `min_level` or above into the buffer pool
     /// (root included), so they are never evicted during queries — the
     /// classic "keep the directory resident" production policy.

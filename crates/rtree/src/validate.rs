@@ -8,7 +8,7 @@
 use crate::error::RTreeResult;
 use crate::node::Node;
 use crate::tree::RTree;
-use cpq_geo::{Rect, SpatialObject};
+use cpq_geo::Rect;
 use cpq_storage::PageId;
 use std::collections::{HashMap, HashSet};
 
@@ -52,7 +52,7 @@ impl ValidationReport {
     }
 }
 
-impl<const D: usize, O: SpatialObject<D>> RTree<D, O> {
+impl<const D: usize> RTree<D> {
     /// Walks the whole tree checking every structural invariant:
     ///
     /// 1. every child entry's MBR equals the child node's computed MBR
@@ -118,7 +118,7 @@ impl<const D: usize, O: SpatialObject<D>> RTree<D, O> {
     fn validate_rec(
         &self,
         id: PageId,
-        node: &Node<D, O>,
+        node: &Node<D>,
         is_root: bool,
         report: &mut ValidationReport,
         ctx: &mut WalkCtx<D>,
@@ -171,7 +171,7 @@ impl<const D: usize, O: SpatialObject<D>> RTree<D, O> {
                         }
                     }
                     if let Some(bounds) = &ctx.opts.bounds {
-                        if !bounds.contains_rect(&e.object.mbr()) {
+                        if !bounds.contains_point(&e.object) {
                             report.violations.push(format!(
                                 "{id}: object {:?} (oid {}) outside required bounds {bounds:?}",
                                 e.object, e.oid

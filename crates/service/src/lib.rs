@@ -101,17 +101,16 @@ pub use cpq_live::{
 #[cfg(test)]
 mod thread_safety {
     use super::*;
-    use cpq_geo::Point;
 
     fn assert_send_sync<T: Send + Sync>() {}
 
     #[test]
     fn service_types_are_send_sync() {
-        assert_send_sync::<CpqService<2, Point<2>>>();
-        assert_send_sync::<TreePair<2, Point<2>>>();
+        assert_send_sync::<CpqService<2>>();
+        assert_send_sync::<TreePair<2>>();
         assert_send_sync::<AdmissionQueue<QueryRequest>>();
         assert_send_sync::<QueryRequest>();
-        assert_send_sync::<QueryResponse<2, Point<2>>>();
+        assert_send_sync::<QueryResponse<2>>();
         assert_send_sync::<ServiceStats>();
         assert_send_sync::<StatsSummary>();
         assert_send_sync::<CancelToken>();
@@ -119,6 +118,6 @@ mod thread_safety {
         // single ticket is owned by one waiter, so Sync is not required
         // (mpsc::Receiver is !Sync by design).
         fn assert_send<T: Send>() {}
-        assert_send::<QueryTicket<2, Point<2>>>();
+        assert_send::<QueryTicket<2>>();
     }
 }

@@ -1,7 +1,6 @@
 //! The request/response vocabulary of the query service.
 
 use cpq_core::{Algorithm, Constraint, CpqStats, PairResult, QuerySpec};
-use cpq_geo::{Point, SpatialObject};
 use cpq_obs::QueryProfile;
 use std::time::Duration;
 
@@ -184,7 +183,7 @@ impl QueryStatus {
 /// The answer to one [`QueryRequest`], delivered through the request's
 /// [`QueryTicket`](crate::QueryTicket).
 #[derive(Debug, Clone)]
-pub struct QueryResponse<const D: usize, O: SpatialObject<D> = Point<D>> {
+pub struct QueryResponse<const D: usize> {
     /// Service-assigned id (admission order).
     pub id: u64,
     /// The request this answers. For planned requests
@@ -194,7 +193,7 @@ pub struct QueryResponse<const D: usize, O: SpatialObject<D> = Point<D>> {
     /// How the query ended.
     pub status: QueryStatus,
     /// Result pairs, ascending by distance (partial when `TimedOut`).
-    pub pairs: Vec<PairResult<D, O>>,
+    pub pairs: Vec<PairResult<D>>,
     /// Engine work counters. `dist_computations` / `node_pairs_processed`
     /// are exact and deterministic; the `disk_accesses_*` deltas are exact
     /// in a single-worker service but *approximate* under concurrency,

@@ -11,7 +11,7 @@ use cpq_check::sync::{mpsc, Arc};
 use cpq_core::{
     execute, CancelToken, CpqConfig, CpqStats, ExecCtx, ProfileProbe, QueryProfile, QueryRun,
 };
-use cpq_geo::{Point, Rect, SpatialObject};
+use cpq_geo::Rect;
 use cpq_live::{ApplyReport, LiveError, LiveSet, LiveTree, UpdateOp};
 use cpq_rtree::{LevelStats, RTree};
 use cpq_shard::{execute_sharded, ShardConfig, ShardReport, ShardedPair};
@@ -23,16 +23,16 @@ use std::time::{Duration, Instant};
 /// Workers never mutate them — the whole query path is `&self` — so one
 /// pair (and its two buffer pools) is shared by every worker without
 /// copying. Self-join requests run on `p`.
-pub struct TreePair<const D: usize, O: SpatialObject<D> = Point<D>> {
+pub struct TreePair<const D: usize> {
     /// The `P` tree (also the self-join target).
-    pub p: RTree<D, O>,
+    pub p: RTree<D>,
     /// The `Q` tree.
-    pub q: RTree<D, O>,
+    pub q: RTree<D>,
 }
 
-impl<const D: usize, O: SpatialObject<D>> TreePair<D, O> {
+impl<const D: usize> TreePair<D> {
     /// Bundles two trees for serving.
-    pub fn new(p: RTree<D, O>, q: RTree<D, O>) -> Self {
+    pub fn new(p: RTree<D>, q: RTree<D>) -> Self {
         TreePair { p, q }
     }
 }
@@ -87,21 +87,21 @@ impl Default for ServiceConfig {
     }
 }
 
-struct Job<const D: usize, O: SpatialObject<D>> {
+struct Job<const D: usize> {
     id: u64,
     req: QueryRequest<D>,
     enqueued: Instant,
     deadline_at: Option<Instant>,
-    reply: mpsc::Sender<QueryResponse<D, O>>,
+    reply: mpsc::Sender<QueryResponse<D>>,
 }
 
 /// What a service answers queries over.
 // One `Source` lives per service, behind the `Arc<Shared>` — the variant
 // size asymmetry never multiplies across a collection.
 #[allow(clippy::large_enum_variant)]
-pub enum Source<const D: usize, O: SpatialObject<D> = Point<D>> {
+pub enum Source<const D: usize> {
     /// A static read-only pair.
-    Static(TreePair<D, O>),
+    Static(TreePair<D>),
     /// A static pair plus sharded replicas of the **same datasets**:
     /// requests carrying a [`QueryRequest::scatter`] fan-out run
     /// scatter-gather over the replicas, the rest on the pair. Both paths
@@ -112,24 +112,24 @@ pub enum Source<const D: usize, O: SpatialObject<D> = Point<D>> {
     /// but not per-level node accesses (the probe instruments only the
     /// single-tree engine), and buffer-hit/miss deltas reflect the pair's
     /// pools, not the per-shard pools.
-    Sharded(TreePair<D, O>, ShardedPair<D, O>),
+    Sharded(TreePair<D>, ShardedPair<D>),
     /// A mutable [`LiveSet`]: queries run on pinned epoch snapshots (each
     /// sees one committed state for its whole execution, no matter how
     /// many [`apply_updates`](CpqService::apply_updates) batches land
     /// mid-query), and `/metrics` gains the `cpq_wal_*` / `cpq_live_*`
     /// series bridged from the live trees.
-    Live(LiveSet<D, O>),
+    Live(LiveSet<D>),
 }
 
-impl<const D: usize, O: SpatialObject<D>> From<TreePair<D, O>> for Source<D, O> {
-    fn from(trees: TreePair<D, O>) -> Self {
+impl<const D: usize> From<TreePair<D>> for Source<D> {
+    fn from(trees: TreePair<D>) -> Self {
         Source::Static(trees)
     }
 }
 
-impl<const D: usize, O: SpatialObject<D>> Source<D, O> {
+impl<const D: usize> Source<D> {
     /// The static pair, when there is one.
-    fn trees(&self) -> Option<&TreePair<D, O>> {
+    fn trees(&self) -> Option<&TreePair<D>> {
         match self {
             Source::Static(trees) | Source::Sharded(trees, _) => Some(trees),
             Source::Live(_) => None,
@@ -146,9 +146,9 @@ impl<const D: usize, O: SpatialObject<D>> Source<D, O> {
     }
 }
 
-struct Shared<const D: usize, O: SpatialObject<D>> {
-    source: Source<D, O>,
-    queue: AdmissionQueue<Job<D, O>>,
+struct Shared<const D: usize> {
+    source: Source<D>,
+    queue: AdmissionQueue<Job<D>>,
     stats: ServiceStats,
     cpq: CpqConfig,
     max_parallelism: usize,
@@ -172,13 +172,13 @@ struct Shared<const D: usize, O: SpatialObject<D>> {
 }
 
 /// Handle for awaiting one submitted query's [`QueryResponse`].
-pub struct QueryTicket<const D: usize, O: SpatialObject<D> = Point<D>> {
+pub struct QueryTicket<const D: usize> {
     id: u64,
     req: QueryRequest<D>,
-    rx: mpsc::Receiver<QueryResponse<D, O>>,
+    rx: mpsc::Receiver<QueryResponse<D>>,
 }
 
-impl<const D: usize, O: SpatialObject<D>> QueryTicket<D, O> {
+impl<const D: usize> QueryTicket<D> {
     /// The service-assigned query id.
     pub fn id(&self) -> u64 {
         self.id
@@ -187,7 +187,7 @@ impl<const D: usize, O: SpatialObject<D>> QueryTicket<D, O> {
     /// Blocks until the response arrives. If the service is torn down
     /// before the query executes, returns a [`QueryStatus::Dropped`]
     /// response instead of hanging.
-    pub fn wait(self) -> QueryResponse<D, O> {
+    pub fn wait(self) -> QueryResponse<D> {
         match self.rx.recv() {
             Ok(resp) => resp,
             Err(_) => QueryResponse {
@@ -224,15 +224,15 @@ impl<const D: usize, O: SpatialObject<D>> QueryTicket<D, O> {
 ///   single-threaded engine over shared `&RTree`s; a query's result pairs
 ///   are bit-identical to a direct [`cpq_core::k_closest_pairs`] call no
 ///   matter how many workers run beside it.
-pub struct CpqService<const D: usize, O: SpatialObject<D> = Point<D>> {
-    shared: Arc<Shared<D, O>>,
+pub struct CpqService<const D: usize> {
+    shared: Arc<Shared<D>>,
     workers: Vec<JoinHandle<()>>,
 }
 
-impl<const D: usize, O: SpatialObject<D>> CpqService<D, O> {
+impl<const D: usize> CpqService<D> {
     /// Starts the worker pool over `source` — a [`TreePair`] converts into
     /// [`Source::Static`].
-    pub fn start(source: impl Into<Source<D, O>>, config: ServiceConfig) -> Self {
+    pub fn start(source: impl Into<Source<D>>, config: ServiceConfig) -> Self {
         let source = source.into();
         let plan_stats = source.trees().and_then(|trees| {
             // A stats walk that fails (storage error) only loses the cost
@@ -279,7 +279,7 @@ impl<const D: usize, O: SpatialObject<D>> CpqService<D, O> {
     /// here, so time spent queued eats into the budget — a query that waits
     /// out its whole deadline in the queue is answered `TimedOut` without
     /// the engine doing any work.
-    pub fn submit(&self, req: QueryRequest<D>) -> Result<QueryTicket<D, O>, Rejected<D>> {
+    pub fn submit(&self, req: QueryRequest<D>) -> Result<QueryTicket<D>, Rejected<D>> {
         // ordering: Relaxed — a pure id allocator; only uniqueness matters,
         // and the id is handed to the queue through a mutex anyway.
         let id = self.shared.next_id.fetch_add(1, Ordering::Relaxed);
@@ -311,7 +311,7 @@ impl<const D: usize, O: SpatialObject<D>> CpqService<D, O> {
     }
 
     /// Convenience: submit and block for the response.
-    pub fn execute(&self, req: QueryRequest<D>) -> Result<QueryResponse<D, O>, Rejected<D>> {
+    pub fn execute(&self, req: QueryRequest<D>) -> Result<QueryResponse<D>, Rejected<D>> {
         self.submit(req).map(QueryTicket::wait)
     }
 
@@ -327,12 +327,12 @@ impl<const D: usize, O: SpatialObject<D>> CpqService<D, O> {
 
     /// The shared static trees (for reading pool statistics). `None` for
     /// a [`Source::Live`] service — use [`live`](Self::live) there.
-    pub fn trees(&self) -> Option<&TreePair<D, O>> {
+    pub fn trees(&self) -> Option<&TreePair<D>> {
         self.shared.source.trees()
     }
 
     /// The live set behind a [`Source::Live`] service.
-    pub fn live(&self) -> Option<&LiveSet<D, O>> {
+    pub fn live(&self) -> Option<&LiveSet<D>> {
         match &self.shared.source {
             Source::Live(live) => Some(live),
             _ => None,
@@ -344,7 +344,7 @@ impl<const D: usize, O: SpatialObject<D>> CpqService<D, O> {
     /// In-flight queries keep their pinned snapshots; queries admitted
     /// after return see the batch. Errors with [`LiveError::Invalid`] on a
     /// static service.
-    pub fn apply_updates(&self, ops: &[UpdateOp<D, O>]) -> Result<ApplyReport, LiveError> {
+    pub fn apply_updates(&self, ops: &[UpdateOp<D>]) -> Result<ApplyReport, LiveError> {
         let Source::Live(live) = &self.shared.source else {
             return Err(LiveError::Invalid(
                 "apply_updates on a static service; start it over Source::Live".into(),
@@ -417,7 +417,7 @@ impl<const D: usize, O: SpatialObject<D>> CpqService<D, O> {
     }
 }
 
-impl<const D: usize, O: SpatialObject<D>> Drop for CpqService<D, O> {
+impl<const D: usize> Drop for CpqService<D> {
     fn drop(&mut self) {
         self.stop();
     }
@@ -428,10 +428,7 @@ impl<const D: usize, O: SpatialObject<D>> Drop for CpqService<D, O> {
 /// Under concurrency other workers' faults land in the same pools, so the
 /// delta is exact for a single-worker service and approximate otherwise
 /// (same caveat as [`QueryResponse::stats`]'s disk accesses).
-fn pool_totals<const D: usize, O: SpatialObject<D>>(
-    shared: &Shared<D, O>,
-    kind: QueryKind,
-) -> (u64, u64) {
+fn pool_totals<const D: usize>(shared: &Shared<D>, kind: QueryKind) -> (u64, u64) {
     let (pool_p, pool_q) = shared.source.pools();
     let (p, _) = pool_p.stats_snapshot();
     match kind {
@@ -443,7 +440,7 @@ fn pool_totals<const D: usize, O: SpatialObject<D>>(
     }
 }
 
-impl<const D: usize, O: SpatialObject<D>> Shared<D, O> {
+impl<const D: usize> Shared<D> {
     /// Refreshes the bridged series and renders the Prometheus exposition;
     /// empty when observability is off.
     fn render(&self) -> String {
@@ -474,7 +471,7 @@ impl<const D: usize, O: SpatialObject<D>> Shared<D, O> {
             Source::Live(live) => {
                 // A pinned snapshot per side, dropped before execution —
                 // the query itself pins its own (possibly newer) epoch.
-                let side = |t: &LiveTree<D, O>| {
+                let side = |t: &LiveTree<D>| {
                     t.snapshot()
                         .ok()
                         .map(|s| (s.tree().len(), s.tree().root_mbr().ok().flatten()))
@@ -502,7 +499,7 @@ impl<const D: usize, O: SpatialObject<D>> Shared<D, O> {
     }
 }
 
-fn worker_loop<const D: usize, O: SpatialObject<D>>(shared: &Shared<D, O>) {
+fn worker_loop<const D: usize>(shared: &Shared<D>) {
     while let Some(mut job) = shared.queue.pop() {
         let start = Instant::now();
         let queue_wait = start.duration_since(job.enqueued);
@@ -544,7 +541,7 @@ fn worker_loop<const D: usize, O: SpatialObject<D>>(shared: &Shared<D, O>) {
         // or a live query's pinned snapshots; self-joins run on `p` alone.
         // With observability off the context keeps its default `NullProbe`
         // (compiled-out callbacks).
-        let mut run_engine = |p: &RTree<D, O>, q: &RTree<D, O>| {
+        let mut run_engine = |p: &RTree<D>, q: &RTree<D>| {
             let q = if spec.self_join { p } else { q };
             let ctx = ExecCtx::default().with_cancel(&cancel);
             if instrument {
@@ -654,10 +651,10 @@ fn worker_loop<const D: usize, O: SpatialObject<D>>(shared: &Shared<D, O>) {
 /// engine-observable fields (node accesses per level, kernel counters,
 /// phase timings) were already written by the [`ProfileProbe`] callbacks.
 #[allow(clippy::too_many_arguments)]
-fn complete_profile<const D: usize, O: SpatialObject<D>>(
+fn complete_profile<const D: usize>(
     probe: ProfileProbe,
-    shared: &Shared<D, O>,
-    job: &Job<D, O>,
+    shared: &Shared<D>,
+    job: &Job<D>,
     status: &QueryStatus,
     stats: &CpqStats,
     shard_report: Option<ShardReport>,

@@ -5,7 +5,7 @@
 
 use cpq_core::Algorithm;
 use cpq_datasets::uniform;
-use cpq_geo::{Point2, Rect};
+use cpq_geo::Rect;
 use cpq_obs::lint_exposition;
 use cpq_rtree::{RTree, RTreeParams};
 use cpq_service::{
@@ -26,11 +26,11 @@ fn build_tree(n: usize, seed: u64) -> RTree<2> {
     tree
 }
 
-fn start_service(obs: ObsConfig) -> CpqService<2, Point2> {
+fn start_service(obs: ObsConfig) -> CpqService<2> {
     start_service_on(300, obs)
 }
 
-fn start_service_on(n: usize, obs: ObsConfig) -> CpqService<2, Point2> {
+fn start_service_on(n: usize, obs: ObsConfig) -> CpqService<2> {
     CpqService::start(
         TreePair::new(build_tree(n, 42), build_tree(n, 1337)),
         ServiceConfig {

@@ -35,7 +35,7 @@ fn build_sharded(name: &str, objects: &[(Point2, u64)], shards: usize) -> Sharde
     .unwrap()
 }
 
-fn start_sharded(max_shards: usize, obs: ObsConfig) -> CpqService<2, Point2> {
+fn start_sharded(max_shards: usize, obs: ObsConfig) -> CpqService<2> {
     let p = uniform(400, 42).indexed();
     let q = uniform(350, 1337).indexed();
     CpqService::start(

@@ -1,7 +1,7 @@
 //! Building sharded trees: STR-tile partitioning plus a per-shard R*-tree.
 
 use crate::proto::{ShardManifest, ShardMeta};
-use cpq_geo::{Point, SpatialObject};
+use cpq_geo::Point;
 use cpq_rtree::{RTree, RTreeParams, RTreeResult, StrTiling};
 use cpq_storage::BufferPool;
 
@@ -12,21 +12,21 @@ use cpq_storage::BufferPool;
 /// Shard ids are dense (`0..shard_count`) and ordered by STR tile order;
 /// tiles that received no points are dropped, so every shard is non-empty
 /// and the count actually produced can be below the count requested.
-pub struct ShardedTree<const D: usize, O: SpatialObject<D> = Point<D>> {
-    shards: Vec<RTree<D, O>>,
+pub struct ShardedTree<const D: usize> {
+    shards: Vec<RTree<D>>,
     manifest: ShardManifest<D>,
 }
 
 /// The two sharded datasets a cross-dataset sharded query runs over (the
 /// sharded analogue of the service's `TreePair`).
-pub struct ShardedPair<const D: usize, O: SpatialObject<D> = Point<D>> {
+pub struct ShardedPair<const D: usize> {
     /// Sharded `P` side.
-    pub p: ShardedTree<D, O>,
+    pub p: ShardedTree<D>,
     /// Sharded `Q` side.
-    pub q: ShardedTree<D, O>,
+    pub q: ShardedTree<D>,
 }
 
-impl<const D: usize, O: SpatialObject<D>> ShardedTree<D, O> {
+impl<const D: usize> ShardedTree<D> {
     /// Partitions `objects` into (at most) `shards` spatial shards by STR
     /// tile of their MBR centers and builds one R*-tree per shard.
     ///
@@ -37,7 +37,7 @@ impl<const D: usize, O: SpatialObject<D>> ShardedTree<D, O> {
     /// repeated R*-insertion (the paper's construction).
     pub fn build(
         name: &str,
-        objects: &[(O, u64)],
+        objects: &[(Point<D>, u64)],
         shards: usize,
         params: RTreeParams,
         fill: Option<f64>,
@@ -45,7 +45,8 @@ impl<const D: usize, O: SpatialObject<D>> ShardedTree<D, O> {
     ) -> RTreeResult<Self> {
         let centers: Vec<Point<D>> = objects.iter().map(|(o, _)| o.mbr().center()).collect();
         let tiling = StrTiling::build(&centers, shards);
-        let mut groups: Vec<Vec<(O, u64)>> = (0..tiling.tiles()).map(|_| Vec::new()).collect();
+        let mut groups: Vec<Vec<(Point<D>, u64)>> =
+            (0..tiling.tiles()).map(|_| Vec::new()).collect();
         for (i, &(o, oid)) in objects.iter().enumerate() {
             groups[tiling.tile_of(&centers[i])].push((o, oid));
         }
@@ -95,12 +96,12 @@ impl<const D: usize, O: SpatialObject<D>> ShardedTree<D, O> {
     }
 
     /// The per-shard trees, indexed by shard id.
-    pub fn shards(&self) -> &[RTree<D, O>] {
+    pub fn shards(&self) -> &[RTree<D>] {
         &self.shards
     }
 
     /// One shard's tree.
-    pub fn shard(&self, id: usize) -> &RTree<D, O> {
+    pub fn shard(&self, id: usize) -> &RTree<D> {
         &self.shards[id]
     }
 

@@ -26,7 +26,7 @@ use cpq_core::{
     execute, Algorithm, CancelToken, Constraint, CpqConfig, CpqStats, ExecCtx, PairResult,
     QueryOutcome, QueryRun, QuerySpec,
 };
-use cpq_geo::{min_min_dist2, SpatialObject};
+use cpq_geo::min_min_dist2;
 use cpq_rtree::RTreeError;
 use std::fmt;
 
@@ -74,10 +74,10 @@ pub struct ShardReport {
 
 /// Outcome of a sharded K-CPQ: the merged pairs and counters.
 #[derive(Debug, Clone)]
-pub struct ShardRun<const D: usize, O: SpatialObject<D> = cpq_geo::Point<D>> {
+pub struct ShardRun<const D: usize> {
     /// Merged result pairs (canonical order) and summed engine counters
     /// across all opened subqueries (`queue_peak` is the max, not a sum).
-    pub outcome: QueryOutcome<D, O>,
+    pub outcome: QueryOutcome<D>,
     /// `true` when every generated shard pair was opened or pruned and
     /// every opened subquery finished; `false` when the cancel token
     /// tripped first (the pairs are then a valid partial answer).
@@ -127,15 +127,15 @@ impl From<ProtoError> for ShardError {
 /// qualifying pair are skipped at planning time. Fails with
 /// [`RTreeError::InvalidParams`] when the spec is invalid (see
 /// [`QuerySpec::validate`]).
-pub fn execute_sharded<const D: usize, O: SpatialObject<D>>(
-    p: &ShardedTree<D, O>,
-    q: &ShardedTree<D, O>,
+pub fn execute_sharded<const D: usize>(
+    p: &ShardedTree<D>,
+    q: &ShardedTree<D>,
     spec: &QuerySpec<D>,
     algorithm: Algorithm,
     config: &CpqConfig,
     shard: &ShardConfig,
     cancel: Option<&CancelToken>,
-) -> Result<ShardRun<D, O>, ShardError> {
+) -> Result<ShardRun<D>, ShardError> {
     spec.validate()?;
     if spec.k == 0 || p.is_empty() || q.is_empty() {
         return Ok(ShardRun {
@@ -169,15 +169,15 @@ pub fn execute_sharded<const D: usize, O: SpatialObject<D>>(
 
 /// [`execute_sharded`] on an unconstrained cross spec. Kept for the
 /// `benchmark/` package; new code calls [`execute_sharded`].
-pub fn k_closest_pairs_sharded<const D: usize, O: SpatialObject<D>>(
-    p: &ShardedTree<D, O>,
-    q: &ShardedTree<D, O>,
+pub fn k_closest_pairs_sharded<const D: usize>(
+    p: &ShardedTree<D>,
+    q: &ShardedTree<D>,
     k: usize,
     algorithm: Algorithm,
     config: &CpqConfig,
     shard: &ShardConfig,
     cancel: Option<&CancelToken>,
-) -> Result<ShardRun<D, O>, ShardError> {
+) -> Result<ShardRun<D>, ShardError> {
     execute_sharded(p, q, &QuerySpec::cross(k), algorithm, config, shard, cancel)
 }
 
@@ -189,9 +189,9 @@ pub fn k_closest_pairs_sharded<const D: usize, O: SpatialObject<D>>(
 /// retained pair to `p.oid < q.oid`, which is exactly the orientation the
 /// unsharded self-join produces (see [`crate::merge`] for why that matters
 /// under distance ties).
-fn plan<const D: usize, O: SpatialObject<D>>(
-    p: &ShardedTree<D, O>,
-    q: &ShardedTree<D, O>,
+fn plan<const D: usize>(
+    p: &ShardedTree<D>,
+    q: &ShardedTree<D>,
     self_join: bool,
     constraint: &Constraint<D>,
 ) -> Vec<Task> {
@@ -233,8 +233,8 @@ fn plan<const D: usize, O: SpatialObject<D>>(
 /// What one worker thread hands back at join time. Workers share only the
 /// [`Scatter`] (queue + bound); results, stats, and errors travel through
 /// the join handle, so the gather step needs no further synchronization.
-struct WorkerOut<const D: usize, O: SpatialObject<D>> {
-    partials: Vec<Vec<PairResult<D, O>>>,
+struct WorkerOut<const D: usize> {
+    partials: Vec<Vec<PairResult<D>>>,
     stats: CpqStats,
     subqueries_completed: u64,
     all_completed: bool,
@@ -253,9 +253,9 @@ fn sum_stats(acc: &mut CpqStats, s: &CpqStats) {
 
 /// One sharded query as its workers see it: what was asked, how each
 /// subquery runs, and the token that stops them all.
-struct ShardedQuery<'a, const D: usize, O: SpatialObject<D>> {
-    p: &'a ShardedTree<D, O>,
-    q: &'a ShardedTree<D, O>,
+struct ShardedQuery<'a, const D: usize> {
+    p: &'a ShardedTree<D>,
+    q: &'a ShardedTree<D>,
     spec: &'a QuerySpec<D>,
     algorithm: Algorithm,
     config: &'a CpqConfig,
@@ -263,10 +263,10 @@ struct ShardedQuery<'a, const D: usize, O: SpatialObject<D>> {
     cancel: &'a CancelToken,
 }
 
-impl<const D: usize, O: SpatialObject<D>> ShardedQuery<'_, D, O> {
+impl<const D: usize> ShardedQuery<'_, D> {
     /// One worker: drain the dispatcher, run each claimed shard pair as an
     /// engine subquery against the shared bound, keep the partial top-K lists.
-    fn worker_run(&self, sc: &Scatter) -> WorkerOut<D, O> {
+    fn worker_run(&self, sc: &Scatter) -> WorkerOut<D> {
         let mut out = WorkerOut {
             partials: Vec::new(),
             stats: CpqStats::default(),
@@ -306,7 +306,7 @@ impl<const D: usize, O: SpatialObject<D>> ShardedQuery<'_, D, O> {
     /// `wire_codec` is on (the subquery is then executed from the *decoded*
     /// message; the decoded partial is checked for fidelity against the
     /// in-memory pairs, which keep their geometry for the merge).
-    fn run_task(&self, sc: &Scatter, task: Task) -> Result<QueryRun<D, O>, ShardError> {
+    fn run_task(&self, sc: &Scatter, task: Task) -> Result<QueryRun<D>, ShardError> {
         let (k, shard) = (self.spec.k, self.shard);
         let (shard_p, shard_q, self_join, orient, alg, constraint) = if shard.wire_codec {
             let msg = ShardSubquery {
@@ -397,7 +397,7 @@ impl<const D: usize, O: SpatialObject<D>> ShardedQuery<'_, D, O> {
     }
 
     /// Plans, scatters over the worker pool, gathers and merges.
-    fn run(&self) -> Result<ShardRun<D, O>, ShardError> {
+    fn run(&self) -> Result<ShardRun<D>, ShardError> {
         let scatter = Scatter::new(plan(
             self.p,
             self.q,
@@ -405,7 +405,7 @@ impl<const D: usize, O: SpatialObject<D>> ShardedQuery<'_, D, O> {
             &self.spec.constraint,
         ));
         let workers = self.shard.workers.max(1);
-        let outs: Vec<WorkerOut<D, O>> = std::thread::scope(|scope| {
+        let outs: Vec<WorkerOut<D>> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
                 .map(|_| scope.spawn(|| self.worker_run(&scatter)))
                 .collect();

@@ -22,18 +22,17 @@
 //! [`pair_cmp`]: cpq_core::pair_cmp
 
 use cpq_core::{pair_cmp, PairResult};
-use cpq_geo::SpatialObject;
 
 /// Merges per-subquery top-K lists into the global top-K by the canonical
 /// total order. Input order — of the lists and within each list — is
 /// irrelevant; the output is the sorted global top-K (shorter than `k`
 /// when the inputs are).
-pub fn merge_top_k<const D: usize, O: SpatialObject<D>>(
-    partials: impl IntoIterator<Item = Vec<PairResult<D, O>>>,
+pub fn merge_top_k<const D: usize>(
+    partials: impl IntoIterator<Item = Vec<PairResult<D>>>,
     k: usize,
-) -> Vec<PairResult<D, O>> {
-    let mut all: Vec<PairResult<D, O>> = partials.into_iter().flatten().collect();
-    all.sort_by(|a, b| pair_cmp(a, b));
+) -> Vec<PairResult<D>> {
+    let mut all: Vec<PairResult<D>> = partials.into_iter().flatten().collect();
+    all.sort_by(pair_cmp);
     all.truncate(k);
     all
 }

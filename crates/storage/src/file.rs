@@ -277,8 +277,11 @@ std::thread_local! {
 /// File-backed page store.
 ///
 /// Layout: a 16-byte header (magic, version, page size, page count) followed
-/// by the pages. The free list is kept in memory only; it is rebuilt empty on
-/// open, which is sound (freed pages are simply not reused across sessions).
+/// by the pages. The free list and the per-page freed flags are kept in
+/// memory only; they are rebuilt empty on open, which is sound (freed pages
+/// are simply not reused across sessions). Within a session a freed page
+/// answers [`StorageError::PageFreed`] to reads, writes and a second free,
+/// as [`MemPageFile`] does.
 ///
 /// Every page is followed by a CRC-32 trailer, verified on each read — a
 /// flipped byte on disk surfaces as [`StorageError::Corrupt`] instead of
@@ -291,6 +294,9 @@ pub struct DiskPageFile {
     page_size: usize,
     num_pages: u32,
     free_list: Vec<PageId>,
+    /// `freed[i]`: page `i` is on the free list (pages past its end are
+    /// not).
+    freed: Vec<bool>,
     stats: IoStats,
     /// Successful physical reads (atomic: `read` takes `&self`).
     reads: AtomicU64,
@@ -311,6 +317,7 @@ impl DiskPageFile {
             page_size,
             num_pages: 0,
             free_list: Vec::new(),
+            freed: Vec::new(),
             stats: IoStats::default(),
             reads: AtomicU64::new(0),
         };
@@ -347,6 +354,7 @@ impl DiskPageFile {
             page_size,
             num_pages,
             free_list: Vec::new(),
+            freed: Vec::new(),
             stats: IoStats::default(),
             reads: AtomicU64::new(0),
         })
@@ -373,9 +381,13 @@ impl DiskPageFile {
         HEADER_LEN + id.index() as u64 * self.stride()
     }
 
+    /// Page `id` is allocated and not freed.
     fn check_id(&self, id: PageId) -> StorageResult<()> {
         if id.index() >= self.num_pages as usize {
             return Err(StorageError::PageOutOfBounds(id));
+        }
+        if self.freed.get(id.index()) == Some(&true) {
+            return Err(StorageError::PageFreed(id));
         }
         Ok(())
     }
@@ -440,6 +452,7 @@ impl PageFile for DiskPageFile {
     fn allocate(&mut self) -> StorageResult<PageId> {
         self.stats.allocations += 1;
         if let Some(id) = self.free_list.pop() {
+            self.freed[id.index()] = false;
             return Ok(id);
         }
         let id = PageId(self.num_pages);
@@ -483,9 +496,9 @@ impl PageFile for DiskPageFile {
         if n == 0 {
             return Ok(());
         }
-        let last = PageId(first.0 + (n as u32 - 1));
-        self.check_id(first)?;
-        self.check_id(last)?;
+        for page in (first.0..).take(n) {
+            self.check_id(PageId(page))?;
+        }
         let off = self.offset(first);
         let span = n * self.stride() as usize;
         DISK_SCRATCH.with(|cell| {
@@ -518,6 +531,10 @@ impl PageFile for DiskPageFile {
 
     fn free(&mut self, id: PageId) -> StorageResult<()> {
         self.check_id(id)?;
+        if self.freed.len() <= id.index() {
+            self.freed.resize(id.index() + 1, false);
+        }
+        self.freed[id.index()] = true;
         self.free_list.push(id);
         self.stats.frees += 1;
         Ok(())
@@ -660,6 +677,36 @@ mod tests {
             f.read(PageId(0), &mut buf).unwrap();
             assert_eq!(buf, vec![0xAB; 128]);
         }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn disk_refuses_a_double_free_and_hands_each_page_out_once() {
+        let path = temp_path("double-free");
+        let mut f = DiskPageFile::create(&path, 64).unwrap();
+        let a = f.allocate().unwrap();
+        f.free(a).unwrap();
+        assert!(matches!(f.free(a), Err(StorageError::PageFreed(_))));
+        let (b, c) = (f.allocate().unwrap(), f.allocate().unwrap());
+        assert_eq!(b, a, "the freed page is reused");
+        assert_ne!(b, c, "no page is handed out twice");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn disk_refuses_reads_and_writes_of_a_freed_page() {
+        let path = temp_path("use-after-free");
+        let mut f = DiskPageFile::create(&path, 64).unwrap();
+        let a = f.allocate().unwrap();
+        f.allocate().unwrap();
+        f.write(a, &[7; 64]).unwrap();
+        f.free(a).unwrap();
+        let freed = |r| matches!(r, Err(StorageError::PageFreed(p)) if p == a);
+        assert!(freed(f.read(a, &mut [0; 64])));
+        assert!(freed(f.read_run(a, 2, &mut [0; 128])));
+        assert!(freed(f.write(a, &[1; 64])));
+        assert_eq!(f.allocate().unwrap(), a);
+        f.write(a, &[1; 64]).unwrap();
         std::fs::remove_file(&path).ok();
     }
 

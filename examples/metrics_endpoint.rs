@@ -14,7 +14,6 @@
 
 use cpq::core::Algorithm;
 use cpq::datasets::uniform;
-use cpq::geo::Point2;
 use cpq::rtree::{RTree, RTreeParams};
 use cpq::service::{CpqService, ObsConfig, QueryRequest, ServiceConfig, TreePair};
 use cpq::storage::{BufferPool, MemPageFile};
@@ -35,7 +34,7 @@ fn main() {
     let seconds: u64 = args.next().and_then(|a| a.parse().ok()).unwrap_or(30);
 
     eprintln!("building two 5000-point trees...");
-    let service: CpqService<2, Point2> = CpqService::start(
+    let service: CpqService<2> = CpqService::start(
         TreePair::new(build_tree(5_000, 42), build_tree(5_000, 1337)),
         ServiceConfig {
             workers: 2,

@@ -69,6 +69,14 @@ echo "==> benchmark package: cargo test --release + run.sh --smoke (zero-diverge
 # (Same target dir as run.sh, so the package is compiled once.)
 (cd benchmark && CARGO_TARGET_DIR=../target/benchmark/build cargo test --release --offline)
 benchmark/run.sh --smoke >/dev/null
+# The frozen benchmark: a crate that gains or drops a dependency makes
+# Cargo rewrite benchmark/Cargo.lock, and only a change to the benchmark
+# itself may touch anything under benchmark/.
+if ! git diff --quiet -- benchmark/; then
+    echo "benchmark/ changed during the build:" >&2
+    git diff --stat -- benchmark/ >&2
+    exit 1
+fi
 # The A/B script a gain claim is measured with, on this checkout against
 # itself, so that it cannot rot unseen (one smoke pair of one workload —
 # `run.sh --smoke` above ran all four; the table is not judged, a failed or
@@ -90,6 +98,21 @@ if [ "${1:-}" = "--full" ]; then
     model_full -p cpq-storage --test model_buffer pct_decoded
     model_full -p cpq-storage --test model_buffer pct_miss
     model_full -p cpq-core --lib model_tests::pct_
+
+    # The figure gate: every figure and ablation at scale 1.0 must write
+    # the committed results/*.csv byte for byte, and no CSV besides them.
+    echo "==> figures all: every CSV byte-identical to results/"
+    figs=$(mktemp -d)
+    ./target/release/figures all --out "$figs" >/dev/null
+    for csv in results/*.csv "$figs"/*.csv; do
+        name=$(basename "$csv")
+        if ! cmp -s "results/$name" "$figs/$name"; then
+            echo "figure CSV differs from results/: $name" >&2
+            rm -rf "$figs"
+            exit 1
+        fi
+    done
+    rm -rf "$figs"
 fi
 
 echo "==> CI green"
