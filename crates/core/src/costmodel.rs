@@ -149,15 +149,11 @@ pub fn estimate_1cp_cost<const D: usize>(
         }
         let pairs = sp.nodes as f64 * sq.nodes as f64 * prob;
         pairs_per_level.push(pairs);
-        // Every qualifying pair below the root costs two node reads.
+        // Every qualifying pair below the root costs two node reads, the
+        // leaf pairs included; for height-1 trees only the roots are read.
         if l + 1 < levels {
             accesses += 2.0 * pairs;
         }
-    }
-    // Leaf-level pairs are read too (they are the level-0 entry of the sum
-    // above when levels >= 2); for height-1 trees only the roots are read.
-    if levels >= 2 {
-        accesses += 2.0 * pairs_per_level[0];
     }
 
     Some(CostEstimate {
@@ -238,6 +234,22 @@ mod tests {
         for pairs in &est.pairs_per_level {
             assert!(pairs.is_finite() && *pairs >= 0.0, "pairs {pairs}");
         }
+    }
+
+    #[test]
+    fn two_levels_count_the_leaf_pairs_once() {
+        let level = |level: u8, nodes: u64, extent: f64| LevelStats {
+            level,
+            nodes,
+            avg_extent: [extent, extent],
+            avg_occupancy: 10.0,
+        };
+        let stats: Vec<LevelStats<2>> = vec![level(0, 10, 10.0), level(1, 1, 100.0)];
+        let w = Rect::from_corners([0.0, 0.0], [100.0, 100.0]);
+        let est = estimate_1cp_cost(&stats, &w, 100, &stats, &w, 100).unwrap();
+        let pairs_0 = est.pairs_per_level[0];
+        assert!(pairs_0 > 0.0);
+        assert_eq!(est.disk_accesses, 2.0 + 2.0 * pairs_0);
     }
 
     #[test]

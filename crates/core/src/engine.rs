@@ -16,10 +16,9 @@ use crate::kheap::KHeap;
 use crate::parallel::{SpecRuntime, TaskOut};
 use crate::spec::{Constraint, QuerySpec};
 use crate::types::{CpqStats, PairResult};
-use cpq_check::sync::Arc;
 use cpq_geo::{max_max_dist2, min_max_dist2, min_min_dist2_within, Dist2, Point, Rect};
 use cpq_obs::{Probe, ProbeSide};
-use cpq_rtree::{InnerEntry, LeafEntry, Node, RTree, RTreeError, RTreeResult};
+use cpq_rtree::{Entries, InnerEntry, LeafEntry, NodeView, RTree, RTreeError, RTreeResult};
 use cpq_storage::PageId;
 use std::time::Instant;
 
@@ -90,7 +89,7 @@ pub(crate) struct GenScratch<const D: usize> {
 /// pruned pair, at any `T`).
 fn fill_side<const D: usize>(
     side: &mut Vec<Side<D>>,
-    node: &Node<D>,
+    node: &NodeView<D>,
     descend: bool,
     clip: impl Fn(&Rect<D>) -> Option<Rect<D>>,
 ) {
@@ -99,7 +98,7 @@ fn fill_side<const D: usize>(
         side.extend(
             node.inner_entries()
                 .iter()
-                .filter_map(|e| Some((Descend::Down(*e), clip(&e.mbr)?, e.count))),
+                .filter_map(|e| Some((Descend::Down(e), clip(&e.mbr)?, e.count))),
         );
         return;
     }
@@ -130,8 +129,8 @@ fn fill_side<const D: usize>(
 /// sum exceeds `t` and accumulates it in the same order either way
 /// (`gen_at_infinity_then_filter_equals_gen_at_t` below executes this).
 pub(crate) fn candidates<const D: usize>(
-    np: &Node<D>,
-    nq: &Node<D>,
+    np: &NodeView<D>,
+    nq: &NodeView<D>,
     height: HeightStrategy,
     constraint: &Constraint<D>,
     t: Dist2,
@@ -186,16 +185,16 @@ const LANES: usize = 4;
 /// (`[chunk][axis][lane]`, entry `j` in lane `j % LANES` of chunk
 /// `j / LANES`), and one row of squared distances.
 ///
-/// The structure-of-arrays form lives here and not in [`Node`]: it is built
-/// in `O(|Q|)` per leaf pair against the `O(|P|·|Q|)` it speeds up, and a
-/// node, its codec and the page format stay what the update path
-/// (`cpq-live`, node encode) already pays for.
+/// The structure-of-arrays form lives here and not in the page: it is built
+/// in `O(|Q|)` per leaf pair against the `O(|P|·|Q|)` it speeds up, and the
+/// page format stays what the update path (`cpq-live`, node encode) already
+/// pays for.
 #[derive(Default)]
 pub(crate) struct LeafScratch<const D: usize> {
     /// Point coordinates. Unused lanes of the last chunk hold `+∞`, which
     /// the kernel carries to a distance of `+∞`.
     q: Vec<[[f64; LANES]; D]>,
-    /// The gathered entries' positions in the leaf's entry slice.
+    /// The gathered entries' positions in the leaf.
     idx: Vec<u32>,
     /// Squared distance from the current `P` point to each gathered point.
     row: Vec<[f64; LANES]>,
@@ -203,7 +202,7 @@ pub(crate) struct LeafScratch<const D: usize> {
 
 impl<const D: usize> LeafScratch<D> {
     /// Gathers the entries of `eqs` that pass the `Q` window.
-    fn gather(&mut self, eqs: &[LeafEntry<D>], constraint: &Constraint<D>) {
+    fn gather(&mut self, eqs: Entries<'_, LeafEntry<D>>, constraint: &Constraint<D>) {
         self.q.clear();
         self.idx.clear();
         for (i, eq) in eqs.iter().enumerate() {
@@ -279,8 +278,8 @@ fn oriented<const D: usize>(
 /// the heap, whose `(dist2, oid, oid)` order decides it. The local `t` can
 /// only have moved when an offer landed.
 pub(crate) fn scan_brute<const D: usize>(
-    lp: &Node<D>,
-    lq: &Node<D>,
+    lp: &NodeView<D>,
+    lq: &NodeView<D>,
     self_join: bool,
     constraint: &Constraint<D>,
     orient: bool,
@@ -304,20 +303,25 @@ pub(crate) fn scan_brute<const D: usize>(
             continue; // filtered before the kernel: not a computation
         }
         let nearest = scratch.fill_row(&ep.object);
-        let gathered = scratch.idx.iter().map(|&i| &eqs[i as usize]);
         dists += if self_join || constraint.colored {
-            gathered.clone().filter(|eq| admits(ep.oid, eq.oid)).count() as u64
+            let admitted = |&&i: &&u32| admits(ep.oid, eqs.get(i as usize).oid);
+            scratch.idx.iter().filter(admitted).count() as u64
         } else {
             n as u64
         };
         if nearest > t {
             continue; // the whole row loses to `T`
         }
-        for (eq, &d2) in gathered.zip(scratch.row.as_flattened()) {
-            if d2 > t || !admits(ep.oid, eq.oid) {
+        for (&i, &d2) in scratch.idx.iter().zip(scratch.row.as_flattened()) {
+            if d2 > t {
                 continue;
             }
-            if kheap.offer(oriented(orient, ep, eq, Dist2::new(d2))) {
+            // Read from the page only for a pair that may enter the heap.
+            let eq = eqs.get(i as usize);
+            if !admits(ep.oid, eq.oid) {
+                continue;
+            }
+            if kheap.offer(oriented(orient, &ep, &eq, Dist2::new(d2))) {
                 t = kheap.threshold().get();
             }
         }
@@ -333,7 +337,7 @@ struct SweepProj {
     lo: f64,
     /// Upper coordinate on the sweep axis (the gap is measured from here).
     hi: f64,
-    /// Index into the originating leaf's entry slice.
+    /// Index of the entry in its leaf.
     idx: u32,
 }
 
@@ -428,7 +432,7 @@ pub(crate) struct Ctx<'a, const D: usize, P: Probe> {
 /// The recursion step the four recursive algorithms hand to
 /// [`Ctx::descend`]: process one child node pair at its pages.
 pub(crate) type RecurseFn<'a, const D: usize, P> =
-    fn(&mut Ctx<'a, D, P>, &Node<D>, &Node<D>, PageId, PageId) -> RTreeResult<()>;
+    fn(&mut Ctx<'a, D, P>, &NodeView<D>, &NodeView<D>, PageId, PageId) -> RTreeResult<()>;
 
 impl<'a, const D: usize, P: Probe> Ctx<'a, D, P> {
     /// Sets up one run of `spec`; the cancel token, probe and scatter
@@ -557,7 +561,7 @@ impl<'a, const D: usize, P: Probe> Ctx<'a, D, P> {
     /// sequential run's buffer pool would, which keeps reported disk
     /// accesses identical to a sequential run against unbuffered
     /// (`capacity = 0`) pools.
-    pub(crate) fn read_side(&mut self, side: ProbeSide, page: PageId) -> RTreeResult<Arc<Node<D>>> {
+    pub(crate) fn read_side(&mut self, side: ProbeSide, page: PageId) -> RTreeResult<NodeView<D>> {
         let tree = match side {
             ProbeSide::P => self.tp,
             ProbeSide::Q => self.tq,
@@ -584,8 +588,8 @@ impl<'a, const D: usize, P: Probe> Ctx<'a, D, P> {
     /// through [`return_cands`](Self::return_cands).
     pub(crate) fn open_pair(
         &mut self,
-        np: &Node<D>,
-        nq: &Node<D>,
+        np: &NodeView<D>,
+        nq: &NodeView<D>,
         page_p: PageId,
         page_q: PageId,
         prune: bool,
@@ -625,8 +629,8 @@ impl<'a, const D: usize, P: Probe> Ctx<'a, D, P> {
     /// either way.
     pub(crate) fn scan_leaves(
         &mut self,
-        lp: &Node<D>,
-        lq: &Node<D>,
+        lp: &NodeView<D>,
+        lq: &NodeView<D>,
         page_p: PageId,
         page_q: PageId,
     ) {
@@ -672,7 +676,7 @@ impl<'a, const D: usize, P: Probe> Ctx<'a, D, P> {
     }
 
     /// [`scan_brute`] into this run's K-heap and `dist_computations`.
-    fn scan_leaves_brute(&mut self, lp: &Node<D>, lq: &Node<D>) {
+    fn scan_leaves_brute(&mut self, lp: &NodeView<D>, lq: &NodeView<D>) {
         self.stats.dist_computations += scan_brute(
             lp,
             lq,
@@ -698,7 +702,7 @@ impl<'a, const D: usize, P: Probe> Ctx<'a, D, P> {
     /// entry comes first in merged order, so this enumerates the same pairs
     /// as a sweep over the materialized merged sequence while never
     /// stepping over same-side items.
-    fn scan_leaves_sweep(&mut self, lp: &Node<D>, lq: &Node<D>) -> SweepTally {
+    fn scan_leaves_sweep(&mut self, lp: &NodeView<D>, lq: &NodeView<D>) -> SweepTally {
         let mut tally = SweepTally::default();
         let eps = lp.leaf_entries();
         let eqs = lq.leaf_entries();
@@ -747,11 +751,11 @@ impl<'a, const D: usize, P: Probe> Ctx<'a, D, P> {
         while i < ps.len() && j < qs.len() {
             if ps[i].lo <= qs[j].lo {
                 i += 1;
-                let pair_of = |a: u32, b: u32| (&eps[a as usize], &eqs[b as usize]);
+                let pair_of = |a: u32, b: u32| (eps.get(a as usize), eqs.get(b as usize));
                 self.sweep_from(ps[i - 1], &qs[j..], pair_of, &mut t, &mut tally);
             } else {
                 j += 1;
-                let pair_of = |b: u32, a: u32| (&eps[a as usize], &eqs[b as usize]);
+                let pair_of = |b: u32, a: u32| (eps.get(a as usize), eqs.get(b as usize));
                 self.sweep_from(qs[j - 1], &ps[i..], pair_of, &mut t, &mut tally);
             }
         }
@@ -774,11 +778,11 @@ impl<'a, const D: usize, P: Probe> Ctx<'a, D, P> {
     /// filters as [`scan_brute`], then the threshold-aware kernel, which
     /// bails out mid-accumulation when the partial sum exceeds `t`.
     #[inline]
-    fn sweep_from<'e>(
+    fn sweep_from(
         &mut self,
         anchor: SweepProj,
         others: &[SweepProj],
-        pair_of: impl Fn(u32, u32) -> (&'e LeafEntry<D>, &'e LeafEntry<D>),
+        pair_of: impl Fn(u32, u32) -> (LeafEntry<D>, LeafEntry<D>),
         t: &mut Dist2,
         tally: &mut SweepTally,
     ) {
@@ -802,7 +806,7 @@ impl<'a, const D: usize, P: Probe> Ctx<'a, D, P> {
             }
             self.stats.dist_computations += 1;
             if let Some(d2) = min_min_dist2_within(&ep.mbr(), &eq.mbr(), *t) {
-                if self.kheap.offer(oriented(self.orient(), ep, eq, d2)) {
+                if self.kheap.offer(oriented(self.orient(), &ep, &eq, d2)) {
                     *t = self.t();
                 }
             } else if P::ENABLED {
@@ -825,8 +829,8 @@ impl<'a, const D: usize, P: Probe> Ctx<'a, D, P> {
     /// look-ahead for the workers.
     pub(crate) fn gen_cands(
         &mut self,
-        np: &Node<D>,
-        nq: &Node<D>,
+        np: &NodeView<D>,
+        nq: &NodeView<D>,
         page_p: PageId,
         page_q: PageId,
         prune: bool,
@@ -935,8 +939,8 @@ impl<'a, const D: usize, P: Probe> Ctx<'a, D, P> {
     /// mode).
     pub(crate) fn descend(
         &mut self,
-        np: &Node<D>,
-        nq: &Node<D>,
+        np: &NodeView<D>,
+        nq: &NodeView<D>,
         page_p: PageId,
         page_q: PageId,
         cand: &Cand<D>,
@@ -1041,10 +1045,13 @@ pub(crate) mod tests {
     }
 
     /// A seeded node of `tree`: the root, or some way down a random path.
-    fn some_node(tree: &RTree<2>, rng: &mut Rng) -> Arc<Node<2>> {
+    fn some_node(tree: &RTree<2>, rng: &mut Rng) -> NodeView<2> {
         let mut node = tree.read_node(tree.root()).unwrap();
         while !node.is_leaf() && rng.random_bool(0.6) {
-            let down = node.inner_entries()[rng.random_range(0..node.len())].child;
+            let down = node
+                .inner_entries()
+                .get(rng.random_range(0..node.len()))
+                .child;
             node = tree.read_node(down).unwrap();
         }
         node
@@ -1100,8 +1107,8 @@ pub(crate) mod tests {
     /// pair through the orientation rule and `admits_pair`, the rect-rect
     /// kernel, a `PairResult`, the heap.
     fn scan_literal(
-        lp: &Node<2>,
-        lq: &Node<2>,
+        lp: &NodeView<2>,
+        lq: &NodeView<2>,
         self_join: bool,
         constraint: &Constraint<2>,
         orient: bool,
@@ -1118,14 +1125,14 @@ pub(crate) mod tests {
                 }
                 dists += 1;
                 let d2 = min_min_dist2(&ep.mbr(), &eq.mbr());
-                kheap.offer(oriented(orient, ep, eq, d2));
+                kheap.offer(oriented(orient, &ep, &eq, d2));
             }
         }
         dists
     }
 
     /// Every leaf of `tree`.
-    fn leaves(tree: &RTree<2>) -> Vec<Arc<Node<2>>> {
+    fn leaves(tree: &RTree<2>) -> Vec<NodeView<2>> {
         let (mut out, mut todo) = (Vec::new(), vec![tree.root()]);
         while let Some(page) = todo.pop() {
             let node = tree.read_node(page).unwrap();
@@ -1154,7 +1161,7 @@ pub(crate) mod tests {
 
     /// One leaf pair under one query shape: `(lp, lq, self_join,
     /// constraint, orient)`.
-    type Shape<'a> = (&'a Node<2>, &'a Node<2>, bool, Constraint<2>, bool);
+    type Shape<'a> = (&'a NodeView<2>, &'a NodeView<2>, bool, Constraint<2>, bool);
 
     /// Runs [`scan_literal`] and [`scan_brute`] from two copies of the
     /// `start` heap, requires identical distance counts and identical heaps
@@ -1211,7 +1218,7 @@ pub(crate) mod tests {
         for (leaves_q, self_join, con, orient) in queries {
             for lp in &leaves_p {
                 for lq in leaves_q {
-                    let shape = (&**lp, &**lq, self_join, con, orient);
+                    let shape = (lp, lq, self_join, con, orient);
                     // From empty heaps: one that fills at once, one that
                     // may, one that never does (so it keeps every pair).
                     let mut all = Vec::new();

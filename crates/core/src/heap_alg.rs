@@ -10,7 +10,7 @@
 use crate::engine::{spec_page, Ctx};
 use cpq_geo::Dist2;
 use cpq_obs::{Probe, ProbeSide};
-use cpq_rtree::{Node, RTreeResult};
+use cpq_rtree::{NodeView, RTreeResult};
 use cpq_storage::PageId;
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
@@ -48,8 +48,8 @@ impl Ord for HeapItem {
 /// the caller, which also charged those two page accesses).
 pub(crate) fn heap_run<const D: usize, P: Probe>(
     ctx: &mut Ctx<'_, D, P>,
-    root_p: &Node<D>,
-    root_q: &Node<D>,
+    root_p: &NodeView<D>,
+    root_q: &NodeView<D>,
 ) -> RTreeResult<()> {
     let mut heap: BinaryHeap<Reverse<HeapItem>> = BinaryHeap::new();
     let mut seq = 0u64;
@@ -83,9 +83,9 @@ pub(crate) fn heap_run<const D: usize, P: Probe>(
 /// popped, which is exactly the I/O a paged implementation performs).
 fn process_pair<const D: usize, P: Probe>(
     ctx: &mut Ctx<'_, D, P>,
-    np: &Node<D>,
+    np: &NodeView<D>,
     page_p: PageId,
-    nq: &Node<D>,
+    nq: &NodeView<D>,
     page_q: PageId,
     heap: &mut BinaryHeap<Reverse<HeapItem>>,
     seq: &mut u64,

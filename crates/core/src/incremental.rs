@@ -21,7 +21,7 @@
 
 use crate::types::{CpqStats, PairResult, QueryOutcome};
 use cpq_geo::{min_min_dist2, Dist2, Rect};
-use cpq_rtree::{LeafEntry, Node, RTree, RTreeResult};
+use cpq_rtree::{LeafEntry, NodeEntries, RTree, RTreeResult};
 use cpq_storage::PageId;
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
@@ -267,13 +267,14 @@ impl<'a, const D: usize> DistanceJoin<'a, D> {
     /// Items of one node's children.
     fn expand(&mut self, page: PageId, on_p_side: bool) -> RTreeResult<Vec<Item<D>>> {
         let tree = if on_p_side { self.tp } else { self.tq };
-        Ok(match &*tree.read_node(page)? {
-            Node::Leaf(es) => es.iter().copied().map(Item::Object).collect(),
-            Node::Inner { level, entries } => entries
+        let node = tree.read_node(page)?;
+        Ok(match node.entries() {
+            NodeEntries::Leaf(es) => es.iter().map(Item::Object).collect(),
+            NodeEntries::Inner(entries) => entries
                 .iter()
                 .map(|e| Item::Node {
                     page: e.child,
-                    level: level - 1,
+                    level: node.level() - 1,
                     mbr: e.mbr,
                 })
                 .collect(),

@@ -60,7 +60,7 @@ use cpq_check::sync::{Arc, Condvar, Mutex};
 use cpq_geo::Dist2;
 use cpq_obs::{ParallelReport, Probe, ProbeSide};
 use cpq_rng::Rng;
-use cpq_rtree::{Node, RTree, RTreeError, RTreeResult};
+use cpq_rtree::{NodeView, RTree, RTreeError, RTreeResult};
 use cpq_storage::PageId;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet};
@@ -125,10 +125,10 @@ pub(crate) struct SpecRuntime<const D: usize> {
     /// Claiming before executing makes task execution exactly-once and
     /// lets pushes drop requests that are already in flight.
     claimed: Mutex<HashSet<u64>>,
-    /// Decoded-node caches, one per side (a self-join populates both with
+    /// Node caches, one per side (a self-join populates both with
     /// the same tree's nodes; the duplication is harmless).
-    nodes_p: Mutex<HashMap<u32, Arc<Node<D>>>>,
-    nodes_q: Mutex<HashMap<u32, Arc<Node<D>>>>,
+    nodes_p: Mutex<HashMap<u32, NodeView<D>>>,
+    nodes_q: Mutex<HashMap<u32, NodeView<D>>>,
     /// Finished speculative tasks by pair key.
     pairs: Mutex<HashMap<u64, Arc<TaskOut<D>>>>,
     /// The shared global bound (see [`crate::SharedBound`]): an upper bound
@@ -230,7 +230,7 @@ impl<const D: usize> SpecRuntime<D> {
     }
 
     /// Node-cache lookup.
-    fn cached_node(&self, side: ProbeSide, page: PageId) -> Option<Arc<Node<D>>> {
+    fn cached_node(&self, side: ProbeSide, page: PageId) -> Option<NodeView<D>> {
         self.node_map(side)
             .lock()
             .expect("node cache poisoned")
@@ -239,7 +239,7 @@ impl<const D: usize> SpecRuntime<D> {
     }
 
     /// Caches a node read from `side`'s tree.
-    fn insert_node(&self, side: ProbeSide, page: PageId, node: Arc<Node<D>>) {
+    fn insert_node(&self, side: ProbeSide, page: PageId, node: NodeView<D>) {
         self.node_map(side)
             .lock()
             .expect("node cache poisoned")
@@ -254,7 +254,7 @@ impl<const D: usize> SpecRuntime<D> {
         side: ProbeSide,
         tree: &RTree<D>,
         page: PageId,
-    ) -> RTreeResult<Arc<Node<D>>> {
+    ) -> RTreeResult<NodeView<D>> {
         if let Some(node) = self.cached_node(side, page) {
             return Ok(node);
         }
@@ -263,7 +263,7 @@ impl<const D: usize> SpecRuntime<D> {
         Ok(node)
     }
 
-    fn node_map(&self, side: ProbeSide) -> &Mutex<HashMap<u32, Arc<Node<D>>>> {
+    fn node_map(&self, side: ProbeSide) -> &Mutex<HashMap<u32, NodeView<D>>> {
         match side {
             ProbeSide::P => &self.nodes_p,
             ProbeSide::Q => &self.nodes_q,

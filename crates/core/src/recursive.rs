@@ -15,7 +15,7 @@
 
 use crate::engine::Ctx;
 use cpq_obs::Probe;
-use cpq_rtree::{Node, RTreeResult};
+use cpq_rtree::{NodeView, RTreeResult};
 use cpq_storage::PageId;
 use std::cmp::Ordering;
 
@@ -23,8 +23,8 @@ use std::cmp::Ordering;
 /// shrinks when leaf pairs are scanned.
 pub(crate) fn naive<const D: usize, P: Probe>(
     ctx: &mut Ctx<'_, D, P>,
-    np: &Node<D>,
-    nq: &Node<D>,
+    np: &NodeView<D>,
+    nq: &NodeView<D>,
     page_p: PageId,
     page_q: PageId,
 ) -> RTreeResult<()> {
@@ -42,8 +42,8 @@ pub(crate) fn naive<const D: usize, P: Probe>(
 /// `MINMINDIST` exceeds the current threshold (left side of Inequality 1).
 pub(crate) fn exhaustive<const D: usize, P: Probe>(
     ctx: &mut Ctx<'_, D, P>,
-    np: &Node<D>,
-    nq: &Node<D>,
+    np: &NodeView<D>,
+    nq: &NodeView<D>,
     page_p: PageId,
     page_q: PageId,
 ) -> RTreeResult<()> {
@@ -66,8 +66,8 @@ pub(crate) fn exhaustive<const D: usize, P: Probe>(
 /// Inequality 2 (1-CP) or the MAXMAXDIST cardinality bound (K-CP).
 pub(crate) fn simple<const D: usize, P: Probe>(
     ctx: &mut Ctx<'_, D, P>,
-    np: &Node<D>,
-    nq: &Node<D>,
+    np: &NodeView<D>,
+    nq: &NodeView<D>,
     page_p: PageId,
     page_q: PageId,
 ) -> RTreeResult<()> {
@@ -91,8 +91,8 @@ pub(crate) fn simple<const D: usize, P: Probe>(
 /// so the threshold shrinks as early as possible.
 pub(crate) fn sorted<const D: usize, P: Probe>(
     ctx: &mut Ctx<'_, D, P>,
-    np: &Node<D>,
-    nq: &Node<D>,
+    np: &NodeView<D>,
+    nq: &NodeView<D>,
     page_p: PageId,
     page_q: PageId,
 ) -> RTreeResult<()> {

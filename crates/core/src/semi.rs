@@ -10,7 +10,7 @@
 
 use crate::types::{CpqStats, PairResult, QueryOutcome};
 use cpq_geo::{min_min_dist2, Dist2};
-use cpq_rtree::{LeafEntry, Node, RTree, RTreeResult};
+use cpq_rtree::{LeafEntry, NodeEntries, RTree, RTreeResult};
 use cpq_storage::PageId;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -40,10 +40,10 @@ pub fn semi_closest_pairs<const D: usize>(
     // Scan P's leaves depth-first (spatially coherent order).
     let mut stack = vec![tree_p.root()];
     while let Some(id) = stack.pop() {
-        match &*tree_p.read_node(id)? {
-            Node::Inner { entries, .. } => stack.extend(entries.iter().map(|e| e.child)),
-            Node::Leaf(es) => {
-                for &p in es {
+        match tree_p.read_node(id)?.entries() {
+            NodeEntries::Inner(entries) => stack.extend(entries.iter().map(|e| e.child)),
+            NodeEntries::Leaf(es) => {
+                for p in es {
                     let warm = last_answer
                         .map(|q| min_min_dist2(&p.mbr(), &q.mbr()))
                         .unwrap_or(Dist2::INFINITY);
@@ -94,9 +94,9 @@ fn nn_bounded<const D: usize>(
             }
             Kind::Node(page) => {
                 stats.node_pairs_processed += 1;
-                match &*tree.read_node(page)? {
-                    Node::Leaf(es) => {
-                        for &e in es {
+                match tree.read_node(page)?.entries() {
+                    NodeEntries::Leaf(es) => {
+                        for e in es {
                             stats.dist_computations += 1;
                             let dd = min_min_dist2(&p.mbr(), &e.mbr());
                             if dd <= bound {
@@ -109,7 +109,7 @@ fn nn_bounded<const D: usize>(
                             }
                         }
                     }
-                    Node::Inner { entries, .. } => {
+                    NodeEntries::Inner(entries) => {
                         for e in entries {
                             let dd = min_min_dist2(&p.mbr(), &e.mbr);
                             if dd <= bound {

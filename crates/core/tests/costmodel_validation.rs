@@ -1,7 +1,6 @@
 //! Validates the analytic cost model against measured disk accesses on
-//! uniform workloads — the use-case is optimizer-style ranking, so the bar
-//! is "right to within a small factor and monotone in the workload knobs",
-//! not exactness.
+//! uniform workloads: within `[0.9, 1.2]` of the measured count (the model
+//! reads 1.02-1.16 of it here) and monotone in the workload knobs.
 
 use cpq_core::costmodel::estimate_1cp_cost;
 use cpq_core::{k_closest_pairs, Algorithm, CpqConfig};
@@ -31,7 +30,7 @@ fn predicted_accesses(tp: &RTree<2>, p: &Dataset, tq: &RTree<2>, q: &Dataset) ->
 }
 
 #[test]
-fn model_within_factor_four_on_overlapping_uniform_data() {
+fn model_within_a_fifth_on_overlapping_uniform_data() {
     for (np, nq, seed) in [
         (5_000, 5_000, 1u64),
         (10_000, 5_000, 3),
@@ -45,7 +44,7 @@ fn model_within_factor_four_on_overlapping_uniform_data() {
         let measured = measured_accesses(&tp, &tq) as f64;
         let ratio = predicted / measured;
         assert!(
-            (0.25..=4.0).contains(&ratio),
+            (0.9..=1.2).contains(&ratio),
             "{np}x{nq}: predicted {predicted:.0}, measured {measured:.0}, ratio {ratio:.2}"
         );
     }
@@ -63,8 +62,8 @@ fn model_tracks_partial_overlap() {
         predictions.push(predicted_accesses(&tp, &p, &tq, &q));
         measurements.push(measured_accesses(&tp, &tq) as f64);
     }
-    // Both sequences increase with overlap, and the model stays within a
-    // factor 4 at every point.
+    // Both sequences increase with overlap, and the model stays within
+    // `[0.9, 1.2]` of the measurement at every point.
     for w in predictions.windows(2) {
         assert!(
             w[0] < w[1],
@@ -80,7 +79,7 @@ fn model_tracks_partial_overlap() {
     for (pr, me) in predictions.iter().zip(&measurements) {
         let ratio = pr / me;
         assert!(
-            (0.25..=4.0).contains(&ratio),
+            (0.9..=1.2).contains(&ratio),
             "ratio {ratio:.2} (predicted {pr:.0}, measured {me:.0})"
         );
     }

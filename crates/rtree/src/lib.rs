@@ -10,9 +10,11 @@
 //! Nodes are serialized into fixed-size pages of a
 //! [`BufferPool`](cpq_storage::BufferPool); every node visit is a logical
 //! page read, and buffer misses are the *disk accesses* the experiments
-//! count. The paper's exact configuration (1 KiB pages, node capacity
-//! `M = 21`, minimum occupancy `m = M/3 = 7`) is
-//! [`RTreeParams::paper`].
+//! count. The page is the node: [`RTree::read_node`] returns a
+//! [`NodeView`] over the pool frame's bytes, which reads entries in place,
+//! so no decoded copy of a page is kept beside it. The paper's exact
+//! configuration (1 KiB pages, node capacity `M = 21`, minimum occupancy
+//! `m = M/3 = 7`) is [`RTreeParams::paper`].
 //!
 //! Features:
 //!
@@ -50,9 +52,9 @@ mod tree;
 mod treestats;
 mod validate;
 
+pub use codec::{Entries, EntryIter, NodeEntries, NodeView, PageEntry};
 pub use entry::{InnerEntry, LeafEntry};
 pub use error::{RTreeError, RTreeResult};
-pub use node::Node;
 pub use params::{RTreeParams, SplitPolicy};
 pub use query::KnnNeighbor;
 pub use tiling::StrTiling;

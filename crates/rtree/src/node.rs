@@ -1,9 +1,11 @@
-//! In-memory representation of an R-tree node.
+//! The owned form of an R-tree node, which the update path builds, edits
+//! and encodes. Readers see a node through its page
+//! ([`NodeView`](crate::NodeView)) instead.
 
 use crate::entry::{InnerEntry, LeafEntry};
 use cpq_geo::Rect;
 
-/// A decoded R-tree node.
+/// An owned R-tree node.
 ///
 /// Leaves sit at level 0; an inner node at level `l` has children at level
 /// `l - 1`. The root is the single node at level `height - 1`.
@@ -21,11 +23,6 @@ pub enum Node<const D: usize> {
 }
 
 impl<const D: usize> Node<D> {
-    /// Creates an empty leaf.
-    pub fn empty_leaf() -> Self {
-        Node::Leaf(Vec::new())
-    }
-
     /// Level of the node; leaves are level 0.
     #[inline]
     pub fn level(&self) -> u8 {
@@ -33,12 +30,6 @@ impl<const D: usize> Node<D> {
             Node::Leaf(_) => 0,
             Node::Inner { level, .. } => *level,
         }
-    }
-
-    /// `true` for leaf nodes.
-    #[inline]
-    pub fn is_leaf(&self) -> bool {
-        matches!(self, Node::Leaf(_))
     }
 
     /// Number of entries.
@@ -83,15 +74,6 @@ impl<const D: usize> Node<D> {
         }
     }
 
-    /// Leaf entries; panics on inner nodes.
-    #[inline]
-    pub fn leaf_entries(&self) -> &[LeafEntry<D>] {
-        match self {
-            Node::Leaf(es) => es,
-            Node::Inner { .. } => panic!("leaf_entries() on inner node"),
-        }
-    }
-
     /// Inner entries; panics on leaves.
     #[inline]
     pub fn inner_entries(&self) -> &[InnerEntry<D>] {
@@ -124,7 +106,6 @@ mod tests {
             LeafEntry::new(Point([2.0, 3.0]), 2),
         ]);
         assert_eq!(node.level(), 0);
-        assert!(node.is_leaf());
         assert_eq!(node.len(), 2);
         assert_eq!(node.subtree_count(), 2);
         assert_eq!(node.mbr(), Some(Rect::from_corners([0.0, 0.0], [2.0, 3.0])));
@@ -140,14 +121,13 @@ mod tests {
             ],
         };
         assert_eq!(node.level(), 1);
-        assert!(!node.is_leaf());
         assert_eq!(node.subtree_count(), 21);
         assert_eq!(node.mbr(), Some(Rect::from_corners([0.0, 0.0], [5.0, 5.0])));
     }
 
     #[test]
     fn empty_leaf_has_no_mbr() {
-        let node: Node<2> = Node::empty_leaf();
+        let node: Node<2> = Node::Leaf(Vec::new());
         assert!(node.is_empty());
         assert_eq!(node.mbr(), None);
     }

@@ -1,9 +1,9 @@
 //! Search operations: window (range) queries, point lookups, K nearest
 //! neighbors, and full scans.
 
+use crate::codec::NodeEntries;
 use crate::entry::LeafEntry;
 use crate::error::RTreeResult;
-use crate::node::Node;
 use crate::tree::RTree;
 use cpq_geo::{min_min_dist2, min_min_dist2_within, Dist2, Point, Rect};
 use cpq_storage::PageId;
@@ -30,11 +30,11 @@ impl<const D: usize> RTree<D> {
         }
         let mut stack = vec![self.root()];
         while let Some(id) = stack.pop() {
-            match &*self.read_node(id)? {
-                Node::Leaf(es) => {
+            match self.read_node(id)?.entries() {
+                NodeEntries::Leaf(es) => {
                     out.extend(es.iter().filter(|e| window.intersects(&e.mbr())));
                 }
-                Node::Inner { entries, .. } => {
+                NodeEntries::Inner(entries) => {
                     stack.extend(
                         entries
                             .iter()
@@ -54,13 +54,13 @@ impl<const D: usize> RTree<D> {
         }
         let mut stack = vec![self.root()];
         while let Some(id) = stack.pop() {
-            match &*self.read_node(id)? {
-                Node::Leaf(es) => {
+            match self.read_node(id)?.entries() {
+                NodeEntries::Leaf(es) => {
                     if es.iter().any(|e| e.object == *object && e.oid == oid) {
                         return Ok(true);
                     }
                 }
-                Node::Inner { entries, .. } => {
+                NodeEntries::Inner(entries) => {
                     stack.extend(
                         entries
                             .iter()
@@ -124,9 +124,9 @@ impl<const D: usize> RTree<D> {
                         break;
                     }
                 }
-                Item::Node(id) => match &*self.read_node(id)? {
-                    Node::Leaf(es) => {
-                        for &e in es {
+                Item::Node(id) => match self.read_node(id)?.entries() {
+                    NodeEntries::Leaf(es) => {
+                        for e in es {
                             let b = bound(&worst);
                             let Some(dd) = min_min_dist2_within(&qrect, &e.mbr(), b) else {
                                 continue; // farther than k candidates already seen
@@ -140,7 +140,7 @@ impl<const D: usize> RTree<D> {
                             heap.push((Reverse(dd), seq, Item::Point(pending.len() - 1)));
                         }
                     }
-                    Node::Inner { entries, .. } => {
+                    NodeEntries::Inner(entries) => {
                         for e in entries {
                             let Some(dd) = min_min_dist2_within(&qrect, &e.mbr, bound(&worst))
                             else {
@@ -173,14 +173,14 @@ impl<const D: usize> RTree<D> {
         }
         let mut stack = vec![self.root()];
         while let Some(id) = stack.pop() {
-            match &*self.read_node(id)? {
-                Node::Leaf(es) => {
+            match self.read_node(id)?.entries() {
+                NodeEntries::Leaf(es) => {
                     out.extend(
                         es.iter()
                             .filter(|e| min_min_dist2(probe, &e.mbr()) <= bound),
                     );
                 }
-                Node::Inner { entries, .. } => {
+                NodeEntries::Inner(entries) => {
                     stack.extend(
                         entries
                             .iter()
@@ -201,9 +201,9 @@ impl<const D: usize> RTree<D> {
         }
         let mut stack = vec![self.root()];
         while let Some(id) = stack.pop() {
-            match &*self.read_node(id)? {
-                Node::Leaf(es) => out.extend(es),
-                Node::Inner { entries, .. } => stack.extend(entries.iter().map(|e| e.child)),
+            match self.read_node(id)?.entries() {
+                NodeEntries::Leaf(es) => out.extend(es),
+                NodeEntries::Inner(entries) => stack.extend(entries.iter().map(|e| e.child)),
             }
         }
         Ok(out)

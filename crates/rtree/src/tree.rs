@@ -1,6 +1,6 @@
 //! The R*-tree proper: construction, insertion, deletion.
 
-use crate::codec::{decode_node, encode_node};
+use crate::codec::{check_node, encode_node, NodeEntries, NodeView};
 use crate::entry::{InnerEntry, LeafEntry};
 use crate::error::{RTreeError, RTreeResult};
 use crate::node::Node;
@@ -222,12 +222,16 @@ impl<const D: usize> RTree<D> {
 
     /// Reads a node: the one node-read path. Counts one logical page read.
     ///
-    /// The node is decoded at most once per residency of its page
-    /// ([`BufferPool::read_decoded`]): a hit on a resident page shares the
-    /// node its frame already holds. Writers take their own copy with
-    /// `Arc::unwrap_or_clone`.
-    pub fn read_node(&self, id: PageId) -> RTreeResult<Arc<Node<D>>> {
-        self.pool.read_decoded(id, |bytes| decode_node(id, bytes))
+    /// The node is its page: the view shares the bytes of the pool's frame
+    /// and reads entries from them in place. The page's node format is
+    /// checked at most once per residency
+    /// ([`BufferPool::read_checked`]), so a hit on a resident page costs
+    /// the pool's hit and nothing else. Writers copy the entries out into
+    /// an owned node.
+    pub fn read_node(&self, id: PageId) -> RTreeResult<NodeView<D>> {
+        self.pool
+            .read_checked(id, |bytes| check_node::<D>(id, bytes))
+            .map(NodeView::new)
     }
 
     /// Hints that these node pages will likely be read soon. On a pool
@@ -383,7 +387,7 @@ impl<const D: usize> RTree<D> {
         overflowed: &mut [bool],
         queue: &mut VecDeque<(AnyEntry<D>, u8)>,
     ) -> RTreeResult<(InnerEntry<D>, Option<InnerEntry<D>>)> {
-        let mut node = Arc::unwrap_or_clone(self.read_node(node_id)?);
+        let mut node = self.read_node(node_id)?.to_node();
         debug_assert_eq!(node.level(), node_level, "level mismatch on {node_id}");
 
         if node_level == target_level {
@@ -600,15 +604,15 @@ impl<const D: usize> RTree<D> {
         // Shrink the root: an inner root with a single child is replaced by
         // that child; an empty leaf root empties the tree.
         loop {
-            match &*self.read_node(self.root)? {
-                Node::Inner { entries, .. } if entries.len() == 1 => {
-                    let child = entries[0].child;
+            match self.read_node(self.root)?.entries() {
+                NodeEntries::Inner(entries) if entries.len() == 1 => {
+                    let child = entries.get(0).child;
                     let old_root = self.root;
                     self.free_or_retire(old_root)?;
                     self.root = child;
                     self.height -= 1;
                 }
-                Node::Leaf(es) if es.is_empty() => {
+                NodeEntries::Leaf(es) if es.is_empty() => {
                     let old_root = self.root;
                     self.free_or_retire(old_root)?;
                     self.root = PageId::INVALID;
@@ -631,7 +635,7 @@ impl<const D: usize> RTree<D> {
         oid: u64,
         orphans: &mut Vec<(AnyEntry<D>, u8)>,
     ) -> RTreeResult<DeleteOutcome<D>> {
-        let mut node = Arc::unwrap_or_clone(self.read_node(node_id)?);
+        let mut node = self.read_node(node_id)?.to_node();
         match &mut node {
             Node::Leaf(es) => {
                 let Some(pos) = es.iter().position(|e| e.object == *object && e.oid == oid) else {
@@ -803,9 +807,10 @@ mod tests {
         let mut out = Vec::new();
         let mut stack = vec![tree.root()];
         while let Some(id) = stack.pop() {
-            if let Node::Inner { level, entries } = &*tree.read_node(id).unwrap() {
-                if *level == 1 {
-                    out.push(entries.clone());
+            let node = tree.read_node(id).unwrap();
+            if let NodeEntries::Inner(entries) = node.entries() {
+                if node.level() == 1 {
+                    out.push(entries.iter().collect());
                 } else {
                     stack.extend(entries.iter().map(|e| e.child));
                 }
@@ -949,6 +954,97 @@ mod tests {
             compared += same_choices(rects.chunks(m).map(inner_node).collect(), 17);
         }
         assert!(compared > 100_000, "only {compared} choices compared");
+    }
+
+    /// A one-entry inner node page whose entry's corners are `lo` and
+    /// `hi`, as the codec writes it (a `lo > hi` corner is written as given).
+    fn inner_page(lo: [f64; 2], hi: [f64; 2]) -> Vec<u8> {
+        let node: Node<2> = Node::Inner {
+            level: 1,
+            entries: vec![InnerEntry::new(
+                Rect::from_corners([0.0; 2], [1.0; 2]),
+                PageId(7),
+                3,
+            )],
+        };
+        let mut page = vec![0u8; 1024];
+        encode_node(&node, &mut page).unwrap();
+        for (d, (l, h)) in lo.iter().zip(hi).enumerate() {
+            let at = crate::codec::NODE_HEADER_LEN + 8 * d;
+            page[at..at + 8].copy_from_slice(&l.to_le_bytes());
+            page[at + 16..at + 24].copy_from_slice(&h.to_le_bytes());
+        }
+        page
+    }
+
+    /// On a page file that stores it intact (its checksum, where the file
+    /// keeps one, matches), a node page whose inner entry has `lo > hi` is
+    /// refused as `CorruptNode`: on the first read after a miss, on every
+    /// read while it stays resident, and again after a write of the same
+    /// bytes. The check runs on every one of those reads and on none of the
+    /// hits on a frame whose bytes passed it.
+    fn the_check_runs_once_per_residency_never_less(file: Box<dyn cpq_storage::PageFile>) {
+        let pool = Arc::new(BufferPool::with_lru(file, 4));
+        let id = pool.allocate().unwrap();
+        let bad = inner_page([2.0, 0.0], [1.0, 1.0]);
+        let good = inner_page([0.0, 0.0], [1.0, 1.0]);
+        pool.write_page(id, &bad).unwrap();
+        pool.clear();
+        let tree =
+            RTree::<2>::from_descriptor_shared(Arc::clone(&pool), RTreeParams::paper(), (id, 2, 3))
+                .unwrap();
+        let checks = std::cell::Cell::new(0);
+        let read = || {
+            pool.read_checked(id, |bytes| {
+                checks.set(checks.get() + 1);
+                check_node::<2>(id, bytes)
+            })
+        };
+        let refused = |r: RTreeResult<()>| matches!(r, Err(RTreeError::CorruptNode { page, .. }) if page == id);
+        let misses = pool.buffer_stats().misses;
+        assert!(refused(read().map(drop)), "the first read after a miss");
+        assert_eq!((pool.buffer_stats().misses - misses, checks.get()), (1, 1));
+        assert!(refused(read().map(drop)), "a hit on the refused frame");
+        assert!(refused(tree.read_node(id).map(drop)), "read_node");
+        assert_eq!(checks.get(), 2, "a refused frame is checked again");
+        pool.write_page(id, &bad).unwrap();
+        assert!(refused(read().map(drop)), "after a write of the same bytes");
+        assert_eq!(checks.get(), 3);
+        pool.write_page(id, &good).unwrap();
+        assert!(read().is_ok());
+        assert_eq!(checks.get(), 4);
+        for _ in 0..3 {
+            let hits = pool.buffer_stats().hits;
+            assert!(read().is_ok());
+            assert_eq!(
+                tree.read_node(id).unwrap().inner_entries().get(0).child,
+                PageId(7)
+            );
+            assert_eq!(pool.buffer_stats().hits, hits + 2, "both reads hit");
+        }
+        assert_eq!(checks.get(), 4, "a hit on a checked frame checks nothing");
+        // The bad bytes written over a checked frame are checked afresh.
+        pool.write_page(id, &bad).unwrap();
+        assert!(
+            refused(tree.read_node(id).map(drop)),
+            "after a write over checked bytes"
+        );
+        assert!(refused(read().map(drop)));
+        assert_eq!(checks.get(), 5);
+    }
+
+    #[test]
+    fn a_memory_page_is_checked_once_per_residency_never_less() {
+        the_check_runs_once_per_residency_never_less(Box::new(MemPageFile::new(1024)));
+    }
+
+    #[test]
+    fn a_disk_page_is_checked_once_per_residency_never_less() {
+        let mut path = std::env::temp_dir();
+        path.push(format!("cpq-rtree-check-{}.pages", std::process::id()));
+        let file = cpq_storage::DiskPageFile::create(&path, 1024).unwrap();
+        the_check_runs_once_per_residency_never_less(Box::new(file));
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Per-level statistics of a tree, the inputs of analytic cost models.
 
+use crate::codec::NodeEntries;
 use crate::error::RTreeResult;
-use crate::node::Node;
 use crate::tree::RTree;
 
 /// Aggregate statistics of one tree level.
@@ -42,7 +42,7 @@ impl<const D: usize> RTree<D> {
                     *e += mbr.extent(d);
                 }
             }
-            if let Node::Inner { entries, .. } = &*node {
+            if let NodeEntries::Inner(entries) = node.entries() {
                 stack.extend(entries.iter().map(|e| e.child));
             }
         }
@@ -87,8 +87,8 @@ impl<const D: usize> RTree<D> {
             if self.pool().pin_page(id)? {
                 pinned += 1;
             }
-            if let Node::Inner { entries, level } = &*node {
-                if *level > min_level {
+            if let NodeEntries::Inner(entries) = node.entries() {
+                if node.level() > min_level {
                     stack.extend(entries.iter().map(|e| e.child));
                 }
             }

@@ -5,8 +5,8 @@
 //! R*-tree invariant. Violations are collected, not panicked, so tests can
 //! print them all.
 
+use crate::codec::{NodeEntries, NodeView};
 use crate::error::RTreeResult;
-use crate::node::Node;
 use crate::tree::RTree;
 use cpq_geo::Rect;
 use cpq_storage::PageId;
@@ -118,7 +118,7 @@ impl<const D: usize> RTree<D> {
     fn validate_rec(
         &self,
         id: PageId,
-        node: &Node<D>,
+        node: &NodeView<D>,
         is_root: bool,
         report: &mut ValidationReport,
         ctx: &mut WalkCtx<D>,
@@ -138,11 +138,11 @@ impl<const D: usize> RTree<D> {
                 .push(format!("{id}: {} entries exceed M = {max}", node.len()));
         }
         if is_root {
-            match node {
-                Node::Inner { entries, .. } if entries.len() < 2 => report.violations.push(
+            match node.entries() {
+                NodeEntries::Inner(entries) if entries.len() < 2 => report.violations.push(
                     format!("{id}: inner root with {} < 2 entries", entries.len()),
                 ),
-                Node::Leaf(es) if es.is_empty() => report
+                NodeEntries::Leaf(es) if es.is_empty() => report
                     .violations
                     .push(format!("{id}: empty leaf root should have been dropped")),
                 _ => {}
@@ -153,8 +153,8 @@ impl<const D: usize> RTree<D> {
                 .push(format!("{id}: {} entries below m = {min}", node.len()));
         }
 
-        match node {
-            Node::Leaf(es) => {
+        match node.entries() {
+            NodeEntries::Leaf(es) => {
                 report.leaves += 1;
                 for e in es {
                     if !e.object.is_finite() {
@@ -181,7 +181,8 @@ impl<const D: usize> RTree<D> {
                 }
                 Ok(es.len() as u64)
             }
-            Node::Inner { level, entries } => {
+            NodeEntries::Inner(entries) => {
+                let level = node.level();
                 let mut total = 0u64;
                 for e in entries {
                     if !ctx.visited.insert(e.child) {
@@ -192,7 +193,7 @@ impl<const D: usize> RTree<D> {
                         continue; // do not recurse into an aliased subtree
                     }
                     let child = self.read_node(e.child)?;
-                    if child.level() + 1 != *level {
+                    if child.level() + 1 != level {
                         report.violations.push(format!(
                             "{id}: child {} at level {} under parent level {level}",
                             e.child,

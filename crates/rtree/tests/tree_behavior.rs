@@ -453,7 +453,7 @@ fn guttman_variants_build_valid_trees_with_same_contents() {
 fn rstar_produces_less_node_overlap_than_linear() {
     // The claim the paper cites ("the most efficient variant"): R* trees
     // have tighter, less-overlapping nodes. Measure total leaf-MBR overlap.
-    use cpq_rtree::{Node, SplitPolicy};
+    use cpq_rtree::{NodeEntries, SplitPolicy};
     let points = random_points(4000, 137);
     let overlap_of = |policy: SplitPolicy| -> f64 {
         let params = RTreeParams {
@@ -468,9 +468,10 @@ fn rstar_produces_less_node_overlap_than_linear() {
         let mut leaf_mbrs = Vec::new();
         let mut stack = vec![tree.root()];
         while let Some(id) = stack.pop() {
-            if let Node::Inner { level, entries } = &*tree.read_node(id).unwrap() {
+            let node = tree.read_node(id).unwrap();
+            if let NodeEntries::Inner(entries) = node.entries() {
                 for e in entries {
-                    if *level == 1 {
+                    if node.level() == 1 {
                         leaf_mbrs.push(e.mbr);
                     } else {
                         stack.push(e.child);

@@ -12,7 +12,7 @@
 
 use cpq_geo::Point;
 use cpq_rng::Rng;
-use cpq_rtree::{Node, RTree, RTreeParams, SplitPolicy};
+use cpq_rtree::{NodeEntries, RTree, RTreeParams, SplitPolicy};
 use cpq_storage::{BufferPool, MemPageFile, PageId};
 
 const POINTS: usize = 2_000;
@@ -116,7 +116,7 @@ fn fingerprint(tree: &RTree<2>) -> (u64, usize) {
         h = fnv1a(h, &id.0.to_le_bytes());
         h = fnv1a(h, &bytes);
         pages += 1;
-        if let Node::Inner { entries, .. } = &*tree.read_node(id).unwrap() {
+        if let NodeEntries::Inner(entries) = tree.read_node(id).unwrap().entries() {
             stack.extend(entries.iter().rev().map(|e| e.child));
         }
     }

@@ -15,15 +15,15 @@
 //! Lock order is always state → file; no path waits on the state mutex while
 //! holding the file lock, so the two locks cannot deadlock.
 //!
-//! # Decoded pages
+//! # Checked pages
 //!
-//! A frame keeps, beside its bytes, the value a caller decoded from them
-//! ([`read_decoded`](BufferPool::read_decoded) — the R-tree's node), so a
-//! hit on a decoded frame returns a shared handle instead of parsing the
-//! page again. The value is decoded at most once per residency, under the
-//! state mutex, and it lives inside the frame: every path that replaces or
+//! A frame keeps one flag beside its bytes: whether a caller's check of them
+//! ([`read_checked`](BufferPool::read_checked) — the R-tree's node format)
+//! has passed. The check runs at most once per residency, under the state
+//! mutex, and the flag lives inside the frame: every path that replaces or
 //! drops a frame's bytes (write, free, eviction, `clear`, `set_capacity`)
-//! drops the value with them.
+//! starts a fresh, unchecked frame. A hit on a checked frame hands out its
+//! bytes and runs nothing; readers interpret them in place.
 
 use crate::error::{StorageError, StorageResult};
 use crate::file::PageFile;
@@ -31,7 +31,6 @@ use crate::page::{PageBytes, PageId};
 use crate::sched::{SchedConfig, SchedHandle, SchedPageFile, SchedStats};
 use crate::stats::IoStats;
 use cpq_check::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
-use std::any::Any;
 use std::collections::HashMap;
 
 /// Page-replacement policy interface.
@@ -266,15 +265,11 @@ impl BufferStats {
     }
 }
 
-/// A value decoded from a frame's bytes, type-erased: the pool stores
-/// whatever its callers decode.
-type Decoded = Arc<dyn Any + Send + Sync>;
-
 struct Frame {
     page: PageId,
     data: PageBytes,
-    /// What [`BufferPool::read_decoded`] made of `data`, once it has.
-    decoded: Option<Decoded>,
+    /// Whether a [`BufferPool::read_checked`] check has passed on `data`.
+    checked: bool,
 }
 
 impl Frame {
@@ -282,23 +277,19 @@ impl Frame {
         Frame {
             page,
             data,
-            decoded: None,
+            checked: false,
         }
     }
 
-    /// The value decoded from this frame's bytes, decoding them on first
-    /// use. A value of another type (two decoders of one page) is
-    /// replaced.
-    fn decoded<T, E>(&mut self, decode: impl FnOnce(&[u8]) -> Result<T, E>) -> Result<Arc<T>, E>
-    where
-        T: Any + Send + Sync,
-    {
-        if let Some(value) = self.decoded.clone().and_then(|v| v.downcast().ok()) {
-            return Ok(value);
+    /// This frame's bytes, running `check` on them first unless a check
+    /// already passed on them. A pool's pages are checked by one rule (the
+    /// R-tree's node format): the flag does not say which check passed.
+    fn checked<E>(&mut self, check: impl FnOnce(&[u8]) -> Result<(), E>) -> Result<PageBytes, E> {
+        if !self.checked {
+            check(&self.data)?;
+            self.checked = true;
         }
-        let value = Arc::new(decode(&self.data)?);
-        self.decoded = Some(value.clone());
-        Ok(value)
+        Ok(self.data.clone())
     }
 }
 
@@ -349,7 +340,7 @@ impl State {
     /// sampled `generation`. If another thread installed `id` while the
     /// file read ran outside the state lock, the existing frame is kept.
     /// Returns the frame holding `id` when it holds exactly `data` — the
-    /// one a decoded value of `data` may be attached to.
+    /// one a check of `data` may mark.
     fn complete_miss(
         &mut self,
         id: PageId,
@@ -424,10 +415,10 @@ impl State {
 ///   (capacity permitting) caches it, evicting per the policy. Miss I/O runs
 ///   under the file's shared read guard with the bookkeeping mutex released,
 ///   so concurrent misses overlap, and
-///   [`read_decoded`](BufferPool::read_decoded) returns the value decoded
-///   from the page, decoding at most once per residency.
+///   [`read_checked`](BufferPool::read_checked) returns the bytes of a page
+///   that passed a caller's check, checking at most once per residency.
 /// * Write path: write-through — the file always holds the latest data, and
-///   a cached copy is refreshed in place (its decoded value dropped).
+///   a cached copy is refreshed in place (unchecked again).
 /// * Interior mutability: all methods take `&self` so two trees can be read
 ///   concurrently by one query algorithm.
 pub struct BufferPool {
@@ -561,42 +552,42 @@ impl BufferPool {
         Ok(data)
     }
 
-    /// [`read_page`](Self::read_page), returning what `decode` makes of the
-    /// page instead of its bytes — the R-tree's node read.
+    /// [`read_page`](Self::read_page) of a page that must pass `check` —
+    /// the R-tree's node read.
     ///
-    /// The frame keeps the decoded value beside its bytes, so `decode`
-    /// runs at most once per residency: a hit on a decoded frame costs a
-    /// reference-count increment. It runs under the state mutex the hit
-    /// (or the miss's accounting) already holds, so no write can slip
-    /// between the bytes it reads and the frame it attaches to; `decode`
-    /// must therefore not call back into this pool. Hits, misses, logical
-    /// reads, evictions and the victim are exactly `read_page`'s, the miss
-    /// counted before `decode` runs: a page that reads but does not decode
-    /// moves the books as `read_page` followed by a failed decode does. A
-    /// read the pool cannot cache (zero capacity, every frame pinned, a
-    /// write or free during its file read) decodes outside the lock.
-    pub fn read_decoded<T, E>(
+    /// The frame remembers that its bytes passed, so `check` runs at most
+    /// once per residency: a hit on a checked frame costs what a
+    /// `read_page` hit costs. It runs under the state mutex the hit (or the
+    /// miss's accounting) already holds, so no write can slip between the
+    /// bytes it checks and the frame it marks; `check` must therefore not
+    /// call back into this pool. Hits, misses, logical reads, evictions and
+    /// the victim are exactly `read_page`'s, the miss counted before
+    /// `check` runs: a page that reads but fails its check moves the books
+    /// as `read_page` followed by a failed check does, and stays unchecked.
+    /// A read the pool cannot cache (zero capacity, every frame pinned, a
+    /// write or free during its file read) checks outside the lock.
+    pub fn read_checked<E>(
         &self,
         id: PageId,
-        decode: impl FnOnce(&[u8]) -> Result<T, E>,
-    ) -> Result<Arc<T>, E>
+        check: impl FnOnce(&[u8]) -> Result<(), E>,
+    ) -> Result<PageBytes, E>
     where
-        T: Any + Send + Sync,
         E: From<StorageError>,
     {
         let mut st = self.guard();
         if let Some(frame) = st.try_hit(id) {
-            return frame.decoded(decode);
+            return frame.checked(check);
         }
         let generation = st.generation;
         drop(st);
         let data = self.fetch(id)?;
         let mut st = self.guard();
         if let Some(frame) = st.complete_miss(id, &data, generation) {
-            return frame.decoded(decode);
+            return frame.checked(check);
         }
         drop(st);
-        decode(&data).map(Arc::new)
+        check(&data)?;
+        Ok(data)
     }
 
     /// The physical read of one miss, under the shared file guard with the
@@ -611,8 +602,9 @@ impl BufferPool {
         }
     }
 
-    /// Writes a page, write-through, refreshing any cached copy (and
-    /// dropping the value decoded from the old bytes). As with
+    /// Writes a page, write-through, refreshing any cached copy (unchecked
+    /// until a [`read_checked`](Self::read_checked) checks the new bytes).
+    /// As with
     /// [`read_page`](Self::read_page), the `writes` counter moves only on
     /// success, keeping it equal to the file's physical write count.
     pub fn write_page(&self, id: PageId, data: &[u8]) -> StorageResult<()> {
@@ -812,22 +804,22 @@ mod tests {
         r
     }
 
-    /// The bytes of `id` as a decoded value, counting the decodes.
-    fn read_counted(pool: &BufferPool, id: PageId, decodes: &mut u64) -> Arc<Vec<u8>> {
-        let decode = |bytes: &[u8]| {
-            *decodes += 1;
-            Ok::<_, StorageError>(bytes.to_vec())
+    /// The bytes of `id` through `read_checked`, counting the checks.
+    fn read_counted(pool: &BufferPool, id: PageId, checks: &mut u64) -> PageBytes {
+        let check = |_: &[u8]| {
+            *checks += 1;
+            Ok::<_, StorageError>(())
         };
-        pool.read_decoded(id, decode).unwrap()
+        pool.read_checked(id, check).unwrap()
     }
 
     /// One seeded trace of every pool operation that reaches the policy,
     /// through an oracle pool and two real ones, the third reading through
-    /// `read_decoded`: the same verdict for every read, the same pages in
-    /// the same frames and the same books after every step. The decoded
-    /// reads return the bytes `read_page` returns — never a value decoded
-    /// before a write, a free or the frame's reuse — and decode exactly
-    /// when the frame holds no decoded value yet.
+    /// `read_checked`: the same verdict for every read, the same pages in
+    /// the same frames and the same books after every step. The checked
+    /// reads return the bytes `read_page` returns, and check exactly when
+    /// the frame holds no checked bytes yet — never trusting a check made
+    /// before a write, a free or the frame's reuse.
     #[test]
     fn the_list_evicts_what_the_min_stamp_scan_evicts() {
         use cpq_rng::Rng;
@@ -850,9 +842,9 @@ mod tests {
                 let mut live = fill(&pools[0], 2 * capacity + 2);
                 assert_eq!(live, fill(&pools[1], 2 * capacity + 2));
                 assert_eq!(live, fill(&pools[2], 2 * capacity + 2));
-                // Pages whose frame in the third pool holds a decoded value.
-                let mut decoded: HashSet<PageId> = HashSet::new();
-                let mut decodes = 0;
+                // Pages whose frame in the third pool holds checked bytes.
+                let mut checked: HashSet<PageId> = HashSet::new();
+                let mut checks = 0;
                 let mut rng = Rng::seed_from_u64(capacity as u64 * 2 + restamp_on_hit as u64);
                 for step in 0..600 {
                     let id = live[rng.random_range(0..live.len())];
@@ -865,12 +857,12 @@ mod tests {
                             let verdicts = pools.each_ref().map(|p| {
                                 let before = p.buffer_stats();
                                 if std::ptr::eq(p, &pools[2]) {
-                                    let was = decodes;
-                                    let value = read_counted(p, id, &mut decodes);
+                                    let was = checks;
+                                    let value = read_counted(p, id, &mut checks);
                                     let hit = p.buffer_stats().hits > before.hits;
-                                    let want = u64::from(!(hit && decoded.contains(&id)));
-                                    assert_eq!(decodes - was, want, "{what}: decodes of {id:?}");
-                                    decoded.insert(id);
+                                    let want = u64::from(!(hit && checked.contains(&id)));
+                                    assert_eq!(checks - was, want, "{what}: checks of {id:?}");
+                                    checked.insert(id);
                                     assert_eq!(Some(&value[..]), bytes.as_deref(), "{what}");
                                 } else {
                                     bytes = Some(p.read_page(id).unwrap().to_vec());
@@ -879,13 +871,13 @@ mod tests {
                                 (after.hits - before.hits, after.evictions - before.evictions)
                             });
                             assert_eq!(verdicts[0], verdicts[1], "{what}: read {id:?}");
-                            assert_eq!(verdicts[1], verdicts[2], "{what}: decoded read {id:?}");
+                            assert_eq!(verdicts[1], verdicts[2], "{what}: checked read {id:?}");
                         }
                         70..=77 => {
                             pools
                                 .iter()
                                 .for_each(|p| p.write_page(id, &written).unwrap());
-                            decoded.remove(&id);
+                            checked.remove(&id);
                         }
                         78..=84 => {
                             let pinned = pools.each_ref().map(|p| p.pin_page(id).unwrap());
@@ -914,7 +906,7 @@ mod tests {
                     let frames = resident(&pools[0]);
                     assert_eq!(frames, resident(&pools[1]), "{what}");
                     assert_eq!(frames, resident(&pools[2]), "{what}");
-                    decoded.retain(|p| frames.iter().any(|&(r, _)| r == *p));
+                    checked.retain(|p| frames.iter().any(|&(r, _)| r == *p));
                     let books = pools[0].buffer_stats();
                     assert_eq!(books, pools[1].buffer_stats(), "{what}");
                     assert_eq!(books, pools[2].buffer_stats(), "{what}");
@@ -926,48 +918,54 @@ mod tests {
     }
 
     #[test]
-    fn a_page_is_decoded_once_per_residency_and_never_stale() {
+    fn a_page_is_checked_once_per_residency_and_never_stale() {
         let pool = pool_with(2, Box::new(LruPolicy::new()));
         let ids = fill(&pool, 3);
-        let mut decodes = 0;
+        let mut checks = 0;
         for _ in 0..3 {
-            assert_eq!(*read_counted(&pool, ids[0], &mut decodes), [0; 64]);
+            assert_eq!(&read_counted(&pool, ids[0], &mut checks)[..], [0; 64]);
         }
-        assert_eq!(decodes, 1, "a miss and two hits on one residency");
-        // A write replaces the bytes the value was decoded from.
+        assert_eq!(checks, 1, "a miss and two hits on one residency");
+        // A write replaces the bytes the check passed.
         pool.write_page(ids[0], &[5; 64]).unwrap();
-        assert_eq!(*read_counted(&pool, ids[0], &mut decodes), [5; 64]);
-        assert_eq!(decodes, 2);
-        // Evicted and read again: a new residency, decoded again.
+        assert_eq!(&read_counted(&pool, ids[0], &mut checks)[..], [5; 64]);
+        assert_eq!(checks, 2);
+        // Evicted and read again: a new residency, checked again.
         pool.read_page(ids[1]).unwrap();
         pool.read_page(ids[2]).unwrap();
-        assert_eq!(*read_counted(&pool, ids[0], &mut decodes), [5; 64]);
-        assert_eq!(decodes, 3);
+        assert_eq!(&read_counted(&pool, ids[0], &mut checks)[..], [5; 64]);
+        assert_eq!(checks, 3);
         // Freed, and the id allocated again with other bytes.
         pool.free_page(ids[0]).unwrap();
         assert_eq!(pool.allocate().unwrap(), ids[0]);
         pool.write_page(ids[0], &[6; 64]).unwrap();
-        assert_eq!(*read_counted(&pool, ids[0], &mut decodes), [6; 64]);
-        // `clear` and `set_capacity` drop the frames and their values.
+        assert_eq!(&read_counted(&pool, ids[0], &mut checks)[..], [6; 64]);
+        // `clear` and `set_capacity` drop the frames and their flags.
         for drop_frames in [BufferPool::clear, |p: &BufferPool| p.set_capacity(2)] {
             drop_frames(&pool);
-            let before = decodes;
-            read_counted(&pool, ids[0], &mut decodes);
-            assert_eq!(decodes, before + 1);
+            let before = checks;
+            read_counted(&pool, ids[0], &mut checks);
+            assert_eq!(checks, before + 1);
         }
     }
 
     #[test]
-    fn a_page_that_does_not_decode_moves_the_books_as_read_page_does() {
+    fn a_page_that_fails_its_check_moves_the_books_as_read_page_does() {
         let pools = [0, 1].map(|_| pool_with(2, Box::new(LruPolicy::new())));
         let ids = pools.each_ref().map(|p| fill(p, 2));
-        let refuse = |_: &[u8]| Err::<(), _>(StorageError::PageFreed(PageId(0)));
+        let mut checks = 0;
+        let mut refuse = |_: &[u8]| {
+            checks += 1;
+            Err(StorageError::PageFreed(PageId(0)))
+        };
         for _ in 0..2 {
             pools[0].read_page(ids[0][1]).unwrap();
-            assert!(pools[1].read_decoded(ids[1][1], refuse).is_err());
+            assert!(pools[1].read_checked(ids[1][1], &mut refuse).is_err());
             assert_eq!(pools[0].buffer_stats(), pools[1].buffer_stats());
             assert_eq!(resident(&pools[0]), resident(&pools[1]));
         }
+        // The second read was a hit on a frame no check passed: checked again.
+        assert_eq!(checks, 2);
     }
 
     /// The page as the pool's frame holds it and as its file stores it.

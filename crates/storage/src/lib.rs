@@ -23,9 +23,10 @@
 //! query algorithms can hold shared references to two trees and still fault
 //! pages in through either. Page contents are returned as [`PageBytes`]
 //! (`Arc<[u8]>`), cheap to clone and immutable; an in-memory file and the
-//! frame caching its page share one allocation. A frame also keeps what a
-//! caller decoded from its bytes ([`BufferPool::read_decoded`]), so a
-//! resident page is decoded once, not on every hit.
+//! frame caching its page share one allocation. A frame also remembers
+//! whether its bytes passed a caller's check ([`BufferPool::read_checked`]),
+//! so a resident page is checked once, not on every hit, and readers use
+//! the frame's bytes in place: no second, decoded copy of a page is kept.
 //!
 //! For failure testing, [`FailingPageFile`] wraps any page file and injects
 //! read errors, CRC corruption, or artificial latency under the control of a

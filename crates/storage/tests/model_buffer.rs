@@ -9,10 +9,10 @@
 //! lands before its accounting). The negative model reintroduces a
 //! lost-update accounting bug and pins the PCT seed that exposes it.
 //!
-//! The decoded read (`read_decoded`) races a write of its page: a read that
-//! starts after the write returns never gets the value decoded from the old
-//! bytes. Its broken twin decodes outside the lock and attaches the value
-//! without checking that the frame still holds the bytes it decoded.
+//! The checked read (`read_checked`) races a write of its page: a read that
+//! starts after the write returns never trusts the check the old bytes
+//! passed. Its broken twin checks outside the lock and marks the frame
+//! checked without making sure it still holds the bytes it checked.
 //!
 //! A miss on a page that is not resident races a write of that page: the
 //! miss may read the old bytes outside the lock, but it must not cache
@@ -196,38 +196,52 @@ fn pinned_ledger_seed_still_fails() {
     );
 }
 
-/// The first byte of a page, as a decoded value.
-fn first_byte(bytes: &[u8]) -> Result<u8, StorageError> {
-    Ok(bytes[0])
+/// The check of the checked-read models: a page whose first byte is 9 is
+/// refused, as the R-tree refuses a node page that fails its format check.
+fn refuse_nine(bytes: &[u8]) -> Result<(), StorageError> {
+    if bytes[0] == 9 {
+        Err(StorageError::CorruptHeader("page holds 9".into()))
+    } else {
+        Ok(())
+    }
 }
 
-/// A resident, decoded page 0 (value 0); a reader decodes it while a
-/// writer writes value 9 and then reads it back. The writer's read, and
-/// every read after both threads are done, must see 9; the racing reader
-/// may see either; the books balance.
-fn decoded_read_races_write() {
+/// The first byte of `id` through `read_checked`, or `None` when refused.
+fn checked_byte(pool: &BufferPool, id: PageId) -> Option<u8> {
+    pool.read_checked(id, refuse_nine)
+        .ok()
+        .map(|bytes| bytes[0])
+}
+
+/// A resident, checked page 0 (value 0); a reader reads it through
+/// `read_checked` while a writer writes value 9 — bytes the check refuses —
+/// and then reads it back. The writer's read, and every read after both
+/// threads are done, must be refused: the check the old bytes passed does
+/// not carry over to the new ones. The racing reader may see either; the
+/// books balance, refused reads included.
+fn checked_read_races_write() {
     let (pool, ids) = small_pool();
     let id = ids[0];
-    assert_eq!(*pool.read_decoded(id, first_byte).expect("warm"), 0);
+    assert_eq!(checked_byte(&pool, id), Some(0), "warm");
     let reader = {
         let pool = Arc::clone(&pool);
         thread::spawn(move || {
-            let v = *pool.read_decoded(id, first_byte).expect("read");
-            assert!(v == 0 || v == 9, "a value no write made: {v}");
+            let v = checked_byte(&pool, id);
+            assert!(v == Some(0) || v.is_none(), "bytes no check passed: {v:?}");
         })
     };
     let writer = {
         let pool = Arc::clone(&pool);
         thread::spawn(move || {
             pool.write_page(id, &[9; 16]).expect("write");
-            let v = *pool.read_decoded(id, first_byte).expect("read back");
-            assert_eq!(v, 9, "a read after the write got the old node");
+            let v = checked_byte(&pool, id);
+            assert_eq!(v, None, "a read after the write served unchecked bytes");
         })
     };
     reader.join().expect("reader");
     writer.join().expect("writer");
-    let v = *pool.read_decoded(id, first_byte).expect("read");
-    assert_eq!(v, 9, "a read after the write got the old node");
+    let v = checked_byte(&pool, id);
+    assert_eq!(v, None, "a read after the write served unchecked bytes");
     let (buf, io) = pool.stats_snapshot();
     assert_eq!(buf.logical_reads, 4);
     assert_eq!(buf.hits + buf.misses, buf.logical_reads, "ledger exact");
@@ -235,43 +249,42 @@ fn decoded_read_races_write() {
 }
 
 #[test]
-fn dfs_decoded_read_never_serves_the_node_a_write_replaced() {
-    let report = model_dfs(DfsOptions::smoke(), decoded_read_races_write);
+fn dfs_checked_read_never_trusts_a_check_a_write_replaced() {
+    let report = model_dfs(DfsOptions::smoke(), checked_read_races_write);
     assert!(report.complete, "the DFS must exhaust the interleavings");
     assert!(report.schedules > 1, "explored {}", report.schedules);
 }
 
 #[test]
-fn pct_decoded_read_never_serves_the_node_a_write_replaced() {
+fn pct_checked_read_never_trusts_a_check_a_write_replaced() {
     let opts = PctOptions::from_env();
     let want = opts.seeds.end - opts.seeds.start;
-    assert_eq!(model_pct(opts, decoded_read_races_write), want);
+    assert_eq!(model_pct(opts, checked_read_races_write), want);
 }
 
-/// A frame of the broken twin: its bytes (one value) and the value decoded
-/// from them, if any.
-type TwinFrame = Mutex<(u8, Option<u8>)>;
+/// A frame of the broken twin: its bytes (one value) and whether a check
+/// passed on them.
+type TwinFrame = Mutex<(u8, bool)>;
 
-/// The broken twin's read: the decoded value if the frame has one, else
-/// copy the bytes, decode them **outside the lock**, re-lock and attach the
-/// value — BUG: without checking that the frame still holds the bytes it
-/// decoded (the check the first, rejected variant needed; the pool decodes
-/// under the lock it already holds instead).
-fn twin_read(frame: &TwinFrame) -> u8 {
+/// The broken twin's read: the bytes if the frame is checked, else copy
+/// the bytes, check them **outside the lock**, re-lock and mark the frame
+/// checked — BUG: without making sure it still holds the bytes that were
+/// checked (the pool checks under the lock it already holds instead).
+fn twin_read(frame: &TwinFrame) -> Option<u8> {
     let bytes = {
         let f = frame.lock().expect("model lock");
-        if let Some(v) = f.1 {
-            return v;
+        if f.1 {
+            return Some(f.0);
         }
         f.0
     };
-    let value = bytes; // the decode
-    frame.lock().expect("model lock").1 = Some(value);
-    value
+    refuse_nine(&[bytes]).ok()?;
+    frame.lock().expect("model lock").1 = true;
+    Some(bytes)
 }
 
-fn broken_decode_install_model() {
-    let frame: Arc<TwinFrame> = Arc::new(Mutex::new((0, None)));
+fn broken_check_mark_model() {
+    let frame: Arc<TwinFrame> = Arc::new(Mutex::new((0, false)));
     let reader = {
         let frame = Arc::clone(&frame);
         thread::spawn(move || {
@@ -281,45 +294,46 @@ fn broken_decode_install_model() {
     let writer = {
         let frame = Arc::clone(&frame);
         thread::spawn(move || {
-            // The write replaces the bytes and drops the decoded value.
-            *frame.lock().expect("model lock") = (9, None);
+            // The write replaces the bytes, unchecked.
+            *frame.lock().expect("model lock") = (9, false);
         })
     };
     reader.join().expect("reader");
     writer.join().expect("writer");
     assert_eq!(
         twin_read(&frame),
-        9,
-        "a read after the write got the old node"
+        None,
+        "a read after the write served unchecked bytes"
     );
 }
 
 #[test]
-fn broken_decode_install_is_found_by_dfs() {
-    let failure = try_model_dfs(DfsOptions::smoke(), broken_decode_install_model)
-        .expect_err("the stale install must surface under exhaustive DFS");
+fn broken_check_mark_is_found_by_dfs() {
+    let failure = try_model_dfs(DfsOptions::smoke(), broken_check_mark_model)
+        .expect_err("the stale mark must surface under exhaustive DFS");
     assert!(
-        failure.message.contains("old node"),
+        failure.message.contains("unchecked bytes"),
         "unexpected failure: {failure}"
     );
 }
 
 #[test]
-#[should_panic(expected = "a read after the write got the old node")]
-fn broken_decode_install_twin_pinned_regression() {
-    let _ = model_dfs(DfsOptions::smoke(), broken_decode_install_model);
+#[should_panic(expected = "a read after the write served unchecked bytes")]
+fn broken_check_mark_twin_pinned_regression() {
+    let _ = model_dfs(DfsOptions::smoke(), broken_check_mark_model);
 }
 
 /// A page that is not resident (value 0) is read, through `read_page` or
-/// `read_decoded`, while a writer writes value 9 and then reads it back.
+/// `read_checked`, while a writer writes value 9 and then reads it back.
 /// The writer's read, and every read after both threads are done, must
 /// see 9; the racing reader may see either; the books balance.
-fn miss_races_write(decoded: bool) {
+fn miss_races_write(checked: bool) {
     let (pool, ids) = small_pool();
     let id = ids[0];
     let read = move |pool: &BufferPool| -> u8 {
-        if decoded {
-            *pool.read_decoded(id, first_byte).expect("read")
+        if checked {
+            pool.read_checked(id, |_| Ok::<_, StorageError>(()))
+                .expect("read")[0]
         } else {
             pool.read_page(id).expect("read")[0]
         }
@@ -349,8 +363,8 @@ fn miss_races_write(decoded: bool) {
 
 #[test]
 fn dfs_miss_never_caches_bytes_a_write_replaced() {
-    for decoded in [false, true] {
-        let report = model_dfs(DfsOptions::smoke(), move || miss_races_write(decoded));
+    for checked in [false, true] {
+        let report = model_dfs(DfsOptions::smoke(), move || miss_races_write(checked));
         assert!(report.complete, "the DFS must exhaust the interleavings");
         assert!(report.schedules > 1, "explored {}", report.schedules);
     }
@@ -358,9 +372,9 @@ fn dfs_miss_never_caches_bytes_a_write_replaced() {
 
 #[test]
 fn pct_miss_never_caches_bytes_a_write_replaced() {
-    for decoded in [false, true] {
+    for checked in [false, true] {
         let opts = PctOptions::from_env();
         let want = opts.seeds.end - opts.seeds.start;
-        assert_eq!(model_pct(opts, move || miss_races_write(decoded)), want);
+        assert_eq!(model_pct(opts, move || miss_races_write(checked)), want);
     }
 }

@@ -21,7 +21,12 @@
 #   same        none of the above
 # A line per workload gives `attempted` and `failed` per side: throughput
 # drives `live_rw`'s peak_rss_mb (ROADMAP item 1), so the op counts belong
-# on the table before a PR is sent. The raw result lines are kept in
+# on the table before a PR is sent. A second line splits each side's
+# peak_rss_mb into engine and harness memory: the least-squares line of
+# peak_rss_mb against `attempted` over the pairs, as an intercept (MiB, the
+# memory at zero ops) and a slope (bytes per attempted op; the harness keeps
+# every latency, ~11 B an op on live_rw, and every reply, ~1.8 KB a request
+# on svc_mix). It is a diagnostic: no verdict reads it. The raw result lines are kept in
 # <change-checkout>/target/benchmark/ab/runs.txt. Exit 0 unless a run failed
 # or answered wrongly; the verdicts are for reading, not a gate.
 set -eu
@@ -114,6 +119,26 @@ function cut(v, n, i,    j, delta) {
     delta = i * (n + 1) - j * 4
     return (v[j] * (4 - delta) + v[j + 1] * delta) / 4
 }
+# Least-squares fit of peak_rss_mb against attempted over the pairs of one side:
+# into["intercept"] in MiB, into["slope"] in bytes per op; into["ok"] is 0
+# when every pair attempted the same count (no slope to fit).
+function fit(side, w, pairs, into,    i, x, y, sx, sy, sxx, sxy, d) {
+    sx = sy = sxx = sxy = 0
+    for (i = 1; i <= pairs; i++) {
+        x = val[side, w, "attempted", i]; y = val[side, w, "peak_rss_mb", i]
+        sx += x; sy += y; sxx += x * x; sxy += x * y
+    }
+    d = pairs * sxx - sx * sx
+    into["ok"] = (d > 0)
+    if (!into["ok"]) return
+    into["slope"] = (pairs * sxy - sx * sy) / d
+    into["intercept"] = (sy - into["slope"] * sx) / pairs
+    into["slope"] *= 1048576
+}
+function fitted(into) {
+    if (!into["ok"]) return "n/a (one op count)"
+    return sprintf("intercept %.2f MiB, slope %.0f B/op", into["intercept"], into["slope"])
+}
 function summarize(side, w, m, pairs, into,    i, v) {
     for (i = 1; i <= pairs; i++) v[i] = val[side, w, m, i]
     sort(v, pairs)
@@ -162,6 +187,8 @@ END {
         summarize("parent", w, "attempted", pairs, a); summarize("change", w, "attempted", pairs, b)
         printf "%-10s attempted: parent median %d (%d to %d), change median %d (%d to %d); failed: parent %d, change %d\n",
             w, a["med"], a["min"], a["max"], b["med"], b["min"], b["max"], failed["parent", w], failed["change", w]
+        fit("parent", w, pairs, fa); fit("change", w, pairs, fb)
+        printf "%-10s peak_rss_mb vs attempted: parent %s, change %s\n", w, fitted(fa), fitted(fb)
     }
     exit wrong
 }'

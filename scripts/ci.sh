@@ -35,6 +35,22 @@ echo "==> scripts/sample.sh smoke (SIGPROF sampler on examples/rtree_build)"
 cargo build --release --example rtree_build
 scripts/sample.sh target/release/examples/rtree_build 1 | grep -q 'cpq_rtree::'
 
+# The benchmark's own four setup trees, page for page: their seed-1
+# fingerprints (EXPERIMENTS.md "PR 25"). A write-path change that alters one
+# page of a 62,536-point tree fails here. (The `""` keeps awk from comparing
+# the hex strings as numbers, which would round them to doubles.)
+echo "==> rtree_build seed 1: the benchmark's four trees keep their page fingerprints"
+builds=$(target/release/examples/rtree_build 1)
+for want in "kcpq.p 0x8cb47d02390be587" "kcpq.q 0x1de54f1c21b70ff5" \
+    "svc_mix.p 0xac3d5cc0a25c72c5" "svc_mix.q 0x7b7a3e26c37b2697"; do
+    if ! echo "$builds" | awk -v tree="${want% *}" -v fp="${want#* }" \
+        '$1 == tree && ($7 "") == fp { found = 1 } END { exit !found }'; then
+        echo "rtree_build 1: the pages of ${want% *} changed (want ${want#* }):" >&2
+        echo "$builds" >&2
+        exit 1
+    fi
+done
+
 # Model-check smoke tier: the concurrency shim is compiled in scheduler mode
 # (--cfg cpq_model) and the harnesses run exhaustive/bounded DFS on the small
 # models plus 200 seeded PCT schedules on the contended ones. A separate
@@ -95,7 +111,7 @@ if [ "${1:-}" = "--full" ]; then
             CPQ_MODEL_SEEDS=2000 cargo test --release -q "$@"
     }
     model_full -p cpq-storage --test model_buffer pct_failing
-    model_full -p cpq-storage --test model_buffer pct_decoded
+    model_full -p cpq-storage --test model_buffer pct_checked
     model_full -p cpq-storage --test model_buffer pct_miss
     model_full -p cpq-core --lib model_tests::pct_
 
