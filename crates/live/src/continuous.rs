@@ -255,23 +255,6 @@ impl<const D: usize> ContinuousCpq<D> {
         Ok(())
     }
 
-    /// Self-join convenience: maintain across an insert into the single
-    /// underlying tree.
-    pub fn on_insert_self(
-        &mut self,
-        object: Point<D>,
-        oid: u64,
-        snap: &Snapshot<D>,
-    ) -> LiveResult<()> {
-        // Side is ignored in the self form; pass the same snapshot twice.
-        self.on_insert(Side::P, object, oid, snap, snap)
-    }
-
-    /// Self-join convenience: maintain across a (found) delete.
-    pub fn on_delete_self(&mut self, oid: u64, snap: &Snapshot<D>) -> LiveResult<()> {
-        self.on_delete(Side::P, oid, snap, snap)
-    }
-
     /// Full engine recompute into `top`; records saturation (an exactly-K
     /// result may have discarded qualifying pairs). The self form reads
     /// `snap_p` only.

@@ -20,6 +20,10 @@
 //!   the pool via `free_page`, which purges them from the cache so the
 //!   ledger invariant `misses == io.reads` survives reclamation.
 //!
+//! A durable tree's checkpoint is one more reader: its pin, held until the
+//! next checkpoint is durable, keeps the pages recovery replays from out
+//! of reuse.
+//!
 //! This protocol is concurrent model-check site #7 (see `model_tests`),
 //! with a pinned broken twin that reclaims with `<=` — the classic
 //! off-by-one that frees pages out from under the oldest reader.
@@ -55,7 +59,8 @@ struct EpochState {
 pub struct EpochStats {
     /// Current published epoch.
     pub epoch: u64,
-    /// Readers currently pinned.
+    /// Pins currently held: reader snapshots, plus one for a durable
+    /// tree's last checkpoint.
     pub active_pins: u64,
     /// Retired pages not yet reclaimable.
     pub pages_pending: u64,
@@ -276,19 +281,28 @@ mod model_tests {
     use cpq_check::thread;
     use cpq_check::{model_dfs, model_pct, replay, try_model_dfs, DfsOptions, PctOptions};
 
-    /// Modeled page-liveness table: `alive[i]` for pages 0..N.
+    /// Modeled page-liveness table: `alive[i]` for pages 0..N, and the
+    /// pinned checkpoint's base (each modeled tree is its root page).
     struct PageTable {
         alive: ModelMutex<Vec<bool>>,
+        base: ModelMutex<Option<PageId>>,
     }
 
     impl PageTable {
         fn new(n: usize) -> Self {
             PageTable {
                 alive: ModelMutex::new(vec![true; n]),
+                base: ModelMutex::new(None),
             }
         }
 
+        fn move_base(&self, root: PageId) {
+            *self.base.lock().expect("base poisoned") = Some(root);
+        }
+
         fn free(&self, p: PageId) {
+            let base = *self.base.lock().expect("base poisoned");
+            assert!(base != Some(p), "checkpoint base {p} freed under its pin");
             let mut alive = self.alive.lock().expect("page table poisoned");
             assert!(alive[p.index()], "double free of page {p}");
             alive[p.index()] = false;
@@ -324,52 +338,87 @@ mod model_tests {
         }
     }
 
-    fn run_session(broken: bool) {
+    /// One reader beside the writer's two updates; `durable` adds what a
+    /// durable tree does: its checkpoint pins epoch 0 (base page 0) before
+    /// two readers start, and after the updates the writer takes the next
+    /// checkpoint — pin the current epoch, move the base to its root,
+    /// release the old pin. No page a held base reaches may be freed.
+    fn run_session(broken: bool, durable: bool) {
         let reg = Arc::new(EpochRegistry::new((PageId(0), 1, 1)));
         let pages = Arc::new(PageTable::new(3));
-        let r = {
-            let reg = Arc::clone(&reg);
-            let pages = Arc::clone(&pages);
-            thread::spawn(move || reader(&reg, &pages))
-        };
-        let w = {
-            let reg = Arc::clone(&reg);
-            let pages = Arc::clone(&pages);
-            thread::spawn(move || writer(&reg, &pages, broken))
-        };
-        r.join().expect("reader");
+        let base = durable.then(|| {
+            let (epoch, (root, _, _)) = reg.pin();
+            pages.move_base(root);
+            epoch
+        });
+        let readers: Vec<_> = (0..1 + usize::from(durable))
+            .map(|_| {
+                let (reg, pages) = (Arc::clone(&reg), Arc::clone(&pages));
+                thread::spawn(move || reader(&reg, &pages))
+            })
+            .collect();
+        let (w_reg, w_pages) = (Arc::clone(&reg), Arc::clone(&pages));
+        let w = thread::spawn(move || {
+            writer(&w_reg, &w_pages, broken);
+            if let Some(old) = base {
+                let (_, (root, _, _)) = w_reg.pin();
+                w_pages.move_base(root);
+                w_reg.unpin(old, &mut |p| w_pages.free(p));
+            }
+        });
+        for r in readers {
+            r.join().expect("reader");
+        }
         w.join().expect("writer");
-        // Teardown: with no pins left, every retired page is freed and
+        // Teardown: with no reader left, every retired page is freed and
         // the published root is still alive.
         let (_, (root, _, _)) = reg.current();
         assert!(pages.is_alive(root), "published root freed");
         let st = reg.stats();
+        assert_eq!(st.active_pins, u64::from(durable), "the checkpoint's pin");
         assert_eq!(st.pages_retired, st.pages_freed, "pages leaked at idle");
     }
 
     #[test]
     fn dfs_pinned_reader_never_sees_freed_page() {
-        let report = model_dfs(DfsOptions::smoke(), || run_session(false));
+        let report = model_dfs(DfsOptions::smoke(), || run_session(false, false));
         assert!(report.schedules > 1, "explored {}", report.schedules);
     }
 
     #[test]
     fn pct_pinned_reader_never_sees_freed_page() {
-        model_pct(PctOptions::from_env(), || run_session(false));
+        model_pct(PctOptions::from_env(), || run_session(false, false));
     }
 
     #[test]
     #[should_panic(expected = "freed under reader")]
     fn dfs_broken_leq_reclaim_frees_pinned_root() {
-        model_dfs(DfsOptions::smoke(), || run_session(true));
+        model_dfs(DfsOptions::smoke(), || run_session(true, false));
+    }
+
+    #[test]
+    fn dfs_checkpoint_pin_holds_its_base() {
+        let report = model_dfs(DfsOptions::smoke(), || run_session(false, true));
+        assert!(report.schedules > 1, "explored {}", report.schedules);
+    }
+
+    #[test]
+    fn pct_checkpoint_pin_holds_its_base() {
+        model_pct(PctOptions::from_env(), || run_session(false, true));
+    }
+
+    #[test]
+    #[should_panic(expected = "freed under its pin")]
+    fn dfs_broken_leq_reclaim_frees_the_checkpoint_base() {
+        model_dfs(DfsOptions::smoke(), || run_session(true, true));
     }
 
     /// Minimal failing schedule of the `<=` twin, pinned as a regression.
     #[test]
     #[should_panic(expected = "freed under reader")]
     fn pinned_broken_leq_schedule() {
-        let failure = try_model_dfs(DfsOptions::smoke(), || run_session(true))
+        let failure = try_model_dfs(DfsOptions::smoke(), || run_session(true, false))
             .expect_err("broken twin must fail under DFS");
-        replay(&failure.schedule, || run_session(true));
+        replay(&failure.schedule, || run_session(true, false));
     }
 }

@@ -7,22 +7,26 @@
 //! those states are: some prefix of the WAL (torn anywhere, including
 //! mid-record), combined with a data file anywhere between the last
 //! checkpoint's synced image and the crash-time image (write-through
-//! pools run ahead of the durable log; copy-on-write makes that safe).
-//! Tests therefore:
+//! pools run ahead of the durable log). Every such pair is a state
+//! recovery must handle: the checkpoint pins its pages, so no data write
+//! after it touches a page the checkpoint's tree reaches, and replaying
+//! any committed prefix of the log on that tree is correct. Tests
+//! therefore:
 //!
 //! 1. run a workload against a live dir, snapshotting the dir at
 //!    checkpoints ([`copy_live_dir`]);
 //! 2. enumerate every record boundary ([`record_boundaries`]);
 //! 3. for each boundary — and a few mid-record offsets — build a crash
-//!    image ([`truncate_wal`]), optionally resetting the data file to the
-//!    checkpoint image ([`restore_data`]);
+//!    image ([`truncate_wal`]) with the crash-time data file, and again
+//!    with the checkpoint's ([`restore_data`]);
 //! 4. recover, then compare against the ground truth recomputed from the
 //!    logical op prefix ([`committed_ops`]).
 
 use crate::error::{LiveError, LiveResult};
+use crate::recovery::analyze;
+pub use crate::recovery::LogicalOp;
 use crate::tree::{DATA_FILE, WAL_DIR};
-use crate::wal::{list_segments, scan_log, scan_segment, OpKind, RecordBody, SEGMENT_HEADER_LEN};
-use std::collections::HashMap;
+use crate::wal::{list_segments, scan_segment, SEGMENT_HEADER_LEN};
 use std::path::Path;
 
 /// One spot the log can be killed at: segment `seq`, byte `offset`.
@@ -35,17 +39,6 @@ pub struct CrashPoint {
     pub seq: u64,
     /// Byte length the segment is cut to.
     pub offset: u64,
-}
-
-/// A logical operation reconstructed from the log, in commit order.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LogicalOp {
-    /// Insert or delete.
-    pub op: OpKind,
-    /// Application object id.
-    pub oid: u64,
-    /// `Point::encode` bytes of the object.
-    pub obj: Vec<u8>,
 }
 
 /// Copies a live-tree directory (data file plus WAL segments) — the
@@ -114,40 +107,10 @@ pub fn truncate_wal(dir: &Path, point: CrashPoint) -> LiveResult<()> {
 
 /// The logical operations recovery will replay from `dir`'s (possibly
 /// torn) log: ops since the base checkpoint whose `Commit` record is in
-/// the intact prefix, in commit order.
+/// the intact prefix, in commit order — recovery's own analysis pass.
 ///
 /// Ground truth for crash tests: the expected recovered contents are the
 /// state at the base checkpoint plus exactly these ops.
 pub fn committed_ops(dir: &Path) -> LiveResult<Vec<LogicalOp>> {
-    let scans = scan_log(&dir.join(WAL_DIR))?;
-    let mut begun: HashMap<u64, LogicalOp> = HashMap::new();
-    let mut out = Vec::new();
-    for scan in &scans {
-        for (_, rec) in &scan.records {
-            match &rec.body {
-                RecordBody::OpBegin {
-                    op_id,
-                    op,
-                    oid,
-                    obj,
-                } => {
-                    begun.insert(
-                        *op_id,
-                        LogicalOp {
-                            op: *op,
-                            oid: *oid,
-                            obj: obj.clone(),
-                        },
-                    );
-                }
-                RecordBody::Commit { op_id, .. } => {
-                    if let Some(op) = begun.remove(op_id) {
-                        out.push(op);
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
-    Ok(out)
+    Ok(analyze(&dir.join(WAL_DIR))?.ops)
 }

@@ -1,5 +1,5 @@
 //! `cpq-live`: mutable R*-trees under concurrency — write-ahead logging
-//! with redo-and-sweep crash recovery, epoch/copy-on-write snapshots for
+//! with replay-and-sweep crash recovery, epoch/copy-on-write snapshots for
 //! wait-free readers, and continuous K-CPQ maintenance over streaming
 //! points.
 //!
@@ -8,18 +8,19 @@
 //! without touching any query algorithm:
 //!
 //! * [`wal`] — segmented write-ahead log with LSN-stamped, CRC-framed
-//!   records (page after-images plus logical op records) behind one lock,
-//!   fail-stop on a failed write, and sharp checkpoints that truncate the
-//!   log.
+//!   records (one logical record per update, no page images) behind one
+//!   lock, fail-stop on a failed write, and sharp checkpoints that
+//!   truncate the log.
 //! * [`epoch`] — epoch-based snapshot publication. Writers are
 //!   copy-on-write (see `RTree::cow_enable`): each update clones its
 //!   root-to-leaf path into fresh pages and publishes a new `(root,
 //!   height, len)` descriptor atomically, so readers pin an epoch and run
 //!   the PR-4/PR-7 executors unmodified on a consistent tree. Superseded
-//!   pages return to the pool only when no pinned epoch can reach them.
-//! * [`recovery`] — analysis over the segment chain, redo of committed
-//!   page images, and an unreachable-page sweep in place of undo
-//!   (copy-on-write means losers never overwrote live data).
+//!   pages return to the pool only when no pinned epoch (a durable
+//!   tree's last checkpoint holds one) can reach them.
+//! * [`recovery`] — analysis over the segment chain, replay of the
+//!   committed ops on the checkpoint's intact pages, and an
+//!   unreachable-page sweep in place of undo.
 //! * [`tree`] — [`LiveTree`] ties the three together; [`LiveSet`] holds
 //!   the P/Q pair and routes [`UpdateOp`] batches.
 //! * [`continuous`] — [`ContinuousCpq`] maintains a K-CPQ result set

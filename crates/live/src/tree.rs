@@ -6,19 +6,17 @@
 //! the log's write and fsync — each log has one committer at a time):
 //!
 //! 1. `OpBegin` is appended to the WAL (logical record: op, oid, object
-//!    bytes).
+//!    bytes) — the one record of the update recovery replays.
 //! 2. The copy-on-write tree op runs: every page it writes is a *fresh*
 //!    page (`RTree::cow_enable`), so pages reachable from any published
 //!    descriptor are never modified in place.
-//! 3. The COW delta is logged: a `PageWrite` carrying each fresh page's
-//!    final after-image, then `Commit` with the new `(root, height, len)`
-//!    descriptor. Which pages were allocated or retired is not logged;
-//!    recovery's sweep recomputes it from the recovered root.
+//! 3. `Commit` is appended with the new object count. No page is logged:
+//!    recovery replays step 1's record on the checkpoint's pages.
 //! 4. `Wal::commit` writes the records and (when configured) fsyncs them.
-//!    An error anywhere after step 1 — a page read inside the tree op, the
-//!    page-image read of step 3, this commit — leaves the writer's tree
-//!    holding part or all of an op that was never published, so carrying on
-//!    would publish it with the next one. The writer latches the first such
+//!    An error anywhere after step 1 — a page read inside the tree op, this
+//!    commit — leaves the writer's tree holding part or all of an op that
+//!    was never published, so carrying on would publish it with the next
+//!    one. The writer latches the first such
 //!    failure (memory-only trees too): every later update and checkpoint is
 //!    refused, naming it, before anything is touched; readers keep the last
 //!    published epoch, and [`recover`](crate::recovery::recover) is the way
@@ -29,10 +27,12 @@
 //!    Retired pages go back to the pool once no pinned epoch can read
 //!    them.
 //!
-//! Write-through pools make step 3's images hit the data file before the
-//! commit is durable; that is safe *because* of COW — uncommitted writes
-//! only ever touch pages unreachable from the durable state, and
-//! [`recovery`](crate::recovery) sweeps them as orphans.
+//! A checkpoint is the durable base recovery replays from, and an epoch
+//! reader: its pin, released only once the next checkpoint is durable,
+//! keeps every page the base reaches from being freed and reused. So the
+//! data writes of step 2, which a write-through pool makes before the
+//! commit is durable, never touch the base; [`recovery`](crate::recovery)
+//! sweeps them as orphans.
 
 use crate::continuous::ContinuousCpq;
 use crate::epoch::{EpochRegistry, EpochStats};
@@ -95,7 +95,9 @@ pub struct LiveConfig {
     /// WAL behavior (fsync on commit, …). Ignored in memory-only trees.
     pub wal: WalConfig,
     /// Take a sharp checkpoint (and truncate the log) every this many
-    /// committed operations. `0` disables automatic checkpoints.
+    /// committed operations. `0` disables automatic checkpoints: a durable
+    /// tree then holds the pages it retires, as it holds its log, until a
+    /// manual [`LiveTree::checkpoint`].
     pub checkpoint_every: u64,
 }
 
@@ -148,6 +150,11 @@ impl LiveShared {
             self.free_failures.fetch_add(1, Ordering::Relaxed);
         }
     }
+
+    /// Releases a pin at `epoch`, freeing what it was the last to protect.
+    fn unpin(&self, epoch: u64) {
+        self.epochs.unpin(epoch, &mut |p| self.free_page(p));
+    }
 }
 
 /// Writer-side mutable state, behind the writer lock.
@@ -159,6 +166,8 @@ struct WriterState<const D: usize> {
     deletes: u64,
     delete_misses: u64,
     checkpoints: u64,
+    /// The epoch the last durable checkpoint pinned (durable trees only).
+    base_pin: Option<u64>,
     /// The first failure of an op or checkpoint past its point of no
     /// return (see the module's step 4).
     failed: Option<String>,
@@ -222,10 +231,7 @@ impl<const D: usize> Snapshot<D> {
 
 impl<const D: usize> Drop for Snapshot<D> {
     fn drop(&mut self) {
-        let shared = Arc::clone(&self.shared);
-        self.shared
-            .epochs
-            .unpin(self.epoch, &mut |p| shared.free_page(p));
+        self.shared.unpin(self.epoch);
     }
 }
 
@@ -284,6 +290,7 @@ impl<const D: usize> LiveTree<D> {
                 deletes: 0,
                 delete_misses: 0,
                 checkpoints: 0,
+                base_pin: None,
                 failed: None,
             }),
             wal,
@@ -329,7 +336,7 @@ impl<const D: usize> LiveTree<D> {
         st.latch(applied)
     }
 
-    /// WAL records, COW tree op, commit, epoch publish, auto-checkpoint.
+    /// `OpBegin`, COW tree op, `Commit`, epoch publish, auto-checkpoint.
     fn run_op(
         &self,
         st: &mut WriterState<D>,
@@ -356,21 +363,11 @@ impl<const D: usize> LiveTree<D> {
             }
             OpKind::Delete => st.tree.delete(object, oid)?,
         };
-        let delta = st.tree.cow_take();
+        let retired = st.tree.cow_take();
         let descriptor = st.tree.descriptor();
         if let Some(wal) = &self.wal {
-            for &p in &delta.allocated {
-                let image = self.shared.pool.read_page(p)?;
-                wal.append(&RecordBody::PageWrite {
-                    op_id,
-                    page: p.0,
-                    image: image.to_vec(),
-                });
-            }
             let commit_lsn = wal.append(&RecordBody::Commit {
                 op_id,
-                root: descriptor.0 .0,
-                height: descriptor.1,
                 len: descriptor.2,
             });
             // Durability before visibility: readers must never pin state
@@ -382,10 +379,9 @@ impl<const D: usize> LiveTree<D> {
             (OpKind::Delete, true) => st.deletes += 1,
             (OpKind::Delete, false) => st.delete_misses += 1,
         }
-        let shared = Arc::clone(&self.shared);
         self.shared
             .epochs
-            .publish(descriptor, delta.retired, &mut |p| shared.free_page(p));
+            .publish(descriptor, retired, &mut |p| self.shared.free_page(p));
         st.ops_since_checkpoint += 1;
         if self.wal.is_some()
             && self.checkpoint_every > 0
@@ -396,10 +392,11 @@ impl<const D: usize> LiveTree<D> {
         Ok(found)
     }
 
-    /// Takes a sharp checkpoint: flush the WAL, sync the data file, then
-    /// write a checkpoint record that starts a fresh segment and truncates
-    /// the old log. The writer lock is held throughout: updates wait until
-    /// the new segment's fsync has completed.
+    /// Takes a sharp checkpoint: flush the WAL, sync the data file, pin the
+    /// current epoch, then write a checkpoint record that starts a fresh
+    /// segment and truncates the old log, and only then release the
+    /// previous checkpoint's pin. The writer lock is held throughout:
+    /// updates wait until the new segment's fsync has completed.
     pub fn checkpoint(&self) -> LiveResult<Lsn> {
         let mut st = self.writer.lock().expect("live writer poisoned");
         self.checkpoint_locked(&mut st)
@@ -422,14 +419,25 @@ impl<const D: usize> LiveTree<D> {
         // the new base.
         wal.flush_all()?;
         self.shared.pool.sync()?;
-        let descriptor = st.tree.descriptor();
-        let lsn = wal.checkpoint(&RecordBody::Checkpoint {
-            root: descriptor.0 .0,
-            height: descriptor.1,
-            len: descriptor.2,
-            num_pages: self.shared.pool.num_pages(),
+        // The new base is a reader of the epoch it records: every op has
+        // been published under this lock, so that epoch is the writer's tree.
+        let (epoch, (root, height, len)) = self.shared.epochs.pin();
+        let written = wal.checkpoint(&RecordBody::Checkpoint {
+            root: root.0,
+            height,
+            len,
             next_op_id: st.next_op_id,
-        })?;
+        });
+        // Until the new record is durable the old base is the one recovery
+        // starts from, so its pin is released only after that.
+        let released = match written {
+            Ok(_) => st.base_pin.replace(epoch),
+            Err(_) => Some(epoch),
+        };
+        if let Some(released) = released {
+            self.shared.unpin(released);
+        }
+        let lsn = written?;
         st.ops_since_checkpoint = 0;
         st.checkpoints += 1;
         Ok(lsn)
@@ -446,10 +454,7 @@ impl<const D: usize> LiveTree<D> {
                 shared: Arc::clone(&self.shared),
             }),
             Err(e) => {
-                let shared = Arc::clone(&self.shared);
-                self.shared
-                    .epochs
-                    .unpin(epoch, &mut |p| shared.free_page(p));
+                self.shared.unpin(epoch);
                 Err(e.into())
             }
         }
@@ -689,8 +694,8 @@ mod tests {
     }
 
     /// The same rule for a read that fails after `OpBegin` — inside the
-    /// tree op or the page-image read — on in-memory and durable trees
-    /// alike: seeded nth-read faults across an insert/delete stream.
+    /// tree op — on in-memory and durable trees alike: seeded nth-read
+    /// faults across an insert/delete stream.
     #[test]
     fn failed_read_stops_the_writer_and_readers_keep_the_last_epoch() {
         let params = RTreeParams::with_max_entries(4);

@@ -16,18 +16,18 @@
 //! [`cpq_storage::crc32`]) covers the whole body, so a torn tail — a crash
 //! mid-write — is detected as a short or mismatching record and treated as
 //! the end of the log, never as corruption of earlier records. A segment
-//! whose header carries another format version is refused whole: it scans
-//! as holding no records, so recovery reports `NoCheckpoint` instead of
-//! misreading it.
+//! whose header carries another format version (v1 and v2 logged page
+//! images) is refused whole: it scans as holding no records, so recovery
+//! reports `NoCheckpoint` instead of misreading it.
 //!
-//! The writer logs four kinds. [`RecordBody::OpBegin`] carries the logical
-//! operation (insert or delete of one object) so the crash harness and
-//! audit tooling can reason about intent; [`RecordBody::PageWrite`] carries
-//! the exact bytes redo must install; a [`RecordBody::Commit`] seals an
-//! operation and carries the tree descriptor it published; a
-//! [`RecordBody::Checkpoint`] opens every segment with the descriptor redo
-//! starts from. Which pages an operation allocated or retired is not
-//! logged: recovery recomputes reachability from the recovered root.
+//! The writer logs each update once, as three kinds of record (format v3).
+//! [`RecordBody::OpBegin`] carries the logical operation (insert or delete
+//! of one point), which is what recovery replays; a [`RecordBody::Commit`]
+//! seals it with the object count it left; a [`RecordBody::Checkpoint`]
+//! opens every segment with the descriptor replay starts from. No page is
+//! logged: the checkpoint's pages stay intact until the next checkpoint
+//! (see [`LiveTree`](crate::tree::LiveTree)), so replaying the committed
+//! operations on them rebuilds the state.
 //!
 //! ## Rotation
 //!
@@ -73,14 +73,13 @@ pub type Lsn = u64;
 /// Segment header magic: `RPQW` (the page-file magic's sibling).
 const WAL_MAGIC: u32 = 0x5250_5157;
 /// Format version.
-const WAL_VERSION: u32 = 2;
+const WAL_VERSION: u32 = 3;
 /// Segment header length in bytes.
 pub const SEGMENT_HEADER_LEN: u64 = 8;
-/// Sanity cap on a single record body (a page image plus slack).
+/// Sanity cap on a single record body.
 const MAX_BODY_LEN: usize = 1 << 26;
 
 const KIND_OP_BEGIN: u8 = 1;
-const KIND_PAGE_WRITE: u8 = 2;
 const KIND_PAGE_ALLOC: u8 = 3;
 const KIND_COMMIT: u8 = 5;
 const KIND_CHECKPOINT: u8 = 6;
@@ -109,17 +108,8 @@ pub enum RecordBody {
         /// `Point::encode` bytes.
         obj: Vec<u8>,
     },
-    /// Physiological after-image of one page the operation wrote.
-    PageWrite {
-        /// Owning operation.
-        op_id: u64,
-        /// Raw page index.
-        page: u32,
-        /// Full page image (`page_size` bytes).
-        image: Vec<u8>,
-    },
     /// A page-allocation note. Nothing in the workspace writes it and
-    /// recovery ignores it (the sweep recomputes reachability); it stays
+    /// recovery ignores it; it stays
     /// encodable and decodable because the out-of-workspace `benchmark/`
     /// package appends it as the smallest record there is
     /// (`live.wal_commit_us`) — pinned like the six names of DESIGN.md §18.
@@ -129,15 +119,11 @@ pub enum RecordBody {
         /// Raw page index.
         page: u32,
     },
-    /// Seals an operation and publishes its tree descriptor.
+    /// Seals an operation: it is durable once this record is.
     Commit {
         /// Operation being sealed.
         op_id: u64,
-        /// New root page (`u32::MAX` encodes an empty tree).
-        root: u32,
-        /// New height.
-        height: u8,
-        /// New object count.
+        /// Object count after the operation (replay must reach it).
         len: u64,
     },
     /// Leading record of every segment: the durable base state.
@@ -148,8 +134,6 @@ pub enum RecordBody {
         height: u8,
         /// Object count at checkpoint.
         len: u64,
-        /// Pages in the data file at checkpoint.
-        num_pages: u32,
         /// Next operation id to hand out.
         next_op_id: u64,
     },
@@ -212,7 +196,6 @@ fn encode_record(out: &mut Vec<u8>, lsn: Lsn, body: &RecordBody) {
     let mut b: Vec<u8> = Vec::with_capacity(32);
     let kind = match body {
         RecordBody::OpBegin { .. } => KIND_OP_BEGIN,
-        RecordBody::PageWrite { .. } => KIND_PAGE_WRITE,
         RecordBody::PageAlloc { .. } => KIND_PAGE_ALLOC,
         RecordBody::Commit { .. } => KIND_COMMIT,
         RecordBody::Checkpoint { .. } => KIND_CHECKPOINT,
@@ -235,38 +218,23 @@ fn encode_record(out: &mut Vec<u8>, lsn: Lsn, body: &RecordBody) {
             put_u32(&mut b, obj.len() as u32);
             b.extend_from_slice(obj);
         }
-        RecordBody::PageWrite { op_id, page, image } => {
-            put_u64(&mut b, *op_id);
-            put_u32(&mut b, *page);
-            put_u32(&mut b, image.len() as u32);
-            b.extend_from_slice(image);
-        }
         RecordBody::PageAlloc { op_id, page } => {
             put_u64(&mut b, *op_id);
             put_u32(&mut b, *page);
         }
-        RecordBody::Commit {
-            op_id,
-            root,
-            height,
-            len,
-        } => {
+        RecordBody::Commit { op_id, len } => {
             put_u64(&mut b, *op_id);
-            put_u32(&mut b, *root);
-            b.push(*height);
             put_u64(&mut b, *len);
         }
         RecordBody::Checkpoint {
             root,
             height,
             len,
-            num_pages,
             next_op_id,
         } => {
             put_u32(&mut b, *root);
             b.push(*height);
             put_u64(&mut b, *len);
-            put_u32(&mut b, *num_pages);
             put_u64(&mut b, *next_op_id);
         }
     }
@@ -300,13 +268,6 @@ fn decode_body(body: &[u8]) -> Option<WalRecord> {
                 obj,
             }
         }
-        KIND_PAGE_WRITE => {
-            let op_id = c.u64()?;
-            let page = c.u32()?;
-            let n = c.u32()? as usize;
-            let image = c.bytes(n)?;
-            RecordBody::PageWrite { op_id, page, image }
-        }
         KIND_PAGE_ALLOC => {
             let op_id = c.u64()?;
             let page = c.u32()?;
@@ -314,27 +275,18 @@ fn decode_body(body: &[u8]) -> Option<WalRecord> {
         }
         KIND_COMMIT => {
             let op_id = c.u64()?;
-            let root = c.u32()?;
-            let height = c.u8()?;
             let len = c.u64()?;
-            RecordBody::Commit {
-                op_id,
-                root,
-                height,
-                len,
-            }
+            RecordBody::Commit { op_id, len }
         }
         KIND_CHECKPOINT => {
             let root = c.u32()?;
             let height = c.u8()?;
             let len = c.u64()?;
-            let num_pages = c.u32()?;
             let next_op_id = c.u64()?;
             RecordBody::Checkpoint {
                 root,
                 height,
                 len,
-                num_pages,
                 next_op_id,
             }
         }
@@ -714,7 +666,6 @@ mod tests {
             root: u32::MAX,
             height: 0,
             len: 0,
-            num_pages: 0,
             next_op_id: 1,
         }
     }
@@ -732,17 +683,7 @@ mod tests {
                 obj: vec![1, 2, 3, 4],
             },
             RecordBody::PageAlloc { op_id: 7, page: 3 },
-            RecordBody::PageWrite {
-                op_id: 7,
-                page: 3,
-                image: vec![0xAB; 64],
-            },
-            RecordBody::Commit {
-                op_id: 7,
-                root: 3,
-                height: 2,
-                len: 9,
-            },
+            RecordBody::Commit { op_id: 7, len: 9 },
         ];
         let mut lsns = Vec::new();
         for b in &bodies {
@@ -814,7 +755,6 @@ mod tests {
             root: 0,
             height: 1,
             len: 1,
-            num_pages: 1,
             next_op_id: 2,
         })
         .expect("second checkpoint");
@@ -885,12 +825,15 @@ mod tests {
         new_segment_file(&dir, 1, &record, false).expect("segment");
         let control = scan_log(&dir).expect("this version's segment is a base");
         assert_eq!(control[0].records.len(), 1);
-        // The same segment under a v1 header is refused before any record
-        // is looked at.
+        // The same segment under a v1 or v2 header is refused before any
+        // record is looked at.
         let mut bytes = fs::read(segment_path(&dir, 1)).expect("read");
-        bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
-        fs::write(segment_path(&dir, 1), bytes).expect("write");
-        assert!(matches!(scan_log(&dir), Err(LiveError::NoCheckpoint)));
+        for old in [1u32, 2] {
+            bytes[4..8].copy_from_slice(&old.to_le_bytes());
+            fs::write(segment_path(&dir, 1), &bytes).expect("write");
+            let refused = matches!(scan_log(&dir), Err(LiveError::NoCheckpoint));
+            assert!(refused, "a v{old} header");
+        }
         // A v1-layout checkpoint body (v1 ended it with the entry count of
         // its dirty-page table) does not decode, whatever the header says.
         let body = &record[4..record.len() - 4];
@@ -898,6 +841,15 @@ mod tests {
         let mut v1_body = body.to_vec();
         put_u32(&mut v1_body, 0);
         assert!(decode_body(&v1_body).is_none());
+        // A v2 page image (kind 2: op id, page, length, bytes) is no record
+        // of this format.
+        let mut page_write = vec![2u8];
+        put_u64(&mut page_write, 2);
+        put_u64(&mut page_write, 1);
+        put_u32(&mut page_write, 0);
+        put_u32(&mut page_write, 4);
+        page_write.extend_from_slice(&[0xAB; 4]);
+        assert!(decode_body(&page_write).is_none());
         let _ = fs::remove_dir_all(&dir);
     }
 

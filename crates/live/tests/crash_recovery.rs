@@ -16,7 +16,7 @@ use cpq_live::tree::{LiveConfig, WAL_DIR};
 use cpq_live::wal::{list_segments, scan_segment};
 use cpq_live::{recover, LiveError, LiveTree, OpKind, RecordBody, WalConfig};
 use cpq_rng::Rng;
-use cpq_rtree::{RTree, RTreeParams, ValidateOptions};
+use cpq_rtree::{RTree, RTreeError, RTreeParams, ValidateOptions};
 use cpq_storage::{BufferPool, MemPageFile};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -128,23 +128,13 @@ fn exhaust_crash_points(
         "{tag}: too few crash points ({})",
         boundaries.len()
     );
-    // The checkpoint-image data file is consistent with ANY log cut (no
-    // post-checkpoint data write reached disk). The crash-time image is
-    // only consistent with cuts in the uncommitted tail: fsync ordering
-    // means a freed page can be reused on disk only after the freeing
-    // commit is durable, so a cut that drops a durable commit while
-    // keeping later data writes is a state no real crash produces.
-    let mut last_commit_end: std::collections::HashMap<u64, u64> = std::collections::HashMap::new();
+    // Every log cut pairs with both data files: the checkpoint's pin keeps
+    // the pages its tree reaches from being reused, so no data write after
+    // the checkpoint touches them, whichever commits survived the cut.
     let (mut segments, mut records) = (0, 0);
     for (seq, path) in list_segments(&src.join(WAL_DIR)).expect("segments") {
-        let scan = scan_segment(seq, &path).expect("scan");
         segments += 1;
-        records += scan.records.len();
-        for (end, rec) in &scan.records {
-            if matches!(rec.body, RecordBody::Commit { .. }) {
-                last_commit_end.insert(seq, *end);
-            }
-        }
+        records += scan_segment(seq, &path).expect("scan").records.len();
     }
     let (mut cuts_made, mut tested) = (0, 0);
     for (i, point) in boundaries.iter().enumerate() {
@@ -159,9 +149,7 @@ fn exhaust_crash_points(
         }
         cuts_made += cuts.len();
         for cut in cuts {
-            let tail = cut.offset >= last_commit_end.get(&cut.seq).copied().unwrap_or(0);
-            let restores: &[bool] = if tail { &[false, true] } else { &[true] };
-            for &restore in restores {
+            for restore in [false, true] {
                 let work = scratch.join(format!("w{}-{}-{}", cut.seq, cut.offset, restore));
                 copy_live_dir(src, &work).expect("copy");
                 truncate_wal(&work, cut).expect("truncate");
@@ -261,11 +249,12 @@ fn recovery_is_bit_identical_at_every_crash_point() {
 
     // What the count means: each round cut its log at every record boundary
     // and inside every record (asserted per round above), and recovered each
-    // cut under every data-file state a crash can pair it with — both for
-    // cuts in the uncommitted tail, the checkpoint image for the rest. The
-    // v2 stream (per op: OpBegin, one PageWrite per fresh page, Commit)
-    // yields 340 such states; a different count means a case went missing.
-    assert_eq!(n1 + n2, 340, "crash states exercised");
+    // cut with both data files. Each round's log is one segment: its
+    // checkpoint, then OpBegin and Commit per op — 1 + 2 x 28 = 57 records
+    // in round 1 and 1 + 2 x 24 = 49 in round 2, so 1 + 2 x 57 = 115 and
+    // 1 + 2 x 49 = 99 cuts, each recovered twice: 2 x (115 + 99) = 428. A
+    // different count means a case went missing.
+    assert_eq!(n1 + n2, 428, "crash states exercised");
     drop(live);
     let _ = std::fs::remove_dir_all(&root);
 }
@@ -342,4 +331,72 @@ fn an_acknowledged_commit_is_on_disk_under_concurrency() {
         }
     });
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Replay is the first code that decodes a logged object, so malformed
+/// logged input must be refused with an error, never a panic: each case is
+/// a fresh tree whose log continues after its base checkpoint with
+/// hand-built, CRC-valid records.
+#[test]
+fn replay_refuses_malformed_logged_input() {
+    use cpq_live::Wal;
+    let begin = |op_id: u64, obj: Vec<u8>| RecordBody::OpBegin {
+        op_id,
+        op: OpKind::Insert,
+        oid: op_id,
+        obj,
+    };
+    let point = |coords: [f64; 2]| {
+        let mut obj = vec![0u8; 16];
+        Point2::new(coords).encode(&mut obj);
+        obj
+    };
+    let commit = |op_id: u64, len: u64| RecordBody::Commit { op_id, len };
+    let cases = [
+        (
+            "short",
+            vec![
+                begin(1, point([1.0, 2.0])),
+                commit(1, 1),
+                begin(2, vec![0u8; 12]),
+                commit(2, 2),
+            ],
+            "recovery",
+            "op 2: the logged object is 12 bytes, a 2-d point is 16",
+        ),
+        (
+            "unbegun",
+            vec![commit(5, 1)],
+            "recovery",
+            "op 5 commits at lsn 2 but never began",
+        ),
+        (
+            "nan",
+            vec![begin(1, point([f64::NAN, 2.0])), commit(1, 1)],
+            "insert",
+            "non-finite",
+        ),
+    ];
+    for (tag, records, refused_by, want) in cases {
+        let dir = tmp_dir(tag);
+        drop(LiveTree::<2>::create(&dir, RTreeParams::paper(), &cfg()).expect("create"));
+        let wal_dir = dir.join(WAL_DIR);
+        let (seq, _) = list_segments(&wal_dir).expect("list").pop().expect("base");
+        // The base checkpoint is LSN 1; these records continue after it.
+        let wal = Wal::with_segment(&wal_dir, cfg().wal, seq + 1, 2).expect("segment");
+        let last = records.iter().map(|r| wal.append(r)).last();
+        wal.commit(last.expect("records")).expect("commit");
+        let err = match recover::<2, Point2>(&dir, RTreeParams::paper(), &cfg()) {
+            Ok(_) => panic!("{tag}: recovered a malformed log"),
+            Err(e) => e,
+        };
+        let by = match &err {
+            LiveError::Recovery(_) => "recovery",
+            LiveError::Tree(RTreeError::InvalidParams(_)) => "insert",
+            _ => "something else",
+        };
+        assert_eq!(by, refused_by, "{tag}: {err:?}");
+        assert!(err.to_string().contains(want), "{tag}: {err}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

@@ -9,7 +9,7 @@ use cpq_core::{k_closest_pairs, pair_cmp, self_closest_pairs, Algorithm, CpqConf
 use cpq_datasets::uniform_grid;
 use cpq_geo::{Point2, Rect2};
 use cpq_live::tree::LiveConfig;
-use cpq_live::{ContinuousCpq, LiveTree};
+use cpq_live::{ContinuousCpq, LiveTree, Side};
 use cpq_rng::Rng;
 use cpq_rtree::{RTree, RTreeParams, ValidateOptions};
 use cpq_storage::{BufferPool, MemPageFile};
@@ -317,14 +317,16 @@ fn continuous_maintenance_refills_on_a_minority_of_steps() {
             let idx = (rng.next_u64() % alive.len() as u64) as usize;
             let (vp, void) = alive.swap_remove(idx);
             assert!(live.delete(vp, void).expect("delete"));
-            cont.on_delete_self(void, &live.snapshot().expect("snap"))
+            let snap = live.snapshot().expect("snap");
+            cont.on_delete(Side::P, void, &snap, &snap)
                 .expect("on_delete");
             steps += 1;
         }
         let oid = i as u64;
         live.insert(*p, oid).expect("insert");
         alive.push((*p, oid));
-        cont.on_insert_self(*p, oid, &live.snapshot().expect("snap"))
+        let snap = live.snapshot().expect("snap");
+        cont.on_insert(Side::P, *p, oid, &snap, &snap)
             .expect("on_insert");
         steps += 1;
     }
@@ -336,8 +338,8 @@ fn continuous_maintenance_refills_on_a_minority_of_steps() {
     );
 }
 
-/// Everything a WAL-backed update stream logs is something recovery reads:
-/// the base checkpoint, then `OpBegin`, `PageWrite`s and `Commit` per op.
+/// A WAL-backed update stream logs each update once: the base checkpoint,
+/// then one `OpBegin` and one `Commit` per op, and nothing else.
 #[test]
 fn a_durable_stream_logs_only_the_records_recovery_reads() {
     use cpq_live::wal::scan_log;
@@ -359,17 +361,15 @@ fn a_durable_stream_logs_only_the_records_recovery_reads() {
         assert!(live.delete(*p, i as u64).expect("delete"));
     }
     let scans = scan_log(&dir.join(cpq_live::tree::WAL_DIR)).expect("scan");
-    let mut counts = [0usize; 4];
+    let mut counts = [0usize; 3];
     for (_, rec) in scans.iter().flat_map(|s| &s.records) {
         match rec.body {
             RecordBody::Checkpoint { .. } => counts[0] += 1,
             RecordBody::OpBegin { .. } => counts[1] += 1,
-            RecordBody::PageWrite { .. } => counts[2] += 1,
-            RecordBody::Commit { .. } => counts[3] += 1,
+            RecordBody::Commit { .. } => counts[2] += 1,
             ref other => panic!("the writer logged a record recovery ignores: {other:?}"),
         }
     }
-    assert_eq!((counts[0], counts[1], counts[3]), (1, 80, 80));
-    assert!(counts[2] >= 80, "every op writes at least its leaf");
+    assert_eq!(counts, [1, 80, 80]);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -58,6 +58,6 @@ pub use error::{RTreeError, RTreeResult};
 pub use params::{RTreeParams, SplitPolicy};
 pub use query::KnnNeighbor;
 pub use tiling::StrTiling;
-pub use tree::{CowDelta, RTree};
+pub use tree::RTree;
 pub use treestats::LevelStats;
 pub use validate::{ValidateOptions, ValidationReport};

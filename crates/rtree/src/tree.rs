@@ -60,30 +60,9 @@ pub struct RTree<const D: usize> {
 struct CowState {
     /// Pages allocated during the current batch (writable in place).
     fresh: HashSet<PageId>,
-    /// Fresh pages in allocation order, for WAL / publication accounting.
-    allocated: Vec<PageId>,
     /// Pre-batch pages superseded or logically freed by the batch; they
     /// stay allocated until the caller decides no snapshot needs them.
     retired: Vec<PageId>,
-}
-
-/// The page-level delta of one copy-on-write batch, drained by
-/// [`RTree::cow_take`]: which pages the batch allocated (and therefore
-/// wrote) and which pre-batch pages it retired.
-#[derive(Debug, Default, Clone)]
-pub struct CowDelta {
-    /// Pages allocated and written by the batch, in allocation order.
-    pub allocated: Vec<PageId>,
-    /// Pre-batch pages the batch stopped referencing. The caller owns
-    /// freeing them once no reader snapshot can still reach them.
-    pub retired: Vec<PageId>,
-}
-
-impl CowDelta {
-    /// `true` when the batch touched no pages.
-    pub fn is_empty(&self) -> bool {
-        self.allocated.is_empty() && self.retired.is_empty()
-    }
 }
 
 /// The one check of what may be indexed, shared by [`RTree::insert`] and
@@ -203,21 +182,19 @@ impl<const D: usize> RTree<D> {
         }
     }
 
-    /// Drains the current copy-on-write batch and starts the next one.
+    /// Drains the current copy-on-write batch and starts the next one,
+    /// returning the pre-batch pages it stopped referencing: the caller
+    /// owns freeing them once no reader snapshot can still reach them.
     /// Pages allocated by the drained batch become protected again: the
     /// caller is expected to publish the new descriptor, making them
     /// reachable from a snapshot. Panics outside COW mode (a programming
     /// error, not a data error).
-    pub fn cow_take(&mut self) -> CowDelta {
+    pub fn cow_take(&mut self) -> Vec<PageId> {
         // analyze: allow(panic-path) — cow_take outside cow_enable is a caller
         // bug; the live layer always pairs them.
         let state = self.cow.as_mut().expect("cow_take without cow_enable");
-        let delta = CowDelta {
-            allocated: std::mem::take(&mut state.allocated),
-            retired: std::mem::take(&mut state.retired),
-        };
         state.fresh.clear();
-        delta
+        std::mem::take(&mut state.retired)
     }
 
     /// Reads a node: the one node-read path. Counts one logical page read.
@@ -286,7 +263,6 @@ impl<const D: usize> RTree<D> {
         self.write_node(id, node)?;
         if let Some(state) = self.cow.as_mut() {
             state.fresh.insert(id);
-            state.allocated.push(id);
         }
         Ok(id)
     }
@@ -294,12 +270,11 @@ impl<const D: usize> RTree<D> {
     /// Releases a node page, honoring copy-on-write: a pre-batch page is
     /// retired (snapshots may still read it), while a page fresh within
     /// the current batch — invisible to every snapshot — is freed
-    /// immediately and dropped from the batch delta.
+    /// immediately.
     fn free_or_retire(&mut self, id: PageId) -> RTreeResult<()> {
         match self.cow.as_mut() {
             Some(state) => {
                 if state.fresh.remove(&id) {
-                    state.allocated.retain(|&p| p != id);
                     self.pool.free_page(id)?;
                 } else {
                     state.retired.push(id);

@@ -141,7 +141,7 @@ fn live_bridge(registry: &Registry, tree: &str) -> LiveBridge {
         ),
         active_pins: registry.gauge(
             "cpq_live_active_pins",
-            "reader snapshots currently pinning an epoch (read at scrape time), by tree",
+            "epoch pins currently held (read at scrape time), by tree: reader snapshots, plus one for a durable tree's last checkpoint",
             &[("tree", tree)],
         ),
         pages_pending: registry.gauge(

@@ -66,13 +66,15 @@ model_test -p cpq-storage --test model_buffer
 model_test -p cpq-storage --lib sched::
 model_test -p cpq-core --lib model_tests
 model_test -p cpq-shard --lib model_tests
-# Site #7 (epoch publish/reclaim) with its pinned broken twin. (Site #8, the
+# Site #7 (epoch publish/reclaim, and a durable checkpoint's long-lived pin
+# beside readers) with its pinned broken twin. (Site #8, the
 # WAL's group commit, went with the protocol: the log has one lock.)
 model_test -p cpq-live --lib model_tests
 
 # Recovery smoke tier: the crash-injection harness truncates a real WAL at
-# every record boundary (plus torn mid-record cuts) and asserts bit-identical
-# K-CPQ answers after recovery.
+# every record boundary (plus torn mid-record cuts), pairs every cut with
+# both data images (crash-time and checkpoint), and asserts bit-identical
+# K-CPQ answers after recovery: every cut x both data images.
 echo "==> recovery smoke (crash at every WAL record boundary, bit-identical gate)"
 cargo test --release -q -p cpq-live --test crash_recovery
 
