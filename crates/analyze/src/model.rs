@@ -3,7 +3,7 @@
 //! orderings, call edges, and `unwrap`/`expect` sites.
 //!
 //! Facts are extracted by a single token-pattern walk over each function
-//! body (see [`scan_body`]), with *guard scopes* approximated
+//! body (see `analyze_fn`), with *guard scopes* approximated
 //! conservatively: a `let`-bound guard lives to the end of its enclosing
 //! block (truncated by an explicit `drop(binding)`), an unbound temporary
 //! to the end of its statement. This matches how rustc drops guards
@@ -129,7 +129,7 @@ pub struct FnInfo {
     /// acquires the lock its body takes.
     pub returns_guard: bool,
     /// Direct lock acquisitions (helper-call acquisitions are appended by
-    /// [`Workspace::resolve_helper_locks`]).
+    /// `Workspace::resolve_helper_locks`).
     pub locks: Vec<LockSite>,
     /// Atomic accesses.
     pub atomics: Vec<AtomicSite>,
@@ -486,7 +486,7 @@ const UBIQUITOUS_METHODS: &[&str] = &[
 ///   same type) and only when that match is unique;
 /// - a method call on any *other* receiver (`st.tree.get_d2(...)`) resolves
 ///   only when the name denotes exactly one method workspace-wide *and* is
-///   not a [`UBIQUITOUS_METHODS`] name — a `clear` or `insert` on a foreign
+///   not a `UBIQUITOUS_METHODS` name — a `clear` or `insert` on a foreign
 ///   receiver is overwhelmingly a std-container call, and wiring it to the
 ///   one workspace method sharing its name fabricates call-graph cycles;
 /// - a free/path call (`Self::helper(...)`, `encode(...)`) resolves when

@@ -220,7 +220,7 @@ pub fn match_brace_like(toks: &[Token], open: usize, o: char, c: char) -> usize 
     match_bracket(toks, open, o, c)
 }
 
-/// Public wrapper over [`skip_generics`] for sibling modules resolving
+/// Public wrapper over `skip_generics` for sibling modules resolving
 /// turbofish call syntax.
 pub fn skip_generics_pub(toks: &[Token], i: usize) -> usize {
     skip_generics(toks, i)

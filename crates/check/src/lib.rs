@@ -20,10 +20,10 @@
 //! through a cooperative scheduler, so a test harness can explore *chosen*
 //! thread interleavings deterministically:
 //!
-//! * **Bounded DFS** ([`model`], [`model_dfs`]) — exhaustively enumerates
+//! * **Bounded DFS** (`model`, `model_dfs`) — exhaustively enumerates
 //!   schedules (optionally preemption-bounded, CHESS-style) for small
 //!   models; completing the search is a proof over the explored bound.
-//! * **PCT-style randomized schedules** ([`model_pct`]) — seeded
+//! * **PCT-style randomized schedules** (`model_pct`) — seeded
 //!   priority-based schedules for models too big to enumerate; any failing
 //!   seed replays bit-identically, and is pinned as a regression test.
 //! * **Deadlock detection** — a step where no thread is schedulable but

@@ -341,20 +341,6 @@ struct SweepProj {
     idx: u32,
 }
 
-/// What one plane-sweep leaf scan reports to the probe. All three counters
-/// are gated on `P::ENABLED`, so the uninstrumented monomorphization carries
-/// no bookkeeping (they read 0).
-#[derive(Clone, Copy, Default)]
-struct SweepTally {
-    /// Pairs the two cursors reached (before the orientation/constraint
-    /// filters).
-    visited: u64,
-    /// Kernel calls that bailed out on the threshold.
-    early_outs: u64,
-    /// Pairs never visited thanks to the axis-gap break.
-    skipped: u64,
-}
-
 /// Mutable state of one query run, shared by all algorithm variants.
 ///
 /// Generic over the [`Probe`] so instrumentation monomorphizes away: with
@@ -638,7 +624,6 @@ impl<'a, const D: usize, P: Probe> Ctx<'a, D, P> {
         // gated on `P::ENABLED`, so `NullProbe` pays for neither.
         let start = P::ENABLED.then(Instant::now);
         let dist_before = self.stats.dist_computations;
-        let mut sweep_tally = SweepTally::default();
         let cached = self.par.and_then(|rt| rt.cached_pair(page_p, page_q));
         match cached.as_deref() {
             Some(TaskOut::Leaf { offers, dists }) => {
@@ -657,7 +642,7 @@ impl<'a, const D: usize, P: Probe> Ctx<'a, D, P> {
                 && self.cfg.leaf_scan == LeafScan::PlaneSweep
                 && !self.t().is_infinite() =>
             {
-                sweep_tally = self.scan_leaves_sweep(lp, lq);
+                self.scan_leaves_sweep(lp, lq);
             }
             None => self.scan_leaves_brute(lp, lq),
         }
@@ -668,8 +653,6 @@ impl<'a, const D: usize, P: Probe> Ctx<'a, D, P> {
         if let Some(start) = start {
             self.probe.leaf_scan(
                 self.stats.dist_computations - dist_before,
-                sweep_tally.early_outs,
-                sweep_tally.skipped,
                 start.elapsed().as_nanos() as u64,
             );
         }
@@ -702,12 +685,16 @@ impl<'a, const D: usize, P: Probe> Ctx<'a, D, P> {
     /// entry comes first in merged order, so this enumerates the same pairs
     /// as a sweep over the materialized merged sequence while never
     /// stepping over same-side items.
-    fn scan_leaves_sweep(&mut self, lp: &NodeView<D>, lq: &NodeView<D>) -> SweepTally {
-        let mut tally = SweepTally::default();
+    // Out of line: the opt-in sweep inlined into `scan_leaves` enlarges
+    // `open_pair`, which every algorithm runs per node pair; `svc_mix` ran
+    // about 5% slower so (2 cores; EXPERIMENTS.md, "The sweep inlined").
+    #[cold]
+    #[inline(never)]
+    fn scan_leaves_sweep(&mut self, lp: &NodeView<D>, lq: &NodeView<D>) {
         let eps = lp.leaf_entries();
         let eqs = lq.leaf_entries();
         if eps.is_empty() || eqs.is_empty() {
-            return tally;
+            return;
         }
         // analyze: allow(panic-path) — guarded by the emptiness check above.
         let bp = lp.mbr().expect("non-empty leaf has an MBR");
@@ -752,19 +739,15 @@ impl<'a, const D: usize, P: Probe> Ctx<'a, D, P> {
             if ps[i].lo <= qs[j].lo {
                 i += 1;
                 let pair_of = |a: u32, b: u32| (eps.get(a as usize), eqs.get(b as usize));
-                self.sweep_from(ps[i - 1], &qs[j..], pair_of, &mut t, &mut tally);
+                self.sweep_from(ps[i - 1], &qs[j..], pair_of, &mut t);
             } else {
                 j += 1;
                 let pair_of = |b: u32, a: u32| (eps.get(a as usize), eqs.get(b as usize));
-                self.sweep_from(qs[j - 1], &ps[i..], pair_of, &mut t, &mut tally);
+                self.sweep_from(qs[j - 1], &ps[i..], pair_of, &mut t);
             }
-        }
-        if P::ENABLED {
-            tally.skipped = (eps.len() as u64) * (eqs.len() as u64) - tally.visited;
         }
         self.sweep_p = ps;
         self.sweep_q = qs;
-        tally
     }
 
     /// One anchor's forward scan through the other side's remaining run —
@@ -784,15 +767,11 @@ impl<'a, const D: usize, P: Probe> Ctx<'a, D, P> {
         others: &[SweepProj],
         pair_of: impl Fn(u32, u32) -> (LeafEntry<D>, LeafEntry<D>),
         t: &mut Dist2,
-        tally: &mut SweepTally,
     ) {
         for other in others {
             let gap = other.lo - anchor.hi;
             if gap > 0.0 && gap * gap > t.get() {
                 break; // later items only move farther along the axis
-            }
-            if P::ENABLED {
-                tally.visited += 1;
             }
             let (ep, eq) = pair_of(anchor.idx, other.idx);
             if self.self_join && ep.oid >= eq.oid {
@@ -809,8 +788,6 @@ impl<'a, const D: usize, P: Probe> Ctx<'a, D, P> {
                 if self.kheap.offer(oriented(self.orient(), &ep, &eq, d2)) {
                     *t = self.t();
                 }
-            } else if P::ENABLED {
-                tally.early_outs += 1;
             }
         }
     }

@@ -65,7 +65,7 @@ impl<const D: usize> KHeap<D> {
 
     /// [`new`](Self::new) for a caller that knows at most `max_pairs` pairs
     /// will ever be offered: preallocates for `min(k, max_pairs,`
-    /// [`MAX_PREALLOC`]`)` entries and grows on demand past that, so an
+    /// `MAX_PREALLOC)` entries and grows on demand past that, so an
     /// absurd `K` from outside costs no memory before a pair is offered —
     /// whatever the trees' sizes. Retention is unchanged — the capacity
     /// stays `k`.

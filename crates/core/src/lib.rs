@@ -81,7 +81,7 @@ pub use bound::SharedBound;
 pub use cancel::CancelToken;
 // Re-exported so instrumented callers need not name `cpq-obs` directly.
 pub use config::{CpqConfig, HeightStrategy, KPruning, LeafScan};
-pub use cpq_obs::{NullProbe, ParallelReport, Probe, ProbeSide, ProfileProbe, QueryProfile};
+pub use cpq_obs::{NullProbe, Probe, ProbeSide, ProfileProbe, QueryProfile};
 pub use incremental::{
     distance_join, k_closest_pairs_incremental, DistanceJoin, IncTie, IncrementalConfig, Traversal,
 };

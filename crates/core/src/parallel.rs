@@ -37,10 +37,9 @@
 //!
 //! # Memory ordering
 //!
-//! The shared bound and all counters use `Relaxed` operations: the bound is
-//! a performance hint whose staleness only costs redundant speculation
-//! (monotonicity is enforced by the CAS loop, not by ordering), and the
-//! counters are read only after the workers are joined. The caches and
+//! The shared bound uses `Relaxed` operations: it is a performance hint
+//! whose staleness only costs redundant speculation (monotonicity is
+//! enforced by the CAS loop, not by ordering). The caches and
 //! queues live behind `Mutex`es, whose lock/unlock pairs provide all the
 //! happens-before edges correctness needs. `shutdown` uses
 //! `Release`/`Acquire` so a parked worker that observes it also observes
@@ -58,13 +57,13 @@ use crate::Algorithm;
 use cpq_check::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use cpq_check::sync::{Arc, Condvar, Mutex};
 use cpq_geo::Dist2;
-use cpq_obs::{ParallelReport, Probe, ProbeSide};
+use cpq_obs::{Probe, ProbeSide};
 use cpq_rng::Rng;
 use cpq_rtree::{NodeView, RTree, RTreeError, RTreeResult};
 use cpq_storage::PageId;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// One speculation request: a node pair to prefetch and precompute,
 /// prioritized by `MINMINDIST`.
@@ -99,20 +98,13 @@ pub(crate) enum TaskOut<const D: usize> {
     },
 }
 
-/// Timing and counting for one worker thread's lifetime.
-#[derive(Debug, Clone, Copy, Default)]
-struct WorkerStats {
-    tasks: u64,
-    busy_ns: u64,
-}
-
 #[inline]
 fn pair_key(p: u32, q: u32) -> u64 {
     ((p as u64) << 32) | q as u64
 }
 
 /// Shared state of one parallel query: queues, caches, the global bound,
-/// error/abort/shutdown flags, and speculation counters.
+/// and error/abort/shutdown flags.
 ///
 /// Created per query by [`run_parallel`] and borrowed by the driver's `Ctx`
 /// (`Ctx::par`) and every worker for the duration of the run.
@@ -158,11 +150,6 @@ pub(crate) struct SpecRuntime<const D: usize> {
     spec: QuerySpec<D>,
     height: crate::HeightStrategy,
     yield_seed: Option<u64>,
-    // Speculation counters (Relaxed; read after the workers are joined).
-    tasks_speculated: AtomicU64,
-    cache_hits: AtomicU64,
-    steals: AtomicU64,
-    steal_misses: AtomicU64,
 }
 
 impl<const D: usize> SpecRuntime<D> {
@@ -190,10 +177,6 @@ impl<const D: usize> SpecRuntime<D> {
             spec: *spec,
             height,
             yield_seed,
-            tasks_speculated: AtomicU64::new(0),
-            cache_hits: AtomicU64::new(0),
-            steals: AtomicU64::new(0),
-            steal_misses: AtomicU64::new(0),
         }
     }
 
@@ -270,19 +253,13 @@ impl<const D: usize> SpecRuntime<D> {
         }
     }
 
-    /// Driver-side pair-cache lookup (counts a speculation cache hit).
+    /// Driver-side pair-cache lookup.
     pub(crate) fn cached_pair(&self, page_p: PageId, page_q: PageId) -> Option<Arc<TaskOut<D>>> {
-        let hit = self
-            .pairs
+        self.pairs
             .lock()
             .expect("pair cache poisoned")
             .get(&pair_key(page_p.0, page_q.0))
-            .cloned();
-        if hit.is_some() {
-            // ordering: Relaxed — counter read after worker join.
-            self.cache_hits.fetch_add(1, Ordering::Relaxed);
-        }
-        hit
+            .cloned()
     }
 
     /// Enqueues a node pair for speculation unless the shared bound already
@@ -323,16 +300,8 @@ impl<const D: usize> SpecRuntime<D> {
                 .expect("spec shard poisoned")
                 .pop();
             if let Some(Reverse(req)) = popped {
-                if i > 0 {
-                    // ordering: Relaxed — counter read after worker join.
-                    self.steals.fetch_add(1, Ordering::Relaxed);
-                }
                 return Some(req);
             }
-        }
-        if n > 1 {
-            // ordering: Relaxed — counter read after worker join.
-            self.steal_misses.fetch_add(1, Ordering::Relaxed);
         }
         None
     }
@@ -355,8 +324,7 @@ fn worker_loop<const D: usize>(
     tp: &RTree<D>,
     tq: &RTree<D>,
     cancel: Option<&CancelToken>,
-) -> WorkerStats {
-    let mut stats = WorkerStats::default();
+) {
     let mut rng = rt.yield_seed.map(|seed| {
         Rng::seed_from_u64(seed.wrapping_add((worker as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)))
     });
@@ -405,7 +373,6 @@ fn worker_loop<const D: usize>(
         if f64::from_bits(req.minmin_bits) > rt.bound_d2() {
             continue; // the bound tightened past it while queued
         }
-        let started = Instant::now();
         match exec_task(rt, req, tp, tq) {
             Ok(()) => {}
             Err(e) => {
@@ -423,12 +390,7 @@ fn worker_loop<const D: usize>(
             }
         }
         maybe_yield();
-        stats.busy_ns += started.elapsed().as_nanos() as u64;
-        stats.tasks += 1;
-        // ordering: Relaxed — counter read after worker join.
-        rt.tasks_speculated.fetch_add(1, Ordering::Relaxed);
     }
-    stats
 }
 
 /// Executes one speculative task: fetch both nodes, precompute the pair's
@@ -532,7 +494,7 @@ pub(crate) fn run_parallel<const D: usize, P: Probe>(
         SpecRuntime::new(workers, spec, config.height, config.parallel_yield_seed);
     let cancel = exec.cancel;
 
-    let (leader, worker_stats) = std::thread::scope(|scope| {
+    let leader = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|w| {
                 let rt = &runtime;
@@ -549,33 +511,13 @@ pub(crate) fn run_parallel<const D: usize, P: Probe>(
             Some(&runtime),
         );
         runtime.shutdown();
-        let worker_stats: Vec<WorkerStats> = handles
-            .into_iter()
-            // analyze: allow(panic-path) — a panicking worker is a bug; propagate
-            // the panic rather than fabricate stats.
-            .map(|h| h.join().expect("worker threads never panic"))
-            .collect();
-        (leader, worker_stats)
+        for h in handles {
+            // analyze: allow(panic-path) — a panicking worker is a bug;
+            // propagate the panic.
+            h.join().expect("worker threads never panic");
+        }
+        leader
     });
-
-    if P::ENABLED {
-        // ordering: Relaxed — all counters are read after the workers were
-        // joined; the joins provide the happens-before edges.
-        let tasks = runtime.tasks_speculated.load(Ordering::Relaxed);
-        let cache_hits = runtime.cache_hits.load(Ordering::Relaxed);
-        let steals = runtime.steals.load(Ordering::Relaxed);
-        let steal_misses = runtime.steal_misses.load(Ordering::Relaxed);
-        let bound_updates = runtime.bound.updates();
-        exec.probe.parallel_exec(&ParallelReport {
-            workers: workers as u64,
-            tasks,
-            cache_hits,
-            steals,
-            steal_misses,
-            bound_updates,
-            worker_busy_ns: worker_stats.iter().map(|s| s.busy_ns).collect(),
-        });
-    }
 
     // A storage error observed by a speculative worker fails the query even
     // when the driver never needed the failing page itself: exactly one

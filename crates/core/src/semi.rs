@@ -122,13 +122,10 @@ fn nn_bounded<const D: usize>(
             }
         }
     }
-    // The warm bound may have excluded everything only if it was wrong; it
-    // is always a realized distance to an actual Q point, so if nothing
-    // closer-or-equal surfaced, re-run unbounded. (Only reachable when Q has
-    // a single point configuration where the warm point is the answer but
-    // floating-point comparison is exact — the inclusive bound prevents it.)
-    if best.is_none() && !bound.is_infinite() {
-        return nn_bounded(tree, p, Dist2::INFINITY, stats);
-    }
+    // An object is always popped: the bound is the distance to a real `Q`
+    // point, and every MBR containing that point scores at most that
+    // distance (each axis gap to a containing rectangle is at most the gap to
+    // the point, and rounding is monotone), so the point's whole path, or
+    // the closer object that tightened the bound, is queued within it.
     Ok(best)
 }

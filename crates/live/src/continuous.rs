@@ -10,9 +10,9 @@
 //!
 //! * **Insert** — the only new pairs involve the new point. Probe the
 //!   other tree with a bounded-radius search seeded by the current K-th
-//!   distance ([`RTree::within_dist2`], inclusive so distance ties
-//!   survive), add every candidate pair, and trim back to K under the
-//!   canonical order.
+//!   distance ([`RTree::within_dist2`](cpq_rtree::RTree::within_dist2),
+//!   inclusive so distance ties survive), add every candidate pair, and
+//!   trim back to K under the canonical order.
 //! * **Delete** — drop every result pair involving the deleted point. If
 //!   the set was *saturated* (some qualifying pair has ever been
 //!   discarded — by trimming or by the engine returning exactly K), pairs

@@ -1,6 +1,6 @@
-//! Crash-injection harness: utilities for killing a [`LiveTree`]
-//! (crate::tree::LiveTree) directory at any write boundary and checking
-//! what recovery makes of the wreck.
+//! Crash-injection harness: utilities for killing a
+//! [`LiveTree`](crate::tree::LiveTree) directory at any write boundary and
+//! checking what recovery makes of the wreck.
 //!
 //! The harness never kills a process; it reconstructs the exact set of
 //! on-disk states a kill could leave behind. For a WAL-before-data design

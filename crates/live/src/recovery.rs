@@ -1,4 +1,4 @@
-//! Crash recovery for [`LiveTree`](crate::tree::LiveTree) directories:
+//! Crash recovery for [`LiveTree`] directories:
 //! replay of the committed logical operations on the checkpoint's pages,
 //! then a reachability sweep.
 //!

@@ -43,6 +43,6 @@ pub use metrics::{
     Registry, SeriesSnapshot, Snapshot,
 };
 pub use percentile::Percentiles;
-pub use probe::{NullProbe, ParallelReport, Probe, ProbeSide, ProfileProbe};
+pub use probe::{NullProbe, Probe, ProbeSide, ProfileProbe};
 pub use profile::QueryProfile;
 pub use slowlog::SlowQueryLog;

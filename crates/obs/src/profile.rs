@@ -5,9 +5,9 @@
 ///
 /// Where the paper reports one aggregate number (disk accesses) per figure
 /// point, this captures *why* an individual query cost what it did: which
-/// tree level burned the node accesses, how much of the leaf work the
-/// threshold kernel and the plane sweep avoided, how large the HEAP
-/// algorithm's priority queue grew, and where the wall-clock went.
+/// tree level burned the node accesses, how much leaf work the kernel
+/// did, how large the HEAP algorithm's priority queue grew, and where the
+/// wall-clock went.
 /// Serialized as one JSON line by the slow-query log.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct QueryProfile {
@@ -33,12 +33,6 @@ pub struct QueryProfile {
     pub buffer_misses: u64,
     /// Leaf-level distance-kernel invocations.
     pub dist_computations: u64,
-    /// Kernel invocations that bailed out mid-accumulation because the
-    /// partial sum already exceeded the threshold `T`.
-    pub kernel_early_outs: u64,
-    /// Leaf pairs the plane sweep never visited (axis-gap break) that a
-    /// brute-force scan would have enumerated.
-    pub sweep_pairs_skipped: u64,
     /// Candidate node pairs pruned by `MINMINDIST > T`.
     pub pairs_pruned: u64,
     /// Node pairs processed (recursive calls or heap pops).
@@ -55,22 +49,6 @@ pub struct QueryProfile {
     pub gen_ns: u64,
     /// Time inside leaf scanning (`scan_leaves`), nanoseconds.
     pub scan_ns: u64,
-    /// Speculative worker threads used by the parallel executor (0 for a
-    /// sequential run; all `parallel_*` fields stay 0 then).
-    pub parallel_workers: u64,
-    /// Speculative tasks executed across all workers.
-    pub parallel_tasks: u64,
-    /// Driver-side consultations answered from the speculation caches.
-    pub parallel_cache_hits: u64,
-    /// Tasks popped from another worker's queue shard.
-    pub parallel_steals: u64,
-    /// Steal attempts that found every foreign shard empty.
-    pub parallel_steal_misses: u64,
-    /// Successful CAS-tightenings of the shared global bound.
-    pub parallel_bound_updates: u64,
-    /// Per-worker time spent executing speculative tasks, nanoseconds
-    /// (empty for sequential runs).
-    pub worker_busy_ns: Vec<u64>,
     /// Shard pairs generated by the scatter-gather planner (0 for
     /// unsharded runs; all `shard_*` fields stay 0 then).
     pub shard_pairs_generated: u64,
@@ -84,15 +62,12 @@ pub struct QueryProfile {
     /// Successful CAS-tightenings of the cross-shard global bound.
     pub shard_bound_updates: u64,
     /// `true` when the service's query planner chose the execution knobs
-    /// (algorithm / parallelism / scatter); the `plan_*` fields below then
+    /// (algorithm / scatter); the `plan_*` fields below then
     /// record the decision. All-zero/false for hand-knobbed requests.
     pub planned: bool,
     /// Label of the planner rule that fired (`tiny`, `constrained`,
     /// `1cp`, `default`, `empty-side`, `window-off-data`).
     pub plan_reason: String,
-    /// Intra-query parallelism the planner asked for (before the
-    /// service's ceiling clamp; `0` = sequential).
-    pub plan_parallelism: u64,
     /// Scatter fan-out the planner asked for (`0` = classic path).
     pub plan_scatter: u64,
     /// The cost model's disk-access estimate backing the decision,
@@ -143,18 +118,13 @@ impl QueryProfile {
                 "\"latency_us\":{},\"queue_wait_us\":{},\"exec_us\":{},",
                 "\"node_accesses_p\":{},\"node_accesses_q\":{},",
                 "\"buffer_hits\":{},\"buffer_misses\":{},",
-                "\"dist_computations\":{},\"kernel_early_outs\":{},",
-                "\"sweep_pairs_skipped\":{},\"pairs_pruned\":{},",
+                "\"dist_computations\":{},\"pairs_pruned\":{},",
                 "\"node_pairs_processed\":{},\"heap_inserts\":{},",
                 "\"heap_high_watermark\":{},\"gen_ns\":{},\"scan_ns\":{},",
-                "\"parallel_workers\":{},\"parallel_tasks\":{},",
-                "\"parallel_cache_hits\":{},\"parallel_steals\":{},",
-                "\"parallel_steal_misses\":{},\"parallel_bound_updates\":{},",
-                "\"worker_busy_ns\":{},",
                 "\"shard_pairs_generated\":{},\"shard_pairs_pruned\":{},",
                 "\"shard_pairs_opened\":{},\"shard_subqueries_completed\":{},",
                 "\"shard_bound_updates\":{},",
-                "\"planned\":{},\"plan_reason\":{},\"plan_parallelism\":{},",
+                "\"planned\":{},\"plan_reason\":{},",
                 "\"plan_scatter\":{},\"plan_est_accesses\":{}}}"
             ),
             self.query_id,
@@ -170,21 +140,12 @@ impl QueryProfile {
             self.buffer_hits,
             self.buffer_misses,
             self.dist_computations,
-            self.kernel_early_outs,
-            self.sweep_pairs_skipped,
             self.pairs_pruned,
             self.node_pairs_processed,
             self.heap_inserts,
             self.heap_high_watermark,
             self.gen_ns,
             self.scan_ns,
-            self.parallel_workers,
-            self.parallel_tasks,
-            self.parallel_cache_hits,
-            self.parallel_steals,
-            self.parallel_steal_misses,
-            self.parallel_bound_updates,
-            json_arr(&self.worker_busy_ns),
             self.shard_pairs_generated,
             self.shard_pairs_pruned,
             self.shard_pairs_opened,
@@ -192,7 +153,6 @@ impl QueryProfile {
             self.shard_bound_updates,
             self.planned,
             json_str(&self.plan_reason),
-            self.plan_parallelism,
             self.plan_scatter,
             self.plan_est_accesses,
         )
@@ -223,9 +183,10 @@ mod tests {
         assert!(j.contains("\"algorithm\":\"HEAP\""));
         assert!(j.contains("\"node_accesses_p\":[5,2,1]"));
         assert!(j.contains("\"latency_us\":100"));
-        assert!(j.contains("\"parallel_workers\":0"));
-        assert!(j.contains("\"worker_busy_ns\":[]"));
         assert!(j.contains("\"shard_pairs_generated\":0"));
+        for gone in ["parallel", "worker_busy_ns", "early_outs", "sweep"] {
+            assert!(!j.contains(gone), "no {gone} key in {j}");
+        }
     }
 
     #[test]
@@ -247,27 +208,10 @@ mod tests {
     }
 
     #[test]
-    fn parallel_fields_serialize() {
-        let p = QueryProfile {
-            parallel_workers: 7,
-            parallel_tasks: 42,
-            parallel_steals: 3,
-            worker_busy_ns: vec![11, 22],
-            ..Default::default()
-        };
-        let j = p.to_json();
-        assert!(j.contains("\"parallel_workers\":7"));
-        assert!(j.contains("\"parallel_tasks\":42"));
-        assert!(j.contains("\"parallel_steals\":3"));
-        assert!(j.contains("\"worker_busy_ns\":[11,22]"));
-    }
-
-    #[test]
     fn plan_fields_serialize() {
         let p = QueryProfile {
             planned: true,
             plan_reason: "constrained".into(),
-            plan_parallelism: 4,
             plan_scatter: 0,
             plan_est_accesses: 123,
             ..Default::default()
@@ -275,7 +219,6 @@ mod tests {
         let j = p.to_json();
         assert!(j.contains("\"planned\":true"));
         assert!(j.contains("\"plan_reason\":\"constrained\""));
-        assert!(j.contains("\"plan_parallelism\":4"));
         assert!(j.contains("\"plan_est_accesses\":123"));
         let unplanned = QueryProfile::default().to_json();
         assert!(unplanned.contains("\"planned\":false"));

@@ -182,24 +182,15 @@ pub struct ServiceObs {
     node_accesses_p: Arc<Counter>,
     node_accesses_q: Arc<Counter>,
     dist_computations: Arc<Counter>,
-    kernel_early_outs: Arc<Counter>,
-    sweep_pairs_skipped: Arc<Counter>,
     pairs_pruned: Arc<Counter>,
     node_pairs_processed: Arc<Counter>,
     heap_inserts: Arc<Counter>,
-    parallel_queries: Arc<Counter>,
-    parallel_tasks: Arc<Counter>,
-    parallel_cache_hits: Arc<Counter>,
-    parallel_steals: Arc<Counter>,
-    parallel_steal_misses: Arc<Counter>,
-    parallel_bound_updates: Arc<Counter>,
     shard_queries: Arc<Counter>,
     shard_pairs_generated: Arc<Counter>,
     shard_pairs_pruned: Arc<Counter>,
     shard_pairs_opened: Arc<Counter>,
     shard_subqueries: Arc<Counter>,
     shard_bound_updates: Arc<Counter>,
-    plan_parallel: Arc<Counter>,
     plan_scatter: Arc<Counter>,
     sheds: Arc<Counter>,
     queue_depth: Arc<Gauge>,
@@ -290,16 +281,6 @@ impl ServiceObs {
                 "leaf-level distance-kernel invocations",
                 &[],
             ),
-            kernel_early_outs: registry.counter(
-                "cpq_kernel_early_outs_total",
-                "distance-kernel calls that bailed out on the threshold",
-                &[],
-            ),
-            sweep_pairs_skipped: registry.counter(
-                "cpq_sweep_pairs_skipped_total",
-                "leaf pairs never visited thanks to the plane-sweep axis-gap break",
-                &[],
-            ),
             pairs_pruned: registry.counter(
                 "cpq_pairs_pruned_total",
                 "candidate node pairs pruned by MINMINDIST > T",
@@ -313,36 +294,6 @@ impl ServiceObs {
             heap_inserts: registry.counter(
                 "cpq_heap_inserts_total",
                 "insertions into the HEAP algorithm's priority queue",
-                &[],
-            ),
-            parallel_queries: registry.counter(
-                "cpq_parallel_queries_total",
-                "queries executed by the intra-query parallel engine",
-                &[],
-            ),
-            parallel_tasks: registry.counter(
-                "cpq_parallel_tasks_total",
-                "node-pair tasks executed speculatively by parallel workers",
-                &[],
-            ),
-            parallel_cache_hits: registry.counter(
-                "cpq_parallel_cache_hits_total",
-                "driver node-pair visits answered from the speculation cache",
-                &[],
-            ),
-            parallel_steals: registry.counter(
-                "cpq_parallel_steals_total",
-                "tasks a parallel worker stole from another worker's shard",
-                &[],
-            ),
-            parallel_steal_misses: registry.counter(
-                "cpq_parallel_steal_misses_total",
-                "full steal sweeps that found every shard empty",
-                &[],
-            ),
-            parallel_bound_updates: registry.counter(
-                "cpq_parallel_bound_updates_total",
-                "successful tightenings of the shared global distance bound",
                 &[],
             ),
             shard_queries: registry.counter(
@@ -373,11 +324,6 @@ impl ServiceObs {
             shard_bound_updates: registry.counter(
                 "cpq_shard_bound_updates_total",
                 "successful tightenings of the cross-shard global distance bound",
-                &[],
-            ),
-            plan_parallel: registry.counter(
-                "cpq_plan_parallel_total",
-                "planned queries for which the planner chose intra-query parallelism",
                 &[],
             ),
             plan_scatter: registry.counter(
@@ -466,9 +412,6 @@ impl ServiceObs {
                     &[("algorithm", profile.algorithm.as_str())],
                 )
                 .inc();
-            if profile.plan_parallelism > 0 {
-                self.plan_parallel.inc();
-            }
             if profile.plan_scatter > 0 {
                 self.plan_scatter.inc();
             }
@@ -480,21 +423,9 @@ impl ServiceObs {
         self.node_accesses_q
             .add(profile.node_accesses_q.iter().sum());
         self.dist_computations.add(profile.dist_computations);
-        self.kernel_early_outs.add(profile.kernel_early_outs);
-        self.sweep_pairs_skipped.add(profile.sweep_pairs_skipped);
         self.pairs_pruned.add(profile.pairs_pruned);
         self.node_pairs_processed.add(profile.node_pairs_processed);
         self.heap_inserts.add(profile.heap_inserts);
-        if profile.parallel_workers > 0 {
-            self.parallel_queries.inc();
-        }
-        self.parallel_tasks.add(profile.parallel_tasks);
-        self.parallel_cache_hits.add(profile.parallel_cache_hits);
-        self.parallel_steals.add(profile.parallel_steals);
-        self.parallel_steal_misses
-            .add(profile.parallel_steal_misses);
-        self.parallel_bound_updates
-            .add(profile.parallel_bound_updates);
         if profile.shard_pairs_generated > 0 {
             self.shard_queries.inc();
         }

@@ -1,7 +1,7 @@
 //! The query planner: turns a query's *shape* (K, join kind, windows,
 //! colors) plus cheap data statistics into concrete execution knobs —
-//! algorithm, intra-query parallelism, and scatter fan-out — replacing
-//! hand-picked per-request settings.
+//! algorithm and scatter fan-out — replacing hand-picked per-request
+//! settings.
 //!
 //! The planner is **deterministic**: the same [`PlannerInputs`] and query
 //! shape always yield the same [`QueryPlan`] (the golden tests pin the
@@ -22,7 +22,7 @@
 //!      the cheapest setup;
 //!    * tiny work (`< `[`SMALL_WORK`]) → [`Algorithm::Exhaustive`] —
 //!      recursion over a handful of node pairs needs no ordering at all;
-//!    * everything else — sequential, parallel or scattered →
+//!    * everything else — on one tree or scattered →
 //!      [`Algorithm::SortedDistances`], the paper's best recursive
 //!      variant. A service always runs behind an LRU buffer, and behind
 //!      one the paper's own Figure 6b has the recursive algorithms beating
@@ -34,25 +34,20 @@
 //!      self-joins, which run without the MINMAX/MAXMAX bounds, so
 //!      best-first degenerates to breadth-first over the zero-MINMINDIST
 //!      diagonal and queues tens of thousands of node pairs. Scattered
-//!      over S = 4 shards STD is 1.1–1.2x faster too. At
-//!      `parallelism = 2` neither wins (HEAP by 5–8% at `k ≤ 10`, level at
-//!      `k = 100`, STD by ~40% at `k = 10⁴`, both behind sequential STD),
-//!      so the fan-out rows get no rule of their own. The `reason`
+//!      over S = 4 shards STD is 1.1–1.2x faster too. The `reason`
 //!      label names the query's shape — `constrained`, `1cp`, `default` —
 //!      for the profile. HEAP stays reachable by naming it on an
 //!      unplanned request.
 //! 3. **Cost estimate.** When per-level tree statistics are available,
 //!    the analytic model ([`cpq_core::costmodel::estimate_1cp_cost`])
 //!    predicts disk accesses over the *clipped* workspaces and effective
-//!    cardinalities; the estimate is recorded in the plan (and profile)
-//!    and arms the parallelism trigger below.
+//!    cardinalities; the estimate is recorded in the plan (and profile).
 //! 4. **Fan-out.** Scatter wins when replicas exist and the work is
 //!    huge (`≥ `[`SCATTER_WORK`]): inter-shard MINMINDIST pruning
-//!    removes whole subtree pairs that intra-query parallelism would
-//!    still traverse. Otherwise intra-query parallelism kicks in for
-//!    large work (`≥ `[`PARALLEL_WORK`]) or a large access estimate
-//!    (`≥ `[`PARALLEL_ACCESSES`]), capped at [`MAX_FANOUT`] — speculative
-//!    workers beyond a handful mostly duplicate the driver's frontier.
+//!    removes whole subtree pairs a single-tree descent would still
+//!    traverse. The fan-out is capped at [`MAX_FANOUT`]. The planner never
+//!    chooses a thread count: that is the service's
+//!    [`CpqConfig::parallelism`](cpq_core::CpqConfig::parallelism).
 
 use crate::request::QueryKind;
 use cpq_core::costmodel::estimate_1cp_cost;
@@ -64,22 +59,12 @@ use cpq_rtree::LevelStats;
 /// recursive EXH algorithm: the whole query fits in a few node pairs.
 pub const SMALL_WORK: f64 = 250_000.0;
 
-/// At or above this effective pair-work product (or at
-/// [`PARALLEL_ACCESSES`] estimated accesses) the planner requests
-/// intra-query parallelism.
-pub const PARALLEL_WORK: f64 = 25_000_000.0;
-
-/// Cost-model disk-access estimate that arms intra-query parallelism even
-/// when the raw cardinality product alone would not.
-pub const PARALLEL_ACCESSES: f64 = 4_096.0;
-
-/// At or above this effective pair-work product — four times
-/// [`PARALLEL_WORK`] — the planner prefers scatter-gather over sharded
-/// replicas, when the service holds them.
+/// At or above this effective pair-work product the planner prefers
+/// scatter-gather over sharded replicas, when the service holds them.
 pub const SCATTER_WORK: f64 = 100_000_000.0;
 
-/// Ceiling on planner-chosen parallelism and scatter fan-out (before the
-/// service's own `max_parallelism` / `max_shards` clamps).
+/// Ceiling on planner-chosen scatter fan-out (before the service's own
+/// `max_shards` clamp).
 pub const MAX_FANOUT: usize = 4;
 
 /// Everything the planner knows about the data and the service, gathered
@@ -101,7 +86,9 @@ pub struct PlannerInputs<'a, const D: usize> {
     pub stats_p: Option<&'a [LevelStats<D>]>,
     /// Per-level statistics of the `Q` tree.
     pub stats_q: Option<&'a [LevelStats<D>]>,
-    /// The service's intra-query parallelism ceiling.
+    /// Read by nothing; the service passes `0`. It stays only because the
+    /// benchmark's planner probe builds these inputs as a struct literal,
+    /// and goes with that literal (ROADMAP item 1(c)).
     pub max_parallelism: usize,
     /// Scatter fan-out available (`0` when the service holds no sharded
     /// replicas).
@@ -113,8 +100,6 @@ pub struct PlannerInputs<'a, const D: usize> {
 pub struct QueryPlan {
     /// Chosen algorithm.
     pub algorithm: Algorithm,
-    /// Chosen intra-query parallelism (total threads; `0` = sequential).
-    pub parallelism: usize,
     /// Chosen scatter fan-out (`0` = classic single-tree path).
     pub scatter: usize,
     /// Cost-model disk-access estimate, when statistics allowed one.
@@ -154,7 +139,6 @@ pub fn plan<const D: usize>(
 
     let sequential = |algorithm, est_accesses, reason| QueryPlan {
         algorithm,
-        parallelism: 0,
         scatter: 0,
         est_accesses,
         reason,
@@ -209,28 +193,14 @@ pub fn plan<const D: usize>(
         _ => None,
     };
 
-    // Fan-out: scatter first (strictly bigger work bar), then intra-query
-    // parallelism; scatter owns its own worker pool, so the two never mix.
-    if inputs.shards >= 2 && work >= SCATTER_WORK {
-        return QueryPlan {
-            algorithm,
-            parallelism: 0,
-            scatter: inputs.shards.min(MAX_FANOUT),
-            est_accesses,
-            reason,
-        };
-    }
-    let wants_parallel =
-        work >= PARALLEL_WORK || est_accesses.is_some_and(|a| a >= PARALLEL_ACCESSES);
-    let parallelism = if wants_parallel && inputs.max_parallelism >= 2 {
-        inputs.max_parallelism.min(MAX_FANOUT)
+    let scatter = if inputs.shards >= 2 && work >= SCATTER_WORK {
+        inputs.shards.min(MAX_FANOUT)
     } else {
         0
     };
     QueryPlan {
         algorithm,
-        parallelism,
-        scatter: 0,
+        scatter,
         est_accesses,
         reason,
     }
@@ -249,7 +219,7 @@ mod tests {
             workspace_q: Some(ws),
             stats_p: None,
             stats_q: None,
-            max_parallelism: 1,
+            max_parallelism: 0,
             shards: 0,
         }
     }
@@ -258,7 +228,7 @@ mod tests {
     fn tiny_work_runs_exhaustive() {
         let p = plan(&inputs(100, 10.0), 5, QueryKind::Cross, &Constraint::none());
         assert_eq!(p.algorithm, Algorithm::Exhaustive);
-        assert_eq!((p.parallelism, p.scatter), (0, 0));
+        assert_eq!(p.scatter, 0);
         assert_eq!(p.reason, "tiny");
     }
 
@@ -308,13 +278,10 @@ mod tests {
     fn big_work_fans_out_when_allowed() {
         let mut i = inputs(10_000, 10.0);
         let p = plan(&i, 10, QueryKind::Cross, &Constraint::none());
-        assert_eq!(p.parallelism, 0, "ceiling of 1 keeps it sequential");
-        i.max_parallelism = 8;
-        let p = plan(&i, 10, QueryKind::Cross, &Constraint::none());
-        assert_eq!(p.parallelism, MAX_FANOUT);
+        assert_eq!(p.scatter, 0, "no replicas, no scatter");
         i.shards = 8;
         let p = plan(&i, 10, QueryKind::Cross, &Constraint::none());
-        assert_eq!((p.parallelism, p.scatter), (0, MAX_FANOUT));
+        assert_eq!(p.scatter, MAX_FANOUT);
         // Fanned out or not, the algorithm is the sequential plan's.
         assert_eq!(p.algorithm, Algorithm::SortedDistances);
     }

@@ -45,12 +45,6 @@ pub struct QueryRequest<const D: usize = 2> {
     /// overrides it. An expired query stops within one node visit and
     /// responds [`QueryStatus::TimedOut`] with its partial result.
     pub deadline: Option<Duration>,
-    /// Intra-query parallelism requested for this query (total threads,
-    /// driver included). `None` or values `≤ 1` run the plain sequential
-    /// engine; larger values are clamped to the service's
-    /// [`max_parallelism`](crate::ServiceConfig::max_parallelism). Results
-    /// are bit-identical either way — parallelism only buys latency.
-    pub parallelism: Option<usize>,
     /// Scatter-gather worker fan-out requested for this query. `None` or
     /// `0` runs the classic single-tree path; values `≥ 1` route the query
     /// over the service's sharded replicas (when started over a
@@ -65,9 +59,9 @@ pub struct QueryRequest<const D: usize = 2> {
     /// requests must keep the constraint symmetric
     /// ([`Constraint::is_symmetric`]) or the query fails at execution.
     pub constraint: Constraint<D>,
-    /// Let the service's query planner choose algorithm, intra-query
-    /// parallelism, and scatter fan-out from the cost model and query
-    /// shape, overriding whatever this request carries in those fields.
+    /// Let the service's query planner choose algorithm and scatter
+    /// fan-out from the cost model and query shape, overriding whatever
+    /// this request carries in those fields.
     /// The response's `request` echoes the *planned* knobs, and the
     /// profile records the decision (`planned` / `plan_reason` /
     /// `plan_est_accesses`).
@@ -82,7 +76,6 @@ impl<const D: usize> QueryRequest<D> {
             algorithm,
             kind: QueryKind::Cross,
             deadline: None,
-            parallelism: None,
             scatter: None,
             constraint: Constraint::none(),
             planned: false,
@@ -135,13 +128,6 @@ impl<const D: usize> QueryRequest<D> {
         self
     }
 
-    /// Requests intra-query parallelism (total threads, driver included);
-    /// clamped to the service's configured maximum at execution time.
-    pub fn with_parallelism(mut self, threads: usize) -> Self {
-        self.parallelism = Some(threads);
-        self
-    }
-
     /// Requests scatter-gather execution over the service's sharded
     /// replicas with this worker fan-out; clamped to the service's
     /// [`max_shards`](crate::ServiceConfig::max_shards) at execution time.
@@ -187,8 +173,8 @@ pub struct QueryResponse<const D: usize> {
     /// Service-assigned id (admission order).
     pub id: u64,
     /// The request this answers. For planned requests
-    /// ([`QueryRequest::planned`]) the algorithm / parallelism / scatter
-    /// fields carry the planner's choices, not the submitted placeholders.
+    /// ([`QueryRequest::planned`]) the algorithm and scatter fields
+    /// carry the planner's choices, not the submitted placeholders.
     pub request: QueryRequest<D>,
     /// How the query ended.
     pub status: QueryStatus,

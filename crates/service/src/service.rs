@@ -47,17 +47,12 @@ pub struct ServiceConfig {
     /// in-flight queries is the service's whole memory commitment. Pushes
     /// beyond it shed.
     pub queue_capacity: usize,
-    /// Engine configuration shared by all queries.
+    /// Engine configuration shared by all queries, used unchanged:
+    /// `parallelism` included, so a value `≥ 2` runs every single-tree
+    /// query on that many threads (total thread pressure
+    /// `workers × parallelism`). Requests and the planner choose the
+    /// algorithm and scatter fan-out, never the thread count.
     pub cpq: CpqConfig,
-    /// Ceiling on per-request intra-query parallelism
-    /// ([`QueryRequest::parallelism`]). The default of `1` keeps every
-    /// query on the plain sequential engine regardless of what requests
-    /// ask for; raising it lets a request fan one query out over up to
-    /// this many threads (deadlines and cancellation still stop the query
-    /// within one node visit — workers poll the token inside stolen
-    /// tasks, and a `TimedOut` partial stays the deterministic sequential
-    /// prefix). Total thread pressure is `workers × max_parallelism`.
-    pub max_parallelism: usize,
     /// Ceiling on per-request scatter-gather fan-out
     /// ([`QueryRequest::scatter`]). Only meaningful for services started
     /// over a [`Source::Sharded`]; the default of `1` lets scatter
@@ -79,7 +74,6 @@ impl Default for ServiceConfig {
                 .unwrap_or(4),
             queue_capacity: 64,
             cpq: CpqConfig::paper(),
-            max_parallelism: 1,
             max_shards: 1,
             default_deadline: None,
             obs: ObsConfig::default(),
@@ -151,7 +145,6 @@ struct Shared<const D: usize> {
     queue: AdmissionQueue<Job<D>>,
     stats: ServiceStats,
     cpq: CpqConfig,
-    max_parallelism: usize,
     max_shards: usize,
     default_deadline: Option<Duration>,
     next_id: AtomicU64,
@@ -250,7 +243,6 @@ impl<const D: usize> CpqService<D> {
             queue: AdmissionQueue::new(config.queue_capacity),
             stats: ServiceStats::new(),
             cpq: config.cpq,
-            max_parallelism: config.max_parallelism.max(1),
             max_shards: config.max_shards.max(1),
             default_deadline: config.default_deadline,
             next_id: AtomicU64::new(0),
@@ -489,7 +481,7 @@ impl<const D: usize> Shared<D> {
             workspace_q,
             stats_p: self.plan_stats.as_ref().map(|(p, _)| p.as_slice()),
             stats_q: self.plan_stats.as_ref().map(|(_, q)| q.as_slice()),
-            max_parallelism: self.max_parallelism,
+            max_parallelism: 0,
             shards: match self.source {
                 Source::Sharded(..) => self.max_shards,
                 _ => 0,
@@ -510,7 +502,6 @@ fn worker_loop<const D: usize>(shared: &Shared<D>) {
         let query_plan = job.req.planned.then(|| shared.plan_query(&job.req));
         if let Some(p) = &query_plan {
             job.req.algorithm = p.algorithm;
-            job.req.parallelism = (p.parallelism > 0).then_some(p.parallelism);
             job.req.scatter = (p.scatter > 0).then_some(p.scatter);
         }
         let cancel = match job.deadline_at {
@@ -524,16 +515,10 @@ fn worker_loop<const D: usize>(shared: &Shared<D>) {
             (0, 0)
         };
         let mut probe = ProfileProbe::new();
-        // The per-query engine config: the shared one, plus this request's
-        // intra-query parallelism clamped to the service ceiling. The token
-        // travels into the parallel executor, so a deadline expiring
-        // mid-steal still stops the query within one node visit.
-        let mut cpq = shared.cpq;
-        cpq.parallelism = job.req.parallelism.unwrap_or(0).min(shared.max_parallelism);
+        let cpq = shared.cpq;
         // Shard-aware dispatch: a request carrying a scatter fan-out runs
         // over the sharded replicas (when this service holds them), clamped
-        // to the configured ceiling. The scatter path owns its own worker
-        // fan-out, so intra-query parallelism is irrelevant to it.
+        // to the configured ceiling.
         let scatter_workers = job.req.scatter.unwrap_or(0).min(shared.max_shards);
         let mut shard_report = None;
         let spec = job.req.spec();
@@ -688,7 +673,6 @@ fn complete_profile<const D: usize>(
     if let Some(p) = query_plan {
         profile.planned = true;
         profile.plan_reason = p.reason.to_string();
-        profile.plan_parallelism = p.parallelism as u64;
         profile.plan_scatter = p.scatter as u64;
         profile.plan_est_accesses = p.est_accesses.map(|a| a.round() as u64).unwrap_or(0);
     }

@@ -125,24 +125,33 @@ fn fast_queries_stay_out_of_the_slow_log() {
 /// Families the workload of `metrics_endpoint_serves_lint_clean_exposition`
 /// legitimately leaves at zero: idle-state gauges and counters whose
 /// triggering condition (shedding, deadline misses, eviction pressure,
-/// tie-sweep skips, a query crossing the slow-log threshold —
-/// timing-dependent on a loaded machine) it avoids or cannot guarantee.
+/// scatter, a query crossing the slow-log threshold — timing-dependent on
+/// a loaded machine) it avoids or cannot guarantee.
 const ZERO_OK: &[&str] = &[
     "cpq_queue_depth",
     "cpq_slow_queries_total",
     "cpq_sheds_total",
     "cpq_deadline_misses_total",
-    "cpq_plan_parallel_total",
     "cpq_plan_scatter_total",
-    "cpq_kernel_early_outs_total",
     "cpq_slow_log_evictions_total",
-    "cpq_sweep_pairs_skipped_total",
 ];
 
 /// Whole subsystems that workload does not drive (sequential queries on a
-/// static pair never touch the parallel engine, shards, live trees or the
-/// WAL); their series are fed by the subsystem tests instead.
-const ZERO_OK_PREFIXES: &[&str] = &["cpq_live_", "cpq_parallel_", "cpq_shard_", "cpq_wal_"];
+/// static pair never touch shards, live trees or the WAL); their series
+/// are fed by the subsystem tests instead.
+const ZERO_OK_PREFIXES: &[&str] = &["cpq_live_", "cpq_shard_", "cpq_wal_"];
+
+/// Families deleted with the counters that fed them, as prefixes: the
+/// parallel executor's speculation counters, the planner's fan-out rule
+/// (`cpq_plan_parallel_total`) and the plane sweep's two tallies (the
+/// kernel's threshold early-outs and the sweep's skipped pairs). Nothing
+/// reads them, so none may come back.
+const DELETED_FAMILIES: &[&str] = &[
+    "cpq_parallel_",
+    "cpq_plan_parallel_",
+    "cpq_kernel_",
+    "cpq_sweep_",
+];
 
 /// The metrics gate. Scrapes `/metrics` over a real TCP connection (the
 /// path `curl` takes) and holds the body to the exposition linter — format,
@@ -213,7 +222,6 @@ fn metrics_endpoint_serves_lint_clean_exposition() {
         "cpq_plan_queries_total{algorithm=\"STD\"} 1",
         "cpq_plan_queries_total{algorithm=\"HEAP\"} 0",
         "cpq_plan_queries_total{algorithm=\"EXH\"} 0",
-        "cpq_plan_parallel_total 0",
         "cpq_plan_scatter_total 0",
         "cpq_query_latency_microseconds_count 8",
         "cpq_query_latency_microseconds_bucket",
@@ -228,6 +236,12 @@ fn metrics_endpoint_serves_lint_clean_exposition() {
         "cpq_sheds_total 0",
     ] {
         assert!(body.contains(series), "missing from /metrics: {series}");
+    }
+    for family in DELETED_FAMILIES {
+        assert!(
+            !body.contains(family),
+            "deleted family in /metrics: {family}"
+        );
     }
 
     // Never-observed families. Histogram suffixes roll up to their base

@@ -32,13 +32,13 @@ fn inputs(n_p: u64, n_q: u64, side: f64) -> PlannerInputs<'static, 2> {
         workspace_q: Some(ws),
         stats_p: None,
         stats_q: None,
-        max_parallelism: 1,
+        max_parallelism: 0,
         shards: 0,
     }
 }
 
-/// The golden decision table. Columns: shape → (algorithm, parallelism,
-/// scatter, reason).
+/// The golden decision table. Columns: shape → (algorithm, scatter,
+/// reason).
 #[test]
 fn decision_table() {
     use Algorithm::{Exhaustive, SortedDistances};
@@ -46,15 +46,13 @@ fn decision_table() {
     let sliver = Rect::from_corners([0.0, 0.0], [10.0, 10.0]);
     let off_data = Rect::from_corners([5_000.0, 5_000.0], [6_000.0, 6_000.0]);
 
-    let mut wide = inputs(100_000, 100_000, 1_000.0);
-    wide.max_parallelism = 8;
+    let wide = inputs(100_000, 100_000, 1_000.0);
     let mut wide_sharded = wide;
     wide_sharded.shards = 8;
-    let mut mid = inputs(10_000, 10_000, 1_000.0);
-    mid.max_parallelism = 8;
+    let mid = inputs(10_000, 10_000, 1_000.0);
 
     // (label, inputs, k, kind, constraint, expected)
-    type Expected = (Algorithm, usize, usize, &'static str);
+    type Expected = (Algorithm, usize, &'static str);
     type Row = (
         &'static str,
         PlannerInputs<'static, 2>,
@@ -70,7 +68,7 @@ fn decision_table() {
             10,
             QueryKind::Cross,
             Constraint::none(),
-            (Exhaustive, 0, 0, "empty-side"),
+            (Exhaustive, 0, "empty-side"),
         ),
         (
             "k = 0",
@@ -78,7 +76,7 @@ fn decision_table() {
             0,
             QueryKind::Cross,
             Constraint::none(),
-            (Exhaustive, 0, 0, "empty-side"),
+            (Exhaustive, 0, "empty-side"),
         ),
         (
             "window misses the data",
@@ -86,7 +84,7 @@ fn decision_table() {
             10,
             QueryKind::Cross,
             Constraint::window(off_data),
-            (Exhaustive, 0, 0, "window-off-data"),
+            (Exhaustive, 0, "window-off-data"),
         ),
         (
             "tiny unconstrained",
@@ -94,7 +92,7 @@ fn decision_table() {
             10,
             QueryKind::Cross,
             Constraint::none(),
-            (Exhaustive, 0, 0, "tiny"),
+            (Exhaustive, 0, "tiny"),
         ),
         (
             "sliver window shrinks big data to tiny",
@@ -102,7 +100,7 @@ fn decision_table() {
             10,
             QueryKind::Cross,
             Constraint::window(sliver),
-            (Exhaustive, 0, 0, "tiny"),
+            (Exhaustive, 0, "tiny"),
         ),
         (
             "1-CP unconstrained",
@@ -110,7 +108,7 @@ fn decision_table() {
             1,
             QueryKind::Cross,
             Constraint::none(),
-            (SortedDistances, 0, 0, "1cp"),
+            (SortedDistances, 0, "1cp"),
         ),
         (
             "1-CP windowed",
@@ -118,7 +116,7 @@ fn decision_table() {
             1,
             QueryKind::Cross,
             Constraint::window(quarter),
-            (SortedDistances, 0, 0, "constrained"),
+            (SortedDistances, 0, "constrained"),
         ),
         (
             "colored-only constraint",
@@ -126,7 +124,7 @@ fn decision_table() {
             10,
             QueryKind::Cross,
             Constraint::colored(),
-            (SortedDistances, 0, 0, "constrained"),
+            (SortedDistances, 0, "constrained"),
         ),
         (
             "default K-CPQ",
@@ -134,23 +132,23 @@ fn decision_table() {
             10,
             QueryKind::Cross,
             Constraint::none(),
-            (SortedDistances, 0, 0, "default"),
+            (SortedDistances, 0, "default"),
         ),
         (
-            "mid work + ceiling → parallel",
+            "mid work stays on one thread",
             mid,
             10,
             QueryKind::Cross,
             Constraint::none(),
-            (SortedDistances, 4, 0, "default"),
+            (SortedDistances, 0, "default"),
         ),
         (
-            "quarter window keeps wide data parallel",
+            "quarter window on wide data stays on one thread",
             wide,
             10,
             QueryKind::Cross,
             Constraint::window(quarter),
-            (SortedDistances, 4, 0, "constrained"),
+            (SortedDistances, 0, "constrained"),
         ),
         (
             "huge work + shards → scatter",
@@ -158,7 +156,7 @@ fn decision_table() {
             10,
             QueryKind::Cross,
             Constraint::none(),
-            (SortedDistances, 0, 4, "default"),
+            (SortedDistances, 4, "default"),
         ),
         (
             "self-join plans off the P side",
@@ -170,14 +168,13 @@ fn decision_table() {
             1,
             QueryKind::SelfJoin,
             Constraint::none(),
-            (SortedDistances, 0, 0, "1cp"),
+            (SortedDistances, 0, "1cp"),
         ),
     ];
 
-    for (label, i, k, kind, con, (alg, par, scatter, reason)) in table {
+    for (label, i, k, kind, con, (alg, scatter, reason)) in table {
         let p = plan(&i, k, kind, &con);
         assert_eq!(p.algorithm, alg, "{label}: algorithm");
-        assert_eq!(p.parallelism, par, "{label}: parallelism");
         assert_eq!(p.scatter, scatter, "{label}: scatter");
         assert_eq!(p.reason, reason, "{label}: reason");
     }

@@ -86,7 +86,6 @@ fn service_results_bit_identical_to_direct_calls() {
             workers: 4,
             queue_capacity: 128,
             cpq: cfg,
-            max_parallelism: 1,
             max_shards: 1,
             default_deadline: None,
             obs: ObsConfig::default(),
@@ -140,7 +139,6 @@ fn full_queue_sheds_and_dropped_tickets_resolve() {
             workers: 0,
             queue_capacity: 2,
             cpq: CpqConfig::paper(),
-            max_parallelism: 1,
             max_shards: 1,
             default_deadline: None,
             obs: ObsConfig::default(),
@@ -175,7 +173,6 @@ fn expired_deadline_times_out_without_wedging_the_worker() {
             workers: 1,
             queue_capacity: 8,
             cpq: CpqConfig::paper(),
-            max_parallelism: 1,
             max_shards: 1,
             default_deadline: None,
             obs: ObsConfig::default(),
@@ -214,7 +211,6 @@ fn default_deadline_applies_and_is_overridable() {
             workers: 1,
             queue_capacity: 8,
             cpq: CpqConfig::paper(),
-            max_parallelism: 1,
             max_shards: 1,
             default_deadline: Some(Duration::ZERO), // everything times out…
             obs: ObsConfig::default(),
@@ -253,7 +249,6 @@ fn shutdown_drains_admitted_backlog() {
             workers: 1,
             queue_capacity: 16,
             cpq: CpqConfig::paper(),
-            max_parallelism: 1,
             max_shards: 1,
             default_deadline: None,
             obs: ObsConfig::default(),
@@ -287,7 +282,6 @@ fn timing_and_summary_bookkeeping() {
             workers: 2,
             queue_capacity: 32,
             cpq: CpqConfig::paper(),
-            max_parallelism: 1,
             max_shards: 1,
             default_deadline: None,
             obs: ObsConfig::default(),
@@ -320,101 +314,4 @@ fn timing_and_summary_bookkeeping() {
     assert_eq!(stats.latency.count, 10);
     assert_eq!(stats.queue_wait.count, 10);
     assert!(stats.throughput_qps > 0.0);
-}
-
-/// Per-request intra-query parallelism: a parallel request answered through
-/// the service is bit-identical (pairs *and* work counters) to a direct
-/// sequential engine call, asks above `max_parallelism` are clamped rather
-/// than rejected, deadlines still produce `TimedOut` partials, and the
-/// per-query profile plus `/metrics` expose the parallel execution counters.
-#[test]
-fn parallel_requests_bit_identical_clamped_and_deadline_safe() {
-    let cfg = CpqConfig::paper();
-    // Unbuffered pools: the parallel engine's logical disk ledger then
-    // matches the sequential pool-miss delta exactly, so full-stats
-    // equality is meaningful here too.
-    let (tp, tq) = tree_pair(400, 0);
-    let expected_cross = k_closest_pairs(&tp, &tq, 50, Algorithm::Heap, &cfg).unwrap();
-    let expected_self = self_closest_pairs(&tp, 50, Algorithm::Heap, &cfg).unwrap();
-
-    let service = CpqService::start(
-        TreePair::new(tp, tq),
-        ServiceConfig {
-            workers: 2,
-            queue_capacity: 64,
-            cpq: cfg,
-            max_parallelism: 8,
-            max_shards: 1,
-            default_deadline: None,
-            obs: ObsConfig::default(),
-        },
-    );
-
-    // 64 exceeds the ceiling and must be clamped to 8, not refused.
-    for threads in [2usize, 8, 64] {
-        let resp = service
-            .execute(QueryRequest::cross(50, Algorithm::Heap).with_parallelism(threads))
-            .unwrap();
-        assert_eq!(resp.status, QueryStatus::Completed, "threads={threads}");
-        assert_pairs_identical(
-            &resp.pairs,
-            &expected_cross.pairs,
-            &format!("parallel cross threads={threads}"),
-        );
-        assert_eq!(resp.stats, expected_cross.stats, "threads={threads}");
-        let profile = resp.profile.expect("obs is on");
-        assert_eq!(
-            profile.parallel_workers,
-            (threads.min(8) - 1) as u64,
-            "threads={threads}: driver plus this many speculating workers"
-        );
-
-        let resp = service
-            .execute(QueryRequest::self_join(50, Algorithm::Heap).with_parallelism(threads))
-            .unwrap();
-        assert_eq!(resp.status, QueryStatus::Completed);
-        assert_pairs_identical(
-            &resp.pairs,
-            &expected_self.pairs,
-            &format!("parallel self threads={threads}"),
-        );
-        assert_eq!(resp.stats, expected_self.stats, "threads={threads}");
-    }
-
-    // A request that stays sequential reports zero workers.
-    let resp = service
-        .execute(QueryRequest::cross(5, Algorithm::Heap))
-        .unwrap();
-    assert_eq!(resp.profile.expect("obs is on").parallel_workers, 0);
-
-    // An impossible deadline on a parallel request times out with a valid
-    // (possibly empty) sorted partial and releases the worker.
-    let resp = service
-        .execute(
-            QueryRequest::cross(50, Algorithm::Heap)
-                .with_parallelism(8)
-                .with_deadline(Duration::ZERO),
-        )
-        .unwrap();
-    assert_eq!(resp.status, QueryStatus::TimedOut);
-    assert!(resp.pairs.len() <= 50);
-
-    // The service is unharmed: the next parallel query completes exactly.
-    let resp = service
-        .execute(QueryRequest::cross(50, Algorithm::Heap).with_parallelism(8))
-        .unwrap();
-    assert_eq!(resp.status, QueryStatus::Completed);
-    assert_pairs_identical(&resp.pairs, &expected_cross.pairs, "after timeout");
-
-    let metrics = service.render_metrics();
-    for family in [
-        "cpq_parallel_queries_total",
-        "cpq_parallel_tasks_total",
-        "cpq_parallel_cache_hits_total",
-        "cpq_parallel_steals_total",
-        "cpq_parallel_steal_misses_total",
-        "cpq_parallel_bound_updates_total",
-    ] {
-        assert!(metrics.contains(family), "missing metric family {family}");
-    }
 }

@@ -67,8 +67,8 @@ pub struct ShardReport {
     pub pairs_opened: u64,
     /// Opened subqueries that ran to completion.
     pub subqueries_completed: u64,
-    /// Successful tightenings of the cross-shard [`SharedBound`]
-    /// ([`cpq_core::SharedBound`]).
+    /// Successful tightenings of the cross-shard
+    /// [`SharedBound`](cpq_core::SharedBound).
     pub bound_updates: u64,
 }
 

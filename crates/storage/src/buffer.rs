@@ -125,7 +125,7 @@ impl FrameList {
 
 /// Least-recently-used replacement — the policy used throughout the paper.
 ///
-/// Recency is the order of a [`FrameList`]: a hit splices the frame at the
+/// Recency is the order of a `FrameList`: a hit splices the frame at the
 /// head, eviction takes the tail — `O(1)` both, and exactly the victim a
 /// per-frame access stamp and a minimum scan would choose (the scan this
 /// replaced cost ~0.7 us per miss at 512 frames, under the pool mutex).
@@ -160,7 +160,7 @@ impl ReplacementPolicy for LruPolicy {
 }
 
 /// First-in-first-out replacement (ablation baseline: ignores recency). The
-/// same [`FrameList`] as LRU, in insertion order: a hit moves nothing.
+/// same `FrameList` as LRU, in insertion order: a hit moves nothing.
 #[derive(Debug, Default)]
 pub struct FifoPolicy {
     order: FrameList,

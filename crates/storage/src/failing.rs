@@ -76,7 +76,7 @@ impl FailureControl {
         self.slow_read_nanos.store(0, Ordering::SeqCst);
     }
 
-    /// Reads attempted through the wrapper since the last [`fail_read`]
+    /// Reads attempted through the wrapper since the last [`fail_read`](Self::fail_read)
     /// (or since construction).
     pub fn reads_seen(&self) -> u64 {
         // ordering: SeqCst — fault knob; see `fail_read`.

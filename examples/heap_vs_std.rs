@@ -11,9 +11,9 @@
 //! pool frames each, warm; then the same requests planned, through a
 //! one-worker service), the `kcpq_hot` / `kcpq_cold` classes (62,536
 //! clustered against uniform points; resident, or disk files behind 32
-//! frames cleared before every query), and the two planner rows no workload
-//! reaches: `parallelism = 2` and scatter over S = 4 shards (2 workers) on
-//! the cold trees. Page files go to `target/heap_vs_std/`.
+//! frames cleared before every query), and the planner row no workload
+//! reaches: scatter over S = 4 shards (2 workers) on the cold trees. Page
+//! files go to `target/heap_vs_std/`.
 
 use cpq::core::{execute, Algorithm, Constraint, CpqConfig, ExecCtx, QuerySpec};
 use cpq::datasets::{clustered, uniform, ClusterSpec, CALIFORNIA_SURROGATE_SIZE};
@@ -184,8 +184,8 @@ fn svc_mix_classes(seed: u64, cfg: &CpqConfig) {
     service.shutdown();
 }
 
-/// The `kcpq_hot` / `kcpq_cold` classes, then the cold trees through the
-/// parallel executor and through scatter-gather.
+/// The `kcpq_hot` / `kcpq_cold` classes, then the cold trees through
+/// scatter-gather.
 fn kcpq_classes(seed: u64, cfg: &CpqConfig, dir: &Path) {
     let n = CALIFORNIA_SURROGATE_SIZE;
     let pts_p = clustered(n, ClusterSpec::default(), sub_seed(seed, 1)).indexed();
@@ -194,7 +194,7 @@ fn kcpq_classes(seed: u64, cfg: &CpqConfig, dir: &Path) {
     let cold_p = to_disk(&hot_p, &dir.join("p.pages"));
     let cold_q = to_disk(&hot_q, &dir.join("q.pages"));
     let ks = [1, 10, 100, 10_000];
-    let table = |title: &str, p: &RTree<2>, q: &RTree<2>, cold: bool, cfg: &CpqConfig| {
+    let table = |title: &str, p: &RTree<2>, q: &RTree<2>, cold: bool| {
         header(title);
         for k in ks {
             let cells = ALGORITHMS.map(|alg| {
@@ -212,20 +212,12 @@ fn kcpq_classes(seed: u64, cfg: &CpqConfig, dir: &Path) {
             row(&format!("K={k}"), cells);
         }
     };
-    table("kcpq_hot classes (resident)", &hot_p, &hot_q, false, cfg);
+    table("kcpq_hot classes (resident)", &hot_p, &hot_q, false);
     table(
         "kcpq_cold classes (disk, 32 frames per tree, cleared per query)",
         &cold_p,
         &cold_q,
         true,
-        cfg,
-    );
-    table(
-        "kcpq_cold trees at parallelism = 2 (the planner's parallel rows)",
-        &cold_p,
-        &cold_q,
-        true,
-        &cfg.with_parallelism(2),
     );
 
     let shard = |side: &str, pts: &[(Point2, u64)]| {

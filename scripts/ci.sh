@@ -15,6 +15,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo build --release"
 cargo build --release --workspace
 
+# Rustdoc with warnings as errors: a deletion that leaves a stale intra-doc
+# link, or a public doc that links a private item, fails here.
+echo "==> cargo doc --workspace --no-deps (RUSTDOCFLAGS=-D warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "==> cargo test -q"
 cargo test --workspace -q
 

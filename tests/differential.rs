@@ -705,7 +705,6 @@ fn check(case: &Case, tally: &mut Tally) {
     let service_config = |obs: ObsConfig| ServiceConfig {
         workers: 1,
         cpq: cfg,
-        max_parallelism: 4,
         max_shards: 4,
         obs,
         ..ServiceConfig::default()
@@ -979,9 +978,7 @@ fn check(case: &Case, tally: &mut Tally) {
             },
             constraint: spec.constraint,
             deadline,
-            ..QueryRequest::cross(spec.k, algorithm)
-                .with_parallelism(cfg.parallelism)
-                .with_scatter(case.shard_workers)
+            ..QueryRequest::cross(spec.k, algorithm).with_scatter(case.shard_workers)
         };
         let response = service.execute(request).unwrap();
         match response.status {
