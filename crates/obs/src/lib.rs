@@ -16,14 +16,12 @@
 //!   compiles to exactly the code it had before this crate existed;
 //!   [`ProfileProbe`] accumulates a full [`QueryProfile`].
 //! * **[`QueryProfile`]** — the structured work profile of one query:
-//!   per-tree-level node accesses, buffer hits/misses, distance computations
-//!   vs. threshold-kernel early-outs, plane-sweep pruning, heap
-//!   high-watermark, and queue-wait / per-phase timings. Serializes to one
-//!   JSON line for the slow-query log.
+//!   per-tree-level node accesses, buffer hits/misses, distance
+//!   computations, pruned and processed node pairs, heap high-watermark,
+//!   scatter and planner counters, and queue-wait / per-phase timings.
+//!   Serializes to one JSON line for the slow-query log.
 //! * **[`SlowQueryLog`]** — the most recent full profiles of queries over
 //!   a latency threshold, drained as JSONL.
-//! * **[`Percentiles`]** — the nearest-rank percentile summary shared by
-//!   `cpq-service` and the benchmark harness (one implementation, not two).
 //! * **[`lint_exposition`]** — a small exposition-format linter used by the
 //!   CI metrics smoke test to reject malformed `/metrics` output.
 
@@ -32,7 +30,6 @@
 
 mod lint;
 mod metrics;
-mod percentile;
 mod probe;
 mod profile;
 mod slowlog;
@@ -42,7 +39,6 @@ pub use metrics::{
     Counter, FamilySnapshot, Gauge, Histogram, HistogramSnapshot, MetricKind, MetricValue,
     Registry, SeriesSnapshot, Snapshot,
 };
-pub use percentile::Percentiles;
 pub use probe::{NullProbe, Probe, ProbeSide, ProfileProbe};
 pub use profile::QueryProfile;
 pub use slowlog::SlowQueryLog;

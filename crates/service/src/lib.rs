@@ -21,8 +21,9 @@
 //!
 //! Per-request `K`, algorithm, join kind, and deadline; shed-on-full
 //! admission control; cooperative deadline cancellation at node-visit
-//! granularity with partial results; and latency/queue-wait/throughput
-//! statistics. Everything is `std`-only.
+//! granularity with partial results; latency and queue wait on every
+//! response; and a lock-free ledger of queries by outcome, and of sheds.
+//! Everything is `std`-only.
 //!
 //! ## Quick start
 //!
@@ -74,7 +75,7 @@ pub use planner::{plan, PlannerInputs, QueryPlan};
 pub use queue::AdmissionQueue;
 pub use request::{QueryKind, QueryRequest, QueryResponse, QueryStatus, Rejected};
 pub use service::{CpqService, QueryTicket, ServiceConfig, Source, TreePair};
-pub use stats::{Percentiles, ServiceStats, StatsSummary};
+pub use stats::StatsSummary;
 
 // Re-exported so embedders can drive cancellation themselves, and build
 // the windowed/colored constraints requests carry (and read a request back
@@ -111,7 +112,6 @@ mod thread_safety {
         assert_send_sync::<AdmissionQueue<QueryRequest>>();
         assert_send_sync::<QueryRequest>();
         assert_send_sync::<QueryResponse<2>>();
-        assert_send_sync::<ServiceStats>();
         assert_send_sync::<StatsSummary>();
         assert_send_sync::<CancelToken>();
         // Tickets move to whichever thread awaits them (Send), but a

@@ -6,9 +6,11 @@
 //! query; scrapers read it through
 //! [`CpqService::render_metrics`](crate::CpqService::render_metrics) (or the
 //! HTTP listener in [`crate::http`]), which refreshes the bridged series
-//! from the buffer pools at scrape time.
+//! from the service's query ledger and the buffer pools at scrape time.
 
+use crate::stats::{ServiceStats, ALGORITHMS, OUTCOMES};
 use cpq_check::sync::Arc;
+use cpq_core::Algorithm;
 use cpq_live::{ApplyReport, LiveStats};
 use cpq_obs::{Counter, Gauge, Histogram, QueryProfile, Registry, SlowQueryLog};
 use cpq_storage::BufferPool;
@@ -50,11 +52,6 @@ impl ObsConfig {
         }
     }
 }
-
-/// Algorithm labels pre-registered so `/metrics` shows the full query
-/// matrix (as zeros) before any traffic arrives.
-const ALGORITHMS: [&str; 5] = ["NAIVE", "EXH", "SIM", "STD", "HEAP"];
-const OUTCOMES: [&str; 3] = ["completed", "timed-out", "failed"];
 
 struct TreeBridge {
     hits: Arc<Counter>,
@@ -177,6 +174,10 @@ impl LiveBridge {
 /// instruments, and the slow-query log.
 pub struct ServiceObs {
     registry: Registry,
+    /// `cpq_queries_total`, laid out like the ledger it is bridged from.
+    queries: [[Arc<Counter>; OUTCOMES.len()]; ALGORITHMS.len()],
+    /// `cpq_plan_queries_total`, by `algorithm as usize`.
+    plan_queries: [Arc<Counter>; ALGORITHMS.len()],
     latency_us: Arc<Histogram>,
     queue_wait_us: Arc<Histogram>,
     node_accesses_p: Arc<Counter>,
@@ -226,36 +227,36 @@ fn bridge(registry: &Registry, tree: &str) -> TreeBridge {
 }
 
 impl ServiceObs {
-    /// Builds the registry with every family pre-registered.
-    pub fn new(config: &ObsConfig) -> Self {
+    /// Builds the registry with every family pre-registered — the full
+    /// algorithm × outcome matrix shows (as zeros) before any traffic — and
+    /// keeps a handle to every series it updates, so recording a query
+    /// never looks a series up.
+    pub(crate) fn new(config: &ObsConfig) -> Self {
         let registry = Registry::new();
-        for algo in ALGORITHMS {
-            for outcome in OUTCOMES {
+        let queries = ALGORITHMS.map(|a| {
+            OUTCOMES.map(|outcome| {
                 registry.counter(
                     "cpq_queries_total",
-                    "queries executed, by algorithm and outcome",
-                    &[("algorithm", algo), ("outcome", outcome)],
-                );
-            }
-            // Planner decisions pre-registered per algorithm so dashboards
-            // can plot planner-vs-hand-knobbed traffic before any arrives.
+                    "queries executed, by algorithm and outcome (bridged from the service's ledger at scrape time)",
+                    &[("algorithm", a.label()), ("outcome", outcome)],
+                )
+            })
+        });
+        let plan_queries = ALGORITHMS.map(|a| {
             registry.counter(
                 "cpq_plan_queries_total",
                 "planner-executed queries, by chosen algorithm",
-                &[("algorithm", algo)],
-            );
-        }
+                &[("algorithm", a.label())],
+            )
+        });
         let threshold_us = config
             .slow_query_threshold
             .map(|d| d.as_micros() as u64)
             // No threshold: nothing is slow enough, so the log stays empty.
             .unwrap_or(u64::MAX);
-        let capacity = if config.slow_query_threshold.is_some() {
-            config.slow_log_capacity
-        } else {
-            0
-        };
         ServiceObs {
+            queries,
+            plan_queries,
             latency_us: registry.histogram(
                 "cpq_query_latency_microseconds",
                 "end-to-end query latency (admission to response), microseconds",
@@ -333,7 +334,7 @@ impl ServiceObs {
             ),
             sheds: registry.counter(
                 "cpq_sheds_total",
-                "requests shed by admission control (never executed)",
+                "requests shed by admission control, never executed (bridged from the service's ledger at scrape time)",
                 &[],
             ),
             queue_depth: registry.gauge(
@@ -365,7 +366,7 @@ impl ServiceObs {
             bridge_q: bridge(&registry, "q"),
             live_bridge_p: live_bridge(&registry, "p"),
             live_bridge_q: live_bridge(&registry, "q"),
-            slow_log: SlowQueryLog::new(threshold_us, capacity),
+            slow_log: SlowQueryLog::new(threshold_us, config.slow_log_capacity),
             registry,
         }
     }
@@ -380,38 +381,18 @@ impl ServiceObs {
         &self.slow_log
     }
 
-    /// Records one shed request.
-    pub fn record_shed(&self) {
-        self.sheds.inc();
-    }
-
     /// Records one accepted `apply_updates` batch.
-    pub fn record_apply(&self, report: &ApplyReport) {
+    pub(crate) fn record_apply(&self, report: &ApplyReport) {
         self.apply_batches.inc();
         self.apply_ops.add(report.applied as u64);
     }
 
-    /// Records one executed query from its completed profile, and offers it
-    /// to the slow-query log.
-    pub fn record_query(&self, profile: &QueryProfile) {
-        self.registry
-            .counter(
-                "cpq_queries_total",
-                "queries executed, by algorithm and outcome",
-                &[
-                    ("algorithm", profile.algorithm.as_str()),
-                    ("outcome", profile.status.as_str()),
-                ],
-            )
-            .inc();
+    /// Records the work of one executed query, which ran `algorithm`, from
+    /// its completed profile, and offers the profile to the slow-query log.
+    /// (The query itself is counted in the service's ledger.)
+    pub(crate) fn record_query(&self, algorithm: Algorithm, profile: &QueryProfile) {
         if profile.planned {
-            self.registry
-                .counter(
-                    "cpq_plan_queries_total",
-                    "planner-executed queries, by chosen algorithm",
-                    &[("algorithm", profile.algorithm.as_str())],
-                )
-                .inc();
+            self.plan_queries[algorithm as usize].inc();
             if profile.plan_scatter > 0 {
                 self.plan_scatter.inc();
             }
@@ -439,21 +420,29 @@ impl ServiceObs {
         self.slow_log.observe(profile);
     }
 
-    /// Refreshes the series that mirror external state — the bridged
-    /// buffer-pool counters/ratios and the queue-depth gauge — then renders
-    /// the registry in Prometheus text-exposition format.
+    /// Refreshes the series that mirror external state — the query and
+    /// shed counts of the service's ledger, the bridged buffer-pool
+    /// counters/ratios and the queue-depth gauge — then renders the
+    /// registry in Prometheus text-exposition format.
     ///
-    /// The bridge uses `Counter::store` with the pools' *cumulative* totals
-    /// (taken under each pool's single-lock
+    /// The bridge uses `Counter::store` with the sources' *cumulative*
+    /// totals (the pools' taken under each pool's single-lock
     /// [`stats_snapshot`](cpq_storage::BufferPool::stats_snapshot)), so the
-    /// exposed series can never disagree with the pools' own books.
-    pub fn render(
+    /// exposed series can never disagree with the sources' own books.
+    pub(crate) fn render(
         &self,
+        ledger: &ServiceStats,
         pool_p: &BufferPool,
         pool_q: &BufferPool,
         live: Option<&(LiveStats, LiveStats)>,
         queue_depth: usize,
     ) -> String {
+        for (series, counts) in self.queries.iter().zip(&ledger.executed) {
+            for (s, c) in series.iter().zip(counts) {
+                s.store(c.get());
+            }
+        }
+        self.sheds.store(ledger.shed.get());
         let (bp, _) = pool_p.stats_snapshot();
         self.bridge_p.hits.store(bp.hits);
         self.bridge_p.misses.store(bp.misses);

@@ -45,14 +45,14 @@ pub struct QueryRequest<const D: usize = 2> {
     /// overrides it. An expired query stops within one node visit and
     /// responds [`QueryStatus::TimedOut`] with its partial result.
     pub deadline: Option<Duration>,
-    /// Scatter-gather worker fan-out requested for this query. `None` or
-    /// `0` runs the classic single-tree path; values `≥ 1` route the query
+    /// Scatter-gather worker fan-out requested for this query. `0` (the
+    /// default) runs the classic single-tree path; values `≥ 1` route the query
     /// over the service's sharded replicas (when started over a
     /// [`Source::Sharded`](crate::Source::Sharded); ignored otherwise),
     /// clamped to the service's
     /// [`max_shards`](crate::ServiceConfig::max_shards). Results are
     /// bit-identical either way — sharding only buys pruning and fan-out.
-    pub scatter: Option<usize>,
+    pub scatter: usize,
     /// Result-pair constraint: per-side query windows and/or the colored
     /// (pair spans two categories) requirement. The default
     /// [`Constraint::none`] runs the plain K-CPQ path unchanged. Self-join
@@ -76,7 +76,7 @@ impl<const D: usize> QueryRequest<D> {
             algorithm,
             kind: QueryKind::Cross,
             deadline: None,
-            scatter: None,
+            scatter: 0,
             constraint: Constraint::none(),
             planned: false,
         }
@@ -132,7 +132,7 @@ impl<const D: usize> QueryRequest<D> {
     /// replicas with this worker fan-out; clamped to the service's
     /// [`max_shards`](crate::ServiceConfig::max_shards) at execution time.
     pub fn with_scatter(mut self, workers: usize) -> Self {
-        self.scatter = Some(workers);
+        self.scatter = workers;
         self
     }
 }

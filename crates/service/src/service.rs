@@ -15,6 +15,7 @@ use cpq_geo::Rect;
 use cpq_live::{ApplyReport, LiveError, LiveSet, LiveTree, UpdateOp};
 use cpq_rtree::{LevelStats, RTree};
 use cpq_shard::{execute_sharded, ShardConfig, ShardReport, ShardedPair};
+use cpq_storage::BufferPool;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -102,10 +103,10 @@ pub enum Source<const D: usize> {
     /// return bit-identical pairs for the same request, so callers can
     /// flip traffic between them freely.
     ///
-    /// Caveats of the scatter path: profiles carry the `shard_*` counters
+    /// Caveat of the scatter path: profiles carry the `shard_*` counters
     /// but not per-level node accesses (the probe instruments only the
-    /// single-tree engine), and buffer-hit/miss deltas reflect the pair's
-    /// pools, not the per-shard pools.
+    /// single-tree engine); their buffer-hit/miss deltas are the shard
+    /// pools'.
     Sharded(TreePair<D>, ShardedPair<D>),
     /// A mutable [`LiveSet`]: queries run on pinned epoch snapshots (each
     /// sees one committed state for its whole execution, no matter how
@@ -132,7 +133,7 @@ impl<const D: usize> Source<D> {
 
     /// The two buffer pools behind the source (stable across snapshots,
     /// so the metrics bridges read the same books either way).
-    fn pools(&self) -> (&cpq_storage::BufferPool, &cpq_storage::BufferPool) {
+    fn pools(&self) -> (&BufferPool, &BufferPool) {
         match self {
             Source::Static(trees) | Source::Sharded(trees, _) => (trees.p.pool(), trees.q.pool()),
             Source::Live(live) => (live.p().pool(), live.q().pool()),
@@ -241,7 +242,7 @@ impl<const D: usize> CpqService<D> {
         let shared = Arc::new(Shared {
             source,
             queue: AdmissionQueue::new(config.queue_capacity),
-            stats: ServiceStats::new(),
+            stats: ServiceStats::default(),
             cpq: config.cpq,
             max_shards: config.max_shards.max(1),
             default_deadline: config.default_deadline,
@@ -293,10 +294,7 @@ impl<const D: usize> CpqService<D> {
         match self.shared.queue.try_push(job) {
             Ok(()) => Ok(QueryTicket { id, req, rx }),
             Err(job) => {
-                self.shared.stats.record_shed();
-                if let Some(obs) = &self.shared.obs {
-                    obs.record_shed();
-                }
+                self.shared.stats.shed.inc();
                 Err(Rejected(job.req))
             }
         }
@@ -307,7 +305,7 @@ impl<const D: usize> CpqService<D> {
         self.submit(req).map(QueryTicket::wait)
     }
 
-    /// Aggregated service statistics so far.
+    /// The service's lifetime counts so far: queries by outcome, and sheds.
     pub fn stats(&self) -> StatsSummary {
         self.shared.stats.summary()
     }
@@ -415,19 +413,32 @@ impl<const D: usize> Drop for CpqService<D> {
     }
 }
 
-/// Buffer-pool totals the trees have accumulated so far; the worker takes
-/// this before and after a query and reports the delta in the profile.
-/// Under concurrency other workers' faults land in the same pools, so the
-/// delta is exact for a single-worker service and approximate otherwise
-/// (same caveat as [`QueryResponse::stats`]'s disk accesses).
-fn pool_totals<const D: usize>(shared: &Shared<D>, kind: QueryKind) -> (u64, u64) {
-    let (pool_p, pool_q) = shared.source.pools();
-    let (p, _) = pool_p.stats_snapshot();
-    match kind {
-        QueryKind::SelfJoin => (p.hits, p.misses),
-        QueryKind::Cross => {
-            let (q, _) = pool_q.stats_snapshot();
-            (p.hits + q.hits, p.misses + q.misses)
+/// Buffer-pool `(hits, misses)` accumulated so far by the pools a query
+/// runs on: the shard pools when it scatters over `shards`, else the
+/// source's pair (`p` alone for a self-join). The worker takes this before
+/// and after a query and reports the delta in the profile. Under
+/// concurrency other workers' faults land in the same pools, so the delta
+/// is exact for a single-worker service and approximate otherwise (same
+/// caveat as [`QueryResponse::stats`]'s disk accesses).
+fn pool_totals<const D: usize>(
+    shared: &Shared<D>,
+    kind: QueryKind,
+    shards: Option<&ShardedPair<D>>,
+) -> (u64, u64) {
+    fn sum<'a>(pools: impl Iterator<Item = &'a BufferPool>) -> (u64, u64) {
+        pools
+            .map(|pool| pool.stats_snapshot().0)
+            .fold((0, 0), |(h, m), s| (h + s.hits, m + s.misses))
+    }
+    let cross = kind == QueryKind::Cross;
+    match shards {
+        Some(pair) => {
+            let q = if cross { pair.q.shards() } else { &[] };
+            sum(pair.p.shards().iter().chain(q).map(RTree::pool))
+        }
+        None => {
+            let (p, q) = shared.source.pools();
+            sum(std::iter::once(p).chain(cross.then_some(q)))
         }
     }
 }
@@ -444,7 +455,7 @@ impl<const D: usize> Shared<D> {
             Source::Live(live) => Some(live.stats()),
             _ => None,
         };
-        obs.render(pool_p, pool_q, live.as_ref(), self.queue.len())
+        obs.render(&self.stats, pool_p, pool_q, live.as_ref(), self.queue.len())
     }
 
     /// Runs the planner for one planned request: gathers the cheap data
@@ -502,24 +513,28 @@ fn worker_loop<const D: usize>(shared: &Shared<D>) {
         let query_plan = job.req.planned.then(|| shared.plan_query(&job.req));
         if let Some(p) = &query_plan {
             job.req.algorithm = p.algorithm;
-            job.req.scatter = (p.scatter > 0).then_some(p.scatter);
+            job.req.scatter = p.scatter;
         }
         let cancel = match job.deadline_at {
             Some(at) => CancelToken::with_deadline(at),
             None => CancelToken::new(),
         };
+        // Shard-aware dispatch: a request carrying a scatter fan-out runs
+        // over the sharded replicas (when this service holds them), clamped
+        // to the configured ceiling.
+        let scatter_workers = job.req.scatter.min(shared.max_shards);
+        let shards = match &shared.source {
+            Source::Sharded(_, pair) if scatter_workers >= 1 => Some(pair),
+            _ => None,
+        };
         let instrument = shared.obs.is_some();
         let buf_before = if instrument {
-            pool_totals(shared, job.req.kind)
+            pool_totals(shared, job.req.kind, shards)
         } else {
             (0, 0)
         };
         let mut probe = ProfileProbe::new();
         let cpq = shared.cpq;
-        // Shard-aware dispatch: a request carrying a scatter fan-out runs
-        // over the sharded replicas (when this service holds them), clamped
-        // to the configured ceiling.
-        let scatter_workers = job.req.scatter.unwrap_or(0).min(shared.max_shards);
         let mut shard_report = None;
         let spec = job.req.spec();
         // The single-tree engine over two borrowed trees — the static pair
@@ -543,8 +558,8 @@ fn worker_loop<const D: usize>(shared: &Shared<D>) {
             }
             .map_err(|e| e.to_string())
         };
-        let result = match &shared.source {
-            Source::Sharded(_, pair) if scatter_workers >= 1 => {
+        let result = match (&shared.source, shards) {
+            (_, Some(pair)) => {
                 let shard_cfg = ShardConfig {
                     workers: scatter_workers,
                     query_id: job.id,
@@ -569,11 +584,13 @@ fn worker_loop<const D: usize>(shared: &Shared<D>) {
                 })
                 .map_err(|e| e.to_string())
             }
-            Source::Static(trees) | Source::Sharded(trees, _) => run_engine(&trees.p, &trees.q),
+            (Source::Static(trees) | Source::Sharded(trees, _), None) => {
+                run_engine(&trees.p, &trees.q)
+            }
             // Live path: pin epoch snapshots for the query's whole
             // execution — one committed state end to end, no matter how
             // many update batches commit mid-query. Self-joins pin only P.
-            Source::Live(live) => match live.p().snapshot() {
+            (Source::Live(live), None) => match live.p().snapshot() {
                 Err(e) => Err(e.to_string()),
                 Ok(snap_p) if spec.self_join => run_engine(snap_p.tree(), snap_p.tree()),
                 Ok(snap_p) => match live.q().snapshot() {
@@ -596,14 +613,13 @@ fn worker_loop<const D: usize>(shared: &Shared<D>) {
         };
         let exec = start.elapsed();
         let latency = job.enqueued.elapsed();
-        shared
-            .stats
-            .record_executed(&status, latency, queue_wait, stats.disk_accesses());
+        shared.stats.record_executed(job.req.algorithm, &status);
         let profile = shared.obs.as_ref().map(|obs| {
             let profile = complete_profile(
                 probe,
                 shared,
                 &job,
+                shards,
                 &status,
                 &stats,
                 shard_report,
@@ -612,7 +628,7 @@ fn worker_loop<const D: usize>(shared: &Shared<D>) {
                 queue_wait,
                 exec,
             );
-            obs.record_query(&profile);
+            obs.record_query(job.req.algorithm, &profile);
             Box::new(profile)
         });
         // A client may have dropped its ticket; the response is then
@@ -632,14 +648,16 @@ fn worker_loop<const D: usize>(shared: &Shared<D>) {
 }
 
 /// Fills the serving-layer fields of a probe-accumulated profile: identity,
-/// outcome, buffer deltas, stats-only counters, and timings. The
-/// engine-observable fields (node accesses per level, kernel counters,
-/// phase timings) were already written by the [`ProfileProbe`] callbacks.
+/// outcome, buffer deltas, the work counters of [`CpqStats`] (which the
+/// scatter path's shard subqueries fill too), and timings. The
+/// engine-observable fields (node accesses per level, phase timings) were
+/// already written by the [`ProfileProbe`] callbacks.
 #[allow(clippy::too_many_arguments)]
 fn complete_profile<const D: usize>(
     probe: ProfileProbe,
     shared: &Shared<D>,
     job: &Job<D>,
+    shards: Option<&ShardedPair<D>>,
     status: &QueryStatus,
     stats: &CpqStats,
     shard_report: Option<ShardReport>,
@@ -654,9 +672,10 @@ fn complete_profile<const D: usize>(
     profile.kind = job.req.kind.label().to_string();
     profile.status = status.label().to_string();
     profile.k = job.req.k as u64;
-    let (hits_after, misses_after) = pool_totals(shared, job.req.kind);
+    let (hits_after, misses_after) = pool_totals(shared, job.req.kind, shards);
     profile.buffer_hits = hits_after.saturating_sub(buf_before.0);
     profile.buffer_misses = misses_after.saturating_sub(buf_before.1);
+    profile.dist_computations = stats.dist_computations;
     profile.pairs_pruned = stats.pairs_pruned;
     profile.node_pairs_processed = stats.node_pairs_processed;
     profile.heap_inserts = stats.queue_inserts;

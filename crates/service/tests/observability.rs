@@ -330,6 +330,21 @@ fn sheds_are_counted() {
     }
     let body = service.render_metrics();
     assert!(body.contains(&format!("cpq_sheds_total {shed}")));
+    // `/metrics` is bridged from the same ledger `stats()` sums.
+    let stats = service.stats();
+    assert_eq!(stats.shed, shed);
+    let outcome_sum = |outcome: &str| -> u64 {
+        body.lines()
+            .filter(|l| {
+                l.starts_with("cpq_queries_total{") && l.contains(&format!("outcome=\"{outcome}\""))
+            })
+            .map(|l| l.rsplit(' ').next().unwrap().parse::<u64>().unwrap())
+            .sum()
+    };
+    assert_eq!(outcome_sum("completed"), stats.completed);
+    assert_eq!(outcome_sum("timed-out"), stats.timed_out);
+    assert_eq!(outcome_sum("failed"), stats.failed);
+    assert_eq!(stats.completed, 32 - shed);
     service.shutdown();
 }
 
@@ -346,5 +361,7 @@ fn disabled_observability_is_inert() {
     assert!(service.obs().is_none());
     assert_eq!(service.render_metrics(), "");
     assert!(service.drain_slow_queries().is_empty());
+    // The ledger counts with no registry behind it.
+    assert_eq!(service.stats().completed, 1);
     service.shutdown();
 }

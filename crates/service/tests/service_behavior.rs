@@ -309,9 +309,9 @@ fn timing_and_summary_bookkeeping() {
             resp.exec
         );
     }
+    let body = service.render_metrics();
+    assert!(body.contains("cpq_query_latency_microseconds_count 10"));
+    assert!(body.contains("cpq_queue_wait_microseconds_count 10"));
     let stats = service.shutdown();
     assert_eq!(stats.completed, 10);
-    assert_eq!(stats.latency.count, 10);
-    assert_eq!(stats.queue_wait.count, 10);
-    assert!(stats.throughput_qps > 0.0);
 }

@@ -81,6 +81,12 @@ fn scatter_fan_out_is_clamped_and_profiled() {
         "every shard pair accounted"
     );
     assert!(profile.shard_subqueries_completed > 0);
+    // The profile reports the work the shard subqueries did.
+    assert!(
+        profile.buffer_hits + profile.buffer_misses > 0,
+        "{profile:?}"
+    );
+    assert_eq!(profile.dist_computations, resp.stats.dist_computations);
 
     // A classic query on the same service carries zeroed shard counters.
     let resp = service

@@ -8,9 +8,11 @@
 //! curl http://127.0.0.1:9090/healthz
 //! ```
 //!
-//! Defaults: port 9090, 30 seconds. While up, a background client keeps
-//! issuing queries so repeated scrapes show the counters moving; queries
-//! slower than 5 ms land in the slow-query log, dumped as JSONL on exit.
+//! Defaults: port 9090, 30 seconds (port 0 binds an ephemeral one). While
+//! up, a background client keeps issuing queries so repeated scrapes show
+//! the counters moving; queries slower than 5 ms land in the slow-query
+//! log, dumped as JSONL on exit. Exits 1 unless the service's final
+//! statistics count every query issued as completed.
 
 use cpq::core::Algorithm;
 use cpq::datasets::uniform;
@@ -81,5 +83,9 @@ fn main() {
     );
     print!("{jsonl}");
     server.stop();
-    service.shutdown();
+    let stats = service.shutdown();
+    if stats.completed != i as u64 {
+        eprintln!("error: {i} queries issued, but the service counted {stats:?}");
+        std::process::exit(1);
+    }
 }

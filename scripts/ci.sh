@@ -40,6 +40,13 @@ echo "==> scripts/sample.sh smoke (SIGPROF sampler on examples/rtree_build)"
 cargo build --release --example rtree_build
 scripts/sample.sh target/release/examples/rtree_build 1 | grep -q 'cpq_rtree::'
 
+# The one runnable /metrics demo, on an ephemeral port for one second: it
+# exits non-zero unless the service counted every query it issued as
+# completed.
+echo "==> metrics_endpoint smoke (/metrics demo; every query counted)"
+cargo build --release --example metrics_endpoint
+target/release/examples/metrics_endpoint 0 1 >/dev/null
+
 # The benchmark's own four setup trees, page for page: their seed-1
 # fingerprints (EXPERIMENTS.md "PR 25"). A write-path change that alters one
 # page of a 62,536-point tree fails here. (The `""` keeps awk from comparing
