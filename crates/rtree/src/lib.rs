@@ -57,7 +57,6 @@ pub use entry::{InnerEntry, LeafEntry};
 pub use error::{RTreeError, RTreeResult};
 pub use params::{RTreeParams, SplitPolicy};
 pub use query::KnnNeighbor;
-pub use tiling::StrTiling;
 pub use tree::RTree;
 pub use treestats::LevelStats;
 pub use validate::{ValidateOptions, ValidationReport};

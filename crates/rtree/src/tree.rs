@@ -81,22 +81,7 @@ pub(crate) fn check_indexable<const D: usize>(object: &Point<D>) -> RTreeResult<
 impl<const D: usize> RTree<D> {
     /// Creates an empty tree over `pool`.
     pub fn new(pool: BufferPool, params: RTreeParams) -> RTreeResult<Self> {
-        Self::new_shared(Arc::new(pool), params)
-    }
-
-    /// Creates an empty tree over a pool shared with other trees (the
-    /// live-update path hands the same pool to a writer and to per-epoch
-    /// snapshot readers).
-    pub fn new_shared(pool: Arc<BufferPool>, params: RTreeParams) -> RTreeResult<Self> {
-        params.validate(pool.page_size(), D)?;
-        Ok(RTree {
-            pool,
-            params,
-            root: PageId::INVALID,
-            height: 0,
-            len: 0,
-            cow: None,
-        })
+        Self::from_descriptor(pool, params, (PageId::INVALID, 0, 0))
     }
 
     /// Re-attaches a tree whose pages already live in `pool` (e.g. after

@@ -1,17 +1,16 @@
-//! Edge cases where STR tiling meets window clipping — the geometry the
-//! windowed scatter planner leans on.
+//! Edge cases of window clipping — the geometry the windowed scatter
+//! planner leans on.
 //!
-//! The shard planner routes a windowed query by intersecting each tile's
-//! rectangle with the window; these tests pin the awkward inputs of that
-//! contract: duplicate points (cuts collapse), points collinear on the
-//! window boundary (boundary inclusivity must agree between `tile_of`,
-//! `contains_point`, and `intersection`), and windows fully outside the
-//! dataset MBR (clean empty intersections everywhere, never a panic or an
-//! inverted rectangle).
+//! The shard planner skips a shard whose MBR, clipped to the window, is
+//! empty; these tests pin the awkward inputs of that contract: points
+//! collinear on the window boundary (boundary inclusivity must agree
+//! between `contains_point` and `intersection`), windows fully outside the
+//! dataset MBR (clean empty intersections, never a panic or an inverted
+//! rectangle), and duplicates sitting exactly on the window edge.
 
 use cpq_geo::{Point, Point2, Rect, Rect2};
 use cpq_rng::Rng;
-use cpq_rtree::{RTree, RTreeParams, StrTiling, ValidateOptions};
+use cpq_rtree::{RTree, RTreeParams, ValidateOptions};
 use cpq_storage::{BufferPool, MemPageFile};
 
 fn points(n: usize, seed: u64) -> Vec<Point2> {
@@ -22,10 +21,9 @@ fn points(n: usize, seed: u64) -> Vec<Point2> {
 }
 
 #[test]
-fn window_outside_mbr_clips_every_tile_to_nothing() {
+fn window_outside_mbr_clips_to_nothing() {
     let pts = points(600, 41);
-    let tiling = StrTiling::build(&pts, 8);
-    let mbr = tiling.mbr().expect("non-empty input");
+    let mbr = Rect::bounding(pts.iter().copied()).expect("non-empty input");
     // Disjoint on both axes, disjoint on one axis, and merely *touching*
     // the MBR corner (touching is not outside: a point can sit exactly on
     // the shared corner).
@@ -33,12 +31,6 @@ fn window_outside_mbr_clips_every_tile_to_nothing() {
     let beside = Rect2::from_corners([2_000.0, 0.0], [3_000.0, 1_000.0]);
     for w in [far, beside] {
         assert!(mbr.intersection(&w).is_none(), "window must miss the MBR");
-        for rect in tiling.tile_rects() {
-            assert!(
-                rect.intersection(&w).is_none(),
-                "tile {rect:?} cannot intersect a window outside the MBR"
-            );
-        }
     }
     let corner = mbr.hi();
     let touching = Rect::from_corners(
@@ -47,43 +39,6 @@ fn window_outside_mbr_clips_every_tile_to_nothing() {
     );
     let touch = mbr.intersection(&touching).expect("corner contact");
     assert_eq!(touch.area(), 0.0, "corner contact clips to a point");
-}
-
-#[test]
-fn duplicate_point_tiles_clip_consistently() {
-    // Heavy duplication: 600 copies over 10 distinct sites. Cuts can only
-    // fall between distinct coordinates, so tiles collapse — but every
-    // produced tile rect must still clip against a window without
-    // producing inverted rectangles, and the points a window admits must
-    // be exactly the points whose tile rects the window intersects.
-    let mut rng = Rng::seed_from_u64(42);
-    let sites: Vec<Point2> = (0..10)
-        .map(|_| {
-            Point::new([
-                (rng.random_range(0..10u32) as f64) * 100.0,
-                (rng.random_range(0..10u32) as f64) * 100.0,
-            ])
-        })
-        .collect();
-    let pts: Vec<Point2> = (0..600)
-        .map(|_| sites[rng.random_range(0..sites.len())])
-        .collect();
-    let tiling = StrTiling::build(&pts, 8);
-    assert!(tiling.tiles() >= 1 && tiling.tiles() <= 8);
-    let rects = tiling.tile_rects();
-    let window = Rect2::from_corners([150.0, 150.0], [650.0, 650.0]);
-    for p in &pts {
-        let t = tiling.tile_of(p);
-        assert!(rects[t].contains_point(p));
-        if window.contains_point(p) {
-            // The tile holding an admitted point must survive the clip —
-            // this is exactly the pruning rule the scatter planner uses.
-            let clipped = rects[t]
-                .intersection(&window)
-                .expect("tile of an admitted point must intersect the window");
-            assert!(clipped.contains_point(p));
-        }
-    }
 }
 
 #[test]
@@ -110,16 +65,6 @@ fn collinear_points_on_the_window_boundary_stay_inside() {
         [900.0, 2_000.0],
     );
     assert!(mbr.intersection(&shifted).is_none());
-
-    // Tiling a pure line: dimension 0 has no usable cut, dimension 1
-    // still partitions; every tile rect is a zero-width segment that
-    // clips against the boundary window without inverting.
-    let tiling = StrTiling::build(&pts, 4);
-    assert!(tiling.tiles() > 1, "y cuts apply on a vertical line");
-    for rect in tiling.tile_rects() {
-        let c = rect.intersection(&window).expect("line sits on the edge");
-        assert!(c.area() == 0.0);
-    }
 }
 
 #[test]

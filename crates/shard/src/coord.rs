@@ -2,13 +2,14 @@
 //! worker pool, gathers and merges the partial top-K lists.
 //!
 //! The run is the paper's branch-and-bound loop one level up. Planning
-//! computes every shard pair's inter-shard `MINMINDIST` from the manifest
-//! MBRs; dispatch ([`Scatter`]) hands pairs out best-first and prunes the
-//! tail once the best remaining separation exceeds the shared bound;
-//! every subquery is an ordinary sequential engine run that consumes and
-//! publishes that bound ([`cpq_core::ExecCtx::with_scatter`]); the
-//! gather step merges by the canonical total order ([`merge_top_k`]), so
-//! the final top-K is bit-identical to the unsharded engine.
+//! computes every shard pair's inter-shard `MINMINDIST` from the shard
+//! MBRs ([`ShardedTree::mbrs`]); dispatch ([`Scatter`]) hands pairs out
+//! best-first and prunes the tail once the best remaining separation
+//! exceeds the shared bound; every subquery is an ordinary sequential
+//! engine run that consumes and publishes that bound
+//! ([`cpq_core::ExecCtx::with_scatter`]); the gather step merges by the
+//! canonical total order ([`merge_top_k`]), so the final top-K is
+//! bit-identical to the unsharded engine.
 //!
 //! With `ShardConfig::wire_codec` enabled, every subquery and partial
 //! result — plus a [`BoundUpdate`] per finished subquery — is round-tripped
@@ -123,7 +124,7 @@ impl From<ProtoError> for ShardError {
 /// pairs: the sharded counterpart of [`cpq_core::execute`], bit-identical
 /// to it over the unsharded datasets. For a self-join spec `q` must be `p`.
 ///
-/// Shard pairs whose window-clipped manifest MBRs cannot contain a
+/// Shard pairs whose window-clipped shard MBRs cannot contain a
 /// qualifying pair are skipped at planning time. Fails with
 /// [`RTreeError::InvalidParams`] when the spec is invalid (see
 /// [`QuerySpec::validate`]).
@@ -181,7 +182,7 @@ pub fn k_closest_pairs_sharded<const D: usize>(
     execute_sharded(p, q, &QuerySpec::cross(k), algorithm, config, shard, cancel)
 }
 
-/// Plans the shard-pair task set from the two manifests.
+/// Plans the shard-pair task set from the two sides' shard MBRs.
 ///
 /// Cross queries enumerate the full grid. Self-joins enumerate the
 /// diagonal (each shard self-joined) plus each unordered off-diagonal pair
@@ -196,23 +197,23 @@ fn plan<const D: usize>(
     constraint: &Constraint<D>,
 ) -> Vec<Task> {
     let mut tasks = Vec::new();
-    for mp in &p.manifest().shards {
+    for (sp, mbr_p) in (0u32..).zip(p.mbrs()) {
         // Windows prune at planning time too: a shard whose MBR misses its
         // side's window holds no qualifying points, so every pair it is on
         // can be skipped unopened; surviving pairs are prioritized by the
         // MINMINDIST of the *clipped* MBRs (a tighter, still-exact lower
         // bound — same argument as the engine's candidate clipping).
-        let Some(mbr_p) = constraint.clip_p(&mp.mbr()) else {
+        let Some(mbr_p) = constraint.clip_p(mbr_p) else {
             continue;
         };
-        for mq in &q.manifest().shards {
-            if self_join && mq.id < mp.id {
+        for (sq, mbr_q) in (0u32..).zip(q.mbrs()) {
+            if self_join && sq < sp {
                 continue;
             }
-            let Some(mbr_q) = constraint.clip_q(&mq.mbr()) else {
+            let Some(mbr_q) = constraint.clip_q(mbr_q) else {
                 continue;
             };
-            let diagonal = self_join && mp.id == mq.id;
+            let diagonal = self_join && sp == sq;
             let minmin = if diagonal {
                 0.0
             } else {
@@ -220,8 +221,8 @@ fn plan<const D: usize>(
             };
             tasks.push(Task {
                 minmin_bits: minmin.to_bits(),
-                shard_p: mp.id,
-                shard_q: mq.id,
+                shard_p: sp,
+                shard_q: sq,
                 self_join: diagonal,
                 orient: self_join && !diagonal,
             });

@@ -1,16 +1,15 @@
 //! Spatially sharded R*-trees with scatter-gather K-CPQ.
 //!
-//! ROADMAP item 1: the stepping stone from "one machine" to "fleet". Each
-//! dataset is partitioned into `S` shards by STR tile
-//! ([`cpq_rtree::StrTiling`], the same partitioner the bulk loader packs
-//! nodes with), every shard gets its own R*-tree over its own
+//! Each dataset is cut into `S` shards by sort-tile-recursive slabs of its
+//! objects' centers, every shard gets its own R*-tree over its own
 //! [`BufferPool`](cpq_storage::BufferPool) (its own page file, in a
 //! deployment its own machine), and a K-CPQ runs as **scatter-gather**:
 //!
 //! * The coordinator enumerates all shard pairs, computes each pair's
-//!   inter-shard `MINMINDIST` from the manifest MBRs, and descends them in
-//!   a **best-first priority queue** — exactly the paper's branch-and-bound
-//!   lifted one level, from node pairs to shard pairs.
+//!   inter-shard `MINMINDIST` from the shard MBRs ([`ShardedTree::mbrs`]),
+//!   and descends them in a **best-first priority queue** — exactly the
+//!   paper's branch-and-bound lifted one level, from node pairs to shard
+//!   pairs.
 //! * A worker pool pops shard pairs and runs each as an ordinary
 //!   (cancellable, sequential) engine subquery via [`cpq_core::execute`]
 //!   under [`cpq_core::ExecCtx::with_scatter`], all sharing one
@@ -25,9 +24,9 @@
 //!   to the unsharded engine** (the workspace's `tests/differential.rs`
 //!   gates on it, wire codec armed, against the brute-force oracle).
 //!
-//! The shard-pair protocol ([`proto`]) — manifest, subquery, bound update,
-//! partial result — is a set of explicit serializable types with a
-//! std-only byte codec: the future RPC boundary. The in-process
+//! The shard-pair protocol ([`proto`]) — subquery, bound update, partial
+//! result — is a set of explicit serializable types with a std-only byte
+//! codec: the future RPC boundary. The in-process
 //! coordinator can round-trip every subquery and result through the codec
 //! (`ShardConfig::wire_codec`) to prove the boundary is already real.
 
@@ -45,6 +44,4 @@ pub use coord::{
     execute_sharded, k_closest_pairs_sharded, ShardConfig, ShardError, ShardReport, ShardRun,
 };
 pub use merge::merge_top_k;
-pub use proto::{
-    BoundUpdate, PartialResult, ProtoError, ShardManifest, ShardMeta, ShardSubquery, WirePair,
-};
+pub use proto::{BoundUpdate, PartialResult, ProtoError, ShardSubquery, WirePair};

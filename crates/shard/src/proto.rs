@@ -3,12 +3,8 @@
 //!
 //! This is the future RPC boundary between the coordinator and remote
 //! shard servers, designed as wire messages from day one even though the
-//! current coordinator is in-process. Four message types cross it:
+//! current coordinator is in-process. Three message types cross it:
 //!
-//! * [`ShardManifest`] — what a shard server advertises at registration:
-//!   one [`ShardMeta`] (id, cardinality, tree height, MBR) per shard.
-//!   The coordinator plans entirely from manifests; it never opens a
-//!   shard tree it can prune.
 //! * [`ShardSubquery`] — coordinator → shard: run K-CPQ between shard
 //!   `shard_p` of `P` and shard `shard_q` of `Q` (or a self-join on the
 //!   diagonal), with the planning-time `MINMINDIST` echoed for tracing.
@@ -34,7 +30,6 @@ use cpq_core::{Algorithm, Constraint};
 use cpq_geo::Rect;
 
 /// Message tag bytes (first byte of every encoded message).
-const TAG_MANIFEST: u8 = 0xA1;
 const TAG_SUBQUERY: u8 = 0xA2;
 const TAG_BOUND: u8 = 0xA3;
 const TAG_PARTIAL: u8 = 0xA4;
@@ -53,8 +48,6 @@ pub enum ProtoError {
     BadBool(u8),
     /// A length prefix promises more items than the buffer can hold.
     BadLen(u64),
-    /// A string field was not valid UTF-8.
-    BadUtf8,
     /// The message's dimensionality does not match the decoder's `D`.
     BadDim {
         /// Compile-time dimensionality of the decoding side.
@@ -76,7 +69,6 @@ impl std::fmt::Display for ProtoError {
             ProtoError::BadTag(t) => write!(f, "unexpected message tag {t:#04x}"),
             ProtoError::BadBool(b) => write!(f, "non-canonical boolean byte {b}"),
             ProtoError::BadLen(n) => write!(f, "length prefix {n} exceeds buffer"),
-            ProtoError::BadUtf8 => write!(f, "string field is not UTF-8"),
             ProtoError::BadDim { expected, got } => {
                 write!(f, "dimensionality mismatch: expected {expected}, got {got}")
             }
@@ -204,118 +196,6 @@ pub fn algorithm_from_code(c: u8) -> Result<Algorithm, ProtoError> {
         3 => Ok(Algorithm::SortedDistances),
         4 => Ok(Algorithm::Heap),
         c => Err(ProtoError::BadAlgorithm(c)),
-    }
-}
-
-/// Manifest entry for one shard: everything the coordinator needs to plan
-/// (prune, order, route) without opening the shard's tree.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ShardMeta<const D: usize> {
-    /// Dense shard id, `0..shard_count`.
-    pub id: u32,
-    /// Number of points in the shard.
-    pub count: u64,
-    /// Height of the shard's R*-tree.
-    pub height: u8,
-    /// Lower corner of the shard's MBR.
-    pub lo: [f64; D],
-    /// Upper corner of the shard's MBR.
-    pub hi: [f64; D],
-}
-
-impl<const D: usize> ShardMeta<D> {
-    /// The shard's MBR as a rectangle.
-    pub fn mbr(&self) -> Rect<D> {
-        Rect::from_corners(self.lo, self.hi)
-    }
-
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        put_u32(out, self.id);
-        put_u64(out, self.count);
-        out.push(self.height);
-        for d in 0..D {
-            put_f64(out, self.lo[d]);
-        }
-        for d in 0..D {
-            put_f64(out, self.hi[d]);
-        }
-    }
-
-    /// Bytes one encoded entry occupies (used for length-prefix sanity).
-    const WIRE_BYTES: usize = 4 + 8 + 1 + 16 * D;
-
-    fn decode_from(r: &mut Reader<'_>) -> Result<Self, ProtoError> {
-        let id = r.u32()?;
-        let count = r.u64()?;
-        let height = r.u8()?;
-        let mut lo = [0.0f64; D];
-        let mut hi = [0.0f64; D];
-        for slot in lo.iter_mut() {
-            *slot = r.f64_bits()?;
-        }
-        for slot in hi.iter_mut() {
-            *slot = r.f64_bits()?;
-        }
-        Ok(ShardMeta {
-            id,
-            count,
-            height,
-            lo,
-            hi,
-        })
-    }
-}
-
-/// The manifest of one sharded dataset: the planning view the coordinator
-/// holds of every shard.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShardManifest<const D: usize> {
-    /// Human-readable dataset name (diagnostics and routing).
-    pub dataset: String,
-    /// One entry per shard, in shard-id order.
-    pub shards: Vec<ShardMeta<D>>,
-}
-
-impl<const D: usize> ShardManifest<D> {
-    /// Encodes the manifest to its canonical byte form.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(16 + self.dataset.len());
-        out.push(TAG_MANIFEST);
-        out.push(D as u8);
-        put_u32(&mut out, self.dataset.len() as u32);
-        out.extend_from_slice(self.dataset.as_bytes());
-        put_u32(&mut out, self.shards.len() as u32);
-        for s in &self.shards {
-            s.encode_into(&mut out);
-        }
-        out
-    }
-
-    /// Decodes a whole buffer as one manifest (strict; see module docs).
-    pub fn decode(buf: &[u8]) -> Result<Self, ProtoError> {
-        let mut r = Reader::new(buf);
-        r.tag(TAG_MANIFEST)?;
-        let dim = r.u8()?;
-        if dim as usize != D {
-            return Err(ProtoError::BadDim {
-                expected: D as u8,
-                got: dim,
-            });
-        }
-        let name_len = r.len_prefix(1)?;
-        let name = std::str::from_utf8(r.take(name_len)?)
-            .map_err(|_| ProtoError::BadUtf8)?
-            .to_owned();
-        let n = r.len_prefix(ShardMeta::<D>::WIRE_BYTES)?;
-        let mut shards = Vec::with_capacity(n);
-        for _ in 0..n {
-            shards.push(ShardMeta::decode_from(&mut r)?);
-        }
-        r.finish()?;
-        Ok(ShardManifest {
-            dataset: name,
-            shards,
-        })
     }
 }
 

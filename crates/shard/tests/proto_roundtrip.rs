@@ -11,31 +11,7 @@
 //! arbitrary bytes.
 
 use cpq_rng::Rng;
-use cpq_shard::{
-    BoundUpdate, PartialResult, ProtoError, ShardManifest, ShardMeta, ShardSubquery, WirePair,
-};
-
-fn sample_manifest() -> ShardManifest<2> {
-    ShardManifest {
-        dataset: "tiger/streams".to_owned(),
-        shards: vec![
-            ShardMeta {
-                id: 0,
-                count: 12_345,
-                height: 3,
-                lo: [0.0, -1.5],
-                hi: [10.0, 2.5],
-            },
-            ShardMeta {
-                id: 1,
-                count: 1,
-                height: 1,
-                lo: [f64::MIN_POSITIVE, -0.0],
-                hi: [f64::MAX, 1.0e300],
-            },
-        ],
-    }
-}
+use cpq_shard::{BoundUpdate, PartialResult, ProtoError, ShardSubquery, WirePair};
 
 fn sample_subquery() -> ShardSubquery<2> {
     ShardSubquery {
@@ -123,12 +99,6 @@ where
 #[test]
 fn every_message_round_trips_canonically_and_rejects_mutations() {
     check_strict(
-        &sample_manifest(),
-        ShardManifest::encode,
-        ShardManifest::<2>::decode,
-        "manifest",
-    );
-    check_strict(
         &sample_subquery(),
         ShardSubquery::encode,
         ShardSubquery::<2>::decode,
@@ -150,15 +120,6 @@ fn every_message_round_trips_canonically_and_rejects_mutations() {
 
 #[test]
 fn empty_variants_round_trip() {
-    check_strict(
-        &ShardManifest::<2> {
-            dataset: String::new(),
-            shards: Vec::new(),
-        },
-        ShardManifest::encode,
-        ShardManifest::<2>::decode,
-        "empty manifest",
-    );
     check_strict(
         &PartialResult {
             query_id: 0,
@@ -254,35 +215,6 @@ fn partial_rejects_oversized_length_prefix() {
 }
 
 #[test]
-fn manifest_rejects_wrong_dimensionality_and_bad_utf8() {
-    let bytes = sample_manifest().encode();
-    let mut wrong_dim = bytes.clone();
-    wrong_dim[1] = 3;
-    assert_eq!(
-        ShardManifest::<2>::decode(&wrong_dim),
-        Err(ProtoError::BadDim {
-            expected: 2,
-            got: 3
-        })
-    );
-
-    let mut bad_utf8 = bytes.clone();
-    // First byte of the dataset name (after tag + dim + u32 length).
-    bad_utf8[6] = 0xFF;
-    assert_eq!(
-        ShardManifest::<2>::decode(&bad_utf8),
-        Err(ProtoError::BadUtf8)
-    );
-
-    let mut bad_len = bytes;
-    bad_len[2..6].copy_from_slice(&u32::MAX.to_le_bytes());
-    assert_eq!(
-        ShardManifest::<2>::decode(&bad_len),
-        Err(ProtoError::BadLen(u64::from(u32::MAX)))
-    );
-}
-
-#[test]
 fn garbage_bytes_never_panic_any_decoder() {
     let mut rng = Rng::seed_from_u64(0xC0DEC);
     for round in 0..500 {
@@ -293,7 +225,6 @@ fn garbage_bytes_never_panic_any_decoder() {
         }
         // Any outcome but a panic is acceptable; random buffers that
         // happen to decode are legitimate messages.
-        let _ = ShardManifest::<2>::decode(&buf);
         let _ = ShardSubquery::<2>::decode(&buf);
         let _ = BoundUpdate::decode(&buf);
         let _ = PartialResult::decode(&buf);
@@ -305,7 +236,6 @@ fn single_byte_corruptions_never_panic() {
     // Flip every byte of every sample message to every-other of a few
     // values; decoders must return (Ok or Err), never panic.
     let messages: Vec<Vec<u8>> = vec![
-        sample_manifest().encode(),
         sample_subquery().encode(),
         sample_bound().encode(),
         sample_partial().encode(),
@@ -315,7 +245,6 @@ fn single_byte_corruptions_never_panic() {
             for v in [0x00u8, 0x01, 0x7F, 0xFF] {
                 let mut m = bytes.clone();
                 m[i] = v;
-                let _ = ShardManifest::<2>::decode(&m);
                 let _ = ShardSubquery::<2>::decode(&m);
                 let _ = BoundUpdate::decode(&m);
                 let _ = PartialResult::decode(&m);

@@ -1,12 +1,12 @@
 //! What scatter-gather owes beyond parity (which the workspace's
 //! differential harness, `tests/differential.rs`, holds at S ∈ {1..4} with
 //! the wire codec armed): degenerate inputs complete with empty reports, a
-//! cancelled run says so, and the shared bound prunes far shard pairs
-//! unopened.
+//! cancelled run says so, the shared bound prunes far shard pairs
+//! unopened, and a window skips every shard its clipped MBR misses.
 
-use cpq_core::{Algorithm, CancelToken, CpqConfig, QuerySpec};
+use cpq_core::{Algorithm, CancelToken, Constraint, CpqConfig, QuerySpec};
 use cpq_datasets::{clustered, uniform, ClusterSpec};
-use cpq_geo::Point2;
+use cpq_geo::{Point2, Rect};
 use cpq_rtree::RTreeParams;
 use cpq_shard::{execute_sharded, ShardConfig, ShardedTree};
 use cpq_storage::{BufferPool, MemPageFile};
@@ -104,4 +104,35 @@ fn separated_clusters_prune_most_shard_pairs() {
         run.report
     );
     assert!(run.report.bound_updates > 0, "bound must propagate");
+}
+
+#[test]
+fn a_window_inside_one_shard_plans_only_that_shards_pairs() {
+    // The planner clips each shard MBR to its side's window and skips the
+    // shards it empties: a window strictly inside P shard 0's MBR leaves
+    // only the pairs of that shard, one per Q shard.
+    let sp = build_sharded("p", &uniform(800, 26).indexed(), 4);
+    let sq = build_sharded("q", &uniform(800, 27).indexed(), 4);
+    assert_eq!((sp.mbrs().len(), sq.mbrs().len()), (4, 4));
+    let m = sp.mbrs()[0];
+    let (mut lo, mut hi) = (*m.lo().coords(), *m.hi().coords());
+    for d in 0..2 {
+        let margin = 0.1 * m.extent(d);
+        lo[d] += margin;
+        hi[d] -= margin;
+    }
+    let window = Rect::from_corners(lo, hi);
+    let spec = QuerySpec::cross(10).with_constraint(Constraint::windows(Some(window), None));
+    let run = execute_sharded(
+        &sp,
+        &sq,
+        &spec,
+        Algorithm::Heap,
+        &CpqConfig::paper(),
+        &ShardConfig::default(),
+        None,
+    )
+    .unwrap();
+    assert!(run.completed);
+    assert_eq!(run.report.pairs_generated, sq.mbrs().len() as u64);
 }

@@ -11,11 +11,15 @@
 //! uniform sets. Per tree it prints the build time, the time per insert and
 //! an FNV-1a fingerprint over the descriptor and every page, so two
 //! checkouts can be compared for speed and for building the same trees.
+//! After the total it prints one fingerprint per side of the `shard.*`
+//! probe's sharded trees (S = 4 over the `kcpq` points, insertion builds;
+//! not timed): every shard tree's fingerprint, folded in shard-id order.
 //! `scripts/sample.sh` profiles this binary in `scripts/ci.sh`.
 
 use cpq::datasets::{clustered, uniform, ClusterSpec, CALIFORNIA_SURROGATE_SIZE};
 use cpq::geo::Point2;
 use cpq::rtree::{RTree, RTreeParams};
+use cpq::shard::ShardedTree;
 use cpq::storage::{BufferPool, MemPageFile, PageId, DEFAULT_PAGE_SIZE};
 use std::time::Instant;
 
@@ -93,4 +97,15 @@ fn main() {
     );
     let total: f64 = trees.iter().map(|(name, pts)| build(name, pts)).sum();
     println!("total build_s {total:.3}");
+    for (name, pts) in &trees[..2] {
+        let objects: Vec<(Point2, u64)> = pts.iter().copied().zip(0..).collect();
+        let sharded = ShardedTree::build(name, &objects, 4, RTreeParams::paper(), None, |_| {
+            BufferPool::with_lru(Box::new(MemPageFile::new(DEFAULT_PAGE_SIZE)), BUILD_FRAMES)
+        })
+        .expect("shard the kcpq points");
+        let h = sharded.shards().iter().fold(0xcbf2_9ce4_8422_2325, |h, t| {
+            fnv1a(h, &fingerprint(t).to_le_bytes())
+        });
+        println!("shards.{name} {} {h:#018x}", sharded.shards().len());
+    }
 }

@@ -47,16 +47,19 @@ echo "==> metrics_endpoint smoke (/metrics demo; every query counted)"
 cargo build --release --example metrics_endpoint
 target/release/examples/metrics_endpoint 0 1 >/dev/null
 
-# The benchmark's own four setup trees, page for page: their seed-1
-# fingerprints (EXPERIMENTS.md "PR 25"). A write-path change that alters one
-# page of a 62,536-point tree fails here. (The `""` keeps awk from comparing
-# the hex strings as numbers, which would round them to doubles.)
-echo "==> rtree_build seed 1: the benchmark's four trees keep their page fingerprints"
+# The benchmark's own four setup trees, page for page, by their seed-1
+# fingerprints, and the `shard.*` probe's S = 4 shards of each `kcpq` side
+# (both recorded in EXPERIMENTS.md). A write-path or shard-cut change that
+# alters one page of a 62,536-point tree fails here.
+# (The `""` keeps awk from comparing the hex strings as numbers, which would
+# round them to doubles; `$NF` is the fingerprint column of both tables.)
+echo "==> rtree_build seed 1: the benchmark's trees and shards keep their page fingerprints"
 builds=$(target/release/examples/rtree_build 1)
 for want in "kcpq.p 0x8cb47d02390be587" "kcpq.q 0x1de54f1c21b70ff5" \
-    "svc_mix.p 0xac3d5cc0a25c72c5" "svc_mix.q 0x7b7a3e26c37b2697"; do
+    "svc_mix.p 0xac3d5cc0a25c72c5" "svc_mix.q 0x7b7a3e26c37b2697" \
+    "shards.kcpq.p 0xb239145512a5aa6e" "shards.kcpq.q 0x539b351cf653c3aa"; do
     if ! echo "$builds" | awk -v tree="${want% *}" -v fp="${want#* }" \
-        '$1 == tree && ($7 "") == fp { found = 1 } END { exit !found }'; then
+        '$1 == tree && ($NF "") == fp { found = 1 } END { exit !found }'; then
         echo "rtree_build 1: the pages of ${want% *} changed (want ${want#* }):" >&2
         echo "$builds" >&2
         exit 1
