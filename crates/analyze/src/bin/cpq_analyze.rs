@@ -4,11 +4,10 @@
 //! cpq_analyze [--root DIR] [--out FILE]
 //! ```
 //!
-//! Scans the workspace at `--root` (default `.`), runs every pass,
-//! applies waivers (a stale one is a finding), writes the report to
-//! `--out` (default `target/analysis_report.json`), prints unwaived
-//! findings, and exits 1 when any finding at warning severity or above
-//! survives — the CI gate. There is nothing else to select.
+//! Scans the workspace at `--root` (default `.`), runs every pass, writes
+//! the report to `--out` (default `target/analysis_report.json`), prints
+//! the findings, and exits 1 when any is at warning severity or above —
+//! the CI gate. There is nothing else to select and nothing to waive.
 
 use cpq_analyze::diag::Severity;
 use cpq_analyze::json;
@@ -76,18 +75,17 @@ fn main() -> ExitCode {
         .filter(|d| d.severity == Severity::Note)
         .count();
     println!(
-        "cpq_analyze: {} file(s), {} function(s); {} finding(s), {} note(s), {} waived -> {}",
+        "cpq_analyze: {} file(s), {} function(s); {} finding(s), {} note(s) -> {}",
         report.files_scanned,
         report.functions,
         failing.len(),
         notes,
-        report.waived.len(),
         args.out.display()
     );
     if failing.is_empty() {
         ExitCode::SUCCESS
     } else {
-        eprintln!("cpq_analyze: {} unwaived finding(s)", failing.len());
+        eprintln!("cpq_analyze: {} finding(s)", failing.len());
         ExitCode::from(1)
     }
 }

@@ -7,9 +7,9 @@ pub enum Severity {
     /// Informational: surfaced in the report, never fails the run.
     /// Lock-order uses it to publish the discovered known-safe nestings.
     Note,
-    /// Should be fixed or waived; fails the run when unwaived.
+    /// Fails the run.
     Warning,
-    /// Must be fixed or waived; fails the run when unwaived.
+    /// Fails the run.
     Error,
 }
 
@@ -39,9 +39,6 @@ pub struct Diagnostic {
     pub col: u32,
     /// Human-readable message.
     pub message: String,
-    /// Enclosing function's bare name, when known — the unit `allow-fn`
-    /// waivers scope to.
-    pub func: Option<String>,
 }
 
 impl Diagnostic {
@@ -61,14 +58,7 @@ impl Diagnostic {
             line,
             col,
             message: message.into(),
-            func: None,
         }
-    }
-
-    /// Attaches the enclosing function name.
-    pub fn in_fn(mut self, name: impl Into<String>) -> Diagnostic {
-        self.func = Some(name.into());
-        self
     }
 
     /// `file:line:col: severity[pass] message` — the terminal rendering.
@@ -83,11 +73,6 @@ impl Diagnostic {
             self.message
         )
     }
-
-    /// Whether this finding fails the run when unwaived.
-    pub fn is_failing(&self) -> bool {
-        self.severity >= Severity::Warning
-    }
 }
 
 /// The outcome of a full analyzer run, ready for serialization.
@@ -95,11 +80,8 @@ impl Diagnostic {
 pub struct Report {
     /// Pass ids that ran, in order.
     pub passes: Vec<String>,
-    /// Findings that were not waived (notes included).
+    /// Every finding, notes included.
     pub diagnostics: Vec<Diagnostic>,
-    /// Findings suppressed by a waiver, with the waiver's rationale —
-    /// kept in the report so suppression stays auditable.
-    pub waived: Vec<(Diagnostic, String)>,
     /// Number of files scanned.
     pub files_scanned: usize,
     /// Number of functions analyzed.
@@ -107,8 +89,10 @@ pub struct Report {
 }
 
 impl Report {
-    /// Unwaived findings at warning severity or above.
+    /// Findings at warning severity or above.
     pub fn failing(&self) -> impl Iterator<Item = &Diagnostic> {
-        self.diagnostics.iter().filter(|d| d.is_failing())
+        self.diagnostics
+            .iter()
+            .filter(|d| d.severity >= Severity::Warning)
     }
 }

@@ -25,10 +25,10 @@ pub fn escape(s: &str) -> String {
     out
 }
 
-fn write_diag(out: &mut String, d: &Diagnostic, indent: &str) {
+fn write_diag(out: &mut String, d: &Diagnostic) {
     let _ = write!(
         out,
-        "{indent}{{\"pass\": \"{}\", \"severity\": \"{}\", \"file\": \"{}\", \"line\": {}, \"col\": {}, \"message\": \"{}\"",
+        "    {{\"pass\": \"{}\", \"severity\": \"{}\", \"file\": \"{}\", \"line\": {}, \"col\": {}, \"message\": \"{}\"}}",
         escape(d.pass),
         d.severity.as_str(),
         escape(&d.file),
@@ -36,10 +36,6 @@ fn write_diag(out: &mut String, d: &Diagnostic, indent: &str) {
         d.col,
         escape(&d.message)
     );
-    if let Some(f) = &d.func {
-        let _ = write!(out, ", \"function\": \"{}\"", escape(f));
-    }
-    out.push('}');
 }
 
 /// Serializes a [`Report`] as pretty-printed JSON.
@@ -48,7 +44,7 @@ pub fn render_report(r: &Report) -> String {
     out.push_str("{\n");
     let _ = write!(
         out,
-        "  \"schema\": \"cpq-analyze/v1\",\n  \"files_scanned\": {},\n  \"functions\": {},\n",
+        "  \"schema\": \"cpq-analyze/v2\",\n  \"files_scanned\": {},\n  \"functions\": {},\n",
         r.files_scanned, r.functions
     );
     let _ = writeln!(
@@ -62,20 +58,8 @@ pub fn render_report(r: &Report) -> String {
     );
     out.push_str("  \"diagnostics\": [\n");
     for (i, d) in r.diagnostics.iter().enumerate() {
-        write_diag(&mut out, d, "    ");
+        write_diag(&mut out, d);
         if i + 1 < r.diagnostics.len() {
-            out.push(',');
-        }
-        out.push('\n');
-    }
-    out.push_str("  ],\n  \"waived\": [\n");
-    for (i, (d, why)) in r.waived.iter().enumerate() {
-        out.push_str("    {\"rationale\": \"");
-        out.push_str(&escape(why));
-        out.push_str("\", \"diagnostic\": ");
-        write_diag(&mut out, d, "");
-        out.push('}');
-        if i + 1 < r.waived.len() {
             out.push(',');
         }
         out.push('\n');
@@ -290,7 +274,7 @@ mod tests {
     #[test]
     fn report_roundtrips_through_parser() {
         let mut r = Report {
-            passes: vec!["lock-order".into(), "waiver".into()],
+            passes: vec!["lock-order".into(), "atomics-pairing".into()],
             files_scanned: 3,
             functions: 17,
             ..Report::default()
@@ -303,26 +287,17 @@ mod tests {
             5,
             "cycle: \"a\" -> b\nand back",
         ));
-        r.waived.push((
-            Diagnostic::new("panic-path", Severity::Error, "src/lib.rs", 2, 2, "unwrap"),
-            "startup — fine".to_string(),
-        ));
         let text = render_report(&r);
         let v = parse(&text).expect("parse back");
         assert_eq!(
             v.get("schema").and_then(Value::as_str),
-            Some("cpq-analyze/v1")
+            Some("cpq-analyze/v2")
         );
         let diags = v.get("diagnostics").and_then(Value::as_arr).unwrap();
         assert_eq!(diags.len(), 1);
         assert_eq!(
             diags[0].get("message").and_then(Value::as_str),
             Some("cycle: \"a\" -> b\nand back")
-        );
-        let waived = v.get("waived").and_then(Value::as_arr).unwrap();
-        assert_eq!(
-            waived[0].get("rationale").and_then(Value::as_str),
-            Some("startup — fine")
         );
     }
 

@@ -3,8 +3,8 @@
 //!
 //! Produces a token stream (identifiers, literals, punctuation) with
 //! line/column positions, plus a per-line *comment map* — the concatenated
-//! comment text of every line, which is where waivers
-//! (`// analyze: allow(...)`) and `// ordering:` justifications live.
+//! comment text of every line, which is where the `// ordering:`
+//! justifications live.
 //!
 //! Handled subtleties: nested `/* */` block comments, string/char/byte/raw
 //! string literals (so `"https://…"` never opens a comment and `'{'` never
@@ -174,9 +174,8 @@ fn push_comment(out: &mut Lexed, line: u32, text: &str) {
 
 fn lex_line_comment(cur: &mut Cursor<'_>, out: &mut Lexed) {
     let line = cur.line;
-    // Collect raw bytes and convert once: comment text is where waivers
-    // (with their em-dash rationale separator) live, so multi-byte UTF-8
-    // must survive intact.
+    // Collect raw bytes and convert once: comment text is prose (em-dashes
+    // included), so multi-byte UTF-8 must survive intact.
     let mut bytes = Vec::new();
     while let Some(b) = cur.peek() {
         if b == b'\n' {

@@ -1,15 +1,15 @@
 //! The analyzed workspace model: files, functions, and the facts passes
 //! consume — lock acquisition scopes, atomic accesses with their memory
-//! orderings, call edges, and `unwrap`/`expect` sites.
+//! orderings, and call edges.
 //!
 //! Facts are extracted by a single token-pattern walk over each function
 //! body (see `analyze_fn`), with *guard scopes* approximated
 //! conservatively: a `let`-bound guard lives to the end of its enclosing
 //! block (truncated by an explicit `drop(binding)`), an unbound temporary
 //! to the end of its statement. This matches how rustc drops guards
-//! closely enough for deadlock analysis; where the
-//! approximation over-reports, the scoped waiver system carries the
-//! argument (see [`crate::waiver`]).
+//! closely enough for deadlock analysis. A lock is acquired by a method
+//! (`x.lock()`, `x.read()`, `x.write()`) or by the `cpq_check::sync`
+//! poison helpers (`sync::lock(&x)`, `sync::read(&x)`, `sync::write(&x)`).
 
 use crate::lexer::{lex, Lexed, TokKind, Token};
 use crate::parse::{match_brace, parse, Function};
@@ -31,9 +31,6 @@ pub struct LockSite {
     pub line: u32,
     /// Column of the acquisition.
     pub col: u32,
-    /// Whether the site came from calling a guard-returning helper
-    /// (`self.guard()`) rather than a literal `.lock()`.
-    pub via_helper: bool,
 }
 
 /// The shape of an atomic access.
@@ -88,28 +85,6 @@ pub struct CallSite {
     pub col: u32,
 }
 
-/// What kind of panic a [`PanicSite`] can raise.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PanicKind {
-    /// `.unwrap()`.
-    Unwrap,
-    /// `.expect(...)` (message captured when it is a string literal).
-    Expect,
-}
-
-/// One potentially-panicking operation.
-#[derive(Debug, Clone)]
-pub struct PanicSite {
-    /// Which operation.
-    pub kind: PanicKind,
-    /// For `Expect`, the string-literal message if one was given.
-    pub message: Option<String>,
-    /// 1-based line.
-    pub line: u32,
-    /// Column.
-    pub col: u32,
-}
-
 /// One analyzed function with every extracted fact.
 #[derive(Debug)]
 pub struct FnInfo {
@@ -128,15 +103,13 @@ pub struct FnInfo {
     /// Whether the signature returns a guard type — calling this function
     /// acquires the lock its body takes.
     pub returns_guard: bool,
-    /// Direct lock acquisitions (helper-call acquisitions are appended by
-    /// `Workspace::resolve_helper_locks`).
+    /// Lock acquisitions, direct ones and calls to guard-returning
+    /// helpers (see `Workspace::resolve_helper_locks`).
     pub locks: Vec<LockSite>,
     /// Atomic accesses.
     pub atomics: Vec<AtomicSite>,
     /// Call sites.
     pub calls: Vec<CallSite>,
-    /// Panic-capable operations.
-    pub panics: Vec<PanicSite>,
     /// Body token range (inclusive braces), if the function has a body.
     pub body: Option<(usize, usize)>,
 }
@@ -147,12 +120,6 @@ pub struct SourceFile {
     pub rel: String,
     /// `crates/<name>/…` → `name`; the facade `src/` → `cpq`.
     pub krate: String,
-    /// Whether the file is a binary target (`/bin/` or `main.rs`).
-    pub is_bin: bool,
-    /// Whether the file is a crate root (`lib.rs` at `src/` top level).
-    pub is_crate_root: bool,
-    /// Raw content.
-    pub content: String,
     /// Token stream + per-line comments.
     pub lexed: Lexed,
     /// Line ranges of test-gated item scopes (see
@@ -173,6 +140,10 @@ pub struct Workspace {
 
 const LOCK_METHODS: &[&str] = &["lock", "write", "try_lock", "try_write", "read", "try_read"];
 
+/// The `cpq_check::sync` helpers that take a lock (`sync::wait` re-takes
+/// one its caller already holds).
+const LOCK_HELPERS: &[&str] = &["lock", "read", "write"];
+
 const ATOMIC_METHODS: &[(&str, AtomicKind)] = &[
     ("load", AtomicKind::Load),
     ("store", AtomicKind::Store),
@@ -192,9 +163,9 @@ const ATOMIC_METHODS: &[(&str, AtomicKind)] = &[
 /// Crates whose *internals* are analysis infrastructure, not analyzed
 /// subject matter: `check` implements locks and condvars *with* locks (the
 /// deterministic-exec shim), so treating its bodies as user code fabricates
-/// lock-graph edges; `analyze` is this tool. Their files still get
-/// token-stream passes (ordering comments, crate attrs), but no semantic
-/// facts are extracted and their functions never enter the call graph.
+/// lock-graph edges; `analyze` is this tool. Their files are not added to
+/// the workspace (the model checker's modeled atomics take an `Ordering`
+/// and execute SeqCst, so `ordering-comment` has nothing to ask of them).
 pub const INFRA_CRATES: &[&str] = &["check", "analyze"];
 
 const KEYWORDS: &[&str] = &[
@@ -268,22 +239,19 @@ impl Workspace {
             .and_then(|r| r.split('/').next())
             .unwrap_or("cpq")
             .to_string();
-        let is_bin = rel.contains("/bin/") || rel.ends_with("/main.rs");
-        let is_crate_root = rel.ends_with("src/lib.rs");
+        if INFRA_CRATES.contains(&krate.as_str()) {
+            return;
+        }
         let lexed = lex(&content);
         let parsed = parse(&lexed);
         let file_idx = self.files.len();
-        let extract = !INFRA_CRATES.contains(&krate.as_str());
         for f in &parsed.functions {
-            let info = analyze_fn(&lexed, f, file_idx, &krate, extract);
+            let info = analyze_fn(&lexed, f, file_idx, &krate);
             self.functions.push(info);
         }
         self.files.push(SourceFile {
             rel,
             krate,
-            is_bin,
-            is_crate_root,
-            content,
             lexed,
             test_regions: parsed.test_regions,
         });
@@ -291,8 +259,7 @@ impl Workspace {
 
     fn finish(&mut self) {
         for (i, f) in self.functions.iter().enumerate() {
-            let infra = INFRA_CRATES.contains(&self.files[f.file].krate.as_str());
-            if !f.is_test && !infra {
+            if !f.is_test {
                 self.by_name.entry(f.name.clone()).or_default().push(i);
             }
         }
@@ -311,7 +278,7 @@ impl Workspace {
             if f.is_test || !f.returns_guard {
                 continue;
             }
-            if let Some(site) = f.locks.iter().find(|l| !l.via_helper) {
+            if let Some(site) = f.locks.first() {
                 helper_locks.insert(i, site.lock_id.clone());
             }
         }
@@ -336,7 +303,6 @@ impl Workspace {
                         scope_end,
                         line: call.line,
                         col: call.col,
-                        via_helper: true,
                     },
                 ));
             }
@@ -349,14 +315,9 @@ impl Workspace {
         }
     }
 
-    /// The file a function lives in.
-    pub fn file_of(&self, f: &FnInfo) -> &SourceFile {
-        &self.files[f.file]
-    }
-
     /// Whether the comment text on `line` of `file` (or the `window`
-    /// preceding lines) contains `needle` — the `// ordering:` and waiver
-    /// lookup primitive.
+    /// preceding lines) contains `needle` — the `// ordering:` lookup
+    /// primitive.
     pub fn comment_near(&self, file: usize, line: u32, window: u32, needle: &str) -> bool {
         let comments = &self.files[file].lexed.comments;
         let line = line as usize;
@@ -403,6 +364,30 @@ fn receiver_chain(toks: &[Token], method_tok: usize) -> Vec<String> {
     }
     chain.reverse();
     chain
+}
+
+/// The path of a helper's one argument `(&a.b.c)`, as a receiver chain.
+fn borrowed_path(toks: &[Token], open_paren: usize) -> Option<Vec<String>> {
+    if !toks.get(open_paren + 1)?.is_punct('&') {
+        return None;
+    }
+    let mut chain = Vec::new();
+    let mut k = open_paren + 2;
+    loop {
+        let t = toks.get(k)?;
+        if !matches!(t.kind, TokKind::Ident | TokKind::Int) {
+            return None;
+        }
+        chain.push(t.text.clone());
+        let next = toks.get(k + 1)?;
+        if next.is_punct(')') {
+            return Some(chain);
+        }
+        if !next.is_punct('.') {
+            return None;
+        }
+        k += 2;
+    }
 }
 
 /// Canonical identity for a lock/atomic receiver: `crate::Type::field`
@@ -602,7 +587,7 @@ fn guard_scope(toks: &[Token], site: usize, body_open: usize, body_close: usize)
     // never reaches any `let`: the binding holds the projected value and
     // the guard itself is a temporary dying at the statement end.
     let projected = {
-        let mut j = site + 1; // the call's `(` (lock methods are arg-free)
+        let mut j = site + 1; // the call's `(`
         if toks.get(j).is_some_and(|t| t.is_punct('(')) {
             j = crate::parse::match_brace_like(toks, j, '(', ')');
             loop {
@@ -686,14 +671,14 @@ fn guard_scope(toks: &[Token], site: usize, body_open: usize, body_close: usize)
     }
 }
 
-/// Extracts every fact from one function (`extract: false` records the
-/// function for waiver scoping but no semantic facts — infra crates).
-fn analyze_fn(lexed: &Lexed, f: &Function, file_idx: usize, krate: &str, extract: bool) -> FnInfo {
+/// Extracts every fact from one function.
+fn analyze_fn(lexed: &Lexed, f: &Function, file_idx: usize, krate: &str) -> FnInfo {
     let toks = &lexed.tokens;
     let qname = match &f.impl_type {
         Some(ty) => format!("{krate}::{ty}::{}", f.name),
         None => format!("{krate}::{}", f.name),
     };
+
     let returns_guard = {
         let (s, e) = f.sig;
         let guards = ["MutexGuard", "RwLockWriteGuard", "RwLockReadGuard"];
@@ -713,15 +698,11 @@ fn analyze_fn(lexed: &Lexed, f: &Function, file_idx: usize, krate: &str, extract
         locks: Vec::new(),
         atomics: Vec::new(),
         calls: Vec::new(),
-        panics: Vec::new(),
         body: f.body,
     };
     let Some((open, close)) = f.body else {
         return info;
     };
-    if !extract {
-        return info;
-    }
 
     let mut i = open + 1;
     while i < close {
@@ -737,7 +718,7 @@ fn analyze_fn(lexed: &Lexed, f: &Function, file_idx: usize, krate: &str, extract
         let mut after = i + 1;
         if after + 1 < close && toks[after].is_punct(':') && toks[after + 1].is_punct(':') {
             if after + 2 < close && toks[after + 2].is_punct('<') {
-                after = crate::parse::skip_generics_pub(toks, after + 2);
+                after = crate::parse::skip_generics(toks, after + 2);
             } else {
                 // Path continuation `a::b`: not this token's call.
                 i += 1;
@@ -753,6 +734,28 @@ fn analyze_fn(lexed: &Lexed, f: &Function, file_idx: usize, krate: &str, extract
         let open_paren = after;
         let no_args = toks.get(open_paren + 1).is_some_and(|t| t.is_punct(')'));
 
+        // A `cpq_check::sync` poison helper: `sync::lock(&x)` acquires `x`
+        // as `x.lock()` does. No helper is a workspace call edge.
+        let via_sync = i >= 3
+            && toks[i - 1].is_punct(':')
+            && toks[i - 2].is_punct(':')
+            && toks[i - 3].is_ident("sync");
+        if via_sync {
+            if let Some(chain) =
+                borrowed_path(toks, open_paren).filter(|_| LOCK_HELPERS.contains(&name))
+            {
+                info.locks.push(LockSite {
+                    lock_id: resolve_id(&chain, krate, f.impl_type.as_deref(), &f.name),
+                    tok: i,
+                    scope_end: guard_scope(toks, i, open, close),
+                    line: t.line,
+                    col: t.col,
+                });
+            }
+            i += 1;
+            continue;
+        }
+
         // Lock acquisition? (`read`/`write` must be argument-free: with
         // arguments they are I/O calls.)
         if is_method {
@@ -766,7 +769,6 @@ fn analyze_fn(lexed: &Lexed, f: &Function, file_idx: usize, krate: &str, extract
                         scope_end: guard_scope(toks, i, open, close),
                         line: t.line,
                         col: t.col,
-                        via_helper: false,
                     });
                     i += 1;
                     continue;
@@ -807,26 +809,6 @@ fn analyze_fn(lexed: &Lexed, f: &Function, file_idx: usize, krate: &str, extract
                         continue;
                     }
                 }
-            }
-            if name == "unwrap" && no_args {
-                info.panics.push(PanicSite {
-                    kind: PanicKind::Unwrap,
-                    message: None,
-                    line: t.line,
-                    col: t.col,
-                });
-            }
-            if name == "expect" {
-                let message = toks
-                    .get(open_paren + 1)
-                    .filter(|t| t.kind == TokKind::Literal)
-                    .map(|t| t.text.clone());
-                info.panics.push(PanicSite {
-                    kind: PanicKind::Expect,
-                    message,
-                    line: t.line,
-                    col: t.col,
-                });
             }
         }
 
@@ -912,7 +894,7 @@ fn f(m: &Mutex<u32>) {
         let src = "\
 impl Pool {
     fn guard(&self) -> MutexGuard<'_, State> {
-        self.state.lock().expect(\"poisoned\")
+        sync::lock(&self.state)
     }
     fn use_it(&self) {
         let st = self.guard();
@@ -927,8 +909,42 @@ impl Pool {
             .find(|f| f.name == "use_it")
             .expect("use_it");
         assert_eq!(use_it.locks.len(), 1);
-        assert!(use_it.locks[0].via_helper);
         assert_eq!(use_it.locks[0].lock_id, "demo::Pool::state");
+    }
+
+    #[test]
+    fn sync_helpers_are_lock_sites_not_calls() {
+        let src = "\
+impl Pool {
+    fn write_page(&self) {
+        let st = sync::lock(&self.state);
+        let f = sync::write(&self.file);
+        st.note(f.len());
+        drop(sync::wait(&self.cv, sync::lock(&self.inner.slot)));
+    }
+}
+";
+        let (ws, _) = single_fn(src);
+        let f = ws
+            .functions
+            .iter()
+            .find(|f| f.name == "write_page")
+            .expect("write_page");
+        let ids: Vec<&str> = f.locks.iter().map(|l| l.lock_id.as_str()).collect();
+        assert_eq!(
+            ids,
+            ["demo::Pool::state", "demo::Pool::file", "demo::Pool::slot"],
+            "{:?}",
+            f.locks
+        );
+        assert!(
+            f.locks[1].scope_end > f.locks[2].tok,
+            "`f` lives to the block end"
+        );
+        assert!(f
+            .calls
+            .iter()
+            .all(|c| c.name != "wait" && c.name != "write"));
     }
 
     #[test]
@@ -955,23 +971,6 @@ impl Bound {
         let get = ws.functions.iter().find(|f| f.name == "get").expect("f");
         assert_eq!(get.atomics[0].kind, AtomicKind::Load);
         assert_eq!(get.atomics[0].orderings, ["Acquire"]);
-    }
-
-    #[test]
-    fn panic_sites() {
-        let src = "\
-fn f(v: &[u32], i: usize, n: u32) -> u32 {
-    let x = v[i] / n;
-    let z = opt.unwrap();
-    let w = res.expect(\"named reason\");
-    x + z + w
-}
-";
-        let (ws, i) = single_fn(src);
-        let panics = &ws.functions[i].panics;
-        let kinds: Vec<PanicKind> = panics.iter().map(|p| p.kind).collect();
-        assert_eq!(kinds, [PanicKind::Unwrap, PanicKind::Expect]);
-        assert_eq!(panics[1].message.as_deref(), Some("\"named reason\""));
     }
 
     #[test]

@@ -220,12 +220,6 @@ pub fn match_brace_like(toks: &[Token], open: usize, o: char, c: char) -> usize 
     match_bracket(toks, open, o, c)
 }
 
-/// Public wrapper over `skip_generics` for sibling modules resolving
-/// turbofish call syntax.
-pub fn skip_generics_pub(toks: &[Token], i: usize) -> usize {
-    skip_generics(toks, i)
-}
-
 /// From `impl`, finds the implemented type name and the body `{`.
 /// `impl<T> Foo<T> { … }` → `Foo`; `impl Trait for Bar { … }` → `Bar`.
 fn parse_impl_header(toks: &[Token], impl_idx: usize) -> (Option<String>, Option<usize>) {
@@ -277,7 +271,7 @@ fn parse_impl_header(toks: &[Token], impl_idx: usize) -> (Option<String>, Option
 
 /// Skips a `<...>` generics group starting at `i` (no-op when `toks[i]`
 /// is not `<`). Understands that `->` and `=>` do not close generics.
-fn skip_generics(toks: &[Token], i: usize) -> usize {
+pub(crate) fn skip_generics(toks: &[Token], i: usize) -> usize {
     if i >= toks.len() || !toks[i].is_punct('<') {
         return i;
     }

@@ -26,8 +26,8 @@ use std::collections::BTreeMap;
 pub struct AtomicsPairing;
 
 /// How many preceding lines the `// ordering:` justification may sit
-/// above its use — mirrors the `ordering-comment` pass window.
-const WINDOW: u32 = 6;
+/// above its use: the `ordering-comment` pass window.
+const WINDOW: u32 = super::ordering::ORDERING_COMMENT_WINDOW;
 
 fn is_release_side(s: &AtomicSite) -> bool {
     let writes = !matches!(s.kind, AtomicKind::Load);
@@ -77,31 +77,26 @@ impl Pass for AtomicsPairing {
             let has_release = sites.iter().any(|(_, s)| is_release_side(s));
             let has_acquire = sites.iter().any(|(_, s)| is_acquire_side(s));
             for (file, s) in sites {
-                let rel = &ws.files[*file].rel;
-                if is_release_side(s) && !has_acquire {
+                let mut emit = |severity, message: String| {
+                    let rel = ws.files[*file].rel.clone();
                     out.push(Diagnostic::new(
                         self.id(),
-                        Severity::Error,
-                        rel.clone(),
+                        severity,
+                        rel,
                         s.line,
                         s.col,
-                        format!(
-                            "`{}` on `{field}` publishes with Release but no workspace load acquires it — readers can observe the flag without the writes it should order",
-                            method_name(s)
-                        ),
+                        message,
+                    ));
+                };
+                let what = method_name(s);
+                if is_release_side(s) && !has_acquire {
+                    emit(Severity::Error, format!(
+                        "`{what}` on `{field}` publishes with Release but no workspace load acquires it — readers can observe the flag without the writes it should order"
                     ));
                 }
                 if is_acquire_side(s) && !has_release {
-                    out.push(Diagnostic::new(
-                        self.id(),
-                        Severity::Error,
-                        rel.clone(),
-                        s.line,
-                        s.col,
-                        format!(
-                            "`{}` on `{field}` acquires but no workspace store releases it — the Acquire synchronizes with nothing",
-                            method_name(s)
-                        ),
+                    emit(Severity::Error, format!(
+                        "`{what}` on `{field}` acquires but no workspace store releases it — the Acquire synchronizes with nothing"
                     ));
                 }
                 if uses_relaxed(s) {
@@ -109,29 +104,15 @@ impl Pass for AtomicsPairing {
                     let id_has_fence = id_group.iter().any(|o| is_release_side(o))
                         || id_group.iter().any(|o| is_acquire_side(o));
                     if id_has_fence && !is_release_side(s) && !is_acquire_side(s) {
-                        out.push(Diagnostic::new(
-                            self.id(),
-                            Severity::Warning,
-                            rel.clone(),
-                            s.line,
-                            s.col,
-                            format!(
-                                "Relaxed access to `{field}`, which elsewhere uses acquire/release ordering — mixed regimes on one field forfeit the protocol's edge"
-                            ),
+                        emit(Severity::Warning, format!(
+                            "Relaxed access to `{field}`, which elsewhere uses acquire/release ordering — mixed regimes on one field forfeit the protocol's edge"
                         ));
                     }
                     let justified = ws.comment_near(*file, s.line, WINDOW, "Relaxed")
                         || ws.comment_near(*file, s.line, WINDOW, "relaxed");
                     if !justified {
-                        out.push(Diagnostic::new(
-                            self.id(),
-                            Severity::Warning,
-                            rel.clone(),
-                            s.line,
-                            s.col,
-                            format!(
-                                "Relaxed access to `{field}` whose `// ordering:` justification does not argue Relaxed specifically"
-                            ),
+                        emit(Severity::Warning, format!(
+                            "Relaxed access to `{field}` whose `// ordering:` justification does not argue Relaxed specifically"
                         ));
                     }
                 }

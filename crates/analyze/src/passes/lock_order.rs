@@ -40,7 +40,7 @@ fn collect_edges(ws: &Workspace, graph: &Graph) -> Vec<Edge> {
         if f.is_test {
             continue;
         }
-        let file = ws.file_of(f);
+        let file = &ws.files[f.file];
         for outer in &f.locks {
             // Direct nested acquisitions.
             for inner in &f.locks {
@@ -166,20 +166,17 @@ impl Pass for LockOrder {
             } else {
                 "lock order"
             };
-            out.push(
-                Diagnostic::new(
-                    self.id(),
-                    Severity::Note,
-                    e.file.clone(),
-                    e.line,
-                    e.col,
-                    format!(
-                        "{what}: `{}` held over `{}` (via {})",
-                        e.outer, e.inner, e.via
-                    ),
-                )
-                .in_fn(e.via.split(' ').next().unwrap_or("").to_string()),
-            );
+            out.push(Diagnostic::new(
+                self.id(),
+                Severity::Note,
+                e.file.clone(),
+                e.line,
+                e.col,
+                format!(
+                    "{what}: `{}` held over `{}` (via {})",
+                    e.outer, e.inner, e.via
+                ),
+            ));
         }
 
         // Cycle detection over lock→lock edges only.
@@ -192,6 +189,7 @@ impl Pass for LockOrder {
         }
         for cyc in find_cycles(&adj) {
             // A witness location: the first collected edge inside the cycle.
+            #[expect(clippy::expect_used, reason = "a cycle is made of edges")]
             let witness = edges
                 .iter()
                 .find(|e| !e.atomic && cyc.contains(&e.outer) && cyc.contains(&e.inner))

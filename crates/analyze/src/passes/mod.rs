@@ -1,14 +1,14 @@
 //! The pass registry and the shared call-graph closures passes consume.
 //!
 //! A pass is a pure function from the analyzed [`Workspace`] to
-//! diagnostics; the registry fixes the run order and the set of valid
-//! waiver targets. Adding a pass means: implement [`Pass`], list it in
-//! [`registry`], add a broken-twin fixture under `fixtures/`, and
-//! document it in DESIGN.md §17.
+//! diagnostics; the registry fixes the run order. A pass exists only for
+//! what rustc and clippy cannot check: adding one means implementing
+//! [`Pass`], listing it in [`registry`], pinning a broken-twin fixture,
+//! and recording in DESIGN.md §17 the seeded bug only it catches.
 
 pub mod atomics;
 pub mod lock_order;
-pub mod ported;
+pub mod ordering;
 
 use crate::diag::Diagnostic;
 use crate::model::Workspace;
@@ -18,7 +18,7 @@ pub use crate::model::resolve_call;
 
 /// One analysis pass.
 pub trait Pass {
-    /// Stable pass id — what waivers name and the report groups by.
+    /// Stable pass id — what the report groups by.
     fn id(&self) -> &'static str;
     /// Runs the pass over the workspace, appending findings.
     fn run(&self, ws: &Workspace, graph: &Graph, out: &mut Vec<Diagnostic>);
@@ -29,20 +29,8 @@ pub fn registry() -> Vec<Box<dyn Pass>> {
     vec![
         Box::new(lock_order::LockOrder),
         Box::new(atomics::AtomicsPairing),
-        Box::new(ported::OrderingComment),
-        Box::new(ported::ForbidUnsafe),
-        Box::new(ported::PanicPath),
-        Box::new(ported::StdSyncDirect),
-        Box::new(ported::MissingDocsAttr),
+        Box::new(ordering::OrderingComment),
     ]
-}
-
-/// Every pass id a waiver may name: the registry's passes plus the one
-/// id produced outside it (`waiver` structural findings).
-pub fn known_pass_ids() -> Vec<&'static str> {
-    let mut ids: Vec<&'static str> = registry().iter().map(|p| p.id()).collect();
-    ids.push("waiver");
-    ids
 }
 
 /// The approximate call graph and its transitive closures. Calls resolve

@@ -111,52 +111,3 @@ fn atomics_fixed_twin_is_clean() {
     )]);
     assert!(failing(&diags, "atomics-pairing").is_empty(), "{diags:#?}");
 }
-
-// ---- waiver system, end to end over a fixture ----
-
-const RELEASE_STORE: &str = "        self.ready.store(true, Ordering::Release);";
-
-/// The atomics fixture's pinned error (the unpaired Release store).
-fn unpaired_release(diags: &[Diagnostic]) -> usize {
-    failing(diags, "atomics-pairing")
-        .iter()
-        .filter(|d| d.severity == Severity::Error)
-        .count()
-}
-
-#[test]
-fn scoped_waiver_suppresses_the_pinned_finding() {
-    let src = include_str!("../fixtures/atomics_broken.rs").replace(
-        RELEASE_STORE,
-        &format!(
-            "        // analyze: allow(atomics-pairing) — fixture: exercises the waiver flow\n{RELEASE_STORE}"
-        ),
-    );
-    let ws = Workspace::from_sources(&[("crates/core/src/flag.rs", &src)]);
-    let report = run(&ws);
-    assert_eq!(
-        unpaired_release(&report.diagnostics),
-        0,
-        "{:#?}",
-        report.diagnostics
-    );
-    assert_eq!(report.waived.len(), 1, "{:#?}", report.waived);
-}
-
-#[test]
-fn rationale_free_waiver_is_rejected_and_suppresses_nothing() {
-    let src = include_str!("../fixtures/atomics_broken.rs").replace(
-        RELEASE_STORE,
-        &format!("        // analyze: allow(atomics-pairing)\n{RELEASE_STORE}"),
-    );
-    let diags = analyze(&[("crates/core/src/flag.rs", &src)]);
-    // The malformed waiver is itself a finding…
-    assert!(
-        failing(&diags, "waiver")
-            .iter()
-            .any(|d| d.message.contains("has no rationale")),
-        "{diags:#?}"
-    );
-    // …and the original finding still stands.
-    assert_eq!(unpaired_release(&diags), 1, "{diags:#?}");
-}

@@ -1,6 +1,6 @@
 //! Runs the analyzer over this repository — its one configuration, the
-//! same as `ci.sh`'s gate — and pins the acceptance facts: zero unwaived
-//! findings (no stale waiver among them), and the lock-order pass
+//! same as `ci.sh`'s gate — and pins the acceptance facts: zero
+//! findings, and the lock-order pass
 //! rediscovering the lock-nesting protocols the codebase is documented to
 //! rely on.
 
@@ -25,7 +25,7 @@ fn analyzer_is_clean_over_this_repository() {
         .collect();
     assert!(
         failing.is_empty(),
-        "unwaived findings over the live workspace:\n{}",
+        "findings over the live workspace:\n{}",
         failing
             .iter()
             .map(|d| d.render())

@@ -464,12 +464,11 @@ pub fn ablation_buffer_policy(scale: f64) -> RTreeResult<Vec<Table>> {
     let p = uni(40_000, scale, 1201);
     let q = uni(40_000, scale, 1202).with_overlap(&p, 1.0);
 
+    #[expect(clippy::expect_used, reason = "a literal of this figure's own table")]
     let build_with = |ds, which| {
         build_tree_with(
             ds,
             RTreeParams::paper(),
-            // analyze: allow(panic-path) — the policy name is a literal in this
-            // figure's own table, not user input.
             policy_by_name(which).expect("known policy"),
             512,
         )
@@ -545,12 +544,12 @@ pub fn ablation_rtree_variant(scale: f64) -> RTreeResult<Vec<Table>> {
     let p = uni(40_000, scale, 1501);
     let q = uni(40_000, scale, 1502).with_overlap(&p, 1.0);
 
+    #[expect(clippy::expect_used, reason = "\"lru\" is a built-in policy name.")]
     let build_variant = |ds, policy| {
         let params = RTreeParams {
             split_policy: policy,
             ..RTreeParams::paper()
         };
-        // analyze: allow(panic-path) — "lru" is a built-in policy name.
         build_tree_with(ds, params, policy_by_name("lru").expect("lru exists"), 512)
     };
 
@@ -645,9 +644,8 @@ pub fn costmodel_validation(scale: f64) -> RTreeResult<Vec<Table>> {
         let tq = build_tree(&q)?;
         let sp = tp.level_stats()?;
         let sq = tq.level_stats()?;
+        #[expect(clippy::expect_used, reason = "`q` overlaps `p`, so it is defined")]
         let est = estimate_1cp_cost(&sp, &p.workspace, tp.len(), &sq, &q.workspace, tq.len())
-            // analyze: allow(panic-path) — `q` is constructed with a workspace
-            // overlapping `p`'s above, so the estimate is defined.
             .expect("overlapping workspaces");
         let out = run_query(&tp, &tq, 1, Algorithm::Heap, &CpqConfig::paper(), 0)?;
         let measured = out.stats.disk_accesses();

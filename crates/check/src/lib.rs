@@ -1,4 +1,4 @@
-//! # cpq-check — an in-repo concurrency model checker and lint pass
+//! # cpq-check — an in-repo concurrency model checker and its sync shim
 //!
 //! Every correctness claim this workspace makes about its concurrent
 //! subsystems — the service admission queue, the buffer-pool disk-access
@@ -54,18 +54,16 @@
 //! * Do not call `std::thread::scope`/`spawn` *inside* a model — unmanaged
 //!   threads bypass the scheduler. Use [`thread::spawn`] from the shim.
 //!
-//! ## Static analysis
+//! ## Lints
 //!
-//! The workspace's static invariants — ordering-justification comments,
-//! `#![forbid(unsafe_code)]` everywhere, no `unwrap()`/`expect()`/
-//! `thread::sleep` in non-test library code outside the waived
-//! allowances, and no direct `std::sync` imports in the shim-migrated
-//! crates — are enforced in CI by the `cpq-analyze` crate's pass
-//! registry (which superseded the line-level `cpq_lint` scanner that
-//! used to live in this crate). See `DESIGN.md` §12 and §17.
-
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+//! The crates this checker models name their locks, condvars and modeled
+//! atomics through [`sync`], never `std::sync`: under `--cfg cpq_model`
+//! each of them denies `clippy::disallowed_types`, and the workspace
+//! `clippy.toml` lists exactly the types [`sync`] swaps.
+//! [`sync::lock()`], [`sync::read()`], [`sync::write()`] and
+//! [`sync::wait()`] hold the poison rule, so library code needs no
+//! `expect` of its own on a lock. The other static rules are rustc's and
+//! clippy's, plus three `cpq-analyze` passes (`DESIGN.md` §12 and §17).
 
 pub mod sync;
 pub mod thread;

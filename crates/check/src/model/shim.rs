@@ -14,17 +14,13 @@
 //! This file *implements* the modeled atomics: callers' orderings are
 //! accepted and deliberately executed SeqCst under the scheduler gate (the
 //! model explores interleavings, not hardware reorderings), so per-site
-//! ordering justifications are meaningless here — hence the file-wide
-//! waiver below.
+//! ordering justifications are meaningless here; `cpq-analyze` skips this
+//! crate.
 //!
 //! Mixing model and non-model threads on the *same* lock or condvar is
 //! not supported: a modeled notify does not reach a std waiter. Model
 //! closures follow the ground rules in the crate docs, so this never
 //! arises in practice.
-
-// analyze: allow-file(ordering-comment) — modeled atomics execute SeqCst
-// under the scheduler gate regardless of the caller's ordering, so
-// per-site justifications carry no information in this file.
 
 use std::fmt;
 use std::sync::atomic::Ordering;

@@ -309,11 +309,13 @@ pub(crate) fn run_leader<const D: usize, P: Probe>(
     let (page_p, page_q) = (tree_p.root(), tree_q.root());
     let root_p = ctx.read_side(ProbeSide::P, page_p)?;
     let root_q = ctx.read_side(ProbeSide::Q, page_q)?;
-    // analyze: allow(panic-path) — empty trees returned early above, so
-    // both roots have MBRs.
-    ctx.root_area_p = root_p.mbr().expect("non-empty root").area();
-    // analyze: allow(panic-path) — same non-empty-root invariant as above.
-    ctx.root_area_q = root_q.mbr().expect("non-empty root").area();
+    #[expect(clippy::expect_used, reason = "empty trees returned early above")]
+    let (mbr_p, mbr_q) = (
+        root_p.mbr().expect("non-empty root"),
+        root_q.mbr().expect("non-empty root"),
+    );
+    ctx.root_area_p = mbr_p.area();
+    ctx.root_area_q = mbr_q.area();
     if let Some(rt) = par {
         // Seed speculation with the root pair so the workers start
         // descending immediately.

@@ -125,6 +125,7 @@ pub fn semi_closest_pairs_brute<const D: usize>(
     let mut out: Vec<PairResult<D>> = ps
         .iter()
         .map(|&(p, poid)| {
+            #[expect(clippy::expect_used, reason = "an empty `qs` is a caller bug")]
             let (q, qoid) = qs
                 .iter()
                 .min_by(|a, b| {
@@ -132,8 +133,6 @@ pub fn semi_closest_pairs_brute<const D: usize>(
                         .cmp(&cpq_geo::min_min_dist2(&p.mbr(), &b.0.mbr()))
                 })
                 .copied()
-                // analyze: allow(panic-path) — reference implementation: an empty `qs`
-                // is a caller bug worth crashing on.
                 .expect("qs must be non-empty");
             PairResult::new(LeafEntry::new(p, poid), LeafEntry::new(q, qoid))
         })

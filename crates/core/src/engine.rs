@@ -102,8 +102,7 @@ fn fill_side<const D: usize>(
         );
         return;
     }
-    // analyze: allow(panic-path) — the engine only visits non-empty nodes
-    // (the tree stores none).
+    #[expect(clippy::expect_used, reason = "the engine visits only non-empty nodes")]
     let whole = node.mbr().expect("non-empty node");
     if let Some(mbr) = clip(&whole) {
         side.push((Descend::Stay, mbr, node.subtree_count()));
@@ -696,9 +695,9 @@ impl<'a, const D: usize, P: Probe> Ctx<'a, D, P> {
         if eps.is_empty() || eqs.is_empty() {
             return;
         }
-        // analyze: allow(panic-path) — guarded by the emptiness check above.
+        #[expect(clippy::expect_used, reason = "guarded by the emptiness check above.")]
         let bp = lp.mbr().expect("non-empty leaf has an MBR");
-        // analyze: allow(panic-path) — guarded by the emptiness check above.
+        #[expect(clippy::expect_used, reason = "guarded by the emptiness check above.")]
         let bq = lq.mbr().expect("non-empty leaf has an MBR");
         let mut axis = 0;
         let mut best = f64::NEG_INFINITY;

@@ -148,9 +148,9 @@ impl KBound {
         }
     }
 
+    #[expect(clippy::expect_used, reason = "guarded by the length check above.")]
     fn threshold(&self) -> Dist2 {
         if self.heap.len() >= self.k {
-            // analyze: allow(panic-path) — guarded by the length check above.
             *self.heap.peek().expect("non-empty heap")
         } else {
             Dist2::INFINITY

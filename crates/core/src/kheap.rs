@@ -102,9 +102,9 @@ impl<const D: usize> KHeap<D> {
 
     /// The pruning threshold `T`: infinite while the heap has empty slots,
     /// the worst retained distance once full.
+    #[expect(clippy::expect_used, reason = "`is_full` implies k >= 1 entries.")]
     pub fn threshold(&self) -> Dist2 {
         if self.is_full() {
-            // analyze: allow(panic-path) — `is_full` implies k >= 1 entries.
             self.heap.peek().expect("full heap has a top").0.dist2
         } else {
             Dist2::INFINITY
@@ -124,8 +124,7 @@ impl<const D: usize> KHeap<D> {
             self.heap.push(ByDist(pair));
             return true;
         }
-        // analyze: allow(panic-path) — the branch above handled the not-full
-        // case, so the heap holds k >= 1 entries.
+        #[expect(clippy::expect_used, reason = "the not-full case returned above")]
         let mut top = self.heap.peek_mut().expect("K >= 1: full heap has a top");
         let cand = ByDist(pair);
         if cand < *top {

@@ -55,7 +55,7 @@ use crate::spec::QuerySpec;
 use crate::types::{PairResult, QueryRun};
 use crate::Algorithm;
 use cpq_check::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use cpq_check::sync::{Arc, Condvar, Mutex};
+use cpq_check::sync::{self, Arc, Condvar, Mutex};
 use cpq_geo::Dist2;
 use cpq_obs::{Probe, ProbeSide};
 use cpq_rng::Rng;
@@ -205,7 +205,7 @@ impl<const D: usize> SpecRuntime<D> {
         // ordering: Relaxed — advisory early-out; the error itself is
         // transferred under the `error` mutex, which provides the edge.
         if self.abort.load(Ordering::Relaxed) {
-            if let Some(e) = self.error.lock().expect("error slot poisoned").take() {
+            if let Some(e) = sync::lock(&self.error).take() {
                 return Err(e);
             }
         }
@@ -214,19 +214,12 @@ impl<const D: usize> SpecRuntime<D> {
 
     /// Node-cache lookup.
     fn cached_node(&self, side: ProbeSide, page: PageId) -> Option<NodeView<D>> {
-        self.node_map(side)
-            .lock()
-            .expect("node cache poisoned")
-            .get(&page.0)
-            .cloned()
+        sync::lock(self.node_map(side)).get(&page.0).cloned()
     }
 
     /// Caches a node read from `side`'s tree.
     fn insert_node(&self, side: ProbeSide, page: PageId, node: NodeView<D>) {
-        self.node_map(side)
-            .lock()
-            .expect("node cache poisoned")
-            .insert(page.0, node);
+        sync::lock(self.node_map(side)).insert(page.0, node);
     }
 
     /// One node of `side`'s tree through the shared cache: the cached copy,
@@ -255,9 +248,7 @@ impl<const D: usize> SpecRuntime<D> {
 
     /// Driver-side pair-cache lookup.
     pub(crate) fn cached_pair(&self, page_p: PageId, page_q: PageId) -> Option<Arc<TaskOut<D>>> {
-        self.pairs
-            .lock()
-            .expect("pair cache poisoned")
+        sync::lock(&self.pairs)
             .get(&pair_key(page_p.0, page_q.0))
             .cloned()
     }
@@ -268,25 +259,17 @@ impl<const D: usize> SpecRuntime<D> {
         if minmin.get() > self.bound_d2() {
             return; // performance-only skip: cannot contain a result pair
         }
-        if self
-            .claimed
-            .lock()
-            .expect("claimed set poisoned")
-            .contains(&pair_key(page_p.0, page_q.0))
-        {
+        if sync::lock(&self.claimed).contains(&pair_key(page_p.0, page_q.0)) {
             return;
         }
         // ordering: Relaxed — round-robin cursor; any distribution of
         // pushes across shards is correct, balance is best-effort.
         let shard = (self.push_cursor.fetch_add(1, Ordering::Relaxed) as usize) % self.shards.len();
-        self.shards[shard]
-            .lock()
-            .expect("spec shard poisoned")
-            .push(Reverse(SpecReq {
-                minmin_bits: minmin.get().to_bits(),
-                page_p: page_p.0,
-                page_q: page_q.0,
-            }));
+        sync::lock(&self.shards[shard]).push(Reverse(SpecReq {
+            minmin_bits: minmin.get().to_bits(),
+            page_p: page_p.0,
+            page_q: page_q.0,
+        }));
         self.wake.notify_one();
     }
 
@@ -295,10 +278,7 @@ impl<const D: usize> SpecRuntime<D> {
         let n = self.shards.len();
         for i in 0..n {
             let shard = (worker + i) % n;
-            let popped = self.shards[shard]
-                .lock()
-                .expect("spec shard poisoned")
-                .pop();
+            let popped = sync::lock(&self.shards[shard]).pop();
             if let Some(Reverse(req)) = popped {
                 return Some(req);
             }
@@ -312,7 +292,7 @@ impl<const D: usize> SpecRuntime<D> {
         // worker observing shutdown also observes the final queue state
         // (module docs, "Memory ordering").
         self.shutdown.store(true, Ordering::Release);
-        let _guard = self.idle.lock().expect("idle lock poisoned");
+        let _guard = sync::lock(&self.idle);
         self.wake.notify_all();
     }
 }
@@ -346,28 +326,24 @@ fn worker_loop<const D: usize>(
             break;
         }
         let Some(req) = rt.pop_spec(worker) else {
-            let guard = rt.idle.lock().expect("idle lock poisoned");
+            let guard = sync::lock(&rt.idle);
             // ordering: Acquire/Relaxed — same pair as the loop head; the
             // re-check under the idle lock closes the park/notify race.
             if rt.shutdown.load(Ordering::Acquire) || rt.abort.load(Ordering::Relaxed) {
                 break;
             }
-            drop(
-                rt.wake
-                    .wait_timeout(guard, Duration::from_micros(200))
-                    .expect("idle wait poisoned"),
-            );
+            #[expect(clippy::expect_used, reason = "poisoned: a peer worker panicked")]
+            let parked = rt
+                .wake
+                .wait_timeout(guard, Duration::from_micros(200))
+                .expect("idle wait poisoned");
+            drop(parked);
             continue;
         };
         maybe_yield();
         // Claim: first worker in wins; stale duplicates (the same pair can
         // be generated from two different parents) are dropped here.
-        if !rt
-            .claimed
-            .lock()
-            .expect("claimed set poisoned")
-            .insert(pair_key(req.page_p, req.page_q))
-        {
+        if !sync::lock(&rt.claimed).insert(pair_key(req.page_p, req.page_q)) {
             continue;
         }
         if f64::from_bits(req.minmin_bits) > rt.bound_d2() {
@@ -378,7 +354,7 @@ fn worker_loop<const D: usize>(
             Err(e) => {
                 // First error wins; everyone winds down. Workers never
                 // panic — a failed speculative read is an ordinary result.
-                let mut slot = rt.error.lock().expect("error slot poisoned");
+                let mut slot = sync::lock(&rt.error);
                 if slot.is_none() {
                     *slot = Some(e);
                 }
@@ -471,10 +447,7 @@ fn exec_task<const D: usize>(
         }
         TaskOut::Inner(cands)
     };
-    rt.pairs
-        .lock()
-        .expect("pair cache poisoned")
-        .insert(pair_key(req.page_p, req.page_q), Arc::new(out));
+    sync::lock(&rt.pairs).insert(pair_key(req.page_p, req.page_q), Arc::new(out));
     Ok(())
 }
 
@@ -512,8 +485,7 @@ pub(crate) fn run_parallel<const D: usize, P: Probe>(
         );
         runtime.shutdown();
         for h in handles {
-            // analyze: allow(panic-path) — a panicking worker is a bug;
-            // propagate the panic.
+            #[expect(clippy::expect_used, reason = "a panicking worker is a bug; re-raise")]
             h.join().expect("worker threads never panic");
         }
         leader
@@ -523,7 +495,7 @@ pub(crate) fn run_parallel<const D: usize, P: Probe>(
     // when the driver never needed the failing page itself: exactly one
     // error surfaces, and reruns on the same trees start clean.
     let run = leader?;
-    if let Some(e) = runtime.error.lock().expect("error slot poisoned").take() {
+    if let Some(e) = sync::lock(&runtime.error).take() {
         return Err(e);
     }
     Ok(run)
@@ -671,7 +643,6 @@ mod model_tests {
     use super::*;
     use cpq_check::thread;
     use cpq_check::{model, model_dfs, model_pct, DfsOptions, PctOptions};
-    use cpq_geo::Point;
 
     type Rt = SpecRuntime<2>;
 

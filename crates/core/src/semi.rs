@@ -47,9 +47,8 @@ pub fn semi_closest_pairs<const D: usize>(
                     let warm = last_answer
                         .map(|q| min_min_dist2(&p.mbr(), &q.mbr()))
                         .unwrap_or(Dist2::INFINITY);
+                    #[expect(clippy::expect_used, reason = "`tree_q` is non-empty: an NN exists")]
                     let (q, d) = nn_bounded(tree_q, &p, warm, &mut stats)?
-                        // analyze: allow(panic-path) — `tree_q` was checked non-empty before
-                        // the scan, so a nearest neighbor exists.
                         .expect("non-empty Q has a nearest neighbor");
                     pairs.push(PairResult { p, q, dist2: d });
                     last_answer = Some(q);

@@ -1,6 +1,9 @@
 //! Fixtures shared by this crate's integration tests (each test binary
 //! includes the module and uses its own subset).
-#![allow(dead_code)]
+#![allow(
+    dead_code,
+    reason = "each test binary includes this module and uses its own subset"
+)]
 
 use cpq_geo::{Point, Point2};
 use cpq_rtree::{RTree, RTreeParams};

@@ -19,9 +19,6 @@
 //!
 //! All generators are seeded and fully deterministic.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 mod clustered;
 mod uniform;
 

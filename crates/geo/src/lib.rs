@@ -30,9 +30,6 @@
 //! straightforward — here it genuinely is, and the test-suite exercises
 //! `D ∈ {2, 3, 4}`.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 mod color;
 mod dist;
 mod metrics;

@@ -100,11 +100,10 @@ impl<const D: usize> Point<D> {
     }
 
     /// Reads a point [`encode`](Self::encode) wrote to `buf[..8 * D]`.
+    #[expect(clippy::expect_used, reason = "8-byte window of a checked buffer")]
     pub fn decode(buf: &[u8]) -> Self {
         let mut out = [0.0; D];
         for (d, c) in out.iter_mut().enumerate() {
-            // analyze: allow(panic-path) — fixed 8-byte window of the caller's
-            // length-checked buffer; the conversion cannot fail.
             *c = f64::from_le_bytes(buf[d * 8..d * 8 + 8].try_into().expect("8-byte slice"));
         }
         Point(out)

@@ -28,7 +28,7 @@
 //! with a pinned broken twin that reclaims with `<=` — the classic
 //! off-by-one that frees pages out from under the oldest reader.
 
-use cpq_check::sync::Mutex;
+use cpq_check::sync::{self, Mutex};
 use cpq_storage::PageId;
 use std::collections::{BTreeMap, VecDeque};
 
@@ -94,7 +94,7 @@ impl EpochRegistry {
     /// Pins the current epoch for a reader; returns `(epoch, descriptor)`.
     /// Must be paired with exactly one [`unpin`](Self::unpin).
     pub fn pin(&self) -> (u64, Descriptor) {
-        let mut st = self.state.lock().expect("epoch state poisoned");
+        let mut st = sync::lock(&self.state);
         let epoch = st.epoch;
         *st.pins.entry(epoch).or_insert(0) += 1;
         (epoch, st.descriptor)
@@ -103,7 +103,7 @@ impl EpochRegistry {
     /// Releases a pin taken at `epoch`, freeing any batches it was the
     /// last reader to protect through `free`.
     pub fn unpin(&self, epoch: u64, free: &mut dyn FnMut(PageId)) {
-        let mut st = self.state.lock().expect("epoch state poisoned");
+        let mut st = sync::lock(&self.state);
         match st.pins.get_mut(&epoch) {
             Some(n) if *n > 1 => *n -= 1,
             Some(_) => {
@@ -122,7 +122,7 @@ impl EpochRegistry {
         retired: Vec<PageId>,
         free: &mut dyn FnMut(PageId),
     ) {
-        let mut st = self.state.lock().expect("epoch state poisoned");
+        let mut st = sync::lock(&self.state);
         let old_epoch = st.epoch;
         st.epoch = old_epoch + 1;
         st.descriptor = descriptor;
@@ -139,13 +139,13 @@ impl EpochRegistry {
     /// The current `(epoch, descriptor)` without pinning (metrics /
     /// diagnostics only — do not read pages based on this).
     pub fn current(&self) -> (u64, Descriptor) {
-        let st = self.state.lock().expect("epoch state poisoned");
+        let st = sync::lock(&self.state);
         (st.epoch, st.descriptor)
     }
 
     /// Counter snapshot.
     pub fn stats(&self) -> EpochStats {
-        let st = self.state.lock().expect("epoch state poisoned");
+        let st = sync::lock(&self.state);
         EpochStats {
             epoch: st.epoch,
             active_pins: st.pins.values().map(|&n| n as u64).sum(),
@@ -161,7 +161,7 @@ impl EpochRegistry {
     fn reclaim_locked(st: &mut EpochState, free: &mut dyn FnMut(PageId)) {
         let min_pin = st.pins.keys().next().copied().unwrap_or(u64::MAX);
         while st.retired.front().is_some_and(|b| b.retire_epoch < min_pin) {
-            // analyze: allow(panic-path) — front() was just checked.
+            #[expect(clippy::expect_used, reason = "front() was just checked.")]
             let batch = st.retired.pop_front().expect("front checked");
             st.pages_freed += batch.pages.len() as u64;
             for p in batch.pages {
@@ -181,7 +181,7 @@ impl EpochRegistry {
         retired: Vec<PageId>,
         free: &mut dyn FnMut(PageId),
     ) {
-        let mut st = self.state.lock().expect("epoch state poisoned");
+        let mut st = sync::lock(&self.state);
         let old_epoch = st.epoch;
         st.epoch = old_epoch + 1;
         st.descriptor = descriptor;

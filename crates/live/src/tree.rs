@@ -39,7 +39,7 @@ use crate::epoch::{EpochRegistry, EpochStats};
 use crate::error::{LiveError, LiveResult};
 use crate::wal::{Lsn, OpKind, RecordBody, Wal, WalConfig, WalStats};
 use cpq_check::sync::atomic::{AtomicU64, Ordering};
-use cpq_check::sync::{Arc, Mutex};
+use cpq_check::sync::{self, Arc, Mutex};
 use cpq_geo::Point;
 use cpq_rtree::{RTree, RTreeError, RTreeParams};
 use cpq_storage::{BufferPool, DiskPageFile, MemPageFile, PageId};
@@ -302,7 +302,7 @@ impl<const D: usize> LiveTree<D> {
     /// Inserts `(object, oid)`; durable (when WAL-backed) and published
     /// to snapshot readers on return.
     pub fn insert(&self, object: Point<D>, oid: u64) -> LiveResult<()> {
-        let mut st = self.writer.lock().expect("live writer poisoned");
+        let mut st = sync::lock(&self.writer);
         self.apply_locked(&mut st, OpKind::Insert, object, oid)?;
         Ok(())
     }
@@ -311,7 +311,7 @@ impl<const D: usize> LiveTree<D> {
     /// The operation is logged and committed either way, so replicas
     /// replaying the log agree on the op stream.
     pub fn delete(&self, object: Point<D>, oid: u64) -> LiveResult<bool> {
-        let mut st = self.writer.lock().expect("live writer poisoned");
+        let mut st = sync::lock(&self.writer);
         self.apply_locked(&mut st, OpKind::Delete, object, oid)
     }
 
@@ -398,7 +398,7 @@ impl<const D: usize> LiveTree<D> {
     /// previous checkpoint's pin. The writer lock is held throughout:
     /// updates wait until the new segment's fsync has completed.
     pub fn checkpoint(&self) -> LiveResult<Lsn> {
-        let mut st = self.writer.lock().expect("live writer poisoned");
+        let mut st = sync::lock(&self.writer);
         self.checkpoint_locked(&mut st)
     }
 
@@ -482,7 +482,7 @@ impl<const D: usize> LiveTree<D> {
 
     /// Counter snapshot for metrics.
     pub fn stats(&self) -> LiveStats {
-        let st = self.writer.lock().expect("live writer poisoned");
+        let st = sync::lock(&self.writer);
         LiveStats {
             inserts: st.inserts,
             deletes: st.deletes,
@@ -569,23 +569,19 @@ impl<const D: usize> LiveSet<D> {
             &self.p.snapshot()?,
             &self.q.snapshot()?,
         )?;
-        *self.cont.lock().expect("continuous watcher poisoned") = Some(cont);
+        *sync::lock(&self.cont) = Some(cont);
         Ok(())
     }
 
     /// Stops continuous maintenance.
     pub fn unwatch(&self) {
-        *self.cont.lock().expect("continuous watcher poisoned") = None;
+        *sync::lock(&self.cont) = None;
     }
 
     /// The current continuous result set (pairs in the canonical order),
     /// or `None` when no watcher is installed.
     pub fn watched_pairs(&self) -> Option<Vec<cpq_core::PairResult<D>>> {
-        self.cont
-            .lock()
-            .expect("continuous watcher poisoned")
-            .as_ref()
-            .map(|c| c.pairs())
+        sync::lock(&self.cont).as_ref().map(|c| c.pairs())
     }
 
     /// Applies a batch of updates in order. Each op is individually
@@ -594,7 +590,7 @@ impl<const D: usize> LiveSet<D> {
     pub fn apply(&self, ops: &[UpdateOp<D>]) -> LiveResult<ApplyReport> {
         let mut report = ApplyReport::default();
         for op in ops {
-            let mut cont = self.cont.lock().expect("continuous watcher poisoned");
+            let mut cont = sync::lock(&self.cont);
             match *op {
                 UpdateOp::Insert { side, object, oid } => {
                     self.side(side).insert(object, oid)?;

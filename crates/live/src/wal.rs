@@ -61,7 +61,7 @@
 //! reach the disk.
 
 use crate::error::{LiveError, LiveResult};
-use cpq_check::sync::Mutex;
+use cpq_check::sync::{self, Mutex};
 use cpq_storage::crc32;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Write};
@@ -480,7 +480,7 @@ impl Wal {
     /// becomes durable at the next [`commit`](Self::commit) /
     /// [`checkpoint`](Self::checkpoint).
     pub fn append(&self, body: &RecordBody) -> Lsn {
-        let mut inner = self.inner.lock().expect("wal state poisoned");
+        let mut inner = sync::lock(&self.inner);
         let lsn = inner.stats.appended_lsn + 1;
         let before = inner.buf.len();
         encode_record(&mut inner.buf, lsn, body);
@@ -494,13 +494,13 @@ impl Wal {
     /// everything appended before it, so a caller whose record an earlier
     /// flush already wrote returns without another.
     pub fn commit(&self, lsn: Lsn) -> LiveResult<()> {
-        let mut inner = self.inner.lock().expect("wal state poisoned");
+        let mut inner = sync::lock(&self.inner);
         inner.commit(lsn, self.cfg.sync)
     }
 
     /// Makes everything appended so far durable.
     pub fn flush_all(&self) -> LiveResult<Lsn> {
-        let mut inner = self.inner.lock().expect("wal state poisoned");
+        let mut inner = sync::lock(&self.inner);
         let target = inner.stats.appended_lsn;
         inner.commit(target, self.cfg.sync)?;
         Ok(target)
@@ -515,7 +515,7 @@ impl Wal {
         // Seal the current segment: everything buffered must be durable
         // before the old segments become deletable.
         self.flush_all()?;
-        let mut inner = self.inner.lock().expect("wal state poisoned");
+        let mut inner = sync::lock(&self.inner);
         let new_seq = inner.seg_seq + 1;
         let lsn = inner.stats.appended_lsn + 1;
         let mut buf = Vec::new();
@@ -543,13 +543,13 @@ impl Wal {
     /// one every write fails, as on a dying disk — and returns the old one.
     #[cfg(test)]
     pub(crate) fn swap_segment_handle(&self, file: File) -> File {
-        let mut inner = self.inner.lock().expect("wal state poisoned");
+        let mut inner = sync::lock(&self.inner);
         std::mem::replace(&mut inner.file, file)
     }
 
     /// Counter snapshot.
     pub fn stats(&self) -> WalStats {
-        self.inner.lock().expect("wal state poisoned").stats
+        sync::lock(&self.inner).stats
     }
 }
 
@@ -592,7 +592,7 @@ pub fn scan_segment(seq: u64, path: &Path) -> LiveResult<SegmentScan> {
         let Some(len_bytes) = bytes.get(at..at + 4) else {
             return Ok(scan); // torn length prefix
         };
-        // analyze: allow(panic-path) — a 4-byte slice always converts.
+        #[expect(clippy::expect_used, reason = "a 4-byte slice always converts.")]
         let body_len = u32::from_le_bytes(len_bytes.try_into().expect("4-byte slice")) as usize;
         if body_len > MAX_BODY_LEN {
             return Ok(scan); // implausible length: torn tail
@@ -605,7 +605,7 @@ pub fn scan_segment(seq: u64, path: &Path) -> LiveResult<SegmentScan> {
         let Some(crc_bytes) = bytes.get(crc_start..crc_start + 4) else {
             return Ok(scan); // torn CRC
         };
-        // analyze: allow(panic-path) — a 4-byte slice always converts.
+        #[expect(clippy::expect_used, reason = "a 4-byte slice always converts.")]
         let stored = u32::from_le_bytes(crc_bytes.try_into().expect("4-byte slice"));
         if crc32(body) != stored {
             return Ok(scan); // bit rot or torn write inside the body

@@ -7,7 +7,7 @@
 //! registration and snapshot time.
 
 use cpq_check::sync::atomic::{AtomicU64, Ordering};
-use cpq_check::sync::{Arc, Mutex};
+use cpq_check::sync::{self, Arc, Mutex};
 
 /// A monotonically increasing counter.
 ///
@@ -292,7 +292,8 @@ impl Registry {
         for (k, _) in labels {
             assert!(valid_name(k), "invalid label name {k:?}");
         }
-        let mut families = self.families.lock().expect("registry mutex poisoned");
+        let mut families = sync::lock(&self.families);
+        #[expect(clippy::expect_used, reason = "the push above makes it non-empty")]
         let family = match families.iter_mut().find(|f| f.name == name) {
             Some(f) => {
                 assert!(
@@ -309,8 +310,6 @@ impl Registry {
                     kind,
                     series: Vec::new(),
                 });
-                // analyze: allow(panic-path) — the push on the line above makes the
-                // vec non-empty.
                 families.last_mut().expect("just pushed")
             }
         };
@@ -319,13 +318,11 @@ impl Registry {
             .map(|(k, v)| (k.to_string(), v.to_string()))
             .collect();
         if let Some(s) = family.series.iter().find(|s| s.labels == wanted) {
-            // analyze: allow(panic-path) — the kind check above guarantees the
-            // cast succeeds.
+            #[expect(clippy::expect_used, reason = "the kind check above ensures the cast")]
             return cast(&s.handle).expect("kind checked above");
         }
         let handle = make();
-        // analyze: allow(panic-path) — `make()` constructs the exact handle
-        // kind requested.
+        #[expect(clippy::expect_used, reason = "`make()` builds the kind asked for")]
         let out = cast(&handle).expect("make() produced the requested kind");
         family.series.push(Series {
             labels: wanted,
@@ -381,7 +378,7 @@ impl Registry {
 
     /// Reads every registered series once.
     pub fn snapshot(&self) -> Snapshot {
-        let families = self.families.lock().expect("registry mutex poisoned");
+        let families = sync::lock(&self.families);
         families
             .iter()
             .map(|f| FamilySnapshot {

@@ -136,7 +136,10 @@ mod tests {
     use super::*;
 
     #[test]
-    #[allow(clippy::assertions_on_constants)]
+    #[allow(
+        clippy::assertions_on_constants,
+        reason = "the test pins the value of an associated const"
+    )]
     fn null_probe_is_disabled() {
         assert!(!NullProbe::ENABLED);
         // And its callbacks are callable no-ops.

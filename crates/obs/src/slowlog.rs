@@ -2,7 +2,7 @@
 //! whose end-to-end latency crossed a threshold.
 
 use crate::profile::QueryProfile;
-use cpq_check::sync::{Mutex, MutexGuard};
+use cpq_check::sync::{self, Mutex};
 use std::collections::VecDeque;
 
 /// Captures the complete work profile of every query slower than a
@@ -37,10 +37,6 @@ impl SlowQueryLog {
         }
     }
 
-    fn state(&self) -> MutexGuard<'_, State> {
-        self.state.lock().expect("slow-query log poisoned")
-    }
-
     /// The capture threshold in microseconds.
     pub fn threshold_us(&self) -> u64 {
         self.threshold_us
@@ -48,12 +44,12 @@ impl SlowQueryLog {
 
     /// Slow queries observed since creation (captured or evicted).
     pub fn observed(&self) -> u64 {
-        self.state().observed
+        sync::lock(&self.state).observed
     }
 
     /// Captured profiles evicted because the log was full.
     pub fn evicted(&self) -> u64 {
-        self.state().evicted
+        sync::lock(&self.state).evicted
     }
 
     /// Offers a finished query's profile; clones and captures it when it is
@@ -63,7 +59,7 @@ impl SlowQueryLog {
             return false;
         }
         let profile = profile.clone();
-        let mut state = self.state();
+        let mut state = sync::lock(&self.state);
         state.observed += 1;
         if state.kept.len() == self.capacity {
             state.kept.pop_front();
@@ -75,7 +71,7 @@ impl SlowQueryLog {
 
     /// Drains the captured profiles, oldest first.
     pub fn drain(&self) -> Vec<QueryProfile> {
-        self.state().kept.drain(..).collect()
+        sync::lock(&self.state).kept.drain(..).collect()
     }
 
     /// Drains the captured profiles as JSONL (one JSON object per line,

@@ -14,9 +14,6 @@
 //! [splitmix64]: https://prng.di.unimi.it/splitmix64.c
 //! [xoshiro256++]: https://prng.di.unimi.it/xoshiro256plusplus.c
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 use std::ops::{Range, RangeInclusive};
 
 /// Expands a 64-bit seed into a well-mixed sequence (used for state

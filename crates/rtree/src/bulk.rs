@@ -64,9 +64,8 @@ impl<const D: usize> RTree<D> {
         for group in tiles {
             let node = Node::Leaf(group);
             let id = tree.alloc_write(&node)?;
+            #[expect(clippy::expect_used, reason = "tiles are non-empty input chunks")]
             entries.push(InnerEntry::new(
-                // analyze: allow(panic-path) — tiles are non-empty chunks of a
-                // non-empty input.
                 node.mbr().expect("non-empty tile"),
                 id,
                 node.subtree_count(),
@@ -92,9 +91,8 @@ impl<const D: usize> RTree<D> {
                     entries: group,
                 };
                 let id = tree.alloc_write(&node)?;
+                #[expect(clippy::expect_used, reason = "tiles are non-empty input chunks")]
                 next.push(InnerEntry::new(
-                    // analyze: allow(panic-path) — tiles are non-empty chunks of a
-                    // non-empty input.
                     node.mbr().expect("non-empty tile"),
                     id,
                     node.subtree_count(),
@@ -104,8 +102,7 @@ impl<const D: usize> RTree<D> {
             height += 1;
         }
 
-        // analyze: allow(panic-path) — the packing loop terminates with
-        // exactly one root entry.
+        #[expect(clippy::expect_used, reason = "packing ends with exactly one root")]
         let root_entry = entries.pop().expect("at least one entry");
         tree.set_descriptor_after_bulk(root_entry.child, height, objects.len() as u64);
         Ok(tree)

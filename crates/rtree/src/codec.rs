@@ -101,23 +101,20 @@ pub fn encode_node<const D: usize>(node: &Node<D>, buf: &mut [u8]) -> RTreeResul
 }
 
 #[inline]
+#[expect(clippy::expect_used, reason = "8-byte window; callers check lengths")]
 fn read_f64(buf: &[u8], off: usize) -> f64 {
-    // analyze: allow(panic-path) — fixed 8-byte window; callers check the
-    // page length, so the conversion cannot fail.
     f64::from_le_bytes(buf[off..off + 8].try_into().expect("8-byte slice"))
 }
 
 #[inline]
+#[expect(clippy::expect_used, reason = "4-byte window; callers check lengths")]
 fn read_u32(buf: &[u8], off: usize) -> u32 {
-    // analyze: allow(panic-path) — fixed 4-byte window; callers check the
-    // page length, so the conversion cannot fail.
     u32::from_le_bytes(buf[off..off + 4].try_into().expect("4-byte slice"))
 }
 
 #[inline]
+#[expect(clippy::expect_used, reason = "8-byte window; callers check lengths")]
 fn read_u64(buf: &[u8], off: usize) -> u64 {
-    // analyze: allow(panic-path) — fixed 8-byte window; callers check the
-    // page length, so the conversion cannot fail.
     u64::from_le_bytes(buf[off..off + 8].try_into().expect("8-byte slice"))
 }
 
@@ -163,9 +160,8 @@ pub fn check_node<const D: usize>(page: PageId, buf: &[u8]) -> RTreeResult<()> {
 
 /// The entry count of a node page's header.
 #[inline]
+#[expect(clippy::expect_used, reason = "fixed-width field of a checked page")]
 fn header_count(buf: &[u8]) -> usize {
-    // analyze: allow(panic-path) — fixed-width header field of a
-    // length-checked page.
     u16::from_le_bytes(buf[2..4].try_into().expect("2-byte slice")) as usize
 }
 

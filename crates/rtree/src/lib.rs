@@ -36,9 +36,6 @@
 //! * Every inner entry carries the **cardinality of its subtree**, which the
 //!   closest-pair algorithms use for the MAXMAXDIST-based K-pruning bound.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 mod bulk;
 mod codec;
 mod entry;

@@ -105,9 +105,9 @@ impl<const D: usize> RTree<D> {
                                                          // Max-heap of the k smallest point distances seen so far; its top is
                                                          // the pruning bound once k candidates exist.
         let mut worst: BinaryHeap<Dist2> = BinaryHeap::with_capacity(cap + 1);
+        #[expect(clippy::expect_used, reason = "guarded by the length check above.")]
         let bound = |worst: &BinaryHeap<Dist2>| {
             if worst.len() >= k {
-                // analyze: allow(panic-path) — guarded by the length check above.
                 *worst.peek().expect("k >= 1")
             } else {
                 Dist2::INFINITY

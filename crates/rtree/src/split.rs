@@ -29,8 +29,7 @@ impl<const D: usize> SplitItem<D> for crate::entry::InnerEntry<D> {
 /// Bounding box of a slice of items (caller guarantees non-empty).
 fn bbox<const D: usize, T: SplitItem<D>>(items: &[T]) -> Rect<D> {
     let mut it = items.iter();
-    // analyze: allow(panic-path) — documented precondition: callers never
-    // pass an empty slice.
+    #[expect(clippy::expect_used, reason = "callers never pass an empty slice")]
     let first = it.next().expect("bbox of empty slice").mbr();
     it.fold(first, |acc, e| acc.union(&e.mbr()))
 }
@@ -101,8 +100,7 @@ pub(crate) fn rstar_split<const D: usize, T: SplitItem<D>>(
         }
     }
     let _ = best_axis; // retained for debugging clarity
-                       // analyze: allow(panic-path) — the axis loop ran at least once
-                       // (D >= 1), so a sorting was chosen.
+    #[expect(clippy::expect_used, reason = "D >= 1, so the axis loop chose one")]
     let sortings = best_sortings.expect("D >= 1");
 
     // ChooseSplitIndex: minimum overlap, ties by minimum combined area,
@@ -123,10 +121,9 @@ pub(crate) fn rstar_split<const D: usize, T: SplitItem<D>>(
             }
         }
     }
-    // analyze: allow(panic-path) — the index loop ran at least once
-    // (min <= n - min), so a split was chosen.
+    #[expect(clippy::expect_used, reason = "min <= n - min, so a split was chosen")]
     let (_, _, s, k) = best.expect("at least one distribution");
-    // analyze: allow(panic-path) — `s` indexes the two-element array.
+    #[expect(clippy::expect_used, reason = "`s` indexes the two-element array.")]
     let mut chosen = sortings.into_iter().nth(s).expect("sorting index valid");
     let right = chosen.split_off(k);
     (chosen, right)
@@ -207,8 +204,7 @@ pub(crate) fn quadratic_split<const D: usize, T: SplitItem<D>>(
         let d2 = r2.enlargement(&e.mbr());
         // Tie chain: smaller enlargement, then smaller area, then fewer
         // entries (Guttman's Resolve ties rule).
-        // analyze: allow(panic-path) — enlargements of finite rectangles are
-        // never NaN.
+        #[expect(clippy::expect_used, reason = "finite enlargements are never NaN")]
         let to_first = match d1.partial_cmp(&d2).expect("finite enlargements") {
             std::cmp::Ordering::Less => true,
             std::cmp::Ordering::Greater => false,

@@ -175,8 +175,7 @@ impl<const D: usize> RTree<D> {
     /// reachable from a snapshot. Panics outside COW mode (a programming
     /// error, not a data error).
     pub fn cow_take(&mut self) -> Vec<PageId> {
-        // analyze: allow(panic-path) — cow_take outside cow_enable is a caller
-        // bug; the live layer always pairs them.
+        #[expect(clippy::expect_used, reason = "cow_take without cow_enable is a bug")]
         let state = self.cow.as_mut().expect("cow_take without cow_enable");
         state.fresh.clear();
         std::mem::take(&mut state.retired)
@@ -277,10 +276,9 @@ impl<const D: usize> RTree<D> {
         self.len = len;
     }
 
+    #[expect(clippy::expect_used, reason = "entry_for links only non-empty nodes")]
     fn entry_for(&self, id: PageId, node: &Node<D>) -> InnerEntry<D> {
         InnerEntry::new(
-            // analyze: allow(panic-path) — entry_for links only freshly written
-            // non-empty nodes.
             node.mbr().expect("entry_for on empty node"),
             id,
             node.subtree_count(),
@@ -337,7 +335,10 @@ impl<const D: usize> RTree<D> {
 
     /// Recursive insertion step. Returns the refreshed entry describing
     /// `node_id` and, if the node split, the entry of the new sibling.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "the recursion carries the target level, the overflow flags and the reinsert queue down every level"
+    )]
     fn insert_rec(
         &mut self,
         node_id: PageId,
@@ -441,8 +442,7 @@ impl<const D: usize> RTree<D> {
             .params
             .reinsert_count
             .min(node.len() - self.params.min_entries);
-        // analyze: allow(panic-path) — reinsert fires on overflowing (hence
-        // non-empty) nodes.
+        #[expect(clippy::expect_used, reason = "reinsert fires on overflowing nodes")]
         let center = node.mbr().expect("reinsert on empty node").center();
         match node {
             Node::Leaf(es) => {

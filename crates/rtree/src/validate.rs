@@ -226,8 +226,7 @@ impl<const D: usize> RTree<D> {
 
     /// Panics with all violations when the tree is invalid (test helper).
     pub fn assert_valid(&self) {
-        // analyze: allow(panic-path) — assert_valid is a test helper
-        // documented to panic on invalid trees.
+        #[expect(clippy::expect_used, reason = "a test helper, documented to panic")]
         let report = self.validate().expect("validation walk failed");
         assert!(
             report.is_valid(),

@@ -40,6 +40,7 @@ impl MetricsServer {
         // without platform-specific listener wakeups.
         listener.set_nonblocking(true)?;
         let stop = Arc::new(AtomicBool::new(false));
+        #[expect(clippy::expect_used, reason = "the server is its listener thread")]
         let handle = {
             let stop = Arc::clone(&stop);
             std::thread::Builder::new()
@@ -57,18 +58,14 @@ impl MetricsServer {
                                 let _ = handle_connection(stream, &render);
                             }
                             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                                // analyze: allow(panic-path) — poll backoff for the
-                                // non-blocking accept loop; bounds shutdown
-                                // latency without platform wakeup APIs.
+                                #[expect(clippy::disallowed_methods, reason = "poll backoff")]
                                 std::thread::sleep(Duration::from_millis(5));
                             }
-                            // analyze: allow(panic-path) — same backoff as above.
+                            #[expect(clippy::disallowed_methods, reason = "same backoff")]
                             Err(_) => std::thread::sleep(Duration::from_millis(5)),
                         }
                     }
                 })
-                // analyze: allow(panic-path) — spawning the one listener thread at
-                // startup; if the OS refuses, the server cannot exist.
                 .expect("spawn metrics http thread")
         };
         Ok(MetricsServer {

@@ -7,7 +7,7 @@
 //! [`CpqService`](crate::CpqService): under overload, producers get an
 //! immediate `Rejected` and the latency of admitted queries stays bounded.
 
-use cpq_check::sync::{Condvar, Mutex, MutexGuard};
+use cpq_check::sync::{self, Condvar, Mutex};
 use std::collections::VecDeque;
 
 struct State<T> {
@@ -46,7 +46,7 @@ impl<T> AdmissionQueue<T> {
 
     /// Items currently queued (racy the instant it returns; for reporting).
     pub fn len(&self) -> usize {
-        self.lock().items.len()
+        sync::lock(&self.state).items.len()
     }
 
     /// `true` when no items are queued.
@@ -54,14 +54,10 @@ impl<T> AdmissionQueue<T> {
         self.len() == 0
     }
 
-    fn lock(&self) -> MutexGuard<'_, State<T>> {
-        self.state.lock().expect("admission queue mutex poisoned")
-    }
-
     /// Attempts to enqueue `item`. Returns it back (`Err`) when the queue is
     /// full — the load-shedding path — or already closed. Never blocks.
     pub fn try_push(&self, item: T) -> Result<(), T> {
-        let mut g = self.lock();
+        let mut g = sync::lock(&self.state);
         if g.closed || g.items.len() >= self.capacity {
             return Err(item);
         }
@@ -75,7 +71,7 @@ impl<T> AdmissionQueue<T> {
     /// Returns `None` only once the queue is closed **and** drained, so no
     /// admitted item is ever lost to a shutdown.
     pub fn pop(&self) -> Option<T> {
-        let mut g = self.lock();
+        let mut g = sync::lock(&self.state);
         loop {
             if let Some(item) = g.items.pop_front() {
                 return Some(item);
@@ -83,17 +79,14 @@ impl<T> AdmissionQueue<T> {
             if g.closed {
                 return None;
             }
-            g = self
-                .not_empty
-                .wait(g)
-                .expect("admission queue mutex poisoned");
+            g = sync::wait(&self.not_empty, g);
         }
     }
 
     /// Closes the queue: further pushes shed, and poppers drain the backlog
     /// then observe `None`. Idempotent.
     pub fn close(&self) {
-        self.lock().closed = true;
+        sync::lock(&self.state).closed = true;
         self.not_empty.notify_all();
     }
 }

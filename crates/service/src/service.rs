@@ -93,7 +93,10 @@ struct Job<const D: usize> {
 /// What a service answers queries over.
 // One `Source` lives per service, behind the `Arc<Shared>` — the variant
 // size asymmetry never multiplies across a collection.
-#[allow(clippy::large_enum_variant)]
+#[allow(
+    clippy::large_enum_variant,
+    reason = "one `Source` per service, so the size asymmetry never multiplies"
+)]
 pub enum Source<const D: usize> {
     /// A static read-only pair.
     Static(TreePair<D>),
@@ -251,14 +254,13 @@ impl<const D: usize> CpqService<D> {
             plan_stats,
             plan_workspaces,
         });
+        #[expect(clippy::expect_used, reason = "the service cannot run without workers")]
         let workers = (0..config.workers)
             .map(|i| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("cpq-worker-{i}"))
                     .spawn(move || worker_loop(&shared))
-                    // analyze: allow(panic-path) — spawn fails only on OS resource
-                    // exhaustion; the service cannot run without its workers.
                     .expect("spawn worker thread")
             })
             .collect();
@@ -393,8 +395,7 @@ impl<const D: usize> CpqService<D> {
     fn stop(&mut self) {
         self.shared.queue.close();
         for h in self.workers.drain(..) {
-            // analyze: allow(panic-path) — a panicking worker is a bug; propagate
-            // the panic instead of shutting down silently.
+            #[expect(clippy::expect_used, reason = "a panicking worker is a bug; re-raise")]
             h.join().expect("worker thread panicked");
         }
     }
@@ -652,7 +653,10 @@ fn worker_loop<const D: usize>(shared: &Shared<D>) {
 /// scatter path's shard subqueries fill too), and timings. The
 /// engine-observable fields (node accesses per level, phase timings) were
 /// already written by the [`ProfileProbe`] callbacks.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "one call site, which hands over every part of a finished query"
+)]
 fn complete_profile<const D: usize>(
     probe: ProfileProbe,
     shared: &Shared<D>,

@@ -62,7 +62,7 @@ impl<const D: usize> ShardedTree<D> {
                 }
             };
             let mbr = tree.root_mbr()?;
-            // analyze: allow(panic-path) — the group is non-empty, so the tree is.
+            #[expect(clippy::expect_used, reason = "the group is non-empty, so the tree is")]
             mbrs.push(mbr.expect("non-empty shard tree has a root MBR"));
             trees.push(tree);
         }

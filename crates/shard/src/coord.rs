@@ -406,14 +406,13 @@ impl<const D: usize> ShardedQuery<'_, D> {
             &self.spec.constraint,
         ));
         let workers = self.shard.workers.max(1);
+        #[expect(clippy::expect_used, reason = "a panicking worker is a bug; re-raise")]
         let outs: Vec<WorkerOut<D>> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
                 .map(|_| scope.spawn(|| self.worker_run(&scatter)))
                 .collect();
             handles
                 .into_iter()
-                // analyze: allow(panic-path) — a panicking worker is a bug; propagate
-                // the panic rather than fabricate a result.
                 .map(|h| h.join().expect("shard workers never panic"))
                 .collect()
         });

@@ -108,15 +108,15 @@ impl<'a> Reader<'a> {
         Ok(self.take(1)?[0])
     }
 
+    #[expect(clippy::expect_used, reason = "take(4) returned exactly 4 bytes.")]
     fn u32(&mut self) -> Result<u32, ProtoError> {
         let b = self.take(4)?;
-        // analyze: allow(panic-path) — take(4) returned exactly 4 bytes.
         Ok(u32::from_le_bytes(b.try_into().expect("4 bytes")))
     }
 
+    #[expect(clippy::expect_used, reason = "take(8) returned exactly 8 bytes.")]
     fn u64(&mut self) -> Result<u64, ProtoError> {
         let b = self.take(8)?;
-        // analyze: allow(panic-path) — take(8) returned exactly 8 bytes.
         Ok(u64::from_le_bytes(b.try_into().expect("8 bytes")))
     }
 

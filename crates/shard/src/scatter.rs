@@ -20,7 +20,7 @@
 //!    so once the *top* exceeds the bound every remaining pair does too
 //!    and the whole queue drains as pruned in one step.
 
-use cpq_check::sync::Mutex;
+use cpq_check::sync::{self, Mutex};
 use cpq_core::SharedBound;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -84,8 +84,7 @@ impl Scatter {
     /// pair's `MINMINDIST` strictly exceeds the shared bound, in which
     /// case the whole queue is counted pruned and dropped at once.
     pub fn next(&self) -> Option<Task> {
-        // propagate the panic.
-        let mut st = self.state.lock().expect("scatter state poisoned");
+        let mut st = sync::lock(&self.state);
         if st.cancelled {
             return None;
         }
@@ -109,7 +108,7 @@ impl Scatter {
     /// harness pins the failing schedule as a `#[should_panic]` regression.
     #[cfg(all(test, cpq_model))]
     pub fn next_broken_geq(&self) -> Option<Task> {
-        let mut st = self.state.lock().expect("scatter state poisoned");
+        let mut st = sync::lock(&self.state);
         if st.cancelled {
             return None;
         }
@@ -127,13 +126,13 @@ impl Scatter {
     /// Stops dispatch: subsequent [`next`](Self::next) calls return `None`
     /// immediately (pending tasks are neither opened nor counted pruned).
     pub fn cancel(&self) {
-        self.state.lock().expect("scatter state poisoned").cancelled = true;
+        sync::lock(&self.state).cancelled = true;
     }
 
     /// Counter snapshot (call after the workers are joined for final
     /// numbers).
     pub fn counts(&self) -> ScatterCounts {
-        self.state.lock().expect("scatter state poisoned").counts
+        sync::lock(&self.state).counts
     }
 }
 

@@ -30,7 +30,7 @@ use crate::file::PageFile;
 use crate::page::{PageBytes, PageId};
 use crate::sched::{SchedConfig, SchedHandle, SchedPageFile, SchedStats};
 use crate::stats::IoStats;
-use cpq_check::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use cpq_check::sync::{self, Arc, Mutex, RwLock};
 use std::collections::HashMap;
 
 /// Page-replacement policy interface.
@@ -318,11 +318,10 @@ impl State {
     /// Frame `f`, which `map` points at.
     // Frame indices come from `map`, which only points at occupied
     // in-capacity frames (structural invariant of the pool state).
+    #[expect(clippy::expect_used, reason = "`map` only points at occupied frames")]
     fn mapped(&mut self, f: usize) -> &mut Frame {
         self.frames[f]
             .as_mut()
-            // analyze: allow(panic-path) — `map` only points at occupied frames
-            // (structural invariant of the pool state).
             .expect("mapped frame must be occupied")
     }
 
@@ -379,10 +378,9 @@ impl State {
             None if self.pinned_count < self.capacity => {
                 let victim = self.policy.evict(&self.pinned);
                 debug_assert!(!self.pinned[victim], "policy evicted a pinned frame");
+                #[expect(clippy::expect_used, reason = "no free frame: the victim is occupied")]
                 let old = self.frames[victim]
                     .take()
-                    // analyze: allow(panic-path) — no free frame existed, so every frame
-                    // (including the victim) is occupied.
                     .expect("victim frame must be occupied");
                 self.map.remove(&old.page);
                 self.stats.evictions += 1;
@@ -492,38 +490,24 @@ impl BufferPool {
         }
     }
 
-    /// Locks the bookkeeping state. Poisoning is unrecoverable here: a panic
-    /// while holding the lock leaves frame bookkeeping undefined.
-    fn guard(&self) -> MutexGuard<'_, State> {
-        self.state.lock().expect("buffer pool mutex poisoned")
-    }
-
-    fn file_read(&self) -> RwLockReadGuard<'_, Box<dyn PageFile>> {
-        self.file.read().expect("page file lock poisoned")
-    }
-
-    fn file_write(&self) -> RwLockWriteGuard<'_, Box<dyn PageFile>> {
-        self.file.write().expect("page file lock poisoned")
-    }
-
     /// Page size of the underlying file.
     pub fn page_size(&self) -> usize {
-        self.file_read().page_size()
+        sync::read(&self.file).page_size()
     }
 
     /// Number of pages in the underlying file.
     pub fn num_pages(&self) -> u32 {
-        self.file_read().num_pages()
+        sync::read(&self.file).num_pages()
     }
 
     /// Current frame capacity.
     pub fn capacity(&self) -> usize {
-        self.guard().capacity
+        sync::lock(&self.state).capacity
     }
 
     /// Allocates a fresh page in the underlying file.
     pub fn allocate(&self) -> StorageResult<PageId> {
-        self.file_write().allocate()
+        sync::write(&self.file).allocate()
     }
 
     /// Reads a page, through the cache.
@@ -541,14 +525,14 @@ impl BufferPool {
     /// first failed read.
     pub fn read_page(&self, id: PageId) -> StorageResult<PageBytes> {
         let generation = {
-            let mut st = self.guard();
+            let mut st = sync::lock(&self.state);
             if let Some(frame) = st.try_hit(id) {
                 return Ok(frame.data.clone());
             }
             st.generation
         };
         let data = self.fetch(id)?;
-        self.guard().complete_miss(id, &data, generation);
+        sync::lock(&self.state).complete_miss(id, &data, generation);
         Ok(data)
     }
 
@@ -574,14 +558,14 @@ impl BufferPool {
     where
         E: From<StorageError>,
     {
-        let mut st = self.guard();
+        let mut st = sync::lock(&self.state);
         if let Some(frame) = st.try_hit(id) {
             return frame.checked(check);
         }
         let generation = st.generation;
         drop(st);
         let data = self.fetch(id)?;
-        let mut st = self.guard();
+        let mut st = sync::lock(&self.state);
         if let Some(frame) = st.complete_miss(id, &data, generation) {
             return frame.checked(check);
         }
@@ -595,7 +579,7 @@ impl BufferPool {
     /// A scheduled pool demands through the handle — the result arrives as
     /// `PageBytes` already, no copy out of a caller buffer.
     fn fetch(&self, id: PageId) -> StorageResult<PageBytes> {
-        let file = self.file_read();
+        let file = sync::read(&self.file);
         match &self.sched {
             Some(s) => s.demand(id),
             None => file.read_bytes(id),
@@ -608,8 +592,8 @@ impl BufferPool {
     /// [`read_page`](Self::read_page), the `writes` counter moves only on
     /// success, keeping it equal to the file's physical write count.
     pub fn write_page(&self, id: PageId, data: &[u8]) -> StorageResult<()> {
-        let mut st = self.guard();
-        let stored = self.file_write().write_shared(id, data)?;
+        let mut st = sync::lock(&self.state);
+        let stored = sync::write(&self.file).write_shared(id, data)?;
         st.stats.writes += 1;
         st.generation += 1;
         if let Some(&f) = st.map.get(&id) {
@@ -622,7 +606,7 @@ impl BufferPool {
 
     /// Frees a page and drops any cached copy (clearing any pin).
     pub fn free_page(&self, id: PageId) -> StorageResult<()> {
-        let mut st = self.guard();
+        let mut st = sync::lock(&self.state);
         st.generation += 1;
         if let Some(f) = st.map.remove(&id) {
             st.frames[f] = None;
@@ -633,7 +617,7 @@ impl BufferPool {
             }
             st.policy.on_remove(f);
         }
-        self.file_write().free(id)
+        sync::write(&self.file).free(id)
     }
 
     /// Pins a page: it is faulted into the cache (if not resident) and never
@@ -647,7 +631,7 @@ impl BufferPool {
     pub fn pin_page(&self, id: PageId) -> StorageResult<bool> {
         // Fault it in through the normal path first.
         self.read_page(id)?;
-        let mut st = self.guard();
+        let mut st = sync::lock(&self.state);
         match st.map.get(&id).copied() {
             Some(f) => {
                 if !st.pinned[f] {
@@ -662,7 +646,7 @@ impl BufferPool {
 
     /// Removes the pin from a page, if it was pinned.
     pub fn unpin_page(&self, id: PageId) {
-        let mut st = self.guard();
+        let mut st = sync::lock(&self.state);
         if let Some(&f) = st.map.get(&id) {
             if st.pinned[f] {
                 st.pinned[f] = false;
@@ -673,17 +657,17 @@ impl BufferPool {
 
     /// Number of currently pinned pages.
     pub fn pinned_pages(&self) -> usize {
-        self.guard().pinned_count
+        sync::lock(&self.state).pinned_count
     }
 
     /// Buffer-level counters.
     pub fn buffer_stats(&self) -> BufferStats {
-        self.guard().stats
+        sync::lock(&self.state).stats
     }
 
     /// Physical counters of the underlying file.
     pub fn io_stats(&self) -> IoStats {
-        self.file_read().stats()
+        sync::read(&self.file).stats()
     }
 
     /// Both counter sets, read under one state-lock critical section.
@@ -699,27 +683,27 @@ impl BufferPool {
     /// concurrent consumers (the `cpq-service` metrics layer) use this
     /// method instead.
     pub fn stats_snapshot(&self) -> (BufferStats, IoStats) {
-        let st = self.guard();
-        let io = self.file_read().stats();
+        let st = sync::lock(&self.state);
+        let io = sync::read(&self.file).stats();
         (st.stats, io)
     }
 
     /// Flushes the underlying file's buffered state (header, metadata) to
     /// durable storage; no-op for in-memory files.
     pub fn sync(&self) -> StorageResult<()> {
-        self.file_write().sync()
+        sync::write(&self.file).sync()
     }
 
     /// Resets both buffer and file counters.
     pub fn reset_stats(&self) {
-        let mut st = self.guard();
+        let mut st = sync::lock(&self.state);
         st.stats = BufferStats::default();
-        self.file_write().reset_stats();
+        sync::write(&self.file).reset_stats();
     }
 
     /// Drops every cached page and pin (counters are kept).
     pub fn clear(&self) {
-        let mut st = self.guard();
+        let mut st = sync::lock(&self.state);
         let capacity = st.capacity;
         st.reset_cache(capacity);
     }
@@ -730,7 +714,7 @@ impl BufferPool {
     /// per-tree budget `B/2` (and [`reset_stats`](Self::reset_stats)) before
     /// measuring queries.
     pub fn set_capacity(&self, capacity: usize) {
-        self.guard().reset_cache(capacity);
+        sync::lock(&self.state).reset_cache(capacity);
     }
 }
 
@@ -799,7 +783,11 @@ mod tests {
 
     /// Page -> frame of everything resident, sorted.
     fn resident(pool: &BufferPool) -> Vec<(PageId, usize)> {
-        let mut r: Vec<_> = pool.guard().map.iter().map(|(&p, &f)| (p, f)).collect();
+        let mut r: Vec<_> = sync::lock(&pool.state)
+            .map
+            .iter()
+            .map(|(&p, &f)| (p, f))
+            .collect();
         r.sort_unstable();
         r
     }
@@ -970,10 +958,10 @@ mod tests {
 
     /// The page as the pool's frame holds it and as its file stores it.
     fn frame_and_file(pool: &BufferPool, id: PageId) -> (PageBytes, PageBytes) {
-        let mut st = pool.guard();
+        let mut st = sync::lock(&pool.state);
         let f = st.map[&id];
         let frame = st.mapped(f).data.clone();
-        (frame, pool.file_read().read_bytes(id).unwrap())
+        (frame, sync::read(&pool.file).read_bytes(id).unwrap())
     }
 
     #[test]

@@ -126,8 +126,7 @@ impl PageFile for FailingPageFile {
         let seen = c.reads_seen.fetch_add(1, Ordering::SeqCst) + 1;
         let nanos = c.slow_read_nanos.load(Ordering::SeqCst);
         if nanos > 0 {
-            // analyze: allow(panic-path) — the simulated slow disk *is* the
-            // feature; latency injection has no condvar to wait on.
+            #[expect(clippy::disallowed_methods, reason = "the slow disk is the feature")]
             std::thread::sleep(Duration::from_nanos(nanos));
         }
         // ordering: SeqCst — fault knobs; see `FailureControl::fail_read`.

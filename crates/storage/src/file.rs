@@ -331,8 +331,7 @@ impl DiskPageFile {
         let mut header = [0u8; HEADER_LEN as usize];
         file.seek(SeekFrom::Start(0))?;
         file.read_exact(&mut header)?;
-        // analyze: allow(panic-path) — 4-byte windows of a fixed-size header
-        // buffer cannot fail the slice-to-array conversion.
+        #[expect(clippy::unwrap_used, reason = "4-byte windows of a fixed-size header")]
         let word = |at: usize| u32::from_le_bytes(header[at..at + 4].try_into().unwrap());
         let magic = word(0);
         if magic != DISK_MAGIC {
@@ -421,11 +420,10 @@ impl DiskPageFile {
         let stride = self.stride() as usize;
         let start = slot * stride;
         buf.copy_from_slice(&raw[start..start + self.page_size]);
+        #[expect(clippy::expect_used, reason = "a 4-byte window of the stride buffer")]
         let stored = u32::from_le_bytes(
             raw[start + self.page_size..start + stride]
                 .try_into()
-                // analyze: allow(panic-path) — a 4-byte window of the stride
-                // buffer cannot fail the slice-to-array conversion.
                 .expect("trailer window is 4 bytes"),
         );
         let computed = crc32(buf);

@@ -47,7 +47,7 @@ use crate::file::PageFile;
 use crate::page::{PageBytes, PageId};
 use crate::stats::IoStats;
 use cpq_check::sync::atomic::{AtomicU64, Ordering};
-use cpq_check::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use cpq_check::sync::{self, Arc, Condvar, Mutex, RwLock};
 use cpq_check::thread;
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::time::Instant;
@@ -130,7 +130,7 @@ impl Completion {
     /// Publishes the result and wakes every waiter. Called exactly once.
     fn set(&self, result: StorageResult<PageBytes>) {
         // completion flag (a panicked setter leaves waiters stuck anyway).
-        let mut slot = self.slot.lock().expect("completion lock poisoned");
+        let mut slot = sync::lock(&self.slot);
         debug_assert!(slot.is_none(), "completion set twice");
         *slot = Some(result);
         self.cv.notify_all();
@@ -138,12 +138,12 @@ impl Completion {
 
     /// Blocks until the result is published, then returns a copy of it.
     fn wait(&self) -> StorageResult<PageBytes> {
-        let mut slot = self.slot.lock().expect("completion lock poisoned");
+        let mut slot = sync::lock(&self.slot);
         loop {
             match &*slot {
                 Some(Ok(bytes)) => return Ok(bytes.clone()),
                 Some(Err(e)) => return Err(e.duplicate()),
-                None => slot = self.cv.wait(slot).expect("completion lock poisoned"),
+                None => slot = sync::wait(&self.cv, slot),
             }
         }
     }
@@ -273,22 +273,9 @@ impl SchedShared {
         }
     }
 
-    fn lock_state(&self) -> MutexGuard<'_, SchedState> {
-        // (queues and pending flags would be undefined).
-        self.state.lock().expect("scheduler mutex poisoned")
-    }
-
-    fn file_read(&self) -> RwLockReadGuard<'_, Box<dyn PageFile>> {
-        self.file.read().expect("scheduler file lock poisoned")
-    }
-
-    fn file_write(&self) -> RwLockWriteGuard<'_, Box<dyn PageFile>> {
-        self.file.write().expect("scheduler file lock poisoned")
-    }
-
     /// Submits a demand read for `id`.
     fn submit(&self, id: PageId) -> DemandTicket {
-        let mut st = self.lock_state();
+        let mut st = sync::lock(&self.state);
         let st = &mut *st;
         if let Some(bytes) = st.take_ready(id.0) {
             st.stats.prefetch_hits += 1;
@@ -352,7 +339,7 @@ impl SchedShared {
         if self.cfg.prefetch_buffer == 0 {
             return;
         }
-        let mut st = self.lock_state();
+        let mut st = sync::lock(&self.state);
         let st = &mut *st;
         if st.shutdown {
             return;
@@ -415,7 +402,7 @@ impl SchedShared {
     /// lock again) — never two locks at once.
     pub(crate) fn service_one(&self, scratch: &mut Vec<u8>) -> bool {
         let batch = {
-            let mut st = self.lock_state();
+            let mut st = sync::lock(&self.state);
             self.take_batch(&mut st)
         };
         let Some((first, n)) = batch else {
@@ -426,7 +413,7 @@ impl SchedShared {
             scratch.resize(n * ps, 0);
         }
         let run = {
-            let file = self.file_read();
+            let file = sync::read(&self.file);
             file.read_run(PageId(first), n, &mut scratch[..n * ps])
         };
         let mut results: Vec<(u32, StorageResult<PageBytes>)> = Vec::with_capacity(n);
@@ -447,7 +434,7 @@ impl SchedShared {
                 // Attribute the failure: re-read page by page so exactly
                 // the faulty page(s) fail and the rest are delivered.
                 fell_back = true;
-                let file = self.file_read();
+                let file = sync::read(&self.file);
                 for i in 0..n {
                     let id = PageId(first + i as u32);
                     let res = file
@@ -461,7 +448,7 @@ impl SchedShared {
                 }
             }
         }
-        let mut st = self.lock_state();
+        let mut st = sync::lock(&self.state);
         let st = &mut *st;
         st.stats.physical_batches += batches_ok;
         st.stats.physical_pages += pages_ok;
@@ -488,7 +475,7 @@ impl SchedShared {
 
     /// Merged counter snapshot (locked worker counters + demand atomics).
     fn stats(&self) -> SchedStats {
-        let mut s = self.lock_state().stats;
+        let mut s = sync::lock(&self.state).stats;
         // ordering: Relaxed — stat counters; see `submit`.
         s.demand_reads = self.demand_reads.load(Ordering::Relaxed);
         s.demand_stall_ns = self.demand_stall_ns.load(Ordering::Relaxed);
@@ -499,7 +486,7 @@ impl SchedShared {
     /// free made it stale). In-flight reads are not chased — the same
     /// read/write race semantics as the unscheduled pool path.
     fn invalidate(&self, page: u32) {
-        let mut st = self.lock_state();
+        let mut st = sync::lock(&self.state);
         if st.take_ready(page).is_some() {
             st.stats.prefetch_waste += 1;
         }
@@ -514,7 +501,7 @@ fn worker_loop(shared: Arc<SchedShared>) {
         if shared.service_one(&mut scratch) {
             continue;
         }
-        let mut st = shared.lock_state();
+        let mut st = sync::lock(&shared.state);
         loop {
             if st.shutdown {
                 return;
@@ -522,7 +509,7 @@ fn worker_loop(shared: Arc<SchedShared>) {
             if st.queued() > 0 {
                 break;
             }
-            st = shared.wake.wait(st).expect("scheduler mutex poisoned");
+            st = sync::wait(&shared.wake, st);
         }
     }
 }
@@ -592,7 +579,7 @@ impl SchedPageFile {
 
 impl Drop for SchedPageFile {
     fn drop(&mut self) {
-        self.shared.lock_state().shutdown = true;
+        sync::lock(&self.shared.state).shutdown = true;
         self.shared.wake.notify_all();
         for w in self.workers.drain(..) {
             let _ = w.join();
@@ -601,7 +588,7 @@ impl Drop for SchedPageFile {
         // flag is ever left unset (prefetches never claimed count as
         // waste, whether still queued/in flight or completed into the
         // ready buffer and never demanded).
-        let mut st = self.shared.lock_state();
+        let mut st = sync::lock(&self.shared.state);
         let st = &mut *st;
         st.demand_q.clear();
         st.prefetch_q.clear();
@@ -625,11 +612,11 @@ impl PageFile for SchedPageFile {
     }
 
     fn num_pages(&self) -> u32 {
-        self.shared.file_read().num_pages()
+        sync::read(&self.shared.file).num_pages()
     }
 
     fn allocate(&mut self) -> StorageResult<PageId> {
-        self.shared.file_write().allocate()
+        sync::write(&self.shared.file).allocate()
     }
 
     fn read(&self, id: PageId, buf: &mut [u8]) -> StorageResult<()> {
@@ -646,22 +633,22 @@ impl PageFile for SchedPageFile {
 
     fn write(&mut self, id: PageId, data: &[u8]) -> StorageResult<()> {
         self.shared.invalidate(id.0);
-        self.shared.file_write().write(id, data)
+        sync::write(&self.shared.file).write(id, data)
     }
 
     fn free(&mut self, id: PageId) -> StorageResult<()> {
         self.shared.invalidate(id.0);
-        self.shared.file_write().free(id)
+        sync::write(&self.shared.file).free(id)
     }
 
     fn sync(&mut self) -> StorageResult<()> {
-        self.shared.file_write().sync()
+        sync::write(&self.shared.file).sync()
     }
 
     /// `reads` counts completed demand requests (the module accounting
     /// contract); writes/allocations/frees mirror the inner file.
     fn stats(&self) -> IoStats {
-        let inner = self.shared.file_read().stats();
+        let inner = sync::read(&self.shared.file).stats();
         IoStats {
             // ordering: Relaxed — stat counter; see `SchedShared::submit`.
             reads: self.shared.demand_reads.load(Ordering::Relaxed),
@@ -670,13 +657,13 @@ impl PageFile for SchedPageFile {
     }
 
     fn reset_stats(&mut self) {
-        self.shared.file_write().reset_stats();
+        sync::write(&self.shared.file).reset_stats();
         // ordering: Relaxed — reset runs under `&mut self` at quiescence
         // (the pool holds its file write lock), matching the other
         // implementations' reset contract.
         self.shared.demand_reads.store(0, Ordering::Relaxed);
         self.shared.demand_stall_ns.store(0, Ordering::Relaxed);
-        self.shared.lock_state().stats = SchedStats::default();
+        sync::lock(&self.shared.state).stats = SchedStats::default();
     }
 }
 
@@ -703,6 +690,7 @@ mod tests {
             if pred(&s) || Instant::now() > deadline {
                 return s;
             }
+            #[expect(clippy::disallowed_methods, reason = "a test polls condvar-less stats")]
             std::thread::sleep(Duration::from_micros(200));
         }
     }
@@ -894,7 +882,7 @@ mod tests {
         // The handle outlives the file; demands after shutdown would hang
         // forever if pending flags were left unset — instead everything
         // already queued was failed or completed, and the maps are empty.
-        assert_eq!(h.shared.lock_state().queued(), 0);
+        assert_eq!(sync::lock(&h.shared.state).queued(), 0);
     }
 
     #[test]
@@ -913,7 +901,11 @@ mod tests {
         // Drop the scheduler while prefetches are queued/in flight: Drop must
         // drain everything (completing or failing it), never hang this test.
         drop(sf);
-        assert_eq!(h.shared.lock_state().queued(), 0, "drop drains the queues");
+        assert_eq!(
+            sync::lock(&h.shared.state).queued(),
+            0,
+            "drop drains the queues"
+        );
         let s = h.stats();
         assert_eq!(
             s.prefetch_issued,
@@ -931,9 +923,9 @@ mod tests {
         };
         let h = sf.handle();
         h.prefetch(&(0..8).map(PageId).collect::<Vec<_>>());
-        assert_eq!(h.shared.lock_state().queued(), 8);
+        assert_eq!(sync::lock(&h.shared.state).queued(), 8);
         drop(sf);
-        let st = h.shared.lock_state();
+        let st = sync::lock(&h.shared.state);
         assert_eq!(st.queued(), 0, "drop drains the queues");
         assert!(st.pending.is_empty(), "drop fails every pending flag");
         assert_eq!(st.stats.prefetch_waste, 8);
@@ -1008,7 +1000,10 @@ mod model_tests {
             assert_eq!(s.physical_pages, 1, "dedup: one read for two demands");
             assert_eq!(s.demand_reads, 2);
             assert_eq!(s.dedup_joins, 1);
-            assert!(shared.lock_state().pending.is_empty(), "no stuck flags");
+            assert!(
+                sync::lock(&shared.state).pending.is_empty(),
+                "no stuck flags"
+            );
         });
         assert!(report.complete, "DFS must exhaust the interleavings");
         assert!(report.schedules > 1, "explored {}", report.schedules);
@@ -1054,7 +1049,10 @@ mod model_tests {
             assert_eq!(s.prefetch_hits, 1, "stats: {s:?}");
             assert_eq!(s.demand_reads, 1);
             assert_eq!(s.physical_pages, 1, "the prefetch read served the demand");
-            assert!(shared.lock_state().pending.is_empty(), "no stuck flags");
+            assert!(
+                sync::lock(&shared.state).pending.is_empty(),
+                "no stuck flags"
+            );
         });
         assert!(report.complete);
         assert!(report.schedules > 1);

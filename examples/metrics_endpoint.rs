@@ -73,6 +73,7 @@ fn main() {
         };
         let _ = service.execute(req);
         i += 1;
+        #[expect(clippy::disallowed_methods, reason = "the demo paces its traffic")]
         std::thread::sleep(Duration::from_millis(100));
     }
 

@@ -12,7 +12,10 @@
 # first in odd pairs, the change in even ones. Each row gives both sides'
 # medians and quartiles, the pairs the change won and lost (ties count for
 # neither), the shift of the median in the metric's worse direction against
-# the bound read from the change's BENCHMARK.json, and a verdict:
+# the bound read from the change's BENCHMARK.json, the median and quartiles
+# of the paired ratio change/parent (both sides of a pair run back to back
+# on one seed, so the seeds' own spread and slow host drift cancel in it;
+# for reading: no verdict uses it), and a verdict:
 #   GAIN        ten pairs or more, the change won >= 9/10 of them and the
 #               medians differ by more than the parent's own quartile
 #               distance (the rule for a claim)
@@ -139,11 +142,22 @@ function fitted(into) {
     if (!into["ok"]) return "n/a (one op count)"
     return sprintf("intercept %.2f MiB, slope %.0f B/op", into["intercept"], into["slope"])
 }
+function quartiles(v, n, into) {
+    sort(v, n)
+    into["med"] = cut(v, n, 2); into["q1"] = cut(v, n, 1); into["q3"] = cut(v, n, 3)
+    into["min"] = v[1]; into["max"] = v[n]
+}
 function summarize(side, w, m, pairs, into,    i, v) {
     for (i = 1; i <= pairs; i++) v[i] = val[side, w, m, i]
-    sort(v, pairs)
-    into["med"] = cut(v, pairs, 2); into["q1"] = cut(v, pairs, 1); into["q3"] = cut(v, pairs, 3)
-    into["min"] = v[1]; into["max"] = v[pairs]
+    quartiles(v, pairs, into)
+}
+# The per-pair ratio change/parent of metric m (1 where both sides read 0).
+function paired(w, m, pairs, into,    i, v, a, b) {
+    for (i = 1; i <= pairs; i++) {
+        a = val["parent", w, m, i]; b = val["change", w, m, i]
+        v[i] = (a == 0) ? (b == 0 ? 1 : 0) : b / a
+    }
+    quartiles(v, pairs, into)
 }
 /"end_to_end" *:/ { declaring = 1 }
 /"per_layer" *:/ { declaring = 0 }
@@ -162,13 +176,15 @@ END {
         failed[side, w] += number_after(line, "\"failed\"", ": ")
         if (line !~ /"correct": true/) { wrong = 1; print "WRONG ANSWER: " line }
     }
-    printf "%-10s %-12s %11s %11s %11s | %11s %11s %11s | %4s %4s %7s %5s  verdict\n",
-        "workload", "metric", "parent med", "q1", "q3", "change med", "q1", "q3", "won", "lost", "shift", "bound"
+    printf "%-10s %-12s %11s %11s %11s | %11s %11s %11s | %4s %4s %7s %5s | %6s %6s %6s  verdict\n",
+        "workload", "metric", "parent med", "q1", "q3", "change med", "q1", "q3", "won", "lost", "shift", "bound",
+        "ratio", "q1", "q3"
     for (k = 1; k <= n_workloads; k++) {
         w = workloads[k]
         for (i = 1; i <= n_metrics; i++) {
             m = names[i]
             summarize("parent", w, m, pairs, a); summarize("change", w, m, pairs, b)
+            paired(w, m, pairs, r)
             won = 0; lost = 0
             for (p = 1; p <= pairs; p++) {
                 d = val["change", w, m, p] - val["parent", w, m, p]
@@ -181,8 +197,9 @@ END {
             else if (shift < 0 && pairs >= 10 && won >= 0.9 * pairs && gap > a["q3"] - a["q1"]) verdict = "GAIN"
             else if ((a["q3"] - a["q1"]) / a["med"] > bound[m] || (b["q3"] - b["q1"]) / b["med"] > bound[m]) verdict = "unresolved"
             else verdict = "same"
-            printf "%-10s %-12s %11.4f %11.4f %11.4f | %11.4f %11.4f %11.4f | %4d %4d %+7.3f %5.2f  %s\n",
-                w, m, a["med"], a["q1"], a["q3"], b["med"], b["q1"], b["q3"], won, lost, shift, bound[m], verdict
+            printf "%-10s %-12s %11.4f %11.4f %11.4f | %11.4f %11.4f %11.4f | %4d %4d %+7.3f %5.2f | %6.3f %6.3f %6.3f  %s\n",
+                w, m, a["med"], a["q1"], a["q3"], b["med"], b["q1"], b["q3"], won, lost, shift, bound[m],
+                r["med"], r["q1"], r["q3"], verdict
         }
         summarize("parent", w, "attempted", pairs, a); summarize("change", w, "attempted", pairs, b)
         printf "%-10s attempted: parent median %d (%d to %d), change median %d (%d to %d); failed: parent %d, change %d\n",

@@ -25,9 +25,6 @@
 //!
 //! See `examples/quickstart.rs` for a five-minute tour.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod shell;
 
 pub use cpq_core as core;

@@ -529,6 +529,7 @@ impl Hostile<'_> {
             if let Hazard::Cancel(_, delay @ 1..) = hazard {
                 let token = token.clone();
                 scope.spawn(move || {
+                    #[expect(clippy::disallowed_methods, reason = "the cancel lands mid-query")]
                     std::thread::sleep(Duration::from_micros(delay));
                     token.cancel();
                 });
