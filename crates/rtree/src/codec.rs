@@ -20,6 +20,13 @@
 //! the page through a [`NodeView`], which reads each entry from the page's
 //! bytes in place. [`check_node`] is the one check a page passes before it
 //! is read that way, once per residency in the buffer pool.
+//!
+//! A node page is stored only as long as its header and entries: the
+//! writer hands the pool the encoded prefix, and the rest of the page
+//! reads as zero (the storage layer's short-page contract). So a page may
+//! be shorter than the page size, and [`check_node`] bounds the entry
+//! count by the bytes the page actually has, which are the bytes
+//! [`NodeView`] reads.
 
 use crate::entry::{InnerEntry, LeafEntry};
 use crate::error::{RTreeError, RTreeResult};
@@ -44,9 +51,10 @@ pub const fn inner_entry_size(d: usize) -> usize {
     16 * d + 8
 }
 
-/// Encodes `node` into `buf` (a full page). Unused tail bytes are zeroed.
-pub fn encode_node<const D: usize>(node: &Node<D>, buf: &mut [u8]) -> RTreeResult<()> {
-    buf.fill(0);
+/// Encodes `node` into the front of `buf` (a full page) and returns the
+/// bytes it used: the prefix to store. Bytes past it are left as they are;
+/// a stored page reads as zero past its end.
+pub fn encode_node<const D: usize>(node: &Node<D>, buf: &mut [u8]) -> RTreeResult<usize> {
     let osz = 8 * D;
     let needed = NODE_HEADER_LEN
         + match node {
@@ -97,7 +105,7 @@ pub fn encode_node<const D: usize>(node: &Node<D>, buf: &mut [u8]) -> RTreeResul
             }
         }
     }
-    Ok(())
+    Ok(needed)
 }
 
 #[inline]
@@ -119,9 +127,10 @@ fn read_u64(buf: &[u8], off: usize) -> u64 {
 }
 
 /// Checks that the page `buf`, read from `page`, holds a node of
-/// dimension `D`: a known kind, a level that fits it, an entry count that
-/// fits the page, and inner MBRs with their corners in order. What passes
-/// is what [`NodeView`] reads without further checks.
+/// dimension `D`: a known kind, a level that fits it, an entry count whose
+/// entries fit in `buf` (which may be shorter than the page size), and
+/// inner MBRs with their corners in order. What passes is what
+/// [`NodeView`] reads without further checks.
 pub fn check_node<const D: usize>(page: PageId, buf: &[u8]) -> RTreeResult<()> {
     let corrupt = |reason: String| Err(RTreeError::CorruptNode { page, reason });
     if buf.len() < NODE_HEADER_LEN {
@@ -412,9 +421,13 @@ mod tests {
             LeafEntry::new(Point([0.0, 7.25]), u64::MAX),
         ]);
         let mut buf = vec![0u8; 1024];
-        encode_node(&node, &mut buf).unwrap();
-        let back: Node<2> = decode(&buf).unwrap();
-        assert_eq!(node, back);
+        let len = encode_node(&node, &mut buf).unwrap();
+        assert_eq!(len, NODE_HEADER_LEN + 2 * leaf_entry_size(2));
+        // The stored prefix and the whole page read as the same node.
+        assert_eq!(decode::<2>(&buf[..len]).unwrap(), node);
+        assert_eq!(decode::<2>(&buf).unwrap(), node);
+        // A prefix one byte short of its last entry is refused.
+        assert!(check_node::<2>(PageId(0), &buf[..len - 1]).is_err());
     }
 
     #[test]
@@ -431,9 +444,11 @@ mod tests {
             ],
         };
         let mut buf = vec![0u8; 1024];
-        encode_node(&node, &mut buf).unwrap();
-        let back: Node<2> = decode(&buf).unwrap();
-        assert_eq!(node, back);
+        let len = encode_node(&node, &mut buf).unwrap();
+        assert_eq!(len, NODE_HEADER_LEN + 2 * inner_entry_size(2));
+        assert_eq!(decode::<2>(&buf[..len]).unwrap(), node);
+        assert_eq!(decode::<2>(&buf).unwrap(), node);
+        assert!(check_node::<2>(PageId(0), &buf[..len - 1]).is_err());
     }
 
     #[test]

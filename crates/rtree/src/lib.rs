@@ -49,7 +49,7 @@ mod tree;
 mod treestats;
 mod validate;
 
-pub use codec::{Entries, EntryIter, NodeEntries, NodeView, PageEntry};
+pub use codec::{Entries, EntryIter, NodeEntries, NodeView, PageEntry, NODE_HEADER_LEN};
 pub use entry::{InnerEntry, LeafEntry};
 pub use error::{RTreeError, RTreeResult};
 pub use params::{RTreeParams, SplitPolicy};

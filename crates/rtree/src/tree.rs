@@ -215,8 +215,9 @@ impl<const D: usize> RTree<D> {
 
     pub(crate) fn write_node(&self, id: PageId, node: &Node<D>) -> RTreeResult<()> {
         let mut buf = vec![0u8; self.pool.page_size()];
-        encode_node(node, &mut buf)?;
-        self.pool.write_page(id, &buf)?;
+        let len = encode_node(node, &mut buf)?;
+        // The encoded prefix only: the rest of the page reads as zero.
+        self.pool.write_page(id, &buf[..len])?;
         Ok(())
     }
 

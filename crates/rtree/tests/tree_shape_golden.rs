@@ -13,7 +13,7 @@
 use cpq_geo::Point;
 use cpq_rng::Rng;
 use cpq_rtree::{NodeEntries, RTree, RTreeParams, SplitPolicy};
-use cpq_storage::{BufferPool, MemPageFile, PageId};
+use cpq_storage::{zero_extend, BufferPool, MemPageFile, PageId};
 
 const POINTS: usize = 2_000;
 
@@ -110,11 +110,13 @@ fn fingerprint(tree: &RTree<2>) -> (u64, usize) {
     h = fnv1a(h, &[height]);
     h = fnv1a(h, &len.to_le_bytes());
     let mut pages = 0;
+    let mut page = vec![0; tree.pool().page_size()];
     let mut stack: Vec<PageId> = vec![root];
     while let Some(id) = stack.pop() {
-        let bytes = tree.pool().read_page(id).unwrap();
+        // The whole page: the stored prefix, zero-extended.
+        zero_extend(&tree.pool().read_page(id).unwrap(), &mut page);
         h = fnv1a(h, &id.0.to_le_bytes());
-        h = fnv1a(h, &bytes);
+        h = fnv1a(h, &page);
         pages += 1;
         if let NodeEntries::Inner(entries) = tree.read_node(id).unwrap().entries() {
             stack.extend(entries.iter().rev().map(|e| e.child));

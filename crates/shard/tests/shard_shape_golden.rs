@@ -14,7 +14,7 @@ use cpq_geo::{Point, Point2};
 use cpq_rng::Rng;
 use cpq_rtree::{NodeEntries, RTree, RTreeParams};
 use cpq_shard::ShardedTree;
-use cpq_storage::{BufferPool, MemPageFile, PageId};
+use cpq_storage::{zero_extend, BufferPool, MemPageFile, PageId};
 
 const POINTS: usize = 1_500;
 
@@ -127,10 +127,13 @@ fn fingerprint_tree(mut h: u64, tree: &RTree<2>) -> u64 {
     h = fnv1a(h, &root.0.to_le_bytes());
     h = fnv1a(h, &[height]);
     h = fnv1a(h, &len.to_le_bytes());
+    let mut page = vec![0; tree.pool().page_size()];
     let mut stack: Vec<PageId> = vec![root];
     while let Some(id) = stack.pop() {
+        // The whole page: the stored prefix, zero-extended.
+        zero_extend(&tree.pool().read_page(id).unwrap(), &mut page);
         h = fnv1a(h, &id.0.to_le_bytes());
-        h = fnv1a(h, &tree.pool().read_page(id).unwrap());
+        h = fnv1a(h, &page);
         if let NodeEntries::Inner(entries) = tree.read_node(id).unwrap().entries() {
             stack.extend(entries.iter().rev().map(|e| e.child));
         }

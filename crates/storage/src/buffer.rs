@@ -588,7 +588,9 @@ impl BufferPool {
 
     /// Writes a page, write-through, refreshing any cached copy (unchecked
     /// until a [`read_checked`](Self::read_checked) checks the new bytes).
-    /// As with
+    /// `data` may be shorter than the page size (the rest of the page reads
+    /// as zero), and a cached copy is then that short; a longer `data` is
+    /// refused as [`StorageError::WrongBufferSize`]. As with
     /// [`read_page`](Self::read_page), the `writes` counter moves only on
     /// success, keeping it equal to the file's physical write count.
     pub fn write_page(&self, id: PageId, data: &[u8]) -> StorageResult<()> {

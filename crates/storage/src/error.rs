@@ -14,7 +14,8 @@ pub enum StorageError {
     PageOutOfBounds(PageId),
     /// The referenced page has been freed and not reallocated.
     PageFreed(PageId),
-    /// A buffer shorter/longer than the page size was supplied.
+    /// A read buffer that is not exactly the page size, or a page longer
+    /// than it, was supplied.
     WrongBufferSize {
         /// Expected page size in bytes.
         expected: usize,

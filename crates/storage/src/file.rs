@@ -2,7 +2,7 @@
 
 use crate::crc32::crc32;
 use crate::error::{StorageError, StorageResult};
-use crate::page::{PageBytes, PageId};
+use crate::page::{check_fits, zero_extend, PageBytes, PageId};
 use crate::stats::IoStats;
 use cpq_check::sync::atomic::{AtomicU64, Ordering};
 use std::cell::RefCell;
@@ -39,18 +39,21 @@ pub trait PageFile: Send + Sync {
     /// Allocates a page (reusing a freed one if available) and returns its id.
     fn allocate(&mut self) -> StorageResult<PageId>;
 
-    /// Reads page `id` into `buf` (`buf.len()` must equal `page_size`).
+    /// Reads page `id` into `buf` (`buf.len()` must equal `page_size`),
+    /// zero-extended past the bytes the page was written with.
     fn read(&self, id: PageId, buf: &mut [u8]) -> StorageResult<()>;
 
     /// Reads page `id` as [`PageBytes`]: the buffer pool's one miss
-    /// primitive.
+    /// primitive. The bytes may be shorter than the page size; those past
+    /// their end read as zero.
     ///
     /// The default goes through [`read`](Self::read) into a per-thread
-    /// scratch buffer and copies the page once into a fresh allocation —
-    /// the only allocation on the miss path — so a decorator's injected
-    /// faults fire here exactly as on `read`. [`MemPageFile`] overrides it
-    /// to hand out the allocation it stores, so a resident page is held in
-    /// memory once.
+    /// scratch buffer and copies the whole page once into a fresh
+    /// allocation — the only allocation on the miss path — so a
+    /// decorator's injected faults fire here exactly as on `read`.
+    /// [`MemPageFile`] overrides it to hand out the prefix it stores, so a
+    /// resident page is held in memory once, and only as long as it was
+    /// written.
     // The scratch buffer is resized to the page size immediately before the
     // `[..ps]` slices: the index is in bounds by construction.
     fn read_bytes(&self, id: PageId) -> StorageResult<PageBytes> {
@@ -90,7 +93,9 @@ pub trait PageFile: Send + Sync {
         Ok(())
     }
 
-    /// Writes `data` (exactly `page_size` bytes) to page `id`.
+    /// Writes `data` to page `id`: at most `page_size` bytes, the rest of
+    /// the page reading as zero. A longer `data` is refused as
+    /// [`StorageError::WrongBufferSize`] before anything moves.
     fn write(&mut self, id: PageId, data: &[u8]) -> StorageResult<()>;
 
     /// [`write`](Self::write), returning the page as the file now keeps it
@@ -121,10 +126,12 @@ pub trait PageFile: Send + Sync {
 
 /// In-memory simulated disk.
 ///
-/// Pages live in a `Vec` as [`PageBytes`]; reads are `memcpy`s, or a shared
-/// handle to the stored page through [`PageFile::read_bytes`], and writes
-/// replace the stored page, but both are counted exactly as a real disk
-/// would count them. This is what the experiments use — the paper's cost
+/// Pages live in a `Vec` as [`PageBytes`], each exactly as long as its
+/// last write (a page allocated and never written is empty). Reads are
+/// `memcpy`s zero-extended to the page size, or a shared handle to the
+/// stored prefix through [`PageFile::read_bytes`], and writes replace the
+/// stored page, but both are counted exactly as a real disk would count
+/// them. This is what the experiments use — the paper's cost
 /// metric is the *number* of accesses, which is hardware independent.
 pub struct MemPageFile {
     page_size: usize,
@@ -194,23 +201,24 @@ impl PageFile for MemPageFile {
 
     fn allocate(&mut self) -> StorageResult<PageId> {
         self.stats.allocations += 1;
-        let zeros = Some(PageBytes::from(vec![0; self.page_size]));
+        // Empty: a page never written reads as zeros.
+        let empty = Some(PageBytes::from(Vec::new()));
         if let Some(id) = self.free_list.pop() {
-            self.pages[id.index()] = zeros;
+            self.pages[id.index()] = empty;
             return Ok(id);
         }
         let id = PageId(self.pages.len() as u32);
-        self.pages.push(zeros);
+        self.pages.push(empty);
         Ok(id)
     }
 
     fn read(&self, id: PageId, buf: &mut [u8]) -> StorageResult<()> {
         self.check_len(buf.len())?;
-        buf.copy_from_slice(self.page(id)?);
+        zero_extend(self.page(id)?, buf);
         Ok(())
     }
 
-    /// The stored page itself: the frame that caches it shares the
+    /// The stored prefix itself: the frame that caches it shares the
     /// allocation.
     fn read_bytes(&self, id: PageId) -> StorageResult<PageBytes> {
         self.page(id).cloned()
@@ -220,9 +228,10 @@ impl PageFile for MemPageFile {
         self.write_shared(id, data).map(drop)
     }
 
-    /// The stored page: the frame that caches it shares the allocation.
+    /// The stored page, `data` itself and no zero tail: the frame that
+    /// caches it shares the allocation.
     fn write_shared(&mut self, id: PageId, data: &[u8]) -> StorageResult<Option<PageBytes>> {
-        self.check_len(data.len())?;
+        check_fits(data.len(), self.page_size)?;
         let page = PageBytes::from(data);
         *self.slot_mut(id)? = page.clone();
         self.stats.writes += 1;
@@ -269,8 +278,9 @@ const DISK_VERSION: u32 = 2;
 const CRC_LEN: usize = 4;
 
 std::thread_local! {
-    /// Per-thread scratch for de-striping checksummed pages and runs;
-    /// reused across reads so steady-state read paths allocate nothing.
+    /// Per-thread scratch for de-striping checksummed pages and runs, and
+    /// for striping a written page with its trailer; reused so
+    /// steady-state reads and writes allocate nothing.
     static DISK_SCRATCH: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
 }
 
@@ -285,7 +295,9 @@ std::thread_local! {
 ///
 /// Every page is followed by a CRC-32 trailer, verified on each read — a
 /// flipped byte on disk surfaces as [`StorageError::Corrupt`] instead of
-/// silently feeding garbage to the R-tree decoder.
+/// silently feeding garbage to the R-tree decoder. A page written shorter
+/// than the page size is stored zero-padded, its trailer over the whole
+/// page, so reads always return whole checked pages.
 ///
 /// Reads use positioned I/O (`pread`), so concurrent readers never contend
 /// on a shared cursor; the cursor is only used by `&mut self` operations.
@@ -408,6 +420,23 @@ impl DiskPageFile {
         Ok(())
     }
 
+    /// Stores `data` zero-padded to a whole page, then its CRC trailer, at
+    /// page `id`'s slot: one positioned write of the stride.
+    fn put(&self, id: PageId, data: &[u8]) -> StorageResult<()> {
+        let (ps, stride) = (self.page_size, self.stride() as usize);
+        DISK_SCRATCH.with(|cell| {
+            let mut scratch = cell.borrow_mut();
+            if scratch.len() < stride {
+                scratch.resize(stride, 0);
+            }
+            let (page, trailer) = scratch[..stride].split_at_mut(ps);
+            zero_extend(data, page);
+            trailer.copy_from_slice(&crc32(page).to_le_bytes());
+            self.file.write_all_at(&scratch[..stride], self.offset(id))
+        })?;
+        Ok(())
+    }
+
     /// Copies page `slot` out of a raw striped span (starting at page
     /// `base`) into `buf`, verifying its CRC trailer.
     fn destripe_page(
@@ -456,10 +485,7 @@ impl PageFile for DiskPageFile {
         let id = PageId(self.num_pages);
         self.num_pages += 1;
         // Extend the file with a zero page so subsequent reads succeed.
-        let zeros = vec![0u8; self.page_size];
-        self.file.seek(SeekFrom::Start(self.offset(id)))?;
-        self.file.write_all(&zeros)?;
-        self.file.write_all(&crc32(&zeros).to_le_bytes())?;
+        self.put(id, &[])?;
         self.write_header()?;
         Ok(id)
     }
@@ -519,10 +545,8 @@ impl PageFile for DiskPageFile {
 
     fn write(&mut self, id: PageId, data: &[u8]) -> StorageResult<()> {
         self.check_id(id)?;
-        self.check_len(data.len())?;
-        self.file.seek(SeekFrom::Start(self.offset(id)))?;
-        self.file.write_all(data)?;
-        self.file.write_all(&crc32(data).to_le_bytes())?;
+        check_fits(data.len(), self.page_size)?;
+        self.put(id, data)?;
         self.stats.writes += 1;
         Ok(())
     }
@@ -617,9 +641,20 @@ mod tests {
         ));
         let a = f.allocate().unwrap();
         assert!(matches!(
-            f.write(a, &[0; 10]),
-            Err(StorageError::WrongBufferSize { .. })
+            f.write(a, &[1; 65]),
+            Err(StorageError::WrongBufferSize {
+                expected: 64,
+                actual: 65
+            })
         ));
+        // A short page is stored as written and read back zero-extended.
+        f.write(a, &[9; 10]).unwrap();
+        assert_eq!(f.read_bytes(a).unwrap().len(), 10);
+        let mut buf = [1; 64];
+        f.read(a, &mut buf).unwrap();
+        assert_eq!(buf[..10], [9; 10]);
+        assert_eq!(buf[10..], [0; 54]);
+        assert_eq!(f.stats().writes, 1, "the refused write counts nothing");
     }
 
     #[test]

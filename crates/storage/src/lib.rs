@@ -23,7 +23,9 @@
 //! query algorithms can hold shared references to two trees and still fault
 //! pages in through either. Page contents are returned as [`PageBytes`]
 //! (`Arc<[u8]>`), cheap to clone and immutable; an in-memory file and the
-//! frame caching its page share one allocation. A frame also remembers
+//! frame caching its page share one allocation, which holds only the bytes
+//! the page's writer handed over (a page may be shorter than the page size,
+//! and every byte past its end reads as zero: [`zero_extend`]). A frame also remembers
 //! whether its bytes passed a caller's check ([`BufferPool::read_checked`]),
 //! so a resident page is checked once, not on every hit, and readers use
 //! the frame's bytes in place: no second, decoded copy of a page is kept.
@@ -56,6 +58,6 @@ pub use crc32::crc32;
 pub use error::{StorageError, StorageResult};
 pub use failing::{FailingPageFile, FailureControl};
 pub use file::{DiskPageFile, MemPageFile, PageFile};
-pub use page::{PageBytes, PageId, DEFAULT_PAGE_SIZE};
+pub use page::{zero_extend, PageBytes, PageId, DEFAULT_PAGE_SIZE};
 pub use sched::{SchedConfig, SchedHandle, SchedPageFile, SchedStats};
 pub use stats::IoStats;

@@ -44,7 +44,7 @@
 
 use crate::error::{StorageError, StorageResult};
 use crate::file::PageFile;
-use crate::page::{PageBytes, PageId};
+use crate::page::{check_fits, PageBytes, PageId};
 use crate::stats::IoStats;
 use cpq_check::sync::atomic::{AtomicU64, Ordering};
 use cpq_check::sync::{self, Arc, Condvar, Mutex, RwLock};
@@ -632,6 +632,9 @@ impl PageFile for SchedPageFile {
     }
 
     fn write(&mut self, id: PageId, data: &[u8]) -> StorageResult<()> {
+        // Refused before the invalidation, so an over-long page moves no
+        // counter here either.
+        check_fits(data.len(), self.shared.page_size)?;
         self.shared.invalidate(id.0);
         sync::write(&self.shared.file).write(id, data)
     }

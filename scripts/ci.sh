@@ -96,6 +96,17 @@ for want in "kcpq.p 0x8cb47d02390be587" "kcpq.q 0x1de54f1c21b70ff5" \
         exit 1
     fi
 done
+# The bytes those four trees' pages store (`$(NF-1)`, the `stored` column):
+# a page keeps only the prefix its node encodes (DESIGN.md §5). A write path
+# that stores whole pages again keeps every fingerprint and fails here.
+for want in "kcpq.p 1696932" "kcpq.q 1699836" "svc_mix.p 543804" "svc_mix.q 544156"; do
+    if ! echo "$builds" | awk -v tree="${want% *}" -v bytes="${want#* }" \
+        '$1 == tree && $(NF - 1) == bytes { found = 1 } END { exit !found }'; then
+        echo "rtree_build 1: the stored bytes of ${want% *} changed (want ${want#* }):" >&2
+        echo "$builds" >&2
+        exit 1
+    fi
+done
 
 # Model-check smoke tier: the concurrency shim is compiled in scheduler mode
 # (--cfg cpq_model) and the harnesses run exhaustive/bounded DFS on the small

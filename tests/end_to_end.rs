@@ -7,7 +7,8 @@
 use cpq::core::{brute, distance_join, k_closest_pairs, k_closest_pairs_incremental};
 use cpq::core::{self_closest_pairs, semi_closest_pairs, Algorithm, CpqConfig, IncrementalConfig};
 use cpq::datasets::{california_surrogate, clustered, uniform, ClusterSpec, Dataset};
-use cpq::rtree::{RTree, RTreeParams};
+use cpq::rtree::{InnerEntry, LeafEntry, NodeEntries, PageEntry};
+use cpq::rtree::{RTree, RTreeError, RTreeParams, NODE_HEADER_LEN};
 use cpq::storage::{BufferPool, DiskPageFile, MemPageFile, DEFAULT_PAGE_SIZE};
 
 fn build(ds: &Dataset) -> RTree<2> {
@@ -218,4 +219,64 @@ fn mutating_tree_between_queries_stays_correct() {
     tp.insert(best.p.point(), best.p.oid).unwrap();
     let restored = k_closest_pairs(&tp, &tq, 1, Algorithm::Heap, &cfg).unwrap();
     assert!((restored.best().unwrap().dist2.get() - best.dist2.get()).abs() < 1e-12);
+}
+
+/// A stored page is only as long as its node: the header and the entries,
+/// with no zero tail (a page may be shorter than the page size, and every
+/// byte past its end reads as zero; DESIGN.md §5). Checked on every
+/// reachable page of an insertion build with deletes and of a bulk load.
+#[test]
+fn every_page_stores_only_what_its_node_encodes() {
+    let ds = uniform(3_000, 11);
+    let mut inserted = build(&ds);
+    for (i, &p) in ds.points.iter().enumerate().step_by(5) {
+        assert!(inserted.delete(p, i as u64).unwrap());
+    }
+    let objects: Vec<_> = ds.points.iter().copied().zip(0..).collect();
+    let pool = BufferPool::with_lru(Box::new(MemPageFile::new(DEFAULT_PAGE_SIZE)), 64);
+    let bulk = RTree::bulk_load(pool, RTreeParams::paper(), &objects, 0.7).unwrap();
+    for tree in [&inserted, &bulk] {
+        let (mut stack, mut pages) = (vec![tree.root()], 0);
+        while let Some(id) = stack.pop() {
+            let node = tree.read_node(id).unwrap();
+            let entry_size = match node.entries() {
+                NodeEntries::Leaf(_) => LeafEntry::<2>::SIZE,
+                NodeEntries::Inner(es) => {
+                    stack.extend(es.iter().map(|e| e.child));
+                    InnerEntry::<2>::SIZE
+                }
+            };
+            let stored = tree.pool().read_page(id).unwrap().len();
+            assert_eq!(stored, NODE_HEADER_LEN + node.len() * entry_size, "{id}");
+            pages += 1;
+        }
+        assert!(pages > 100, "{pages} pages");
+    }
+}
+
+/// A stored page too short for the entries its header counts is a corrupt
+/// node, refused by the node check before any entry is read: the check
+/// bounds the count by the bytes the page has, not by the page size.
+#[test]
+fn a_page_shorter_than_its_entry_count_is_a_corrupt_node() {
+    let tree = build(&uniform(500, 5));
+    let mut leaf = tree.root();
+    while let NodeEntries::Inner(es) = tree.read_node(leaf).unwrap().entries() {
+        leaf = es.get(0).child;
+    }
+    let node = tree.read_node(leaf).unwrap();
+    let used = NODE_HEADER_LEN + node.len() * LeafEntry::<2>::SIZE;
+    let page = tree.pool().read_page(leaf).unwrap().to_vec();
+    let corrupt = |r: Result<_, RTreeError>| matches!(r, Err(RTreeError::CorruptNode { page, .. }) if page == leaf);
+    for cut in [used - 1, NODE_HEADER_LEN + 1, 2] {
+        tree.pool().write_page(leaf, &page[..cut]).unwrap();
+        assert!(corrupt(tree.read_node(leaf).map(drop)), "cut at {cut}");
+        tree.pool().clear();
+        assert!(
+            corrupt(tree.read_node(leaf).map(drop)),
+            "cut at {cut}, a miss"
+        );
+    }
+    tree.pool().write_page(leaf, &page).unwrap();
+    tree.assert_valid();
 }
