@@ -22,6 +22,9 @@ pub enum LiveError {
     Recovery(String),
     /// A caller-contract violation (e.g. updates after close).
     Invalid(String),
+    /// An update committed, but maintaining the watcher after it failed,
+    /// so [`LiveSet::apply`](crate::LiveSet::apply) uninstalled it.
+    Unwatched(Box<LiveError>),
 }
 
 /// Convenient alias.
@@ -36,6 +39,7 @@ impl fmt::Display for LiveError {
             LiveError::NoCheckpoint => write!(f, "recovery found no usable checkpoint"),
             LiveError::Recovery(m) => write!(f, "recovery error: {m}"),
             LiveError::Invalid(m) => write!(f, "invalid live-tree usage: {m}"),
+            LiveError::Unwatched(e) => write!(f, "update committed, watcher uninstalled: {e}"),
         }
     }
 }

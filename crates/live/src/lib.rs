@@ -22,7 +22,9 @@
 //!   committed ops on the checkpoint's intact pages, and an
 //!   unreachable-page sweep in place of undo.
 //! * [`tree`] — [`LiveTree`] ties the three together; [`LiveSet`] holds
-//!   the P/Q pair and routes [`UpdateOp`] batches.
+//!   the P/Q pair and routes [`UpdateOp`] batches. Every tree comes from
+//!   [`LiveTree::create`], in memory or in a directory [`recover`] reads,
+//!   around a hook that wraps its page file (a fault injector in tests).
 //! * [`continuous`] — [`ContinuousCpq`] maintains a K-CPQ result set
 //!   incrementally across updates, bit-identical to recomputing from
 //!   scratch at every step.

@@ -27,6 +27,9 @@
 //!    Retired pages go back to the pool once no pinned epoch can read
 //!    them.
 //!
+//! [`LiveTree::create`] is the one constructor: in memory or durable in a
+//! directory, with a hook that wraps the page file it opened.
+//!
 //! A checkpoint is the durable base recovery replays from, and an epoch
 //! reader: its pin, released only once the next checkpoint is durable,
 //! keeps every page the base reaches from being freed and reused. So the
@@ -42,7 +45,7 @@ use cpq_check::sync::atomic::{AtomicU64, Ordering};
 use cpq_check::sync::{self, Arc, Mutex};
 use cpq_geo::Point;
 use cpq_rtree::{RTree, RTreeError, RTreeParams};
-use cpq_storage::{BufferPool, DiskPageFile, MemPageFile, PageId};
+use cpq_storage::{BufferPool, DiskPageFile, MemPageFile, PageFile, PageId};
 use std::path::Path;
 
 /// File name of the paged data store inside a live-tree directory.
@@ -236,30 +239,33 @@ impl<const D: usize> Drop for Snapshot<D> {
 }
 
 impl<const D: usize> LiveTree<D> {
-    /// A live tree over an in-memory page file, without a WAL (snapshots
-    /// and continuous queries work; durability does not apply).
-    pub fn new_in_memory(params: RTreeParams, cfg: &LiveConfig) -> LiveResult<Self> {
-        let pool = Arc::new(BufferPool::with_lru(
-            Box::new(MemPageFile::new(cfg.page_size)),
-            cfg.capacity,
-        ));
-        Self::from_parts(pool, params, EMPTY, None, cfg.checkpoint_every, 1)
-    }
-
-    /// Creates a durable live tree in `dir` (a data file plus a WAL
-    /// directory), writing the initial empty checkpoint so recovery
-    /// always has a base.
-    pub fn create(dir: &Path, params: RTreeParams, cfg: &LiveConfig) -> LiveResult<Self> {
-        std::fs::create_dir_all(dir)?;
-        let file = DiskPageFile::create(dir.join(DATA_FILE), cfg.page_size)?;
-        let pool = Arc::new(BufferPool::with_lru(Box::new(file), cfg.capacity));
-        let wal_dir = dir.join(WAL_DIR);
-        std::fs::create_dir_all(&wal_dir)?;
-        let wal = Wal::create(&wal_dir, cfg.wal.clone())?;
-        let tree = Self::from_parts(pool, params, EMPTY, Some(wal), cfg.checkpoint_every, 1)?;
-        // Base checkpoint: rotates to a segment whose first record is an
-        // intact Checkpoint, which is what recovery scans for.
-        tree.checkpoint()?;
+    /// An empty live tree: in memory without a WAL (`None`: durability does
+    /// not apply), or durable in `dir` — its [`DATA_FILE`] and [`WAL_DIR`],
+    /// the layout [`recover`](crate::recovery::recover) reads — with the base
+    /// checkpoint written, so recovery always has one. `file` wraps the page
+    /// file the tree opened before its pool is built (`|f| f` for none).
+    pub fn create(
+        dir: Option<&Path>,
+        params: RTreeParams,
+        cfg: &LiveConfig,
+        file: impl FnOnce(Box<dyn PageFile>) -> Box<dyn PageFile>,
+    ) -> LiveResult<Self> {
+        let (data, wal): (Box<dyn PageFile>, _) = match dir {
+            None => (Box::new(MemPageFile::new(cfg.page_size)), None),
+            Some(dir) => {
+                std::fs::create_dir_all(dir)?;
+                let data = DiskPageFile::create(dir.join(DATA_FILE), cfg.page_size)?;
+                let wal = Wal::create(&dir.join(WAL_DIR), cfg.wal.clone())?;
+                (Box::new(data), Some(wal))
+            }
+        };
+        let pool = Arc::new(BufferPool::with_lru(file(data), cfg.capacity));
+        let tree = Self::from_parts(pool, params, EMPTY, wal, cfg.checkpoint_every, 1)?;
+        if tree.wal.is_some() {
+            // Base checkpoint: rotates to a segment whose first record is an
+            // intact Checkpoint, which is what recovery scans for.
+            tree.checkpoint()?;
+        }
         Ok(tree)
     }
 
@@ -515,22 +521,12 @@ pub struct LiveSet<const D: usize> {
 }
 
 impl<const D: usize> LiveSet<D> {
-    /// A memory-only pair (no WAL).
-    pub fn new_in_memory(params: RTreeParams, cfg: &LiveConfig) -> LiveResult<Self> {
-        Ok(LiveSet {
-            p: LiveTree::new_in_memory(params, cfg)?,
-            q: LiveTree::new_in_memory(params, cfg)?,
-            cont: Mutex::new(None),
-        })
-    }
-
-    /// A durable pair under `dir` (`dir/p` and `dir/q`).
+    /// A durable pair under `dir` (`dir/p` and `dir/q`); compose
+    /// [`from_trees`](Self::from_trees) and [`LiveTree::create`] for any
+    /// other pair.
     pub fn create(dir: &Path, params: RTreeParams, cfg: &LiveConfig) -> LiveResult<Self> {
-        Ok(LiveSet {
-            p: LiveTree::create(&dir.join("p"), params, cfg)?,
-            q: LiveTree::create(&dir.join("q"), params, cfg)?,
-            cont: Mutex::new(None),
-        })
+        let tree = |side: &str| LiveTree::create(Some(&dir.join(side)), params, cfg, |f| f);
+        Ok(Self::from_trees(tree("p")?, tree("q")?))
     }
 
     /// Wraps two live trees (e.g. after recovery).
@@ -584,34 +580,37 @@ impl<const D: usize> LiveSet<D> {
         sync::lock(&self.cont).as_ref().map(|c| c.pairs())
     }
 
-    /// Applies a batch of updates in order. Each op is individually
-    /// durable and published before the next starts; the installed
-    /// watcher (if any) is maintained incrementally after each op.
+    /// Applies a batch of updates in order, stopping at the first error.
+    /// Each op is durable and published before the next starts, and the
+    /// installed watcher (if any) is maintained after it. An error in that
+    /// maintenance comes after its op committed: it is
+    /// [`LiveError::Unwatched`], and the watcher, no longer right, is
+    /// uninstalled ([`watched_pairs`](Self::watched_pairs) reads `None`).
     pub fn apply(&self, ops: &[UpdateOp<D>]) -> LiveResult<ApplyReport> {
         let mut report = ApplyReport::default();
         for op in ops {
             let mut cont = sync::lock(&self.cont);
-            match *op {
+            let maintained = match *op {
                 UpdateOp::Insert { side, object, oid } => {
                     self.side(side).insert(object, oid)?;
-                    if let Some(c) = cont.as_mut() {
-                        c.on_insert(side, object, oid, &self.p.snapshot()?, &self.q.snapshot()?)?;
-                    }
+                    cont.as_mut().map(|c| {
+                        c.on_insert(side, object, oid, &self.p.snapshot()?, &self.q.snapshot()?)
+                    })
                 }
                 UpdateOp::Delete { side, object, oid } => {
                     let found = self.side(side).delete(object, oid)?;
-                    if !found {
-                        report.delete_misses += 1;
-                    }
-                    if found {
-                        if let Some(c) = cont.as_mut() {
-                            // A delete hitting the result set re-runs the K-CPQ
-                            // synchronously (worker joins included) before the next
-                            // op; only this maintenance thread takes `cont`.
-                            c.on_delete(side, oid, &self.p.snapshot()?, &self.q.snapshot()?)?;
-                        }
-                    }
+                    report.delete_misses += usize::from(!found);
+                    // A delete hitting the result set re-runs the K-CPQ
+                    // synchronously (worker joins included) before the next
+                    // op; only this maintenance thread takes `cont`.
+                    cont.as_mut()
+                        .filter(|_| found)
+                        .map(|c| c.on_delete(side, oid, &self.p.snapshot()?, &self.q.snapshot()?))
                 }
+            };
+            if let Some(Err(e)) = maintained {
+                *cont = None;
+                return Err(LiveError::Unwatched(Box::new(e)));
             }
             report.applied += 1;
         }
@@ -630,15 +629,9 @@ mod tests {
     use cpq_core::brute::self_k_closest_pairs_brute;
     use cpq_core::{self_closest_pairs, Algorithm, CpqConfig, PairResult};
     use cpq_geo::{Dist2, Point2};
-    use cpq_storage::{FailingPageFile, FailureControl, PageFile};
 
     fn keys(pairs: &[PairResult<2>]) -> Vec<(Dist2, u64, u64)> {
         pairs.iter().map(|r| r.sort_key()).collect()
-    }
-
-    /// The oracle's 6 closest pairs within `acked`.
-    fn oracle(acked: &[(Point2, u64)]) -> Vec<(Dist2, u64, u64)> {
-        keys(&self_k_closest_pairs_brute(acked, 6))
     }
 
     fn answer(t: &RTree<2>) -> Vec<(Dist2, u64, u64)> {
@@ -658,13 +651,14 @@ mod tests {
             checkpoint_every: 16,
             ..LiveConfig::default()
         };
-        let tree: LiveTree<2> = LiveTree::create(&dir, RTreeParams::paper(), &cfg).expect("create");
+        let tree: LiveTree<2> =
+            LiveTree::create(Some(&dir), RTreeParams::paper(), &cfg, |f| f).expect("create");
         let point = |i: u64| Point2::new([(i * 37 % 101) as f64, (i * 53 % 97) as f64]);
         for i in 0..40 {
             tree.insert(point(i), i).expect("insert");
         }
         let acked: Vec<_> = (0..40).map(|i| (point(i), i)).collect();
-        let oracle = oracle(&acked);
+        let oracle = keys(&self_k_closest_pairs_brute(&acked, 6));
 
         let wal = tree.wal.as_ref().expect("durable tree");
         let read_only = std::fs::File::open(dir.join(DATA_FILE)).expect("a read-only handle");
@@ -687,97 +681,5 @@ mod tests {
         assert_eq!(answer(back.snapshot().expect("snapshot").tree()), oracle);
         back.insert(point(40), 40).expect("updates resume");
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// The same rule for a read that fails after `OpBegin` — inside the
-    /// tree op — on in-memory and durable trees alike: seeded nth-read
-    /// faults across an insert/delete stream.
-    #[test]
-    fn failed_read_stops_the_writer_and_readers_keep_the_last_epoch() {
-        let params = RTreeParams::with_max_entries(4);
-        let cfg = LiveConfig {
-            wal: WalConfig { sync: false },
-            checkpoint_every: 16,
-            capacity: 4,
-            ..LiveConfig::default()
-        };
-        for seed in 0..8u64 {
-            let (durable, control) = (seed % 2 == 1, FailureControl::new());
-            let dir =
-                std::env::temp_dir().join(format!("cpq-readstop-{}-{seed}", std::process::id()));
-            let _ = std::fs::remove_dir_all(&dir);
-            std::fs::create_dir_all(&dir).expect("dir");
-            let file: Box<dyn PageFile> = match durable {
-                true => Box::new(DiskPageFile::create(dir.join(DATA_FILE), cfg.page_size).unwrap()),
-                false => Box::new(MemPageFile::new(cfg.page_size)),
-            };
-            let file = Box::new(FailingPageFile::new(file, Arc::clone(&control)));
-            let pool = Arc::new(BufferPool::with_lru(file, cfg.capacity));
-            let wal = durable.then(|| Wal::create(&dir.join(WAL_DIR), cfg.wal.clone()).unwrap());
-            let tree: LiveTree<2> = LiveTree::from_parts(pool, params, EMPTY, wal, 16, 1).unwrap();
-            assert!(!durable || tree.checkpoint().is_ok(), "the base checkpoint");
-
-            let mut rng = cpq_rng::Rng::seed_from_u64(seed);
-            let mut alive: Vec<(Point2, u64)> = Vec::new();
-            control.fail_read(rng.random_range(20..400u64));
-            let failure = (0..300u64).find_map(|oid| match rng.random_range(0..alive.len() + 2) {
-                i if i < alive.len() && rng.random_bool(0.5) => {
-                    let (p, victim) = alive[i];
-                    let found = tree.delete(p, victim);
-                    found
-                        .map(|found| alive.retain(|o| !found || o.1 != victim))
-                        .err()
-                }
-                _ => {
-                    let p =
-                        Point2::new([rng.random_range(0.0..100.0), rng.random_range(0.0..100.0)]);
-                    tree.insert(p, oid).map(|()| alive.push((p, oid))).err()
-                }
-            });
-            let failure = failure.expect("the armed read fires within the stream");
-            assert!(
-                failure.to_string().contains("injected read failure"),
-                "{failure}"
-            );
-
-            // The disk "comes back"; the writer must stay stopped all the same.
-            control.disarm();
-            let (p, oid) = alive[0];
-            let checkpoint = durable.then(|| tree.checkpoint().map(|_| ()));
-            let later = [tree.insert(p, 1_000), tree.delete(p, oid).map(|_| ())];
-            for later in later.into_iter().chain(checkpoint) {
-                let e = later.expect_err("an update after the failure");
-                assert!(
-                    e.to_string().contains("injected read failure"),
-                    "seed {seed}: {e}"
-                );
-            }
-            let snap = tree.snapshot().expect("snapshot");
-            assert!(
-                snap.tree().validate().expect("walk").is_valid(),
-                "seed {seed}"
-            );
-            assert_eq!(
-                snap.tree().len(),
-                alive.len() as u64,
-                "seed {seed}: acked ops only"
-            );
-            assert_eq!(
-                answer(snap.tree()),
-                oracle(&alive),
-                "seed {seed}: the last epoch"
-            );
-            drop((snap, tree));
-            if durable {
-                let (back, _) = crate::recover::<2, Point<2>>(&dir, params, &cfg).expect("recover");
-                let snap = back.snapshot().expect("snapshot");
-                assert_eq!(
-                    answer(snap.tree()),
-                    oracle(&alive),
-                    "seed {seed}: recovered"
-                );
-            }
-            let _ = std::fs::remove_dir_all(&dir);
-        }
     }
 }

@@ -205,7 +205,8 @@ fn recovery_is_bit_identical_at_every_crash_point() {
         q_tree.insert(*p, 1_000_000 + i as u64).expect("q insert");
     }
 
-    let live: LiveTree<2> = LiveTree::create(&dir, RTreeParams::paper(), &cfg()).expect("create");
+    let live: LiveTree<2> =
+        LiveTree::create(Some(&dir), RTreeParams::paper(), &cfg(), |f| f).expect("create");
     let ckpt0 = root.join("ckpt0");
     copy_live_dir(&dir, &ckpt0).expect("snapshot ckpt0");
 
@@ -266,7 +267,8 @@ fn recovery_is_bit_identical_at_every_crash_point() {
 fn recovery_of_a_recovered_dir_is_stable() {
     let root = tmp_dir("rerecover");
     let dir = root.join("live");
-    let live: LiveTree<2> = LiveTree::create(&dir, RTreeParams::paper(), &cfg()).expect("create");
+    let live: LiveTree<2> =
+        LiveTree::create(Some(&dir), RTreeParams::paper(), &cfg(), |f| f).expect("create");
     let data = uniform_grid(40, 0x7777, 100.0);
     for (i, p) in data.points.iter().enumerate() {
         live.insert(*p, i as u64).expect("insert");
@@ -379,7 +381,8 @@ fn replay_refuses_malformed_logged_input() {
     ];
     for (tag, records, refused_by, want) in cases {
         let dir = tmp_dir(tag);
-        drop(LiveTree::<2>::create(&dir, RTreeParams::paper(), &cfg()).expect("create"));
+        let live = LiveTree::<2>::create(Some(&dir), RTreeParams::paper(), &cfg(), |f| f);
+        drop(live.expect("create"));
         let wal_dir = dir.join(WAL_DIR);
         let (seq, _) = list_segments(&wal_dir).expect("list").pop().expect("base");
         // The base checkpoint is LSN 1; these records continue after it.

@@ -42,7 +42,7 @@ fn stream_matches_rebuilt_tree_across_all_algorithms() {
     }
 
     let live: LiveTree<2> =
-        LiveTree::new_in_memory(RTreeParams::paper(), &LiveConfig::default()).expect("live");
+        LiveTree::create(None, RTreeParams::paper(), &LiveConfig::default(), |f| f).expect("live");
     let mut contents: BTreeMap<u64, Point2> = BTreeMap::new();
     let mut rng = Rng::seed_from_u64(7);
     let cfg = CpqConfig::default();
@@ -109,7 +109,7 @@ fn stream_matches_rebuilt_tree_across_all_algorithms() {
 fn snapshot_is_immune_to_later_updates() {
     let data = uniform_grid(150, 0x5EED, 50.0);
     let live: LiveTree<2> =
-        LiveTree::new_in_memory(RTreeParams::paper(), &LiveConfig::default()).expect("live");
+        LiveTree::create(None, RTreeParams::paper(), &LiveConfig::default(), |f| f).expect("live");
     for (i, p) in data.points.iter().take(100).enumerate() {
         live.insert(*p, i as u64).expect("insert");
     }
@@ -166,7 +166,7 @@ fn concurrent_readers_never_see_torn_snapshots() {
     const READERS: usize = 4;
     let data = uniform_grid(400, 0xC0FFEE, 50.0);
     let live: Arc<LiveTree<2>> = Arc::new(
-        LiveTree::new_in_memory(RTreeParams::paper(), &LiveConfig::default()).expect("live"),
+        LiveTree::create(None, RTreeParams::paper(), &LiveConfig::default(), |f| f).expect("live"),
     );
     for (i, p) in data.points.iter().take(120).enumerate() {
         live.insert(*p, i as u64).expect("seed insert");
@@ -257,7 +257,7 @@ fn concurrent_readers_never_see_torn_snapshots() {
 fn snapshot_validates_against_window_bounds() {
     let window = Rect2::from_corners([100.0, 100.0], [500.0, 500.0]);
     let live: LiveTree<2> =
-        LiveTree::new_in_memory(RTreeParams::paper(), &LiveConfig::default()).expect("live");
+        LiveTree::create(None, RTreeParams::paper(), &LiveConfig::default(), |f| f).expect("live");
     let data = uniform_grid(200, 0xB0B, 50.0);
     let mut kept = 0u64;
     for (i, pt) in data.points.iter().enumerate() {
@@ -305,7 +305,7 @@ fn snapshot_validates_against_window_bounds() {
 fn continuous_maintenance_refills_on_a_minority_of_steps() {
     let data = uniform_grid(120, 0xBEEF, 200.0);
     let live: LiveTree<2> =
-        LiveTree::new_in_memory(RTreeParams::paper(), &LiveConfig::default()).expect("live");
+        LiveTree::create(None, RTreeParams::paper(), &LiveConfig::default(), |f| f).expect("live");
     let snap = live.snapshot().expect("snap");
     let mut cont = ContinuousCpq::new(&QuerySpec::self_join(6), &snap, &snap).expect("continuous");
     drop(snap);
@@ -352,7 +352,8 @@ fn a_durable_stream_logs_only_the_records_recovery_reads() {
         checkpoint_every: 0,
         ..LiveConfig::default()
     };
-    let live: LiveTree<2> = LiveTree::create(&dir, RTreeParams::paper(), &cfg).expect("create");
+    let live: LiveTree<2> =
+        LiveTree::create(Some(&dir), RTreeParams::paper(), &cfg, |f| f).expect("create");
     let data = uniform_grid(60, 0xD15C, 100.0);
     for (i, p) in data.points.iter().enumerate() {
         live.insert(*p, i as u64).expect("insert");

@@ -5,7 +5,7 @@
 
 use cpq_core::{k_closest_pairs, Algorithm, CpqConfig, PairResult};
 use cpq_datasets::uniform_grid;
-use cpq_live::{LiveConfig, LiveSet, Side, UpdateOp};
+use cpq_live::{LiveConfig, LiveSet, LiveTree, Side, UpdateOp};
 use cpq_rtree::RTreeParams;
 use cpq_service::{CpqService, QueryRequest, QueryStatus, ServiceConfig, Source};
 
@@ -18,8 +18,8 @@ fn keys(pairs: &[PairResult<2>]) -> Vec<(u64, u64, u64)> {
 
 fn live_set(n: usize) -> LiveSet<2> {
     let data = uniform_grid(n, 0x5EED, 100.0);
-    let set: LiveSet<2> =
-        LiveSet::new_in_memory(RTreeParams::paper(), &LiveConfig::default()).expect("set");
+    let tree = || LiveTree::create(None, RTreeParams::paper(), &LiveConfig::default(), |f| f);
+    let set: LiveSet<2> = LiveSet::from_trees(tree().expect("p"), tree().expect("q"));
     // Q is P shifted off the 100-unit grid lattice, so no cross pair sits
     // at distance 0 — a planted coincident pair is unambiguously first.
     let ops: Vec<UpdateOp<2>> = data

@@ -25,9 +25,14 @@
 //! reads, or a non-finite coordinate — is armed for one call down each route
 //! it reaches before that route's ordinary checks run on the same trees, and
 //! every armed call is held to one outcome contract (see [`Hostile::call`]).
-//! Every page file under a side's trees reads through that side's
-//! [`FailureControl`]. The live route takes only non-finite input: its pools
-//! have no fault hook.
+//! Every page file under a side's trees — static, sharded or live, the live
+//! set in memory or, for half of the storage-fault cases, on disk — reads
+//! through that side's [`FailureControl`]. A storage fault also meets the
+//! live writers (`live-writer`), each side in turn deleting and inserting
+//! again an object (32 at most: then their paths are resident) until one
+//! fails. One that did not commit stopped its writer, which must refuse all
+//! else naming it; the watcher, the snapshots, the live service and, on
+//! disk, recovery must answer for exactly what the set acknowledged.
 //!
 //! A failure prints `case_from(seed, index)` and the case's `Debug`; paste
 //! the two integers into [`REPLAY`] and run `cargo test --test differential
@@ -45,7 +50,8 @@ use cpq::core::{
 };
 use cpq::datasets::{clustered, uniform, uniform_grid, ClusterSpec};
 use cpq::geo::{pack_color, Point2, Rect2};
-use cpq::live::{ContinuousCpq, LiveConfig, LiveSet, Side, UpdateOp};
+use cpq::live::UpdateOp::{self, Delete, Insert};
+use cpq::live::{recover, ContinuousCpq, LiveConfig, LiveError, LiveSet, LiveTree, Side};
 use cpq::rtree::{RTree, RTreeParams, RTreeResult};
 use cpq::service::{
     CpqService, ObsConfig, QueryKind, QueryRequest, QueryStatus, ServiceConfig, Source, TreePair,
@@ -79,16 +85,14 @@ const ALGORITHMS: [Algorithm; 5] = [
 const REACH: [(&str, &str); 6] = [
     ("FailRead", FAULTED),
     ("Corrupt", FAULTED),
-    ("Deadline", TIMED),
-    ("Cancel", TIMED),
+    ("Deadline", QUERIES),
+    ("Cancel", QUERIES),
     ("NonFiniteObject", "static sharded live"),
-    (
-        "NonFiniteWindow",
-        "static sharded service sharded-service live",
-    ),
+    ("NonFiniteWindow", QUERIES),
 ];
-const FAULTED: &str = "static incremental sharded service sharded-service";
-const TIMED: &str = "static sharded service sharded-service";
+const QUERIES: &str = "static sharded service sharded-service live live-service";
+const FAULTED: &str =
+    "static incremental sharded service sharded-service live live-service live-writer";
 const BITES_PER_KIND: u32 = 5;
 
 type Object = (Point2, u64);
@@ -431,6 +435,7 @@ fn oracle(ps: &[Object], qs: &[Object], spec: &QuerySpec<2>) -> Option<Vec<Key>>
     let (k, con) = (spec.k, &spec.constraint);
     match (spec.self_join, con.is_symmetric()) {
         (true, false) => None,
+        _ if k == 0 => Some(Vec::new()), // all brute force would sort away
         (true, true) => Some(keys(&brute::self_k_closest_pairs_brute_constrained(
             ps, k, con,
         ))),
@@ -480,7 +485,7 @@ impl Drop for Replay<'_> {
 struct Hostile<'a> {
     hazard: Hazard,
     /// `P`'s and `Q`'s: every page file under a side's trees — static,
-    /// sharded or behind a service — reads through it.
+    /// sharded, live or behind a service — reads through it.
     controls: [Arc<FailureControl>; 2],
     /// What armed calls ask: the case's spec, or its non-finite-window twin.
     spec: QuerySpec<2>,
@@ -702,6 +707,18 @@ fn check(case: &Case, tally: &mut Tally) {
         (run.outcome.pairs, run.outcome.stats)
     };
     let pairs_of = |run: QueryRun<2>| pairs_and_stats(run).0;
+    let done = |got: Result<Answer, String>| {
+        got.map(|(pairs, completed)| {
+            assert!(completed, "an undated query timed out");
+            pairs
+        })
+    };
+    let run_on = |trees: [&RTree<2>; 2], spec: &QuerySpec<2>, token: &CancelToken| {
+        let ctx = ExecCtx::default().with_cancel(token);
+        let run = execute(trees[0], trees[1], spec, algorithm, &cfg, ctx);
+        run.map(|run| (run.outcome.pairs, run.completed))
+            .map_err(|e| e.to_string())
+    };
 
     let service_config = |obs: ObsConfig| ServiceConfig {
         workers: 1,
@@ -735,8 +752,7 @@ fn check(case: &Case, tally: &mut Tally) {
 
     // Armed: the case's own algorithm and parallelism.
     let armed = hostile.call("static", &pools, |spec, token| {
-        let ctx = ExecCtx::default().with_cancel(token);
-        execute(tp, tq, spec, algorithm, &cfg, ctx).map(|run| (run.outcome.pairs, run.completed))
+        run_on([tp, tq], spec, token)
     });
     if let Some(got) = armed {
         agree("armed static trees", &want, got);
@@ -855,8 +871,20 @@ fn check(case: &Case, tally: &mut Tally) {
     }
 
     // The live set: part of the data primed, the rest streamed in between
-    // deletes and re-inserts, every watcher compared at every step.
-    let live: LiveSet<2> = LiveSet::new_in_memory(params(case), &LiveConfig::default()).unwrap();
+    // deletes and re-inserts, every watcher compared at every step. Half of
+    // the storage-fault cases keep it on disk, drawn apart from the case.
+    let faulted = matches!(case.hazard, Hazard::FailRead(..) | Hazard::Corrupt(..));
+    let on_disk = faulted && rng_for(case.seed, case.index, 0xD15C).random_bool(0.5);
+    let (pid, thread) = (std::process::id(), std::thread::current().id());
+    let dir = on_disk.then(|| std::env::temp_dir().join(format!("cpq-live-{pid}-{thread:?}")));
+    let mut live_cfg = LiveConfig::default();
+    live_cfg.wal.sync = false;
+    let live_tree = |side: &str, control: &Arc<FailureControl>| {
+        let dir = dir.as_ref().map(|dir| dir.join(side));
+        let file = |f| Box::new(FailingPageFile::new(f, Arc::clone(control))) as _;
+        LiveTree::create(dir.as_deref(), params(case), &live_cfg, file).unwrap()
+    };
+    let live = LiveSet::from_trees(live_tree("p", control_p), live_tree("q", control_q));
     let live_service = CpqService::start(Source::Live(live), service_config(ObsConfig::disabled()));
     let live = live_service.live().expect("live source");
     if let Hazard::NonFiniteObject(object, _) = case.hazard {
@@ -869,19 +897,18 @@ fn check(case: &Case, tally: &mut Tally) {
     }
     let (primed, stream) = update_stream(case, &ps, &qs);
     let mut alive: [Vec<Object>; 2] = [Vec::new(), Vec::new()];
-    let track = |alive: &mut [Vec<Object>; 2], op: &UpdateOp<2>| match *op {
-        UpdateOp::Insert { side, object, oid } => alive[side as usize].push((object, oid)),
-        UpdateOp::Delete { side, oid, .. } => alive[side as usize].retain(|o| o.1 != oid),
+    let track = |alive: &mut [Vec<Object>; 2], op: UpdateOp<2>| match op {
+        Insert { side, object, oid } => alive[side as usize].push((object, oid)),
+        Delete { side, oid, .. } => alive[side as usize].retain(|o| o.1 != oid),
     };
     live.apply(&primed).unwrap();
-    primed.iter().for_each(|op| track(&mut alive, op));
+    primed.iter().for_each(|&op| track(&mut alive, op));
     live.watch(spec.k).unwrap();
     // A self-join watches `P` alone, as both sides.
     let q_side = if spec.self_join { live.p() } else { live.q() };
     let snapshots = || (live.p().snapshot().unwrap(), q_side.snapshot().unwrap());
     let (snap_p, snap_q) = snapshots();
-    let window_hazard = matches!(case.hazard, Hazard::NonFiniteWindow(_));
-    if window_hazard {
+    if let Hazard::NonFiniteWindow(_) = case.hazard {
         let primed = ContinuousCpq::new(&hostile.spec, &snap_p, &snap_q);
         hostile.refused("live", primed);
     }
@@ -904,7 +931,7 @@ fn check(case: &Case, tally: &mut Tally) {
     {
         if let Some(op) = op {
             live.apply(std::slice::from_ref(op)).unwrap();
-            track(&mut alive, op);
+            track(&mut alive, *op);
             let (snap_p, snap_q) = snapshots();
             match (continuous.as_mut(), *op) {
                 (Some(continuous), UpdateOp::Insert { side, object, oid }) if watched(side) => {
@@ -932,22 +959,59 @@ fn check(case: &Case, tally: &mut Tally) {
             );
         }
     }
-    let (snap_p, snap_q) = snapshots();
-    let on_snapshots = |spec: &QuerySpec<2>| {
-        let run = execute(
-            snap_p.tree(),
-            snap_q.tree(),
-            spec,
-            algorithm,
-            &cfg,
-            ExecCtx::default(),
-        );
-        run.map(pairs_of).map_err(|e| e.to_string())
+    // The writers under a storage fault: `live-writer` in the module docs.
+    let live_pools = [live.p().pool(), live.q().pool()];
+    let turns = (0..alive[0].len().max(alive[1].len())).flat_map(|i| [(Side::P, i), (Side::Q, i)]);
+    let turns = turns.filter_map(|(side, i)| Some((side, *alive[side as usize].get(i)?)));
+    let redo = |(side, (object, oid))| [Delete { side, object, oid }, Insert { side, object, oid }];
+    let cycle: Vec<_> = turns.flat_map(redo).take(32).collect();
+    let mut failed = None;
+    let writer = |_: &QuerySpec<2>, _: &CancelToken| -> Result<Answer, LiveError> {
+        for op in cycle {
+            let (Insert { side, object, oid } | Delete { side, object, oid }) = op;
+            let applied = live.apply(&[op]);
+            let committed = live.side(side).len() != alive[side as usize].len() as u64;
+            if committed {
+                track(&mut alive, op);
+            }
+            applied
+                .inspect_err(|e| failed = Some((side, object, oid, committed, e.to_string())))?;
+        }
+        Ok((Vec::new(), true))
     };
-    if window_hazard {
-        hostile.refused("live", on_snapshots(&hostile.spec));
+    let armed = faulted.then(|| hostile.call("live-writer", &live_pools, writer));
+    let unexplained = matches!(armed, Some(Some(Err(_))));
+    assert!(!unexplained, "live-writer: {armed:?}");
+    if let Some((side, object, oid, false, why)) = failed {
+        let later = [Insert { side, object, oid }, Delete { side, object, oid }];
+        let later = later.map(|op| live.apply(&[op]).map(drop));
+        let checkpoint = dir.as_ref().map(|_| live.side(side).checkpoint().map(drop));
+        let named = |e: LiveError| e.to_string().contains(why.as_str());
+        for later in later.into_iter().chain(checkpoint) {
+            assert!(later.is_err_and(named), "live-writer: it went on");
+        }
     }
-    agree("live snapshots", &want, on_snapshots(&spec));
+    let [alive_p, alive_q] = &alive;
+    if let Some(pairs) = live.watched_pairs() {
+        let watched_want = oracle(alive_p, alive_q, &QuerySpec::cross(spec.k));
+        agree("watch after the writers' updates", &watched_want, Ok(pairs));
+    }
+    let live_want = oracle(alive_p, alive_q, &spec);
+    for (tree, objects) in [live.p(), live.q()].into_iter().zip(&alive) {
+        let snap = tree.snapshot().unwrap();
+        let valid = snap.tree().validate().unwrap().is_valid();
+        let held = snap.tree().len() == objects.len() as u64;
+        assert!(valid && held, "a live snapshot");
+    }
+    let (snap_p, snap_q) = snapshots();
+    let trees = [snap_p.tree(), snap_q.tree()];
+    let armed = hostile.call("live", &live_pools, |spec, t| run_on(trees, spec, t));
+    if let Some(got) = armed {
+        agree("armed live snapshots", &live_want, got);
+    }
+    let got = done(run_on(trees, &spec, &CancelToken::new()));
+    agree("live snapshots", &live_want, got);
+    drop((snap_p, snap_q));
 
     // A service over each source; the ones holding no shards ignore the
     // scatter fan-out. The sharded source's shard pools are out of reach
@@ -972,11 +1036,7 @@ fn check(case: &Case, tally: &mut Tally) {
     );
     let ask = |service: &CpqService<2>, spec: &QuerySpec<2>, deadline: Option<Duration>| {
         let request = QueryRequest {
-            kind: if spec.self_join {
-                QueryKind::SelfJoin
-            } else {
-                QueryKind::Cross
-            },
+            kind: [QueryKind::Cross, QueryKind::SelfJoin][spec.self_join as usize],
             constraint: spec.constraint,
             deadline,
             ..QueryRequest::cross(spec.k, algorithm).with_scatter(case.shard_workers)
@@ -994,32 +1054,35 @@ fn check(case: &Case, tally: &mut Tally) {
         Hazard::Deadline(_, us, _) | Hazard::Cancel(_, us) => Some(Duration::from_micros(us)),
         _ => None,
     };
-    for (service, route) in [
-        (&static_service, "service"),
-        (&sharded_service, "sharded-service"),
+    let sharded_trees = sharded_service.trees().expect("a static pair");
+    let sharded_pools = [sharded_trees.p.pool(), sharded_trees.q.pool()];
+    for (service, route, pools, want) in [
+        (&static_service, "service", pools, &want),
+        (&sharded_service, "sharded-service", sharded_pools, &want),
+        (&live_service, "live-service", live_pools, &live_want),
     ] {
-        let trees = service.trees().expect("a static pair");
-        let pools = [trees.p.pool(), trees.q.pool()];
         let armed = hostile.call(route, &pools, |spec, _| ask(service, spec, deadline));
         if let Some(got) = armed {
-            agree(&format!("armed {route}"), &want, got);
+            agree(&format!("armed {route}"), want, got);
         }
+        agree(route, want, done(ask(service, &spec, None)));
     }
-    if window_hazard {
-        hostile.refused("live", ask(&live_service, &hostile.spec, None));
-    }
-    for (service, source) in [
-        (static_service, "static"),
-        (sharded_service, "sharded"),
-        (live_service, "live"),
-    ] {
-        let got = ask(&service, &spec, None).map(|(pairs, completed)| {
-            assert!(completed, "{source} service: an undated query timed out");
-            pairs
-        });
-        agree(&format!("{source} service"), &want, got);
+    for service in [static_service, sharded_service, live_service] {
         service.shutdown();
     }
+    // A durable set's sides recover to what they acknowledged, and go on.
+    if let Some(dir) = &dir {
+        let back = |side| recover::<2, Point2>(&dir.join(side), params(case), &live_cfg);
+        let recovered = ["p", "q"].map(|side| back(side).unwrap().0);
+        let snaps = recovered.each_ref().map(|tree| tree.snapshot().unwrap());
+        let trees = [snaps[0].tree(), snaps[!spec.self_join as usize].tree()];
+        let got = done(run_on(trees, &spec, &CancelToken::new()));
+        agree("recovered live trees", &live_want, got);
+        for tree in &recovered {
+            tree.insert(Point2::new([0.0, 0.0]), u64::MAX).unwrap();
+        }
+    }
+    let _ = dir.map(std::fs::remove_dir_all);
 }
 
 /// Runs every case of `seeds`, then asserts that each hazard kind bit —

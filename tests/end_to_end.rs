@@ -7,9 +7,11 @@
 use cpq::core::{brute, distance_join, k_closest_pairs, k_closest_pairs_incremental};
 use cpq::core::{self_closest_pairs, semi_closest_pairs, Algorithm, CpqConfig, IncrementalConfig};
 use cpq::datasets::{california_surrogate, clustered, uniform, ClusterSpec, Dataset};
+use cpq::live::{LiveConfig, LiveError, LiveSet, LiveTree, Side, UpdateOp};
 use cpq::rtree::{InnerEntry, LeafEntry, NodeEntries, PageEntry};
 use cpq::rtree::{RTree, RTreeError, RTreeParams, NODE_HEADER_LEN};
-use cpq::storage::{BufferPool, DiskPageFile, MemPageFile, DEFAULT_PAGE_SIZE};
+use cpq::storage::DEFAULT_PAGE_SIZE;
+use cpq::storage::{BufferPool, DiskPageFile, FailingPageFile, FailureControl, MemPageFile};
 
 fn build(ds: &Dataset) -> RTree<2> {
     let pool = BufferPool::with_lru(Box::new(MemPageFile::new(DEFAULT_PAGE_SIZE)), 256);
@@ -279,4 +281,32 @@ fn a_page_shorter_than_its_entry_count_is_a_corrupt_node() {
     }
     tree.pool().write_page(leaf, &page).unwrap();
     tree.assert_valid();
+}
+
+/// A watcher whose maintenance read fails after its update committed is
+/// uninstalled, not left holding the wrong pairs; the writer goes on.
+#[test]
+fn a_failed_watcher_update_uninstalls_the_watcher() {
+    let control = FailureControl::new();
+    let faulty = |f| Box::new(FailingPageFile::new(f, control.clone())) as _;
+    let (params, cfg) = (RTreeParams::paper(), LiveConfig::default());
+    let p = LiveTree::create(None, params, &cfg, |f| f).unwrap();
+    let set: LiveSet<2> =
+        LiveSet::from_trees(p, LiveTree::create(None, params, &cfg, faulty).unwrap());
+    let insert = |oid: u64, object| {
+        let side = [Side::P, Side::Q][oid as usize % 2];
+        UpdateOp::Insert { side, object, oid }
+    };
+    let data = uniform(60, 0xFA11).points;
+    let ops: Vec<_> = (0..60).map(|i| insert(i, data[i as usize])).collect();
+    set.apply(&ops).unwrap();
+    set.watch(5).unwrap();
+    set.q().pool().clear();
+    control.fail_read(1); // Q's first read: the watcher's probe
+    let e = set.apply(&[insert(998, data[1])]).unwrap_err();
+    assert!(matches!(e, LiveError::Unwatched(_)), "{e}");
+    assert!(e.to_string().contains("injected read failure"), "{e}");
+    assert_eq!(set.p().len(), 31, "the update committed");
+    assert!(set.watched_pairs().is_none(), "the watcher is uninstalled");
+    set.apply(&[insert(1000, data[3])]).unwrap(); // the writer goes on
 }
