@@ -1,6 +1,6 @@
 //! Regenerates the paper's figures, the ablations and the cost-model
 //! validation: one name from `cpq_bench::figures::ALL`, or `all`.
-//! Usage: cargo run -p cpq-bench --release --bin figures -- <name|all> [--scale S] [--out DIR] [--no-csv] [--chart] [--log]
+//! Usage: cargo run -p cpq-bench --release --bin figures -- <name|all> [--scale S] [--out DIR] [--no-csv]
 
 use cpq_bench::figures::ALL;
 
@@ -14,7 +14,7 @@ fn main() {
         .collect();
     if selected.is_empty() {
         let names: Vec<&str> = ALL.iter().map(|(name, _)| *name).collect();
-        eprintln!("usage: figures <name|all> [--scale S] [--out DIR] [--no-csv] [--chart] [--log]");
+        eprintln!("usage: figures <name|all> [--scale S] [--out DIR] [--no-csv]");
         eprintln!("names: {}", names.join(" "));
         std::process::exit(2);
     }

@@ -12,13 +12,11 @@
 //! integration test can smoke-run every figure at a tiny `--scale`.
 
 pub mod args;
-pub mod chart;
 pub mod experiment;
 pub mod figures;
 pub mod table;
 
 pub use args::Args;
-pub use chart::Chart;
 pub use experiment::{
     build_tree, build_tree_bulk, build_tree_with, configure_buffers, policy_by_name, real_dataset,
     run_incremental, run_query, uniform_dataset,
@@ -31,12 +29,6 @@ pub fn emit(tables: &[Table], args: &Args) {
     let dir = std::path::PathBuf::from(args.get_str("out", "results"));
     for t in tables {
         t.print();
-        if args.flag("chart") {
-            if let Some(chart) = t.to_chart(args.flag("log")) {
-                print!("{}", chart.render(60, 14));
-                println!();
-            }
-        }
         if !args.flag("no-csv") {
             match t.write_csv(&dir) {
                 Ok(path) => eprintln!("wrote {}", path.display()),

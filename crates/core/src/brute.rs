@@ -15,18 +15,7 @@ pub fn k_closest_pairs_brute<const D: usize>(
     qs: &[(Point<D>, u64)],
     k: usize,
 ) -> Vec<PairResult<D>> {
-    let mut all: Vec<PairResult<D>> = Vec::with_capacity(ps.len() * qs.len());
-    for &(p, poid) in ps {
-        for &(q, qoid) in qs {
-            all.push(PairResult::new(
-                LeafEntry::new(p, poid),
-                LeafEntry::new(q, qoid),
-            ));
-        }
-    }
-    all.sort_by(pair_cmp);
-    all.truncate(k);
-    all
+    k_closest_pairs_brute_constrained(ps, qs, k, &Constraint::none())
 }
 
 /// The `K` closest pairs **within** one set (unordered pairs of distinct
@@ -35,23 +24,7 @@ pub fn self_k_closest_pairs_brute<const D: usize>(
     ps: &[(Point<D>, u64)],
     k: usize,
 ) -> Vec<PairResult<D>> {
-    let mut all: Vec<PairResult<D>> = Vec::new();
-    for (i, &(p, poid)) in ps.iter().enumerate() {
-        for &(q, qoid) in &ps[i + 1..] {
-            let (a, b) = if poid < qoid {
-                ((p, poid), (q, qoid))
-            } else {
-                ((q, qoid), (p, poid))
-            };
-            all.push(PairResult::new(
-                LeafEntry::new(a.0, a.1),
-                LeafEntry::new(b.0, b.1),
-            ));
-        }
-    }
-    all.sort_by(pair_cmp);
-    all.truncate(k);
-    all
+    self_k_closest_pairs_brute_constrained(ps, k, &Constraint::none())
 }
 
 /// Constrained variant of [`k_closest_pairs_brute`]: only pairs admitted by
@@ -65,21 +38,16 @@ pub fn k_closest_pairs_brute_constrained<const D: usize>(
     k: usize,
     constraint: &Constraint<D>,
 ) -> Vec<PairResult<D>> {
-    let mut all: Vec<PairResult<D>> = Vec::new();
-    for &(p, poid) in ps {
-        for &(q, qoid) in qs {
-            if !constraint.admits_pair(&p.mbr(), poid, &q.mbr(), qoid) {
-                continue;
-            }
-            all.push(PairResult::new(
-                LeafEntry::new(p, poid),
-                LeafEntry::new(q, qoid),
-            ));
+    if k == 0 {
+        return Vec::new();
+    }
+    let mut all = Vec::with_capacity(ps.len() * qs.len());
+    for &p in ps {
+        for &q in qs {
+            admit(&mut all, constraint, p, q);
         }
     }
-    all.sort_by(pair_cmp);
-    all.truncate(k);
-    all
+    least(all, k)
 }
 
 /// Constrained variant of [`self_k_closest_pairs_brute`]. The constraint
@@ -94,50 +62,62 @@ pub fn self_k_closest_pairs_brute_constrained<const D: usize>(
         constraint.is_symmetric(),
         "self-join constraints must use one symmetric window"
     );
-    let mut all: Vec<PairResult<D>> = Vec::new();
-    for (i, &(p, poid)) in ps.iter().enumerate() {
-        for &(q, qoid) in &ps[i + 1..] {
-            let (a, b) = if poid < qoid {
-                ((p, poid), (q, qoid))
-            } else {
-                ((q, qoid), (p, poid))
-            };
-            if !constraint.admits_pair(&a.0.mbr(), a.1, &b.0.mbr(), b.1) {
-                continue;
-            }
-            all.push(PairResult::new(
-                LeafEntry::new(a.0, a.1),
-                LeafEntry::new(b.0, b.1),
-            ));
+    if k == 0 {
+        return Vec::new();
+    }
+    let mut all = Vec::with_capacity(ps.len() * ps.len().saturating_sub(1) / 2);
+    for (i, &a) in ps.iter().enumerate() {
+        for &b in &ps[i + 1..] {
+            let (p, q) = if a.1 < b.1 { (a, b) } else { (b, a) };
+            admit(&mut all, constraint, p, q);
         }
     }
-    all.sort_by(pair_cmp);
-    all.truncate(k);
+    least(all, k)
+}
+
+/// Pushes the pair `(p, q)` onto `all` if `constraint` admits it.
+fn admit<const D: usize>(
+    all: &mut Vec<PairResult<D>>,
+    constraint: &Constraint<D>,
+    (p, poid): (Point<D>, u64),
+    (q, qoid): (Point<D>, u64),
+) {
+    if constraint.admits_pair(&p.mbr(), poid, &q.mbr(), qoid) {
+        all.push(PairResult::new(
+            LeafEntry::new(p, poid),
+            LeafEntry::new(q, qoid),
+        ));
+    }
+}
+
+/// The `k` least of `all` in [`pair_cmp`] order: a selection, then a sort
+/// of the `k` selected only.
+fn least<const D: usize>(mut all: Vec<PairResult<D>>, k: usize) -> Vec<PairResult<D>> {
+    if k < all.len() {
+        all.select_nth_unstable_by(k, pair_cmp);
+        all.truncate(k);
+    }
+    all.sort_unstable_by(pair_cmp);
     all
 }
 
 /// The all-nearest-neighbor join by exhaustive scan: for each point of `ps`
-/// its nearest point in `qs`, sorted by ascending distance.
+/// its nearest point in `qs` — the least by `(distance, oid)` — sorted in
+/// [`pair_cmp`] order. Empty when either side is.
 pub fn semi_closest_pairs_brute<const D: usize>(
     ps: &[(Point<D>, u64)],
     qs: &[(Point<D>, u64)],
 ) -> Vec<PairResult<D>> {
     let mut out: Vec<PairResult<D>> = ps
         .iter()
-        .map(|&(p, poid)| {
-            #[expect(clippy::expect_used, reason = "an empty `qs` is a caller bug")]
-            let (q, qoid) = qs
-                .iter()
-                .min_by(|a, b| {
-                    cpq_geo::min_min_dist2(&p.mbr(), &a.0.mbr())
-                        .cmp(&cpq_geo::min_min_dist2(&p.mbr(), &b.0.mbr()))
-                })
-                .copied()
-                .expect("qs must be non-empty");
-            PairResult::new(LeafEntry::new(p, poid), LeafEntry::new(q, qoid))
+        .filter_map(|&(p, poid)| {
+            let pair = |&(q, qoid): &(Point<D>, u64)| {
+                PairResult::new(LeafEntry::new(p, poid), LeafEntry::new(q, qoid))
+            };
+            qs.iter().map(pair).min_by(pair_cmp)
         })
         .collect();
-    out.sort_by(pair_cmp);
+    out.sort_unstable_by(pair_cmp);
     out
 }
 
@@ -178,5 +158,6 @@ mod tests {
         let got = semi_closest_pairs_brute(&ps, &qs);
         assert_eq!(got.len(), 2);
         assert!(got.iter().all(|r| r.dist2.get() == 1.0));
+        assert!(semi_closest_pairs_brute(&ps, &[]).is_empty());
     }
 }

@@ -1,12 +1,11 @@
 //! What the workspace's differential harness (`tests/differential.rs`) does
-//! not reach: the semi-join, a third dimension, and the cost side of the
+//! not reach: a third dimension, and the cost side of the
 //! algorithms — counters populated, HEAP/STD beating EXH, a window that
 //! shrinks the traversal. Parity with the oracle for every 2-D K-CPQ spec,
 //! algorithm and configuration lives in the harness.
 
 use cpq_core::{
-    brute, execute, k_closest_pairs, semi_closest_pairs, Algorithm, Constraint, CpqConfig, ExecCtx,
-    QuerySpec,
+    brute, execute, k_closest_pairs, Algorithm, Constraint, CpqConfig, ExecCtx, QuerySpec,
 };
 use cpq_datasets::{clustered, uniform, ClusterSpec, WORKSPACE_SIDE};
 use cpq_geo::{Point, Rect2};
@@ -16,25 +15,6 @@ use cpq_storage::MemPageFile;
 
 mod common;
 use common::build;
-
-#[test]
-fn semi_cpq_matches_brute_force() {
-    let p = uniform(200, 24);
-    let q = uniform(300, 25);
-    let tp = build(&p.points, 32);
-    let tq = build(&q.points, 32);
-    let out = semi_closest_pairs(&tp, &tq).unwrap();
-    let expected = brute::semi_closest_pairs_brute(&p.indexed(), &q.indexed());
-    assert_eq!(out.pairs.len(), 200, "one pair per P point");
-    for (i, (g, e)) in out.pairs.iter().zip(&expected).enumerate() {
-        assert!((g.dist2.get() - e.dist2.get()).abs() < 1e-9, "pair {i}");
-    }
-    assert!(out.pairs.windows(2).all(|w| w[0].dist2 <= w[1].dist2));
-    // Every P oid appears exactly once.
-    let mut oids: Vec<u64> = out.pairs.iter().map(|r| r.p.oid).collect();
-    oids.sort_unstable();
-    assert_eq!(oids, (0..200u64).collect::<Vec<_>>());
-}
 
 #[test]
 fn three_dimensional_cpq() {

@@ -5,7 +5,7 @@ use crate::codec::NodeEntries;
 use crate::entry::LeafEntry;
 use crate::error::RTreeResult;
 use crate::tree::RTree;
-use cpq_geo::{min_min_dist2, min_min_dist2_within, Dist2, Point, Rect};
+use cpq_geo::{min_min_dist2, Dist2, Point, Rect};
 use cpq_storage::PageId;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -73,87 +73,124 @@ impl<const D: usize> RTree<D> {
         Ok(false)
     }
 
-    /// K nearest neighbors of `query`, closest first (ties broken
-    /// arbitrarily). Uses the best-first
-    /// traversal of Hjaltason & Samet with a MINDIST-ordered priority queue.
+    /// K nearest neighbors of `query`, closest first and, among equal
+    /// distances, by ascending oid — a canonical order, whatever the tree's
+    /// shape or insertion history. Uses the best-first traversal of
+    /// Hjaltason & Samet with a MINDIST-ordered priority queue.
     ///
     /// The queue is kept small with a running bound: once `k` candidate
     /// points have been seen, the k-th smallest pending point distance
     /// upper-bounds the final answer, and entries farther than that — nodes
-    /// and points alike — are never pushed. Distances are evaluated with the
-    /// threshold-aware kernel, which stops accumulating per-axis
-    /// contributions as soon as the partial sum crosses the bound.
+    /// and points alike — are never pushed.
     pub fn knn(&self, query: &Point<D>, k: usize) -> RTreeResult<Vec<KnnNeighbor<D>>> {
         // `k` is outside input: size by what the tree can return.
-        let cap = k.min(self.len() as usize);
-        let mut out = Vec::with_capacity(cap);
+        let mut out = Vec::with_capacity(k.min(self.len() as usize));
+        self.best_first(query, k, Dist2::INFINITY, |n| {
+            out.push(n);
+            out.len() < k
+        })?;
+        Ok(out)
+    }
+
+    /// The nearest neighbor of `query` no farther than `within`
+    /// (**inclusive**: a neighbor at exactly `within` is found), or `None`
+    /// when there is none. Ties go to the smallest oid, as in
+    /// [`knn`](Self::knn), which is this search with `within` infinite.
+    ///
+    /// `within` is a warm start: the distance from `query` to any indexed
+    /// point bounds its nearest neighbor, and subtrees beyond it are never
+    /// read. Such a bound always finds an answer, for every MBR containing
+    /// that point scores at most its distance (each axis gap to a containing
+    /// rectangle is at most the gap to the point, and rounding is monotone).
+    pub fn nearest(&self, query: &Point<D>, within: Dist2) -> RTreeResult<Option<KnnNeighbor<D>>> {
+        let mut nearest = None;
+        self.best_first(query, 1, within, |n| {
+            nearest = Some(n);
+            false
+        })?;
+        Ok(nearest)
+    }
+
+    /// Hands the `k` nearest neighbors of `query` within `within`
+    /// (inclusive) to `emit` in `(dist2, oid)` order, until it returns
+    /// `false`. At equal distance the queue pops nodes before points, so
+    /// every point at a distance is queued before the first of them is
+    /// output, and points by ascending oid.
+    fn best_first(
+        &self,
+        query: &Point<D>,
+        k: usize,
+        within: Dist2,
+        mut emit: impl FnMut(KnnNeighbor<D>) -> bool,
+    ) -> RTreeResult<()> {
         if k == 0 || !self.root().is_valid() {
-            return Ok(out);
+            return Ok(());
         }
+        /// Max-heap order: a node outranks a point at equal distance.
         #[derive(PartialEq, Eq, PartialOrd, Ord)]
         enum Item {
-            /// An R-tree node awaiting expansion.
-            Node(PageId),
-            /// Index into `pending` of a data point awaiting output.
-            Point(usize),
+            /// A data point awaiting output: its oid, then its index into
+            /// `pending`.
+            Point(Reverse<u64>, usize),
+            /// An R-tree node awaiting expansion, the latest pushed first.
+            Node(usize, PageId),
         }
         let qrect = Rect::point(*query);
-        let mut heap: BinaryHeap<(Reverse<Dist2>, usize, Item)> = BinaryHeap::new();
-        let mut seq = 0usize; // FIFO tie-breaker for deterministic order
-        heap.push((Reverse(Dist2::ZERO), seq, Item::Node(self.root())));
-        let mut pending: Vec<LeafEntry<D>> = Vec::new(); // store for Point items
-                                                         // Max-heap of the k smallest point distances seen so far; its top is
-                                                         // the pruning bound once k candidates exist.
-        let mut worst: BinaryHeap<Dist2> = BinaryHeap::with_capacity(cap + 1);
-        #[expect(clippy::expect_used, reason = "guarded by the length check above.")]
-        let bound = |worst: &BinaryHeap<Dist2>| {
-            if worst.len() >= k {
-                *worst.peek().expect("k >= 1")
-            } else {
-                Dist2::INFINITY
-            }
-        };
-        while let Some((Reverse(d), _, item)) = heap.pop() {
+        let mut heap: BinaryHeap<(Reverse<Dist2>, Item)> = BinaryHeap::new();
+        let mut seq = 0usize; // LIFO among equal-distance nodes
+        heap.push((Reverse(Dist2::ZERO), Item::Node(seq, self.root())));
+        // The entries of queued Point items.
+        let mut pending: Vec<LeafEntry<D>> = Vec::new();
+        // The pruning bound: `within`, then the k-th smallest distance of the
+        // candidate points seen once there are k. For k > 1 `worst` is a
+        // max-heap of the k smallest; k = 1 needs none, for a candidate is
+        // within the bound and so is the new one.
+        let mut bound = within;
+        let mut worst: BinaryHeap<Dist2> = BinaryHeap::new();
+        while let Some((Reverse(d), item)) = heap.pop() {
             match item {
-                Item::Point(idx) => {
-                    out.push(KnnNeighbor {
-                        entry: pending[idx],
-                        dist2: d,
-                    });
-                    if out.len() == k {
+                Item::Point(_, idx) => {
+                    let entry = pending[idx];
+                    if !emit(KnnNeighbor { entry, dist2: d }) {
                         break;
                     }
                 }
-                Item::Node(id) => match self.read_node(id)?.entries() {
+                Item::Node(_, id) => match self.read_node(id)?.entries() {
                     NodeEntries::Leaf(es) => {
                         for e in es {
-                            let b = bound(&worst);
-                            let Some(dd) = min_min_dist2_within(&qrect, &e.mbr(), b) else {
+                            let dd = min_min_dist2(&qrect, &e.mbr());
+                            if dd > bound {
                                 continue; // farther than k candidates already seen
-                            };
-                            worst.push(dd);
-                            if worst.len() > k {
-                                worst.pop();
                             }
-                            seq += 1;
+                            if k == 1 {
+                                bound = dd;
+                            } else {
+                                worst.push(dd);
+                                if worst.len() > k {
+                                    worst.pop();
+                                }
+                                if worst.len() == k {
+                                    bound = worst.peek().copied().unwrap_or(bound);
+                                }
+                            }
+                            heap.push((Reverse(dd), Item::Point(Reverse(e.oid), pending.len())));
                             pending.push(e);
-                            heap.push((Reverse(dd), seq, Item::Point(pending.len() - 1)));
                         }
                     }
                     NodeEntries::Inner(entries) => {
                         for e in entries {
-                            let Some(dd) = min_min_dist2_within(&qrect, &e.mbr, bound(&worst))
-                            else {
+                            let dd = min_min_dist2(&qrect, &e.mbr);
+                            if dd > bound {
                                 continue; // subtree cannot contain a top-k point
-                            };
+                            }
                             seq += 1;
-                            heap.push((Reverse(dd), seq, Item::Node(e.child)));
+                            heap.push((Reverse(dd), Item::Node(seq, e.child)));
                         }
                     }
                 },
             }
         }
-        Ok(out)
+        Ok(())
     }
 
     /// All indexed objects whose MBR distance to `probe` is at most

@@ -88,30 +88,30 @@ fn range_query_agrees_with_brute_force() {
 
 #[test]
 fn knn_agrees_with_brute_force() {
-    let points = random_points(600, 21);
+    // Every tenth point twice more, under new oids: exact distance ties.
+    let mut points = random_points(600, 21);
+    points.extend(points.clone().iter().step_by(10).flat_map(|&p| [p, p]));
     let tree = build_tree(&points, 64);
     let mut r = rng(22);
-    for _ in 0..20 {
-        let q = Point([r.random_range(0.0..1000.0), r.random_range(0.0..1000.0)]);
+    for i in 0..20 {
+        // Half the queries sit on a duplicated point: ties at distance zero.
+        let q = match i % 2 {
+            0 => points[r.random_range(0..60usize) * 10],
+            _ => Point([r.random_range(0.0..1000.0), r.random_range(0.0..1000.0)]),
+        };
+        // The canonical answer: by distance bits, then by oid.
+        let mut brute: Vec<(u64, u64)> = (0..points.len())
+            .map(|i| (points[i].dist2(&q).to_bits(), i as u64))
+            .collect();
+        brute.sort_unstable();
         // K is outside input: 0, |P|+1 and absurd values return what exists.
         for k in [0usize, 1, 5, 17, points.len() + 1, 1 << 44, usize::MAX] {
             let got = tree.knn(&q, k).unwrap();
-            assert_eq!(got.len(), k.min(points.len()));
-            // Distances must be non-decreasing.
-            for w in got.windows(2) {
-                assert!(w[0].dist2 <= w[1].dist2);
-            }
-            // Compare the distance multiset with brute force (points may tie).
-            let mut brute: Vec<f64> = points.iter().map(|p| p.dist2(&q)).collect();
-            brute.sort_by(f64::total_cmp);
-            for (i, n) in got.iter().enumerate() {
-                assert!(
-                    (n.dist2.get() - brute[i]).abs() < 1e-9,
-                    "k={k} neighbor {i}: got {} expected {}",
-                    n.dist2.get(),
-                    brute[i]
-                );
-            }
+            let got: Vec<_> = got
+                .iter()
+                .map(|n| (n.dist2.get().to_bits(), n.entry.oid))
+                .collect();
+            assert_eq!(got, brute[..k.min(points.len())], "k={k}");
         }
     }
 }

@@ -11,7 +11,8 @@
 //!   [`ContinuousCpq`] for the case's spec compared at **every step**, then
 //!   `execute` on the pinned snapshots of the final state;
 //! * a [`CpqService`] over each [`Source`] variant;
-//! * `k_closest_pairs_incremental` (unconstrained cross specs only).
+//! * `k_closest_pairs_incremental` and `semi_closest_pairs` (unconstrained
+//!   cross specs only; the semi-join against its own oracle).
 //!
 //! Every answer must equal the oracle's `(dist2 bits, p.oid, q.oid)` keys —
 //! or, for a self-join with per-side windows, be the "symmetric" error from
@@ -44,9 +45,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use cpq::core::{
-    brute, execute, k_closest_pairs_incremental, pair_cmp, Algorithm, CancelToken, Constraint,
-    CpqConfig, ExecCtx, HeightStrategy, IncTie, IncrementalConfig, KPruning, LeafScan, PairResult,
-    QueryRun, QuerySpec, SortAlgorithm, TieStrategy, Traversal,
+    brute, execute, k_closest_pairs_incremental, pair_cmp, semi_closest_pairs, Algorithm,
+    CancelToken, Constraint, CpqConfig, ExecCtx, HeightStrategy, IncTie, IncrementalConfig,
+    KPruning, LeafScan, PairResult, QueryRun, QuerySpec, SortAlgorithm, TieStrategy, Traversal,
 };
 use cpq::datasets::{clustered, uniform, uniform_grid, ClusterSpec};
 use cpq::geo::{pack_color, Point2, Rect2};
@@ -92,7 +93,7 @@ const REACH: [(&str, &str); 6] = [
 ];
 const QUERIES: &str = "static sharded service sharded-service live live-service";
 const FAULTED: &str =
-    "static incremental sharded service sharded-service live live-service live-writer";
+    "static incremental semi sharded service sharded-service live live-service live-writer";
 const BITES_PER_KIND: u32 = 5;
 
 type Object = (Point2, u64);
@@ -435,7 +436,6 @@ fn oracle(ps: &[Object], qs: &[Object], spec: &QuerySpec<2>) -> Option<Vec<Key>>
     let (k, con) = (spec.k, &spec.constraint);
     match (spec.self_join, con.is_symmetric()) {
         (true, false) => None,
-        _ if k == 0 => Some(Vec::new()), // all brute force would sort away
         (true, true) => Some(keys(&brute::self_k_closest_pairs_brute_constrained(
             ps, k, con,
         ))),
@@ -809,10 +809,12 @@ fn check(case: &Case, tally: &mut Tally) {
         tq.pool().set_capacity(case.pool_pages);
     }
 
-    // The incremental distance join knows neither self-joins nor
-    // constraints, and breaks distance ties its own way: distances only.
-    // It takes no token, so only storage faults are armed on it.
+    // The incremental distance join and the semi-join know neither
+    // self-joins nor constraints. They take no token, so only storage faults
+    // are armed on them.
+    let faulted = matches!(case.hazard, Hazard::FailRead(..) | Hazard::Corrupt(..));
     if !spec.self_join && !spec.constraint.is_active() {
+        // The incremental join breaks distance ties its own way: distances only.
         let mut rng = rng_for(case.seed, case.index, 0x14C);
         let inc = IncrementalConfig {
             traversal: pick(&mut rng, &Traversal::ALL),
@@ -822,8 +824,7 @@ fn check(case: &Case, tally: &mut Tally) {
         let dists = |keys: &[Key]| keys.iter().map(|k| k.0).collect::<Vec<_>>();
         let want = dists(want.as_ref().expect("cross specs are valid"));
         let join = || k_closest_pairs_incremental(tp, tq, spec.k, &inc);
-        let fault = matches!(case.hazard, Hazard::FailRead(..) | Hazard::Corrupt(..));
-        let armed = fault.then(|| {
+        let armed = faulted.then(|| {
             hostile.call("incremental", &pools, |_, _| {
                 join().map(|out| (out.pairs, true))
             })
@@ -833,6 +834,14 @@ fn check(case: &Case, tally: &mut Tally) {
             let got = got.unwrap_or_else(|e| panic!("incremental join, {inc:?}: {e}"));
             assert_eq!(dists(&keys(&got)), want, "incremental join, {inc:?}");
         }
+        // The semi-join: one pair per `P` object, whatever K.
+        let want = Some(keys(&brute::semi_closest_pairs_brute(&ps, &qs)));
+        let semi = || semi_closest_pairs(tp, tq).map(|out| out.pairs);
+        let armed = faulted.then(|| hostile.call("semi", &pools, |_, _| semi().map(|p| (p, true))));
+        if let Some(got) = armed.flatten() {
+            agree("armed semi-join", &want, got);
+        }
+        agree("semi-join", &want, semi().map_err(|e| e.to_string()));
     }
 
     // Scatter-gather at every shard count, subqueries and partials crossing
@@ -873,7 +882,6 @@ fn check(case: &Case, tally: &mut Tally) {
     // The live set: part of the data primed, the rest streamed in between
     // deletes and re-inserts, every watcher compared at every step. Half of
     // the storage-fault cases keep it on disk, drawn apart from the case.
-    let faulted = matches!(case.hazard, Hazard::FailRead(..) | Hazard::Corrupt(..));
     let on_disk = faulted && rng_for(case.seed, case.index, 0xD15C).random_bool(0.5);
     let (pid, thread) = (std::process::id(), std::thread::current().id());
     let dir = on_disk.then(|| std::env::temp_dir().join(format!("cpq-live-{pid}-{thread:?}")));

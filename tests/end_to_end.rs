@@ -5,7 +5,7 @@
 //! included, is `tests/differential.rs`.)
 
 use cpq::core::{brute, distance_join, k_closest_pairs, k_closest_pairs_incremental};
-use cpq::core::{self_closest_pairs, semi_closest_pairs, Algorithm, CpqConfig, IncrementalConfig};
+use cpq::core::{Algorithm, CpqConfig, IncrementalConfig};
 use cpq::datasets::{california_surrogate, clustered, uniform, ClusterSpec, Dataset};
 use cpq::live::{LiveConfig, LiveError, LiveSet, LiveTree, Side, UpdateOp};
 use cpq::rtree::{InnerEntry, LeafEntry, NodeEntries, PageEntry};
@@ -151,27 +151,6 @@ fn buffer_budget_changes_only_cost_not_result() {
         costs.last().unwrap() < costs.first().unwrap(),
         "a 256-page buffer must beat zero buffer: {costs:?}"
     );
-}
-
-#[test]
-fn semi_and_self_through_facade() {
-    let p = uniform(400, 7);
-    let q = uniform(500, 8);
-    let tp = build(&p);
-    let tq = build(&q);
-
-    let semi = semi_closest_pairs(&tp, &tq).unwrap();
-    let expected = brute::semi_closest_pairs_brute(&p.indexed(), &q.indexed());
-    assert_eq!(semi.pairs.len(), expected.len());
-    for (g, e) in semi.pairs.iter().zip(&expected) {
-        assert!((g.dist2.get() - e.dist2.get()).abs() < 1e-9);
-    }
-
-    let selfk = self_closest_pairs(&tp, 10, Algorithm::Heap, &CpqConfig::paper()).unwrap();
-    let expected = brute::self_k_closest_pairs_brute(&p.indexed(), 10);
-    for (g, e) in selfk.pairs.iter().zip(&expected) {
-        assert!((g.dist2.get() - e.dist2.get()).abs() < 1e-9);
-    }
 }
 
 #[test]
