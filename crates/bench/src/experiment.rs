@@ -8,15 +8,11 @@
 
 use crate::args::scaled;
 use cpq_core::{
-    k_closest_pairs, k_closest_pairs_incremental, Algorithm, CpqConfig, IncrementalConfig,
-    QueryOutcome,
+    k_closest_pairs, k_closest_pairs_incremental, Algorithm, CpqConfig, QueryOutcome, Traversal,
 };
 use cpq_datasets::{clustered, uniform, ClusterSpec, Dataset, CALIFORNIA_SURROGATE_SIZE};
 use cpq_rtree::{RTree, RTreeParams, RTreeResult};
-use cpq_storage::{
-    BufferPool, ClockPolicy, FifoPolicy, LruPolicy, MemPageFile, ReplacementPolicy,
-    DEFAULT_PAGE_SIZE,
-};
+use cpq_storage::{BufferPool, LruPolicy, MemPageFile, ReplacementPolicy, DEFAULT_PAGE_SIZE};
 
 /// The "real" data set (Sequoia surrogate), scaled.
 pub fn real_dataset(scale: f64) -> Dataset {
@@ -34,17 +30,6 @@ pub fn uniform_dataset(n: usize, scale: f64, seed: u64) -> Dataset {
     let mut ds = uniform(scaled(n, scale), seed);
     ds.name = format!("{}K", n / 1000);
     ds
-}
-
-/// Instantiates a buffer replacement policy from its CLI name
-/// (`lru` / `fifo` / `clock`).
-pub fn policy_by_name(name: &str) -> Option<Box<dyn ReplacementPolicy>> {
-    match name {
-        "lru" => Some(Box::new(LruPolicy::new())),
-        "fifo" => Some(Box::new(FifoPolicy::new())),
-        "clock" => Some(Box::new(ClockPolicy::new())),
-        _ => None,
-    }
 }
 
 /// The general tree builder every harness funnels through: an
@@ -109,11 +94,11 @@ pub fn run_incremental(
     tp: &RTree<2>,
     tq: &RTree<2>,
     k: usize,
-    config: &IncrementalConfig,
+    traversal: Traversal,
     buffer_b: usize,
 ) -> RTreeResult<QueryOutcome<2>> {
     configure_buffers(tp, tq, buffer_b);
-    k_closest_pairs_incremental(tp, tq, k, config)
+    k_closest_pairs_incremental(tp, tq, k, traversal)
 }
 
 #[cfg(test)]

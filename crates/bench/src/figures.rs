@@ -8,15 +8,14 @@
 
 use crate::args::scaled;
 use crate::experiment::{
-    build_tree, build_tree_bulk, build_tree_with, policy_by_name, real_dataset as real,
-    run_incremental, run_query, uniform_dataset as uni,
+    build_tree, build_tree_bulk, build_tree_with, real_dataset as real, run_incremental, run_query,
+    uniform_dataset as uni,
 };
 use crate::table::Table;
-use cpq_core::{
-    Algorithm, CpqConfig, HeightStrategy, IncrementalConfig, KPruning, TieStrategy, Traversal,
-};
+use cpq_core::{Algorithm, CpqConfig, HeightStrategy, KPruning, TieStrategy, Traversal};
 use cpq_datasets::{uniform_grid, CALIFORNIA_SURROGATE_SIZE};
 use cpq_rtree::{RTreeParams, RTreeResult};
+use cpq_storage::{ClockPolicy, FifoPolicy, LruPolicy, ReplacementPolicy};
 
 /// One figure's generator: dataset scale in, the plotted series out.
 pub type Figure = fn(f64) -> RTreeResult<Vec<Table>>;
@@ -408,12 +407,8 @@ pub fn fig10(scale: f64) -> RTreeResult<Vec<Table>> {
                 let out = run_query(&tp, &tq, k, alg, &CpqConfig::paper(), b)?;
                 row.push(out.stats.disk_accesses().to_string());
             }
-            for traversal in [Traversal::Even, Traversal::Simultaneous] {
-                let cfg = IncrementalConfig {
-                    traversal,
-                    ..Default::default()
-                };
-                let out = run_incremental(&tp, &tq, k, &cfg, b)?;
+            for traversal in Traversal::ALL {
+                let out = run_incremental(&tp, &tq, k, traversal, b)?;
                 row.push(out.stats.disk_accesses().to_string());
             }
             t.push_row(row);
@@ -464,15 +459,12 @@ pub fn ablation_buffer_policy(scale: f64) -> RTreeResult<Vec<Table>> {
     let p = uni(40_000, scale, 1201);
     let q = uni(40_000, scale, 1202).with_overlap(&p, 1.0);
 
-    #[expect(clippy::expect_used, reason = "a literal of this figure's own table")]
-    let build_with = |ds, which| {
-        build_tree_with(
-            ds,
-            RTreeParams::paper(),
-            policy_by_name(which).expect("known policy"),
-            512,
-        )
-    };
+    let build_with = |ds, policy| build_tree_with(ds, RTreeParams::paper(), policy, 512);
+    let policies: [fn() -> Box<dyn ReplacementPolicy>; 3] = [
+        || Box::new(LruPolicy::new()),
+        || Box::new(FifoPolicy::new()),
+        || Box::new(ClockPolicy::new()),
+    ];
 
     let mut t = Table::new(
         "Ablation buffer replacement policy, K=1000 (disk accesses)",
@@ -488,9 +480,9 @@ pub fn ablation_buffer_policy(scale: f64) -> RTreeResult<Vec<Table>> {
     );
     let mut cells: Vec<Vec<String>> = BUFFER_SWEEP.iter().map(|b| vec![b.to_string()]).collect();
     for alg in [Algorithm::SortedDistances, Algorithm::Heap] {
-        for which in ["lru", "fifo", "clock"] {
-            let tp = build_with(&p, which)?;
-            let tq = build_with(&q, which)?;
+        for policy in policies {
+            let tp = build_with(&p, policy())?;
+            let tq = build_with(&q, policy())?;
             for (bi, &b) in BUFFER_SWEEP.iter().enumerate() {
                 let out = run_query(&tp, &tq, 1000, alg, &CpqConfig::paper(), b)?;
                 cells[bi].push(out.stats.disk_accesses().to_string());
@@ -544,13 +536,12 @@ pub fn ablation_rtree_variant(scale: f64) -> RTreeResult<Vec<Table>> {
     let p = uni(40_000, scale, 1501);
     let q = uni(40_000, scale, 1502).with_overlap(&p, 1.0);
 
-    #[expect(clippy::expect_used, reason = "\"lru\" is a built-in policy name.")]
     let build_variant = |ds, policy| {
         let params = RTreeParams {
             split_policy: policy,
             ..RTreeParams::paper()
         };
-        build_tree_with(ds, params, policy_by_name("lru").expect("lru exists"), 512)
+        build_tree_with(ds, params, Box::new(LruPolicy::new()), 512)
     };
 
     let mut t = Table::new(

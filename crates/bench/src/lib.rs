@@ -18,8 +18,8 @@ pub mod table;
 
 pub use args::Args;
 pub use experiment::{
-    build_tree, build_tree_bulk, build_tree_with, configure_buffers, policy_by_name, real_dataset,
-    run_incremental, run_query, uniform_dataset,
+    build_tree, build_tree_bulk, build_tree_with, configure_buffers, real_dataset, run_incremental,
+    run_query, uniform_dataset,
 };
 pub use table::Table;
 

@@ -127,8 +127,8 @@ impl<'a, P: Probe> ExecCtx<'a, P> {
 /// Runs one K-CPQ: the single way into the engine.
 ///
 /// `spec` says what is asked — `K`, cross (`P × Q`) or self-join (`P × P`,
-/// each unordered pair once with `p.oid < q.oid`; `tree_q` must then be
-/// `tree_p`) and the result-pair [`Constraint`]; `ctx` says what rides
+/// each unordered pair once with `p.oid < q.oid`; `tree_q` is then not
+/// read) and the result-pair [`Constraint`]; `ctx` says what rides
 /// along (see [`ExecCtx`]). Pairs come back sorted by the canonical
 /// `(dist2, oid, oid)` order, fewer than `K` when fewer qualify, and are
 /// bit-identical to filtering the brute-force pair enumeration by the
@@ -149,6 +149,7 @@ pub fn execute<const D: usize, P: Probe>(
     mut ctx: ExecCtx<'_, P>,
 ) -> RTreeResult<QueryRun<D>> {
     spec.validate()?;
+    let tree_q = if spec.self_join { tree_p } else { tree_q };
     if spec.k == 0 || tree_p.is_empty() || tree_q.is_empty() {
         return Ok(QueryRun {
             outcome: QueryOutcome {

@@ -15,7 +15,7 @@ use crate::config::{CpqConfig, HeightStrategy, KPruning, LeafScan};
 use crate::kheap::KHeap;
 use crate::parallel::{SpecRuntime, TaskOut};
 use crate::spec::{Constraint, QuerySpec};
-use crate::types::{CpqStats, PairResult};
+use crate::types::{CpqStats, DiskMeter, PairResult};
 use cpq_geo::{max_max_dist2, min_max_dist2, min_min_dist2_within, Dist2, Point, Rect};
 use cpq_obs::{Probe, ProbeSide};
 use cpq_rtree::{Entries, InnerEntry, LeafEntry, NodeView, RTree, RTreeError, RTreeResult};
@@ -386,9 +386,9 @@ pub(crate) struct Ctx<'a, const D: usize, P: Probe> {
     /// sharded query (see [`ScatterCtx`]). `None` compiles the extra
     /// threshold term and the publish calls away.
     pub scatter: Option<ScatterCtx<'a>>,
-    /// Buffer-pool miss counts of the two trees when the run started; the
-    /// sequential [`finish`](Self::finish) reports the deltas.
-    misses_before: (u64, u64),
+    /// The disk-access meter, started with the run; the sequential
+    /// [`finish`](Self::finish) reports it.
+    meter: DiskMeter<'a>,
     /// Logical node reads on `P` (every [`read_side`](Self::read_side) call,
     /// cache hit or not). In parallel mode this ledger — not the buffer-pool
     /// miss delta, which speculation perturbs — is what
@@ -447,10 +447,7 @@ impl<'a, const D: usize, P: Probe> Ctx<'a, D, P> {
             probe: &mut exec.probe,
             par,
             scatter: exec.scatter,
-            misses_before: (
-                tp.pool().buffer_stats().misses,
-                tq.pool().buffer_stats().misses,
-            ),
+            meter: DiskMeter::start(tp, tq),
             ledger_p: 0,
             ledger_q: 0,
             sweep_p: Vec::new(),
@@ -954,25 +951,15 @@ impl<'a, const D: usize, P: Probe> Ctx<'a, D, P> {
     /// configuration); with a warm buffer the two modes count different
     /// things by design (logical vs. physical reads).
     pub(crate) fn finish(mut self) -> crate::types::QueryOutcome<D> {
-        let misses_before = self.misses_before;
-        let same_tree = std::ptr::eq(self.tp, self.tq);
         if self.par.is_some() {
-            // Self-join: both sides read the one shared tree; fold the
-            // charges into P like the pool-delta path does.
-            self.stats.disk_accesses_p = if same_tree {
-                self.ledger_p + self.ledger_q
-            } else {
-                self.ledger_p
+            // A pool both sides read folds into P, as the meter does.
+            let (p, q) = (self.ledger_p, self.ledger_q);
+            (self.stats.disk_accesses_p, self.stats.disk_accesses_q) = match self.meter.shared() {
+                true => (p + q, 0),
+                false => (p, q),
             };
-            self.stats.disk_accesses_q = if same_tree { 0 } else { self.ledger_q };
         } else {
-            self.stats.disk_accesses_p = self.tp.pool().buffer_stats().misses - misses_before.0;
-            if same_tree {
-                // Self-join: both sides share one pool; report the total once.
-                self.stats.disk_accesses_q = 0;
-            } else {
-                self.stats.disk_accesses_q = self.tq.pool().buffer_stats().misses - misses_before.1;
-            }
+            self.meter.fill(&mut self.stats);
         }
         crate::types::QueryOutcome {
             pairs: self.kheap.into_sorted(),

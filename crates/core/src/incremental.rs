@@ -5,21 +5,21 @@
 //! A single priority queue holds **item pairs** of mixed type — node/node,
 //! node/object and object/object — keyed by `MINMINDIST`. Popping an
 //! object/object pair *emits* it: pairs come out in non-decreasing distance
-//! order, an unlimited incremental stream. Three traversal policies decide
-//! which side of a popped node pair is expanded:
+//! order, an unlimited incremental stream. The two traversal policies the
+//! paper's Figure 10 compares decide which side of a popped node pair is
+//! expanded:
 //!
-//! * **BAS** (basic): priority is given to one of the trees, arbitrarily
-//!   (here: the first tree).
 //! * **EVN** (even): the node at the shallower depth is expanded.
 //! * **SML** (simultaneous): both nodes are expanded at once, queueing all
 //!   pairs of children.
 //!
-//! Ties of distance are resolved depth-first (deeper pair first) or
-//! breadth-first. With an upper bound `K` supplied, the queue additionally
-//! prunes items that cannot belong to the first `K` results, which is how
-//! \[11\] makes the algorithm competitive for K-CPQs.
+//! Ties of distance are resolved depth-first (deeper pair first), the
+//! policy Figure 10 runs. [`k_closest_pairs_incremental`] bounds the queue
+//! by `K`, pruning items that cannot belong to the first `K` results, which
+//! is how \[11\] makes the algorithm competitive for K-CPQs;
+//! [`distance_join`] streams unbounded.
 
-use crate::types::{CpqStats, PairResult, QueryOutcome};
+use crate::types::{CpqStats, DiskMeter, PairResult, QueryOutcome};
 use cpq_geo::{min_min_dist2, Dist2, Rect};
 use cpq_rtree::{LeafEntry, NodeEntries, RTree, RTreeResult};
 use cpq_storage::PageId;
@@ -29,8 +29,6 @@ use std::collections::BinaryHeap;
 /// Tree traversal policy (Section 3.9 / \[11\]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Traversal {
-    /// BAS: always expand the first tree's node when possible.
-    Basic,
     /// EVN: expand the node at the shallower depth.
     Even,
     /// SML: expand both nodes simultaneously (the policy all the paper's own
@@ -40,39 +38,16 @@ pub enum Traversal {
 }
 
 impl Traversal {
-    /// All three policies (for the Figure 10 comparison).
-    pub const ALL: [Traversal; 3] = [Traversal::Basic, Traversal::Even, Traversal::Simultaneous];
+    /// Both policies, as the Figure 10 comparison runs them.
+    pub const ALL: [Traversal; 2] = [Traversal::Even, Traversal::Simultaneous];
 
     /// Short label matching the paper's figures.
     pub fn label(&self) -> &'static str {
         match self {
-            Traversal::Basic => "BAS",
             Traversal::Even => "EVN",
             Traversal::Simultaneous => "SML",
         }
     }
-}
-
-/// Tie policy for equal `MINMINDIST` (Section 3.9 / \[11\]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum IncTie {
-    /// A pair with a node at a deeper level has priority.
-    #[default]
-    DepthFirst,
-    /// The opposite.
-    BreadthFirst,
-}
-
-/// Configuration of the incremental distance join.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct IncrementalConfig {
-    /// Traversal policy.
-    pub traversal: Traversal,
-    /// Distance-tie policy.
-    pub tie: IncTie,
-    /// Optional result bound `K`: enables queue pruning as in \[11\]. The
-    /// stream still yields lazily; the bound only limits what is queued.
-    pub k_bound: Option<usize>,
 }
 
 /// One side of a queued item pair.
@@ -105,8 +80,8 @@ impl<const D: usize> Item<D> {
 
 struct QEntry<const D: usize> {
     dist: Dist2,
-    /// Smaller processes first: level sum for depth-first (deeper = smaller
-    /// levels), negated for breadth-first.
+    /// Smaller processes first: the level sum, so that among equal
+    /// distances the deeper pair goes first (depth-first ties).
     tie_key: i32,
     seq: u64,
     a: Item<D>,
@@ -175,11 +150,12 @@ impl KBound {
 pub struct DistanceJoin<'a, const D: usize> {
     tp: &'a RTree<D>,
     tq: &'a RTree<D>,
-    cfg: IncrementalConfig,
+    traversal: Traversal,
     queue: BinaryHeap<Reverse<QEntry<D>>>,
+    /// The `K` bound of [`k_closest_pairs_incremental`]; `None` streams.
     kbound: Option<KBound>,
     stats: CpqStats,
-    misses_before: (u64, u64),
+    meter: DiskMeter<'a>,
     seq: u64,
     emitted: u64,
     failed: bool,
@@ -187,24 +163,34 @@ pub struct DistanceJoin<'a, const D: usize> {
     pending_error: Option<cpq_rtree::RTreeError>,
 }
 
-/// Starts an incremental distance join between two trees.
+/// Starts an incremental distance join between two trees: an unbounded
+/// stream of the pairs of `tree_p × tree_q` in non-decreasing distance,
+/// expanding node pairs by `traversal` and breaking distance ties
+/// depth-first. Stop pulling at any point; [`DistanceJoin::stats`] counts
+/// the work done so far.
 pub fn distance_join<'a, const D: usize>(
     tree_p: &'a RTree<D>,
     tree_q: &'a RTree<D>,
-    config: IncrementalConfig,
+    traversal: Traversal,
 ) -> DistanceJoin<'a, D> {
-    let misses_before = (
-        tree_p.pool().buffer_stats().misses,
-        tree_q.pool().buffer_stats().misses,
-    );
+    open(tree_p, tree_q, traversal, None)
+}
+
+/// The join of [`distance_join`], with the queue bounded by `K` when given.
+fn open<'a, const D: usize>(
+    tree_p: &'a RTree<D>,
+    tree_q: &'a RTree<D>,
+    traversal: Traversal,
+    k_bound: Option<usize>,
+) -> DistanceJoin<'a, D> {
     let mut join = DistanceJoin {
         tp: tree_p,
         tq: tree_q,
-        cfg: config,
+        traversal,
         queue: BinaryHeap::new(),
-        kbound: config.k_bound.map(KBound::new),
+        kbound: k_bound.map(KBound::new),
         stats: CpqStats::default(),
-        misses_before,
+        meter: DiskMeter::start(tree_p, tree_q),
         seq: 0,
         emitted: 0,
         failed: false,
@@ -213,7 +199,7 @@ pub fn distance_join<'a, const D: usize>(
     if !tree_p.is_empty() && !tree_q.is_empty() {
         // Seed with the root pair; reading the root MBRs costs one page
         // access per tree, like every algorithm's CP1 step. Real MBRs matter
-        // for BAS/EVN, where one root may linger in the queue paired against
+        // for EVN, where one root may linger in the queue paired against
         // many expanded items.
         match (tree_p.root_mbr(), tree_q.root_mbr()) {
             (Ok(Some(mbr_p)), Ok(Some(mbr_q))) => {
@@ -247,11 +233,7 @@ impl<'a, const D: usize> DistanceJoin<'a, D> {
                 kb.offer(dist);
             }
         }
-        let tie_raw = a.level_i() + b.level_i();
-        let tie_key = match self.cfg.tie {
-            IncTie::DepthFirst => tie_raw,
-            IncTie::BreadthFirst => -tie_raw,
-        };
+        let tie_key = a.level_i() + b.level_i();
         self.seq += 1;
         self.queue.push(Reverse(QEntry {
             dist,
@@ -306,11 +288,7 @@ impl<'a, const D: usize> DistanceJoin<'a, D> {
                             expand_b = true;
                         }
                         (Item::Node { level: la, .. }, Item::Node { level: lb, .. }) => {
-                            match self.cfg.traversal {
-                                Traversal::Basic => {
-                                    expand_a = true;
-                                    expand_b = false;
-                                }
+                            match self.traversal {
                                 Traversal::Even => {
                                     // Shallower depth = higher level expands.
                                     expand_a = la >= lb;
@@ -359,12 +337,7 @@ impl<'a, const D: usize> DistanceJoin<'a, D> {
     /// Work counters so far; disk-access deltas are computed on call.
     pub fn stats(&self) -> CpqStats {
         let mut s = self.stats;
-        s.disk_accesses_p = self.tp.pool().buffer_stats().misses - self.misses_before.0;
-        if std::ptr::eq(self.tp, self.tq) {
-            s.disk_accesses_q = 0;
-        } else {
-            s.disk_accesses_q = self.tq.pool().buffer_stats().misses - self.misses_before.1;
-        }
+        self.meter.fill(&mut s);
         s
     }
 
@@ -403,7 +376,7 @@ pub fn k_closest_pairs_incremental<const D: usize>(
     tree_p: &RTree<D>,
     tree_q: &RTree<D>,
     k: usize,
-    config: &IncrementalConfig,
+    traversal: Traversal,
 ) -> RTreeResult<QueryOutcome<D>> {
     // K = 0 asks for nothing: answer without opening the join, whose roots
     // it would read (a failed read would be parked, never reported).
@@ -413,11 +386,7 @@ pub fn k_closest_pairs_incremental<const D: usize>(
             stats: CpqStats::default(),
         });
     }
-    let cfg = IncrementalConfig {
-        k_bound: Some(k),
-        ..*config
-    };
-    let mut join = distance_join(tree_p, tree_q, cfg);
+    let mut join = open(tree_p, tree_q, traversal, Some(k));
     // K is outside input: grow with the pairs produced, never preallocate K.
     let mut pairs = Vec::new();
     while pairs.len() < k {

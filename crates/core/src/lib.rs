@@ -21,7 +21,7 @@
 //! * **fix-at-leaves / fix-at-root** treatment of trees with different
 //!   heights ([`HeightStrategy`], Section 3.7);
 //! * the **incremental distance join** of Hjaltason & Samet (SIGMOD 1998)
-//!   with its BAS / EVN / SML traversal policies ([`distance_join`],
+//!   with the EVN / SML traversal policies of Figure 10 ([`distance_join`],
 //!   [`k_closest_pairs_incremental`]) — the related work the paper compares
 //!   against;
 //! * the future-work extensions **Self-CPQ** ([`self_closest_pairs`]) and
@@ -83,9 +83,7 @@ pub use cancel::CancelToken;
 // Re-exported so instrumented callers need not name `cpq-obs` directly.
 pub use config::{CpqConfig, HeightStrategy, KPruning, LeafScan};
 pub use cpq_obs::{NullProbe, Probe, ProbeSide, ProfileProbe, QueryProfile};
-pub use incremental::{
-    distance_join, k_closest_pairs_incremental, DistanceJoin, IncTie, IncrementalConfig, Traversal,
-};
+pub use incremental::{distance_join, k_closest_pairs_incremental, DistanceJoin, Traversal};
 pub use kheap::KHeap;
 pub use semi::semi_closest_pairs;
 pub use sorting::SortAlgorithm;

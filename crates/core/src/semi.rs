@@ -8,7 +8,7 @@
 //! which prunes most of `Q`'s subtrees for spatially coherent scans (leaf
 //! order is spatially clustered in an R*-tree).
 
-use crate::types::{pair_cmp, CpqStats, PairResult, QueryOutcome};
+use crate::types::{pair_cmp, CpqStats, DiskMeter, PairResult, QueryOutcome};
 use cpq_geo::{min_min_dist2, Dist2};
 use cpq_rtree::{LeafEntry, NodeEntries, RTree, RTreeResult};
 
@@ -16,15 +16,13 @@ use cpq_rtree::{LeafEntry, NodeEntries, RTree, RTreeResult};
 /// matching it with its nearest neighbor in `tree_q` — among equal
 /// distances, the one with the smallest oid. Results are sorted in the
 /// canonical `(dist2, p.oid, q.oid)` order ([`pair_cmp`]). Empty when either
-/// tree is empty. The stats carry the disk accesses only.
+/// tree is empty. The stats carry the disk accesses only (one pool read by
+/// both sides is counted once, on `P`).
 pub fn semi_closest_pairs<const D: usize>(
     tree_p: &RTree<D>,
     tree_q: &RTree<D>,
 ) -> RTreeResult<QueryOutcome<D>> {
-    let misses_before = (
-        tree_p.pool().buffer_stats().misses,
-        tree_q.pool().buffer_stats().misses,
-    );
+    let meter = DiskMeter::start(tree_p, tree_q);
     if tree_p.is_empty() || tree_q.is_empty() {
         return Ok(QueryOutcome {
             pairs: Vec::new(),
@@ -57,10 +55,25 @@ pub fn semi_closest_pairs<const D: usize>(
     }
 
     pairs.sort_unstable_by(pair_cmp);
-    let stats = CpqStats {
-        disk_accesses_p: tree_p.pool().buffer_stats().misses - misses_before.0,
-        disk_accesses_q: tree_q.pool().buffer_stats().misses - misses_before.1,
-        ..CpqStats::default()
-    };
+    let mut stats = CpqStats::default();
+    meter.fill(&mut stats);
     Ok(QueryOutcome { pairs, stats })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::engine::tests::grid_tree;
+
+    /// One tree given as both sides reads one pool, whose misses count once.
+    #[test]
+    fn one_tree_as_both_sides_counts_its_pool_once() {
+        let tree = grid_tree(80, 1);
+        tree.pool().clear();
+        let before = tree.pool().buffer_stats().misses;
+        let stats = semi_closest_pairs(&tree, &tree).unwrap().stats;
+        let misses = tree.pool().buffer_stats().misses - before;
+        assert!(misses > 0);
+        assert_eq!((stats.disk_accesses_p, stats.disk_accesses_q), (misses, 0));
+    }
 }

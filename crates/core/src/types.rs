@@ -1,7 +1,8 @@
 //! Result and statistics types shared by all query algorithms.
 
 use cpq_geo::Dist2;
-use cpq_rtree::LeafEntry;
+use cpq_rtree::{LeafEntry, RTree};
+use cpq_storage::BufferPool;
 
 /// One closest pair: a point from `P`, a point from `Q`, and their exact
 /// squared distance.
@@ -91,6 +92,38 @@ impl CpqStats {
     /// Total disk accesses across both trees (the paper's y-axis).
     pub fn disk_accesses(&self) -> u64 {
         self.disk_accesses_p + self.disk_accesses_q
+    }
+}
+
+/// The paper's disk-access metric for one run: the buffer-pool misses of
+/// each side since [`start`](Self::start). A pool both sides read (a
+/// self-join, or one tree given twice) is counted once, on `P`.
+pub(crate) struct DiskMeter<'a> {
+    p: &'a BufferPool,
+    q: &'a BufferPool,
+    before: (u64, u64),
+}
+
+impl<'a> DiskMeter<'a> {
+    /// Takes the two pools' miss baselines.
+    pub(crate) fn start<const D: usize>(tree_p: &'a RTree<D>, tree_q: &'a RTree<D>) -> Self {
+        let (p, q) = (tree_p.pool(), tree_q.pool());
+        let before = (p.buffer_stats().misses, q.buffer_stats().misses);
+        DiskMeter { p, q, before }
+    }
+
+    /// `true` when both sides read one pool.
+    pub(crate) fn shared(&self) -> bool {
+        std::ptr::eq(self.p, self.q)
+    }
+
+    /// Writes the misses since the baselines into `stats`.
+    pub(crate) fn fill(&self, stats: &mut CpqStats) {
+        stats.disk_accesses_p = self.p.buffer_stats().misses - self.before.0;
+        stats.disk_accesses_q = match self.shared() {
+            true => 0,
+            false => self.q.buffer_stats().misses - self.before.1,
+        };
     }
 }
 

@@ -2,7 +2,7 @@
 //! for no pairs reads no page, so it cannot fail. (Every join is held to
 //! storage faults by the harness's hazards.)
 
-use cpq_core::{k_closest_pairs_incremental, IncrementalConfig};
+use cpq_core::{k_closest_pairs_incremental, Traversal};
 use cpq_geo::Point;
 use cpq_rng::Rng;
 use cpq_rtree::{RTree, RTreeParams};
@@ -33,11 +33,11 @@ fn the_incremental_join_at_k_zero_reads_nothing() {
     );
     tp.pool().reset_stats();
     control.fail_read(1);
-    let out = k_closest_pairs_incremental(&tp, &tq, 0, &IncrementalConfig::default())
+    let out = k_closest_pairs_incremental(&tp, &tq, 0, Traversal::default())
         .expect("K = 0 asks for nothing, so nothing can fail");
     assert!(out.pairs.is_empty());
     assert_eq!(control.reads_seen(), 0, "K = 0 read a page");
     assert_eq!(tp.pool().buffer_stats().logical_reads, 0);
     // Armed at read 1, the first query that reads does fail.
-    assert!(k_closest_pairs_incremental(&tp, &tq, 1, &IncrementalConfig::default()).is_err());
+    assert!(k_closest_pairs_incremental(&tp, &tq, 1, Traversal::default()).is_err());
 }

@@ -63,7 +63,8 @@ pub struct ContinuousCpq<const D: usize> {
 
 impl<const D: usize> ContinuousCpq<D> {
     /// Primes a continuous K-CPQ for `spec` from the given snapshots; a
-    /// self-join spec takes its one snapshot twice. Fails with
+    /// self-join spec reads `snap_p` alone, here and in every later call
+    /// (`snap_q` is not read). Fails with
     /// [`RTreeError::InvalidParams`](cpq_rtree::RTreeError::InvalidParams)
     /// when the spec is invalid (see [`QuerySpec::validate`]).
     pub fn new(
@@ -257,9 +258,8 @@ impl<const D: usize> ContinuousCpq<D> {
 
     /// Full engine recompute into `top`; records saturation (an exactly-K
     /// result may have discarded qualifying pairs). The self form reads
-    /// `snap_p` only.
+    /// `snap_p` only (`execute` does not read Q for a self-join).
     fn refill(&mut self, snap_p: &Snapshot<D>, snap_q: &Snapshot<D>) -> LiveResult<()> {
-        let snap_q = if self.spec.self_join { snap_p } else { snap_q };
         let run = execute(
             snap_p.tree(),
             snap_q.tree(),

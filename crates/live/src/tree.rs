@@ -45,7 +45,7 @@ use cpq_check::sync::atomic::{AtomicU64, Ordering};
 use cpq_check::sync::{self, Arc, Mutex};
 use cpq_geo::Point;
 use cpq_rtree::{RTree, RTreeError, RTreeParams};
-use cpq_storage::{BufferPool, DiskPageFile, MemPageFile, PageFile, PageId};
+use cpq_storage::{BufferPool, DiskPageFile, MemPageFile, PageFile, PageId, DEFAULT_PAGE_SIZE};
 use std::path::Path;
 
 /// File name of the paged data store inside a live-tree directory.
@@ -91,8 +91,6 @@ pub enum UpdateOp<const D: usize> {
 /// Tuning knobs for a [`LiveTree`].
 #[derive(Debug, Clone)]
 pub struct LiveConfig {
-    /// Page size of the data file (must satisfy the tree params).
-    pub page_size: usize,
     /// Buffer-pool capacity in pages.
     pub capacity: usize,
     /// WAL behavior (fsync on commit, …). Ignored in memory-only trees.
@@ -107,7 +105,6 @@ pub struct LiveConfig {
 impl Default for LiveConfig {
     fn default() -> Self {
         LiveConfig {
-            page_size: 1024,
             capacity: 256,
             wal: WalConfig::default(),
             checkpoint_every: 64,
@@ -242,8 +239,9 @@ impl<const D: usize> LiveTree<D> {
     /// An empty live tree: in memory without a WAL (`None`: durability does
     /// not apply), or durable in `dir` — its [`DATA_FILE`] and [`WAL_DIR`],
     /// the layout [`recover`](crate::recovery::recover) reads — with the base
-    /// checkpoint written, so recovery always has one. `file` wraps the page
-    /// file the tree opened before its pool is built (`|f| f` for none).
+    /// checkpoint written, so recovery always has one. Pages are
+    /// [`DEFAULT_PAGE_SIZE`] bytes. `file` wraps the page file the tree
+    /// opened before its pool is built (`|f| f` for none).
     pub fn create(
         dir: Option<&Path>,
         params: RTreeParams,
@@ -251,10 +249,10 @@ impl<const D: usize> LiveTree<D> {
         file: impl FnOnce(Box<dyn PageFile>) -> Box<dyn PageFile>,
     ) -> LiveResult<Self> {
         let (data, wal): (Box<dyn PageFile>, _) = match dir {
-            None => (Box::new(MemPageFile::new(cfg.page_size)), None),
+            None => (Box::new(MemPageFile::new(DEFAULT_PAGE_SIZE)), None),
             Some(dir) => {
                 std::fs::create_dir_all(dir)?;
-                let data = DiskPageFile::create(dir.join(DATA_FILE), cfg.page_size)?;
+                let data = DiskPageFile::create(dir.join(DATA_FILE), DEFAULT_PAGE_SIZE)?;
                 let wal = Wal::create(&dir.join(WAL_DIR), cfg.wal.clone())?;
                 (Box::new(data), Some(wal))
             }

@@ -38,7 +38,6 @@ fn tmp_dir(tag: &str) -> PathBuf {
 
 fn cfg() -> LiveConfig {
     LiveConfig {
-        page_size: 1024,
         capacity: 128,
         // The harness reconstructs crash states from file contents, so
         // per-commit fsync adds nothing but runtime here; the *ordering*

@@ -8,7 +8,7 @@
 //! * **[`Registry`]** — a metrics registry of [`Counter`]s, [`Gauge`]s and
 //!   log-bucketed [`Histogram`]s. Updates are lock-free atomic operations on
 //!   pre-registered handles; a mutex is taken only at registration and
-//!   snapshot time. [`Registry::render_prometheus`] emits the Prometheus
+//!   render time. [`Registry::render_prometheus`] emits the Prometheus
 //!   text exposition format (version 0.0.4).
 //! * **[`Probe`]** — the per-query instrumentation trait the `cpq-core`
 //!   engine threads through its entry points. [`NullProbe`] has empty
@@ -36,10 +36,7 @@ mod profile;
 mod slowlog;
 
 pub use lint::{lint_exposition, LintError};
-pub use metrics::{
-    Counter, FamilySnapshot, Gauge, Histogram, HistogramSnapshot, MetricKind, MetricValue,
-    Registry, SeriesSnapshot, Snapshot,
-};
+pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, Registry};
 pub use probe::{NullProbe, Probe, ProbeSide, ProfileProbe};
 pub use profile::QueryProfile;
 pub use slowlog::SlowQueryLog;

@@ -1,10 +1,10 @@
 //! The metrics registry: counters, gauges, log-bucketed histograms, named
-//! registration, snapshots, and Prometheus text-format rendering.
+//! registration, and Prometheus text-format rendering.
 //!
 //! Handles are `Arc`s over atomics: the hot path (a worker recording a
 //! query) is a handful of relaxed atomic adds and never takes a lock. The
 //! registry's mutex guards only the name→handle table, touched at
-//! registration and snapshot time.
+//! registration and render time.
 
 use cpq_check::sync::atomic::{AtomicU64, Ordering};
 use cpq_check::sync::{self, Arc, Mutex};
@@ -179,7 +179,7 @@ impl HistogramSnapshot {
 
 /// What kind of metric a family holds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MetricKind {
+enum MetricKind {
     /// Monotone counter.
     Counter,
     /// Instantaneous value.
@@ -215,42 +215,6 @@ struct Family {
     kind: MetricKind,
     series: Vec<Series>,
 }
-
-/// The value of one series in a [`Snapshot`].
-#[derive(Debug, Clone, PartialEq)]
-pub enum MetricValue {
-    /// Counter value.
-    Counter(u64),
-    /// Gauge value.
-    Gauge(f64),
-    /// Histogram distribution.
-    Histogram(HistogramSnapshot),
-}
-
-/// One labeled series in a [`Snapshot`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct SeriesSnapshot {
-    /// Label pairs, in registration order.
-    pub labels: Vec<(String, String)>,
-    /// The series value at snapshot time.
-    pub value: MetricValue,
-}
-
-/// One metric family (shared name/help/kind) in a [`Snapshot`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct FamilySnapshot {
-    /// Metric name (`[a-zA-Z_:][a-zA-Z0-9_:]*`).
-    pub name: String,
-    /// Help text.
-    pub help: String,
-    /// Metric kind.
-    pub kind: MetricKind,
-    /// The family's series.
-    pub series: Vec<SeriesSnapshot>,
-}
-
-/// A full registry snapshot: every family, every series, read once.
-pub type Snapshot = Vec<FamilySnapshot>;
 
 /// A named collection of metrics.
 ///
@@ -376,35 +340,41 @@ impl Registry {
         )
     }
 
-    /// Reads every registered series once.
-    pub fn snapshot(&self) -> Snapshot {
-        let families = sync::lock(&self.families);
-        families
-            .iter()
-            .map(|f| FamilySnapshot {
-                name: f.name.clone(),
-                help: f.help.clone(),
-                kind: f.kind,
-                series: f
-                    .series
-                    .iter()
-                    .map(|s| SeriesSnapshot {
-                        labels: s.labels.clone(),
-                        value: match &s.handle {
-                            Handle::Counter(c) => MetricValue::Counter(c.get()),
-                            Handle::Gauge(g) => MetricValue::Gauge(g.get()),
-                            Handle::Histogram(h) => MetricValue::Histogram(h.snapshot()),
-                        },
-                    })
-                    .collect(),
-            })
-            .collect()
-    }
-
     /// Renders the registry in the Prometheus text exposition format
     /// (version 0.0.4), ready to serve from a `/metrics` endpoint.
     pub fn render_prometheus(&self) -> String {
-        render_snapshot(&self.snapshot())
+        use std::fmt::Write as _;
+        let mut out = String::new();
+        for f in sync::lock(&self.families).iter() {
+            let _ = writeln!(out, "# HELP {} {}", f.name, f.help);
+            let _ = writeln!(out, "# TYPE {} {}", f.name, f.kind.exposition_name());
+            for s in &f.series {
+                let labels = label_block(&s.labels, None);
+                match &s.handle {
+                    Handle::Counter(c) => {
+                        let _ = writeln!(out, "{}{labels} {}", f.name, c.get());
+                    }
+                    Handle::Gauge(g) => {
+                        let _ = writeln!(out, "{}{labels} {}", f.name, fmt_f64(g.get()));
+                    }
+                    Handle::Histogram(h) => {
+                        let h = h.snapshot();
+                        let mut cum = 0u64;
+                        for (i, b) in h.buckets.iter().enumerate() {
+                            cum += b;
+                            let le = HistogramSnapshot::le(i).to_string();
+                            let le = label_block(&s.labels, Some(("le", &le)));
+                            let _ = writeln!(out, "{}_bucket{le} {cum}", f.name);
+                        }
+                        let le = label_block(&s.labels, Some(("le", "+Inf")));
+                        let _ = writeln!(out, "{}_bucket{le} {}", f.name, h.count);
+                        let _ = writeln!(out, "{}_sum{labels} {}", f.name, h.sum);
+                        let _ = writeln!(out, "{}_count{labels} {}", f.name, h.count);
+                    }
+                }
+            }
+        }
+        out
     }
 }
 
@@ -439,68 +409,6 @@ fn fmt_f64(v: f64) -> String {
     } else {
         format!("{v}")
     }
-}
-
-/// Renders an already-taken [`Snapshot`] (see
-/// [`Registry::render_prometheus`]).
-pub fn render_snapshot(snapshot: &Snapshot) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    for f in snapshot {
-        let _ = writeln!(out, "# HELP {} {}", f.name, f.help);
-        let _ = writeln!(out, "# TYPE {} {}", f.name, f.kind.exposition_name());
-        for s in &f.series {
-            match &s.value {
-                MetricValue::Counter(v) => {
-                    let _ = writeln!(out, "{}{} {v}", f.name, label_block(&s.labels, None));
-                }
-                MetricValue::Gauge(v) => {
-                    let _ = writeln!(
-                        out,
-                        "{}{} {}",
-                        f.name,
-                        label_block(&s.labels, None),
-                        fmt_f64(*v)
-                    );
-                }
-                MetricValue::Histogram(h) => {
-                    let mut cum = 0u64;
-                    for (i, b) in h.buckets.iter().enumerate() {
-                        cum += b;
-                        let le = HistogramSnapshot::le(i).to_string();
-                        let _ = writeln!(
-                            out,
-                            "{}_bucket{} {cum}",
-                            f.name,
-                            label_block(&s.labels, Some(("le", &le)))
-                        );
-                    }
-                    let _ = writeln!(
-                        out,
-                        "{}_bucket{} {}",
-                        f.name,
-                        label_block(&s.labels, Some(("le", "+Inf"))),
-                        h.count
-                    );
-                    let _ = writeln!(
-                        out,
-                        "{}_sum{} {}",
-                        f.name,
-                        label_block(&s.labels, None),
-                        h.sum
-                    );
-                    let _ = writeln!(
-                        out,
-                        "{}_count{} {}",
-                        f.name,
-                        label_block(&s.labels, None),
-                        h.count
-                    );
-                }
-            }
-        }
-    }
-    out
 }
 
 #[cfg(test)]

@@ -1,8 +1,8 @@
 //! Multi-threaded registry stress test: many threads hammering shared
 //! counters, gauges, and histograms through the registry must lose nothing —
-//! the final snapshot carries *exact* counts, not approximations.
+//! the handles carry *exact* counts, not approximations.
 
-use cpq_obs::{lint_exposition, MetricValue, Registry};
+use cpq_obs::{lint_exposition, Registry};
 use std::sync::Arc;
 
 const THREADS: u64 = 8;
@@ -12,8 +12,8 @@ const ITERS: u64 = 10_000;
 fn concurrent_updates_are_exact() {
     let reg = Arc::new(Registry::new());
     // Pre-register so every thread resolves the same instruments.
-    let _ = reg.counter("stress_ops_total", "ops", &[]);
-    let _ = reg.histogram("stress_latency", "lat", &[]);
+    let ops = reg.counter("stress_ops_total", "ops", &[]);
+    let hist = reg.histogram("stress_latency", "lat", &[]);
 
     std::thread::scope(|s| {
         for t in 0..THREADS {
@@ -39,51 +39,27 @@ fn concurrent_updates_are_exact() {
         }
     });
 
-    let snap = reg.snapshot();
-    let value_of = |name: &str, labels: &[(&str, &str)]| -> MetricValue {
-        let fam = snap
-            .iter()
-            .find(|f| f.name == name)
-            .unwrap_or_else(|| panic!("family {name} missing"));
-        let want: Vec<(String, String)> = labels
-            .iter()
-            .map(|(k, v)| (k.to_string(), v.to_string()))
-            .collect();
-        fam.series
-            .iter()
-            .find(|s| s.labels == want)
-            .unwrap_or_else(|| panic!("series {name}{labels:?} missing"))
-            .value
-            .clone()
-    };
-
-    match value_of("stress_ops_total", &[]) {
-        MetricValue::Counter(v) => assert_eq!(v, THREADS * ITERS),
-        other => panic!("wrong kind: {other:?}"),
-    }
+    // Every thread's updates landed in the handles registered above.
+    assert_eq!(ops.get(), THREADS * ITERS);
     for t in 0..THREADS {
-        match value_of("stress_labeled_total", &[("thread", &t.to_string())]) {
-            MetricValue::Counter(v) => assert_eq!(v, 2 * ITERS),
-            other => panic!("wrong kind: {other:?}"),
-        }
+        let labeled = reg.counter(
+            "stress_labeled_total",
+            "per-thread",
+            &[("thread", &t.to_string())],
+        );
+        assert_eq!(labeled.get(), 2 * ITERS);
     }
-    match value_of("stress_latency", &[]) {
-        MetricValue::Histogram(h) => {
-            assert_eq!(h.count, THREADS * ITERS);
-            // Every recorded value is < 1024 = 2^10, so the le=1024 bucket
-            // already holds everything.
-            let full: u64 = h.buckets.iter().sum::<u64>() + h.overflow;
-            assert_eq!(full, h.count);
-            assert_eq!(h.overflow, 0);
-            let expected_sum: u64 = THREADS * (0..ITERS).map(|i| i % 1024).sum::<u64>();
-            assert_eq!(h.sum, expected_sum);
-        }
-        other => panic!("wrong kind: {other:?}"),
-    }
-    match value_of("stress_level", &[]) {
-        MetricValue::Gauge(v) => assert!((0.0..THREADS as f64).contains(&v)),
-        other => panic!("wrong kind: {other:?}"),
-    }
+    let h = hist.snapshot();
+    assert_eq!(h.count, THREADS * ITERS);
+    // Every recorded value is < 1024 = 2^10, so the le=1024 bucket
+    // already holds everything.
+    let full: u64 = h.buckets.iter().sum::<u64>() + h.overflow;
+    assert_eq!(full, h.count);
+    assert_eq!(h.overflow, 0);
+    let expected_sum: u64 = THREADS * (0..ITERS).map(|i| i % 1024).sum::<u64>();
+    assert_eq!(h.sum, expected_sum);
+    let level = reg.gauge("stress_level", "level", &[]).get();
+    assert!((0.0..THREADS as f64).contains(&level));
 
     // The rendered exposition of the stressed registry must be lint-clean.
     lint_exposition(&reg.render_prometheus()).expect("stressed registry renders clean");

@@ -44,7 +44,7 @@ impl<const D: usize> RTree<D> {
             return Ok(tree);
         }
         let cap = ((params.max_entries as f64 * fill).floor() as usize)
-            .clamp(params.min_entries.max(1), params.max_entries);
+            .clamp(params.min_entries(), params.max_entries);
 
         // Leaf level.
         let leaf_items: Vec<LeafEntry<D>> = objects
@@ -55,7 +55,7 @@ impl<const D: usize> RTree<D> {
         tile(
             leaf_items,
             cap,
-            params.min_entries,
+            params.min_entries(),
             params.max_entries,
             0,
             &mut tiles,
@@ -79,7 +79,7 @@ impl<const D: usize> RTree<D> {
             tile(
                 entries,
                 cap,
-                params.min_entries,
+                params.min_entries(),
                 params.max_entries,
                 0,
                 &mut tiles,

@@ -41,17 +41,14 @@ impl SplitPolicy {
     }
 }
 
-/// R-tree shape parameters.
+/// R-tree shape parameters: `M` and the insertion heuristics. The paper
+/// fixes the rest as ratios of `M` (Section 4, after Beckmann et al.):
+/// [`min_entries`](Self::min_entries) `m = M/3` and
+/// [`reinsert_count`](Self::reinsert_count) `p = 30 % · M`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RTreeParams {
     /// Maximum entries per node, `M`.
     pub max_entries: usize,
-    /// Minimum entries per node (except the root), `m`.
-    pub min_entries: usize,
-    /// Entries removed by forced reinsertion on overflow, `p`
-    /// (Beckmann et al. recommend 30 % of `M`). Ignored by the Guttman
-    /// variants, which never reinsert.
-    pub reinsert_count: usize,
     /// Insertion/split heuristics: R* (the paper's choice) or a Guttman
     /// variant.
     pub split_policy: SplitPolicy,
@@ -59,54 +56,45 @@ pub struct RTreeParams {
 
 impl RTreeParams {
     /// The paper's experimental configuration: 1 KiB pages give `M = 21`,
-    /// `m = M/3 = 7` ("a reasonable choice according to \[1\]"), `p = 30 % · M`.
+    /// hence `m = 7` ("a reasonable choice according to \[1\]") and `p = 6`.
     pub fn paper() -> Self {
-        RTreeParams {
-            max_entries: 21,
-            min_entries: 7,
-            reinsert_count: 6,
-            split_policy: SplitPolicy::RStar,
-        }
+        Self::with_max_entries(21)
     }
 
-    /// Parameters with a given `M` and the paper's ratios `m = M/3`,
-    /// `p = 30 % · M` (at least 1 each).
+    /// R* parameters with a given `M`.
     pub fn with_max_entries(max_entries: usize) -> Self {
         RTreeParams {
             max_entries,
-            min_entries: (max_entries / 3).max(1),
-            reinsert_count: (max_entries * 3 / 10).max(1),
             split_policy: SplitPolicy::default(),
         }
     }
 
+    /// Minimum entries per node (except the root), `m = M/3`, at least 1.
+    #[inline]
+    pub fn min_entries(&self) -> usize {
+        (self.max_entries / 3).max(1)
+    }
+
+    /// Entries removed by forced reinsertion on overflow, `p = 30 % · M`,
+    /// at least 1. Unused by the Guttman variants, which never reinsert.
+    #[inline]
+    pub fn reinsert_count(&self) -> usize {
+        (self.max_entries * 3 / 10).max(1)
+    }
+
     /// Largest `M` such that both a leaf and an inner node with `M` entries
-    /// fit a page of `page_size` bytes in `d` dimensions, with the paper's
-    /// ratios for `m` and `p`.
+    /// fit a page of `page_size` bytes in `d` dimensions.
     pub fn for_page_size(page_size: usize, d: usize) -> Self {
         let per_entry = leaf_entry_size(d).max(inner_entry_size(d));
         let m = (page_size.saturating_sub(NODE_HEADER_LEN)) / per_entry;
         Self::with_max_entries(m.max(2))
     }
 
-    /// Checks internal consistency and that `M` entries fit `page_size`.
+    /// Checks that `M >= 2` (so `1 <= m <= M/2` and `1 <= p <= M - m`) and
+    /// that `M` entries fit `page_size`.
     pub fn validate(&self, page_size: usize, d: usize) -> RTreeResult<()> {
         if self.max_entries < 2 {
             return Err(RTreeError::InvalidParams("M must be at least 2".into()));
-        }
-        if self.min_entries < 1 || self.min_entries * 2 > self.max_entries {
-            return Err(RTreeError::InvalidParams(format!(
-                "m = {} must satisfy 1 <= m <= M/2 = {}",
-                self.min_entries,
-                self.max_entries / 2
-            )));
-        }
-        if self.reinsert_count == 0 || self.reinsert_count > self.max_entries - self.min_entries {
-            return Err(RTreeError::InvalidParams(format!(
-                "p = {} must satisfy 1 <= p <= M - m = {}",
-                self.reinsert_count,
-                self.max_entries - self.min_entries
-            )));
         }
         let per_entry = leaf_entry_size(d).max(inner_entry_size(d));
         let needed = NODE_HEADER_LEN + self.max_entries * per_entry;
@@ -134,7 +122,7 @@ mod tests {
     fn paper_params_fit_1k_pages() {
         let p = RTreeParams::paper();
         assert_eq!(p.max_entries, 21);
-        assert_eq!(p.min_entries, 7);
+        assert_eq!((p.min_entries(), p.reinsert_count()), (7, 6));
         p.validate(1024, 2).unwrap();
     }
 
@@ -155,38 +143,7 @@ mod tests {
 
     #[test]
     fn invalid_params_rejected() {
-        assert!(RTreeParams {
-            max_entries: 1,
-            min_entries: 1,
-            reinsert_count: 1,
-            split_policy: SplitPolicy::RStar
-        }
-        .validate(1024, 2)
-        .is_err());
-        assert!(RTreeParams {
-            max_entries: 10,
-            min_entries: 6,
-            reinsert_count: 3,
-            split_policy: SplitPolicy::RStar
-        }
-        .validate(1024, 2)
-        .is_err());
-        assert!(RTreeParams {
-            max_entries: 10,
-            min_entries: 3,
-            reinsert_count: 0,
-            split_policy: SplitPolicy::RStar
-        }
-        .validate(1024, 2)
-        .is_err());
-        assert!(RTreeParams {
-            max_entries: 10,
-            min_entries: 3,
-            reinsert_count: 8,
-            split_policy: SplitPolicy::RStar
-        }
-        .validate(1024, 2)
-        .is_err());
+        assert!(RTreeParams::with_max_entries(1).validate(1024, 2).is_err());
         // Page too small.
         assert!(RTreeParams::paper().validate(128, 2).is_err());
     }

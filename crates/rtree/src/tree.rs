@@ -441,8 +441,8 @@ impl<const D: usize> RTree<D> {
     fn reinsert_select(&self, node: &mut Node<D>) -> Vec<AnyEntry<D>> {
         let p = self
             .params
-            .reinsert_count
-            .min(node.len() - self.params.min_entries);
+            .reinsert_count()
+            .min(node.len() - self.params.min_entries());
         #[expect(clippy::expect_used, reason = "reinsert fires on overflowing nodes")]
         let center = node.mbr().expect("reinsert on empty node").center();
         match node {
@@ -517,11 +517,11 @@ impl<const D: usize> RTree<D> {
         let policy = self.params.split_policy;
         match node {
             Node::Leaf(es) => {
-                let (a, b) = dispatch(policy, es, self.params.min_entries);
+                let (a, b) = dispatch(policy, es, self.params.min_entries());
                 (Node::Leaf(a), Node::Leaf(b))
             }
             Node::Inner { level, entries } => {
-                let (a, b) = dispatch(policy, entries, self.params.min_entries);
+                let (a, b) = dispatch(policy, entries, self.params.min_entries());
                 (
                     Node::Inner { level, entries: a },
                     Node::Inner { level, entries: b },
@@ -603,7 +603,7 @@ impl<const D: usize> RTree<D> {
                     return Ok(DeleteOutcome::NotFound);
                 };
                 es.remove(pos);
-                if !is_root && es.len() < self.params.min_entries {
+                if !is_root && es.len() < self.params.min_entries() {
                     for e in es.iter() {
                         orphans.push((AnyEntry::Leaf(*e), 0));
                     }
@@ -646,7 +646,7 @@ impl<const D: usize> RTree<D> {
                     }
                     DeleteOutcome::NotFound => unreachable!(),
                 }
-                if !is_root && entries.len() < self.params.min_entries {
+                if !is_root && entries.len() < self.params.min_entries() {
                     for e in entries.iter() {
                         orphans.push((AnyEntry::Inner(*e), node_level));
                     }

@@ -131,7 +131,7 @@ impl<const D: usize> RTree<D> {
         report.nodes_per_level[level] += 1;
 
         let max = self.params().max_entries;
-        let min = self.params().min_entries;
+        let min = self.params().min_entries();
         if node.len() > max {
             report
                 .violations

@@ -317,18 +317,17 @@ impl<const D: usize> CpqService<D> {
         self.shared.queue.len()
     }
 
-    /// The shared static trees (for reading pool statistics). `None` for
-    /// a [`Source::Live`] service — use [`live`](Self::live) there.
-    pub fn trees(&self) -> Option<&TreePair<D>> {
-        self.shared.source.trees()
+    /// What the service answers queries over: its static pair, its shard
+    /// replicas or its live set, with their pools.
+    pub fn source(&self) -> &Source<D> {
+        &self.shared.source
     }
 
-    /// The live set behind a [`Source::Live`] service.
-    pub fn live(&self) -> Option<&LiveSet<D>> {
-        match &self.shared.source {
-            Source::Live(live) => Some(live),
-            _ => None,
-        }
+    /// The static pair of a [`Source::Static`] or [`Source::Sharded`]
+    /// service. Kept for the `benchmark/` package; new code matches on
+    /// [`source`](Self::source).
+    pub fn trees(&self) -> Option<&TreePair<D>> {
+        self.shared.source.trees()
     }
 
     /// Applies a batch of streaming updates to the live set, each op
@@ -539,11 +538,9 @@ fn worker_loop<const D: usize>(shared: &Shared<D>) {
         let mut shard_report = None;
         let spec = job.req.spec();
         // The single-tree engine over two borrowed trees — the static pair
-        // or a live query's pinned snapshots; self-joins run on `p` alone.
-        // With observability off the context keeps its default `NullProbe`
-        // (compiled-out callbacks).
+        // or a live query's pinned snapshots. With observability off the
+        // context keeps its default `NullProbe` (compiled-out callbacks).
         let mut run_engine = |p: &RTree<D>, q: &RTree<D>| {
-            let q = if spec.self_join { p } else { q };
             let ctx = ExecCtx::default().with_cancel(&cancel);
             if instrument {
                 execute(
@@ -566,10 +563,9 @@ fn worker_loop<const D: usize>(shared: &Shared<D>) {
                     query_id: job.id,
                     ..ShardConfig::default()
                 };
-                let q = if spec.self_join { &pair.p } else { &pair.q };
                 execute_sharded(
                     &pair.p,
-                    q,
+                    &pair.q,
                     &spec,
                     job.req.algorithm,
                     &cpq,
@@ -590,10 +586,9 @@ fn worker_loop<const D: usize>(shared: &Shared<D>) {
             }
             // Live path: pin epoch snapshots for the query's whole
             // execution — one committed state end to end, no matter how
-            // many update batches commit mid-query. Self-joins pin only P.
+            // many update batches commit mid-query. Pinning reads no page.
             (Source::Live(live), None) => match live.p().snapshot() {
                 Err(e) => Err(e.to_string()),
-                Ok(snap_p) if spec.self_join => run_engine(snap_p.tree(), snap_p.tree()),
                 Ok(snap_p) => match live.q().snapshot() {
                     Err(e) => Err(e.to_string()),
                     Ok(snap_q) => run_engine(snap_p.tree(), snap_q.tree()),

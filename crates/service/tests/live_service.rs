@@ -16,6 +16,13 @@ fn keys(pairs: &[PairResult<2>]) -> Vec<(u64, u64, u64)> {
         .collect()
 }
 
+fn live(service: &CpqService<2>) -> &LiveSet<2> {
+    let Source::Live(live) = service.source() else {
+        panic!("a live service");
+    };
+    live
+}
+
 fn live_set(n: usize) -> LiveSet<2> {
     let data = uniform_grid(n, 0x5EED, 100.0);
     let tree = || LiveTree::create(None, RTreeParams::paper(), &LiveConfig::default(), |f| f);
@@ -59,7 +66,7 @@ fn live_service_serves_snapshots_and_routes_updates() {
     );
 
     let want = {
-        let live = service.live().expect("live service");
+        let live = live(&service);
         let sp = live.p().snapshot().expect("snap p");
         let sq = live.q().snapshot().expect("snap q");
         k_closest_pairs(
@@ -142,7 +149,7 @@ fn live_metrics_bridge_matches_live_stats() {
         .expect("admitted");
 
     let body = service.render_metrics();
-    let (lp, _) = service.live().expect("live").stats();
+    let (lp, _) = live(&service).stats();
     assert!(body.contains(&format!(
         "cpq_live_updates_total{{tree=\"p\",op=\"insert\"}} {}",
         lp.inserts
@@ -197,7 +204,7 @@ fn durable_live_service_reports_wal_series() {
         .collect();
     service.apply_updates(&ops).expect("apply");
     let body = service.render_metrics();
-    let (lp, _) = service.live().expect("live").stats();
+    let (lp, _) = live(&service).stats();
     let wal = lp.wal.expect("durable tree has WAL stats");
     assert!(wal.records > 0);
     assert!(body.contains(&format!(

@@ -122,7 +122,8 @@ impl From<ProtoError> for ShardError {
 
 /// Runs one K-CPQ over sharded datasets, scatter-gather across all shard
 /// pairs: the sharded counterpart of [`cpq_core::execute`], bit-identical
-/// to it over the unsharded datasets. For a self-join spec `q` must be `p`.
+/// to it over the unsharded datasets. A self-join spec joins `p` with
+/// itself; `q` is then not read.
 ///
 /// Shard pairs whose window-clipped shard MBRs cannot contain a
 /// qualifying pair are skipped at planning time. Fails with
@@ -138,6 +139,7 @@ pub fn execute_sharded<const D: usize>(
     cancel: Option<&CancelToken>,
 ) -> Result<ShardRun<D>, ShardError> {
     spec.validate()?;
+    let q = if spec.self_join { p } else { q };
     if spec.k == 0 || p.is_empty() || q.is_empty() {
         return Ok(ShardRun {
             outcome: QueryOutcome {

@@ -10,7 +10,7 @@
 //! cargo run --release --example incremental_stream
 //! ```
 
-use cpq::core::{distance_join, IncrementalConfig, Traversal};
+use cpq::core::{distance_join, Traversal};
 use cpq::datasets::uniform;
 use cpq::rtree::{RTree, RTreeParams};
 use cpq::storage::{BufferPool, MemPageFile, DEFAULT_PAGE_SIZE};
@@ -31,11 +31,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let t_st = build(&stores)?;
 
     let radius = 2.5; // delivery radius in workspace units
-    let cfg = IncrementalConfig {
-        traversal: Traversal::Simultaneous,
-        ..Default::default()
-    };
-    let mut join = distance_join(&t_wh, &t_st, cfg);
+    let mut join = distance_join(&t_wh, &t_st, Traversal::Simultaneous);
 
     println!("warehouse/store pairs within radius {radius}, closest first:");
     let mut count = 0usize;

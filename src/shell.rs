@@ -21,7 +21,7 @@
 
 use crate::core::{
     k_closest_pairs, k_closest_pairs_incremental, self_closest_pairs, semi_closest_pairs,
-    Algorithm, CpqConfig, IncrementalConfig, Traversal,
+    Algorithm, CpqConfig, Traversal,
 };
 use crate::datasets::{california_surrogate, clustered, uniform, ClusterSpec, Dataset};
 use crate::geo::{Point2, Rect2};
@@ -230,7 +230,7 @@ impl Shell {
 
     fn cmd_cpq(&mut self, args: &[&str]) -> ShellResult {
         let [a, b, k, rest @ ..] = args else {
-            return Err("usage: cpq <indexA> <indexB> <k> [exh|sim|std|heap|evn|sml|bas]".into());
+            return Err("usage: cpq <indexA> <indexB> <k> [exh|sim|std|heap|evn|sml]".into());
         };
         let k: usize = k.parse().map_err(|_| format!("bad k {k:?}"))?;
         let ta = self.tree(a)?;
@@ -249,17 +249,12 @@ impl Shell {
                 };
                 k_closest_pairs(ta, tb, k, alg, &CpqConfig::paper()).map_err(|e| e.to_string())?
             }
-            "evn" | "sml" | "bas" => {
+            "evn" | "sml" => {
                 let traversal = match label {
                     "evn" => Traversal::Even,
-                    "bas" => Traversal::Basic,
                     _ => Traversal::Simultaneous,
                 };
-                let cfg = IncrementalConfig {
-                    traversal,
-                    ..Default::default()
-                };
-                k_closest_pairs_incremental(ta, tb, k, &cfg).map_err(|e| e.to_string())?
+                k_closest_pairs_incremental(ta, tb, k, traversal).map_err(|e| e.to_string())?
             }
             other => return Err(format!("unknown algorithm {other:?}")),
         };
@@ -412,7 +407,7 @@ commands:
   pin <index>                                       pin non-leaf levels in the buffer
   knn <index> <x> <y> <k>                           k nearest neighbors
   range <index> <x1> <y1> <x2> <y2>                 window query
-  cpq <indexA> <indexB> <k> [exh|sim|std|heap|evn|sml|bas]
+  cpq <indexA> <indexB> <k> [exh|sim|std|heap|evn|sml]
                                                     k closest pairs
   self <index> <k>                                  self-CPQ
   semi <indexA> <indexB>                            all nearest neighbors

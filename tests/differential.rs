@@ -46,8 +46,8 @@ use std::time::Duration;
 
 use cpq::core::{
     brute, execute, k_closest_pairs_incremental, pair_cmp, semi_closest_pairs, Algorithm,
-    CancelToken, Constraint, CpqConfig, ExecCtx, HeightStrategy, IncTie, IncrementalConfig,
-    KPruning, LeafScan, PairResult, QueryRun, QuerySpec, SortAlgorithm, TieStrategy, Traversal,
+    CancelToken, Constraint, CpqConfig, ExecCtx, HeightStrategy, KPruning, LeafScan, PairResult,
+    QueryRun, QuerySpec, SortAlgorithm, TieStrategy, Traversal,
 };
 use cpq::datasets::{clustered, uniform, uniform_grid, ClusterSpec};
 use cpq::geo::{pack_color, Point2, Rect2};
@@ -743,8 +743,10 @@ fn check(case: &Case, tally: &mut Tally) {
         ),
         service_config(ObsConfig::default()),
     );
+    // A self-join is handed the case's distinct `Q` too, on every route:
+    // the entry points must not read it.
     let trees = static_service.trees().expect("static source");
-    let (tp, tq) = (&trees.p, if spec.self_join { &trees.p } else { &trees.q });
+    let (tp, tq) = (&trees.p, &trees.q);
     let pools = [trees.p.pool(), trees.q.pool()];
     if case.shape == Shape::Heights {
         assert!(trees.p.height().abs_diff(trees.q.height()) >= 2);
@@ -816,14 +818,10 @@ fn check(case: &Case, tally: &mut Tally) {
     if !spec.self_join && !spec.constraint.is_active() {
         // The incremental join breaks distance ties its own way: distances only.
         let mut rng = rng_for(case.seed, case.index, 0x14C);
-        let inc = IncrementalConfig {
-            traversal: pick(&mut rng, &Traversal::ALL),
-            tie: pick(&mut rng, &[IncTie::DepthFirst, IncTie::BreadthFirst]),
-            k_bound: None,
-        };
+        let inc = pick(&mut rng, &Traversal::ALL);
         let dists = |keys: &[Key]| keys.iter().map(|k| k.0).collect::<Vec<_>>();
         let want = dists(want.as_ref().expect("cross specs are valid"));
-        let join = || k_closest_pairs_incremental(tp, tq, spec.k, &inc);
+        let join = || k_closest_pairs_incremental(tp, tq, spec.k, inc);
         let armed = faulted.then(|| {
             hostile.call("incremental", &pools, |_, _| {
                 join().map(|out| (out.pairs, true))
@@ -853,16 +851,15 @@ fn check(case: &Case, tally: &mut Tally) {
     };
     for shards in 1..=4 {
         let sp = sharded(case, "p", &ps, shards, control_p).unwrap();
-        let sq = (!spec.self_join).then(|| sharded(case, "q", &qs, shards, control_q).unwrap());
-        let sq = sq.as_ref().unwrap_or(&sp);
-        let armed = hostile.call("sharded", &shard_pools(&[&sp, sq]), |spec, token| {
-            let run = execute_sharded(&sp, sq, spec, algorithm, &cfg, &shard_cfg, Some(token));
+        let sq = sharded(case, "q", &qs, shards, control_q).unwrap();
+        let armed = hostile.call("sharded", &shard_pools(&[&sp, &sq]), |spec, token| {
+            let run = execute_sharded(&sp, &sq, spec, algorithm, &cfg, &shard_cfg, Some(token));
             run.map(|run| (run.outcome.pairs, run.completed))
         });
         if let Some(got) = armed {
             agree(&format!("armed {shards} shards"), &want, got);
         }
-        let run = execute_sharded(&sp, sq, &spec, algorithm, &cfg, &shard_cfg, None);
+        let run = execute_sharded(&sp, &sq, &spec, algorithm, &cfg, &shard_cfg, None);
         let pairs = run.map_err(|e| e.to_string()).map(|run| {
             assert!(
                 run.completed,
@@ -894,7 +891,9 @@ fn check(case: &Case, tally: &mut Tally) {
     };
     let live = LiveSet::from_trees(live_tree("p", control_p), live_tree("q", control_q));
     let live_service = CpqService::start(Source::Live(live), service_config(ObsConfig::disabled()));
-    let live = live_service.live().expect("live source");
+    let Source::Live(live) = live_service.source() else {
+        panic!("a live source");
+    };
     if let Hazard::NonFiniteObject(object, _) = case.hazard {
         let poisoned = UpdateOp::Insert {
             side: Side::P,
@@ -912,9 +911,7 @@ fn check(case: &Case, tally: &mut Tally) {
     live.apply(&primed).unwrap();
     primed.iter().for_each(|&op| track(&mut alive, op));
     live.watch(spec.k).unwrap();
-    // A self-join watches `P` alone, as both sides.
-    let q_side = if spec.self_join { live.p() } else { live.q() };
-    let snapshots = || (live.p().snapshot().unwrap(), q_side.snapshot().unwrap());
+    let snapshots = || (live.p().snapshot().unwrap(), live.q().snapshot().unwrap());
     let (snap_p, snap_q) = snapshots();
     if let Hazard::NonFiniteWindow(_) = case.hazard {
         let primed = ContinuousCpq::new(&hostile.spec, &snap_p, &snap_q);
@@ -932,6 +929,7 @@ fn check(case: &Case, tally: &mut Tally) {
         (got, _) => panic!("continuous priming: {:?}", got.map(|c| c.pairs().len())),
     };
     // Step 0 is the primed state; step n follows the stream's n-th update.
+    // A self-join's maintenance sees `P`'s updates alone.
     let watched = |side: Side| !(spec.self_join && side == Side::Q);
     for (step, op) in std::iter::once(None)
         .chain(stream.iter().map(Some))
@@ -954,15 +952,21 @@ fn check(case: &Case, tally: &mut Tally) {
             }
         }
         let [alive_p, alive_q] = &alive;
+        let watch_spec = QuerySpec::cross(spec.k);
+        let watch_want = oracle(alive_p, alive_q, &watch_spec);
         agree(
             &format!("watch({}) at step {step}", spec.k),
-            &oracle(alive_p, alive_q, &QuerySpec::cross(spec.k)),
+            &watch_want,
             Ok(live.watched_pairs().expect("watching")),
         );
         if let Some(continuous) = &continuous {
+            let want = match spec == watch_spec {
+                true => watch_want,
+                false => oracle(alive_p, alive_q, &spec),
+            };
             agree(
                 &format!("continuous query at step {step}"),
-                &oracle(alive_p, alive_q, &spec),
+                &want,
                 Ok(continuous.pairs()),
             );
         }
@@ -1022,16 +1026,11 @@ fn check(case: &Case, tally: &mut Tally) {
     drop((snap_p, snap_q));
 
     // A service over each source; the ones holding no shards ignore the
-    // scatter fan-out. The sharded source's shard pools are out of reach
-    // once it starts: cold until its first request, they are the sharded
-    // route's code and books.
+    // scatter fan-out.
     let (sp, sq) = (
         sharded(case, "p", &ps, 3, control_p).unwrap(),
         sharded(case, "q", &qs, 3, control_q).unwrap(),
     );
-    shard_pools(&[&sp, &sq])
-        .iter()
-        .for_each(|pool| pool.clear());
     let sharded_service = CpqService::start(
         Source::Sharded(
             TreePair::new(
@@ -1062,14 +1061,18 @@ fn check(case: &Case, tally: &mut Tally) {
         Hazard::Deadline(_, us, _) | Hazard::Cancel(_, us) => Some(Duration::from_micros(us)),
         _ => None,
     };
-    let sharded_trees = sharded_service.trees().expect("a static pair");
-    let sharded_pools = [sharded_trees.p.pool(), sharded_trees.q.pool()];
+    // Every request carries a scatter fan-out, so the sharded service reads
+    // its shard pools alone.
+    let Source::Sharded(_, shards) = sharded_service.source() else {
+        panic!("a sharded source");
+    };
+    let scatter_pools = shard_pools(&[&shards.p, &shards.q]);
     for (service, route, pools, want) in [
-        (&static_service, "service", pools, &want),
-        (&sharded_service, "sharded-service", sharded_pools, &want),
-        (&live_service, "live-service", live_pools, &live_want),
+        (&static_service, "service", &pools[..], &want),
+        (&sharded_service, "sharded-service", &scatter_pools, &want),
+        (&live_service, "live-service", &live_pools, &live_want),
     ] {
-        let armed = hostile.call(route, &pools, |spec, _| ask(service, spec, deadline));
+        let armed = hostile.call(route, pools, |spec, _| ask(service, spec, deadline));
         if let Some(got) = armed {
             agree(&format!("armed {route}"), want, got);
         }
@@ -1083,7 +1086,7 @@ fn check(case: &Case, tally: &mut Tally) {
         let back = |side| recover::<2, Point2>(&dir.join(side), params(case), &live_cfg);
         let recovered = ["p", "q"].map(|side| back(side).unwrap().0);
         let snaps = recovered.each_ref().map(|tree| tree.snapshot().unwrap());
-        let trees = [snaps[0].tree(), snaps[!spec.self_join as usize].tree()];
+        let trees = [snaps[0].tree(), snaps[1].tree()];
         let got = done(run_on(trees, &spec, &CancelToken::new()));
         agree("recovered live trees", &live_want, got);
         for tree in &recovered {

@@ -5,7 +5,7 @@
 //! included, is `tests/differential.rs`.)
 
 use cpq::core::{brute, distance_join, k_closest_pairs, k_closest_pairs_incremental};
-use cpq::core::{Algorithm, CpqConfig, IncrementalConfig};
+use cpq::core::{Algorithm, CpqConfig, Traversal};
 use cpq::datasets::{california_surrogate, clustered, uniform, ClusterSpec, Dataset};
 use cpq::live::{LiveConfig, LiveError, LiveSet, LiveTree, Side, UpdateOp};
 use cpq::rtree::{InnerEntry, LeafEntry, NodeEntries, PageEntry};
@@ -43,7 +43,7 @@ fn full_pipeline_clustered_vs_uniform() {
             );
         }
     }
-    let out = k_closest_pairs_incremental(&tp, &tq, 20, &IncrementalConfig::default()).unwrap();
+    let out = k_closest_pairs_incremental(&tp, &tq, 20, Traversal::default()).unwrap();
     for (g, e) in out.pairs.iter().zip(&expected) {
         assert!((g.dist2.get() - e.dist2.get()).abs() < 1e-9, "incremental");
     }
@@ -159,7 +159,7 @@ fn incremental_stream_early_termination() {
     let q = uniform(600, 10);
     let tp = build(&p);
     let tq = build(&q);
-    let mut join = distance_join(&tp, &tq, IncrementalConfig::default());
+    let mut join = distance_join(&tp, &tq, Traversal::default());
     // Take pairs until distance exceeds a radius; verify count against brute.
     let radius2 = 4.0;
     let mut count = 0usize;
