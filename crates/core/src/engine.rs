@@ -18,7 +18,7 @@ use crate::spec::{Constraint, QuerySpec};
 use crate::types::{CpqStats, DiskMeter, PairResult};
 use cpq_geo::{max_max_dist2, min_max_dist2, min_min_dist2_within, Dist2, Point, Rect};
 use cpq_obs::{Probe, ProbeSide};
-use cpq_rtree::{Entries, InnerEntry, LeafEntry, NodeView, RTree, RTreeError, RTreeResult};
+use cpq_rtree::{Entries, LeafEntry, NodeView, RTree, RTreeError, RTreeResult};
 use cpq_storage::PageId;
 use std::time::Instant;
 
@@ -45,21 +45,23 @@ pub(crate) struct ScatterCtx<'a> {
 }
 
 /// One side of a candidate pair: either stay at the current node or descend
-/// into one of its children.
+/// into one of its children. The child's MBR and count are the candidate's
+/// `mbr_*` (clipped) and `count_*`, so only its page is kept here, which
+/// keeps a [`Cand`] at 104 bytes for `D = 2`.
 #[derive(Debug, Clone, Copy)]
-pub(crate) enum Descend<const D: usize> {
+pub(crate) enum Descend {
     /// Keep processing the current node (used when only the other tree
     /// descends, per the height strategy).
     Stay,
-    /// Descend into this child.
-    Down(InnerEntry<D>),
+    /// Descend into the child on this page.
+    Down(PageId),
 }
 
 /// A candidate pair of subtrees generated from one node pair.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Cand<const D: usize> {
-    pub p: Descend<D>,
-    pub q: Descend<D>,
+    pub p: Descend,
+    pub q: Descend,
     pub mbr_p: Rect<D>,
     pub mbr_q: Rect<D>,
     pub count_p: u64,
@@ -70,13 +72,27 @@ pub(crate) struct Cand<const D: usize> {
 
 /// One side of a node pair as [`candidates`] crosses it: where it leads,
 /// the clipped MBR that is scored and stored, the subtree cardinality.
-type Side<const D: usize> = (Descend<D>, Rect<D>, u64);
+type Side<const D: usize> = (Descend, Rect<D>, u64);
 
-/// The two side buffers of [`candidates`], reused across calls.
+/// `f64` lanes per chunk of [`LeafScratch`] and [`GenScratch`] (two SSE2
+/// vectors, one AVX vector). The kernels' inner loops run over
+/// `[f64; LANES]`, which compiles to straight vector code with no remainder
+/// loop; 2 lanes measured the same on `kcpq_hot`'s 14-to-21-entry leaves, 8
+/// slower (more padding).
+const LANES: usize = 4;
+
+/// The scratch of [`candidates`], reused across calls: the two sides of the
+/// current node pair, the `Q` side's (clipped) MBRs in the leaf kernel's
+/// layout (`lo` and `hi` corners as `[chunk][axis][lane]`, entry `j` in lane
+/// `j % LANES` of chunk `j / LANES`, unused lanes of the last chunk `+∞`),
+/// and one row of `MINMINDIST`s.
 #[derive(Default)]
 pub(crate) struct GenScratch<const D: usize> {
     p: Vec<Side<D>>,
     q: Vec<Side<D>>,
+    lo: Vec<[[f64; LANES]; D]>,
+    hi: Vec<[[f64; LANES]; D]>,
+    row: Vec<[f64; LANES]>,
 }
 
 /// Fills one side of [`candidates`]: the node's children when the side
@@ -98,7 +114,7 @@ fn fill_side<const D: usize>(
         side.extend(
             node.inner_entries()
                 .iter()
-                .filter_map(|e| Some((Descend::Down(e), clip(&e.mbr)?, e.count))),
+                .filter_map(|e| Some((Descend::Down(e.child), clip(&e.mbr)?, e.count))),
         );
         return;
     }
@@ -109,14 +125,149 @@ fn fill_side<const D: usize>(
     }
 }
 
+impl<const D: usize> GenScratch<D> {
+    /// Fills both sides of a node pair: which of them descend follows the
+    /// height strategy (Section 3.7), and each is clipped by its window.
+    fn fill(
+        &mut self,
+        np: &NodeView<D>,
+        nq: &NodeView<D>,
+        height: HeightStrategy,
+        constraint: &Constraint<D>,
+    ) {
+        let (descend_p, descend_q) = match (np.is_leaf(), nq.is_leaf()) {
+            (true, true) => unreachable!("candidate generation on two leaves"),
+            (true, false) => (false, true),
+            (false, true) => (true, false),
+            (false, false) => match height {
+                // Lockstep whenever both are internal; levels may differ.
+                HeightStrategy::FixAtLeaves => (true, true),
+                // Equalize levels first: only the deeper-rooted (higher
+                // level) side descends until levels match.
+                HeightStrategy::FixAtRoot => (np.level() >= nq.level(), nq.level() >= np.level()),
+            },
+        };
+        fill_side(&mut self.p, np, descend_p, |mbr| constraint.clip_p(mbr));
+        fill_side(&mut self.q, nq, descend_q, |mbr| constraint.clip_q(mbr));
+    }
+
+    /// Scores the cross product of the filled sides at `t` into `out`, in
+    /// `P`-major order, and returns how many pairs it pruned: the pairs
+    /// scored minus the pairs kept.
+    ///
+    /// The `Q` MBRs are gathered into lanes once; per `P` entry one pass
+    /// fills the row of `MINMINDIST`s ([`min_min_row`]). A row with no lane
+    /// at or under `t` ([`row_reaches`]) is skipped whole; otherwise every
+    /// lane with `d2 <= t` becomes a [`Cand`].
+    fn cross(&mut self, t: Dist2, out: &mut Vec<Cand<D>>) -> u64 {
+        self.lo.clear();
+        self.hi.clear();
+        for (j, (_, mbr, _)) in self.q.iter().enumerate() {
+            let (chunk, lane) = (j / LANES, j % LANES);
+            if lane == 0 {
+                self.lo.push([[f64::INFINITY; LANES]; D]);
+                self.hi.push([[f64::INFINITY; LANES]; D]);
+            }
+            for d in 0..D {
+                self.lo[chunk][d][lane] = mbr.lo().coord(d);
+                self.hi[chunk][d][lane] = mbr.hi().coord(d);
+            }
+        }
+        self.row.resize(self.lo.len(), [0.0; LANES]);
+
+        let (t, kept_before) = (t.get(), out.len());
+        out.reserve(self.p.len() * self.q.len());
+        for (dp, mbr_p, count_p) in &self.p {
+            min_min_row(&mut self.row, &self.lo, &self.hi, mbr_p);
+            if !row_reaches(&self.row, t) {
+                continue;
+            }
+            for ((dq, mbr_q, count_q), &d2) in self.q.iter().zip(self.row.as_flattened()) {
+                if d2 > t {
+                    continue;
+                }
+                out.push(Cand {
+                    p: *dp,
+                    q: *dq,
+                    mbr_p: *mbr_p,
+                    mbr_q: *mbr_q,
+                    count_p: *count_p,
+                    count_q: *count_q,
+                    minmin: Dist2::new(d2),
+                });
+            }
+        }
+        (self.p.len() * self.q.len() - (out.len() - kept_before)) as u64
+    }
+}
+
+/// Fills `row` with `MINMINDIST` from `p` to every gathered `Q` MBR: per
+/// axis the gap `(lo_q - hi_p).max(lo_p - hi_q).max(0.0)` ([`positive_max`]),
+/// squared and summed in axis order from `0.0` — [`cpq_geo::axis_gap`] and
+/// [`cpq_geo::min_min_dist2`] to the bit, four lanes at a time.
+fn min_min_row<const D: usize>(
+    row: &mut [[f64; LANES]],
+    lo: &[[[f64; LANES]; D]],
+    hi: &[[[f64; LANES]; D]],
+    p: &Rect<D>,
+) {
+    for ((row, lo), hi) in row.iter_mut().zip(lo).zip(hi) {
+        let mut acc = [0.0; LANES];
+        for d in 0..D {
+            let (lo_p, hi_p) = (p.lo().coord(d), p.hi().coord(d));
+            for l in 0..LANES {
+                let gap = positive_max(lo[d][l] - hi_p, lo_p - hi[d][l]);
+                acc[l] += gap * gap;
+            }
+        }
+        *row = acc;
+    }
+}
+
+/// `a.max(b).max(0.0)` — [`cpq_geo::axis_gap`] of its two differences —
+/// as three compare-selects, one vector max each (`f64::max` costs five
+/// there, for its NaN rule). The clamp goes on each operand first, so
+/// neither select sees a NaN and a NaN operand counts as `0.0`, which is
+/// what `f64::max` makes of it: the value is the same for every input, up
+/// to the sign of a zero, which squaring drops.
+#[inline]
+fn positive_max(a: f64, b: f64) -> f64 {
+    let a = if a > 0.0 { a } else { 0.0 };
+    let b = if b > 0.0 { b } else { 0.0 };
+    if a > b {
+        a
+    } else {
+        b
+    }
+}
+
+/// Whether some lane of `row` passes the scalar generator's test at `t`,
+/// which drops a pair only when its sum `> t`: a NaN lane passes, as it
+/// would there. Padding lanes take part; they can only keep a row that is
+/// then pruned lane by lane.
+#[expect(
+    clippy::neg_cmp_op_on_partial_ord,
+    reason = "a NaN lane passes, as in the loop"
+)]
+fn row_reaches(row: &[[f64; LANES]], t: f64) -> bool {
+    let mut reach = [false; LANES];
+    for chunk in row {
+        for l in 0..LANES {
+            reach[l] |= !(chunk[l] > t);
+        }
+    }
+    reach.contains(&true)
+}
+
 /// CP2, the one candidate generator: appends the candidate subtree pairs of
 /// a node pair to `out` in `P`-major cross order and returns how many
 /// combinations it pruned. Never called on two leaves.
 ///
 /// A combination whose `MINMINDIST` exceeds `t` is dropped during
 /// generation instead of being materialized and filtered later; the
-/// threshold-aware kernel stops accumulating axis gaps as soon as the
-/// partial sum crosses `t`. Dropping it cannot weaken
+/// `MINMINDIST`s of one `P` entry against all `Q` entries are one pass over
+/// lanes ([`GenScratch`]), and a row none of whose lanes reaches `t` is
+/// dropped whole. Dropping a combination cannot weaken
 /// [`Ctx::apply_bounds`]: both `MINMAXDIST` and `MAXMAXDIST` of a dropped
 /// candidate are `>= MINMINDIST > t`, so any bound it could have contributed
 /// would never bind.
@@ -124,9 +275,10 @@ fn fill_side<const D: usize>(
 /// The driver passes its live `T` (`∞` for Naive, which must descend into
 /// everything); the speculative workers pass `∞` and the driver filters
 /// their list by `minmin > T` later. The two agree bitwise — survivors,
-/// order and pruned count — because the kernel returns `None` iff the full
-/// sum exceeds `t` and accumulates it in the same order either way
-/// (`gen_at_infinity_then_filter_equals_gen_at_t` below executes this).
+/// order and pruned count — because every lane holds the full sum, bit for
+/// bit what [`cpq_geo::min_min_dist2`] returns, and is kept iff it is not
+/// `> t` (`gen_at_infinity_then_filter_equals_gen_at_t` and
+/// `the_generator_is_the_literal_loop` below execute this).
 pub(crate) fn candidates<const D: usize>(
     np: &NodeView<D>,
     nq: &NodeView<D>,
@@ -136,48 +288,9 @@ pub(crate) fn candidates<const D: usize>(
     scratch: &mut GenScratch<D>,
     out: &mut Vec<Cand<D>>,
 ) -> u64 {
-    // Which sides descend (Section 3.7).
-    let (descend_p, descend_q) = match (np.is_leaf(), nq.is_leaf()) {
-        (true, true) => unreachable!("candidate generation on two leaves"),
-        (true, false) => (false, true),
-        (false, true) => (true, false),
-        (false, false) => match height {
-            // Lockstep whenever both are internal; levels may differ.
-            HeightStrategy::FixAtLeaves => (true, true),
-            // Equalize levels first: only the deeper-rooted (higher level)
-            // side descends until levels match.
-            HeightStrategy::FixAtRoot => (np.level() >= nq.level(), nq.level() >= np.level()),
-        },
-    };
-    fill_side(&mut scratch.p, np, descend_p, |mbr| constraint.clip_p(mbr));
-    fill_side(&mut scratch.q, nq, descend_q, |mbr| constraint.clip_q(mbr));
-
-    let mut pruned = 0;
-    out.reserve(scratch.p.len() * scratch.q.len());
-    for (dp, mbr_p, count_p) in &scratch.p {
-        for (dq, mbr_q, count_q) in &scratch.q {
-            match min_min_dist2_within(mbr_p, mbr_q, t) {
-                Some(minmin) => out.push(Cand {
-                    p: *dp,
-                    q: *dq,
-                    mbr_p: *mbr_p,
-                    mbr_q: *mbr_q,
-                    count_p: *count_p,
-                    count_q: *count_q,
-                    minmin,
-                }),
-                None => pruned += 1,
-            }
-        }
-    }
-    pruned
+    scratch.fill(np, nq, height, constraint);
+    scratch.cross(t, out)
 }
-
-/// `f64` lanes per chunk of [`LeafScratch`] (two SSE2 vectors, one AVX
-/// vector). The kernel's inner loops run over `[f64; LANES]`, which compiles
-/// to straight vector code with no remainder loop; 2 lanes measured the
-/// same on `kcpq_hot`'s 14-to-21-entry leaves, 8 slower (more padding).
-const LANES: usize = 4;
 
 /// Scratch of [`scan_brute`], reused across leaf pairs: the admitted `Q`
 /// points of the current pair as per-axis coordinate arrays
@@ -920,18 +1033,18 @@ impl<'a, const D: usize, P: Probe> Ctx<'a, D, P> {
         f: RecurseFn<'a, D, P>,
     ) -> RTreeResult<()> {
         match (&cand.p, &cand.q) {
-            (Descend::Down(ep), Descend::Down(eq)) => {
-                let a = self.read_side(ProbeSide::P, ep.child)?;
-                let b = self.read_side(ProbeSide::Q, eq.child)?;
-                f(self, &a, &b, ep.child, eq.child)
+            (&Descend::Down(cp), &Descend::Down(cq)) => {
+                let a = self.read_side(ProbeSide::P, cp)?;
+                let b = self.read_side(ProbeSide::Q, cq)?;
+                f(self, &a, &b, cp, cq)
             }
-            (Descend::Down(ep), Descend::Stay) => {
-                let a = self.read_side(ProbeSide::P, ep.child)?;
-                f(self, &a, nq, ep.child, page_q)
+            (&Descend::Down(cp), Descend::Stay) => {
+                let a = self.read_side(ProbeSide::P, cp)?;
+                f(self, &a, nq, cp, page_q)
             }
-            (Descend::Stay, Descend::Down(eq)) => {
-                let b = self.read_side(ProbeSide::Q, eq.child)?;
-                f(self, np, &b, page_p, eq.child)
+            (Descend::Stay, &Descend::Down(cq)) => {
+                let b = self.read_side(ProbeSide::Q, cq)?;
+                f(self, np, &b, page_p, cq)
             }
             (Descend::Stay, Descend::Stay) => {
                 unreachable!("candidate with no descent")
@@ -972,9 +1085,9 @@ impl<'a, const D: usize, P: Probe> Ctx<'a, D, P> {
 /// the unchanged current page for a `Stay` side. Shared by the heap
 /// algorithm's queue items and the speculation pushes.
 #[inline]
-pub(crate) fn spec_page<const D: usize>(side: &Descend<D>, current: PageId) -> PageId {
-    match side {
-        Descend::Down(e) => e.child,
+pub(crate) fn spec_page(side: &Descend, current: PageId) -> PageId {
+    match *side {
+        Descend::Down(child) => child,
         Descend::Stay => current,
     }
 }
@@ -990,11 +1103,17 @@ pub(crate) mod tests {
     /// `n` seeded points on a 16 × 16 integer grid (duplicate coordinates,
     /// distance ties) in an `M = 4` tree, oid `i` colored `i % 3`.
     pub(crate) fn grid_tree(n: u64, seed: u64) -> RTree<2> {
+        grid_tree_of(n, seed, 16, 4)
+    }
+
+    /// [`grid_tree`] on a `side × side` grid in an `M = max_entries` tree.
+    fn grid_tree_of(n: u64, seed: u64, side: u32, max_entries: usize) -> RTree<2> {
         let pool = BufferPool::with_lru(Box::new(MemPageFile::new(1024)), 16);
-        let mut tree = RTree::new(pool, RTreeParams::with_max_entries(4)).unwrap();
+        let params = RTreeParams::with_max_entries(max_entries);
+        let mut tree = RTree::new(pool, params).unwrap();
         let mut rng = Rng::seed_from_u64(seed);
         for i in 0..n {
-            let xy = [0, 0].map(|_| f64::from(rng.random_range(0..16u32)));
+            let xy = [0, 0].map(|_| f64::from(rng.random_range(0..side)));
             tree.insert(Point(xy), pack_color(i, (i % 3) as u16))
                 .unwrap();
         }
@@ -1064,6 +1183,172 @@ pub(crate) mod tests {
             }
         }
         assert!(pruned_total > 1000, "the thresholds must actually prune");
+    }
+
+    /// CP2 as the sentence reads — the loop [`GenScratch::cross`] replaced:
+    /// the same two sides, every combination through [`min_min_dist2`] in
+    /// `P`-major order, kept unless its `MINMINDIST` exceeds `t`.
+    fn candidates_literal(
+        np: &NodeView<2>,
+        nq: &NodeView<2>,
+        height: HeightStrategy,
+        constraint: &Constraint<2>,
+        t: Dist2,
+        out: &mut Vec<Cand<2>>,
+    ) -> u64 {
+        let mut sides = GenScratch::default();
+        sides.fill(np, nq, height, constraint);
+        cross_literal(&sides.p, &sides.q, t, out)
+    }
+
+    /// The cross product of [`candidates_literal`], on given sides.
+    fn cross_literal(p: &[Side<2>], q: &[Side<2>], t: Dist2, out: &mut Vec<Cand<2>>) -> u64 {
+        let mut pruned = 0;
+        for (dp, mbr_p, count_p) in p {
+            for (dq, mbr_q, count_q) in q {
+                let minmin = min_min_dist2(mbr_p, mbr_q);
+                if minmin > t {
+                    pruned += 1;
+                    continue;
+                }
+                out.push(Cand {
+                    p: *dp,
+                    q: *dq,
+                    mbr_p: *mbr_p,
+                    mbr_q: *mbr_q,
+                    count_p: *count_p,
+                    count_q: *count_q,
+                    minmin,
+                });
+            }
+        }
+        pruned
+    }
+
+    /// The thresholds a generator is held to on one pair of sides: `0`,
+    /// `∞`, a seeded value, and every candidate's `MINMINDIST` (exact ties).
+    fn thresholds(full: &[Cand<2>], rng: &mut Rng) -> Vec<Dist2> {
+        let mut ts = vec![Dist2::ZERO, Dist2::INFINITY];
+        ts.push(Dist2::new(rng.random_range(0.0..300.0)));
+        ts.extend(full.iter().map(|c| c.minmin));
+        ts.sort();
+        ts.dedup();
+        ts
+    }
+
+    /// Requires the lanes' `(pruned, list)` to be the literal loop's: the
+    /// `Debug` form (order, every coordinate), the `MINMINDIST` bits and
+    /// the pruned count.
+    fn same_cands(got: (u64, &[Cand<2>]), want: (u64, &[Cand<2>]), what: &dyn Fn() -> String) {
+        assert_eq!(
+            format!("{:?}", got.1),
+            format!("{:?}", want.1),
+            "{}",
+            what()
+        );
+        let bits =
+            |v: &[Cand<2>]| -> Vec<u64> { v.iter().map(|c| c.minmin.get().to_bits()).collect() };
+        assert_eq!(bits(got.1), bits(want.1), "{}", what());
+        assert_eq!(got.0, want.0, "pruned: {}", what());
+    }
+
+    /// A seeded box on a 16 × 16 grid whose corners are, now and then,
+    /// `±∞` (one side open, or the whole axis at one infinity).
+    fn open_box(rng: &mut Rng) -> Rect<2> {
+        let mut lo = [0, 0].map(|_| f64::from(rng.random_range(0..16u32)));
+        let mut hi = lo.map(|c| c + f64::from(rng.random_range(0..4u32)));
+        for d in 0..2 {
+            match rng.random_range(0..12u32) {
+                0 => lo[d] = f64::NEG_INFINITY,
+                1 => hi[d] = f64::INFINITY,
+                2 => (lo[d], hi[d]) = (f64::INFINITY, f64::INFINITY),
+                3 => (lo[d], hi[d]) = (f64::NEG_INFINITY, f64::NEG_INFINITY),
+                4 => (lo[d], hi[d]) = (f64::NEG_INFINITY, f64::INFINITY),
+                _ => {}
+            }
+        }
+        Rect::from_corners(lo, hi)
+    }
+
+    /// The lanes against [`candidates_literal`]: on random node pairs of two
+    /// `M = 21` trees (both height strategies, windows on and off), and on
+    /// every side length `1..=21` of boxes with `±∞` corners, at `0`, `∞`,
+    /// every candidate's `MINMINDIST` and a seeded value.
+    #[test]
+    fn the_generator_is_the_literal_loop() {
+        let mut rng = Rng::seed_from_u64(44);
+        let (tp, tq) = (grid_tree_of(900, 5, 48, 21), grid_tree_of(500, 6, 48, 21));
+        let mut scratch = GenScratch::default();
+        let mut lengths = [false; 22];
+        let mut pruned_total = 0;
+        for _ in 0..300 {
+            let (np, nq) = (&some_node(&tp, &mut rng), &some_node(&tq, &mut rng));
+            if np.is_leaf() && nq.is_leaf() {
+                continue;
+            }
+            let height = [HeightStrategy::FixAtLeaves, HeightStrategy::FixAtRoot]
+                [rng.random_range(0..2usize)];
+            let mut window = || {
+                rng.random_bool(0.5).then(|| {
+                    let lo = [0, 0].map(|_| f64::from(rng.random_range(0..40u32)));
+                    Rect::from_corners(lo, lo.map(|c| c + f64::from(rng.random_range(0..30u32))))
+                })
+            };
+            let con = Constraint::windows(window(), window());
+            let mut full = Vec::new();
+            candidates_literal(np, nq, height, &con, Dist2::INFINITY, &mut full);
+            for t in thresholds(&full, &mut rng) {
+                let (mut got, mut want) = (Vec::new(), Vec::new());
+                let g = candidates(np, nq, height, &con, t, &mut scratch, &mut got);
+                let w = candidates_literal(np, nq, height, &con, t, &mut want);
+                let what = || format!("{height:?} {con:?} t = {t:?}");
+                same_cands((g, &got), (w, &want), &what);
+                pruned_total += w;
+            }
+            lengths[scratch.q.len()] = true;
+        }
+        assert!(pruned_total > 1000, "the thresholds must actually prune");
+        let seen: Vec<_> = (0..LANES)
+            .filter(|r| (1..=21).any(|n| lengths[n] && n % LANES == *r))
+            .collect();
+        assert_eq!(
+            seen,
+            [0, 1, 2, 3],
+            "node pairs must leave every lane remainder"
+        );
+
+        for n_q in 1..=21usize {
+            // Every `P` length once across the outer loop, two at random.
+            let spread = n_q * 5 % 21 + 1;
+            for n_p in [
+                spread,
+                rng.random_range(1..=21usize),
+                rng.random_range(1..=21usize),
+            ] {
+                let side = |n: usize, rng: &mut Rng| -> Vec<Side<2>> {
+                    (0..n as u64)
+                        .map(|i| (Descend::Stay, open_box(rng), i))
+                        .collect()
+                };
+                (scratch.p, scratch.q) = (side(n_p, &mut rng), side(n_q, &mut rng));
+                let (p, q) = (scratch.p.clone(), scratch.q.clone());
+                let mut full = Vec::new();
+                cross_literal(&p, &q, Dist2::INFINITY, &mut full);
+                for t in thresholds(&full, &mut rng) {
+                    let (mut got, mut want) = (Vec::new(), Vec::new());
+                    let g = scratch.cross(t, &mut got);
+                    let w = cross_literal(&p, &q, t, &mut want);
+                    let what = || format!("t = {t:?}, {p:?} x {q:?}");
+                    same_cands((g, &got), (w, &want), &what);
+                }
+            }
+        }
+
+        // No lane can be NaN (`positive_max` makes a NaN difference `0.0`,
+        // as `axis_gap` does), so the comparisons above cannot see a row
+        // test that loses one; the scalar loop would keep it (`NaN > t` is
+        // false).
+        assert!(row_reaches(&[[9.0; LANES], [9.0, f64::NAN, 9.0, 9.0]], 1.0));
     }
 
     /// CP3 as the sentence reads — the loop [`scan_brute`] replaced: every

@@ -32,6 +32,31 @@ use crate::sched::{SchedConfig, SchedHandle, SchedPageFile, SchedStats};
 use crate::stats::IoStats;
 use cpq_check::sync::{self, Arc, Mutex, RwLock};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// The hasher of the pool's page map: one multiply by the 64-bit golden
+/// ratio per page number, in place of SipHash on every hit. Page ids are
+/// dense small integers chosen by the pool's own file, not by outside input,
+/// and the product's low bits (the table's bucket) are a permutation of the
+/// id's low bits; nothing iterates the map, so its order is never observed.
+#[derive(Default)]
+struct PageHasher(u64);
+
+impl Hasher for PageHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u32(u32::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.0 = (self.0.rotate_left(32) ^ u64::from(n)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
 
 /// Page-replacement policy interface.
 ///
@@ -300,7 +325,7 @@ struct State {
     /// input (the shell's `buffer` command) and must not size an allocation.
     /// `pinned` and the policy's bookkeeping have the same length.
     frames: Vec<Option<Frame>>,
-    map: HashMap<PageId, usize>,
+    map: HashMap<PageId, usize, BuildHasherDefault<PageHasher>>,
     /// Frames emptied by `free_page`, reused before a new one is made.
     free_frames: Vec<usize>,
     pinned: Vec<bool>,
@@ -441,7 +466,7 @@ impl BufferPool {
             state: Mutex::new(State {
                 capacity,
                 frames: Vec::new(),
-                map: HashMap::new(),
+                map: HashMap::default(),
                 free_frames: Vec::new(),
                 pinned: Vec::new(),
                 pinned_count: 0,

@@ -3,9 +3,9 @@
 //! registry dependencies.
 //!
 //! Table-driven, one byte per step. That is not cheap next to the I/O it
-//! guards: the benchmark measures 2.5 µs per 1 KiB page
-//! (`storage.crc32_ns_per_page`), 75% of a cold buffered miss on `kcpq_cold`
-//! and most of every `write_page` on `live_rw`. A slicing-by-8 loop over the
+//! guards: the benchmark measures 2.69 µs per 1 KiB page
+//! (`storage.crc32_ns_per_page`) of a 3.41 µs cold buffered miss on
+//! `kcpq_cold` (79%), and most of every `write_page` on `live_rw`. A slicing-by-8 loop over the
 //! same polynomial (every stored checksum stays valid) is ROADMAP item 3(a);
 //! it is blocked by item 1, a benchmark harness whose memory does not grow
 //! with `live_rw`'s throughput.

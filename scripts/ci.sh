@@ -54,6 +54,12 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 echo "==> cargo test -q"
 cargo test --workspace -q
 
+# The step above runs in debug, where the kernels' `[f64; 4]` lanes do not
+# vectorise: test them, and the exact work counts, in the release codegen
+# the benchmark ships.
+echo "==> cargo test --release -p cpq-core (lib kernels + work_counts_golden)"
+cargo test --release -q -p cpq-core --lib --test work_counts_golden
+
 # Analyze tier: cpq_analyze runs the three passes the compiler has no lint
 # for (lock-order, atomics-pairing with its Relaxed-justification sweep,
 # ordering-comment) over the workspace source and archives one report. Any
