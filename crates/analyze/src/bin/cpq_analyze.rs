@@ -6,10 +6,9 @@
 //!
 //! Scans the workspace at `--root` (default `.`), runs every pass, writes
 //! the report to `--out` (default `target/analysis_report.json`), prints
-//! the findings, and exits 1 when any is at warning severity or above —
-//! the CI gate. There is nothing else to select and nothing to waive.
+//! the findings, and exits 1 when there is any — the CI gate. There is
+//! nothing else to select and nothing to waive.
 
-use cpq_analyze::diag::Severity;
 use cpq_analyze::json;
 use cpq_analyze::model::Workspace;
 use std::path::PathBuf;
@@ -65,21 +64,15 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     }
 
-    let failing: Vec<_> = report.failing().collect();
-    for d in &failing {
+    let failing = &report.diagnostics;
+    for d in failing {
         eprintln!("{}", d.render());
     }
-    let notes = report
-        .diagnostics
-        .iter()
-        .filter(|d| d.severity == Severity::Note)
-        .count();
     println!(
-        "cpq_analyze: {} file(s), {} function(s); {} finding(s), {} note(s) -> {}",
+        "cpq_analyze: {} file(s), {} function(s); {} finding(s) -> {}",
         report.files_scanned,
         report.functions,
         failing.len(),
-        notes,
         args.out.display()
     );
     if failing.is_empty() {

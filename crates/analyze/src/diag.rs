@@ -4,9 +4,6 @@
 /// How bad a finding is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Severity {
-    /// Informational: surfaced in the report, never fails the run.
-    /// Lock-order uses it to publish the discovered known-safe nestings.
-    Note,
     /// Fails the run.
     Warning,
     /// Fails the run.
@@ -14,10 +11,9 @@ pub enum Severity {
 }
 
 impl Severity {
-    /// Report string (`note`/`warning`/`error`).
+    /// Report string (`warning`/`error`).
     pub fn as_str(self) -> &'static str {
         match self {
-            Severity::Note => "note",
             Severity::Warning => "warning",
             Severity::Error => "error",
         }
@@ -27,7 +23,7 @@ impl Severity {
 /// One finding from one pass.
 #[derive(Debug, Clone)]
 pub struct Diagnostic {
-    /// Emitting pass id (`lock-order`, `atomics-pairing`, …).
+    /// Emitting pass id (`atomics-pairing` or `ordering-comment`).
     pub pass: &'static str,
     /// Severity.
     pub severity: Severity,
@@ -80,19 +76,10 @@ impl Diagnostic {
 pub struct Report {
     /// Pass ids that ran, in order.
     pub passes: Vec<String>,
-    /// Every finding, notes included.
+    /// Every finding; any one fails the run.
     pub diagnostics: Vec<Diagnostic>,
     /// Number of files scanned.
     pub files_scanned: usize,
     /// Number of functions analyzed.
     pub functions: usize,
-}
-
-impl Report {
-    /// Findings at warning severity or above.
-    pub fn failing(&self) -> impl Iterator<Item = &Diagnostic> {
-        self.diagnostics
-            .iter()
-            .filter(|d| d.severity >= Severity::Warning)
-    }
 }

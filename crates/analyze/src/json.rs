@@ -274,18 +274,18 @@ mod tests {
     #[test]
     fn report_roundtrips_through_parser() {
         let mut r = Report {
-            passes: vec!["lock-order".into(), "atomics-pairing".into()],
+            passes: vec!["atomics-pairing".into(), "ordering-comment".into()],
             files_scanned: 3,
             functions: 17,
             ..Report::default()
         };
         r.diagnostics.push(Diagnostic::new(
-            "lock-order",
+            "atomics-pairing",
             Severity::Error,
             "crates/x/src/lib.rs",
             10,
             5,
-            "cycle: \"a\" -> b\nand back",
+            "`store` on \"a\" publishes\nwith no reader",
         ));
         let text = render_report(&r);
         let v = parse(&text).expect("parse back");
@@ -297,7 +297,7 @@ mod tests {
         assert_eq!(diags.len(), 1);
         assert_eq!(
             diags[0].get("message").and_then(Value::as_str),
-            Some("cycle: \"a\" -> b\nand back")
+            Some("`store` on \"a\" publishes\nwith no reader")
         );
     }
 

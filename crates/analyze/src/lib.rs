@@ -1,15 +1,17 @@
-//! `cpq-analyze` — multi-pass static analysis over the workspace source.
+//! `cpq-analyze` — static analysis over the workspace source.
 //!
 //! The analyzer lexes and parses every library source file into a
-//! [`model::Workspace`] (functions, lock-guard scopes, atomic accesses
-//! with their orderings, call edges) and runs the pass registry over it.
+//! [`model::Workspace`] (functions and their atomic accesses with the
+//! memory orderings they request) and runs the pass registry over it.
 //! The result is one machine-readable `analysis_report.json` plus a
 //! process exit code CI can gate on.
 //!
-//! Passes (see [`passes`]): `lock-order`, `atomics-pairing`, and
-//! `ordering-comment` — the three checks rustc and clippy have no lint
-//! for. There is one configuration and no waiver: every pass, the
-//! Relaxed-justification sweep included, runs every time.
+//! Passes (see [`passes`]): `atomics-pairing` and `ordering-comment` — the
+//! two checks rustc and clippy have no lint for, and that neither x86 nor
+//! the SeqCst model checker can see fail. There is one configuration and
+//! no waiver: both passes, the Relaxed-justification sweep included, run
+//! every time. Lock order is checked where locks are taken, by
+//! `cpq_check::sync` in every debug build, not here.
 //!
 //! Everything here is dependency-free by design: the analyzer reads
 //! source text, not rlibs, so it keeps working while the workspace it
@@ -24,11 +26,9 @@ pub mod passes;
 
 use diag::Report;
 use model::Workspace;
-use passes::Graph;
 
 /// Runs every pass over an analyzed workspace.
 pub fn run(ws: &Workspace) -> Report {
-    let graph = Graph::build(ws);
     let mut report = Report {
         files_scanned: ws.files.len(),
         functions: ws.functions.len(),
@@ -36,7 +36,7 @@ pub fn run(ws: &Workspace) -> Report {
     };
     for pass in passes::registry() {
         report.passes.push(pass.id().to_string());
-        pass.run(ws, &graph, &mut report.diagnostics);
+        pass.run(ws, &mut report.diagnostics);
     }
     report
         .diagnostics
@@ -70,14 +70,14 @@ pub fn ready(flag: &AtomicBool) -> bool {
 }
 ";
         let report = run_on(&[("crates/demo/src/lib.rs", src)]);
-        assert_eq!(report.failing().count(), 0, "{:?}", report.diagnostics);
+        assert!(report.diagnostics.is_empty(), "{:?}", report.diagnostics);
     }
 
     #[test]
     fn report_serializes_and_parses() {
         let src = "fn f(x: &AtomicU32) { x.store(1, Ordering::Relaxed); }\n";
         let report = run_on(&[("crates/demo/src/lib.rs", src)]);
-        assert!(report.failing().count() > 0);
+        assert!(!report.diagnostics.is_empty());
         let text = json::render_report(&report);
         let v = json::parse(&text).expect("valid json");
         assert!(v.get("diagnostics").is_some());

@@ -21,10 +21,6 @@ pub struct Function {
     /// Whether the function is test code (directly attributed or inside a
     /// test-gated module).
     pub is_test: bool,
-    /// Token range of the signature tail: from after the parameter list's
-    /// closing `)` up to the body `{` (return type and where clause live
-    /// here — how guard-returning helpers are recognized).
-    pub sig: (usize, usize),
     /// Token range of the body, inclusive of both braces. `None` for a
     /// bodiless trait method declaration.
     pub body: Option<(usize, usize)>,
@@ -341,7 +337,6 @@ fn parse_fn(
     let mut j = params_close + 1;
     let mut depth = 0i32;
     let mut body = None;
-    let sig_start = j;
     while j < toks.len() {
         let t = &toks[j];
         if t.is_punct('(') || t.is_punct('[') {
@@ -356,18 +351,16 @@ fn parse_fn(
         }
         j += 1;
     }
-    let sig_end = j;
     let func = Function {
         name: name_tok.text.clone(),
         impl_type: scopes.iter().rev().find_map(|s| s.impl_type.clone()),
         line: toks[fn_idx].line,
         is_test: attrs.test || current_test(scopes),
-        sig: (sig_start, sig_end),
         body,
     };
     let resume = match body {
         Some((_, close)) => close + 1,
-        None => sig_end + 1,
+        None => j + 1,
     };
     (Some(func), resume)
 }
@@ -445,16 +438,5 @@ mod tests {
         assert!(fns[0].body.is_none());
         assert!(fns[1].body.is_some());
         assert_eq!(fns[1].impl_type.as_deref(), Some("Probe"));
-    }
-
-    #[test]
-    fn signature_tail_carries_return_type() {
-        let src =
-            "impl Pool { fn guard(&self) -> MutexGuard<'_, State> { self.state.lock().unwrap() } }";
-        let lexed = lex(src);
-        let fns = parse(&lexed).functions;
-        let (s, e) = fns[0].sig;
-        let sig: Vec<&str> = lexed.tokens[s..e].iter().map(|t| t.text.as_str()).collect();
-        assert!(sig.contains(&"MutexGuard"), "sig tokens: {sig:?}");
     }
 }

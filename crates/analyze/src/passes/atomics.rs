@@ -17,7 +17,7 @@
 //!   sharing a name don't conflate: mixing regimes on one atomic is how a
 //!   protocol silently loses its edge.
 
-use super::{Graph, Pass};
+use super::Pass;
 use crate::diag::{Diagnostic, Severity};
 use crate::model::{AtomicKind, AtomicSite, Workspace};
 use std::collections::BTreeMap;
@@ -54,7 +54,7 @@ impl Pass for AtomicsPairing {
         "atomics-pairing"
     }
 
-    fn run(&self, ws: &Workspace, _graph: &Graph, out: &mut Vec<Diagnostic>) {
+    fn run(&self, ws: &Workspace, out: &mut Vec<Diagnostic>) {
         // field name → every non-test access of it, with its file index.
         let mut by_field: BTreeMap<&str, Vec<(usize, &AtomicSite)>> = BTreeMap::new();
         // field *identity* → accesses: the mixed-regime check must not
@@ -136,9 +136,8 @@ mod tests {
 
     fn run(sources: &[(&str, &str)]) -> Vec<Diagnostic> {
         let ws = Workspace::from_sources(sources);
-        let graph = Graph::build(&ws);
         let mut out = Vec::new();
-        AtomicsPairing.run(&ws, &graph, &mut out);
+        AtomicsPairing.run(&ws, &mut out);
         out
     }
 

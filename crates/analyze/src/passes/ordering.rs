@@ -3,7 +3,7 @@
 //! argument, and `atomics-pairing`'s Relaxed sweep reads the text this
 //! pass demands.
 
-use super::{in_ranges, test_line_ranges, Graph, Pass};
+use super::{in_ranges, test_line_ranges, Pass};
 use crate::diag::{Diagnostic, Severity};
 use crate::lexer::TokKind;
 use crate::model::Workspace;
@@ -27,7 +27,7 @@ impl Pass for OrderingComment {
         "ordering-comment"
     }
 
-    fn run(&self, ws: &Workspace, _graph: &Graph, out: &mut Vec<Diagnostic>) {
+    fn run(&self, ws: &Workspace, out: &mut Vec<Diagnostic>) {
         for (fi, file) in ws.files.iter().enumerate() {
             let tests = test_line_ranges(ws, fi);
             let toks = &file.lexed.tokens;
@@ -73,9 +73,8 @@ mod tests {
 
     fn run_pass(p: &dyn Pass, sources: &[(&str, &str)]) -> Vec<Diagnostic> {
         let ws = Workspace::from_sources(sources);
-        let graph = Graph::build(&ws);
         let mut out = Vec::new();
-        p.run(&ws, &graph, &mut out);
+        p.run(&ws, &mut out);
         out
     }
 

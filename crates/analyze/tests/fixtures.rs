@@ -12,54 +12,9 @@ fn analyze(sources: &[(&str, &str)]) -> Vec<Diagnostic> {
     run(&Workspace::from_sources(sources)).diagnostics
 }
 
-/// Failing (non-note) diagnostics emitted by one pass.
+/// The diagnostics one pass emitted.
 fn failing<'a>(diags: &'a [Diagnostic], pass: &str) -> Vec<&'a Diagnostic> {
-    diags
-        .iter()
-        .filter(|d| d.pass == pass && d.severity != Severity::Note)
-        .collect()
-}
-
-#[test]
-fn lock_order_broken_twin_reports_cycle() {
-    let diags = analyze(&[(
-        "crates/core/src/pool.rs",
-        include_str!("../fixtures/lock_order_broken.rs"),
-    )]);
-    let hits = failing(&diags, "lock-order");
-    assert_eq!(hits.len(), 1, "diagnostics: {diags:#?}");
-    let d = hits[0];
-    assert_eq!(d.severity, Severity::Error);
-    assert_eq!(d.file, "crates/core/src/pool.rs");
-    assert!(
-        d.message.contains("lock-order cycle between")
-            && d.message.contains("core::Pool::alpha")
-            && d.message.contains("core::Pool::beta"),
-        "message: {}",
-        d.message
-    );
-}
-
-#[test]
-fn lock_order_fixed_twin_is_a_note_not_a_cycle() {
-    let diags = analyze(&[(
-        "crates/core/src/pool.rs",
-        include_str!("../fixtures/lock_order_clean.rs"),
-    )]);
-    assert!(failing(&diags, "lock-order").is_empty(), "{diags:#?}");
-    // The agreed nesting is still published, once, as a note.
-    let notes: Vec<_> = diags
-        .iter()
-        .filter(|d| d.pass == "lock-order" && d.severity == Severity::Note)
-        .collect();
-    assert_eq!(notes.len(), 1, "{notes:#?}");
-    assert!(
-        notes[0]
-            .message
-            .contains("`core::Pool::alpha` held over `core::Pool::beta`"),
-        "message: {}",
-        notes[0].message
-    );
+    diags.iter().filter(|d| d.pass == pass).collect()
 }
 
 #[test]

@@ -13,12 +13,13 @@
 //! ## The shim
 //!
 //! [`sync`] and [`thread`] mirror the `std::sync` / `std::thread` surface
-//! the workspace uses. In a normal build they are *pure re-exports of std*
-//! — zero cost, zero behavior change, proven by the existing parity and
-//! divergence gates. Under `RUSTFLAGS="--cfg cpq_model"` the same paths
-//! resolve to modeled types that route every acquire/release/load/store/CAS
-//! through a cooperative scheduler, so a test harness can explore *chosen*
-//! thread interleavings deterministically:
+//! the workspace uses. In a normal build they are *re-exports of std* —
+//! zero behavior change, proven by the existing parity and divergence
+//! gates, and zero cost in release builds. Under
+//! `RUSTFLAGS="--cfg cpq_model"` the same paths resolve to modeled types
+//! that route every acquire/release/load/store/CAS through a cooperative
+//! scheduler, so a test harness can explore *chosen* thread interleavings
+//! deterministically:
 //!
 //! * **Bounded DFS** (`model`, `model_dfs`) — exhaustively enumerates
 //!   schedules (optionally preemption-bounded, CHESS-style) for small
@@ -60,10 +61,22 @@
 //! atomics through [`sync`], never `std::sync`: under `--cfg cpq_model`
 //! each of them denies `clippy::disallowed_types`, and the workspace
 //! `clippy.toml` lists exactly the types [`sync`] swaps.
-//! [`sync::lock()`], [`sync::read()`], [`sync::write()`] and
-//! [`sync::wait()`] hold the poison rule, so library code needs no
-//! `expect` of its own on a lock. The other static rules are rustc's and
-//! clippy's, plus three `cpq-analyze` passes (`DESIGN.md` §12 and §17).
+//! [`sync::lock()`], [`sync::read()`], [`sync::write()`], [`sync::wait()`]
+//! and [`sync::wait_timeout()`] hold the poison rule, so library code needs
+//! no `expect` of its own on a lock.
+//!
+//! ## Lock order
+//!
+//! The same helpers take every lock in the workspace's libraries, so in
+//! debug builds outside the model they also check lock order, as the Linux
+//! kernel's lockdep does: a process-wide graph of lock classes (the
+//! `type_name` of the guarded value), an edge from each held class to each
+//! acquired one, and a panic on the edge that closes a cycle or on a lock
+//! taken again by its holder (see [`sync`]). Every debug test run checks
+//! the orders it takes, whatever its schedule. The model explores lock
+//! orders itself, and release builds compile none of this. The other
+//! static rules are rustc's and clippy's, plus two `cpq-analyze` passes
+//! (`DESIGN.md` §12 and §17).
 
 pub mod sync;
 pub mod thread;

@@ -1,7 +1,10 @@
-//! The two rules `cpq_check::sync` carries for the workspace:
+//! The three rules `cpq_check::sync` carries for the workspace:
 //!
 //! * the poison helpers re-raise a peer thread's panic, and the re-raised
 //!   panic names the caller's line, as the `expect` each one replaced did;
+//! * in debug builds outside the model, the helpers check lock order: two
+//!   lock classes taken in both orders, or a lock taken again by the thread
+//!   that holds it, panic at the caller's line;
 //! * `clippy.toml`'s `disallowed-types` names exactly the types the
 //!   `#[cfg(cpq_model)]` arm of `sync.rs` swaps for modeled ones, so the
 //!   model-cfg clippy gate neither misses a modeled type nor flags a std
@@ -11,42 +14,47 @@ use std::collections::BTreeSet;
 use std::path::Path;
 
 #[cfg(not(cpq_model))]
-mod poison {
-    use cpq_check::sync::{self, Arc, Mutex, RwLock};
-    use std::cell::RefCell;
+use std::cell::RefCell;
+
+#[cfg(not(cpq_model))]
+thread_local! {
+    /// The message and location of the last panic on this thread.
+    static SEEN: RefCell<Option<(String, String, u32)>> = const { RefCell::new(None) };
+}
+
+/// Runs `f`, which must panic, and returns the panic's message, file and
+/// line. The hook records per thread, so tests run side by side.
+#[cfg(not(cpq_model))]
+fn panic_site(f: impl FnOnce()) -> (String, String, u32) {
     use std::panic::{self, AssertUnwindSafe};
     use std::sync::Once;
+    static HOOK: Once = Once::new();
+    HOOK.call_once(|| {
+        panic::set_hook(Box::new(|info| {
+            let msg = info
+                .payload()
+                .downcast_ref::<String>()
+                .cloned()
+                .or_else(|| info.payload().downcast_ref::<&str>().map(|s| s.to_string()))
+                .unwrap_or_default();
+            let (file, line) = info
+                .location()
+                .map_or((String::new(), 0), |l| (l.file().to_string(), l.line()));
+            SEEN.with(|s| *s.borrow_mut() = Some((msg, file, line)));
+        }));
+    });
+    assert!(
+        panic::catch_unwind(AssertUnwindSafe(f)).is_err(),
+        "the call did not panic"
+    );
+    SEEN.with(|s| s.borrow_mut().take())
+        .expect("the hook saw the panic")
+}
 
-    thread_local! {
-        /// The message and location of the last panic on this thread.
-        static SEEN: RefCell<Option<(String, String, u32)>> = const { RefCell::new(None) };
-    }
-
-    /// Runs `f`, which must panic, and returns the panic's message, file
-    /// and line. The hook records per thread, so tests run side by side.
-    fn panic_site(f: impl FnOnce()) -> (String, String, u32) {
-        static HOOK: Once = Once::new();
-        HOOK.call_once(|| {
-            panic::set_hook(Box::new(|info| {
-                let msg = info
-                    .payload()
-                    .downcast_ref::<String>()
-                    .cloned()
-                    .or_else(|| info.payload().downcast_ref::<&str>().map(|s| s.to_string()))
-                    .unwrap_or_default();
-                let (file, line) = info
-                    .location()
-                    .map_or((String::new(), 0), |l| (l.file().to_string(), l.line()));
-                SEEN.with(|s| *s.borrow_mut() = Some((msg, file, line)));
-            }));
-        });
-        assert!(
-            panic::catch_unwind(AssertUnwindSafe(f)).is_err(),
-            "the call did not panic"
-        );
-        SEEN.with(|s| s.borrow_mut().take())
-            .expect("the hook saw the panic")
-    }
+#[cfg(not(cpq_model))]
+mod poison {
+    use super::panic_site;
+    use cpq_check::sync::{self, Arc, Mutex, RwLock};
 
     /// Has a peer thread panic while holding what `hold` takes.
     fn poison_from_a_peer<T: Send + Sync + 'static>(lock: &Arc<T>, hold: fn(&T)) {
@@ -86,6 +94,60 @@ mod poison {
         assert_eq!(line, want);
         let ((msg, _, line), want) = (panic_site(|| drop(sync::write(&l))), line!());
         assert!(msg.contains("poisoned"), "{msg}");
+        assert_eq!(line, want);
+    }
+}
+
+/// Lock order, the rule debug builds check (the model explores lock orders
+/// itself, and release builds leave it out).
+#[cfg(all(debug_assertions, not(cpq_model)))]
+mod order {
+    use super::panic_site;
+    use cpq_check::sync::{self, Mutex};
+    use std::any::type_name;
+
+    #[test]
+    fn two_classes_taken_in_both_orders_panic() {
+        struct Alpha;
+        struct Beta;
+        let (a, b) = (Mutex::new(Alpha), Mutex::new(Beta));
+        let first = {
+            let _a = sync::lock(&a);
+            let (_b, first) = (sync::lock(&b), line!());
+            first
+        };
+        let _b = sync::lock(&b);
+        let ((msg, file, line), want) = (panic_site(|| drop(sync::lock(&a))), line!());
+        assert!(msg.contains("lock order cycle"), "{msg}");
+        assert!(msg.contains(type_name::<Alpha>()), "{msg}");
+        assert!(msg.contains(type_name::<Beta>()), "{msg}");
+        assert!(msg.contains(&format!("sync_rules.rs:{want}:")), "{msg}");
+        assert!(msg.contains(&format!("sync_rules.rs:{first}:")), "{msg}");
+        assert!(file.ends_with("sync_rules.rs"), "{file}");
+        assert_eq!(line, want);
+    }
+
+    #[test]
+    fn one_order_taken_again_is_quiet() {
+        struct Gamma;
+        struct Delta;
+        let (c, d) = (Mutex::new(Gamma), Mutex::new(Delta));
+        let nest = || drop((sync::lock(&c), sync::lock(&d)));
+        nest();
+        nest();
+        std::thread::scope(|s| drop(s.spawn(nest)));
+    }
+
+    #[test]
+    fn a_lock_taken_again_by_its_holder_panics() {
+        struct Epsilon;
+        let m = Mutex::new(Epsilon);
+        let (_held, first) = (sync::lock(&m), line!());
+        let ((msg, file, line), want) = (panic_site(|| drop(sync::lock(&m))), line!());
+        assert!(msg.contains("taken twice"), "{msg}");
+        assert!(msg.contains(type_name::<Epsilon>()), "{msg}");
+        assert!(msg.contains(&format!("sync_rules.rs:{first}:")), "{msg}");
+        assert!(file.ends_with("sync_rules.rs"), "{file}");
         assert_eq!(line, want);
     }
 }

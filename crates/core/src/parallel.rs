@@ -332,12 +332,11 @@ fn worker_loop<const D: usize>(
             if rt.shutdown.load(Ordering::Acquire) || rt.abort.load(Ordering::Relaxed) {
                 break;
             }
-            #[expect(clippy::expect_used, reason = "poisoned: a peer worker panicked")]
-            let parked = rt
-                .wake
-                .wait_timeout(guard, Duration::from_micros(200))
-                .expect("idle wait poisoned");
-            drop(parked);
+            drop(sync::wait_timeout(
+                &rt.wake,
+                guard,
+                Duration::from_micros(200),
+            ));
             continue;
         };
         maybe_yield();

@@ -40,7 +40,7 @@ pub use color::{base_oid, color_of, pack_color, COLOR_BITS};
 pub use dist::Dist2;
 pub use metrics::{
     axis_gap, max_dist2, max_max_dist2, min_max_dist2, min_min_dist2, min_min_dist2_within,
-    pt_dist2, pt_dist2_within, pt_mindist2, pt_minmaxdist2,
+    pt_dist2, pt_dist2_within,
 };
 pub use point::Point;
 pub use rect::Rect;

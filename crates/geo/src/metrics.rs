@@ -153,21 +153,6 @@ pub fn min_max_dist2<const D: usize>(a: &Rect<D>, b: &Rect<D>) -> Dist2 {
     best
 }
 
-/// Point-to-MBR `MINDIST` (Roussopoulos et al. 1995): squared distance from
-/// `p` to the nearest point of `r`. Zero when `p` is inside `r`.
-#[inline]
-pub fn pt_mindist2<const D: usize>(p: &Point<D>, r: &Rect<D>) -> Dist2 {
-    min_min_dist2(&Rect::point(*p), r)
-}
-
-/// Point-to-MBR `MINMAXDIST` (Roussopoulos et al. 1995): the minimum over the
-/// MBR's facets of the maximum distance from `p` to that facet. At least one
-/// data point inside `r` is within this distance of `p`.
-#[inline]
-pub fn pt_minmaxdist2<const D: usize>(p: &Point<D>, r: &Rect<D>) -> Dist2 {
-    min_max_dist2(&Rect::point(*p), r)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -226,16 +211,6 @@ mod tests {
         let a = r([0.0, 0.0], [1.0, 1.0]);
         let b = r([4.0, 0.0], [5.0, 1.0]);
         assert_eq!(min_max_dist2(&a, &b).get(), 10.0);
-    }
-
-    #[test]
-    fn minmaxdist_point_to_rect_matches_roussopoulos() {
-        // Classic example: p = (0,0), rect = [1,2] x [1,2].
-        // MINMAXDIST^2 = min( (1^2 + 2^2), (2^2 + 1^2) ) = 5.
-        let p = Point([0.0, 0.0]);
-        let rect = r([1.0, 1.0], [2.0, 2.0]);
-        assert_eq!(pt_minmaxdist2(&p, &rect).get(), 5.0);
-        assert_eq!(pt_mindist2(&p, &rect).get(), 2.0);
     }
 
     #[test]

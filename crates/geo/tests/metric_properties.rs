@@ -1,9 +1,7 @@
 //! The paper's Inequalities 1 and 2, and the metric identities the pruning
 //! rules lean on, over seeded random point sets and their MBRs.
 
-use cpq_geo::{
-    max_max_dist2, min_max_dist2, min_min_dist2, pt_dist2, pt_mindist2, pt_minmaxdist2, Point, Rect,
-};
+use cpq_geo::{max_max_dist2, min_max_dist2, min_min_dist2, pt_dist2, Point, Rect};
 use cpq_rng::Rng;
 
 const CASES: u64 = 256;
@@ -61,25 +59,5 @@ fn mbr_metrics_bound_every_contained_pair() {
         ] {
             assert!((moved.get() - still.get()).abs() < 1e-6, "seed {seed}");
         }
-    }
-}
-
-/// The point-to-MBR specializations keep the Roussopoulos guarantees.
-#[test]
-fn point_to_mbr_metrics_bracket_the_nearest_point() {
-    for seed in 0..CASES {
-        let mut rng = Rng::seed_from_u64(seed);
-        let p = pointset(&mut rng, 2)[0];
-        let qs = pointset(&mut rng, 12);
-        let mq = mbr(&qs);
-        let nearest = qs.iter().map(|q| pt_dist2(&p, q)).min().unwrap();
-        assert!(
-            pt_mindist2(&p, &mq).get() <= nearest.get() + 1e-9,
-            "seed {seed}"
-        );
-        assert!(
-            nearest.get() <= pt_minmaxdist2(&p, &mq).get() + 1e-9,
-            "seed {seed}"
-        );
     }
 }

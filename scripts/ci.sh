@@ -60,11 +60,13 @@ cargo test --workspace -q
 echo "==> cargo test --release -p cpq-core (lib kernels + work_counts_golden)"
 cargo test --release -q -p cpq-core --lib --test work_counts_golden
 
-# Analyze tier: cpq_analyze runs the three passes the compiler has no lint
-# for (lock-order, atomics-pairing with its Relaxed-justification sweep,
+# Analyze tier: cpq_analyze runs the two passes the compiler has no lint
+# for (atomics-pairing with its Relaxed-justification sweep,
 # ordering-comment) over the workspace source and archives one report. Any
 # finding fails the gate; there is no waiver and one configuration, the one
-# crates/analyze/tests/real_workspace.rs ran above.
+# crates/analyze/tests/real_workspace.rs ran above. Lock order needs no
+# step here: every debug test binary above checked it on each lock taken
+# (cpq_check::sync).
 # (The /metrics exposition gate is a test:
 # crates/service/tests/observability.rs, run by `cargo test` above.)
 echo "==> cpq_analyze (multi-pass static analysis -> analysis_report.json)"

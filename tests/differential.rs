@@ -32,8 +32,9 @@
 //! live writers (`live-writer`), each side in turn deleting and inserting
 //! again an object (32 at most: then their paths are resident) until one
 //! fails. One that did not commit stopped its writer, which must refuse all
-//! else naming it; the watcher, the snapshots, the live service and, on
-//! disk, recovery must answer for exactly what the set acknowledged.
+//! else naming it; each side's `LiveSet::stats` counters, the watcher, the
+//! snapshots, the live service and, on disk, recovery must answer for
+//! exactly what the set acknowledged.
 //!
 //! A failure prints `case_from(seed, index)` and the case's `Debug`; paste
 //! the two integers into [`REPLAY`] and run `cargo test --test differential
@@ -904,12 +905,28 @@ fn check(case: &Case, tally: &mut Tally) {
     }
     let (primed, stream) = update_stream(case, &ps, &qs);
     let mut alive: [Vec<Object>; 2] = [Vec::new(), Vec::new()];
-    let track = |alive: &mut [Vec<Object>; 2], op: UpdateOp<2>| match op {
-        Insert { side, object, oid } => alive[side as usize].push((object, oid)),
-        Delete { side, oid, .. } => alive[side as usize].retain(|o| o.1 != oid),
+    // Per side, the committed inserts, deletes that found their object and
+    // deletes that found none: what `LiveSet::stats` must count.
+    let mut acked = [(0u64, 0u64, 0u64); 2];
+    let track = |alive: &mut [Vec<Object>; 2], acked: &mut [(u64, u64, u64); 2], op| match op {
+        Insert { side, object, oid } => {
+            alive[side as usize].push((object, oid));
+            acked[side as usize].0 += 1;
+        }
+        Delete { side, oid, .. } => {
+            let before = alive[side as usize].len();
+            alive[side as usize].retain(|o| o.1 != oid);
+            if alive[side as usize].len() < before {
+                acked[side as usize].1 += 1;
+            } else {
+                acked[side as usize].2 += 1;
+            }
+        }
     };
     live.apply(&primed).unwrap();
-    primed.iter().for_each(|&op| track(&mut alive, op));
+    primed
+        .iter()
+        .for_each(|&op| track(&mut alive, &mut acked, op));
     live.watch(spec.k).unwrap();
     let snapshots = || (live.p().snapshot().unwrap(), live.q().snapshot().unwrap());
     let (snap_p, snap_q) = snapshots();
@@ -937,7 +954,7 @@ fn check(case: &Case, tally: &mut Tally) {
     {
         if let Some(op) = op {
             live.apply(std::slice::from_ref(op)).unwrap();
-            track(&mut alive, *op);
+            track(&mut alive, &mut acked, *op);
             let (snap_p, snap_q) = snapshots();
             match (continuous.as_mut(), *op) {
                 (Some(continuous), UpdateOp::Insert { side, object, oid }) if watched(side) => {
@@ -984,7 +1001,7 @@ fn check(case: &Case, tally: &mut Tally) {
             let applied = live.apply(&[op]);
             let committed = live.side(side).len() != alive[side as usize].len() as u64;
             if committed {
-                track(&mut alive, op);
+                track(&mut alive, &mut acked, op);
             }
             applied
                 .inspect_err(|e| failed = Some((side, object, oid, committed, e.to_string())))?;
@@ -1002,6 +1019,13 @@ fn check(case: &Case, tally: &mut Tally) {
         for later in later.into_iter().chain(checkpoint) {
             assert!(later.is_err_and(named), "live-writer: it went on");
         }
+    }
+    // `LiveSet::stats` takes each side's writer lock and then its log's:
+    // reading it here puts that path under the debug lock-order check.
+    let (stats_p, stats_q) = live.stats();
+    for (stats, acked) in [stats_p, stats_q].iter().zip(acked) {
+        let counted = (stats.inserts, stats.deletes, stats.delete_misses);
+        assert_eq!(counted, acked, "live stats against the acknowledged ops");
     }
     let [alive_p, alive_q] = &alive;
     if let Some(pairs) = live.watched_pairs() {
